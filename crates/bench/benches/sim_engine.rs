@@ -6,29 +6,20 @@
 //!
 //! A one-shot `cycles_per_sec` summary line is printed for the full-system
 //! shapes the repro suite actually spends its time on (tab07's 8-core
-//! systems); `BENCH_sim_engine.json` next to this file records a reference
-//! measurement to track the step/skip ratio over time.
+//! systems). The tracked end-to-end numbers live in `perfbench`.
 
 use std::time::{Duration, Instant};
 
-use bard::dram::SchedulerKind;
 use bard::experiment::RunLength;
 use bard::{EngineKind, System, SystemConfig};
 use bard_workloads::WorkloadId;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 /// Simulates one run and returns the total simulated cycles (warm-up
-/// included — every engine/scheduler path covers the identical cycle span).
-fn simulate(
-    engine: EngineKind,
-    scheduler: SchedulerKind,
-    workload: WorkloadId,
-    cores: usize,
-    length: RunLength,
-) -> u64 {
+/// included — both engines cover the identical cycle span).
+fn simulate(engine: EngineKind, workload: WorkloadId, cores: usize, length: RunLength) -> u64 {
     let mut cfg = SystemConfig::small_test().with_engine(engine);
     cfg.cores = cores;
-    cfg.dram.scheduler = scheduler;
     let mut system = System::new(cfg, workload);
     system.run(length.functional_warmup, length.timed_warmup, length.measure);
     system.cycle()
@@ -42,35 +33,31 @@ fn bench(c: &mut Criterion) {
     let length = RunLength { functional_warmup: 100_000, timed_warmup: 2_000, measure: 10_000 };
     for engine in [EngineKind::Step, EngineKind::Skip] {
         group.bench_function(format!("lbm_2core_{}", engine.name()), |b| {
-            b.iter(|| simulate(engine, SchedulerKind::Incremental, WorkloadId::Lbm, 2, length));
+            b.iter(|| simulate(engine, WorkloadId::Lbm, 2, length));
         });
     }
-    group.bench_function("lbm_2core_skip_scan_sched", |b| {
-        b.iter(|| simulate(EngineKind::Skip, SchedulerKind::Scan, WorkloadId::Lbm, 2, length));
-    });
     group.finish();
     summarize(length);
 }
 
 /// One-shot simulated-cycles/sec comparison on the 8-core systems that
 /// dominate suite runtime (skipped under `--test`, where benches are smoke
-/// tests). These are the numbers `BENCH_sim_engine.json` tracks.
+/// tests).
 fn summarize(length: RunLength) {
     if std::env::args().any(|a| a == "--test") {
         return;
     }
     for (workload, cores) in [(WorkloadId::Lbm, 8), (WorkloadId::Copy, 8)] {
-        let rate = |engine: EngineKind, scheduler: SchedulerKind| {
+        let rate = |engine: EngineKind| {
             let start = Instant::now();
-            let cycles = simulate(engine, scheduler, workload, cores, length);
+            let cycles = simulate(engine, workload, cores, length);
             cycles as f64 / start.elapsed().as_secs_f64()
         };
-        let step = rate(EngineKind::Step, SchedulerKind::Incremental);
-        let skip_scan = rate(EngineKind::Skip, SchedulerKind::Scan);
-        let skip = rate(EngineKind::Skip, SchedulerKind::Incremental);
+        let step = rate(EngineKind::Step);
+        let skip = rate(EngineKind::Skip);
         println!(
             "sim_engine/cycles_per_sec: workload={} cores={cores} step={step:.3e} \
-             skip_scan={skip_scan:.3e} skip={skip:.3e} speedup={:.2}x",
+             skip={skip:.3e} speedup={:.2}x",
             workload.name(),
             skip / step,
         );

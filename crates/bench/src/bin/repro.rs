@@ -14,8 +14,13 @@
 //! ```
 
 use bard_bench::experiments::ALL;
-use bard_bench::harness::Cli;
+use bard_bench::harness::{usage_error, Cli};
 use bard_bench::repro::{run_suite, select, ExperimentOutcome};
+
+const USAGE: &str = "usage: repro [--list] [--only=id1,id2] [--test|--quick|--standard] \
+     [--singles|--mixes] [--workloads=a,b,c] [--cores=N] [--seed=N] \
+     [--trace-dir=DIR] [--snapshot-dir=DIR] [--jobs=N] [--progress] \
+     [--engine=step|skip] [--out=DIR]";
 
 fn main() {
     let mut only: Option<String> = None;
@@ -26,23 +31,24 @@ fn main() {
         } else if arg.starts_with("--format=") {
             // Unlike the per-figure binaries, repro's stdout is the progress
             // log; the machine-readable output is the --out directory.
-            eprintln!("repro: --format= is not supported; use --out=DIR for JSON/CSV artifacts");
-            std::process::exit(2);
+            usage_error(
+                "repro: --format= is not supported; use --out=DIR for JSON/CSV artifacts",
+                USAGE,
+            );
         } else if arg == "--list" {
             list_experiments();
             return;
         } else if arg == "--help" || arg == "-h" {
-            print_usage();
+            print_help();
             return;
         } else {
             passthrough.push(arg);
         }
     }
-    let selected = select(only.as_deref()).unwrap_or_else(|e| {
-        eprintln!("repro: {e}");
-        std::process::exit(2);
-    });
-    let cli = Cli::from_args(passthrough.into_iter());
+    let selected =
+        select(only.as_deref()).unwrap_or_else(|e| usage_error(&format!("repro: {e}"), USAGE));
+    let cli = Cli::from_args(passthrough.into_iter())
+        .unwrap_or_else(|e| usage_error(&format!("repro: {e}"), USAGE));
 
     println!(
         "repro: {} experiment(s), cores={} policy-baseline={} workloads={} measure={} \
@@ -103,12 +109,9 @@ fn list_experiments() {
     }
 }
 
-fn print_usage() {
+fn print_help() {
     println!(
-        "usage: repro [--list] [--only=id1,id2] [--test|--quick|--standard] \
-         [--singles|--mixes] [--workloads=a,b,c] [--cores=N] [--seed=N] \
-         [--trace-dir=DIR] [--snapshot-dir=DIR] [--jobs=N] [--progress] \
-         [--out=DIR]\n\
+        "{USAGE}\n\
          \n\
          Runs every registered figure/table experiment (see --list), writes one\n\
          JSON and one CSV artifact per experiment plus summary.json into --out,\n\

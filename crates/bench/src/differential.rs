@@ -2,24 +2,16 @@
 //! path in the simulator is bitwise-faithful to the reference
 //! implementations it bypasses.
 //!
-//! The simulator deliberately keeps two independent implementations of each
-//! performance-critical mechanism:
-//!
-//! * **time advance** — the reference `step` engine vs the exact next-event
-//!   `skip` engine ([`bard::EngineKind`]),
-//! * **DRAM command scheduling** — the full-queue `scan` scheduler vs the
-//!   per-bank `incremental` scheduler ([`bard_dram::SchedulerKind`]),
-//! * **cache lookup** — the reference `walk` probe vs the presence-filtered
-//!   `fused` probe ([`bard::ProbeKind`]).
-//!
-//! Any `(engine, scheduler, probe)` combination must produce a **bitwise
+//! The simulator keeps one selectable fast path with a reference twin: time
+//! advance, the reference `step` engine vs the exact next-event `skip`
+//! engine ([`bard::EngineKind`]). Both engines must produce a **bitwise
 //! identical** [`RunResult`] (every counter, every `f64`) and byte-identical
 //! artifact text for any workload, configuration and run length. This module
 //! provides the machinery the stress tests (and any future fast path) build
 //! on: randomized configuration sampling over the dimensions that steer the
 //! hot paths (core count, queue capacities and watermarks, MSHR budget,
 //! page policy, refresh, device width, prefetchers, replacement and
-//! writeback policies), plus the cross-product runner and its assertion.
+//! writeback policies), plus the per-path runner and its assertion.
 //!
 //! Adding a fast path? Give it a reference twin, add the knob to
 //! [`all_paths`] (or a new sampling dimension to [`StressCase::random`]) and
@@ -28,22 +20,19 @@
 
 use bard::experiment::RunLength;
 use bard::report::{Artifact, Provenance};
-use bard::{
-    EngineKind, ProbeKind, RunOutcome, RunResult, Snapshot, System, SystemConfig, WritePolicyKind,
-};
+use bard::{EngineKind, RunOutcome, RunResult, Snapshot, System, SystemConfig, WritePolicyKind};
 use bard_cache::ReplacementKind;
-use bard_dram::{DramConfig, PagePolicy, SchedulerKind};
+use bard_dram::{DramConfig, PagePolicy};
 use bard_workloads::rng::SmallRng;
 use bard_workloads::WorkloadId;
 
 /// One randomized differential test case: a configuration, a workload and a
-/// run length, independent of the engine/scheduler path used to simulate it.
+/// run length, independent of the engine used to simulate it.
 #[derive(Debug, Clone)]
 pub struct StressCase {
     /// Human-readable description for assertion messages.
     pub label: String,
-    /// System configuration (its `engine` / `dram.scheduler` / `probe`
-    /// fields are overridden per path).
+    /// System configuration (its `engine` field is overridden per path).
     pub config: SystemConfig,
     /// Workload to simulate.
     pub workload: WorkloadId,
@@ -51,26 +40,11 @@ pub struct StressCase {
     pub length: RunLength,
 }
 
-/// The engine × scheduler × probe cross product every case is pushed
-/// through.
+/// The paths every case is pushed through: the reference step engine and
+/// the skip engine.
 #[must_use]
-pub fn all_paths() -> [(EngineKind, SchedulerKind, ProbeKind); 8] {
-    [
-        (EngineKind::Step, SchedulerKind::Scan, ProbeKind::Walk),
-        (EngineKind::Step, SchedulerKind::Scan, ProbeKind::Fused),
-        (EngineKind::Step, SchedulerKind::Incremental, ProbeKind::Walk),
-        (EngineKind::Step, SchedulerKind::Incremental, ProbeKind::Fused),
-        (EngineKind::Skip, SchedulerKind::Scan, ProbeKind::Walk),
-        (EngineKind::Skip, SchedulerKind::Scan, ProbeKind::Fused),
-        (EngineKind::Skip, SchedulerKind::Incremental, ProbeKind::Walk),
-        (EngineKind::Skip, SchedulerKind::Incremental, ProbeKind::Fused),
-    ]
-}
-
-/// A short name for a path, used in assertion messages.
-#[must_use]
-pub fn path_name(engine: EngineKind, scheduler: SchedulerKind, probe: ProbeKind) -> String {
-    format!("{}/{}/{}", engine.name(), scheduler.name(), probe.name())
+pub fn all_paths() -> [EngineKind; 2] {
+    [EngineKind::Step, EngineKind::Skip]
 }
 
 impl StressCase {
@@ -147,8 +121,8 @@ impl StressCase {
 
     /// A hand-picked case that saturates the DRAM queues: many cores of a
     /// write-heavy streaming workload against a single small write queue and
-    /// a starved MSHR file, so the schedulers spend the whole run at queue
-    /// saturation — the regime the incremental scheduler exists for.
+    /// a starved MSHR file, so the scheduler spends the whole run at queue
+    /// saturation.
     #[must_use]
     pub fn saturated(workload: WorkloadId) -> Self {
         let mut config = SystemConfig::small_test();
@@ -185,18 +159,12 @@ impl StressCase {
         }
     }
 
-    /// Simulates this case along one `(engine, scheduler, probe)` path,
-    /// returning the run result, the final simulated cycle and the rendered
-    /// artifact text + CSV (which must all be path-invariant).
+    /// Simulates this case with `engine`, returning the run result, the
+    /// final simulated cycle and the rendered artifact text + CSV (which must
+    /// all be path-invariant).
     #[must_use]
-    pub fn run_path(
-        &self,
-        engine: EngineKind,
-        scheduler: SchedulerKind,
-        probe: ProbeKind,
-    ) -> PathOutcome {
-        let mut config = self.config.clone().with_engine(engine).with_probe(probe);
-        config.dram.scheduler = scheduler;
+    pub fn run_path(&self, engine: EngineKind) -> PathOutcome {
+        let config = self.config.clone().with_engine(engine);
         let mut system = System::new(config, self.workload);
         let result = system.run(
             self.length.functional_warmup,
@@ -208,15 +176,15 @@ impl StressCase {
         PathOutcome { result, final_cycle, text, csv }
     }
 
-    /// Runs the case through all eight paths and asserts that every result,
+    /// Runs the case through both paths and asserts that every result,
     /// final cycle, artifact text and artifact CSV is bitwise identical.
     /// Returns the (canonical) result for further assertions.
     #[must_use]
     pub fn assert_paths_agree(&self) -> RunResult {
-        let mut reference: Option<(PathOutcome, String)> = None;
-        for (engine, scheduler, probe) in all_paths() {
-            let name = path_name(engine, scheduler, probe);
-            let outcome = self.run_path(engine, scheduler, probe);
+        let mut reference: Option<(PathOutcome, &str)> = None;
+        for engine in all_paths() {
+            let name = engine.name();
+            let outcome = self.run_path(engine);
             match &reference {
                 None => reference = Some((outcome, name)),
                 Some((reference, ref_name)) => {
@@ -257,15 +225,8 @@ impl StressCase {
     /// Panics when the run completes before `pause_at` (the checkpoint must
     /// land mid-run) or the image fails to round-trip or restore.
     #[must_use]
-    pub fn run_path_checkpointed(
-        &self,
-        engine: EngineKind,
-        scheduler: SchedulerKind,
-        probe: ProbeKind,
-        pause_at: u64,
-    ) -> PathOutcome {
-        let mut config = self.config.clone().with_engine(engine).with_probe(probe);
-        config.dram.scheduler = scheduler;
+    pub fn run_path_checkpointed(&self, engine: EngineKind, pause_at: u64) -> PathOutcome {
+        let config = self.config.clone().with_engine(engine);
         let mut paused = System::new(config.clone(), self.workload);
         let outcome = paused.run_to_pause(
             self.length.functional_warmup,
@@ -305,12 +266,12 @@ impl StressCase {
     /// (canonical) straightline result for further assertions.
     #[must_use]
     pub fn assert_snapshot_parity(&self) -> RunResult {
-        let mut reference: Option<(RunResult, String)> = None;
-        for (engine, scheduler, probe) in all_paths() {
-            let name = path_name(engine, scheduler, probe);
-            let straight = self.run_path(engine, scheduler, probe);
+        let mut reference: Option<(RunResult, &str)> = None;
+        for engine in all_paths() {
+            let name = engine.name();
+            let straight = self.run_path(engine);
             let pause_at = (straight.final_cycle / 2).max(1);
-            let resumed = self.run_path_checkpointed(engine, scheduler, probe, pause_at);
+            let resumed = self.run_path_checkpointed(engine, pause_at);
             assert_eq!(
                 straight.final_cycle, resumed.final_cycle,
                 "{}: final cycle diverged after checkpoint/restore on {name}",
@@ -364,7 +325,7 @@ impl StressCase {
     }
 }
 
-/// What one `(engine, scheduler, probe)` path produced.
+/// What one engine path produced.
 #[derive(Debug, Clone)]
 pub struct PathOutcome {
     /// The collected run result.

@@ -617,14 +617,13 @@ fn tab07(cli: &Cli, a: &mut Artifact) {
         [("8", SystemConfig::baseline_8core()), ("16", SystemConfig::baseline_16core())]
     {
         // tab07 deliberately simulates the full 8/16-core systems whatever
-        // the CLI baseline is, but the seed, trace archive, engine and
-        // scheduler still follow the CLI so --seed= sweeps, --trace-dir=
-        // replay and --engine=/--sched= comparisons cover it too.
-        let mut base_cfg = base_cfg
+        // the CLI baseline is, but the seed, trace archive and engine still
+        // follow the CLI so --seed= sweeps, --trace-dir= replay and
+        // --engine= comparisons cover it too.
+        let base_cfg = base_cfg
             .with_seed(cli.config.seed)
             .with_trace(cli.config.trace.clone())
             .with_engine(cli.config.engine);
-        base_cfg.dram.scheduler = cli.config.dram.scheduler;
         let bard_cfg = base_cfg.clone().with_policy(WritePolicyKind::BardH);
         let cmp =
             Comparison::run_on(&cli.runner(), &base_cfg, &bard_cfg, &cli.workloads, cli.length);
@@ -766,7 +765,7 @@ mod tests {
 
     #[test]
     fn tab01_needs_no_simulation_and_renders() {
-        let cli = Cli::from_args(["--test".to_string()].into_iter());
+        let cli = Cli::from_args(["--test".to_string()].into_iter()).expect("valid arguments");
         let artifact = find("tab01").unwrap().run_to_artifact(&cli);
         let text = artifact.render_text();
         assert!(text.starts_with("Table I: DRAM timing (DDR5 4800B x4 devices)\n\n"));
@@ -780,7 +779,8 @@ mod tests {
         let cli = Cli::from_args(
             ["--test".to_string(), "--workloads=lbm".to_string(), "--jobs=1".to_string()]
                 .into_iter(),
-        );
+        )
+        .expect("valid arguments");
         let artifact = find("tab10").unwrap().run_to_artifact(&cli);
         // One baseline + one BARD run of one workload.
         assert_eq!(artifact.records.len(), 2);

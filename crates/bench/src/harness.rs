@@ -21,34 +21,43 @@
 //!   host cores; `--jobs=1` forces the serial path),
 //! * `--progress`: stream `[bard-progress]` percent-complete/ETA lines to
 //!   stderr while the grid runs (weighted by per-job instruction budgets),
-//! * `--engine=step|skip`: simulation engine (default: `BARD_ENGINE` or
-//!   `skip`). The cycle-skipping engine is bitwise-identical to the
-//!   reference step engine and much faster; `step` exists for parity checks
-//!   and bisection,
-//! * `--sched=scan|incremental`: DRAM command-scheduler implementation
-//!   (default: `BARD_SCHED` or `incremental`). Both produce bitwise-identical
-//!   results; `scan` is the full-queue reference kept for differential
-//!   testing,
-//! * `--probe=walk|fused`: cache-hierarchy probe implementation (default:
-//!   `BARD_PROBE` or `fused`). Both produce bitwise-identical results;
-//!   `walk` is the per-level reference probe kept for differential testing,
+//! * `--engine=step|skip`: simulation engine (default `skip`). The
+//!   cycle-skipping engine is bitwise-identical to the reference step engine
+//!   and much faster; `step` exists for parity checks and bisection,
 //! * `--format=text|json|csv`: stdout format (default `text`, byte-identical
 //!   to the historical output),
 //! * `--out=DIR`: additionally write `DIR/<experiment>.json` and
 //!   `DIR/<experiment>.csv` artifacts (see `docs/RESULTS.md` for the schema).
+//!
+//! `--help` prints [`USAGE`] and exits 0. An unknown flag, workload, engine
+//! or format, or a non-numeric `--cores=`, `--seed=` or `--jobs=`, is a
+//! usage error: [`Cli::parse`] prints the message and [`USAGE`] to stderr
+//! and exits 2.
 //!
 //! The driving helpers ([`Cli::run`], [`Cli::run_grid`], [`Cli::compare`])
 //! execute the whole `(configs x workloads)` grid on the [`Runner`] so
 //! binaries never hand-roll serial simulation loops.
 
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 use bard::experiment::{run_workloads_with, Comparison, RunLength};
 use bard::report::{Artifact, Provenance};
 use bard::runner::{Job, Runner};
-use bard::{EngineKind, ProbeKind, RunResult, SnapshotStore, SystemConfig, TraceConfig};
-use bard_dram::SchedulerKind;
+use bard::{EngineKind, RunResult, SnapshotStore, SystemConfig, TraceConfig};
 use bard_workloads::WorkloadId;
+
+/// The usage line of every experiment binary.
+pub const USAGE: &str = "usage: <experiment> [--test|--quick|--standard] [--singles|--mixes] \
+     [--workloads=a,b,c] [--cores=N] [--seed=N] [--trace-dir=DIR] [--snapshot-dir=DIR] \
+     [--jobs=N] [--progress] [--engine=step|skip] [--format=text|json|csv] [--out=DIR]";
+
+/// Reports a command-line usage error: prints `message` and `usage` to
+/// stderr and exits with status 2.
+pub fn usage_error(message: &str, usage: &str) -> ! {
+    eprintln!("{message}\n{usage}");
+    std::process::exit(2);
+}
 
 /// What an experiment binary writes to stdout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -100,23 +109,27 @@ pub struct Cli {
 }
 
 impl Cli {
-    /// Parses `std::env::args`.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on an unknown flag or workload name.
+    /// Parses `std::env::args`: `--help` prints [`USAGE`] and exits 0, and a
+    /// usage error prints its message and [`USAGE`] to stderr and exits 2.
     #[must_use]
     pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1))
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        if args.iter().any(|a| a == "--help" || a == "-h") {
+            println!("{USAGE}");
+            std::process::exit(0);
+        }
+        Self::from_args(args.into_iter())
+            .unwrap_or_else(|e| usage_error(&format!("error: {e}"), USAGE))
     }
 
-    /// Parses an explicit argument list (used by tests).
+    /// Parses an explicit argument list.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on an unknown flag or workload name.
-    #[must_use]
-    pub fn from_args(args: impl Iterator<Item = String>) -> Self {
+    /// Returns a message naming the offending argument on an unknown flag,
+    /// workload, engine or format, or a non-numeric `--cores=`, `--seed=`
+    /// or `--jobs=`.
+    pub fn from_args(args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut length = RunLength::quick();
         let mut workloads = WorkloadId::all();
         let mut config = SystemConfig::baseline_8core();
@@ -127,9 +140,7 @@ impl Cli {
         let mut seed = None;
         let mut trace_dir: Option<PathBuf> = None;
         let mut snapshot_dir: Option<PathBuf> = None;
-        let mut engine = EngineKind::from_env();
-        let mut scheduler = SchedulerKind::from_env();
-        let mut probe = ProbeKind::from_env();
+        let mut engine = None;
         for arg in args {
             if arg == "--test" {
                 length = RunLength::test();
@@ -147,47 +158,33 @@ impl Cli {
                     .split(',')
                     .map(|name| {
                         WorkloadId::from_name(name.trim())
-                            .unwrap_or_else(|| panic!("unknown workload '{name}'"))
+                            .ok_or_else(|| format!("unknown workload '{name}'"))
                     })
-                    .collect();
-            } else if let Some(cores) = arg.strip_prefix("--cores=") {
-                let cores: usize = cores.parse().expect("--cores=N needs a number");
-                config.cores = cores;
+                    .collect::<Result<_, _>>()?;
+            } else if let Some(n) = arg.strip_prefix("--cores=") {
+                config.cores = number("--cores", n)?;
             } else if let Some(n) = arg.strip_prefix("--seed=") {
-                seed = Some(n.parse().expect("--seed=N needs a number"));
+                seed = Some(number("--seed", n)?);
             } else if let Some(dir) = arg.strip_prefix("--trace-dir=") {
                 trace_dir = Some(PathBuf::from(dir));
             } else if let Some(dir) = arg.strip_prefix("--snapshot-dir=") {
                 snapshot_dir = Some(PathBuf::from(dir));
             } else if let Some(n) = arg.strip_prefix("--jobs=") {
-                jobs = n.parse().expect("--jobs=N needs a number");
+                jobs = number("--jobs", n)?;
             } else if arg == "--progress" {
                 progress = true;
             } else if let Some(name) = arg.strip_prefix("--engine=") {
                 engine = Some(
                     EngineKind::from_name(name)
-                        .unwrap_or_else(|name| panic!("unknown engine '{name}' (step|skip)")),
-                );
-            } else if let Some(name) = arg.strip_prefix("--sched=") {
-                scheduler = Some(SchedulerKind::from_name(name).unwrap_or_else(|name| {
-                    panic!("unknown scheduler '{name}' (scan|incremental)")
-                }));
-            } else if let Some(name) = arg.strip_prefix("--probe=") {
-                probe = Some(
-                    ProbeKind::from_name(name)
-                        .unwrap_or_else(|name| panic!("unknown probe '{name}' (walk|fused)")),
+                        .map_err(|name| format!("unknown engine '{name}' (step|skip)"))?,
                 );
             } else if let Some(name) = arg.strip_prefix("--format=") {
                 format = OutputFormat::from_name(name)
-                    .unwrap_or_else(|name| panic!("unknown format '{name}' (text|json|csv)"));
+                    .map_err(|name| format!("unknown format '{name}' (text|json|csv)"))?;
             } else if let Some(dir) = arg.strip_prefix("--out=") {
                 out = Some(PathBuf::from(dir));
-            } else if arg == "--help" || arg == "-h" {
-                print_usage();
-                std::process::exit(0);
             } else {
-                print_usage();
-                panic!("unknown argument '{arg}'");
+                return Err(format!("unknown argument '{arg}'"));
             }
         }
         // Applied after the loop so flag order never matters: the presets
@@ -202,14 +199,8 @@ impl Cli {
         if let Some(engine) = engine {
             config.engine = engine;
         }
-        if let Some(scheduler) = scheduler {
-            config.dram.scheduler = scheduler;
-        }
-        if let Some(probe) = probe {
-            config.probe = probe;
-        }
         let snapshots = snapshot_dir.map(SnapshotStore::new);
-        Self { length, workloads, config, jobs, progress, format, out, snapshots }
+        Ok(Self { length, workloads, config, jobs, progress, format, out, snapshots })
     }
 
     /// The runner configured by `--jobs` (auto-sized when the flag is
@@ -292,14 +283,9 @@ impl Cli {
     }
 }
 
-fn print_usage() {
-    eprintln!(
-        "usage: <experiment> [--test|--quick|--standard] [--singles|--mixes] \
-         [--workloads=a,b,c] [--cores=N] [--seed=N] [--trace-dir=DIR] \
-         [--snapshot-dir=DIR] [--jobs=N] [--progress] [--engine=step|skip] \
-         [--sched=scan|incremental] [--probe=walk|fused] \
-         [--format=text|json|csv] [--out=DIR]"
-    );
+/// Parses the numeric value of `flag`.
+fn number<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| format!("{flag}=N needs a number, got '{value}'"))
 }
 
 /// Writes `DIR/<id>.json` and `DIR/<id>.csv` for an artifact, creating the
@@ -373,9 +359,22 @@ pub fn mean_of(results: &[RunResult], metric: impl Fn(&RunResult) -> f64) -> f64
 mod tests {
     use super::*;
 
+    fn cli(args: &[&str]) -> Cli {
+        Cli::from_args(args.iter().map(|a| a.to_string())).expect("valid arguments")
+    }
+
+    /// Panics with exactly the usage error `args` produce, for
+    /// `#[should_panic(expected = ..)]` to match; if they parse, the panic
+    /// names the parsed `Cli` instead and the test fails.
+    fn reject(args: &[&str]) {
+        let message =
+            Cli::from_args(args.iter().map(|a| a.to_string())).expect_err("a usage error");
+        panic!("{message}");
+    }
+
     #[test]
     fn default_cli_covers_all_workloads() {
-        let cli = Cli::from_args(std::iter::empty());
+        let cli = cli(&[]);
         assert_eq!(cli.workloads.len(), 29);
         assert_eq!(cli.config.cores, 8);
         assert_eq!(cli.jobs, 0);
@@ -386,19 +385,15 @@ mod tests {
 
     #[test]
     fn flags_are_parsed() {
-        let cli =
-            Cli::from_args(["--test".to_string(), "--workloads=lbm,copy".to_string()].into_iter());
-        assert_eq!(cli.workloads, vec![WorkloadId::Lbm, WorkloadId::Copy]);
-        assert_eq!(cli.length, RunLength::test());
-        let cli = Cli::from_args(["--mixes".to_string()].into_iter());
-        assert_eq!(cli.workloads.len(), 6);
+        let parsed = cli(&["--test", "--workloads=lbm,copy"]);
+        assert_eq!(parsed.workloads, vec![WorkloadId::Lbm, WorkloadId::Copy]);
+        assert_eq!(parsed.length, RunLength::test());
+        assert_eq!(cli(&["--mixes"]).workloads.len(), 6);
     }
 
     #[test]
     fn output_flags_are_parsed() {
-        let cli = Cli::from_args(
-            ["--format=json".to_string(), "--out=results/run1".to_string()].into_iter(),
-        );
+        let cli = cli(&["--format=json", "--out=results/run1"]);
         assert_eq!(cli.format, OutputFormat::Json);
         assert_eq!(cli.out.as_deref(), Some(Path::new("results/run1")));
         assert_eq!(OutputFormat::from_name("csv"), Ok(OutputFormat::Csv));
@@ -407,29 +402,25 @@ mod tests {
 
     #[test]
     fn progress_flag_configures_the_runner() {
-        let cli = Cli::from_args(std::iter::empty());
-        assert!(!cli.progress);
-        assert!(!cli.runner().progress());
-        let cli = Cli::from_args(["--progress".to_string()].into_iter());
-        assert!(cli.progress);
-        assert!(cli.runner().progress());
+        let quiet = cli(&[]);
+        assert!(!quiet.progress);
+        assert!(!quiet.runner().progress());
+        let verbose = cli(&["--progress"]);
+        assert!(verbose.progress);
+        assert!(verbose.runner().progress());
     }
 
     #[test]
     fn jobs_flag_sizes_the_runner() {
-        let cli = Cli::from_args(["--jobs=3".to_string()].into_iter());
-        assert_eq!(cli.jobs, 3);
-        assert_eq!(cli.runner().threads(), 3);
-        let cli = Cli::from_args(["--jobs=1".to_string()].into_iter());
-        assert_eq!(cli.runner().threads(), 1);
+        let three = cli(&["--jobs=3"]);
+        assert_eq!(three.jobs, 3);
+        assert_eq!(three.runner().threads(), 3);
+        assert_eq!(cli(&["--jobs=1"]).runner().threads(), 1);
     }
 
     #[test]
     fn provenance_reflects_cli() {
-        let cli = Cli::from_args(
-            ["--test".to_string(), "--workloads=lbm".to_string(), "--jobs=2".to_string()]
-                .into_iter(),
-        );
+        let cli = cli(&["--test", "--workloads=lbm", "--jobs=2"]);
         let p = cli.provenance();
         assert_eq!(p.config_label, cli.config.label());
         assert_eq!(p.cores, 2);
@@ -441,119 +432,92 @@ mod tests {
     #[test]
     fn seed_flag_overrides_the_generator_seed() {
         let default_seed = SystemConfig::baseline_8core().seed;
-        let cli = Cli::from_args(std::iter::empty());
-        assert_eq!(cli.config.seed, default_seed);
+        assert_eq!(cli(&[]).config.seed, default_seed);
         // Flag order must not matter: presets replace the config wholesale.
-        let cli = Cli::from_args(["--seed=12345".to_string(), "--test".to_string()].into_iter());
-        assert_eq!(cli.config.seed, 12345);
-        let cli = Cli::from_args(["--test".to_string(), "--seed=12345".to_string()].into_iter());
-        assert_eq!(cli.config.seed, 12345);
+        assert_eq!(cli(&["--seed=12345", "--test"]).config.seed, 12345);
+        assert_eq!(cli(&["--test", "--seed=12345"]).config.seed, 12345);
     }
 
     #[test]
     fn trace_dir_flag_budgets_from_the_final_run_length() {
-        let cli = Cli::from_args(
-            ["--trace-dir=/tmp/traces".to_string(), "--test".to_string()].into_iter(),
-        );
-        let trace = cli.config.trace.as_ref().expect("trace config set");
+        let traced = cli(&["--trace-dir=/tmp/traces", "--test"]);
+        let trace = traced.config.trace.as_ref().expect("trace config set");
         assert_eq!(trace.dir, Path::new("/tmp/traces"));
         assert_eq!(trace.instructions_per_core, TraceConfig::budget_for(RunLength::test()));
-        let cli = Cli::from_args(std::iter::empty());
-        assert!(cli.config.trace.is_none());
+        assert!(cli(&[]).config.trace.is_none());
     }
 
     #[test]
     fn snapshot_dir_flag_configures_the_store() {
-        let cli = Cli::from_args(["--snapshot-dir=/tmp/snaps".to_string()].into_iter());
-        let store = cli.snapshots.as_ref().expect("snapshot store set");
+        let cli_with_store = cli(&["--snapshot-dir=/tmp/snaps"]);
+        let store = cli_with_store.snapshots.as_ref().expect("snapshot store set");
         assert_eq!(store.dir(), Path::new("/tmp/snaps"));
-        let cli = Cli::from_args(std::iter::empty());
-        assert!(cli.snapshots.is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "--seed=N needs a number")]
-    fn malformed_seed_flag_panics() {
-        let _ = Cli::from_args(["--seed=entropy".to_string()].into_iter());
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown workload")]
-    fn unknown_workload_panics() {
-        let _ = Cli::from_args(["--workloads=bogus".to_string()].into_iter());
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown argument")]
-    fn unknown_flag_panics() {
-        let _ = Cli::from_args(["--frobnicate".to_string()].into_iter());
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown format")]
-    fn unknown_format_panics() {
-        let _ = Cli::from_args(["--format=yaml".to_string()].into_iter());
-    }
-
-    #[test]
-    #[should_panic(expected = "--jobs=N needs a number")]
-    fn malformed_jobs_flag_panics() {
-        let _ = Cli::from_args(["--jobs=lots".to_string()].into_iter());
+        assert!(cli(&[]).snapshots.is_none());
     }
 
     #[test]
     fn engine_flag_selects_the_simulation_engine() {
-        let cli = Cli::from_args(std::iter::empty());
-        assert_eq!(cli.config.engine, EngineKind::Skip, "skip is the default engine");
-        let cli = Cli::from_args(["--engine=step".to_string()].into_iter());
-        assert_eq!(cli.config.engine, EngineKind::Step);
+        assert_eq!(cli(&[]).config.engine, EngineKind::Skip, "skip is the default engine");
+        assert_eq!(cli(&["--engine=step"]).config.engine, EngineKind::Step);
         // Flag order must not matter: presets replace the config wholesale.
-        let cli = Cli::from_args(["--engine=step".to_string(), "--test".to_string()].into_iter());
-        assert_eq!(cli.config.engine, EngineKind::Step);
+        assert_eq!(cli(&["--engine=step", "--test"]).config.engine, EngineKind::Step);
     }
 
     #[test]
-    #[should_panic(expected = "unknown engine")]
+    #[should_panic(expected = "--seed=N needs a number, got 'entropy'")]
+    fn malformed_seed_flag_panics() {
+        reject(&["--seed=entropy"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--jobs=N needs a number, got 'lots'")]
+    fn malformed_jobs_flag_panics() {
+        reject(&["--jobs=lots"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--cores=N needs a number, got '-1'")]
+    fn malformed_cores_flag_panics() {
+        reject(&["--cores=-1"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown workload 'mcf'")]
+    fn unknown_workload_panics() {
+        reject(&["--workloads=lbm,mcf"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown engine 'warp' (step|skip)")]
     fn unknown_engine_panics() {
-        let _ = Cli::from_args(["--engine=warp".to_string()].into_iter());
+        reject(&["--engine=warp"]);
     }
 
     #[test]
-    fn sched_flag_selects_the_dram_scheduler() {
-        let cli = Cli::from_args(std::iter::empty());
-        assert_eq!(
-            cli.config.dram.scheduler,
-            SchedulerKind::Incremental,
-            "incremental is the default scheduler"
-        );
-        let cli = Cli::from_args(["--sched=scan".to_string()].into_iter());
-        assert_eq!(cli.config.dram.scheduler, SchedulerKind::Scan);
-        // Flag order must not matter: presets replace the config wholesale.
-        let cli = Cli::from_args(["--sched=scan".to_string(), "--test".to_string()].into_iter());
-        assert_eq!(cli.config.dram.scheduler, SchedulerKind::Scan);
+    #[should_panic(expected = "unknown format 'yaml' (text|json|csv)")]
+    fn unknown_format_panics() {
+        reject(&["--format=yaml"]);
     }
 
+    /// The error names the first offending argument.
     #[test]
-    #[should_panic(expected = "unknown scheduler")]
+    #[should_panic(expected = "unknown argument '--frobnicate'")]
+    fn unknown_flag_panics() {
+        reject(&["--test", "--frobnicate", "--bogus"]);
+    }
+
+    /// `--sched=` is retired, so it is an unknown flag like any other.
+    #[test]
+    #[should_panic(expected = "unknown argument '--sched=scan'")]
     fn unknown_scheduler_panics() {
-        let _ = Cli::from_args(["--sched=magic".to_string()].into_iter());
+        reject(&["--test", "--sched=scan", "--bogus"]);
     }
 
+    /// `--probe=` is retired, so it is an unknown flag like any other.
     #[test]
-    fn probe_flag_selects_the_cache_probe_path() {
-        let cli = Cli::from_args(std::iter::empty());
-        assert_eq!(cli.config.probe, ProbeKind::Fused, "fused is the default probe");
-        let cli = Cli::from_args(["--probe=walk".to_string()].into_iter());
-        assert_eq!(cli.config.probe, ProbeKind::Walk);
-        // Flag order must not matter: presets replace the config wholesale.
-        let cli = Cli::from_args(["--probe=walk".to_string(), "--test".to_string()].into_iter());
-        assert_eq!(cli.config.probe, ProbeKind::Walk);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown probe")]
+    #[should_panic(expected = "unknown argument '--probe=walk'")]
     fn unknown_probe_panics() {
-        let _ = Cli::from_args(["--probe=psychic".to_string()].into_iter());
+        reject(&["--test", "--probe=walk", "--bogus"]);
     }
 
     #[test]

@@ -22,5 +22,5 @@ pub mod repro;
 pub mod tracecli;
 
 // Re-export the core observability subsystem so bench consumers (experiment
-// binaries, perf_smoke, integration tests) address one crate.
+// binaries, integration tests) address one crate.
 pub use bard::telemetry;

@@ -12,7 +12,8 @@ fn test_cli(out: Option<PathBuf>) -> Cli {
     let mut cli = Cli::from_args(
         ["--test".to_string(), "--workloads=lbm,copy".to_string(), "--jobs=1".to_string()]
             .into_iter(),
-    );
+    )
+    .expect("valid arguments");
     cli.out = out;
     cli
 }
@@ -198,6 +199,26 @@ fn summary_shape_matches_golden_file() {
     let artifact_name = entry.get("artifact_json").unwrap().as_str().unwrap();
     let artifact_text = std::fs::read_to_string(tmp.0.join(artifact_name)).unwrap();
     assert!(Json::parse(&artifact_text).is_ok());
+}
+
+/// Bad input is a usage error, not a panic: the experiment binaries and
+/// `repro` print the message and their usage line to stderr and exit 2.
+#[test]
+fn bad_arguments_exit_2_with_a_usage_message() {
+    let cases = [
+        (env!("CARGO_BIN_EXE_fig03_write_blp"), "--workloads=mcf", "unknown workload 'mcf'"),
+        (env!("CARGO_BIN_EXE_fig03_write_blp"), "--cores=eight", "--cores=N needs a number"),
+        (env!("CARGO_BIN_EXE_repro"), "--sched=scan", "unknown argument '--sched=scan'"),
+    ];
+    for (bin, arg, message) in cases {
+        let out = std::process::Command::new(bin).args(["--test", arg]).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{arg}: {stderr}");
+        assert!(stderr.contains(message), "{arg}: {stderr}");
+        assert!(stderr.contains("usage:"), "{arg}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{arg}: {stderr}");
+        assert!(out.stdout.is_empty(), "{arg}: nothing may run before the usage error");
+    }
 }
 
 #[test]

@@ -1,18 +1,21 @@
-//! Randomized differential stress suite: every `(engine, scheduler, probe)`
-//! path through the simulator must agree bitwise on randomized
-//! workload/config sweeps and on hand-picked queue-saturation cases.
+//! Randomized differential stress suite: the step and skip engines must
+//! agree bitwise on randomized workload/config sweeps and on hand-picked
+//! queue-saturation cases.
 //!
-//! This is the acceptance harness for the model-work fast paths (per-bank
-//! incremental scheduling, batched compute dispatch, O(1) sleep gating,
-//! presence-filtered cache probing, single-waiter MSHR wake routing):
-//! anything they mis-schedule, mis-count or mis-wake shows up here as a
-//! field-level diff between the fast path and its executable reference.
+//! This is the acceptance harness for the model-work fast paths (cycle
+//! skipping, batched compute dispatch, O(1) sleep gating, single-waiter MSHR
+//! wake routing, span-lazy DRAM statistics): anything they mis-schedule,
+//! mis-count or mis-wake shows up here as a field-level diff between the
+//! skip engine and the reference step engine.
 //! The default run keeps the debug-mode tier-1 suite affordable; CI's
 //! release-mode sweep widens it via `BARD_PARITY=full`.
 
 use bard_bench::differential::StressCase;
 use bard_workloads::rng::SmallRng;
 use bard_workloads::WorkloadId;
+
+/// RNG seed of the snapshot-parity sweep's case stream.
+const SNAPSHOT_STREAM_SEED: u64 = 0x5AAB_5071;
 
 /// Number of randomized cases: a representative handful by default, a wide
 /// sweep under `BARD_PARITY=full` (CI runs that in release mode).
@@ -35,8 +38,8 @@ fn randomized_cases_agree_across_all_paths() {
 }
 
 /// Queue-saturation cases: write-heavy workloads against a tiny write queue
-/// and a starved MSHR file keep the command schedulers at saturation for the
-/// whole run — the regime the incremental scheduler's ready sets are for.
+/// and a starved MSHR file keep the command scheduler at saturation for the
+/// whole run.
 #[test]
 fn saturated_queue_cases_agree_across_all_paths() {
     for workload in [WorkloadId::Copy, WorkloadId::Lbm, WorkloadId::Bc] {
@@ -62,7 +65,7 @@ fn saturated_queue_cases_agree_across_all_paths() {
 /// standing crowd of sleepers blocked on slot availability, so every DRAM
 /// completion exercises the single-waiter wake-routing machinery (ascending
 /// grant chains, waiter retargeting onto tracked lines, same-tick
-/// allocation intercepts) across all eight paths.
+/// allocation intercepts) on both engines.
 #[test]
 fn mshr_saturated_cases_agree_across_all_paths() {
     for workload in [WorkloadId::Omnetpp, WorkloadId::Mix0] {
@@ -76,16 +79,30 @@ fn mshr_saturated_cases_agree_across_all_paths() {
     }
 }
 
+/// Case 8 of the snapshot-parity stream below (mix4 under VWQ with a
+/// 16-entry write queue, only sampled by the `BARD_PARITY=full` sweep) has
+/// the skip engine jump while a write-back is buffered behind a full write
+/// queue. The step engine retries and is refused on every one of those
+/// cycles, and `write_queue_full_events` counts each refusal, so the jump
+/// must count them too.
+#[test]
+fn refused_write_backs_are_counted_across_cycle_jumps() {
+    let mut rng = SmallRng::seed_from_u64(SNAPSHOT_STREAM_SEED);
+    let case = (0..=8).map(|index| StressCase::random(&mut rng, index)).last().expect("nine cases");
+    let result = case.assert_paths_agree();
+    assert!(result.dram_stats.write_queue_full_events > 0, "{}: no refused write", case.label);
+}
+
 /// Snapshot-parity sweep: randomized `(workload, config, seed, run-length)`
 /// tuples, each paused halfway through its run, captured into a BSS1 image,
 /// serialized, reparsed, restored into a fresh `System` and resumed — and
 /// the resumed run must be bitwise-identical (RunResult, final cycle,
-/// artifact text, artifact CSV) to the straightline run along **every**
-/// engine × scheduler × probe path. A different RNG stream than the
+/// artifact text, artifact CSV) to the straightline run on **both**
+/// engines. A different RNG stream than the
 /// path-parity sweep, so the two suites cover different configurations.
 #[test]
 fn randomized_cases_resume_bitwise_identically_from_snapshots() {
-    let mut rng = SmallRng::seed_from_u64(0x5AAB_5071);
+    let mut rng = SmallRng::seed_from_u64(SNAPSHOT_STREAM_SEED);
     for index in 0..case_count() {
         let case = StressCase::random(&mut rng, index);
         let result = case.assert_snapshot_parity();

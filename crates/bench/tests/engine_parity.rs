@@ -3,23 +3,19 @@
 //! The contract behind the default cycle-skipping engine: for any workload,
 //! core count, runner shape and trace source, the skip engine produces a
 //! [`RunResult`] **bitwise identical** (every counter, every `f64` metric)
-//! to the reference step engine's. Three angles pin it down:
+//! to the reference step engine's. These angles pin it down:
 //!
 //! * registry workloads at 1, 4 and 8 cores, step vs skip — every workload
 //!   at every core count under `BARD_PARITY=full` (the CI release-mode
-//!   acceptance sweep, which also crosses the scan vs incremental DRAM
-//!   schedulers), a representative cross-section by default so the
+//!   acceptance sweep), a representative cross-section by default so the
 //!   debug-mode tier-1 run stays affordable,
 //! * serial vs parallel runner execution crossed with the engines,
-//! * live generation vs BTF trace replay crossed with the engines and with
-//!   both DRAM schedulers,
-//! * write-queue saturation shapes crossed over every (engine, scheduler)
-//!   path (randomized sweeps live in `differential_stress.rs`),
-//! * the walk vs fused cache-probe paths crossed with the engines and
-//!   schedulers, through the runner,
+//! * live generation vs BTF trace replay crossed with the engines,
+//! * write-queue saturation shapes on both engines (randomized sweeps live
+//!   in `differential_stress.rs`),
 //! * MSHR-saturation wake contention (eight cores on a two-entry MSHR file)
-//!   crossed over engines and probes, so the single-waiter wake-routing
-//!   machinery is pinned against the reference step engine.
+//!   on both engines, so the single-waiter wake-routing machinery is pinned
+//!   against the reference step engine.
 //!
 //! Anything the skip engine mis-accounts over a slept or jumped span (a
 //! stall counter, a DRAM busy cycle, a completion delivered a cycle early
@@ -29,9 +25,8 @@ use std::path::{Path, PathBuf};
 
 use bard::experiment::{run_workloads_on, RunLength};
 use bard::runner::Runner;
-use bard::{EngineKind, ProbeKind, RunResult, SystemConfig, TraceConfig};
+use bard::{EngineKind, RunResult, SystemConfig, TraceConfig};
 use bard_bench::differential::StressCase;
-use bard_dram::SchedulerKind;
 use bard_workloads::WorkloadId;
 
 /// A scratch directory removed on drop.
@@ -79,20 +74,7 @@ fn run_set(
     jobs: usize,
     trace_dir: Option<&Path>,
 ) -> Vec<RunResult> {
-    run_set_sched(workloads, cores, engine, SchedulerKind::default(), jobs, trace_dir)
-}
-
-fn run_set_sched(
-    workloads: &[WorkloadId],
-    cores: usize,
-    engine: EngineKind,
-    scheduler: SchedulerKind,
-    jobs: usize,
-    trace_dir: Option<&Path>,
-) -> Vec<RunResult> {
-    let mut cfg = config(cores, engine, trace_dir);
-    cfg.dram.scheduler = scheduler;
-    run_workloads_on(&Runner::new(jobs), &cfg, workloads, tiny())
+    run_workloads_on(&Runner::new(jobs), &config(cores, engine, trace_dir), workloads, tiny())
 }
 
 fn assert_identical(step: &[RunResult], skip: &[RunResult], context: &str) {
@@ -123,79 +105,28 @@ fn registry_workloads_are_engine_invariant_at_1_4_8_cores() {
         let step = run_set(set, cores, EngineKind::Step, 1, None);
         let skip = run_set(set, cores, EngineKind::Skip, 1, None);
         assert_identical(&step, &skip, &format!("cores={cores}"));
-        if full_sweep() {
-            // The release-mode acceptance sweep also pins the DRAM-scheduler
-            // cross: the reference scan under skip must match as well.
-            let scan = run_set_sched(set, cores, EngineKind::Skip, SchedulerKind::Scan, 1, None);
-            assert_identical(&step, &scan, &format!("cores={cores} sched=scan"));
-        }
         saw_drains |= step.iter().any(|r| r.dram_stats.drain_episodes > 0);
     }
     assert!(saw_drains, "the sweep must stress write-drain episodes");
 }
 
-/// Write-queue saturation crossed over every (engine, scheduler) path,
-/// through the **runner** (the coverage `differential_stress.rs` does not
-/// add): the saturation shape itself is owned by
-/// `bard_bench::differential::StressCase::saturated` so the two suites can
-/// never drift onto different regimes.
+/// Write-queue saturation on both engines, through the **runner** (the
+/// coverage `differential_stress.rs` does not add): the saturation shape
+/// itself is owned by `bard_bench::differential::StressCase::saturated` so
+/// the two suites can never drift onto different regimes.
 #[test]
-fn saturated_write_queues_are_engine_and_scheduler_invariant() {
+fn saturated_write_queues_are_engine_invariant() {
     let set = [WorkloadId::Copy, WorkloadId::Lbm];
-    let mut baseline: Option<Vec<RunResult>> = None;
-    for engine in [EngineKind::Step, EngineKind::Skip] {
-        for scheduler in [SchedulerKind::Scan, SchedulerKind::Incremental] {
-            let mut cfg = StressCase::saturated(WorkloadId::Copy).config.with_engine(engine);
-            cfg.dram.scheduler = scheduler;
-            let got = run_workloads_on(&Runner::new(1), &cfg, &set, tiny());
-            assert!(
-                got.iter().all(|r| r.dram_stats.busy_cycles >= r.dram_stats.cycles),
-                "the saturation shape must keep the queues occupied"
-            );
-            match &baseline {
-                None => baseline = Some(got),
-                Some(baseline) => assert_identical(
-                    baseline,
-                    &got,
-                    &format!("saturated engine={} sched={}", engine.name(), scheduler.name()),
-                ),
-            }
-        }
-    }
-}
-
-/// Cache-probe cross-check: the fused presence-filtered probe must match
-/// the reference walk probe bitwise under every engine and scheduler,
-/// through the runner. The fused path takes a different code route through
-/// every cache level (filter consult, single fused lookup), so any filter
-/// staleness or mask collision mishandling shows up here as a field-level
-/// diff.
-#[test]
-fn cache_probe_paths_are_engine_and_scheduler_invariant() {
-    let set = [WorkloadId::Lbm, WorkloadId::Mix0];
-    let mut baseline: Option<Vec<RunResult>> = None;
-    for engine in [EngineKind::Step, EngineKind::Skip] {
-        for scheduler in [SchedulerKind::Scan, SchedulerKind::Incremental] {
-            for probe in [ProbeKind::Walk, ProbeKind::Fused] {
-                let mut cfg = config(2, engine, None).with_probe(probe);
-                cfg.dram.scheduler = scheduler;
-                let got = run_workloads_on(&Runner::new(1), &cfg, &set, tiny());
-                match &baseline {
-                    None => baseline = Some(got),
-                    Some(baseline) => assert_identical(
-                        baseline,
-                        &got,
-                        &format!(
-                            "probe cross engine={} sched={} probe={}",
-                            engine.name(),
-                            scheduler.name(),
-                            probe.name()
-                        ),
-                    ),
-                }
-            }
-        }
-    }
+    let run = |engine| {
+        let cfg = StressCase::saturated(WorkloadId::Copy).config.with_engine(engine);
+        let got = run_workloads_on(&Runner::new(1), &cfg, &set, tiny());
+        assert!(
+            got.iter().all(|r| r.dram_stats.busy_cycles >= r.dram_stats.cycles),
+            "the saturation shape must keep the queues occupied"
+        );
+        got
+    };
+    assert_identical(&run(EngineKind::Step), &run(EngineKind::Skip), "saturated");
 }
 
 /// MSHR-saturation wake contention: eight cores fighting over a two-entry
@@ -204,32 +135,20 @@ fn cache_probe_paths_are_engine_and_scheduler_invariant() {
 /// grant chains, waiter retargeting, same-tick allocation intercepts). The
 /// shape is owned by `StressCase::mshr_saturated` so this suite and
 /// `differential_stress.rs` can never drift onto different regimes; here it
-/// is crossed with engines and probes through the runner.
+/// runs on both engines through the runner.
 #[test]
 fn mshr_saturation_wake_contention_is_engine_invariant() {
     let set = [WorkloadId::Omnetpp, WorkloadId::Mix0];
-    let mut baseline: Option<Vec<RunResult>> = None;
-    for engine in [EngineKind::Step, EngineKind::Skip] {
-        for probe in [ProbeKind::Walk, ProbeKind::Fused] {
-            let cfg = StressCase::mshr_saturated(WorkloadId::Omnetpp)
-                .config
-                .with_engine(engine)
-                .with_probe(probe);
-            let got = run_workloads_on(&Runner::new(1), &cfg, &set, tiny());
-            assert!(
-                got.iter().all(|r| r.dram_stats.reads > 0),
-                "the MSHR-saturation shape must drive DRAM reads"
-            );
-            match &baseline {
-                None => baseline = Some(got),
-                Some(baseline) => assert_identical(
-                    baseline,
-                    &got,
-                    &format!("mshr saturation engine={} probe={}", engine.name(), probe.name()),
-                ),
-            }
-        }
-    }
+    let run = |engine| {
+        let cfg = StressCase::mshr_saturated(WorkloadId::Omnetpp).config.with_engine(engine);
+        let got = run_workloads_on(&Runner::new(1), &cfg, &set, tiny());
+        assert!(
+            got.iter().all(|r| r.dram_stats.reads > 0),
+            "the MSHR-saturation shape must drive DRAM reads"
+        );
+        got
+    };
+    assert_identical(&run(EngineKind::Step), &run(EngineKind::Skip), "mshr saturation");
 }
 
 /// Serial-vs-parallel cross-check: the runner's job decomposition must not
@@ -247,26 +166,19 @@ fn serial_and_parallel_runs_agree_across_engines() {
 }
 
 /// Live-vs-replay cross-check: an archive recorded under one engine replays
-/// bitwise-identically under the other and under both DRAM schedulers
-/// (trace capture happens at the workload-generator layer, which neither
-/// engines nor schedulers touch).
+/// bitwise-identically under both (trace capture happens at the
+/// workload-generator layer, which the engines do not touch).
 #[test]
-fn trace_replay_is_engine_and_scheduler_invariant() {
+fn trace_replay_is_engine_invariant() {
     let tmp = TempDir::new("replay");
     let set = [WorkloadId::Lbm, WorkloadId::Mix0];
     let live = run_set(&set, 2, EngineKind::Step, 1, None);
-    // Recording pass under skip populates the archive; replay under every
-    // (engine, scheduler) path must reproduce the live results.
+    // Recording pass under skip populates the archive; replay under either
+    // engine must reproduce the live results.
     let recorded = run_set(&set, 2, EngineKind::Skip, 1, Some(&tmp.0));
     assert_identical(&live, &recorded, "recording pass (skip)");
     for engine in [EngineKind::Step, EngineKind::Skip] {
-        for scheduler in [SchedulerKind::Scan, SchedulerKind::Incremental] {
-            let replay = run_set_sched(&set, 2, engine, scheduler, 1, Some(&tmp.0));
-            assert_identical(
-                &live,
-                &replay,
-                &format!("replay pass ({}/{})", engine.name(), scheduler.name()),
-            );
-        }
+        let replay = run_set(&set, 2, engine, 1, Some(&tmp.0));
+        assert_identical(&live, &replay, &format!("replay pass ({})", engine.name()));
     }
 }

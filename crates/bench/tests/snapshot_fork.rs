@@ -52,7 +52,7 @@ fn tiny_cli(
     if let Some(dir) = trace_dir {
         args.push(format!("--trace-dir={}", dir.display()));
     }
-    let mut cli = Cli::from_args(args.into_iter());
+    let mut cli = Cli::from_args(args.into_iter()).expect("valid arguments");
     cli.length = tiny();
     // Re-derive the budget for the shortened run length.
     if let Some(dir) = trace_dir {

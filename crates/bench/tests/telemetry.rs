@@ -1,7 +1,7 @@
 //! Telemetry acceptance tests: the metric catalog is pinned (names and
 //! schema), and the whole subsystem is proven side-effect-free — enabling
-//! it must not change a single bit of any simulation result or artifact
-//! along any engine × scheduler × probe path.
+//! it must not change a single bit of any simulation result or artifact on
+//! either engine.
 //!
 //! The enable flag, counters and trace sink are process globals, so every
 //! test that flips them lives in **one** test function
@@ -11,7 +11,7 @@
 use bard::report::Json;
 use bard::runner::{Job, Runner};
 use bard::SystemConfig;
-use bard_bench::differential::{all_paths, path_name, StressCase};
+use bard_bench::differential::{all_paths, StressCase};
 use bard_bench::telemetry;
 use bard_workloads::rng::SmallRng;
 use bard_workloads::WorkloadId;
@@ -21,7 +21,8 @@ use bard_workloads::WorkloadId;
 /// and update `docs/RESULTS.md` alongside this list. The `probe.*`,
 /// `mshr.*` and `dram.stat_settlements` names mirror the counters of the
 /// historical `BARD_PERF_COUNTERS` stderr line, which now reads from the
-/// same registry.
+/// same registry. `probe.filter_skips`/`probe.filter_passes` outlived the
+/// cache presence filters: they stay registered and always read 0.
 const PINNED_METRIC_NAMES: &[&str] = &[
     "probe.set_scans",
     "probe.filter_skips",
@@ -122,10 +123,9 @@ fn grid_trace_json(threads: usize) -> String {
 /// that depends on it lives here.
 ///
 /// 1. **On/off bitwise parity** (the telemetry invariant): an MSHR-saturated
-///    case and a randomized case each run along all eight
-///    engine × scheduler × probe paths with telemetry off and again with it
-///    on — `RunResult`, final cycle, artifact text and artifact CSV must be
-///    bitwise identical pairwise.
+///    case and a randomized case each run on both engines with telemetry
+///    off and again with it on — `RunResult`, final cycle, artifact text
+///    and artifact CSV must be bitwise identical pairwise.
 /// 2. **Trace determinism**: the same grid run serially and with four
 ///    workers must render byte-identical trace-event JSON (simulated-time
 ///    timestamps + canonical ordering make it `--jobs`-invariant).
@@ -137,12 +137,12 @@ fn telemetry_never_perturbs_results_and_traces_deterministically() {
     let mut rng = SmallRng::seed_from_u64(0x7E1E_0B5E);
     let cases = [StressCase::mshr_saturated(WorkloadId::Omnetpp), StressCase::random(&mut rng, 0)];
     for case in &cases {
-        for (engine, scheduler, probe) in all_paths() {
-            let name = path_name(engine, scheduler, probe);
+        for engine in all_paths() {
+            let name = engine.name();
             telemetry::set_enabled(false);
-            let off = case.run_path(engine, scheduler, probe);
+            let off = case.run_path(engine);
             telemetry::set_enabled(true);
-            let on = case.run_path(engine, scheduler, probe);
+            let on = case.run_path(engine);
             assert_eq!(
                 off.final_cycle, on.final_cycle,
                 "{}: enabling telemetry changed the final cycle on {name}",
@@ -169,6 +169,8 @@ fn telemetry_never_perturbs_results_and_traces_deterministically() {
     // The enabled runs above flowed into the registry.
     assert!(telemetry::RUNS_COLLECTED.value() > 0, "enabled runs must reach the registry");
     assert!(telemetry::PROBE_SET_SCANS.value() > 0, "probe counters must accumulate");
+    assert_eq!(telemetry::PROBE_FILTER_SKIPS.value(), 0, "no presence filter remains");
+    assert_eq!(telemetry::PROBE_FILTER_PASSES.value(), 0, "no presence filter remains");
 
     // Trace determinism across worker counts, then well-formedness.
     let serial = grid_trace_json(1);

@@ -12,153 +12,11 @@
 //!   baselines (Eager Writeback, Virtual Write Queue) can override victim
 //!   selection and perform proactive write-backs.
 
+use std::cell::Cell;
+
 use crate::block::{CacheLine, EvictedLine};
 use crate::replacement::{ReplacementKind, ReplacementPolicy, ReplacementState};
 use crate::stats::CacheStats;
-
-/// Which cache-probe implementation the system uses on the demand path.
-///
-/// Both produce bitwise-identical results (the `engine_parity` and
-/// differential-stress suites pin this); they differ only in how much work a
-/// miss costs. The fused path is the default because a clean miss — by far
-/// the common case on the L2/LLC levels — is certified by a per-set presence
-/// filter without scanning the tag array; the walk path is kept forever as
-/// the executable reference the differential tests compare against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ProbeKind {
-    /// Reference implementation: every probe scans the set's tag array.
-    Walk,
-    /// Fused probes: the line tag and presence-filter bit are computed once
-    /// per access and carried across the L1/L2/LLC levels; per-set filters
-    /// certify clean misses without touching the tag array.
-    #[default]
-    Fused,
-}
-
-impl ProbeKind {
-    /// Parses a probe-path name (`walk` or `fused`).
-    ///
-    /// # Errors
-    ///
-    /// Returns the unrecognised name.
-    pub fn from_name(name: &str) -> Result<Self, String> {
-        match name {
-            "walk" => Ok(Self::Walk),
-            "fused" => Ok(Self::Fused),
-            other => Err(other.to_string()),
-        }
-    }
-
-    /// Reads the `BARD_PROBE` environment variable (`walk` or `fused`).
-    /// Returns `None` when unset or empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognised value — silently falling back would make a
-    /// probe-path comparison measure nothing.
-    #[must_use]
-    pub fn from_env() -> Option<Self> {
-        // bard-lint: allow(D1) -- sanctioned cosmetic-knob override, read once at config
-        // construction (never during simulation) and pinned result-neutral by the probe
-        // parity suites.
-        match std::env::var("BARD_PROBE") {
-            Ok(v) if v.is_empty() => None,
-            Ok(v) => Some(
-                Self::from_name(&v)
-                    .unwrap_or_else(|v| panic!("BARD_PROBE='{v}' (expected walk|fused)")),
-            ),
-            Err(_) => None,
-        }
-    }
-
-    /// The probe path's CLI name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Walk => "walk",
-            Self::Fused => "fused",
-        }
-    }
-}
-
-/// Per-address probe state computed once and shared by every level of a
-/// fused cache walk: the line-aligned address (the tag every level compares
-/// against) and the presence-filter bit it hashes to. All levels of one
-/// hierarchy share a line size, so one computation serves all three probes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FusedProbe {
-    /// Line-aligned address.
-    pub line_addr: u64,
-    /// One-hot presence-filter mask for this line.
-    pub mask: u64,
-}
-
-impl FusedProbe {
-    /// Precomputes the probe state for a line-aligned address.
-    #[must_use]
-    pub fn new(line_addr: u64) -> Self {
-        Self { line_addr, mask: filter_mask(line_addr) }
-    }
-}
-
-/// The presence-filter bit a line address hashes to. A Fibonacci-hash
-/// multiply spreads line addresses (whose low bits repeat per set) over the
-/// 64 filter bits; the top six bits of the product select the bit.
-#[inline]
-#[must_use]
-fn filter_bit(line_addr: u64) -> u32 {
-    (line_addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as u32
-}
-
-/// The presence-filter mask of a line address (`1 << filter_bit`).
-#[inline]
-#[must_use]
-fn filter_mask(line_addr: u64) -> u64 {
-    1u64 << filter_bit(line_addr)
-}
-
-/// Interior-mutable twin of [`ProbeCounters`]: probes take `&self`, so the
-/// hot-path tallies live in `Cell`s (the cache is owned by one simulation
-/// thread; nothing shares it).
-#[derive(Debug, Default)]
-struct ProbeCounterCells {
-    set_scans: std::cell::Cell<u64>,
-    filter_skips: std::cell::Cell<u64>,
-    filter_passes: std::cell::Cell<u64>,
-}
-
-impl ProbeCounterCells {
-    fn snapshot(&self) -> ProbeCounters {
-        ProbeCounters {
-            set_scans: self.set_scans.get(),
-            filter_skips: self.filter_skips.get(),
-            filter_passes: self.filter_passes.get(),
-        }
-    }
-}
-
-/// Hot-path probe counters (never serialized into artifacts; printed by the
-/// `BARD_PERF_COUNTERS=1` one-line summary so lever impact is measurable
-/// without an external profiler).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProbeCounters {
-    /// Tag-array set scans performed.
-    pub set_scans: u64,
-    /// Probes resolved by the presence filter without a scan (certified
-    /// clean misses).
-    pub filter_skips: u64,
-    /// Probes whose filter bit was set and fell through to a scan.
-    pub filter_passes: u64,
-}
-
-impl ProbeCounters {
-    /// Accumulates another counter set into this one.
-    pub fn merge(&mut self, other: &Self) {
-        self.set_scans += other.set_scans;
-        self.filter_skips += other.filter_skips;
-        self.filter_passes += other.filter_passes;
-    }
-}
 
 /// Geometry of a cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,9 +52,8 @@ impl CacheConfig {
 
 /// Plain-data image of a cache's semantic state (snapshot support):
 /// the line array, per-way reuse bits, the replacement-policy state and the
-/// statistics counters. The derived acceleration structures (dense tag
-/// array, presence filters, cached filter bits) are **not** part of the
-/// image — [`SetAssocCache::import_state`] rebuilds them from the lines, so
+/// statistics counters. The derived dense tag array is **not** part of the
+/// image — [`SetAssocCache::import_state`] rebuilds it from the lines, so
 /// a restored cache is field-for-field identical to the captured one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheState {
@@ -227,30 +84,24 @@ const TAG_INVALID: u64 = u64::MAX;
 /// A set-associative, write-back, write-allocate cache.
 #[derive(Debug)]
 pub struct SetAssocCache {
-    config: CacheConfig,
-    sets: usize,
-    line_shift: u32, // bard-lint: allow(S1) -- derived from config geometry at construction
-    set_mask: u64,   // bard-lint: allow(S1) -- derived from config geometry at construction
+    config: CacheConfig, // bard-lint: allow(S1) -- geometry fixed at construction
+    sets: usize,         // bard-lint: allow(S1) -- derived from config geometry at construction
+    line_shift: u32,     // bard-lint: allow(S1) -- derived from config geometry at construction
+    set_mask: u64,       // bard-lint: allow(S1) -- derived from config geometry at construction
     lines: Vec<CacheLine>,
     /// Dense tag array mirroring `lines` (`TAG_INVALID` for invalid ways):
     /// the lookup hot path scans 8 contiguous bytes per way instead of a
     /// 24-byte `CacheLine`, which matters because every simulated memory
     /// access probes up to three cache levels.
     tags: Vec<u64>,
-    /// Per-set presence filter: bit `hash(line)` is set for every resident
-    /// line of the set (conservative — a set bit proves nothing, a clear bit
-    /// certifies absence). Maintained unconditionally on fill/evict (a few
-    /// cycles each); consulted only by the fused probe path.
-    filters: Vec<u64>,
-    /// Per-way cached [`filter_bit`] of the resident tag, so the eviction
-    /// rebuild is `ways` shift-ORs instead of `ways` rehashes.
-    filter_bits: Vec<u8>,
     reused: Vec<bool>,
     policy: Box<dyn ReplacementPolicy>,
     stats: CacheStats,
-    // bard-lint: allow(S1) -- perf-observability cells scraped through the registry probe;
+    /// Tag-array set scans performed (perf counter; probes take `&self`,
+    /// hence the `Cell` — the cache is owned by one simulation thread).
+    // bard-lint: allow(S1) -- perf-observability counter scraped into the registry;
     // deliberately not architectural state (snapshot parity is over model state only).
-    counters: ProbeCounterCells,
+    set_scans: Cell<u64>,
 }
 
 impl SetAssocCache {
@@ -265,12 +116,10 @@ impl SetAssocCache {
             set_mask: (sets as u64) - 1,
             lines: vec![CacheLine::empty(); sets * config.ways],
             tags: vec![TAG_INVALID; sets * config.ways],
-            filters: vec![0; sets],
-            filter_bits: vec![0; sets * config.ways],
             reused: vec![false; sets * config.ways],
             policy: replacement.build(sets, config.ways),
             stats: CacheStats::default(),
-            counters: ProbeCounterCells::default(),
+            set_scans: Cell::new(0),
         }
     }
 
@@ -305,8 +154,7 @@ impl SetAssocCache {
     }
 
     /// Exports the cache's semantic state (snapshot support). The derived
-    /// tag array and presence filters are not exported; they are rebuilt on
-    /// import.
+    /// tag array is not exported; it is rebuilt on import.
     #[must_use]
     pub fn export_state(&self) -> CacheState {
         CacheState {
@@ -317,9 +165,8 @@ impl SetAssocCache {
         }
     }
 
-    /// Replaces the cache's semantic state with `state` and rebuilds every
-    /// derived structure (tags, presence filters, cached filter bits) from
-    /// the imported lines (snapshot support).
+    /// Replaces the cache's semantic state with `state` and rebuilds the
+    /// derived tag array from the imported lines (snapshot support).
     ///
     /// # Panics
     ///
@@ -333,22 +180,8 @@ impl SetAssocCache {
         self.reused.clone_from(&state.reused);
         self.policy.import_state(&state.replacement);
         self.stats = state.stats;
-        for set in 0..self.sets {
-            let base = set * self.config.ways;
-            let mut filter = 0u64;
-            for way in 0..self.config.ways {
-                let idx = base + way;
-                if self.lines[idx].valid {
-                    let bit = filter_bit(self.lines[idx].addr);
-                    self.tags[idx] = self.lines[idx].addr;
-                    self.filter_bits[idx] = bit as u8;
-                    filter |= 1u64 << bit;
-                } else {
-                    self.tags[idx] = TAG_INVALID;
-                    self.filter_bits[idx] = 0;
-                }
-            }
-            self.filters[set] = filter;
+        for (tag, line) in self.tags.iter_mut().zip(&self.lines) {
+            *tag = if line.valid { line.addr } else { TAG_INVALID };
         }
     }
 
@@ -380,33 +213,9 @@ impl SetAssocCache {
     /// Looks up `addr` without changing any state. Returns the way on a hit.
     #[must_use]
     pub fn probe(&self, addr: u64) -> Option<usize> {
-        self.scan(self.set_of(addr), self.line_addr(addr))
-    }
-
-    /// [`SetAssocCache::probe`] through the per-set presence filter: when
-    /// the line's filter bit is clear, the miss is certified without
-    /// scanning the tag array. Returns exactly what `probe` would — a clear
-    /// bit proves absence, a set bit falls through to the scan.
-    #[must_use]
-    pub fn probe_fused(&self, probe: &FusedProbe) -> Option<usize> {
-        debug_assert_eq!(
-            probe.line_addr,
-            self.line_addr(probe.line_addr),
-            "fused probes must carry a line-aligned address"
-        );
-        let set = self.set_of(probe.line_addr);
-        if self.filters[set] & probe.mask == 0 {
-            self.counters.filter_skips.set(self.counters.filter_skips.get() + 1);
-            return None;
-        }
-        self.counters.filter_passes.set(self.counters.filter_passes.get() + 1);
-        self.scan(set, probe.line_addr)
-    }
-
-    /// The tag-array scan both probe paths share.
-    fn scan(&self, set: usize, line_addr: u64) -> Option<usize> {
-        self.counters.set_scans.set(self.counters.set_scans.get() + 1);
-        let base = set * self.config.ways;
+        self.set_scans.set(self.set_scans.get() + 1);
+        let base = self.set_of(addr) * self.config.ways;
+        let line_addr = self.line_addr(addr);
         self.tags[base..base + self.config.ways].iter().position(|&t| t == line_addr)
     }
 
@@ -416,27 +225,6 @@ impl SetAssocCache {
     /// [`fill_at`](Self::fill_at)).
     pub fn touch(&mut self, addr: u64, signature: u16, is_write: bool) -> bool {
         let way = self.probe(addr);
-        self.touch_outcome(addr, way, signature, is_write)
-    }
-
-    /// [`SetAssocCache::touch`] through the presence filter (see
-    /// [`SetAssocCache::probe_fused`]). The demand-miss path updates only
-    /// the load/store counters, so a filter-certified miss leaves the cache
-    /// in exactly the state a scanned miss would.
-    pub fn touch_fused(&mut self, probe: &FusedProbe, signature: u16, is_write: bool) -> bool {
-        let way = self.probe_fused(probe);
-        self.touch_outcome(probe.line_addr, way, signature, is_write)
-    }
-
-    /// Applies the statistics and hit-path state changes of a demand access
-    /// whose probe already resolved to `way`.
-    fn touch_outcome(
-        &mut self,
-        addr: u64,
-        way: Option<usize>,
-        signature: u16,
-        is_write: bool,
-    ) -> bool {
         if is_write {
             self.stats.stores += 1;
         } else {
@@ -462,10 +250,11 @@ impl SetAssocCache {
         true
     }
 
-    /// Snapshot of the hot-path probe counters.
+    /// Tag-array set scans performed so far (hot-path perf counter, never
+    /// serialized into artifacts or snapshot images).
     #[must_use]
-    pub fn probe_counters(&self) -> ProbeCounters {
-        self.counters.snapshot()
+    pub fn set_scans(&self) -> u64 {
+        self.set_scans.get()
     }
 
     /// Write-back arriving from an inner cache level. If the line is present
@@ -547,18 +336,6 @@ impl SetAssocCache {
         self.lines[idx] = CacheLine::empty();
         self.tags[idx] = TAG_INVALID;
         self.reused[idx] = false;
-        // Rebuild the set's presence filter without the departed tag: at
-        // most `ways` rehashes, and only on the (rare) eviction path.
-        // Rebuild the set's presence filter without the departed tag from
-        // the stored per-way bit indexes: `ways` shift-ORs, no rehashing.
-        let base = set * self.config.ways;
-        let mut filter = 0u64;
-        for w in base..base + self.config.ways {
-            if self.tags[w] != TAG_INVALID {
-                filter |= 1u64 << self.filter_bits[w];
-            }
-        }
-        self.filters[set] = filter;
         if line.dirty {
             self.stats.dirty_evictions += 1;
         } else {
@@ -593,9 +370,6 @@ impl SetAssocCache {
         debug_assert!(!self.lines[idx].valid, "fill_at target must be empty");
         self.lines[idx] = CacheLine::filled(self.line_addr(addr), dirty, signature);
         self.tags[idx] = self.line_addr(addr);
-        let bit = filter_bit(self.line_addr(addr));
-        self.filter_bits[idx] = bit as u8;
-        self.filters[set] |= 1u64 << bit;
         self.reused[idx] = false;
         self.stats.fills += 1;
         self.policy.on_insert(set, way, signature);
@@ -662,13 +436,10 @@ mod tests {
             let mut restored = SetAssocCache::new(CacheConfig::new(1024, 4, 64), kind);
             restored.import_state(&state);
             assert_eq!(restored.export_state(), state);
-            // The rebuilt filters/tags must answer probes identically,
-            // through both probe paths.
+            // The rebuilt tags must answer probes identically.
             for i in 0..300u64 {
                 let addr = (i * 64) % (8 * 4096);
                 assert_eq!(warmed.probe(addr), restored.probe(addr));
-                let probe = FusedProbe::new(warmed.line_addr(addr));
-                assert_eq!(warmed.probe_fused(&probe), restored.probe_fused(&probe));
             }
             // And future decisions must coincide.
             for set in 0..4 {
@@ -799,65 +570,6 @@ mod tests {
         c.for_each_dirty(|_, _, line| seen.push(line.addr));
         seen.sort_unstable();
         assert_eq!(seen, vec![0x100, 0x300]);
-    }
-
-    #[test]
-    fn probe_kind_defaults_to_fused_and_parses_names() {
-        assert_eq!(ProbeKind::default(), ProbeKind::Fused);
-        assert_eq!(ProbeKind::from_name("walk"), Ok(ProbeKind::Walk));
-        assert_eq!(ProbeKind::from_name("fused"), Ok(ProbeKind::Fused));
-        assert!(ProbeKind::from_name("psychic").is_err());
-        assert_eq!(ProbeKind::Walk.name(), "walk");
-        assert_eq!(ProbeKind::Fused.name(), "fused");
-    }
-
-    /// The fused probe must agree with the reference walk probe on every
-    /// address, through fills, demand hits and evictions.
-    #[test]
-    fn fused_probe_matches_walk_probe() {
-        let mut c = small_cache();
-        let mut state = 0x1234_5678_9abc_def0u64;
-        let mut fused_probes = 0u64;
-        for _ in 0..5_000 {
-            // xorshift64 — deterministic, no external RNG.
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let addr = (state % 4096) * 64;
-            let probe = FusedProbe::new(c.line_addr(addr));
-            assert_eq!(c.probe(addr), c.probe_fused(&probe), "addr {addr:#x}");
-            fused_probes += 1;
-            let walk_hit = c.touch(addr, 0, state & 1 == 0);
-            let fused_hit = c.touch_fused(&probe, 0, state & 1 == 0);
-            fused_probes += 1;
-            assert_eq!(walk_hit, fused_hit, "a hit stays a hit on an immediate re-touch");
-            if !walk_hit {
-                c.fill(addr, false, 0);
-                assert_eq!(c.probe(addr), c.probe_fused(&probe));
-                fused_probes += 1;
-            }
-        }
-        let counters = c.probe_counters();
-        assert!(counters.set_scans > 0);
-        assert!(
-            counters.filter_skips > 0,
-            "evictions must clear filter bits so some misses are certified"
-        );
-        assert_eq!(
-            counters.filter_skips + counters.filter_passes,
-            fused_probes,
-            "every fused probe either skips or passes the filter"
-        );
-    }
-
-    #[test]
-    fn filter_certifies_cold_misses_without_scanning() {
-        let c = small_cache();
-        let probe = FusedProbe::new(0x7000);
-        assert_eq!(c.probe_fused(&probe), None);
-        let counters = c.probe_counters();
-        assert_eq!(counters.filter_skips, 1);
-        assert_eq!(counters.set_scans, 0, "an empty set must not be scanned");
     }
 
     #[test]

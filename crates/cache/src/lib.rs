@@ -41,9 +41,7 @@ pub mod replacement;
 pub mod stats;
 
 pub use block::{CacheLine, EvictedLine};
-pub use cache::{
-    CacheConfig, CacheState, FillResult, FusedProbe, ProbeCounters, ProbeKind, SetAssocCache,
-};
+pub use cache::{CacheConfig, CacheState, FillResult, SetAssocCache};
 pub use mshr::{MshrEntryState, MshrError, MshrFile, MshrState};
 pub use prefetch::{
     IpStridePrefetcher, NextLinePrefetcher, Prefetcher, StrideEntryState, StrideTableState,

@@ -2,7 +2,7 @@
 
 use std::path::PathBuf;
 
-use bard_cache::{ProbeKind, ReplacementKind};
+use bard_cache::ReplacementKind;
 use bard_cpu::CoreConfig;
 use bard_dram::DramConfig;
 
@@ -85,8 +85,7 @@ impl TraceConfig {
 /// results (the `engine_parity` suite pins this); the skip engine is the
 /// default because it is strictly faster. The reference engine exists so
 /// parity stays testable forever. Selectable per run via the `--engine=` CLI
-/// flag or the `BARD_ENGINE` environment variable (see
-/// [`EngineKind::from_env`]).
+/// flag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
     /// Reference engine: one CPU cycle per step, no skipping.
@@ -111,28 +110,6 @@ impl EngineKind {
             "step" => Ok(Self::Step),
             "skip" => Ok(Self::Skip),
             other => Err(other.to_string()),
-        }
-    }
-
-    /// Reads the `BARD_ENGINE` environment variable (`step` or `skip`).
-    /// Returns `None` when unset or empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognised value — silently falling back would make
-    /// an engine comparison measure nothing.
-    #[must_use]
-    pub fn from_env() -> Option<Self> {
-        // bard-lint: allow(D1) -- sanctioned cosmetic-knob override, read once at config
-        // construction (never during simulation) and pinned result-neutral by the engine
-        // parity suites.
-        match std::env::var("BARD_ENGINE") {
-            Ok(v) if v.is_empty() => None,
-            Ok(v) => Some(
-                Self::from_name(&v)
-                    .unwrap_or_else(|v| panic!("BARD_ENGINE='{v}' (expected step|skip)")),
-            ),
-            Err(_) => None,
         }
     }
 
@@ -198,9 +175,6 @@ pub struct SystemConfig {
     /// Simulation engine (never affects results, only wall clock; see
     /// [`EngineKind`]).
     pub engine: EngineKind,
-    /// Cache-probe implementation (never affects results, only wall clock;
-    /// see [`ProbeKind`]).
-    pub probe: ProbeKind,
 }
 
 impl SystemConfig {
@@ -231,7 +205,6 @@ impl SystemConfig {
             seed: 0x1BAD_B002,
             trace: None,
             engine: EngineKind::default(),
-            probe: ProbeKind::default(),
         }
     }
 
@@ -307,14 +280,6 @@ impl SystemConfig {
     #[must_use]
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Returns a copy probing caches via `probe` (results are
-    /// probe-invariant; only wall clock changes).
-    #[must_use]
-    pub fn with_probe(mut self, probe: ProbeKind) -> Self {
-        self.probe = probe;
         self
     }
 
@@ -477,17 +442,6 @@ mod tests {
         // The engine never leaks into report labels: artifacts must be
         // byte-identical across engines.
         assert_eq!(c.label(), c.with_engine(EngineKind::Skip).label());
-    }
-
-    #[test]
-    fn probe_defaults_to_fused_and_stays_out_of_labels() {
-        assert_eq!(SystemConfig::baseline_8core().probe, ProbeKind::Fused);
-        let c = SystemConfig::small_test().with_probe(ProbeKind::Walk);
-        assert_eq!(c.probe, ProbeKind::Walk);
-        assert!(c.validate().is_ok());
-        // The probe path never leaks into report labels: artifacts must be
-        // byte-identical across probe implementations.
-        assert_eq!(c.label(), c.with_probe(ProbeKind::Fused).label());
     }
 
     #[test]

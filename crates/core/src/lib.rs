@@ -75,7 +75,6 @@ pub mod snapshot;
 pub mod system;
 pub mod telemetry;
 
-pub use bard_cache::ProbeKind;
 pub use blp_tracker::BlpTracker;
 pub use config::{EngineKind, SystemConfig, TraceConfig};
 pub use experiment::{Comparison, RunLength};

@@ -7,9 +7,7 @@
 //! [`BlpTracker`] to find lines whose write-back improves the bank-level
 //! parallelism of the DRAM write stream.
 
-use bard_cache::{
-    CacheConfig, CacheStats, FusedProbe, ProbeCounters, ReplacementKind, SetAssocCache,
-};
+use bard_cache::{CacheConfig, CacheStats, ReplacementKind, SetAssocCache};
 use bard_dram::{AddressMapping, DramConfig};
 
 use bard_cache::CacheState;
@@ -200,13 +198,6 @@ impl SlicedLlc {
         self.slices[self.slice_of(addr)].probe(addr).is_some()
     }
 
-    /// [`SlicedLlc::probe`] through the slice's presence filter (see
-    /// [`SetAssocCache::probe_fused`]); bitwise-identical outcomes.
-    #[must_use]
-    pub fn probe_fused(&self, probe: &FusedProbe) -> bool {
-        self.slices[self.slice_of(probe.line_addr)].probe_fused(probe).is_some()
-    }
-
     /// Demand read access (load, RFO or prefetch probe). Returns `true` on a
     /// hit. Under Eager Writeback a hit may also produce a proactive
     /// write-back, appended to `writebacks`.
@@ -220,33 +211,10 @@ impl SlicedLlc {
         hit
     }
 
-    /// [`SlicedLlc::read_access`] through the slice's presence filter. The
-    /// miss path of a demand touch only bumps the load counter, so a
-    /// filter-certified miss leaves the LLC in exactly the state the walk
-    /// path would (the Eager Writeback hook fires on hits only).
-    pub fn read_access_fused(
-        &mut self,
-        probe: &FusedProbe,
-        signature: u16,
-        writebacks: &mut Vec<u64>,
-    ) -> bool {
-        let slice = self.slice_of(probe.line_addr);
-        let hit = self.slices[slice].touch_fused(probe, signature, false);
-        if hit && self.policy == WritePolicyKind::EagerWriteback {
-            let set = self.slices[slice].set_of(probe.line_addr);
-            self.eager_cleanse(slice, set, writebacks);
-        }
-        hit
-    }
-
-    /// Hot-path probe counters merged over all slices.
+    /// Tag-array set scans summed over all slices (hot-path perf counter).
     #[must_use]
-    pub fn probe_counters(&self) -> ProbeCounters {
-        let mut merged = ProbeCounters::default();
-        for s in &self.slices {
-            merged.merge(&s.probe_counters());
-        }
-        merged
+    pub fn set_scans(&self) -> u64 {
+        self.slices.iter().map(SetAssocCache::set_scans).sum()
     }
 
     /// Write-back arriving from a private L2. If the line is resident it is

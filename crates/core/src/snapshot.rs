@@ -38,13 +38,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bard_cache::{
-    CacheState, CacheStats, MshrEntryState, MshrState, ProbeKind, ReplacementState,
-    StrideEntryState, StrideTableState,
+    CacheState, CacheStats, MshrEntryState, MshrState, ReplacementState, StrideEntryState,
+    StrideTableState,
 };
 use bard_cpu::{CoreRequest, CoreState, CoreStats, MemAccess, MemKind, TraceRecord};
 use bard_dram::{
     BankState, CompletedRead, ControllerState, DrainEpisodeStats, QueuedRequestState,
-    SchedulerKind, SubChannelState, SubChannelStats,
+    SubChannelState, SubChannelStats,
 };
 use bard_trace::format::{push_varint, unzigzag, zigzag, Fnv64};
 use bard_workloads::WorkloadId;
@@ -355,8 +355,8 @@ pub(crate) struct ProgressImage {
 }
 
 /// The complete semantic state of a [`System`], as plain data. Derived
-/// structures (cache tag indices, presence filters, DRAM scheduler caches,
-/// wake masks) are intentionally absent: the restore rebuilds them.
+/// structures (cache tag indices, DRAM pending-write counts, wake masks) are
+/// intentionally absent: the restore rebuilds them.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SystemImage {
     pub cycle: u64,
@@ -1034,15 +1034,12 @@ pub(crate) fn decode_image(payload: &[u8]) -> Result<SystemImage, SnapshotError>
 /// Digest identifying the exact semantic configuration of a run. Two configs
 /// with the same full digest produce bitwise-identical simulations, so a
 /// full image captured under one restores into the other. Fields that never
-/// affect results — the engine, the probe path, the DRAM scheduler and the
-/// trace archive — are normalised away.
+/// affect results — the engine and the trace archive — are normalised away.
 #[must_use]
 pub fn full_digest(config: &SystemConfig, workload: WorkloadId) -> u64 {
     let mut c = config.clone();
     c.engine = EngineKind::Step;
-    c.probe = ProbeKind::Walk;
     c.trace = None;
-    c.dram.scheduler = SchedulerKind::Scan;
     let mut h = Fnv64::new();
     h.update(format!("full1|{}|{c:?}", workload.name()).as_bytes());
     h.finish()
@@ -1427,12 +1424,10 @@ mod tests {
         let base = SystemConfig::small_test();
         let w = WorkloadId::Lbm;
         let full = full_digest(&base, w);
-        // Cosmetic fields (engine, probe, scheduler, trace) never change it.
+        // Cosmetic fields (engine, trace) never change it.
         assert_eq!(full, full_digest(&base.clone().with_engine(EngineKind::Step), w));
-        assert_eq!(full, full_digest(&base.clone().with_probe(ProbeKind::Walk), w));
-        let mut sched = base.clone();
-        sched.dram.scheduler = SchedulerKind::Scan;
-        assert_eq!(full, full_digest(&sched, w));
+        let traced = base.clone().with_trace(Some(crate::TraceConfig::new("/tmp/t", 1000)));
+        assert_eq!(full, full_digest(&traced, w));
         // Semantic fields do.
         assert_ne!(
             full,

@@ -28,8 +28,8 @@
 use std::collections::VecDeque;
 
 use bard_cache::{
-    CacheConfig, CacheStats, FusedProbe, IpStridePrefetcher, MshrFile, NextLinePrefetcher,
-    Prefetcher, ProbeCounters, ProbeKind, SetAssocCache,
+    CacheConfig, CacheStats, IpStridePrefetcher, MshrFile, NextLinePrefetcher, Prefetcher,
+    SetAssocCache,
 };
 use bard_cpu::{Core, CoreRequest, CoreStats, MemKind, TraceRecord, TraceSource};
 use bard_dram::{CompletedRead, EnergyBreakdown, MemRequest, MemoryController, SubChannelStats};
@@ -322,11 +322,6 @@ pub struct System {
     /// to the line-watch set and must re-check it this very tick (the
     /// pre-routing engine visited every watcher on completion ticks).
     forced_visit: u64,
-    /// Whether the fused probe path is active (`config.probe`), cached so
-    /// the per-access dispatch is a single branch.
-    // bard-lint: allow(S1) -- cache of the cosmetic `config.probe` knob; a restore rebuilds
-    // it from the restoring system's own config (probe parity makes this result-neutral).
-    probe_fused: bool,
     /// Lifetime count of perf-counter events (see `BARD_PERF_COUNTERS`):
     /// MSHR completions that freed a slot.
     perf_mshr_releases: u64,
@@ -431,7 +426,6 @@ impl System {
             mshr_line_watch_mask: 0,
             mshr_released: false,
             forced_visit: 0,
-            probe_fused: config.probe == ProbeKind::Fused,
             perf_mshr_releases: 0,
             perf_mshr_wakes: 0,
             config,
@@ -790,32 +784,25 @@ impl System {
             energy.merge(&mc.energy());
         }
         if self.telemetry_active || perf_counters_enabled() {
-            let mut probes = ProbeCounters::default();
-            for ctx in &self.cores {
-                probes.merge(&ctx.l1d.probe_counters());
-                probes.merge(&ctx.l2.probe_counters());
-            }
-            probes.merge(&self.llc.probe_counters());
+            let set_scans = self.llc.set_scans()
+                + self.cores.iter().map(|c| c.l1d.set_scans() + c.l2.set_scans()).sum::<u64>();
             let settlements: u64 = self.mcs.iter().map(MemoryController::settle_events).sum();
             if self.telemetry_active {
                 self.flush_run_telemetry(
                     instructions_per_core,
                     measure_start_cycle,
                     completed,
-                    &probes,
+                    set_scans,
                     settlements,
                     dram.drain_episodes,
                 );
             }
             if perf_counters_enabled() {
                 eprintln!(
-                    "[bard-perf] workload={} probe={} set_scans={} filter_skips={} \
-                     filter_passes={} mshr_releases={} mshr_wakes={} stat_settlements={}",
+                    "[bard-perf] workload={} set_scans={} mshr_releases={} mshr_wakes={} \
+                     stat_settlements={}",
                     self.workload.name(),
-                    self.config.probe.name(),
-                    probes.set_scans,
-                    probes.filter_skips,
-                    probes.filter_passes,
+                    set_scans,
                     self.perf_mshr_releases,
                     self.perf_mshr_wakes,
                     settlements,
@@ -850,7 +837,7 @@ impl System {
         instructions_per_core: u64,
         measure_start_cycle: u64,
         completed: bool,
-        probes: &ProbeCounters,
+        set_scans: u64,
         settlements: u64,
         drain_episodes: u64,
     ) {
@@ -858,9 +845,7 @@ impl System {
         telemetry::RUN_INSTRUCTIONS
             .add(instructions_per_core.saturating_mul(self.cores.len() as u64));
         telemetry::RUN_CYCLES.add(self.cycle.saturating_sub(measure_start_cycle));
-        telemetry::PROBE_SET_SCANS.add(probes.set_scans);
-        telemetry::PROBE_FILTER_SKIPS.add(probes.filter_skips);
-        telemetry::PROBE_FILTER_PASSES.add(probes.filter_passes);
+        telemetry::PROBE_SET_SCANS.add(set_scans);
         telemetry::MSHR_RELEASES.add(self.perf_mshr_releases);
         telemetry::MSHR_WAKES.add(self.perf_mshr_wakes);
         telemetry::DRAM_STAT_SETTLEMENTS.add(settlements);
@@ -1036,8 +1021,8 @@ impl System {
 
     /// Exports the full semantic state as a plain-data image, settling the
     /// lazily-accounted statistics first. Derived structures (wake masks,
-    /// presence filters, scheduler caches) are omitted: the restore rebuilds
-    /// them.
+    /// cache tag arrays, DRAM pending-write counts) are omitted: the restore
+    /// rebuilds them.
     fn export_image(&mut self) -> SystemImage {
         self.settle_cores();
         self.settle_dram_stats();
@@ -1505,6 +1490,13 @@ impl System {
         if horizon <= now {
             return;
         }
+        // A quiet tick that leaves write-backs buffered had its front one
+        // refused by a full write queue. The step engine retries it on every
+        // skipped cycle and counts each refusal, so count them here too.
+        if let Some(&addr) = self.writeback_pending.front() {
+            let channel = self.channel_of(addr);
+            self.mcs[channel].note_refused_writes(addr, horizon - now);
+        }
         // No per-span statistics work: the sub-channels' lazy settlement
         // absorbs the jump the same way it absorbs quiet stepped spans.
         self.cycle = horizon;
@@ -1576,18 +1568,9 @@ impl System {
 
         let is_store = req.kind == MemKind::Store;
         let sig = signature(req.ip);
-        // Fused path: the line address, set index and presence-filter mask
-        // are computed once here and carried down the whole L1D -> L2 -> LLC
-        // walk (every level shares the line size, so the probe — a function
-        // of the line address alone — is level-invariant).
-        let probe = FusedProbe::new(line);
 
         // L1D
-        let l1_hit = if self.probe_fused {
-            self.cores[ci].l1d.touch_fused(&probe, sig, is_store)
-        } else {
-            self.cores[ci].l1d.touch(req.addr, sig, is_store)
-        };
+        let l1_hit = self.cores[ci].l1d.touch(req.addr, sig, is_store);
         let mut l1_prefetches = Vec::new();
         if let Some(pf) = &mut self.cores[ci].l1_prefetcher {
             pf.on_access(req.addr, req.ip, l1_hit, &mut l1_prefetches);
@@ -1599,11 +1582,7 @@ impl System {
         }
 
         // L2
-        let l2_hit = if self.probe_fused {
-            self.cores[ci].l2.touch_fused(&probe, sig, false)
-        } else {
-            self.cores[ci].l2.touch(req.addr, sig, false)
-        };
+        let l2_hit = self.cores[ci].l2.touch(req.addr, sig, false);
         let mut l2_prefetches = Vec::new();
         if let Some(pf) = &mut self.cores[ci].l2_prefetcher {
             pf.on_access(req.addr, req.ip, l2_hit, &mut l2_prefetches);
@@ -1620,11 +1599,7 @@ impl System {
         let llc_hit = {
             let mut wbs = std::mem::take(&mut self.scratch_writebacks);
             wbs.clear();
-            let hit = if self.probe_fused {
-                self.llc.read_access_fused(&probe, sig, &mut wbs)
-            } else {
-                self.llc.read_access(req.addr, sig, &mut wbs)
-            };
+            let hit = self.llc.read_access(req.addr, sig, &mut wbs);
             self.queue_writebacks(&mut wbs);
             self.scratch_writebacks = wbs;
             hit
@@ -1671,12 +1646,7 @@ impl System {
     /// Installs a line into a core's L1D, cascading any dirty eviction into
     /// the L2 (and from there into the LLC).
     fn fill_l1(&mut self, ci: usize, line: u64, dirty: bool, sig: u16) {
-        let present = if self.probe_fused {
-            self.cores[ci].l1d.probe_fused(&FusedProbe::new(line)).is_some()
-        } else {
-            self.cores[ci].l1d.probe(line).is_some()
-        };
-        if present {
+        if self.cores[ci].l1d.probe(line).is_some() {
             if dirty {
                 self.cores[ci].l1d.writeback_access(line);
             }
@@ -1693,12 +1663,7 @@ impl System {
     /// Installs a line into a core's L2, cascading any dirty eviction into the
     /// LLC.
     fn fill_l2(&mut self, ci: usize, line: u64, sig: u16) {
-        let present = if self.probe_fused {
-            self.cores[ci].l2.probe_fused(&FusedProbe::new(line)).is_some()
-        } else {
-            self.cores[ci].l2.probe(line).is_some()
-        };
-        if present {
+        if self.cores[ci].l2.probe(line).is_some() {
             return;
         }
         let result = self.cores[ci].l2.fill(line, false, sig);
@@ -1737,18 +1702,10 @@ impl System {
     fn issue_prefetches(&mut self, ci: usize, addrs: &[u64]) {
         for &addr in addrs {
             let line = self.line_of(addr);
-            let probe = FusedProbe::new(line);
-            let l2_has = if self.probe_fused {
-                self.cores[ci].l2.probe_fused(&probe).is_some()
-            } else {
-                self.cores[ci].l2.probe(line).is_some()
-            };
-            if l2_has {
+            if self.cores[ci].l2.probe(line).is_some() {
                 continue;
             }
-            let llc_has =
-                if self.probe_fused { self.llc.probe_fused(&probe) } else { self.llc.probe(line) };
-            if llc_has {
+            if self.llc.probe(line) {
                 // Bring it into the L2 only; the LLC already has it.
                 let result = self.cores[ci].l2.fill_prefetch(line, 0);
                 if let Some(evicted) = result.evicted {
@@ -1833,21 +1790,10 @@ impl System {
 
     fn functional_access(&mut self, ci: usize, addr: u64, is_write: bool) {
         let line = self.line_of(addr);
-        let probe = FusedProbe::new(line);
-        let l1_hit = if self.probe_fused {
-            self.cores[ci].l1d.touch_fused(&probe, 0, is_write)
-        } else {
-            self.cores[ci].l1d.touch(addr, 0, is_write)
-        };
-        if l1_hit {
+        if self.cores[ci].l1d.touch(addr, 0, is_write) {
             return;
         }
-        let l2_hit = if self.probe_fused {
-            self.cores[ci].l2.touch_fused(&probe, 0, false)
-        } else {
-            self.cores[ci].l2.touch(addr, 0, false)
-        };
-        if !l2_hit {
+        if !self.cores[ci].l2.touch(addr, 0, false) {
             self.llc.functional_access(line, false);
             let result = self.cores[ci].l2.fill(line, false, 0);
             if let Some(evicted) = result.evicted {

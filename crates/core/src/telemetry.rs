@@ -29,8 +29,8 @@
 //!    scoped threads (atomics + one mutex around the emit throttle).
 //! 4. **Phase self-profiler** ([`Phase`], [`flush_phase_nanos`]) — host
 //!    nanoseconds attributed to the five model phases, replacing the
-//!    hand-run profiling of earlier performance PRs. `perf_smoke` prints the
-//!    breakdown.
+//!    hand-run profiling of earlier performance PRs. `perfbench --trace 1`
+//!    reports the breakdown as `phase.*_share`.
 //!
 //! ## Enabling
 //!
@@ -81,7 +81,7 @@ pub fn enabled() -> bool {
 }
 
 /// Forces telemetry on or off for this process, overriding the environment.
-/// Intended for tests and `perf_smoke`, which must compare both states
+/// Intended for tests and `perfbench`, which must compare both states
 /// in-process without racing on `std::env`.
 pub fn set_enabled(on: bool) {
     ENABLED.store(u8::from(on), Ordering::Relaxed);
@@ -144,9 +144,12 @@ impl Counter {
 
 /// Set scans performed by cache probes (flushed per run from `System`).
 pub static PROBE_SET_SCANS: Counter = Counter::new();
-/// Probes answered by the line filter without a set scan.
+/// Probes answered by the line filter without a set scan. The caches no
+/// longer keep presence filters, so nothing adds to this: it stays
+/// registered, always 0, to keep the `metrics.json` schema at v3.
 pub static PROBE_FILTER_SKIPS: Counter = Counter::new();
-/// Probes whose line-filter hit still required a set scan.
+/// Probes whose line-filter hit still required a set scan. Always 0, like
+/// [`PROBE_FILTER_SKIPS`].
 pub static PROBE_FILTER_PASSES: Counter = Counter::new();
 /// MSHR entries released.
 pub static MSHR_RELEASES: Counter = Counter::new();

@@ -15,71 +15,6 @@ pub enum DeviceWidth {
     X8,
 }
 
-/// Which command-scheduler implementation a sub-channel uses.
-///
-/// Both implement the *same* FR-FCFS-with-read-priority policy and produce
-/// bitwise-identical schedules (the `engine_parity` and differential-stress
-/// suites pin this); they differ only in how much work a scheduling pass
-/// costs. The incremental scheduler is the default because it is strictly
-/// faster at queue saturation; the scan scheduler is kept forever as the
-/// executable reference the differential tests compare against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SchedulerKind {
-    /// Reference implementation: every pass rescans the full RDQ/WRQ.
-    Scan,
-    /// Incrementally maintained per-bank ready sets: a pass touches only
-    /// non-empty banks, and candidate classifications are re-derived only
-    /// for banks whose row state or request list changed.
-    #[default]
-    Incremental,
-}
-
-impl SchedulerKind {
-    /// Parses a scheduler name (`scan` or `incremental`).
-    ///
-    /// # Errors
-    ///
-    /// Returns the unrecognised name.
-    pub fn from_name(name: &str) -> Result<Self, String> {
-        match name {
-            "scan" => Ok(Self::Scan),
-            "incremental" => Ok(Self::Incremental),
-            other => Err(other.to_string()),
-        }
-    }
-
-    /// Reads the `BARD_SCHED` environment variable (`scan` or
-    /// `incremental`). Returns `None` when unset or empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognised value — silently falling back would make a
-    /// scheduler comparison measure nothing.
-    #[must_use]
-    pub fn from_env() -> Option<Self> {
-        // bard-lint: allow(D1) -- sanctioned cosmetic-knob override, read once at config
-        // construction (never during simulation) and pinned result-neutral by the
-        // scheduler parity suites.
-        match std::env::var("BARD_SCHED") {
-            Ok(v) if v.is_empty() => None,
-            Ok(v) => Some(
-                Self::from_name(&v)
-                    .unwrap_or_else(|v| panic!("BARD_SCHED='{v}' (expected scan|incremental)")),
-            ),
-            Err(_) => None,
-        }
-    }
-
-    /// The scheduler's CLI name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Scan => "scan",
-            Self::Incremental => "incremental",
-        }
-    }
-}
-
 /// Row-buffer management policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PagePolicy {
@@ -137,9 +72,6 @@ pub struct DramConfig {
     /// Extra fixed controller latency (CPU cycles) added to every read
     /// response, modelling controller and on-chip-network traversal.
     pub controller_latency_cpu: u64,
-    /// Command-scheduler implementation (never affects results, only wall
-    /// clock; see [`SchedulerKind`]).
-    pub scheduler: SchedulerKind,
 }
 
 impl DramConfig {
@@ -164,16 +96,7 @@ impl DramConfig {
             ideal_writes: false,
             refresh_enabled: true,
             controller_latency_cpu: 20,
-            scheduler: SchedulerKind::default(),
         }
-    }
-
-    /// Returns a copy scheduled by `scheduler` (results are
-    /// scheduler-invariant; only wall clock changes).
-    #[must_use]
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
     }
 
     /// The x8-device variant (Section VII-D): identical except `tCCD_L_WR`.
@@ -348,17 +271,5 @@ mod tests {
     fn ideal_flag_round_trips() {
         let c = DramConfig::ddr5_4800_x4().ideal();
         assert!(c.ideal_writes);
-    }
-
-    #[test]
-    fn scheduler_defaults_to_incremental_and_parses_names() {
-        assert_eq!(DramConfig::ddr5_4800_x4().scheduler, SchedulerKind::Incremental);
-        assert_eq!(SchedulerKind::from_name("scan"), Ok(SchedulerKind::Scan));
-        assert_eq!(SchedulerKind::from_name("incremental"), Ok(SchedulerKind::Incremental));
-        assert!(SchedulerKind::from_name("magic").is_err());
-        assert_eq!(SchedulerKind::Scan.name(), "scan");
-        let c = DramConfig::ddr5_4800_x4().with_scheduler(SchedulerKind::Scan);
-        assert_eq!(c.scheduler, SchedulerKind::Scan);
-        assert!(c.validate().is_ok());
     }
 }

@@ -112,6 +112,13 @@ impl MemoryController {
         }
     }
 
+    /// Counts `n` write enqueues to `addr` refused by its full write queue
+    /// without attempting them (see [`SubChannel::note_refused_writes`]).
+    pub fn note_refused_writes(&mut self, addr: u64, n: u64) {
+        let d = self.mapping.decode(addr);
+        self.subchannels[d.subchannel].note_refused_writes(n);
+    }
+
     /// Exports every sub-channel's semantic state (snapshot support).
     /// Callers must [`MemoryController::settle_stats`] to the capture cycle
     /// first so the exported statistics are exact.

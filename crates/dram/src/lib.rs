@@ -55,7 +55,7 @@ pub mod timing;
 
 pub use address::{AddressMapping, DecodedAddr, MappingScheme};
 pub use bank::BankState;
-pub use config::{DeviceWidth, DramConfig, PagePolicy, SchedulerKind};
+pub use config::{DeviceWidth, DramConfig, PagePolicy};
 pub use controller::{ControllerState, MemoryController};
 pub use power::{EnergyBreakdown, PowerModel};
 pub use request::{CompletedRead, EnqueueError, MemRequest, RequestId, RequestKind};

@@ -28,7 +28,7 @@ use std::collections::VecDeque;
 
 use crate::address::AddressMapping;
 use crate::bank::BankState;
-use crate::config::{DramConfig, PagePolicy, SchedulerKind};
+use crate::config::{DramConfig, PagePolicy};
 use crate::request::{CompletedRead, EnqueueError, MemRequest, RequestKind};
 use crate::stats::{DrainEpisodeStats, SubChannelStats};
 use crate::timing::TimingParams;
@@ -54,90 +54,9 @@ enum RowOutcome {
 struct QueuedRequest {
     req: MemRequest,
     outcome: Option<RowOutcome>,
-    /// Strictly increasing arrival stamp; FR-FCFS age ties are broken by it.
-    /// The master queues stay sorted by `order` (enqueue appends, issue
-    /// removes), so a stamp maps back to a queue index by binary search.
+    /// Strictly increasing arrival stamp; the queues stay sorted by it
+    /// (enqueue appends, issue removes). Carried in snapshot images.
     order: u64,
-}
-
-/// Incrementally maintained scheduler index for one bank of one queue
-/// (see [`SchedulerKind::Incremental`]).
-///
-/// `entries` mirrors the bank's slice of the master queue as `(order, row,
-/// id)` triples, oldest first. The cached `earliest_hit` / `earliest_conflict`
-/// stamps classify those entries against the bank's *current* open row; they
-/// are invalidated (`dirty`) only when the bank's row state changes
-/// (activate, precharge, refresh, dead-row closure) or when a cached entry
-/// is removed — a failed scheduling pass therefore re-derives classifications
-/// only for changed banks instead of rescanning the whole queue.
-#[derive(Debug, Clone, Default)]
-struct BankIndex {
-    /// `(order, row, id)` of every queued request to this bank, oldest
-    /// first. The request id rides along for the adaptive open-page check,
-    /// which must skip *every* request sharing the issued id (ids are line
-    /// addresses upstream, so a read and a write-back to the same line share
-    /// one id — the reference scan skips both, and bitwise parity requires
-    /// matching that).
-    entries: VecDeque<(u64, u64, u64)>,
-    /// Oldest entry whose row equals the bank's open row (only meaningful
-    /// while the bank is open and `!dirty`).
-    earliest_hit: Option<u64>,
-    /// Oldest entry whose row differs from the bank's open row (only
-    /// meaningful while the bank is open and `!dirty`).
-    earliest_conflict: Option<u64>,
-    /// Classification caches must be re-derived before use.
-    dirty: bool,
-}
-
-impl BankIndex {
-    /// Re-derives the classification caches against `open_row`.
-    fn refresh(&mut self, open_row: u64) {
-        self.earliest_hit = None;
-        self.earliest_conflict = None;
-        for &(order, row, _) in &self.entries {
-            if row == open_row {
-                if self.earliest_hit.is_none() {
-                    self.earliest_hit = Some(order);
-                }
-            } else if self.earliest_conflict.is_none() {
-                self.earliest_conflict = Some(order);
-            }
-            if self.earliest_hit.is_some() && self.earliest_conflict.is_some() {
-                break;
-            }
-        }
-        self.dirty = false;
-    }
-
-    /// Appends a new (youngest) entry, updating the caches in O(1): a fresh
-    /// stamp can only fill a `None` slot, never displace an older one.
-    fn push(&mut self, order: u64, row: u64, id: u64, open_row: Option<u64>) {
-        self.entries.push_back((order, row, id));
-        if self.dirty {
-            return;
-        }
-        let Some(open) = open_row else { return };
-        if open == row {
-            if self.earliest_hit.is_none() {
-                self.earliest_hit = Some(order);
-            }
-        } else if self.earliest_conflict.is_none() {
-            self.earliest_conflict = Some(order);
-        }
-    }
-
-    /// Removes the entry with `order`, invalidating a cache slot only if it
-    /// pointed at the removed entry.
-    fn remove(&mut self, order: u64) {
-        let idx = self
-            .entries
-            .binary_search_by_key(&order, |&(o, _, _)| o)
-            .expect("scheduler index out of sync with the master queue");
-        self.entries.remove(idx);
-        if self.earliest_hit == Some(order) || self.earliest_conflict == Some(order) {
-            self.dirty = true;
-        }
-    }
 }
 
 /// Plain-data image of one queued request (snapshot support). The decoded
@@ -163,7 +82,7 @@ pub struct QueuedRequestState {
 }
 
 /// Plain-data image of a sub-channel (snapshot support). Holds only the
-/// *semantic* state: the per-bank scheduler indexes, bank masks, the cached
+/// *semantic* state: the per-bank pending-write counts and mask, the cached
 /// earliest-ready stamp and the wake horizon are all derived structures and
 /// are rebuilt on import (`wake_at` restores to 0, which forces one full —
 /// and by construction identically-failing — scheduling pass on the next
@@ -231,15 +150,12 @@ pub struct SubChannel {
 
     read_q: VecDeque<QueuedRequest>,
     write_q: VecDeque<QueuedRequest>,
-    scheduler: SchedulerKind,
     /// Arrival stamp for the next enqueued request.
     next_order: u64,
-    /// Per-bank scheduler indexes (incremental scheduler only).
-    read_ix: Vec<BankIndex>,
-    write_ix: Vec<BankIndex>,
-    /// Bit per bank with at least one queued read / write (incremental
-    /// scheduler only); passes iterate set bits instead of all banks.
-    read_mask: u64,
+    /// Queued writes per bank, kept in step with `write_q` so the BLP
+    /// oracle's [`SubChannel::pending_write_banks`] query is O(1).
+    write_counts: Vec<u32>,
+    /// Bit per bank with a nonzero `write_counts` entry.
     write_mask: u64,
     banks: Vec<BankState>,
     bg_rd_ok: Vec<u64>,
@@ -317,11 +233,8 @@ impl SubChannel {
             high_watermark: config.write_high_watermark,
             read_q: VecDeque::with_capacity(config.read_queue_entries),
             write_q: VecDeque::with_capacity(config.write_queue_entries),
-            scheduler: config.scheduler,
             next_order: 0,
-            read_ix: vec![BankIndex::default(); banks],
-            write_ix: vec![BankIndex::default(); banks],
-            read_mask: 0,
+            write_counts: vec![0; banks],
             write_mask: 0,
             banks: vec![BankState::new(); banks],
             bg_rd_ok: vec![0; config.bankgroups],
@@ -419,18 +332,25 @@ impl SubChannel {
 
     /// Bitmap (bit per bank within the sub-channel) of banks with at least one
     /// pending write in the write queue. Used by the "oracle" BLP tracker and
-    /// by the accuracy analysis of Section VII-I. The incremental scheduler
-    /// maintains this mask as queue state changes, making the query O(1).
+    /// by the accuracy analysis of Section VII-I. The mask is maintained as
+    /// writes enter and leave the queue, so the query is O(1).
     #[must_use]
     pub fn pending_write_banks(&self) -> u64 {
-        if self.scheduler == SchedulerKind::Incremental {
-            return self.write_mask;
+        self.write_mask
+    }
+
+    /// Counts a write entering `write_q` against its bank.
+    fn count_write(&mut self, bank: usize) {
+        self.write_counts[bank] += 1;
+        self.write_mask |= 1u64 << bank;
+    }
+
+    /// Releases a write leaving `write_q` from its bank's count.
+    fn uncount_write(&mut self, bank: usize) {
+        self.write_counts[bank] -= 1;
+        if self.write_counts[bank] == 0 {
+            self.write_mask &= !(1u64 << bank);
         }
-        let mut mask = 0u64;
-        for q in &self.write_q {
-            mask |= 1u64 << q.req.decoded.bank_in_subchannel(self.banks_per_group);
-        }
-        mask
     }
 
     /// Enqueues a read request.
@@ -448,11 +368,6 @@ impl SubChannel {
         req.enqueue_cycle = now;
         let order = self.next_order;
         self.next_order += 1;
-        if self.scheduler == SchedulerKind::Incremental {
-            let bank = req.decoded.bank_in_subchannel(self.banks_per_group);
-            self.read_ix[bank].push(order, req.decoded.row, req.id, self.banks[bank].open_row);
-            self.read_mask |= 1u64 << bank;
-        }
         // An enqueue changes nothing but the candidate set, so the wake
         // horizon only needs lowering by this request's own earliest legal
         // issue cycle (a read is schedulable in read mode only).
@@ -480,11 +395,7 @@ impl SubChannel {
         req.enqueue_cycle = now;
         let order = self.next_order;
         self.next_order += 1;
-        if self.scheduler == SchedulerKind::Incremental {
-            let bank = req.decoded.bank_in_subchannel(self.banks_per_group);
-            self.write_ix[bank].push(order, req.decoded.row, req.id, self.banks[bank].open_row);
-            self.write_mask |= 1u64 << bank;
-        }
+        self.count_write(self.bank_index(&req));
         self.write_q.push_back(QueuedRequest { req, outcome: None, order });
         match self.mode {
             BusMode::Read => {
@@ -506,6 +417,14 @@ impl SubChannel {
             }
         }
         Ok(())
+    }
+
+    /// Counts `n` write enqueues refused by the full write queue without
+    /// attempting them: a cycle-skipping caller's account of the retries a
+    /// jumped span would have made, each refused identically while the
+    /// queue state is frozen.
+    pub fn note_refused_writes(&mut self, n: u64) {
+        self.stats.write_queue_full_events += n;
     }
 
     /// The earliest cycle `req` itself could issue a command under the
@@ -629,7 +548,7 @@ impl SubChannel {
 
     /// Replaces the sub-channel's state with `state` (snapshot support),
     /// re-deriving every derived structure: decoded addresses via `mapping`,
-    /// the per-bank scheduler indexes and masks from the rebuilt queues, the
+    /// the per-bank pending-write counts from the rebuilt write queue, the
     /// earliest-ready cache from the completed-read buffer, and a zero wake
     /// horizon (recompute on the next tick).
     ///
@@ -689,26 +608,12 @@ impl SubChannel {
         // Derived structures.
         self.earliest_ready =
             self.completed.iter().map(|c| c.ready_cycle).min().unwrap_or(u64::MAX);
-        let banks = self.banks.len();
-        self.read_ix = vec![BankIndex::default(); banks];
-        self.write_ix = vec![BankIndex::default(); banks];
-        self.read_mask = 0;
+        self.write_counts.fill(0);
         self.write_mask = 0;
-        if self.scheduler == SchedulerKind::Incremental {
-            for q in &self.read_q {
-                let bank = q.req.decoded.bank_in_subchannel(self.banks_per_group);
-                let ix = &mut self.read_ix[bank];
-                ix.entries.push_back((q.order, q.req.decoded.row, q.req.id));
-                ix.dirty = true;
-                self.read_mask |= 1u64 << bank;
-            }
-            for q in &self.write_q {
-                let bank = q.req.decoded.bank_in_subchannel(self.banks_per_group);
-                let ix = &mut self.write_ix[bank];
-                ix.entries.push_back((q.order, q.req.decoded.row, q.req.id));
-                ix.dirty = true;
-                self.write_mask |= 1u64 << bank;
-            }
+        for q in &self.write_q {
+            let bank = q.req.decoded.bank_in_subchannel(self.banks_per_group);
+            self.write_counts[bank] += 1;
+            self.write_mask |= 1u64 << bank;
         }
         self.wake_at = 0;
     }
@@ -791,7 +696,7 @@ impl SubChannel {
     /// earliest legal issue among queued commands under the current bus
     /// mode. All timing state is frozen until then, so the bound is exact —
     /// the scheduler re-runs at exactly that cycle.
-    fn compute_wake(&mut self, now: u64) -> u64 {
+    fn compute_wake(&self, now: u64) -> u64 {
         let mut wake = u64::MAX;
         if self.refresh_enabled {
             wake = wake.min(self.next_refresh_at);
@@ -833,67 +738,16 @@ impl SubChannel {
     /// Earliest cycle at which any request in the queue could issue a
     /// command (column access on a row hit, activate on a closed bank, or
     /// precharge on a conflict), mirroring the scheduling pass conditions
-    /// with the current timing state.
-    fn earliest_issue(&mut self, queue: Queue) -> u64 {
-        match self.scheduler {
-            SchedulerKind::Scan => self.earliest_issue_scan(queue),
-            SchedulerKind::Incremental => self.earliest_issue_inc(queue),
-        }
-    }
-
-    /// Reference implementation: walks every queued request, applying the
-    /// shared per-request candidate formula (`request_candidate`) — the
+    /// with the current timing state. Walks every queued request, applying
+    /// the shared per-request candidate formula (`request_candidate`) — the
     /// enqueue-scoped wake-horizon lowering relies on the two staying in
     /// lockstep, so there is exactly one copy of the formula.
-    fn earliest_issue_scan(&self, queue: Queue) -> u64 {
+    fn earliest_issue(&self, queue: Queue) -> u64 {
         let (q, write) = match queue {
             Queue::Read => (&self.read_q, false),
             Queue::Write => (&self.write_q, true),
         };
         q.iter().map(|q| self.request_candidate(&q.req, write)).min().unwrap_or(u64::MAX)
-    }
-
-    /// Incremental implementation: every request queued behind one bank
-    /// shares that bank's candidate cycle per command class, so the minimum
-    /// over requests equals the minimum over non-empty banks — O(banks), and
-    /// classification caches are re-derived only for dirty banks.
-    fn earliest_issue_inc(&mut self, queue: Queue) -> u64 {
-        let write = queue == Queue::Write;
-        let faw_at = self.faw_expiry();
-        let mut bits = if write { self.write_mask } else { self.read_mask };
-        let mut earliest = u64::MAX;
-        while bits != 0 {
-            let bank = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let b = self.banks[bank];
-            let bg = bank / self.banks_per_group;
-            match b.open_row {
-                Some(open) => {
-                    let ix = if write { &mut self.write_ix[bank] } else { &mut self.read_ix[bank] };
-                    if ix.dirty {
-                        ix.refresh(open);
-                    }
-                    let (has_hit, has_conflict) =
-                        (ix.earliest_hit.is_some(), ix.earliest_conflict.is_some());
-                    if has_hit {
-                        let (sub_cas, bg_cas) = if write {
-                            (self.sub_wr_ok, self.bg_wr_ok[bg])
-                        } else {
-                            (self.sub_rd_ok, self.bg_rd_ok[bg])
-                        };
-                        earliest = earliest.min(sub_cas.max(b.cas_ok_at).max(bg_cas));
-                    }
-                    if has_conflict {
-                        earliest = earliest.min(b.pre_ok_at);
-                    }
-                }
-                None => {
-                    earliest = earliest
-                        .min(self.sub_act_ok.max(faw_at).max(b.act_ok_at).max(self.bg_act_ok[bg]));
-                }
-            }
-        }
-        earliest
     }
 
     fn update_mode(&mut self, now: u64) {
@@ -973,11 +827,6 @@ impl SubChannel {
             bank.act_ok_at = bank.act_ok_at.max(now + self.timing.t_rfc);
             bank.cas_ok_at = bank.cas_ok_at.max(now + self.timing.t_rfc);
         }
-        if self.scheduler == SchedulerKind::Incremental {
-            for ix in self.read_ix.iter_mut().chain(self.write_ix.iter_mut()) {
-                ix.dirty = true;
-            }
-        }
         self.next_refresh_at = now + self.timing.t_refi;
     }
 
@@ -989,13 +838,11 @@ impl SubChannel {
             return 0;
         }
         let mut closed = 0;
-        for bank in 0..self.banks.len() {
-            let b = &mut self.banks[bank];
+        for b in &mut self.banks {
             if b.auto_precharge && b.open_row.is_some() && b.pre_ok_at <= now {
                 b.precharge(now, self.timing.t_rp);
                 self.stats.precharges += 1;
                 closed += 1;
-                self.mark_bank_dirty(bank);
             }
         }
         closed
@@ -1023,17 +870,6 @@ impl SubChannel {
     /// Whether another queued request (read or write) targets the same bank
     /// and row; used by the adaptive open-page policy.
     fn another_request_to_row(&self, bank: usize, row: u64, skip_id: u64) -> bool {
-        if self.scheduler == SchedulerKind::Incremental {
-            // The issuing request itself was already removed from the
-            // indexes, but other queued requests may share its id (ids are
-            // line addresses upstream) and the reference scan skips those
-            // too, so the id filter must stay.
-            return self.read_ix[bank]
-                .entries
-                .iter()
-                .chain(self.write_ix[bank].entries.iter())
-                .any(|&(_, r, id)| r == row && id != skip_id);
-        }
         let check = |q: &QueuedRequest| {
             q.req.id != skip_id
                 && q.req.decoded.bank_in_subchannel(self.banks_per_group) == bank
@@ -1043,137 +879,6 @@ impl SubChannel {
     }
 
     fn schedule_read(&mut self, now: u64) -> bool {
-        match self.scheduler {
-            SchedulerKind::Scan => self.schedule_read_scan(now),
-            SchedulerKind::Incremental => self.schedule_inc(now, Queue::Read),
-        }
-    }
-
-    fn schedule_write(&mut self, now: u64) -> bool {
-        match self.scheduler {
-            SchedulerKind::Scan => self.schedule_write_scan(now),
-            SchedulerKind::Incremental => self.schedule_inc(now, Queue::Write),
-        }
-    }
-
-    /// One FR-FCFS scheduling attempt over the per-bank indexes. A single
-    /// sweep over the non-empty banks (a set-bit walk) collects the oldest
-    /// eligible candidate of each command class — the classes' conditions
-    /// are per-bank-independent, so one sweep computes exactly what the
-    /// reference scan's three full-queue passes would — and the class
-    /// priority (column > activate > precharge) picks the winner:
-    /// bit-for-bit the same choice, at O(banks) per attempt instead of
-    /// O(queue) per pass.
-    fn schedule_inc(&mut self, now: u64, queue: Queue) -> bool {
-        let write = queue == Queue::Write;
-        let mask = if write { self.write_mask } else { self.read_mask };
-        let sub_cas_ok = if write { self.sub_wr_ok } else { self.sub_rd_ok };
-        let cas_open = sub_cas_ok <= now;
-        let act_open = self.sub_act_ok <= now && self.faw_allows(now);
-        let mut best_cas: Option<u64> = None;
-        let mut best_act: Option<u64> = None;
-        let mut best_pre: Option<u64> = None;
-        let mut bits = mask;
-        while bits != 0 {
-            let bank = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let bg = bank / self.banks_per_group;
-            let b = &self.banks[bank];
-            match b.open_row {
-                Some(open) => {
-                    let (cas_ok_at, pre_ok_at) = (b.cas_ok_at, b.pre_ok_at);
-                    let ix = if write { &mut self.write_ix[bank] } else { &mut self.read_ix[bank] };
-                    if ix.dirty {
-                        ix.refresh(open);
-                    }
-                    let (hit, conflict) = (ix.earliest_hit, ix.earliest_conflict);
-                    if cas_open && cas_ok_at <= now {
-                        let bg_ok = if write { self.bg_wr_ok[bg] } else { self.bg_rd_ok[bg] };
-                        if bg_ok <= now {
-                            if let Some(order) = hit {
-                                if best_cas.is_none_or(|o| order < o) {
-                                    best_cas = Some(order);
-                                }
-                            }
-                        }
-                    }
-                    if pre_ok_at <= now {
-                        if let Some(order) = conflict {
-                            if best_pre.is_none_or(|o| order < o) {
-                                best_pre = Some(order);
-                            }
-                        }
-                    }
-                }
-                None => {
-                    if act_open && b.act_ok_at <= now && self.bg_act_ok[bg] <= now {
-                        let ix = if write { &self.write_ix[bank] } else { &self.read_ix[bank] };
-                        let order = ix.entries.front().expect("non-empty bank in mask").0;
-                        if best_act.is_none_or(|o| order < o) {
-                            best_act = Some(order);
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(order) = best_cas {
-            let idx = self.queue_index(queue, order);
-            match queue {
-                Queue::Read => self.issue_read_column(now, idx),
-                Queue::Write => self.issue_write_column(now, idx),
-            }
-            return true;
-        }
-        if let Some(order) = best_act {
-            let idx = self.queue_index(queue, order);
-            self.issue_activate(now, queue, idx);
-            return true;
-        }
-        if let Some(order) = best_pre {
-            let idx = self.queue_index(queue, order);
-            self.issue_precharge(now, queue, idx);
-            return true;
-        }
-        false
-    }
-
-    /// Maps an arrival stamp back to the master-queue index (the queues stay
-    /// sorted by stamp).
-    fn queue_index(&self, queue: Queue, order: u64) -> usize {
-        let q = match queue {
-            Queue::Read => &self.read_q,
-            Queue::Write => &self.write_q,
-        };
-        q.binary_search_by_key(&order, |e| e.order)
-            .expect("scheduler index out of sync with the master queue")
-    }
-
-    /// Drops a request from the per-bank index after it left the master
-    /// queue, releasing the bank's mask bit when it was the last one.
-    fn unindex(&mut self, queue: Queue, bank: usize, order: u64) {
-        if self.scheduler != SchedulerKind::Incremental {
-            return;
-        }
-        let (ix, mask) = match queue {
-            Queue::Read => (&mut self.read_ix[bank], &mut self.read_mask),
-            Queue::Write => (&mut self.write_ix[bank], &mut self.write_mask),
-        };
-        ix.remove(order);
-        if ix.entries.is_empty() {
-            *mask &= !(1u64 << bank);
-        }
-    }
-
-    /// Invalidates both queues' classification caches for a bank whose row
-    /// state changed (activate, precharge, refresh, dead-row closure).
-    fn mark_bank_dirty(&mut self, bank: usize) {
-        if self.scheduler == SchedulerKind::Incremental {
-            self.read_ix[bank].dirty = true;
-            self.write_ix[bank].dirty = true;
-        }
-    }
-
-    fn schedule_read_scan(&mut self, now: u64) -> bool {
         // Pass 1: first-ready row hits, oldest first.
         if self.sub_rd_ok <= now {
             let mut chosen = None;
@@ -1226,7 +931,7 @@ impl SubChannel {
         false
     }
 
-    fn schedule_write_scan(&mut self, now: u64) -> bool {
+    fn schedule_write(&mut self, now: u64) -> bool {
         // Pass 1: lowest-latency-first — any write whose column command can
         // issue *now* (bank row open, bank-group and sub-channel write
         // constraints satisfied). Oldest such write wins ties.
@@ -1292,7 +997,7 @@ impl SubChannel {
             return false;
         };
         let bank = self.bank_index(&q.req);
-        self.unindex(Queue::Write, bank, q.order);
+        self.uncount_write(bank);
         self.sub_wr_ok = now + self.timing.t_ccd_s_wr;
         self.stats.writes += 1;
         self.stats.write_row_hits += 1;
@@ -1304,7 +1009,6 @@ impl SubChannel {
         self.settle_stats(now + 1);
         let mut q = self.read_q.remove(idx).expect("index validated");
         let bank = self.bank_index(&q.req);
-        self.unindex(Queue::Read, bank, q.order);
         let bg = q.req.decoded.bankgroup;
         let row = q.req.decoded.row;
         let t = self.timing;
@@ -1346,7 +1050,7 @@ impl SubChannel {
         self.settle_stats(now + 1);
         let mut q = self.write_q.remove(idx).expect("index validated");
         let bank = self.bank_index(&q.req);
-        self.unindex(Queue::Write, bank, q.order);
+        self.uncount_write(bank);
         let bg = q.req.decoded.bankgroup;
         let row = q.req.decoded.row;
         let t = self.timing;
@@ -1393,7 +1097,6 @@ impl SubChannel {
         };
         let t = self.timing;
         self.banks[bank].activate(now, row, t.t_rcd, t.t_ras);
-        self.mark_bank_dirty(bank);
         self.bg_act_ok[bg] = self.bg_act_ok[bg].max(now + t.t_rrd_l);
         self.sub_act_ok = self.sub_act_ok.max(now + t.t_rrd_s);
         self.record_act(now);
@@ -1408,7 +1111,6 @@ impl SubChannel {
             self.bank_index(&q.req)
         };
         self.banks[bank].precharge(now, self.timing.t_rp);
-        self.mark_bank_dirty(bank);
         self.stats.precharges += 1;
         let q = self.queued_mut(queue, idx);
         q.outcome = Some(RowOutcome::Conflict);
@@ -1699,6 +1401,34 @@ mod tests {
         assert_eq!(sc.pending_write_banks(), 1 << bank);
     }
 
+    /// The maintained pending-write mask must equal a scan of the write
+    /// queue on every cycle of a drain, on the scheduled and the ideal
+    /// write paths alike (each removes writes at a different site).
+    #[test]
+    fn pending_write_banks_tracks_the_queue_through_a_drain() {
+        for ideal in [false, true] {
+            let mut cfg = config();
+            cfg.ideal_writes = ideal;
+            let mapping = AddressMapping::new(&cfg);
+            let mut sc = SubChannel::new(&cfg);
+            // Confined to four bank groups, so banks hold several writes and
+            // a bank's bit must survive all but its last one leaving.
+            let addrs = addrs_where(&mapping, cfg.write_high_watermark, |d| d.bankgroup < 4);
+            for (i, a) in addrs.iter().enumerate() {
+                sc.enqueue_write(make_req(&mapping, i as u64, RequestKind::Write, *a), 0).unwrap();
+            }
+            for cycle in 0..200_000 {
+                sc.tick(cycle);
+                let scanned = sc.write_q.iter().fold(0u64, |m, q| m | 1 << sc.bank_index(&q.req));
+                assert_eq!(sc.pending_write_banks(), scanned, "cycle {cycle} (ideal={ideal})");
+                if sc.stats().drain_episodes > 0 {
+                    break;
+                }
+            }
+            assert_eq!(sc.write_queue_len(), cfg.write_low_watermark, "the drain must finish");
+        }
+    }
+
     /// Regression test for the heuristic idle-sleep bug: a queued request
     /// whose only blocker is a bank-timing expiry (here tFAW) must issue on
     /// exactly the cycle the constraint expires, not up to 8 cycles later.
@@ -1813,57 +1543,51 @@ mod tests {
     /// with refresh enabled.
     #[test]
     fn exported_state_restores_into_a_lockstep_copy() {
-        for scheduler in [SchedulerKind::Scan, SchedulerKind::Incremental] {
-            let mut cfg = DramConfig::ddr5_4800_x4();
-            cfg.refresh_enabled = true;
-            cfg.scheduler = scheduler;
-            let mapping = AddressMapping::new(&cfg);
-            let mut original = SubChannel::new(&cfg);
-            let addrs = addrs_where(&mapping, cfg.write_high_watermark + 8, |_| true);
-            for (i, a) in addrs.iter().enumerate() {
-                if i < cfg.write_high_watermark {
-                    original
-                        .enqueue_write(make_req(&mapping, i as u64, RequestKind::Write, *a), 0)
-                        .unwrap();
-                } else {
-                    original
-                        .enqueue_read(make_req(&mapping, i as u64, RequestKind::Read, *a), 0)
-                        .unwrap();
-                }
+        let mut cfg = DramConfig::ddr5_4800_x4();
+        cfg.refresh_enabled = true;
+        let mapping = AddressMapping::new(&cfg);
+        let mut original = SubChannel::new(&cfg);
+        let addrs = addrs_where(&mapping, cfg.write_high_watermark + 8, |_| true);
+        for (i, a) in addrs.iter().enumerate() {
+            if i < cfg.write_high_watermark {
+                original
+                    .enqueue_write(make_req(&mapping, i as u64, RequestKind::Write, *a), 0)
+                    .unwrap();
+            } else {
+                original
+                    .enqueue_read(make_req(&mapping, i as u64, RequestKind::Read, *a), 0)
+                    .unwrap();
             }
-            // Advance into the middle of the drain so the episode trackers
-            // and timing state are non-trivial, then capture.
-            let checkpoint = 3_000u64;
-            let mut done_a = Vec::new();
-            for cycle in 0..checkpoint {
-                original.tick(cycle);
-                original.drain_completed(cycle, &mut done_a);
-            }
-            original.settle_stats(checkpoint);
-            let state = original.export_state();
-
-            let mut restored = SubChannel::new(&cfg);
-            restored.import_state(&state, &mapping);
-            assert_eq!(restored.export_state(), state, "export/import must round-trip");
-
-            let mut done_b = done_a.clone();
-            for cycle in checkpoint..checkpoint + 20_000 {
-                original.tick(cycle);
-                restored.tick(cycle);
-                original.drain_completed(cycle, &mut done_a);
-                restored.drain_completed(cycle, &mut done_b);
-            }
-            original.settle_stats(checkpoint + 20_000);
-            restored.settle_stats(checkpoint + 20_000);
-            assert_eq!(done_a, done_b, "completions must match ({scheduler:?})");
-            assert_eq!(original.stats(), restored.stats(), "stats must match ({scheduler:?})");
-            assert_eq!(
-                original.export_state(),
-                restored.export_state(),
-                "final state must match ({scheduler:?})"
-            );
-            assert!(original.stats().writes > 0, "the span under test must drain writes");
         }
+        // Advance into the middle of the drain so the episode trackers
+        // and timing state are non-trivial, then capture.
+        let checkpoint = 3_000u64;
+        let mut done_a = Vec::new();
+        for cycle in 0..checkpoint {
+            original.tick(cycle);
+            original.drain_completed(cycle, &mut done_a);
+        }
+        original.settle_stats(checkpoint);
+        let state = original.export_state();
+
+        let mut restored = SubChannel::new(&cfg);
+        restored.import_state(&state, &mapping);
+        assert_eq!(restored.export_state(), state, "export/import must round-trip");
+        assert_eq!(restored.pending_write_banks(), original.pending_write_banks());
+
+        let mut done_b = done_a.clone();
+        for cycle in checkpoint..checkpoint + 20_000 {
+            original.tick(cycle);
+            restored.tick(cycle);
+            original.drain_completed(cycle, &mut done_a);
+            restored.drain_completed(cycle, &mut done_b);
+        }
+        original.settle_stats(checkpoint + 20_000);
+        restored.settle_stats(checkpoint + 20_000);
+        assert_eq!(done_a, done_b, "completions must match");
+        assert_eq!(original.stats(), restored.stats(), "stats must match");
+        assert_eq!(original.export_state(), restored.export_state(), "final state must match");
+        assert!(original.stats().writes > 0, "the span under test must drain writes");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `bard-lint` — in-tree static analysis for the BARD reproduction.
 //!
 //! The repo's value proposition is bitwise reproducibility across engines,
-//! schedulers, probes, snapshots and replays. The dynamic parity suites
+//! snapshots and replays. The dynamic parity suites
 //! check that on the inputs they run; these passes enforce the underlying
 //! source-level invariants on *every* line:
 //!

@@ -1,11 +1,11 @@
-//! **R1 — reference-twin registry.** Every fast path in the simulator has a
-//! reference twin (step vs skip engine, scan vs incremental scheduler, walk
-//! vs fused probe), and the differential suite's `all_paths()` cross is the
-//! registry that keeps them honest. This pass pins three facts statically:
+//! **R1 — reference-twin registry.** Every selectable fast path in the
+//! simulator has a reference twin (today: step vs skip engine), and the
+//! differential suite's `all_paths()` cross is the registry that keeps them
+//! honest. This pass pins three facts statically:
 //!
 //! * every variant of every fast-path enum appears in the `all_paths()`
 //!   body, and the cross is complete (`N == product of variant counts`,
-//!   with each enum named exactly `N` times) — adding a third `ProbeKind`
+//!   with each enum named exactly `N` times) — adding a third `EngineKind`
 //!   variant without extending the cross fails here;
 //! * every enum the snapshot digest normalizes as cosmetic (assigned in
 //!   `full_digest`'s body — the in-code definition of "this knob must not
@@ -73,9 +73,9 @@ fn find_registry(ws: &Workspace) -> Option<(&LintFile, &FnDef)> {
 
 /// The workspace enums named in the registry's return-type tuple.
 fn tuple_enums(fndef: &FnDef, enums: &BTreeMap<&str, &EnumDef>) -> Vec<String> {
-    // The sig reads `fn all_paths() -> [(EngineKind, SchedulerKind,
-    // ProbeKind); 8]`; any identifier in it that names a workspace enum is
-    // a tuple member.
+    // The sig reads `fn all_paths() -> [EngineKind; 2]` (or a tuple of
+    // knobs, `[(EngineKind, OtherKind); 4]`); any identifier in it that
+    // names a workspace enum is a tuple member.
     sig_idents(&fndef.sig).into_iter().filter(|id| enums.contains_key(id.as_str())).collect()
 }
 

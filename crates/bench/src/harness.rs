@@ -30,9 +30,10 @@
 //!   `DIR/<experiment>.csv` artifacts (see `docs/RESULTS.md` for the schema).
 //!
 //! `--help` prints [`USAGE`] and exits 0. An unknown flag, workload, engine
-//! or format, or a non-numeric `--cores=`, `--seed=` or `--jobs=`, is a
-//! usage error: [`Cli::parse`] prints the message and [`USAGE`] to stderr
-//! and exits 2.
+//! or format, a non-numeric `--cores=`, `--seed=` or `--jobs=`, or a
+//! configuration [`SystemConfig::validate`] rejects (such as `--cores=0` or
+//! `--cores=65`) is a usage error: [`Cli::parse`] prints the message and
+//! [`USAGE`] to stderr and exits 2.
 //!
 //! The driving helpers ([`Cli::run`], [`Cli::run_grid`], [`Cli::compare`])
 //! execute the whole `(configs x workloads)` grid on the [`Runner`] so
@@ -128,7 +129,8 @@ impl Cli {
     ///
     /// Returns a message naming the offending argument on an unknown flag,
     /// workload, engine or format, or a non-numeric `--cores=`, `--seed=`
-    /// or `--jobs=`.
+    /// or `--jobs=`; returns [`SystemConfig::validate`]'s message when the
+    /// resulting configuration is invalid.
     pub fn from_args(args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut length = RunLength::quick();
         let mut workloads = WorkloadId::all();
@@ -199,6 +201,7 @@ impl Cli {
         if let Some(engine) = engine {
             config.engine = engine;
         }
+        config.validate()?;
         let snapshots = snapshot_dir.map(SnapshotStore::new);
         Ok(Self { length, workloads, config, jobs, progress, format, out, snapshots })
     }
@@ -479,6 +482,18 @@ mod tests {
     #[should_panic(expected = "--cores=N needs a number, got '-1'")]
     fn malformed_cores_flag_panics() {
         reject(&["--cores=-1"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one core is required")]
+    fn zero_cores_is_a_usage_error() {
+        reject(&["--test", "--cores=0"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cores = 65 exceeds the 64-core cap")]
+    fn too_many_cores_is_a_usage_error() {
+        reject(&["--cores=65"]);
     }
 
     #[test]

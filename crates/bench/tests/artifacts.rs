@@ -208,6 +208,9 @@ fn bad_arguments_exit_2_with_a_usage_message() {
     let cases = [
         (env!("CARGO_BIN_EXE_fig03_write_blp"), "--workloads=mcf", "unknown workload 'mcf'"),
         (env!("CARGO_BIN_EXE_fig03_write_blp"), "--cores=eight", "--cores=N needs a number"),
+        (env!("CARGO_BIN_EXE_fig03_write_blp"), "--cores=0", "at least one core is required"),
+        (env!("CARGO_BIN_EXE_fig03_write_blp"), "--cores=65", "exceeds the 64-core cap"),
+        (env!("CARGO_BIN_EXE_repro"), "--cores=65", "exceeds the 64-core cap"),
         (env!("CARGO_BIN_EXE_repro"), "--sched=scan", "unknown argument '--sched=scan'"),
     ];
     for (bin, arg, message) in cases {

@@ -31,6 +31,41 @@ impl CacheLine {
     }
 }
 
+/// Per-way state of a [`SetAssocCache`](crate::SetAssocCache) besides its
+/// tag: everything the cache and its replacement policy track about one way,
+/// packed into 8 bytes so a 16-way set's records span two host cache lines.
+///
+/// Eviction clears only the tag and [`flags`](Self::flags); the LRU stamp,
+/// RRIP byte and fill signature keep their last values, exactly as the
+/// exported replacement state always has.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct WayRecord {
+    /// LRU last-use stamp (per-cache touch counter; see `Replacement`).
+    pub stamp: u32,
+    /// Fill signature: the line's signature and SHiP's training key.
+    pub signature: u16,
+    /// RRIP re-reference prediction value (SRRIP/SHiP).
+    pub rrpv: u8,
+    /// [`WayRecord::DIRTY`] | [`WayRecord::PREFETCHED`] | [`WayRecord::REUSED`].
+    pub flags: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<WayRecord>() == 8);
+
+impl WayRecord {
+    /// Written since it was filled.
+    pub const DIRTY: u8 = 1;
+    /// Brought in by a prefetch and not yet demanded.
+    pub const PREFETCHED: u8 = 2;
+    /// Hit at least once while resident (SHiP training input).
+    pub const REUSED: u8 = 4;
+
+    /// True if every bit of `flag` is set.
+    pub fn has(self, flag: u8) -> bool {
+        self.flags & flag == flag
+    }
+}
+
 /// A line removed from the cache by an eviction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvictedLine {

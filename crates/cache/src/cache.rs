@@ -11,11 +11,15 @@
 //!   so that bank-aware writeback policies (BARD-E/C/H) and the prior-work
 //!   baselines (Eager Writeback, Virtual Write Queue) can override victim
 //!   selection and perform proactive write-backs.
+//!
+//! State is two arrays indexed by `set * ways + way`: the dense tag array
+//! (`TAG_INVALID` marks an invalid way) and one 8-byte `WayRecord` per
+//! way holding the flags and the replacement metadata.
 
 use std::cell::Cell;
 
-use crate::block::{CacheLine, EvictedLine};
-use crate::replacement::{ReplacementKind, ReplacementPolicy, ReplacementState};
+use crate::block::{CacheLine, EvictedLine, WayRecord};
+use crate::replacement::{Replacement, ReplacementKind, ReplacementState};
 use crate::stats::CacheStats;
 
 /// Geometry of a cache.
@@ -52,9 +56,10 @@ impl CacheConfig {
 
 /// Plain-data image of a cache's semantic state (snapshot support):
 /// the line array, per-way reuse bits, the replacement-policy state and the
-/// statistics counters. The derived dense tag array is **not** part of the
-/// image — [`SetAssocCache::import_state`] rebuilds it from the lines, so
-/// a restored cache is field-for-field identical to the captured one.
+/// statistics counters. [`SetAssocCache::export_state`] builds it from the
+/// tag array and way records, and [`SetAssocCache::import_state`] splits it
+/// back, so a restored cache is field-for-field identical to the captured
+/// one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheState {
     /// Every way of every set, set-major (`sets * ways` entries).
@@ -84,18 +89,16 @@ const TAG_INVALID: u64 = u64::MAX;
 /// A set-associative, write-back, write-allocate cache.
 #[derive(Debug)]
 pub struct SetAssocCache {
-    config: CacheConfig, // bard-lint: allow(S1) -- geometry fixed at construction
-    sets: usize,         // bard-lint: allow(S1) -- derived from config geometry at construction
-    line_shift: u32,     // bard-lint: allow(S1) -- derived from config geometry at construction
-    set_mask: u64,       // bard-lint: allow(S1) -- derived from config geometry at construction
-    lines: Vec<CacheLine>,
-    /// Dense tag array mirroring `lines` (`TAG_INVALID` for invalid ways):
-    /// the lookup hot path scans 8 contiguous bytes per way instead of a
-    /// 24-byte `CacheLine`, which matters because every simulated memory
-    /// access probes up to three cache levels.
+    config: CacheConfig,
+    sets: usize, // bard-lint: allow(S1) -- derived from config geometry at construction
+    line_shift: u32, // bard-lint: allow(S1) -- derived from config geometry at construction
+    set_mask: u64, // bard-lint: allow(S1) -- derived from config geometry at construction
+    /// Line address per way (`TAG_INVALID` for invalid ways): the lookup
+    /// hot path scans 8 contiguous bytes per way.
     tags: Vec<u64>,
-    reused: Vec<bool>,
-    policy: Box<dyn ReplacementPolicy>,
+    /// Flags and replacement metadata per way, aligned with `tags`.
+    records: Vec<WayRecord>,
+    replacement: Replacement,
     stats: CacheStats,
     /// Tag-array set scans performed (perf counter; probes take `&self`,
     /// hence the `Cell` — the cache is owned by one simulation thread).
@@ -114,10 +117,9 @@ impl SetAssocCache {
             sets,
             line_shift: config.line_bytes.trailing_zeros(),
             set_mask: (sets as u64) - 1,
-            lines: vec![CacheLine::empty(); sets * config.ways],
             tags: vec![TAG_INVALID; sets * config.ways],
-            reused: vec![false; sets * config.ways],
-            policy: replacement.build(sets, config.ways),
+            records: vec![Replacement::empty_record(); sets * config.ways],
+            replacement: Replacement::new(replacement),
             stats: CacheStats::default(),
             set_scans: Cell::new(0),
         }
@@ -144,7 +146,7 @@ impl SetAssocCache {
     /// Name of the replacement policy in use.
     #[must_use]
     pub fn replacement_name(&self) -> &'static str {
-        self.policy.name()
+        self.replacement.kind().name()
     }
 
     /// Statistics accumulated so far.
@@ -153,20 +155,38 @@ impl SetAssocCache {
         &self.stats
     }
 
-    /// Exports the cache's semantic state (snapshot support). The derived
-    /// tag array is not exported; it is rebuilt on import.
+    /// Exports the cache's semantic state (snapshot support). Invalid ways
+    /// export as [`CacheLine::empty`].
     #[must_use]
     pub fn export_state(&self) -> CacheState {
+        let lines = self
+            .tags
+            .iter()
+            .zip(&self.records)
+            .map(|(&tag, r)| {
+                if tag == TAG_INVALID {
+                    CacheLine::empty()
+                } else {
+                    CacheLine {
+                        addr: tag,
+                        valid: true,
+                        dirty: r.has(WayRecord::DIRTY),
+                        prefetched: r.has(WayRecord::PREFETCHED),
+                        signature: r.signature,
+                    }
+                }
+            })
+            .collect();
         CacheState {
-            lines: self.lines.clone(),
-            reused: self.reused.clone(),
-            replacement: self.policy.export_state(),
+            lines,
+            reused: self.records.iter().map(|r| r.has(WayRecord::REUSED)).collect(),
+            replacement: self.replacement.export_state(&self.records),
             stats: self.stats,
         }
     }
 
-    /// Replaces the cache's semantic state with `state` and rebuilds the
-    /// derived tag array from the imported lines (snapshot support).
+    /// Replaces the cache's semantic state with `state`, splitting it into
+    /// the tag array and way records (snapshot support).
     ///
     /// # Panics
     ///
@@ -174,15 +194,18 @@ impl SetAssocCache {
     /// not match this cache — restores are gated by snapshot digests, so a
     /// mismatch is a programming error.
     pub fn import_state(&mut self, state: &CacheState) {
-        assert_eq!(state.lines.len(), self.lines.len(), "cache geometry mismatch");
-        assert_eq!(state.reused.len(), self.reused.len(), "cache geometry mismatch");
-        self.lines.clone_from(&state.lines);
-        self.reused.clone_from(&state.reused);
-        self.policy.import_state(&state.replacement);
-        self.stats = state.stats;
-        for (tag, line) in self.tags.iter_mut().zip(&self.lines) {
-            *tag = if line.valid { line.addr } else { TAG_INVALID };
+        assert_eq!(state.lines.len(), self.tags.len(), "cache geometry mismatch");
+        assert_eq!(state.reused.len(), self.tags.len(), "cache geometry mismatch");
+        for (i, (line, &reused)) in state.lines.iter().zip(&state.reused).enumerate() {
+            self.tags[i] = if line.valid { line.addr } else { TAG_INVALID };
+            let record = &mut self.records[i];
+            record.signature = line.signature;
+            record.flags = (u8::from(line.dirty) * WayRecord::DIRTY)
+                | (u8::from(line.prefetched) * WayRecord::PREFETCHED)
+                | (u8::from(reused) * WayRecord::REUSED);
         }
+        self.replacement.import_state(&state.replacement, &mut self.records, self.config.ways);
+        self.stats = state.stats;
     }
 
     /// Clears the statistics counters while keeping cache contents
@@ -203,13 +226,6 @@ impl SetAssocCache {
         addr & !((1u64 << self.line_shift) - 1)
     }
 
-    /// Read-only view of the ways of a set.
-    #[must_use]
-    pub fn lines_in_set(&self, set: usize) -> &[CacheLine] {
-        let base = set * self.config.ways;
-        &self.lines[base..base + self.config.ways]
-    }
-
     /// Looks up `addr` without changing any state. Returns the way on a hit.
     #[must_use]
     pub fn probe(&self, addr: u64) -> Option<usize> {
@@ -219,11 +235,34 @@ impl SetAssocCache {
         self.tags[base..base + self.config.ways].iter().position(|&t| t == line_addr)
     }
 
+    /// True if `way` of `set` holds a valid line.
+    #[must_use]
+    pub fn is_valid(&self, set: usize, way: usize) -> bool {
+        self.tags[set * self.config.ways + way] != TAG_INVALID
+    }
+
+    /// The line address held by `way` of `set` if that line is valid and
+    /// dirty — the lines a writeback policy may clean or prefer to evict.
+    #[must_use]
+    pub fn dirty_addr(&self, set: usize, way: usize) -> Option<u64> {
+        let idx = set * self.config.ways + way;
+        let tag = self.tags[idx];
+        (tag != TAG_INVALID && self.records[idx].has(WayRecord::DIRTY)).then_some(tag)
+    }
+
+    /// The first invalid way of `set`, if any.
+    #[must_use]
+    pub fn invalid_way(&self, set: usize) -> Option<usize> {
+        let base = set * self.config.ways;
+        self.tags[base..base + self.config.ways].iter().position(|&t| t == TAG_INVALID)
+    }
+
     /// Demand access: on a hit, recency state is updated, the dirty bit is set
     /// for writes, and `true` is returned. On a miss, returns `false` and the
     /// caller is expected to fetch the line and call [`fill`](Self::fill) (or
-    /// [`fill_at`](Self::fill_at)).
-    pub fn touch(&mut self, addr: u64, signature: u16, is_write: bool) -> bool {
+    /// [`fill_at`](Self::fill_at)). The signature of a hit is not used: SHiP
+    /// trains on the line's fill signature.
+    pub fn touch(&mut self, addr: u64, _signature: u16, is_write: bool) -> bool {
         let way = self.probe(addr);
         if is_write {
             self.stats.stores += 1;
@@ -236,17 +275,17 @@ impl SetAssocCache {
         } else {
             self.stats.load_hits += 1;
         }
-        let set = self.set_of(addr);
-        let idx = set * self.config.ways + way;
+        let idx = self.set_of(addr) * self.config.ways + way;
+        let record = &mut self.records[idx];
         if is_write {
-            self.lines[idx].dirty = true;
+            record.flags |= WayRecord::DIRTY;
         }
-        if self.lines[idx].prefetched {
-            self.lines[idx].prefetched = false;
+        if record.has(WayRecord::PREFETCHED) {
+            record.flags &= !WayRecord::PREFETCHED;
             self.stats.prefetch_useful += 1;
         }
-        self.reused[idx] = true;
-        self.policy.on_hit(set, way, signature);
+        record.flags |= WayRecord::REUSED;
+        self.replacement.on_hit(&mut self.records, self.config.ways, idx);
         true
     }
 
@@ -264,10 +303,9 @@ impl SetAssocCache {
     /// Returns `true` if the write-back hit.
     pub fn writeback_access(&mut self, addr: u64) -> bool {
         self.stats.writeback_accesses += 1;
-        let set = self.set_of(addr);
         if let Some(way) = self.probe(addr) {
-            let idx = set * self.config.ways + way;
-            self.lines[idx].dirty = true;
+            let idx = self.set_of(addr) * self.config.ways + way;
+            self.records[idx].flags |= WayRecord::DIRTY;
             // Write-backs do not update the replacement state: they are not
             // demand references (matches ChampSim's default behaviour).
             true
@@ -280,13 +318,11 @@ impl SetAssocCache {
     /// otherwise the replacement policy's choice.
     pub fn victim_way(&mut self, addr: u64) -> usize {
         let set = self.set_of(addr);
-        let base = set * self.config.ways;
-        if let Some(way) =
-            self.tags[base..base + self.config.ways].iter().position(|&t| t == TAG_INVALID)
-        {
+        if let Some(way) = self.invalid_way(set) {
             return way;
         }
-        self.policy.victim(set)
+        let base = set * self.config.ways;
+        self.replacement.victim(&mut self.records[base..base + self.config.ways])
     }
 
     /// Fills `addr` into the set, evicting the policy victim if needed.
@@ -301,9 +337,8 @@ impl SetAssocCache {
     /// Fills a line brought in by a prefetch.
     pub fn fill_prefetch(&mut self, addr: u64, signature: u16) -> FillResult {
         let result = self.fill(addr, false, signature);
-        let set = self.set_of(addr);
-        let idx = set * self.config.ways + result.way;
-        self.lines[idx].prefetched = true;
+        let idx = self.set_of(addr) * self.config.ways + result.way;
+        self.records[idx].flags |= WayRecord::PREFETCHED;
         self.stats.prefetch_fills += 1;
         result
     }
@@ -312,7 +347,7 @@ impl SetAssocCache {
     /// replacement policy. This is the order BARD scans for low-cost dirty
     /// lines (LRU→MRU, or highest→lowest RRPV).
     #[must_use]
-    pub fn eviction_order(&mut self, set: usize) -> Vec<usize> {
+    pub fn eviction_order(&self, set: usize) -> Vec<usize> {
         let mut order = Vec::with_capacity(self.config.ways);
         self.eviction_order_into(set, &mut order);
         order
@@ -320,28 +355,30 @@ impl SetAssocCache {
 
     /// [`SetAssocCache::eviction_order`] into a caller-owned buffer
     /// (cleared first), avoiding the per-call allocation on hot paths.
-    pub fn eviction_order_into(&mut self, set: usize, out: &mut Vec<usize>) {
-        self.policy.eviction_order(set, out);
+    pub fn eviction_order_into(&self, set: usize, out: &mut Vec<usize>) {
+        let base = set * self.config.ways;
+        self.replacement.eviction_order(&self.records[base..base + self.config.ways], out);
     }
 
     /// Removes the line in `way` of `set`. Returns the evicted line if it was
     /// valid.
     pub fn evict(&mut self, set: usize, way: usize) -> Option<EvictedLine> {
         let idx = set * self.config.ways + way;
-        if !self.lines[idx].valid {
+        let addr = self.tags[idx];
+        if addr == TAG_INVALID {
             return None;
         }
-        let line = self.lines[idx];
-        self.policy.on_evict(set, way, self.reused[idx]);
-        self.lines[idx] = CacheLine::empty();
+        let record = self.records[idx];
+        self.replacement.on_evict(record);
         self.tags[idx] = TAG_INVALID;
-        self.reused[idx] = false;
-        if line.dirty {
+        self.records[idx].flags = 0;
+        let dirty = record.has(WayRecord::DIRTY);
+        if dirty {
             self.stats.dirty_evictions += 1;
         } else {
             self.stats.clean_evictions += 1;
         }
-        Some(EvictedLine { addr: line.addr, dirty: line.dirty })
+        Some(EvictedLine { addr, dirty })
     }
 
     /// Clears the dirty bit of `way` in `set` without evicting the line
@@ -349,14 +386,10 @@ impl SetAssocCache {
     /// line was valid and dirty; the caller is responsible for sending the
     /// write-back to the next level.
     pub fn cleanse(&mut self, set: usize, way: usize) -> Option<u64> {
-        let idx = set * self.config.ways + way;
-        if self.lines[idx].valid && self.lines[idx].dirty {
-            self.lines[idx].dirty = false;
-            self.stats.cleanses += 1;
-            Some(self.lines[idx].addr)
-        } else {
-            None
-        }
+        let addr = self.dirty_addr(set, way)?;
+        self.records[set * self.config.ways + way].flags &= !WayRecord::DIRTY;
+        self.stats.cleanses += 1;
+        Some(addr)
     }
 
     /// Installs `addr` into a specific way (which must have been emptied by
@@ -367,34 +400,25 @@ impl SetAssocCache {
     /// Panics in debug builds if the target way still holds a valid line.
     pub fn fill_at(&mut self, set: usize, way: usize, addr: u64, dirty: bool, signature: u16) {
         let idx = set * self.config.ways + way;
-        debug_assert!(!self.lines[idx].valid, "fill_at target must be empty");
-        self.lines[idx] = CacheLine::filled(self.line_addr(addr), dirty, signature);
+        debug_assert_eq!(self.tags[idx], TAG_INVALID, "fill_at target must be empty");
         self.tags[idx] = self.line_addr(addr);
-        self.reused[idx] = false;
+        let record = &mut self.records[idx];
+        record.flags = u8::from(dirty) * WayRecord::DIRTY;
+        record.signature = signature;
         self.stats.fills += 1;
-        self.policy.on_insert(set, way, signature);
-    }
-
-    /// Marks a hit on a specific way without the address lookup (used by the
-    /// LLC wrapper after it has already located the line).
-    pub fn promote(&mut self, set: usize, way: usize, signature: u16) {
-        let idx = set * self.config.ways + way;
-        if self.lines[idx].valid {
-            self.reused[idx] = true;
-            self.policy.on_hit(set, way, signature);
-        }
+        self.replacement.on_insert(&mut self.records, self.config.ways, idx);
     }
 
     /// Iterates over all valid, dirty lines in the cache, calling `f` with
-    /// `(set, way, line)`. Used by the Virtual Write Queue baseline, which is
-    /// allowed to search the whole LLC for same-row dirty lines.
+    /// `(set, way, line)`.
     pub fn for_each_dirty(&self, mut f: impl FnMut(usize, usize, &CacheLine)) {
         for set in 0..self.sets {
-            let base = set * self.config.ways;
             for way in 0..self.config.ways {
-                let line = &self.lines[base + way];
-                if line.valid && line.dirty {
-                    f(set, way, line);
+                if let Some(addr) = self.dirty_addr(set, way) {
+                    let record = self.records[set * self.config.ways + way];
+                    let mut line = CacheLine::filled(addr, true, record.signature);
+                    line.prefetched = record.has(WayRecord::PREFETCHED);
+                    f(set, way, &line);
                 }
             }
         }
@@ -403,13 +427,17 @@ impl SetAssocCache {
     /// Number of valid lines currently resident (test / debug helper).
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.tags.iter().filter(|&&t| t != TAG_INVALID).count()
     }
 
     /// Number of dirty lines currently resident.
     #[must_use]
     pub fn dirty_count(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid && l.dirty).count()
+        self.tags
+            .iter()
+            .zip(&self.records)
+            .filter(|&(&t, r)| t != TAG_INVALID && r.has(WayRecord::DIRTY))
+            .count()
     }
 }
 
@@ -446,6 +474,26 @@ mod tests {
                 assert_eq!(warmed.eviction_order(set), restored.eviction_order(set));
             }
         }
+    }
+
+    /// Evicted ways export as empty lines and clear their flags, but keep
+    /// the replacement metadata (stamp, RRPV, SHiP signature) they held.
+    #[test]
+    fn eviction_keeps_replacement_metadata_but_clears_the_line() {
+        let mut c = SetAssocCache::new(CacheConfig::new(1024, 4, 64), ReplacementKind::Ship);
+        c.fill(0x1000, true, 42);
+        assert!(c.touch(0x1000, 0, false));
+        let set = c.set_of(0x1000);
+        let way = c.probe(0x1000).unwrap();
+        c.evict(set, way).expect("valid line");
+        let state = c.export_state();
+        let idx = set * 4 + way;
+        assert_eq!(state.lines[idx], CacheLine::empty());
+        assert!(!state.reused[idx]);
+        let ReplacementState::Ship { rrpv, line_sig, .. } = &state.replacement else {
+            panic!("SHiP state expected");
+        };
+        assert_eq!((rrpv[idx], line_sig[idx]), (0, 42));
     }
 
     #[test]
@@ -519,9 +567,12 @@ mod tests {
         c.fill(0x3000, true, 0);
         let set = c.set_of(0x3000);
         let way = c.probe(0x3000).unwrap();
+        assert_eq!(c.dirty_addr(set, way), Some(0x3000));
         assert_eq!(c.cleanse(set, way), Some(0x3000));
         assert_eq!(c.dirty_count(), 0);
         assert_eq!(c.occupancy(), 1);
+        assert!(c.is_valid(set, way));
+        assert_eq!(c.dirty_addr(set, way), None);
         // A second cleanse is a no-op.
         assert_eq!(c.cleanse(set, way), None);
         assert_eq!(c.stats().cleanses, 1);
@@ -541,8 +592,10 @@ mod tests {
         let mut c = small_cache();
         c.fill_prefetch(0x6000, 0);
         assert_eq!(c.stats().prefetch_fills, 1);
+        assert!(c.export_state().lines.iter().any(|l| l.prefetched));
         assert!(c.touch(0x6000, 0, false));
         assert_eq!(c.stats().prefetch_useful, 1);
+        assert!(!c.export_state().lines.iter().any(|l| l.prefetched));
     }
 
     #[test]
@@ -558,6 +611,22 @@ mod tests {
         let victim = c.victim_way(addrs[0]);
         assert_eq!(order[0], victim);
         assert_eq!(order.len(), 4);
+    }
+
+    #[test]
+    fn invalid_ways_are_filled_first() {
+        let mut c = small_cache();
+        let set = c.set_of(0x100);
+        assert_eq!(c.invalid_way(set), Some(0));
+        c.fill(0x100, false, 0);
+        assert_eq!(c.invalid_way(set), Some(1));
+        for i in 1..4 {
+            c.fill(0x100 + i * 256, false, 0);
+        }
+        assert_eq!(c.invalid_way(set), None);
+        c.evict(set, 2).expect("valid line");
+        assert_eq!(c.invalid_way(set), Some(2));
+        assert_eq!(c.victim_way(0x100), 2);
     }
 
     #[test]
@@ -582,5 +651,120 @@ mod tests {
             }
         }
         assert!(c.occupancy() <= 16);
+    }
+
+    /// Reference LRU with the unbounded `u64` stamps the snapshot format
+    /// carries: the model the `u32` stamps plus renormalization must match.
+    struct ReferenceLru {
+        ways: usize,
+        tags: Vec<Option<u64>>,
+        stamp: u64,
+        last_use: Vec<u64>,
+    }
+
+    impl ReferenceLru {
+        fn from_state(state: &CacheState, ways: usize) -> Self {
+            let ReplacementState::Lru { stamp, last_use } = &state.replacement else {
+                panic!("LRU state expected");
+            };
+            Self {
+                ways,
+                tags: state.lines.iter().map(|l| l.valid.then_some(l.addr)).collect(),
+                stamp: *stamp,
+                last_use: last_use.clone(),
+            }
+        }
+
+        fn set_of(&self, addr: u64) -> usize {
+            ((addr >> 6) as usize) & (self.tags.len() / self.ways - 1)
+        }
+
+        fn order(&self, set: usize) -> Vec<usize> {
+            let mut order: Vec<usize> = (0..self.ways).collect();
+            order.sort_by_key(|&w| (self.last_use[set * self.ways + w], w));
+            order
+        }
+
+        fn victim(&self, addr: u64) -> usize {
+            let set = self.set_of(addr);
+            let base = set * self.ways;
+            (0..self.ways)
+                .find(|&w| self.tags[base + w].is_none())
+                .unwrap_or_else(|| self.order(set)[0])
+        }
+
+        fn touch(&mut self, idx: usize) {
+            self.stamp += 1;
+            self.last_use[idx] = self.stamp;
+        }
+
+        /// Demand access; returns the hit flag.
+        fn access(&mut self, addr: u64) -> bool {
+            let base = self.set_of(addr) * self.ways;
+            if let Some(way) = (0..self.ways).find(|&w| self.tags[base + w] == Some(addr)) {
+                self.touch(base + way);
+                return true;
+            }
+            let way = self.victim(addr);
+            self.tags[base + way] = Some(addr);
+            self.touch(base + way);
+            false
+        }
+    }
+
+    /// Imports LRU state whose stamps are shifted by `offset` (untouched
+    /// ways keep stamp 0), then drives hits and fills and checks every
+    /// decision against the `u64` reference.
+    fn lru_matches_reference_after_offset(offset: impl Fn(u64) -> u64) {
+        let geometry = CacheConfig::new(1024, 4, 64);
+        let mut donor = SetAssocCache::new(geometry, ReplacementKind::Lru);
+        // Partially fill so some ways stay untouched (stamp 0), which
+        // exercises the lowest-way-first tie-break across the wrap.
+        for i in 0..11u64 {
+            donor.fill(i * 64 * 3, false, 0);
+        }
+        let mut state = donor.export_state();
+        let ReplacementState::Lru { stamp, last_use } = &mut state.replacement else {
+            panic!("LRU state expected");
+        };
+        let shift = offset(*stamp);
+        *stamp += shift;
+        for s in last_use.iter_mut().filter(|s| **s != 0) {
+            *s += shift;
+        }
+        let mut cache = SetAssocCache::new(geometry, ReplacementKind::Lru);
+        cache.import_state(&state);
+        let mut reference = ReferenceLru::from_state(&state, geometry.ways);
+
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for step in 0..2_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let addr = (x % 24) * 64;
+            let set = cache.set_of(addr);
+            assert_eq!(cache.victim_way(addr), reference.victim(addr), "victim, step {step}");
+            assert_eq!(cache.eviction_order(set), reference.order(set), "order, step {step}");
+            let hit = cache.touch(addr, 0, false);
+            if !hit {
+                cache.fill(addr, false, 0);
+            }
+            assert_eq!(hit, reference.access(addr), "hit, step {step}");
+        }
+        for set in 0..cache.sets() {
+            assert_eq!(cache.eviction_order(set), reference.order(set));
+        }
+    }
+
+    #[test]
+    fn lru_stamp_wrap_keeps_decisions_exact() {
+        // The imported clock sits three touches below u32::MAX.
+        lru_matches_reference_after_offset(|stamp| u64::from(u32::MAX) - 3 - stamp);
+    }
+
+    #[test]
+    fn lru_stamps_above_u32_import_exactly() {
+        // Stamps straddle 2^40, so their low 32 bits are out of order.
+        lru_matches_reference_after_offset(|stamp| (1u64 << 40) - stamp / 2);
     }
 }

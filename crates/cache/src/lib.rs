@@ -10,8 +10,8 @@
 //!   higher-level writeback policies — BARD-E/C/H, Eager Writeback, Virtual
 //!   Write Queue — can be layered on top without the cache knowing about
 //!   DRAM geometry,
-//! * replacement policies: true [`Lru`], [`Srrip`] (2-bit RRPV) and
-//!   [`Ship`] (signature-based hit prediction), all exposing the
+//! * replacement policies ([`ReplacementKind`]): true LRU, SRRIP (2-bit
+//!   RRPV) and SHiP (signature-based hit prediction), all exposing the
 //!   *eviction order* BARD scans (LRU→MRU, or highest→lowest RRPV),
 //! * a [`MshrFile`] for tracking outstanding misses with request merging,
 //! * simple prefetchers (IP-stride and next-line) standing in for the
@@ -46,5 +46,5 @@ pub use mshr::{MshrEntryState, MshrError, MshrFile, MshrState};
 pub use prefetch::{
     IpStridePrefetcher, NextLinePrefetcher, Prefetcher, StrideEntryState, StrideTableState,
 };
-pub use replacement::{Lru, ReplacementKind, ReplacementPolicy, ReplacementState, Ship, Srrip};
+pub use replacement::{ReplacementKind, ReplacementState};
 pub use stats::CacheStats;

@@ -2,9 +2,16 @@
 //!
 //! Three policies from the paper's evaluation are provided: true LRU
 //! (baseline, Table II), SRRIP and SHiP (Section VII-E / Figure 15). All of
-//! them expose [`ReplacementPolicy::eviction_order`], the ordering that BARD
-//! scans when looking for a low-cost dirty line — LRU→MRU for LRU, and
-//! highest→lowest RRPV for the RRIP-based policies.
+//! them expose an *eviction order*, the ordering that BARD scans when
+//! looking for a low-cost dirty line — LRU→MRU for LRU, and highest→lowest
+//! RRPV for the RRIP-based policies.
+//!
+//! Per-way policy state (the LRU stamp, the RRPV and SHiP's fill signature)
+//! lives in the cache's `WayRecord`s; `Replacement` holds only what is
+//! per cache — the LRU touch counter and SHiP's signature history counter
+//! table — and acts on the records it is handed.
+
+use crate::block::WayRecord;
 
 /// Which replacement policy to instantiate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -19,16 +26,6 @@ pub enum ReplacementKind {
 }
 
 impl ReplacementKind {
-    /// Builds a boxed policy instance for a cache of `sets` x `ways`.
-    #[must_use]
-    pub fn build(self, sets: usize, ways: usize) -> Box<dyn ReplacementPolicy> {
-        match self {
-            Self::Lru => Box::new(Lru::new(sets, ways)),
-            Self::Srrip => Box::new(Srrip::new(sets, ways)),
-            Self::Ship => Box::new(Ship::new(sets, ways)),
-        }
-    }
-
     /// Human-readable name.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -45,19 +42,19 @@ impl ReplacementKind {
 /// geometry (`sets * ways` vector lengths) is validated on import.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplacementState {
-    /// [`Lru`] state: the global stamp counter and per-way timestamps.
+    /// LRU state: the touch counter and per-way timestamps.
     Lru {
-        /// Global monotonically increasing touch stamp.
+        /// Stamp of the most recent touch.
         stamp: u64,
         /// Per-way last-use stamps (`sets * ways`).
         last_use: Vec<u64>,
     },
-    /// [`Srrip`] state: per-way re-reference prediction values.
+    /// SRRIP state: per-way re-reference prediction values.
     Srrip {
         /// Per-way RRPVs (`sets * ways`).
         rrpv: Vec<u8>,
     },
-    /// [`Ship`] state: RRPVs, per-line signatures and the SHCT.
+    /// SHiP state: RRPVs, per-line signatures and the SHCT.
     Ship {
         /// Per-way RRPVs (`sets * ways`).
         rrpv: Vec<u8>,
@@ -68,348 +65,339 @@ pub enum ReplacementState {
     },
 }
 
-/// Interface every replacement policy implements.
+/// Maximum re-reference prediction value for a 2-bit RRPV.
+const RRPV_MAX: u8 = 3;
+/// RRPV assigned on insertion by SRRIP ("long" re-reference interval).
+const RRPV_INSERT: u8 = 2;
+/// Number of entries in the SHiP signature history counter table.
+const SHCT_ENTRIES: usize = 16 * 1024;
+/// Saturating counter maximum for the SHCT.
+const SHCT_MAX: u8 = 7;
+
+/// A cache's replacement policy: the per-cache state of one
+/// [`ReplacementKind`], driving decisions over the cache's way records.
 ///
-/// The cache calls `on_hit` / `on_insert` / `on_evict` to keep the policy
-/// state up to date and `victim` / `eviction_order` to make decisions. Ways
-/// holding invalid lines are handled by the cache itself and never reach the
-/// policy.
-pub trait ReplacementPolicy: std::fmt::Debug + Send {
-    /// Records a hit on `way` of `set`.
-    fn on_hit(&mut self, set: usize, way: usize, signature: u16);
-    /// Records a fill into `way` of `set`.
-    fn on_insert(&mut self, set: usize, way: usize, signature: u16);
-    /// Records the eviction of `way` of `set`; `reused` reports whether the
-    /// line was hit at least once while resident (used by SHiP training).
-    fn on_evict(&mut self, set: usize, way: usize, reused: bool);
-    /// Chooses the victim way for `set` among `ways` valid ways.
-    fn victim(&mut self, set: usize) -> usize;
-    /// Writes all ways of `set` into `out`, most-evictable first (LRU→MRU or
-    /// highest→lowest RRPV). Ties are broken by way index.
-    fn eviction_order(&self, set: usize, out: &mut Vec<usize>);
-    /// Policy name for reports.
-    fn name(&self) -> &'static str;
-    /// Exports the policy's mutable state (snapshot support).
-    fn export_state(&self) -> ReplacementState;
-    /// Replaces the policy's mutable state (snapshot support).
+/// The cache calls `on_hit` / `on_insert` / `on_evict` to keep the state up
+/// to date and `victim` / `eviction_order` to make decisions. Ways holding
+/// invalid lines are handled by the cache itself and never reach `victim`.
+#[derive(Debug, Clone)]
+pub(crate) enum Replacement {
+    /// True LRU: every touch stamps the way with the next value of `clock`.
+    /// Stamps are `u32`; when `clock` would pass `u32::MAX`, every set's
+    /// stamps are rewritten as their rank (`renormalize`), which keeps every
+    /// within-set comparison and hence every decision exact.
+    Lru {
+        /// Stamp of the most recent touch.
+        clock: u32,
+    },
+    /// Static RRIP with 2-bit re-reference prediction values.
+    Srrip,
+    /// SHiP: signature-based hit prediction on top of RRIP.
+    ///
+    /// Each fill records the PC signature; on eviction without reuse the
+    /// signature's counter is decremented, on reuse it is incremented. Fills
+    /// whose signature predicts no reuse are inserted with the maximum RRPV.
+    Ship {
+        /// Signature history counter table.
+        shct: Vec<u8>,
+    },
+}
+
+impl Replacement {
+    /// Fresh policy state for `kind`.
+    pub fn new(kind: ReplacementKind) -> Self {
+        match kind {
+            ReplacementKind::Lru => Self::Lru { clock: 0 },
+            ReplacementKind::Srrip => Self::Srrip,
+            ReplacementKind::Ship => Self::Ship { shct: vec![1; SHCT_ENTRIES] },
+        }
+    }
+
+    /// The way record every way starts from.
+    pub fn empty_record() -> WayRecord {
+        WayRecord { stamp: 0, signature: 0, rrpv: RRPV_MAX, flags: 0 }
+    }
+
+    /// The policy kind.
+    pub fn kind(&self) -> ReplacementKind {
+        match self {
+            Self::Lru { .. } => ReplacementKind::Lru,
+            Self::Srrip => ReplacementKind::Srrip,
+            Self::Ship { .. } => ReplacementKind::Ship,
+        }
+    }
+
+    /// Records a hit on `records[idx]`; `records` is the whole cache
+    /// (`ways` per set), which only the LRU stamp wrap reads.
+    pub fn on_hit(&mut self, records: &mut [WayRecord], ways: usize, idx: usize) {
+        match self {
+            Self::Lru { clock } => records[idx].stamp = next_stamp(clock, records, ways),
+            Self::Srrip => records[idx].rrpv = 0,
+            Self::Ship { shct } => {
+                records[idx].rrpv = 0;
+                let counter = &mut shct[shct_index(records[idx].signature)];
+                *counter = (*counter + 1).min(SHCT_MAX);
+            }
+        }
+    }
+
+    /// Records a fill into `records[idx]`, whose signature the cache has
+    /// already set.
+    pub fn on_insert(&mut self, records: &mut [WayRecord], ways: usize, idx: usize) {
+        match self {
+            Self::Lru { clock } => records[idx].stamp = next_stamp(clock, records, ways),
+            Self::Srrip => records[idx].rrpv = RRPV_INSERT,
+            Self::Ship { shct } => {
+                let predicted_dead = shct[shct_index(records[idx].signature)] == 0;
+                records[idx].rrpv = if predicted_dead { RRPV_MAX } else { RRPV_INSERT };
+            }
+        }
+    }
+
+    /// Records the eviction of the line in `record` (SHiP training: a line
+    /// evicted without reuse weakens its signature).
+    pub fn on_evict(&mut self, record: WayRecord) {
+        if let Self::Ship { shct } = self {
+            if !record.has(WayRecord::REUSED) {
+                let counter = &mut shct[shct_index(record.signature)];
+                *counter = counter.saturating_sub(1);
+            }
+        }
+    }
+
+    /// Chooses the victim among one full set's records (RRIP ages the set
+    /// until some way reaches `RRPV_MAX`).
+    pub fn victim(&self, set: &mut [WayRecord]) -> usize {
+        match self {
+            Self::Lru { .. } => (0..set.len()).min_by_key(|&w| set[w].stamp).expect("ways > 0"),
+            Self::Srrip | Self::Ship { .. } => loop {
+                if let Some(way) = set.iter().position(|r| r.rrpv == RRPV_MAX) {
+                    return way;
+                }
+                for record in set.iter_mut() {
+                    record.rrpv += 1;
+                }
+            },
+        }
+    }
+
+    /// Writes all ways of one set into `out` (cleared first), most-evictable
+    /// first: LRU→MRU, or highest→lowest RRPV. Ties go to the lower way.
+    pub fn eviction_order(&self, set: &[WayRecord], out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(0..set.len());
+        match self {
+            Self::Lru { .. } => out.sort_unstable_by_key(|&w| (set[w].stamp, w)),
+            Self::Srrip | Self::Ship { .. } => {
+                out.sort_unstable_by_key(|&w| (std::cmp::Reverse(set[w].rrpv), w));
+            }
+        }
+    }
+
+    /// Exports the policy state, reading the per-way fields from `records`.
+    pub fn export_state(&self, records: &[WayRecord]) -> ReplacementState {
+        match self {
+            Self::Lru { clock } => ReplacementState::Lru {
+                stamp: u64::from(*clock),
+                last_use: records.iter().map(|r| u64::from(r.stamp)).collect(),
+            },
+            Self::Srrip => {
+                ReplacementState::Srrip { rrpv: records.iter().map(|r| r.rrpv).collect() }
+            }
+            Self::Ship { shct } => ReplacementState::Ship {
+                rrpv: records.iter().map(|r| r.rrpv).collect(),
+                line_sig: records.iter().map(|r| r.signature).collect(),
+                shct: shct.clone(),
+            },
+        }
+    }
+
+    /// Replaces the policy state with `state`, writing the per-way fields
+    /// into `records`. LRU stamps above `u32::MAX` are renormalized.
     ///
     /// # Panics
     ///
     /// Panics when the state variant or geometry does not match this policy —
     /// snapshot digests gate restores, so a mismatch here is a programming
     /// error, not a recoverable condition.
-    fn import_state(&mut self, state: &ReplacementState);
-}
-
-/// True LRU: per-way timestamps updated on every touch.
-#[derive(Debug, Clone)]
-pub struct Lru {
-    ways: usize, // bard-lint: allow(S1) -- geometry fixed at construction
-    stamp: u64,
-    last_use: Vec<u64>,
-}
-
-impl Lru {
-    /// Creates an LRU policy for `sets` x `ways`.
-    #[must_use]
-    pub fn new(sets: usize, ways: usize) -> Self {
-        Self { ways, stamp: 0, last_use: vec![0; sets * ways] }
-    }
-
-    fn idx(&self, set: usize, way: usize) -> usize {
-        set * self.ways + way
-    }
-
-    fn touch(&mut self, set: usize, way: usize) {
-        self.stamp += 1;
-        let idx = self.idx(set, way);
-        self.last_use[idx] = self.stamp;
-    }
-}
-
-impl ReplacementPolicy for Lru {
-    fn on_hit(&mut self, set: usize, way: usize, _signature: u16) {
-        self.touch(set, way);
-    }
-
-    fn on_insert(&mut self, set: usize, way: usize, _signature: u16) {
-        self.touch(set, way);
-    }
-
-    fn on_evict(&mut self, _set: usize, _way: usize, _reused: bool) {}
-
-    fn victim(&mut self, set: usize) -> usize {
-        let base = set * self.ways;
-        (0..self.ways).min_by_key(|w| self.last_use[base + w]).expect("ways > 0")
-    }
-
-    fn eviction_order(&self, set: usize, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(0..self.ways);
-        let base = set * self.ways;
-        out.sort_by_key(|&w| (self.last_use[base + w], w));
-    }
-
-    fn name(&self) -> &'static str {
-        "LRU"
-    }
-
-    fn export_state(&self) -> ReplacementState {
-        ReplacementState::Lru { stamp: self.stamp, last_use: self.last_use.clone() }
-    }
-
-    fn import_state(&mut self, state: &ReplacementState) {
-        match state {
-            ReplacementState::Lru { stamp, last_use } => {
-                assert_eq!(last_use.len(), self.last_use.len(), "LRU geometry mismatch");
-                self.stamp = *stamp;
-                self.last_use.clone_from(last_use);
+    pub fn import_state(
+        &mut self,
+        state: &ReplacementState,
+        records: &mut [WayRecord],
+        ways: usize,
+    ) {
+        match (self, state) {
+            (Self::Lru { clock }, ReplacementState::Lru { stamp, last_use }) => {
+                assert_eq!(last_use.len(), records.len(), "LRU geometry mismatch");
+                let fits = |s: &u64| u32::try_from(*s).is_ok();
+                if fits(stamp) && last_use.iter().all(fits) {
+                    *clock = *stamp as u32;
+                    for (record, &s) in records.iter_mut().zip(last_use) {
+                        record.stamp = s as u32;
+                    }
+                } else {
+                    *clock = renormalize(records, ways, last_use);
+                }
             }
-            other => panic!("cannot import {other:?} into an LRU policy"),
-        }
-    }
-}
-
-/// Maximum re-reference prediction value for a 2-bit RRPV.
-const RRPV_MAX: u8 = 3;
-/// RRPV assigned on insertion by SRRIP ("long" re-reference interval).
-const RRPV_INSERT: u8 = 2;
-
-/// Static RRIP with 2-bit re-reference prediction values.
-#[derive(Debug, Clone)]
-pub struct Srrip {
-    ways: usize, // bard-lint: allow(S1) -- geometry fixed at construction
-    rrpv: Vec<u8>,
-}
-
-impl Srrip {
-    /// Creates an SRRIP policy for `sets` x `ways`.
-    #[must_use]
-    pub fn new(sets: usize, ways: usize) -> Self {
-        Self { ways, rrpv: vec![RRPV_MAX; sets * ways] }
-    }
-
-    fn idx(&self, set: usize, way: usize) -> usize {
-        set * self.ways + way
-    }
-
-    fn victim_rrip(&mut self, set: usize) -> usize {
-        let base = set * self.ways;
-        loop {
-            if let Some(way) = (0..self.ways).find(|w| self.rrpv[base + w] == RRPV_MAX) {
-                return way;
+            (Self::Srrip, ReplacementState::Srrip { rrpv }) => {
+                assert_eq!(rrpv.len(), records.len(), "SRRIP geometry mismatch");
+                for (record, &r) in records.iter_mut().zip(rrpv) {
+                    record.rrpv = r;
+                }
             }
-            for w in 0..self.ways {
-                self.rrpv[base + w] += 1;
+            (Self::Ship { shct }, ReplacementState::Ship { rrpv, line_sig, shct: table }) => {
+                assert_eq!(rrpv.len(), records.len(), "SHiP geometry mismatch");
+                assert_eq!(line_sig.len(), records.len(), "SHiP geometry mismatch");
+                assert_eq!(table.len(), shct.len(), "SHCT size mismatch");
+                for ((record, &r), &sig) in records.iter_mut().zip(rrpv).zip(line_sig) {
+                    record.rrpv = r;
+                    record.signature = sig;
+                }
+                shct.clone_from(table);
+            }
+            (policy, other) => {
+                panic!("cannot import {other:?} into a {} policy", policy.kind().name())
             }
         }
     }
 }
 
-impl ReplacementPolicy for Srrip {
-    fn on_hit(&mut self, set: usize, way: usize, _signature: u16) {
-        let idx = self.idx(set, way);
-        self.rrpv[idx] = 0;
-    }
-
-    fn on_insert(&mut self, set: usize, way: usize, _signature: u16) {
-        let idx = self.idx(set, way);
-        self.rrpv[idx] = RRPV_INSERT;
-    }
-
-    fn on_evict(&mut self, _set: usize, _way: usize, _reused: bool) {}
-
-    fn victim(&mut self, set: usize) -> usize {
-        self.victim_rrip(set)
-    }
-
-    fn eviction_order(&self, set: usize, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(0..self.ways);
-        let base = set * self.ways;
-        // Highest RRPV first (most evictable), ties by way index.
-        out.sort_by_key(|&w| (std::cmp::Reverse(self.rrpv[base + w]), w));
-    }
-
-    fn name(&self) -> &'static str {
-        "SRRIP"
-    }
-
-    fn export_state(&self) -> ReplacementState {
-        ReplacementState::Srrip { rrpv: self.rrpv.clone() }
-    }
-
-    fn import_state(&mut self, state: &ReplacementState) {
-        match state {
-            ReplacementState::Srrip { rrpv } => {
-                assert_eq!(rrpv.len(), self.rrpv.len(), "SRRIP geometry mismatch");
-                self.rrpv.clone_from(rrpv);
-            }
-            other => panic!("cannot import {other:?} into an SRRIP policy"),
-        }
-    }
+fn shct_index(signature: u16) -> usize {
+    signature as usize % SHCT_ENTRIES
 }
 
-/// Number of entries in the SHiP signature history counter table.
-const SHCT_ENTRIES: usize = 16 * 1024;
-/// Saturating counter maximum for the SHCT.
-const SHCT_MAX: u8 = 7;
-
-/// SHiP: signature-based hit prediction on top of RRIP.
-///
-/// Each fill records the PC signature; on eviction without reuse the
-/// signature's counter is decremented, on reuse it is incremented. Fills whose
-/// signature predicts no reuse are inserted with the maximum RRPV.
-#[derive(Debug, Clone)]
-pub struct Ship {
-    ways: usize, // bard-lint: allow(S1) -- geometry fixed at construction
-    rrpv: Vec<u8>,
-    line_sig: Vec<u16>,
-    shct: Vec<u8>,
+/// Advances the LRU `clock` and returns the new stamp, renormalizing every
+/// set's stamps first when the clock would pass `u32::MAX`.
+#[inline]
+fn next_stamp(clock: &mut u32, records: &mut [WayRecord], ways: usize) -> u32 {
+    if *clock == u32::MAX {
+        let stamps: Vec<u64> = records.iter().map(|r| u64::from(r.stamp)).collect();
+        *clock = renormalize(records, ways, &stamps);
+    }
+    *clock += 1;
+    *clock
 }
 
-impl Ship {
-    /// Creates a SHiP policy for `sets` x `ways`.
-    #[must_use]
-    pub fn new(sets: usize, ways: usize) -> Self {
-        Self {
-            ways,
-            rrpv: vec![RRPV_MAX; sets * ways],
-            line_sig: vec![0; sets * ways],
-            shct: vec![1; SHCT_ENTRIES],
+/// Rewrites each set's LRU stamps as the way's rank in that set's
+/// `(stamps[i], way)` order and returns the clock to restart from (`ways`,
+/// above every rank). LRU only ever compares stamps within a set, and ranks
+/// keep that order — including the tie-break that puts the lowest way first
+/// among equal stamps — so every later decision is unchanged.
+#[cold]
+#[inline(never)]
+fn renormalize(records: &mut [WayRecord], ways: usize, stamps: &[u64]) -> u32 {
+    let mut order = Vec::with_capacity(ways);
+    for (set, stamps) in records.chunks_mut(ways).zip(stamps.chunks(ways)) {
+        order.clear();
+        order.extend(0..ways);
+        order.sort_unstable_by_key(|&w| (stamps[w], w));
+        for (rank, &w) in order.iter().enumerate() {
+            set[w].stamp = rank as u32;
         }
     }
-
-    fn idx(&self, set: usize, way: usize) -> usize {
-        set * self.ways + way
-    }
-
-    fn shct_index(signature: u16) -> usize {
-        signature as usize % SHCT_ENTRIES
-    }
-}
-
-impl ReplacementPolicy for Ship {
-    fn on_hit(&mut self, set: usize, way: usize, _signature: u16) {
-        let idx = self.idx(set, way);
-        self.rrpv[idx] = 0;
-        let sig = self.line_sig[idx];
-        let counter = &mut self.shct[Self::shct_index(sig)];
-        *counter = (*counter + 1).min(SHCT_MAX);
-    }
-
-    fn on_insert(&mut self, set: usize, way: usize, signature: u16) {
-        let idx = self.idx(set, way);
-        self.line_sig[idx] = signature;
-        let predicted_dead = self.shct[Self::shct_index(signature)] == 0;
-        self.rrpv[idx] = if predicted_dead { RRPV_MAX } else { RRPV_INSERT };
-    }
-
-    fn on_evict(&mut self, set: usize, way: usize, reused: bool) {
-        let idx = self.idx(set, way);
-        let sig = self.line_sig[idx];
-        if !reused {
-            let counter = &mut self.shct[Self::shct_index(sig)];
-            *counter = counter.saturating_sub(1);
-        }
-    }
-
-    fn victim(&mut self, set: usize) -> usize {
-        let base = set * self.ways;
-        loop {
-            if let Some(way) = (0..self.ways).find(|w| self.rrpv[base + w] == RRPV_MAX) {
-                return way;
-            }
-            for w in 0..self.ways {
-                self.rrpv[base + w] += 1;
-            }
-        }
-    }
-
-    fn eviction_order(&self, set: usize, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(0..self.ways);
-        let base = set * self.ways;
-        out.sort_by_key(|&w| (std::cmp::Reverse(self.rrpv[base + w]), w));
-    }
-
-    fn name(&self) -> &'static str {
-        "SHiP"
-    }
-
-    fn export_state(&self) -> ReplacementState {
-        ReplacementState::Ship {
-            rrpv: self.rrpv.clone(),
-            line_sig: self.line_sig.clone(),
-            shct: self.shct.clone(),
-        }
-    }
-
-    fn import_state(&mut self, state: &ReplacementState) {
-        match state {
-            ReplacementState::Ship { rrpv, line_sig, shct } => {
-                assert_eq!(rrpv.len(), self.rrpv.len(), "SHiP geometry mismatch");
-                assert_eq!(shct.len(), self.shct.len(), "SHCT size mismatch");
-                self.rrpv.clone_from(rrpv);
-                self.line_sig.clone_from(line_sig);
-                self.shct.clone_from(shct);
-            }
-            other => panic!("cannot import {other:?} into a SHiP policy"),
-        }
-    }
+    u32::try_from(ways).expect("associativity fits a u32 stamp")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One policy over its own way records, driven the way the cache
+    /// drives it.
+    struct Harness {
+        policy: Replacement,
+        records: Vec<WayRecord>,
+        ways: usize,
+    }
+
+    impl Harness {
+        fn new(kind: ReplacementKind, sets: usize, ways: usize) -> Self {
+            Self {
+                policy: Replacement::new(kind),
+                records: vec![Replacement::empty_record(); sets * ways],
+                ways,
+            }
+        }
+
+        fn on_hit(&mut self, set: usize, way: usize) {
+            self.policy.on_hit(&mut self.records, self.ways, set * self.ways + way);
+        }
+
+        fn on_insert(&mut self, set: usize, way: usize, signature: u16) {
+            let idx = set * self.ways + way;
+            self.records[idx].signature = signature;
+            self.records[idx].flags = 0;
+            self.policy.on_insert(&mut self.records, self.ways, idx);
+        }
+
+        fn on_evict(&mut self, set: usize, way: usize, reused: bool) {
+            let mut record = self.records[set * self.ways + way];
+            record.flags = u8::from(reused) * WayRecord::REUSED;
+            self.policy.on_evict(record);
+        }
+
+        fn victim(&mut self, set: usize) -> usize {
+            let base = set * self.ways;
+            self.policy.victim(&mut self.records[base..base + self.ways])
+        }
+
+        fn eviction_order(&self, set: usize) -> Vec<usize> {
+            let base = set * self.ways;
+            let mut order = Vec::new();
+            self.policy.eviction_order(&self.records[base..base + self.ways], &mut order);
+            order
+        }
+
+        fn export_state(&self) -> ReplacementState {
+            self.policy.export_state(&self.records)
+        }
+
+        fn import_state(&mut self, state: &ReplacementState) {
+            self.policy.import_state(state, &mut self.records, self.ways);
+        }
+    }
+
     #[test]
     fn lru_evicts_least_recently_used() {
-        let mut p = Lru::new(1, 4);
+        let mut p = Harness::new(ReplacementKind::Lru, 1, 4);
         for way in 0..4 {
             p.on_insert(0, way, 0);
         }
-        p.on_hit(0, 0, 0); // way 0 becomes MRU
+        p.on_hit(0, 0); // way 0 becomes MRU
         assert_eq!(p.victim(0), 1);
-        let mut order = Vec::new();
-        p.eviction_order(0, &mut order);
-        assert_eq!(order, vec![1, 2, 3, 0]);
+        assert_eq!(p.eviction_order(0), vec![1, 2, 3, 0]);
     }
 
     #[test]
     fn lru_eviction_order_is_lru_to_mru() {
-        let mut p = Lru::new(2, 4);
+        let mut p = Harness::new(ReplacementKind::Lru, 2, 4);
         for way in [2, 0, 3, 1] {
             p.on_insert(1, way, 0);
         }
-        let mut order = Vec::new();
-        p.eviction_order(1, &mut order);
-        assert_eq!(order, vec![2, 0, 3, 1]);
+        assert_eq!(p.eviction_order(1), vec![2, 0, 3, 1]);
         // A different set is unaffected.
-        p.eviction_order(0, &mut order);
-        assert_eq!(order, vec![0, 1, 2, 3]);
+        assert_eq!(p.eviction_order(0), vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn srrip_hits_promote_and_misses_age() {
-        let mut p = Srrip::new(1, 4);
+        let mut p = Harness::new(ReplacementKind::Srrip, 1, 4);
         for way in 0..4 {
             p.on_insert(0, way, 0);
         }
-        p.on_hit(0, 2, 0);
+        p.on_hit(0, 2);
         // All ways were inserted at RRPV=2; way 2 is now 0. The victim search
         // ages everyone until some way reaches 3, so way 0 (first in way
         // order) is the victim, not way 2.
         let v = p.victim(0);
         assert_ne!(v, 2);
-        let mut order = Vec::new();
-        p.eviction_order(0, &mut order);
+        let order = p.eviction_order(0);
         assert_eq!(*order.last().unwrap(), 2, "the hit way is the least evictable");
     }
 
     #[test]
     fn srrip_victim_prefers_rrpv_max() {
-        let mut p = Srrip::new(1, 4);
+        let mut p = Harness::new(ReplacementKind::Srrip, 1, 4);
         p.on_insert(0, 0, 0);
         p.on_insert(0, 1, 0);
         // Ways 2 and 3 never inserted: their RRPV stays at the max.
@@ -418,7 +406,7 @@ mod tests {
 
     #[test]
     fn ship_learns_dead_signatures() {
-        let mut p = Ship::new(1, 4);
+        let mut p = Harness::new(ReplacementKind::Ship, 1, 4);
         let dead_sig = 42;
         // Train: insert and evict the signature without reuse until the
         // counter saturates at zero.
@@ -430,8 +418,7 @@ mod tests {
         // placed at RRPV_MAX (immediately evictable).
         p.on_insert(0, 1, dead_sig);
         p.on_insert(0, 2, 7); // live signature
-        let mut order = Vec::new();
-        p.eviction_order(0, &mut order);
+        let order = p.eviction_order(0);
         assert_eq!(order[0], 0, "ways with RRPV_MAX lead the order");
         assert!(
             order.iter().position(|&w| w == 1).unwrap()
@@ -441,10 +428,10 @@ mod tests {
 
     #[test]
     fn ship_reused_signatures_are_kept_longer() {
-        let mut p = Ship::new(1, 2);
+        let mut p = Harness::new(ReplacementKind::Ship, 1, 2);
         let live = 9;
         p.on_insert(0, 0, live);
-        p.on_hit(0, 0, live);
+        p.on_hit(0, 0);
         p.on_evict(0, 0, true);
         p.on_insert(0, 0, live);
         p.on_insert(0, 1, 1234);
@@ -454,6 +441,21 @@ mod tests {
         assert!(v < 2);
     }
 
+    /// SHiP trains on the way's fill signature: a hit strengthens it, and
+    /// an eviction without reuse weakens it.
+    #[test]
+    fn ship_trains_on_the_fill_signature() {
+        let mut p = Harness::new(ReplacementKind::Ship, 1, 2);
+        p.on_insert(0, 0, 5);
+        p.on_hit(0, 0);
+        p.on_evict(0, 1, false); // way 1 holds the initial signature 0
+        let ReplacementState::Ship { shct, line_sig, .. } = p.export_state() else {
+            panic!("SHiP state expected");
+        };
+        assert_eq!((shct[5], shct[0]), (2, 0));
+        assert_eq!(line_sig, vec![5, 0]);
+    }
+
     #[test]
     fn kind_builds_named_policies() {
         for (kind, name) in [
@@ -461,8 +463,7 @@ mod tests {
             (ReplacementKind::Srrip, "SRRIP"),
             (ReplacementKind::Ship, "SHiP"),
         ] {
-            let p = kind.build(4, 4);
-            assert_eq!(p.name(), name);
+            assert_eq!(Replacement::new(kind).kind(), kind);
             assert_eq!(kind.name(), name);
         }
     }
@@ -470,43 +471,43 @@ mod tests {
     #[test]
     fn state_export_import_round_trips_every_policy() {
         for kind in [ReplacementKind::Lru, ReplacementKind::Srrip, ReplacementKind::Ship] {
-            let mut trained = kind.build(2, 4);
+            let mut trained = Harness::new(kind, 2, 4);
             for way in 0..4 {
                 trained.on_insert(0, way, way as u16);
             }
-            trained.on_hit(0, 2, 2);
+            trained.on_hit(0, 2);
             trained.on_evict(0, 1, false);
             let state = trained.export_state();
-            let mut fresh = kind.build(2, 4);
+            let mut fresh = Harness::new(kind, 2, 4);
             fresh.import_state(&state);
-            assert_eq!(fresh.export_state(), state, "{}", trained.name());
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            trained.eviction_order(0, &mut a);
-            fresh.eviction_order(0, &mut b);
-            assert_eq!(a, b, "{}: imported state must decide identically", trained.name());
+            assert_eq!(fresh.export_state(), state, "{}", kind.name());
+            assert_eq!(
+                trained.eviction_order(0),
+                fresh.eviction_order(0),
+                "{}: imported state must decide identically",
+                kind.name()
+            );
         }
     }
 
     #[test]
     #[should_panic(expected = "cannot import")]
     fn mismatched_state_variant_is_rejected() {
-        let mut lru = Lru::new(1, 4);
+        let mut lru = Harness::new(ReplacementKind::Lru, 1, 4);
         lru.import_state(&ReplacementState::Srrip { rrpv: vec![0; 4] });
     }
 
     #[test]
     fn eviction_order_contains_every_way_exactly_once() {
         for kind in [ReplacementKind::Lru, ReplacementKind::Srrip, ReplacementKind::Ship] {
-            let mut p = kind.build(2, 8);
+            let mut p = Harness::new(kind, 2, 8);
             for way in 0..8 {
                 p.on_insert(1, way, way as u16);
             }
-            p.on_hit(1, 3, 3);
-            let mut order = Vec::new();
-            p.eviction_order(1, &mut order);
-            let mut sorted = order.clone();
+            p.on_hit(1, 3);
+            let mut sorted = p.eviction_order(1);
             sorted.sort_unstable();
-            assert_eq!(sorted, (0..8).collect::<Vec<_>>(), "{}", p.name());
+            assert_eq!(sorted, (0..8).collect::<Vec<_>>(), "{}", kind.name());
         }
     }
 }

@@ -50,10 +50,9 @@ pub struct SlicedLlc {
     banks_per_group: usize,  // bard-lint: allow(S1) -- geometry fixed at construction
     banks_per_subchannel: usize, // bard-lint: allow(S1) -- geometry fixed at construction
     stats: PolicyStats,
-    /// Reused buffers for the eviction decision (one allocation per
-    /// `SlicedLlc` instead of two per fill).
+    /// Reused eviction-order buffer (one allocation per `SlicedLlc`
+    /// instead of one per fill).
     scratch_order: Vec<usize>, // bard-lint: allow(S1) -- scratch buffer, cleared per use
-    scratch_lines: Vec<bard_cache::CacheLine>, // bard-lint: allow(S1) -- scratch, cleared per use
 }
 
 impl SlicedLlc {
@@ -95,7 +94,6 @@ impl SlicedLlc {
             banks_per_subchannel: dram.banks_per_subchannel(),
             stats: PolicyStats::default(),
             scratch_order: Vec::new(),
-            scratch_lines: Vec::new(),
         }
     }
 
@@ -295,7 +293,6 @@ impl SlicedLlc {
         }
     }
 
-    #[allow(clippy::too_many_lines)]
     fn allocate(
         &mut self,
         slice: usize,
@@ -307,51 +304,33 @@ impl SlicedLlc {
     ) {
         let set = self.slices[slice].set_of(addr);
         // Fast path: a free way exists, no eviction decision to make.
-        let ways = self.slices[slice].ways();
-        let has_invalid = self.slices[slice].lines_in_set(set).iter().any(|l| !l.valid);
-        if has_invalid {
-            let way = self.slices[slice].victim_way(addr);
+        if let Some(way) = self.slices[slice].invalid_way(set) {
             self.slices[slice].fill_at(set, way, addr, dirty, signature);
             return;
         }
 
         let mut order = std::mem::take(&mut self.scratch_order);
         self.slices[slice].eviction_order_into(set, &mut order);
-        debug_assert_eq!(order.len(), ways);
         let candidate = order[0];
-        let mut lines = std::mem::take(&mut self.scratch_lines);
-        lines.clear();
-        lines.extend_from_slice(self.slices[slice].lines_in_set(set));
-        let candidate_dirty = lines[candidate].dirty;
+        let candidate_dirty = self.slices[slice].dirty_addr(set, candidate);
 
         self.stats.evictions += 1;
-        if candidate_dirty {
+        if candidate_dirty.is_some() {
             self.stats.dirty_victim_evictions += 1;
         }
 
         let mut victim = candidate;
-        match self.policy {
-            WritePolicyKind::Baseline
-            | WritePolicyKind::EagerWriteback
-            | WritePolicyKind::VirtualWriteQueue => {}
-            WritePolicyKind::BardE => {
-                if candidate_dirty {
-                    victim = self.bard_e_select(&order, &lines, candidate, wrq_has_bank);
-                }
+        match (self.policy, candidate_dirty) {
+            (WritePolicyKind::BardE | WritePolicyKind::BardH, Some(candidate_addr)) => {
+                victim =
+                    self.bard_e_select(slice, set, &order, candidate, candidate_addr, wrq_has_bank);
             }
-            WritePolicyKind::BardC => {
-                if !candidate_dirty {
-                    self.bard_c_cleanse(slice, set, &order, &lines, writebacks, wrq_has_bank);
-                }
+            (WritePolicyKind::BardC | WritePolicyKind::BardH, None) => {
+                self.bard_c_cleanse(slice, set, &order, writebacks, wrq_has_bank);
             }
-            WritePolicyKind::BardH => {
-                if candidate_dirty {
-                    victim = self.bard_e_select(&order, &lines, candidate, wrq_has_bank);
-                } else {
-                    self.bard_c_cleanse(slice, set, &order, &lines, writebacks, wrq_has_bank);
-                }
-            }
+            _ => {}
         }
+        self.scratch_order = order;
 
         let evicted = self.slices[slice].evict(set, victim);
         let mut victim_row_key = None;
@@ -372,32 +351,33 @@ impl SlicedLlc {
             }
             _ => {}
         }
-        self.scratch_order = order;
-        self.scratch_lines = lines;
     }
 
-    /// BARD-E victim selection: keep the LRU victim if its bank has no
-    /// pending write, otherwise scan LRU→MRU for a dirty line that improves
-    /// BLP.
+    /// BARD-E victim selection: keep the LRU victim (dirty, at
+    /// `candidate_addr`) if its bank has no pending write, otherwise scan
+    /// LRU→MRU for a dirty line that improves BLP.
     fn bard_e_select(
         &mut self,
+        slice: usize,
+        set: usize,
         order: &[usize],
-        lines: &[bard_cache::CacheLine],
         candidate: usize,
+        candidate_addr: u64,
         wrq_has_bank: &mut dyn FnMut(u64) -> bool,
     ) -> usize {
-        if self.improves_blp(lines[candidate].addr) {
+        if self.improves_blp(candidate_addr) {
             return candidate;
         }
         for &way in order {
             if way == candidate {
                 continue;
             }
-            let line = &lines[way];
-            if line.valid && line.dirty && self.improves_blp(line.addr) {
-                self.stats.overrides += 1;
-                self.record_decision_accuracy(line.addr, wrq_has_bank);
-                return way;
+            if let Some(addr) = self.slices[slice].dirty_addr(set, way) {
+                if self.improves_blp(addr) {
+                    self.stats.overrides += 1;
+                    self.record_decision_accuracy(addr, wrq_has_bank);
+                    return way;
+                }
             }
         }
         candidate
@@ -410,18 +390,16 @@ impl SlicedLlc {
         slice: usize,
         set: usize,
         order: &[usize],
-        lines: &[bard_cache::CacheLine],
         writebacks: &mut Vec<u64>,
         wrq_has_bank: &mut dyn FnMut(u64) -> bool,
     ) {
         for &way in order {
-            let line = &lines[way];
-            if line.valid && line.dirty && self.improves_blp(line.addr) {
-                if let Some(addr) = self.slices[slice].cleanse(set, way) {
-                    self.stats.cleanses += 1;
-                    self.record_decision_accuracy(addr, wrq_has_bank);
-                    self.emit_writeback(addr, writebacks);
-                }
+            let Some(addr) = self.slices[slice].dirty_addr(set, way) else { continue };
+            if self.improves_blp(addr) {
+                self.slices[slice].cleanse(set, way);
+                self.stats.cleanses += 1;
+                self.record_decision_accuracy(addr, wrq_has_bank);
+                self.emit_writeback(addr, writebacks);
                 return;
             }
         }
@@ -430,16 +408,15 @@ impl SlicedLlc {
     /// Eager Writeback: proactively write back the LRU line of `set` if it is
     /// dirty, without considering banks.
     fn eager_cleanse(&mut self, slice: usize, set: usize, writebacks: &mut Vec<u64>) {
-        let order = self.slices[slice].eviction_order(set);
-        let lines = self.slices[slice].lines_in_set(set);
-        let lru_valid = order.iter().copied().find(|&w| lines[w].valid);
-        if let Some(way) = lru_valid {
-            if lines[way].dirty {
-                if let Some(addr) = self.slices[slice].cleanse(set, way) {
-                    self.stats.cleanses += 1;
-                    self.emit_writeback(addr, writebacks);
-                }
-            }
+        let mut order = std::mem::take(&mut self.scratch_order);
+        let cache = &mut self.slices[slice];
+        cache.eviction_order_into(set, &mut order);
+        let lru_valid = order.iter().copied().find(|&w| cache.is_valid(set, w));
+        let cleansed = lru_valid.and_then(|way| cache.cleanse(set, way));
+        self.scratch_order = order;
+        if let Some(addr) = cleansed {
+            self.stats.cleanses += 1;
+            self.emit_writeback(addr, writebacks);
         }
     }
 
@@ -465,13 +442,12 @@ impl SlicedLlc {
                 if cleansed >= VWQ_MAX_CLEANSES {
                     break;
                 }
-                let line = self.slices[slice].lines_in_set(set)[way];
-                if line.valid && line.dirty && self.row_key(line.addr) == row_key {
-                    if let Some(addr) = self.slices[slice].cleanse(set, way) {
-                        self.stats.cleanses += 1;
-                        self.emit_writeback(addr, writebacks);
-                        cleansed += 1;
-                    }
+                let Some(addr) = self.slices[slice].dirty_addr(set, way) else { continue };
+                if self.row_key(addr) == row_key {
+                    self.slices[slice].cleanse(set, way);
+                    self.stats.cleanses += 1;
+                    self.emit_writeback(addr, writebacks);
+                    cleansed += 1;
                 }
             }
         }

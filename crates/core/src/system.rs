@@ -65,6 +65,13 @@ const PREFETCH_INFLIGHT_HEADROOM: usize = 16;
 /// section there).
 pub const STARVATION_GUARD_CYCLES_PER_INSTRUCTION: u64 = 250;
 
+/// The phase self-profiler times the per-tick phases (dispatch, probe, DRAM
+/// scheduling, completion drain) on one executed tick in this many and
+/// scales the sampled nanoseconds back up at flush: a host clock read costs
+/// more than most ticks' model work, so timing every tick would distort the
+/// profile. Stat settlement runs rarely and is timed every time.
+const PHASE_SAMPLE_PERIOD: u64 = 64;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
     CompleteLoad { core: usize, token: u64 },
@@ -341,6 +348,11 @@ pub struct System {
     /// registry at result collection. Not simulation state.
     // bard-lint: allow(S1) -- host-profiling accumulator, explicitly not simulation state.
     phase_nanos: [u64; telemetry::PHASE_COUNT],
+    /// Ticks executed so far; the phase profiler samples every
+    /// [`PHASE_SAMPLE_PERIOD`]th. Counting executed ticks rather than
+    /// cycles keeps the skip engine's jumps from biasing the sample.
+    // bard-lint: allow(S1) -- host-profiling sample counter, explicitly not simulation state.
+    profiled_ticks: u64,
     /// Cycle the current run stage started at — tracer bookkeeping for the
     /// warm-up/measure spans. Not simulation state (a restore restarts it,
     /// which can shorten the *traced* warm-up span, never the simulation).
@@ -448,6 +460,7 @@ impl System {
             progress: None,
             telemetry_active,
             phase_nanos: [0; telemetry::PHASE_COUNT],
+            profiled_ticks: 0,
             stage_start_cycle: 0,
         }
     }
@@ -466,6 +479,18 @@ impl System {
         if self.telemetry_active {
             // bard-lint: allow(D1) -- see the fn note: profiling-only clock read.
             Some(std::time::Instant::now())
+        } else {
+            None
+        }
+    }
+
+    /// [`System::phase_start`] for a per-tick phase: opens a sample only on
+    /// the profiler's sampled ticks (see [`PHASE_SAMPLE_PERIOD`]).
+    #[inline]
+    // bard-lint: allow(D1) -- sampled variant of the profiling-only `phase_start`.
+    fn tick_phase_start(&self) -> Option<std::time::Instant> {
+        if self.telemetry_active && self.profiled_ticks.is_multiple_of(PHASE_SAMPLE_PERIOD) {
+            self.phase_start()
         } else {
             None
         }
@@ -850,8 +875,16 @@ impl System {
         telemetry::MSHR_WAKES.add(self.perf_mshr_wakes);
         telemetry::DRAM_STAT_SETTLEMENTS.add(settlements);
         telemetry::DRAM_DRAIN_EPISODES.add(drain_episodes);
-        telemetry::flush_phase_nanos(&self.phase_nanos);
-        self.phase_nanos = [0; telemetry::PHASE_COUNT];
+        let mut phase_nanos = std::mem::take(&mut self.phase_nanos);
+        for phase in [
+            telemetry::Phase::Dispatch,
+            telemetry::Phase::Probe,
+            telemetry::Phase::DramScheduling,
+            telemetry::Phase::CompletionDrain,
+        ] {
+            phase_nanos[phase as usize] *= PHASE_SAMPLE_PERIOD;
+        }
+        telemetry::flush_phase_nanos(&phase_nanos);
         let track = self.trace_track();
         telemetry::trace_span(
             &track,
@@ -1229,12 +1262,13 @@ impl System {
         let event_seq_before = self.event_seq;
         self.mshr_released = false;
         let mut active = false;
-        let timer = self.phase_start();
+        self.profiled_ticks += 1;
+        let timer = self.tick_phase_start();
         for mc in &mut self.mcs {
             active |= mc.tick(now);
         }
         self.phase_end(timer, telemetry::Phase::DramScheduling);
-        let timer = self.phase_start();
+        let timer = self.tick_phase_start();
         let mut done = std::mem::take(&mut self.scratch_completed);
         done.clear();
         for mc in &mut self.mcs {
@@ -1510,7 +1544,7 @@ impl System {
     fn core_cycle(&mut self, ci: usize, now: u64) -> bool {
         let mut staged = std::mem::take(&mut self.scratch_staged);
         staged.clear();
-        let timer = self.phase_start();
+        let timer = self.tick_phase_start();
         let before = {
             let ctx = &mut self.cores[ci];
             let before = (ctx.core.dispatched(), ctx.core.retired(), ctx.retry.len());
@@ -1531,7 +1565,7 @@ impl System {
         pending.extend(self.cores[ci].retry.drain(..));
         pending.append(&mut staged);
         self.scratch_staged = staged;
-        let timer = self.phase_start();
+        let timer = self.tick_phase_start();
         let mut blocked = false;
         for req in pending.drain(..) {
             // `process_core_request` records the rejecting gate in

@@ -1,5 +1,6 @@
 //! Micro-benchmark: DDR5 sub-channel scheduling throughput for read bursts,
-//! same-bank-group write drains and spread write drains.
+//! same-bank-group write drains, spread write drains, and a steady mixed
+//! queue at the occupancy the paper's 8-core grids run at.
 
 use bard_dram::{DramConfig, MemRequest, MemoryController};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -25,6 +26,41 @@ fn drain_writes(addresses: &[u64]) -> u64 {
         }
     }
     200_000
+}
+
+/// A steady mixed load: reads topped up to about 44 queued per sub-channel,
+/// and a write stream that keeps each write queue cycling between the
+/// watermarks (read, drain, read). Addresses fall in a 2 MiB window, four
+/// rows in every bank, so row hits, misses, conflicts and dead rows mix.
+/// Ticks every cycle; returns the reads served.
+fn steady_mixed_queue(cycles: u64) -> usize {
+    let mut mc = controller();
+    let mut rng = 0x2545_F491_4F6C_DD1Du64;
+    let mut next_addr = move || {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        (rng % (2 << 20)) & !63
+    };
+    let queued_reads = |mc: &MemoryController| {
+        (0..mc.subchannel_count()).map(|s| mc.subchannel(s).read_queue_len()).sum::<usize>()
+    };
+    let (mut done, mut id, mut served) = (Vec::new(), 0u64, 0);
+    for cycle in 0..cycles {
+        mc.tick(cycle);
+        mc.drain_completed(cycle, &mut done);
+        served += done.len();
+        done.clear();
+        while queued_reads(&mc) < 44 * mc.subchannel_count() {
+            let _ = mc.try_enqueue(MemRequest::read(id, next_addr(), 0), cycle);
+            id += 1;
+        }
+        if cycle % 24 == 0 {
+            let _ = mc.try_enqueue(MemRequest::write(id, next_addr(), 0), cycle);
+            id += 1;
+        }
+    }
+    served
 }
 
 fn bench(c: &mut Criterion) {
@@ -62,6 +98,9 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("write_drain_spread_bankgroups", |b| {
         b.iter(|| drain_writes(std::hint::black_box(&spread)));
+    });
+    group.bench_function("steady_mixed_queue", |b| {
+        b.iter(|| steady_mixed_queue(std::hint::black_box(20_000)));
     });
     group.finish();
 }

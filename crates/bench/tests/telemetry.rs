@@ -18,7 +18,8 @@ use bard_workloads::WorkloadId;
 
 /// The full metric catalog, pinned name-by-name. A rename or reorder here
 /// is a telemetry schema change: bump `bard::report::schema::SCHEMA_VERSION`
-/// and update `docs/RESULTS.md` alongside this list. The `probe.*`,
+/// and update `docs/RESULTS.md` alongside this list; an added metric only
+/// needs the list and the docs. The `probe.*`,
 /// `mshr.*` and `dram.stat_settlements` names mirror the counters of the
 /// historical `BARD_PERF_COUNTERS` stderr line, which now reads from the
 /// same registry. `probe.filter_skips`/`probe.filter_passes` outlived the
@@ -30,6 +31,8 @@ const PINNED_METRIC_NAMES: &[&str] = &[
     "mshr.releases",
     "mshr.wakes",
     "dram.stat_settlements",
+    "dram.awake_ticks",
+    "dram.scheduling_passes",
     "dram.drain_episodes",
     "run.runs_collected",
     "run.guard_terminations",

@@ -18,8 +18,8 @@
 //!   in a stall fixed point: every following cycle repeats it exactly until
 //!   the next external trigger. The engine computes that **event horizon**
 //!   — the minimum over the event ring's earliest slot, every sub-channel's
-//!   exact wake cycle (earliest legal command issue, refresh, dead-row closure) and
-//!   the earliest read-completion delivery — and jumps `cycle` there in one
+//!   exact wake cycle (earliest legal command issue or refresh) and the
+//!   earliest read-completion delivery — and jumps `cycle` there in one
 //!   step. Per-cycle statistics (core stall counters, DRAM
 //!   busy/write-mode/total cycles, and therefore background energy) are
 //!   accounted lazily over observed spans, so the jump itself is O(1). See
@@ -874,6 +874,9 @@ impl System {
         telemetry::MSHR_RELEASES.add(self.perf_mshr_releases);
         telemetry::MSHR_WAKES.add(self.perf_mshr_wakes);
         telemetry::DRAM_STAT_SETTLEMENTS.add(settlements);
+        telemetry::DRAM_AWAKE_TICKS.add(self.mcs.iter().map(MemoryController::awake_ticks).sum());
+        telemetry::DRAM_SCHEDULING_PASSES
+            .add(self.mcs.iter().map(MemoryController::scheduling_passes).sum());
         telemetry::DRAM_DRAIN_EPISODES.add(drain_episodes);
         let mut phase_nanos = std::mem::take(&mut self.phase_nanos);
         for phase in [
@@ -1504,7 +1507,7 @@ impl System {
     /// The skip engine's step: run one real tick (with per-core sleeping);
     /// if it turned out to be a global stall fixed point, compute the event
     /// horizon — the earliest cycle at which the event ring, a DRAM
-    /// sub-channel (command issue, refresh, dead-row closure) or a
+    /// sub-channel (command issue or refresh; dead rows close themselves) or a
     /// read-completion delivery can act, capped at `limit` — and jump
     /// straight there. Exact by construction: cores, queues and caches only
     /// change through those triggers, so the skipped ticks are provably

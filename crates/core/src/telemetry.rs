@@ -157,6 +157,10 @@ pub static MSHR_RELEASES: Counter = Counter::new();
 pub static MSHR_WAKES: Counter = Counter::new();
 /// Non-empty span-wise DRAM statistic settlements.
 pub static DRAM_STAT_SETTLEMENTS: Counter = Counter::new();
+/// Sub-channel ticks at or after their wake cycle, which ran the scheduler.
+pub static DRAM_AWAKE_TICKS: Counter = Counter::new();
+/// Sub-channel queue scans for the next command (about one per command).
+pub static DRAM_SCHEDULING_PASSES: Counter = Counter::new();
 /// Completed write-drain episodes (summed over sub-channels).
 pub static DRAM_DRAIN_EPISODES: Counter = Counter::new();
 /// Measured runs whose results were collected.
@@ -287,7 +291,7 @@ fn trace_decode_entries() -> u64 {
 }
 
 /// The full metric catalog, in emission order.
-static METRICS: [Metric; 25] = [
+static METRICS: [Metric; 27] = [
     counter("probe.set_scans", "scans", "Cache set scans performed by probes", &PROBE_SET_SCANS),
     counter(
         "probe.filter_skips",
@@ -308,6 +312,18 @@ static METRICS: [Metric; 25] = [
         "events",
         "Non-empty span-wise DRAM statistic settlements",
         &DRAM_STAT_SETTLEMENTS,
+    ),
+    counter(
+        "dram.awake_ticks",
+        "ticks",
+        "Sub-channel ticks at or after their wake cycle, which ran the scheduler",
+        &DRAM_AWAKE_TICKS,
+    ),
+    counter(
+        "dram.scheduling_passes",
+        "scans",
+        "Sub-channel queue scans for the next command",
+        &DRAM_SCHEDULING_PASSES,
     ),
     counter(
         "dram.drain_episodes",

@@ -156,8 +156,8 @@ impl MemoryController {
     }
 
     /// Advances every sub-channel by one CPU cycle. Returns `true` if any
-    /// sub-channel changed state (issued a command, refreshed, closed a dead
-    /// row or switched bus mode).
+    /// sub-channel issued a command, refreshed or switched bus mode (dead
+    /// rows close themselves; see [`SubChannel::tick`]).
     pub fn tick(&mut self, now: u64) -> bool {
         let mut active = false;
         for sub in &mut self.subchannels {
@@ -216,6 +216,20 @@ impl MemoryController {
     #[must_use]
     pub fn settle_events(&self) -> u64 {
         self.subchannels.iter().map(SubChannel::settle_events).sum()
+    }
+
+    /// Total awake sub-channel ticks (perf counter; see
+    /// [`SubChannel::awake_ticks`]).
+    #[must_use]
+    pub fn awake_ticks(&self) -> u64 {
+        self.subchannels.iter().map(SubChannel::awake_ticks).sum()
+    }
+
+    /// Total queue scans for the next command (perf counter; see
+    /// [`SubChannel::scheduling_passes`]).
+    #[must_use]
+    pub fn scheduling_passes(&self) -> u64 {
+        self.subchannels.iter().map(SubChannel::scheduling_passes).sum()
     }
 
     /// Turns drain-episode logging on or off for every sub-channel (see

@@ -9,20 +9,39 @@
 //! assumes ("the memory controller tries to issue lower latency writes from
 //! the WRQ").
 //!
+//! ## One queue scan per command
+//!
+//! Each command costs one scan of the current bus mode's queue. The scan
+//! returns the **plan**: the smallest `(effective cycle, command class,
+//! queue index)` over the queued requests, where a request's effective cycle
+//! is the first cycle, from the one planned for, at which its next command
+//! is legal under the frozen timing state. The plan is both the exact wake
+//! cycle and the command issued there: requests ready together share that
+//! cycle, so class (column, activate, precharge) and then age pick among
+//! them, as FR-FCFS's first-ready passes do. After an issue, the scan from
+//! the next cycle stores the next plan, which its tick issues without
+//! rescanning; an enqueue offers its request to the plan in O(1). A refresh,
+//! a bus-mode switch, a watermark crossing and a snapshot import mark the
+//! plan stale (`wake_at = 0`), and the next tick rescans.
+//!
 //! ## Exact event-horizon sleeping
 //!
-//! When a tick issues nothing, the sub-channel computes its **exact** next
-//! interesting cycle — the minimum over the next refresh, the next dead-row
-//! closure, and the earliest cycle any queued command becomes legal given the
-//! frozen bank/bank-group/sub-channel timing state — and sleeps until then
-//! ([`SubChannel::next_wake`]). Between now and that cycle a tick changes
-//! nothing at all — per-cycle statistics settle lazily, span-wise, at the
-//! next state mutation ([`SubChannel::settle_stats`]) — so ticks
-//! early-return and the system-level cycle-skipping engine may jump over
-//! the whole span in one step. Unlike the heuristic sleep this
+//! Until the plan's cycle or the next refresh ([`SubChannel::next_wake`]) a
+//! tick changes nothing at all — per-cycle statistics settle lazily,
+//! span-wise, at the next state mutation ([`SubChannel::settle_stats`]) — so
+//! ticks early-return and the system-level cycle-skipping engine may jump
+//! over the whole span in one step. Unlike the heuristic sleep this
 //! replaces, a command unblocked by a timing expiry (tFAW, tRC, tRAS, ...)
-//! issues on exactly the cycle the constraint expires, and dead rows are
-//! auto-precharged on exactly the cycle their precharge window opens.
+//! issues on exactly the cycle the constraint expires.
+//!
+//! ## Self-timed dead-row closes
+//!
+//! A dead row (an open row the adaptive open-page policy flags for
+//! auto-precharge) closes at exactly its `pre_ok_at`, with no tick of its
+//! own and outside the wake horizon. Every reader — [`SubChannel::settle_stats`],
+//! [`SubChannel::reset_stats`] and each awake tick — first applies the
+//! closes due before its cycle, each at its own cycle, and the plan prices
+//! the pending ones.
 
 use std::collections::VecDeque;
 
@@ -49,6 +68,28 @@ enum RowOutcome {
     Miss,
     Conflict,
 }
+
+/// Command class, in FR-FCFS priority order: at equal effective cycles a
+/// column command beats an activate, which beats a precharge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Command {
+    Column,
+    Activate,
+    Precharge,
+}
+
+/// The next command to issue from the current bus mode's queue. Fields are
+/// in comparison order, so the derived `Ord` picks the earliest effective
+/// cycle, then the higher-priority class, then the oldest request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Plan {
+    at: u64,
+    command: Command,
+    idx: usize,
+}
+
+/// The plan of an empty queue: nothing to issue, ever.
+const NO_PLAN: Plan = Plan { at: u64::MAX, command: Command::Precharge, idx: usize::MAX };
 
 #[derive(Debug, Clone)]
 struct QueuedRequest {
@@ -82,11 +123,11 @@ pub struct QueuedRequestState {
 }
 
 /// Plain-data image of a sub-channel (snapshot support). Holds only the
-/// *semantic* state: the per-bank pending-write counts and mask, the cached
-/// earliest-ready stamp and the wake horizon are all derived structures and
-/// are rebuilt on import (`wake_at` restores to 0, which forces one full —
-/// and by construction identically-failing — scheduling pass on the next
-/// tick, so restored runs stay bitwise-identical to straightline runs).
+/// *semantic* state: the per-bank pending-write counts and mask, the
+/// dead-row mask, the cached earliest-ready stamp, the plan and the wake
+/// horizon are all derived structures and are rebuilt on import (`wake_at`
+/// restores to 0, which forces a scan on the next tick; the scan is exact,
+/// so restored runs stay bitwise-identical to straightline runs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubChannelState {
     /// Queued reads, oldest first.
@@ -157,6 +198,8 @@ pub struct SubChannel {
     write_counts: Vec<u32>,
     /// Bit per bank with a nonzero `write_counts` entry.
     write_mask: u64,
+    /// Bit per bank flagged for auto-precharge (a dead row not yet closed).
+    dead_mask: u64,
     banks: Vec<BankState>,
     bg_rd_ok: Vec<u64>,
     bg_wr_ok: Vec<u64>,
@@ -190,6 +233,14 @@ pub struct SubChannel {
     /// `BARD_PERF_COUNTERS`). Not part of [`SubChannelStats`].
     // bard-lint: allow(S1) -- perf-observability counter, never compared or restored.
     settle_events: u64,
+    /// Ticks at or after the wake cycle, which ran the scheduler (perf
+    /// counter, like `settle_events`).
+    // bard-lint: allow(S1) -- perf-observability counter, never compared or restored.
+    awake_ticks: u64,
+    /// Scans of a queue for the next command (perf counter, like
+    /// `settle_events`).
+    // bard-lint: allow(S1) -- perf-observability counter, never compared or restored.
+    scheduling_passes: u64,
     /// When true, every finished drain episode is appended to
     /// [`SubChannel::episode_log`] for the telemetry tracer. Off by default;
     /// recording changes no simulation state, only this side log.
@@ -200,9 +251,12 @@ pub struct SubChannel {
     /// snapshot images and never compared.
     // bard-lint: allow(S1) -- telemetry side log, see the doc note: excluded by design.
     episode_log: Vec<DrainEpisodeStats>,
-    /// Exact next cycle at which this sub-channel can do anything (issue a
-    /// command, refresh, or close a dead row). Ticks before this cycle only
-    /// account statistics. Reset to 0 (recompute) by any enqueue or issue.
+    /// The next command to issue, valid while `wake_at` is nonzero.
+    plan: Plan,
+    /// Exact next cycle at which this sub-channel can do anything: the
+    /// plan's cycle or the next refresh, whichever is first. Ticks before
+    /// this cycle return at once. 0 marks the plan stale, so the next tick
+    /// rescans.
     wake_at: u64,
 }
 
@@ -236,6 +290,7 @@ impl SubChannel {
             next_order: 0,
             write_counts: vec![0; banks],
             write_mask: 0,
+            dead_mask: 0,
             banks: vec![BankState::new(); banks],
             bg_rd_ok: vec![0; config.bankgroups],
             bg_wr_ok: vec![0; config.bankgroups],
@@ -256,8 +311,11 @@ impl SubChannel {
             stats: SubChannelStats::default(),
             settled_to: 0,
             settle_events: 0,
+            awake_ticks: 0,
+            scheduling_passes: 0,
             record_episodes: false,
             episode_log: Vec::new(),
+            plan: NO_PLAN,
             wake_at: 0,
         }
     }
@@ -316,8 +374,10 @@ impl SubChannel {
 
     /// Clears all statistics (used at the end of warm-up). Microarchitectural
     /// state (queues, bank state, bus mode) is preserved; the cycle counter
-    /// restarts from the next tick.
+    /// restarts from the next tick. Dead rows due to close before `now`
+    /// close first, so their precharges count before the reset.
     pub fn reset_stats(&mut self, now: u64) {
+        self.close_dead_rows(now);
         self.stats = SubChannelStats::default();
         self.settled_to = now;
         // Restart any in-progress episode accounting so it is attributed to
@@ -368,12 +428,10 @@ impl SubChannel {
         req.enqueue_cycle = now;
         let order = self.next_order;
         self.next_order += 1;
-        // An enqueue changes nothing but the candidate set, so the wake
-        // horizon only needs lowering by this request's own earliest legal
-        // issue cycle (a read is schedulable in read mode only).
+        // A read is schedulable in read mode only.
         if self.mode == BusMode::Read {
-            let candidate = self.request_candidate(&req, false);
-            self.wake_at = self.wake_at.min(candidate.max(now + 1));
+            let (at, command) = self.candidate(&req, false, now + 1);
+            self.offer(Plan { at, command, idx: self.read_q.len() });
         }
         self.read_q.push_back(QueuedRequest { req, outcome: None, order });
         Ok(())
@@ -407,16 +465,27 @@ impl SubChannel {
                 }
             }
             BusMode::WriteDrain => {
-                let candidate = if self.ideal_writes {
-                    self.sub_wr_ok
+                let idx = self.write_q.len() - 1;
+                let (at, command) = if self.ideal_writes {
+                    (self.sub_wr_ok.max(now + 1), Command::Column)
                 } else {
-                    let req = &self.write_q.back().expect("just pushed").req;
-                    self.request_candidate(req, true)
+                    self.candidate(&self.write_q[idx].req, true, now + 1)
                 };
-                self.wake_at = self.wake_at.min(candidate.max(now + 1));
+                self.offer(Plan { at, command, idx });
             }
         }
         Ok(())
+    }
+
+    /// Offers a newly queued request's plan. An enqueue changes nothing but
+    /// the candidate set, so the stored plan stays the exact minimum; the
+    /// newcomer is the youngest, so it loses every full tie. A stale plan
+    /// (`wake_at == 0`) is left to the next tick's scan.
+    fn offer(&mut self, plan: Plan) {
+        if self.wake_at != 0 && plan < self.plan {
+            self.plan = plan;
+            self.wake_at = self.wake_at.min(plan.at);
+        }
     }
 
     /// Counts `n` write enqueues refused by the full write queue without
@@ -427,25 +496,35 @@ impl SubChannel {
         self.stats.write_queue_full_events += n;
     }
 
-    /// The earliest cycle `req` itself could issue a command under the
-    /// current (frozen) timing state — the same per-class formula the wake
-    /// horizon uses, applied to one request.
-    fn request_candidate(&self, req: &MemRequest, write: bool) -> u64 {
+    /// The effective cycle and class of `req`'s next command: the first
+    /// cycle from `from` at which it is legal under the frozen timing state.
+    /// A pending dead-row close is priced in: a request to a flagged bank
+    /// waits for the activate after the close when it misses the open row,
+    /// or when its column command, clamped to `from`, cannot issue before
+    /// the close.
+    fn candidate(&self, req: &MemRequest, write: bool, from: u64) -> (u64, Command) {
         let bank = req.decoded.bank_in_subchannel(self.banks_per_group);
         let bg = req.decoded.bankgroup;
         let b = &self.banks[bank];
-        if b.is_row_hit(req.decoded.row) {
-            let (sub_cas, bg_cas) = if write {
-                (self.sub_wr_ok, self.bg_wr_ok[bg])
-            } else {
-                (self.sub_rd_ok, self.bg_rd_ok[bg])
-            };
-            sub_cas.max(b.cas_ok_at).max(bg_cas)
-        } else if b.is_closed() {
-            self.sub_act_ok.max(self.faw_expiry()).max(b.act_ok_at).max(self.bg_act_ok[bg])
-        } else {
-            b.pre_ok_at
+        let mut act_ok = b.act_ok_at;
+        if let Some(open) = b.open_row {
+            if open == req.decoded.row {
+                let (sub_cas, bg_cas) = if write {
+                    (self.sub_wr_ok, self.bg_wr_ok[bg])
+                } else {
+                    (self.sub_rd_ok, self.bg_rd_ok[bg])
+                };
+                let at = sub_cas.max(b.cas_ok_at).max(bg_cas).max(from);
+                if !b.auto_precharge || at < b.pre_ok_at {
+                    return (at, Command::Column);
+                }
+            } else if !b.auto_precharge {
+                return (b.pre_ok_at.max(from), Command::Precharge);
+            }
+            act_ok = act_ok.max(b.pre_ok_at + self.timing.t_rp);
         }
+        let at = self.sub_act_ok.max(self.faw_expiry()).max(act_ok).max(self.bg_act_ok[bg]);
+        (at.max(from), Command::Activate)
     }
 
     /// Moves reads whose data is available by `now` into `out`.
@@ -472,9 +551,13 @@ impl SubChannel {
     /// enqueues, issues and drain-mode flips — which makes the span-wise
     /// accounting exact: between two mutations the state is constant by
     /// construction, so `span * current_state` equals what per-tick updates
-    /// would have accumulated. Callers reading [`SubChannel::stats`] outside
-    /// the simulation loop must settle to their read cycle first.
+    /// would have accumulated. It first applies the dead-row closes due
+    /// before `up_to`, each at its own cycle, so bank state and
+    /// `precharges` read exactly as at `up_to`. Callers reading
+    /// [`SubChannel::stats`] outside the simulation loop must settle to
+    /// their read cycle first.
     pub fn settle_stats(&mut self, up_to: u64) {
+        self.close_dead_rows(up_to);
         let span = up_to.saturating_sub(self.settled_to);
         if span == 0 {
             return;
@@ -497,9 +580,23 @@ impl SubChannel {
         self.settle_events
     }
 
+    /// Number of ticks at or after the wake cycle, which ran the scheduler
+    /// (perf counter).
+    #[must_use]
+    pub fn awake_ticks(&self) -> u64 {
+        self.awake_ticks
+    }
+
+    /// Number of queue scans for the next command (perf counter): about one
+    /// per issued command.
+    #[must_use]
+    pub fn scheduling_passes(&self) -> u64 {
+        self.scheduling_passes
+    }
+
     /// Exports the sub-channel's semantic state (snapshot support). Callers
     /// must [`SubChannel::settle_stats`] to the capture cycle first so the
-    /// exported statistics are exact.
+    /// exported statistics and the due dead-row closes are exact.
     #[must_use]
     pub fn export_state(&self) -> SubChannelState {
         let snap = |q: &VecDeque<QueuedRequest>| -> Vec<QueuedRequestState> {
@@ -549,8 +646,9 @@ impl SubChannel {
     /// Replaces the sub-channel's state with `state` (snapshot support),
     /// re-deriving every derived structure: decoded addresses via `mapping`,
     /// the per-bank pending-write counts from the rebuilt write queue, the
-    /// earliest-ready cache from the completed-read buffer, and a zero wake
-    /// horizon (recompute on the next tick).
+    /// dead-row mask from the banks' auto-precharge flags, the earliest-ready
+    /// cache from the completed-read buffer, and a stale plan (a zero wake
+    /// horizon: rescan on the next tick).
     ///
     /// # Panics
     ///
@@ -615,70 +713,66 @@ impl SubChannel {
             self.write_counts[bank] += 1;
             self.write_mask |= 1u64 << bank;
         }
+        self.dead_mask = (0..self.banks.len())
+            .filter(|&bank| self.banks[bank].auto_precharge)
+            .fold(0, |mask, bank| mask | 1u64 << bank);
+        self.plan = NO_PLAN;
         self.wake_at = 0;
     }
 
-    /// Advances the sub-channel by one CPU cycle. Returns `true` if any
-    /// state changed (a command issued, a refresh ran, a dead row closed, or
-    /// the bus switched mode); a `false` tick changed nothing at all, and
-    /// every tick until [`SubChannel::next_wake`] will be equally inert
-    /// (absent an enqueue). Per-cycle statistics are *not* touched here;
-    /// they settle lazily at the next state mutation (see
+    /// Advances the sub-channel by one CPU cycle. Returns `true` if a command
+    /// issued, a refresh ran or the bus switched mode; a `false` tick issued
+    /// nothing, and every tick until [`SubChannel::next_wake`] will be
+    /// equally inert (absent an enqueue). Dead-row closes do not count: they
+    /// are self-timed (see the module docs). Per-cycle statistics are *not*
+    /// touched here; they settle lazily at the next state mutation (see
     /// [`SubChannel::settle_stats`]).
     pub fn tick(&mut self, now: u64) -> bool {
         if now < self.wake_at {
             return false;
         }
-
+        self.awake_ticks += 1;
+        // Dead rows due before this cycle have closed at their own cycles;
+        // those due now close after the refresh and the mode update.
+        self.close_dead_rows(now);
         let mut active = false;
         if self.refresh_enabled && now >= self.next_refresh_at {
             self.perform_refresh(now);
             active = true;
         }
-
         let mode_before = self.mode;
         self.update_mode(now);
         active |= self.mode != mode_before;
+        self.close_dead_rows(now + 1);
 
-        active |= self.close_dead_rows(now) > 0;
-
-        let issued = match self.mode {
-            BusMode::Read => self.schedule_read(now),
-            BusMode::WriteDrain => {
-                if self.ideal_writes {
-                    self.schedule_ideal_write(now)
-                } else {
-                    self.schedule_write(now)
-                }
-            }
-        };
-
-        if issued {
-            // The issue may have drained the write queue to a watermark (or
-            // filled it past one via nothing — only issues shrink it), so a
-            // pending bus-mode transition forces a real tick next cycle.
-            // Otherwise the post-issue timing state is final until the next
-            // enqueue, and the exact wake horizon (which includes refresh,
-            // dead rows and every queued candidate) replaces the scan the
-            // next tick would have run just to fail.
-            let mode_pending = match self.mode {
-                BusMode::Read => self.write_q.len() >= self.high_watermark,
-                BusMode::WriteDrain => self.write_q.len() <= self.low_watermark,
-            };
-            self.wake_at = if mode_pending { 0 } else { self.compute_wake(now) };
-            return true;
+        // A stale plan, or one whose cycle the caller skipped, is rescanned.
+        if self.wake_at == 0 || self.plan.at < now {
+            self.plan = self.plan_from(now);
         }
-        // Nothing could issue: sleep until the exact next event. Any enqueue
-        // resets `wake_at`, and refresh / dead-row closures are included in
-        // the horizon, so no state transition can be missed or delayed.
-        self.wake_at = self.compute_wake(now);
-        active
+        if self.plan.at != now {
+            self.wake_at = self.horizon();
+            return active;
+        }
+        self.issue(now);
+        // Only an issue shrinks the write queue, so a drain that reached the
+        // low watermark needs a real tick next cycle to switch the bus back.
+        // Otherwise the post-issue timing state is final until the next
+        // enqueue, so the next command is planned now.
+        if self.mode == BusMode::WriteDrain && self.write_q.len() <= self.low_watermark {
+            self.wake_at = 0;
+        } else {
+            self.plan = self.plan_from(now + 1);
+            self.wake_at = self.horizon();
+        }
+        true
     }
 
     /// The exact next cycle at which this sub-channel can change state
-    /// without an intervening enqueue. Between the last tick and this cycle,
-    /// ticks are pure statistics updates. Read completions are tracked
-    /// separately (see [`SubChannel::earliest_completion`]).
+    /// without an intervening enqueue: the planned command's cycle or the
+    /// next refresh. Between the last tick and this cycle, ticks are pure
+    /// no-ops. Read completions are tracked separately (see
+    /// [`SubChannel::earliest_completion`]); dead-row closes are self-timed
+    /// and not part of the horizon.
     #[must_use]
     pub fn next_wake(&self) -> u64 {
         self.wake_at
@@ -691,38 +785,41 @@ impl SubChannel {
         self.earliest_ready
     }
 
-    /// Computes the exact next interesting cycle after `now`: the minimum
-    /// over the next refresh, the next dead-row auto-precharge, and the
-    /// earliest legal issue among queued commands under the current bus
-    /// mode. All timing state is frozen until then, so the bound is exact —
-    /// the scheduler re-runs at exactly that cycle.
-    fn compute_wake(&self, now: u64) -> u64 {
-        let mut wake = u64::MAX;
-        if self.refresh_enabled {
-            wake = wake.min(self.next_refresh_at);
+    /// The wake horizon of the stored plan: its cycle or the next refresh.
+    fn horizon(&self) -> u64 {
+        let refresh = if self.refresh_enabled { self.next_refresh_at } else { u64::MAX };
+        self.plan.at.min(refresh)
+    }
+
+    /// One scan of the current bus mode's queue: the smallest `(effective
+    /// cycle, command, queue index)` from cycle `from`, or [`NO_PLAN`] for an
+    /// empty queue. Timing state is frozen until the next issue, enqueue,
+    /// refresh or mode switch, and pending dead-row closes are priced in,
+    /// so the plan is exact.
+    fn plan_from(&mut self, from: u64) -> Plan {
+        self.scheduling_passes += 1;
+        let write = self.mode == BusMode::WriteDrain;
+        if write && self.ideal_writes {
+            // Ideal writes (Figures 2 and 14): arrival order, one burst apart.
+            if self.write_q.is_empty() {
+                return NO_PLAN;
+            }
+            return Plan { at: self.sub_wr_ok.max(from), command: Command::Column, idx: 0 };
         }
-        if self.page_policy != PagePolicy::Open {
-            for bank in &self.banks {
-                if bank.auto_precharge && bank.open_row.is_some() {
-                    wake = wake.min(bank.pre_ok_at);
+        let queue = if write { &self.write_q } else { &self.read_q };
+        let mut best = NO_PLAN;
+        for (idx, q) in queue.iter().enumerate() {
+            let (at, command) = self.candidate(&q.req, write, from);
+            if (at, command) < (best.at, best.command) {
+                best = Plan { at, command, idx };
+                if at == from && command == Command::Column {
+                    // Nothing later in the queue can beat the oldest
+                    // column command ready now.
+                    break;
                 }
             }
         }
-        match self.mode {
-            BusMode::Read => wake = wake.min(self.earliest_issue(Queue::Read)),
-            BusMode::WriteDrain => {
-                if self.ideal_writes {
-                    if !self.write_q.is_empty() {
-                        wake = wake.min(self.sub_wr_ok);
-                    }
-                } else {
-                    wake = wake.min(self.earliest_issue(Queue::Write));
-                }
-            }
-        }
-        // A candidate at or before `now` would have fired this tick; the
-        // clamp only guards the invariant `wake_at > now`.
-        wake.max(now + 1)
+        best
     }
 
     /// Earliest CPU cycle the oldest four-activate window constraint allows
@@ -733,21 +830,6 @@ impl SubChannel {
         } else {
             *self.faw_window.front().expect("len checked") + self.timing.t_faw
         }
-    }
-
-    /// Earliest cycle at which any request in the queue could issue a
-    /// command (column access on a row hit, activate on a closed bank, or
-    /// precharge on a conflict), mirroring the scheduling pass conditions
-    /// with the current timing state. Walks every queued request, applying
-    /// the shared per-request candidate formula (`request_candidate`) — the
-    /// enqueue-scoped wake-horizon lowering relies on the two staying in
-    /// lockstep, so there is exactly one copy of the formula.
-    fn earliest_issue(&self, queue: Queue) -> u64 {
-        let (q, write) = match queue {
-            Queue::Read => (&self.read_q, false),
-            Queue::Write => (&self.write_q, true),
-        };
-        q.iter().map(|q| self.request_candidate(&q.req, write)).min().unwrap_or(u64::MAX)
     }
 
     fn update_mode(&mut self, now: u64) {
@@ -827,37 +909,47 @@ impl SubChannel {
             bank.act_ok_at = bank.act_ok_at.max(now + self.timing.t_rfc);
             bank.cas_ok_at = bank.cas_ok_at.max(now + self.timing.t_rfc);
         }
+        self.dead_mask = 0;
         self.next_refresh_at = now + self.timing.t_refi;
+        self.wake_at = 0;
     }
 
-    /// Closes rows flagged for auto-precharge by the adaptive open-page
-    /// policy, returning the number of rows closed. This does not consume a
-    /// command slot (auto-precharge rides on the preceding column command).
-    fn close_dead_rows(&mut self, now: u64) -> u64 {
-        if self.page_policy == PagePolicy::Open {
-            return 0;
-        }
-        let mut closed = 0;
-        for b in &mut self.banks {
-            if b.auto_precharge && b.open_row.is_some() && b.pre_ok_at <= now {
-                b.precharge(now, self.timing.t_rp);
+    /// Applies the auto-precharges of dead rows due before `up_to`, each at
+    /// its own cycle (`pre_ok_at`, the cycle its precharge window opens). An
+    /// auto-precharge rides on the preceding column command, so it takes no
+    /// command slot.
+    fn close_dead_rows(&mut self, up_to: u64) {
+        let mut mask = self.dead_mask;
+        while mask != 0 {
+            let bank = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let b = &mut self.banks[bank];
+            if b.pre_ok_at < up_to {
+                b.precharge(b.pre_ok_at, self.timing.t_rp);
                 self.stats.precharges += 1;
-                closed += 1;
+                self.dead_mask &= !(1u64 << bank);
             }
         }
-        closed
+    }
+
+    /// Flags the row a column command just accessed as dead when the page
+    /// policy closes it: always under the closed-page policy, and under the
+    /// adaptive open-page policy when no other queued request targets it.
+    fn flag_dead_row(&mut self, now: u64, bank: usize, row: u64, id: u64) {
+        if self.page_policy == PagePolicy::Closed
+            || (self.page_policy == PagePolicy::AdaptiveOpen
+                && !self.another_request_to_row(bank, row, id))
+        {
+            // The close is self-timed at `pre_ok_at`, which every column
+            // command pushes past its own cycle.
+            debug_assert!(self.banks[bank].pre_ok_at > now, "a dead row must close after its CAS");
+            self.banks[bank].auto_precharge = true;
+            self.dead_mask |= 1u64 << bank;
+        }
     }
 
     fn bank_index(&self, req: &MemRequest) -> usize {
         req.decoded.bank_in_subchannel(self.banks_per_group)
-    }
-
-    fn faw_allows(&self, now: u64) -> bool {
-        if self.faw_window.len() < 4 {
-            return true;
-        }
-        let oldest = *self.faw_window.front().expect("len checked");
-        now >= oldest + self.timing.t_faw
     }
 
     fn record_act(&mut self, now: u64) {
@@ -878,131 +970,37 @@ impl SubChannel {
         self.read_q.iter().any(check) || self.write_q.iter().any(check)
     }
 
-    fn schedule_read(&mut self, now: u64) -> bool {
-        // Pass 1: first-ready row hits, oldest first.
-        if self.sub_rd_ok <= now {
-            let mut chosen = None;
-            for (idx, q) in self.read_q.iter().enumerate() {
-                let bank = self.bank_index(&q.req);
-                let bg = q.req.decoded.bankgroup;
-                let b = &self.banks[bank];
-                if b.is_row_hit(q.req.decoded.row) && b.cas_ok_at <= now && self.bg_rd_ok[bg] <= now
-                {
-                    chosen = Some(idx);
-                    break;
-                }
+    /// Issues the planned command at `now`.
+    fn issue(&mut self, now: u64) {
+        let Plan { command, idx, .. } = self.plan;
+        let write = self.mode == BusMode::WriteDrain;
+        debug_assert!(
+            write && self.ideal_writes
+                || self.candidate(&self.active_queue()[idx].req, write, now) == (now, command),
+            "the planned command must be legal now"
+        );
+        match (command, self.mode) {
+            (Command::Column, BusMode::Read) => self.issue_read_column(now, idx),
+            (Command::Column, BusMode::WriteDrain) if self.ideal_writes => {
+                self.issue_ideal_write(now);
             }
-            if let Some(idx) = chosen {
-                self.issue_read_column(now, idx);
-                return true;
-            }
+            (Command::Column, BusMode::WriteDrain) => self.issue_write_column(now, idx),
+            (Command::Activate, _) => self.issue_activate(now, idx),
+            (Command::Precharge, _) => self.issue_precharge(now, idx),
         }
-        // Pass 2: activate a closed bank for the oldest such request.
-        if self.sub_act_ok <= now && self.faw_allows(now) {
-            let mut chosen = None;
-            for (idx, q) in self.read_q.iter().enumerate() {
-                let bank = self.bank_index(&q.req);
-                let bg = q.req.decoded.bankgroup;
-                let b = &self.banks[bank];
-                if b.is_closed() && b.act_ok_at <= now && self.bg_act_ok[bg] <= now {
-                    chosen = Some(idx);
-                    break;
-                }
-            }
-            if let Some(idx) = chosen {
-                self.issue_activate(now, Queue::Read, idx);
-                return true;
-            }
-        }
-        // Pass 3: precharge a conflicting row for the oldest such request.
-        let mut chosen = None;
-        for (idx, q) in self.read_q.iter().enumerate() {
-            let bank = self.bank_index(&q.req);
-            let b = &self.banks[bank];
-            if b.is_row_conflict(q.req.decoded.row) && b.pre_ok_at <= now {
-                chosen = Some(idx);
-                break;
-            }
-        }
-        if let Some(idx) = chosen {
-            self.issue_precharge(now, Queue::Read, idx);
-            return true;
-        }
-        false
-    }
-
-    fn schedule_write(&mut self, now: u64) -> bool {
-        // Pass 1: lowest-latency-first — any write whose column command can
-        // issue *now* (bank row open, bank-group and sub-channel write
-        // constraints satisfied). Oldest such write wins ties.
-        if self.sub_wr_ok <= now {
-            let mut chosen = None;
-            for (idx, q) in self.write_q.iter().enumerate() {
-                let bank = self.bank_index(&q.req);
-                let bg = q.req.decoded.bankgroup;
-                let b = &self.banks[bank];
-                if b.is_row_hit(q.req.decoded.row) && b.cas_ok_at <= now && self.bg_wr_ok[bg] <= now
-                {
-                    chosen = Some(idx);
-                    break;
-                }
-            }
-            if let Some(idx) = chosen {
-                self.issue_write_column(now, idx);
-                return true;
-            }
-        }
-        // Pass 2: activate for the oldest write whose bank is closed.
-        if self.sub_act_ok <= now && self.faw_allows(now) {
-            let mut chosen = None;
-            for (idx, q) in self.write_q.iter().enumerate() {
-                let bank = self.bank_index(&q.req);
-                let bg = q.req.decoded.bankgroup;
-                let b = &self.banks[bank];
-                if b.is_closed() && b.act_ok_at <= now && self.bg_act_ok[bg] <= now {
-                    chosen = Some(idx);
-                    break;
-                }
-            }
-            if let Some(idx) = chosen {
-                self.issue_activate(now, Queue::Write, idx);
-                return true;
-            }
-        }
-        // Pass 3: precharge for the oldest conflicting write.
-        let mut chosen = None;
-        for (idx, q) in self.write_q.iter().enumerate() {
-            let bank = self.bank_index(&q.req);
-            let b = &self.banks[bank];
-            if b.is_row_conflict(q.req.decoded.row) && b.pre_ok_at <= now {
-                chosen = Some(idx);
-                break;
-            }
-        }
-        if let Some(idx) = chosen {
-            self.issue_precharge(now, Queue::Write, idx);
-            return true;
-        }
-        false
     }
 
     /// Ideal-write mode: every write occupies the data bus for one burst and
     /// has no bank or bank-group constraints (Figures 2 and 14, "Ideal").
-    fn schedule_ideal_write(&mut self, now: u64) -> bool {
-        if self.sub_wr_ok > now {
-            return false;
-        }
+    fn issue_ideal_write(&mut self, now: u64) {
         self.settle_stats(now + 1);
-        let Some(q) = self.write_q.pop_front() else {
-            return false;
-        };
+        let q = self.write_q.pop_front().expect("planned write is queued");
         let bank = self.bank_index(&q.req);
         self.uncount_write(bank);
         self.sub_wr_ok = now + self.timing.t_ccd_s_wr;
         self.stats.writes += 1;
         self.stats.write_row_hits += 1;
         self.note_write_issued(now, bank);
-        true
     }
 
     fn issue_read_column(&mut self, now: u64, idx: usize) {
@@ -1037,13 +1035,7 @@ impl SubChannel {
             ready_cycle: ready,
             latency: ready.saturating_sub(q.req.enqueue_cycle),
         });
-
-        if self.page_policy == PagePolicy::Closed
-            || (self.page_policy == PagePolicy::AdaptiveOpen
-                && !self.another_request_to_row(bank, row, q.req.id))
-        {
-            self.banks[bank].auto_precharge = true;
-        }
+        self.flag_dead_row(now, bank, row, q.req.id);
     }
 
     fn issue_write_column(&mut self, now: u64, idx: usize) {
@@ -1069,13 +1061,7 @@ impl SubChannel {
 
         self.stats.writes += 1;
         self.note_write_issued(now, bank);
-
-        if self.page_policy == PagePolicy::Closed
-            || (self.page_policy == PagePolicy::AdaptiveOpen
-                && !self.another_request_to_row(bank, row, q.req.id))
-        {
-            self.banks[bank].auto_precharge = true;
-        }
+        self.flag_dead_row(now, bank, row, q.req.id);
     }
 
     fn note_write_issued(&mut self, now: u64, bank: usize) {
@@ -1090,51 +1076,39 @@ impl SubChannel {
         }
     }
 
-    fn issue_activate(&mut self, now: u64, queue: Queue, idx: usize) {
-        let (bank, bg, row) = {
-            let q = self.queued(queue, idx);
-            (self.bank_index(&q.req), q.req.decoded.bankgroup, q.req.decoded.row)
-        };
+    fn issue_activate(&mut self, now: u64, idx: usize) {
+        let q = &self.active_queue()[idx];
+        let (bank, bg, row) = (self.bank_index(&q.req), q.req.decoded.bankgroup, q.req.decoded.row);
         let t = self.timing;
         self.banks[bank].activate(now, row, t.t_rcd, t.t_ras);
         self.bg_act_ok[bg] = self.bg_act_ok[bg].max(now + t.t_rrd_l);
         self.sub_act_ok = self.sub_act_ok.max(now + t.t_rrd_s);
         self.record_act(now);
         self.stats.activates += 1;
-        let q = self.queued_mut(queue, idx);
-        q.outcome.get_or_insert(RowOutcome::Miss);
+        self.active_queue_mut()[idx].outcome.get_or_insert(RowOutcome::Miss);
     }
 
-    fn issue_precharge(&mut self, now: u64, queue: Queue, idx: usize) {
-        let bank = {
-            let q = self.queued(queue, idx);
-            self.bank_index(&q.req)
-        };
+    fn issue_precharge(&mut self, now: u64, idx: usize) {
+        let bank = self.bank_index(&self.active_queue()[idx].req);
         self.banks[bank].precharge(now, self.timing.t_rp);
         self.stats.precharges += 1;
-        let q = self.queued_mut(queue, idx);
-        q.outcome = Some(RowOutcome::Conflict);
+        self.active_queue_mut()[idx].outcome = Some(RowOutcome::Conflict);
     }
 
-    fn queued(&self, queue: Queue, idx: usize) -> &QueuedRequest {
-        match queue {
-            Queue::Read => &self.read_q[idx],
-            Queue::Write => &self.write_q[idx],
+    /// The queue the current bus mode schedules from.
+    fn active_queue(&self) -> &VecDeque<QueuedRequest> {
+        match self.mode {
+            BusMode::Read => &self.read_q,
+            BusMode::WriteDrain => &self.write_q,
         }
     }
 
-    fn queued_mut(&mut self, queue: Queue, idx: usize) -> &mut QueuedRequest {
-        match queue {
-            Queue::Read => &mut self.read_q[idx],
-            Queue::Write => &mut self.write_q[idx],
+    fn active_queue_mut(&mut self) -> &mut VecDeque<QueuedRequest> {
+        match self.mode {
+            BusMode::Read => &mut self.read_q,
+            BusMode::WriteDrain => &mut self.write_q,
         }
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Queue {
-    Read,
-    Write,
 }
 
 #[cfg(test)]
@@ -1142,6 +1116,7 @@ mod tests {
     use super::*;
     use crate::address::AddressMapping;
     use crate::request::RequestKind;
+    use std::collections::BTreeMap;
 
     fn config() -> DramConfig {
         let mut c = DramConfig::ddr5_4800_x4();
@@ -1465,11 +1440,12 @@ mod tests {
         );
     }
 
-    /// Regression test for dead-row closure being deferred while
-    /// idle-sleeping: under the adaptive open-page policy a dead row is
-    /// auto-precharged on exactly the cycle its precharge window opens
-    /// (max of tRAS after the ACT and tRTP after the RD), and the computed
-    /// wake horizon points at that cycle.
+    /// Dead rows close themselves: under the adaptive open-page policy a
+    /// dead row is auto-precharged at exactly the cycle its precharge window
+    /// opens (max of tRAS after the ACT and tRTP after the RD). No tick is
+    /// scheduled for the close, so the wake horizon skips it, yet a reader
+    /// settling past it sees the bank closed at that cycle, and a later
+    /// activate to the bank waits for exactly tRP after it.
     #[test]
     fn dead_row_closes_exactly_when_the_precharge_window_opens() {
         let cfg = config();
@@ -1479,34 +1455,42 @@ mod tests {
         let mut sc = SubChannel::new(&cfg);
         let addr = addrs_where(&mapping, 1, |_| true)[0];
         let req = make_req(&mapping, 1, RequestKind::Read, addr);
-        let bank = req.decoded.bank_in_subchannel(cfg.banks_per_group);
+        let (bank, row) = (req.decoded.bank_in_subchannel(cfg.banks_per_group), req.decoded.row);
         sc.enqueue_read(req, 0).unwrap();
 
         // ACT at 0, RD as soon as tRCD expires; no other request targets the
         // row, so the read marks the row dead (auto-precharge).
-        let act_cycle = 0;
         let read_cycle = t.t_rcd;
-        let close_cycle = (act_cycle + t.t_ras).max(read_cycle + t.t_rtp);
-        let mut pre_cycles = Vec::new();
-        let mut seen = 0;
-        for cycle in 0..1_000 {
+        let close_cycle = t.t_ras.max(read_cycle + t.t_rtp);
+        for cycle in 0..=read_cycle {
             sc.tick(cycle);
-            if sc.stats().precharges > seen {
-                seen = sc.stats().precharges;
-                pre_cycles.push(cycle);
-            }
-            if cycle == read_cycle + 1 {
-                assert!(sc.banks[bank].auto_precharge, "the row must be flagged dead");
-                assert_eq!(
-                    sc.next_wake(),
-                    close_cycle,
-                    "the wake horizon must point at the dead-row closure"
-                );
-            }
         }
-        assert_eq!(pre_cycles, vec![close_cycle], "closure must not be deferred");
-        assert!(sc.banks[bank].open_row.is_none(), "the dead row must be closed");
         assert_eq!(sc.stats().reads, 1);
+        assert!(sc.banks[bank].auto_precharge, "the row must be flagged dead");
+        assert!(sc.next_wake() > close_cycle, "the wake horizon must skip the self-timed close");
+
+        sc.settle_stats(close_cycle + 1);
+        assert!(sc.banks[bank].open_row.is_none(), "the dead row must be closed");
+        assert_eq!(
+            sc.banks[bank].act_ok_at,
+            close_cycle + t.t_rp,
+            "the close must not be deferred"
+        );
+        assert_eq!(sc.stats().precharges, 1);
+
+        // A read to another row of the bank, enqueued after the close,
+        // activates exactly when tRP after the close expires.
+        let other = addrs_where(&mapping, 1, |d| {
+            d.bank_in_subchannel(cfg.banks_per_group) == bank && d.row != row
+        })[0];
+        let enqueue_cycle = close_cycle + 1;
+        sc.tick(enqueue_cycle);
+        sc.enqueue_read(make_req(&mapping, 2, RequestKind::Read, other), enqueue_cycle).unwrap();
+        let act_cycle = (enqueue_cycle + 1..enqueue_cycle + 1_000).find(|&cycle| {
+            sc.tick(cycle);
+            sc.stats().activates == 2
+        });
+        assert_eq!(act_cycle, Some(close_cycle + t.t_rp));
     }
 
     /// Span-lazy settlement must account exactly what per-cycle settlement
@@ -1600,5 +1584,218 @@ mod tests {
             sc.tick(cycle);
         }
         assert!(sc.stats().refreshes >= 2);
+    }
+
+    /// The three-pass FR-FCFS picker the plan replaced, kept as the lockstep
+    /// reference. It reads a state whose due dead-row closes, refresh and
+    /// mode update are applied, and returns the command the three passes
+    /// issue at `now`: the oldest ready column command, else the oldest ready
+    /// activate, else the oldest ready precharge.
+    fn reference_pick(sc: &SubChannel, now: u64) -> Option<Plan> {
+        let queue = sc.active_queue();
+        let write = sc.mode == BusMode::WriteDrain;
+        if write && sc.ideal_writes {
+            let ready = sc.sub_wr_ok <= now && !queue.is_empty();
+            return ready.then_some(Plan { at: now, command: Command::Column, idx: 0 });
+        }
+        let (sub_cas, bg_cas) =
+            if write { (sc.sub_wr_ok, &sc.bg_wr_ok) } else { (sc.sub_rd_ok, &sc.bg_rd_ok) };
+        let faw_allows = sc.faw_window.len() < 4 || now >= sc.faw_window[0] + sc.timing.t_faw;
+        let oldest = |command, ready: &dyn Fn(&BankState, usize, u64) -> bool| {
+            let idx = queue.iter().position(|q| {
+                let d = &q.req.decoded;
+                ready(&sc.banks[sc.bank_index(&q.req)], d.bankgroup, d.row)
+            })?;
+            Some(Plan { at: now, command, idx })
+        };
+        let column = || {
+            oldest(Command::Column, &|b, bg, row| {
+                b.is_row_hit(row) && b.cas_ok_at <= now && bg_cas[bg] <= now
+            })
+        };
+        let activate = || {
+            oldest(Command::Activate, &|b, bg, _| {
+                b.is_closed() && b.act_ok_at <= now && sc.bg_act_ok[bg] <= now
+            })
+        };
+        let precharge = || {
+            oldest(Command::Precharge, &|b, _, row| b.is_row_conflict(row) && b.pre_ok_at <= now)
+        };
+        (sub_cas <= now)
+            .then(column)
+            .flatten()
+            .or_else(|| (sc.sub_act_ok <= now && faw_allows).then(activate).flatten())
+            .or_else(precharge)
+    }
+
+    /// Sub-channel 0 addresses over three rows of every bank, two columns
+    /// each, keyed by (bank, row): random picks mix row hits, misses,
+    /// conflicts and dead rows.
+    fn lockstep_pool(
+        mapping: &AddressMapping,
+        cfg: &DramConfig,
+    ) -> BTreeMap<(usize, u64), Vec<u64>> {
+        let mut pool = BTreeMap::<(usize, u64), Vec<u64>>::new();
+        let mut addr = 0u64;
+        while pool.len() < cfg.banks_per_subchannel() * 3 || pool.values().any(|a| a.len() < 2) {
+            let d = mapping.decode(addr);
+            if d.subchannel == 0 && d.row < 3 {
+                let columns =
+                    pool.entry((d.bank_in_subchannel(cfg.banks_per_group), d.row)).or_default();
+                if columns.len() < 2 {
+                    columns.push(addr);
+                }
+            }
+            addr += 64;
+            assert!(addr < (1 << 32), "search space exhausted");
+        }
+        pool
+    }
+
+    /// Drives a sub-channel with a seeded random enqueue stream, enqueuing
+    /// after each tick as the system does, and checks every cycle against
+    /// [`reference_pick`]:
+    /// * on a sleeping cycle, a clone settled through the cycle has no
+    ///   command the reference would issue, and no refresh or bus-mode
+    ///   switch is due;
+    /// * on an awake tick, the state after the tick equals a clone that ran
+    ///   the three-pass tick (dead-row closes, refresh, mode update, then
+    ///   the reference pick), so the issued command is the reference's.
+    ///
+    /// Returns the final statistics, settled.
+    fn run_lockstep(cfg: &DramConfig, seed: u64, cycles: u64) -> SubChannelStats {
+        let mapping = AddressMapping::new(cfg);
+        let pool = lockstep_pool(&mapping, cfg);
+        let addrs: Vec<u64> = pool.values().flatten().copied().collect();
+        let mut sc = SubChannel::new(cfg);
+        let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut rand = move |n: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % n as u64) as usize
+        };
+        let ctx = |now: u64| {
+            let c = cfg;
+            format!(
+                "{:?}/refresh={}/ideal={} seed {seed} cycle {now}",
+                c.page_policy, c.refresh_enabled, c.ideal_writes
+            )
+        };
+        let (mut rates, mut id) = ([0; 2], 0);
+        for now in 0..cycles {
+            if now % 1_500 == 0 {
+                // A new phase: read and write enqueue rates in 64ths of a
+                // request per cycle, from idle to past the service rate.
+                rates = [rand(20), rand(7)];
+            }
+            if now < sc.next_wake() {
+                let mut settled = sc.clone();
+                settled.settle_stats(now + 1);
+                let pick = reference_pick(&settled, now);
+                assert_eq!(pick, None, "{}: a command is ready while asleep", ctx(now));
+                assert!(
+                    !(cfg.refresh_enabled && now >= settled.next_refresh_at),
+                    "{}: a refresh is due while asleep",
+                    ctx(now)
+                );
+                let switch_due = match settled.mode {
+                    BusMode::Read => settled.write_q.len() >= cfg.write_high_watermark,
+                    BusMode::WriteDrain => settled.write_q.len() <= cfg.write_low_watermark,
+                };
+                assert!(!switch_due, "{}: a bus-mode switch is due while asleep", ctx(now));
+                assert!(!sc.tick(now), "{}: a sleeping tick must be inert", ctx(now));
+            } else {
+                let mut expected = sc.clone();
+                expected.close_dead_rows(now);
+                if cfg.refresh_enabled && now >= expected.next_refresh_at {
+                    expected.perform_refresh(now);
+                }
+                expected.update_mode(now);
+                expected.close_dead_rows(now + 1);
+                let pick = reference_pick(&expected, now);
+                if let Some(plan) = pick {
+                    expected.plan = plan;
+                    expected.issue(now);
+                }
+                sc.tick(now);
+                let mut actual = sc.clone();
+                actual.settle_stats(now + 1);
+                expected.settle_stats(now + 1);
+                assert_eq!(
+                    actual.export_state(),
+                    expected.export_state(),
+                    "{}: the tick must issue the reference pick {pick:?}",
+                    ctx(now)
+                );
+            }
+            let flagged =
+                sc.banks.iter().rev().fold(0u64, |m, b| m << 1 | u64::from(b.auto_precharge));
+            assert_eq!(sc.dead_mask, flagged, "{}: the dead-row mask must track flags", ctx(now));
+
+            for (write, rate) in [false, true].into_iter().zip(rates) {
+                let accepts = if write { sc.can_accept_write() } else { sc.can_accept_read() };
+                if rand(64) >= rate || !accepts {
+                    continue;
+                }
+                // One request in four goes to an open row: to a dead row
+                // that closes next cycle when there is one, so requests
+                // meet dead rows right at their close.
+                let open: Vec<(usize, u64)> = (0..sc.banks.len())
+                    .filter_map(|bank| sc.banks[bank].open_row.map(|row| (bank, row)))
+                    .collect();
+                let closing = open.iter().copied().find(|&(bank, _)| {
+                    sc.banks[bank].auto_precharge && sc.banks[bank].pre_ok_at == now + 1
+                });
+                let addr = match (rand(4), closing) {
+                    (0, Some(key)) => pool[&key][rand(2)],
+                    (0, None) if !open.is_empty() => pool[&open[rand(open.len())]][rand(2)],
+                    _ => addrs[rand(addrs.len())],
+                };
+                let kind = if write { RequestKind::Write } else { RequestKind::Read };
+                let req = make_req(&mapping, id, kind, addr);
+                id += 1;
+                if write { sc.enqueue_write(req, now) } else { sc.enqueue_read(req, now) }.unwrap();
+            }
+            let mut done = Vec::new();
+            sc.drain_completed(now, &mut done);
+        }
+        sc.settle_stats(cycles);
+        sc.stats().clone()
+    }
+
+    /// The planned scheduler issues exactly what the three-pass scheduler it
+    /// replaced would, on every cycle, under every page policy, with refresh
+    /// on and off, and on the ideal-write path. Tier-1 runs a few seeds;
+    /// `BARD_PARITY=full` widens the seeds and run lengths.
+    #[test]
+    fn planned_scheduler_matches_the_three_pass_reference() {
+        let full = std::env::var("BARD_PARITY").is_ok_and(|v| v == "full");
+        let (seeds, cycles) = if full { (0..16u64, 200_000) } else { (0..1u64, 40_000) };
+        let mut shapes = Vec::new();
+        for page_policy in [PagePolicy::AdaptiveOpen, PagePolicy::Closed, PagePolicy::Open] {
+            for refresh_enabled in [false, true] {
+                shapes.push((page_policy, refresh_enabled, false));
+            }
+        }
+        shapes.push((PagePolicy::AdaptiveOpen, true, true));
+        for (page_policy, refresh_enabled, ideal_writes) in shapes {
+            let mut cfg = DramConfig::ddr5_4800_x4();
+            cfg.page_policy = page_policy;
+            cfg.refresh_enabled = refresh_enabled;
+            cfg.ideal_writes = ideal_writes;
+            for seed in seeds.clone() {
+                let stats = run_lockstep(&cfg, seed, cycles);
+                let shape = format!(
+                    "{page_policy:?}/refresh={refresh_enabled}/ideal={ideal_writes} seed {seed}"
+                );
+                assert!(stats.reads > 100 && stats.writes > 100, "{shape}: too little traffic");
+                assert!(stats.drain_episodes > 2, "{shape}: both watermarks must be crossed");
+                assert_eq!(stats.refreshes > 0, refresh_enabled, "{shape}");
+                if page_policy != PagePolicy::Open {
+                    assert!(stats.precharges > 0, "{shape}: dead rows must close");
+                }
+            }
+        }
     }
 }

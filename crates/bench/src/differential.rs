@@ -140,10 +140,9 @@ impl StressCase {
 
     /// A hand-picked case that starves the MSHR file: many cores of a
     /// miss-heavy workload against a tiny MSHR budget, so cores spend most of
-    /// the run asleep waiting for an MSHR slot and every DRAM completion
-    /// triggers the single-waiter wake-routing path (grant chains, waiter
-    /// retargeting, same-tick allocation intercepts) rather than the easy
-    /// broadcast regime.
+    /// the run asleep waiting for an MSHR slot, and on every DRAM completion
+    /// a crowd of sleepers is re-checked against the file while the cores
+    /// visited before them refill it.
     #[must_use]
     pub fn mshr_saturated(workload: WorkloadId) -> Self {
         let mut config = SystemConfig::small_test();
@@ -153,6 +152,25 @@ impl StressCase {
         config.dram = DramConfig::ddr5_4800_x4().with_write_queue_entries(16);
         Self {
             label: format!("mshr-saturated {}", workload.name()),
+            config,
+            workload,
+            length: RunLength { functional_warmup: 30_000, timed_warmup: 500, measure: 3_000 },
+        }
+    }
+
+    /// A hand-picked case that fills the DRAM-pending buffer: eight cores
+    /// with a deep MSHR file against four-entry read queues, so accepted
+    /// misses pile up behind the read queues until the buffer reaches its
+    /// bound, and cores sleep until a pending read enters a read queue — a
+    /// release no other shape depends on.
+    #[must_use]
+    pub fn pending_saturated(workload: WorkloadId) -> Self {
+        let mut config = SystemConfig::small_test();
+        config.cores = 8;
+        config.llc_mshrs = 256;
+        config.dram.read_queue_entries = 4;
+        Self {
+            label: format!("pending-saturated {}", workload.name()),
             config,
             workload,
             length: RunLength { functional_warmup: 30_000, timed_warmup: 500, measure: 3_000 },

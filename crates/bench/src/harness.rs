@@ -278,7 +278,7 @@ impl Cli {
     }
 
     /// Emits the `[bard-perf] snapshot ...` stderr line after a
-    /// snapshot-backed grid, when `BARD_PERF_COUNTERS` is enabled.
+    /// snapshot-backed grid, when `BARD_TELEMETRY` is enabled.
     fn report_snapshot_counters(&self) {
         if self.snapshots.is_some() {
             bard::snapshot::print_counters_if_enabled();

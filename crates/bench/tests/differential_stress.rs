@@ -3,8 +3,8 @@
 //! queue-saturation cases.
 //!
 //! This is the acceptance harness for the model-work fast paths (cycle
-//! skipping, batched compute dispatch, O(1) sleep gating, single-waiter MSHR
-//! wake routing, span-lazy DRAM statistics): anything they mis-schedule,
+//! skipping, batched compute dispatch, per-core sleep with its release-time
+//! refusal check, span-lazy DRAM statistics): anything they mis-schedule,
 //! mis-count or mis-wake shows up here as a field-level diff between the
 //! skip engine and the reference step engine.
 //! The default run keeps the debug-mode tier-1 suite affordable; CI's
@@ -63,9 +63,8 @@ fn saturated_queue_cases_agree_across_all_paths() {
 
 /// MSHR-starvation cases: eight cores against a two-entry MSHR file keep a
 /// standing crowd of sleepers blocked on slot availability, so every DRAM
-/// completion exercises the single-waiter wake-routing machinery (ascending
-/// grant chains, waiter retargeting onto tracked lines, same-tick
-/// allocation intercepts) on both engines.
+/// completion re-checks them against a file the cores visited first may
+/// already have refilled, on both engines.
 #[test]
 fn mshr_saturated_cases_agree_across_all_paths() {
     for workload in [WorkloadId::Omnetpp, WorkloadId::Mix0] {
@@ -77,6 +76,17 @@ fn mshr_saturated_cases_agree_across_all_paths() {
             case.label
         );
     }
+}
+
+/// DRAM-pending saturation: four-entry read queues hold back a deep MSHR
+/// file's misses until the pending buffer hits its bound, so sleepers wait
+/// for a pending read to enter a read queue. A skip engine that missed that
+/// release would wake them late and diverge here.
+#[test]
+fn pending_saturated_case_agrees_across_all_paths() {
+    let case = StressCase::pending_saturated(WorkloadId::Lbm);
+    let result = case.assert_paths_agree();
+    assert!(result.dram_stats.reads > 0, "{}: the case must drive DRAM reads", case.label);
 }
 
 /// Case 8 of the snapshot-parity stream below (mix4 under VWQ with a
@@ -121,4 +131,5 @@ fn saturated_queue_cases_resume_bitwise_identically_from_snapshots() {
         let starved = StressCase::mshr_saturated(workload);
         let _ = starved.assert_snapshot_parity();
     }
+    let _ = StressCase::pending_saturated(WorkloadId::Lbm).assert_snapshot_parity();
 }

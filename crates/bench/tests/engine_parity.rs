@@ -14,8 +14,9 @@
 //! * write-queue saturation shapes on both engines (randomized sweeps live
 //!   in `differential_stress.rs`),
 //! * MSHR-saturation wake contention (eight cores on a two-entry MSHR file)
-//!   on both engines, so the single-waiter wake-routing machinery is pinned
-//!   against the reference step engine.
+//!   and DRAM-pending saturation (four-entry read queues) on both engines,
+//!   so the skip engine's wake rule is pinned against the reference step
+//!   engine on both kinds of release that wake a crowd of sleepers.
 //!
 //! Anything the skip engine mis-accounts over a slept or jumped span (a
 //! stall counter, a DRAM busy cycle, a completion delivered a cycle early
@@ -131,11 +132,11 @@ fn saturated_write_queues_are_engine_invariant() {
 
 /// MSHR-saturation wake contention: eight cores fighting over a two-entry
 /// MSHR file keep a standing crowd of slot-waiters, so every DRAM
-/// completion routes through the single-waiter wake machinery (ascending
-/// grant chains, waiter retargeting, same-tick allocation intercepts). The
-/// shape is owned by `StressCase::mshr_saturated` so this suite and
-/// `differential_stress.rs` can never drift onto different regimes; here it
-/// runs on both engines through the runner.
+/// completion re-checks them against a file the cores visited first may
+/// already have refilled. The shape is owned by
+/// `StressCase::mshr_saturated` so this suite and `differential_stress.rs`
+/// can never drift onto different regimes; here it runs on both engines
+/// through the runner.
 #[test]
 fn mshr_saturation_wake_contention_is_engine_invariant() {
     let set = [WorkloadId::Omnetpp, WorkloadId::Mix0];
@@ -149,6 +150,24 @@ fn mshr_saturation_wake_contention_is_engine_invariant() {
         got
     };
     assert_identical(&run(EngineKind::Step), &run(EngineKind::Skip), "mshr saturation");
+}
+
+/// DRAM-pending saturation: cores sleep until a pending read enters a
+/// four-entry read queue. The shape is owned by
+/// `StressCase::pending_saturated`, like the MSHR shape above.
+#[test]
+fn dram_pending_saturation_is_engine_invariant() {
+    let set = [WorkloadId::Lbm, WorkloadId::Omnetpp];
+    let run = |engine| {
+        let cfg = StressCase::pending_saturated(WorkloadId::Lbm).config.with_engine(engine);
+        let got = run_workloads_on(&Runner::new(1), &cfg, &set, tiny());
+        assert!(
+            got.iter().all(|r| r.dram_stats.reads > 0),
+            "the pending-saturation shape must drive DRAM reads"
+        );
+        got
+    };
+    assert_identical(&run(EngineKind::Step), &run(EngineKind::Skip), "pending saturation");
 }
 
 /// Serial-vs-parallel cross-check: the runner's job decomposition must not

@@ -19,17 +19,19 @@ use bard_workloads::WorkloadId;
 /// The full metric catalog, pinned name-by-name. A rename or reorder here
 /// is a telemetry schema change: bump `bard::report::schema::SCHEMA_VERSION`
 /// and update `docs/RESULTS.md` alongside this list; an added metric only
-/// needs the list and the docs. The `probe.*`,
-/// `mshr.*` and `dram.stat_settlements` names mirror the counters of the
-/// historical `BARD_PERF_COUNTERS` stderr line, which now reads from the
-/// same registry. `probe.filter_skips`/`probe.filter_passes` outlived the
-/// cache presence filters: they stay registered and always read 0.
+/// needs the list and the docs. The `probe.set_scans`, `mshr.*` and
+/// `dram.stat_settlements` names mirror the counters of the `[bard-perf]`
+/// stderr line, which reads the same per-run fields.
+/// `probe.filter_skips`/`probe.filter_passes` outlived the cache presence
+/// filters: they stay registered and always read 0.
 const PINNED_METRIC_NAMES: &[&str] = &[
     "probe.set_scans",
     "probe.filter_skips",
     "probe.filter_passes",
     "mshr.releases",
     "mshr.wakes",
+    "engine.ticks",
+    "engine.core_cycles",
     "dram.stat_settlements",
     "dram.awake_ticks",
     "dram.scheduling_passes",

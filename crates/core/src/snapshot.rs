@@ -1226,8 +1226,8 @@ pub fn counters() -> (u64, u64, u64) {
     )
 }
 
-/// Renders the `BARD_PERF_COUNTERS` snapshot summary line for the given
-/// counter values (see [`format_counters_line`]).
+/// Renders the `[bard-perf]` snapshot summary line for the given counter
+/// values (see [`format_counters_line`]).
 #[must_use]
 pub fn render_counters_line(written: u64, reused: u64, skipped: u64) -> String {
     format!(
@@ -1236,16 +1236,16 @@ pub fn render_counters_line(written: u64, reused: u64, skipped: u64) -> String {
     )
 }
 
-/// The `BARD_PERF_COUNTERS` snapshot summary line for this process's
-/// counters.
+/// The `[bard-perf]` snapshot summary line for this process's counters.
 #[must_use]
 pub fn format_counters_line() -> String {
     let (written, reused, skipped) = counters();
     render_counters_line(written, reused, skipped)
 }
 
-/// Prints [`format_counters_line`] to stderr when `BARD_PERF_COUNTERS` is
-/// enabled (any non-empty value other than `"0"`), mirroring the per-run
+/// Prints [`format_counters_line`] to stderr when `BARD_TELEMETRY` is
+/// enabled (any non-empty value other than `"0"`; see
+/// [`crate::telemetry::perf_line_enabled`]), mirroring the per-run
 /// `[bard-perf]` lines the system emits. Drivers call this once after a
 /// snapshot-backed grid completes.
 pub fn print_counters_if_enabled() {

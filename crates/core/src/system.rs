@@ -78,12 +78,7 @@ enum Event {
     CompleteStore { core: usize, token: u64 },
 }
 
-/// Which back-pressure gate rejected a core's front retry request when it
-/// fell asleep. A rejected request touches no state, so as long as *some*
-/// gate still rejects it the slept cycle repeats verbatim; recording the
-/// gate (and the line, for the MSHR `contains` subtlety) lets a
-/// woken-by-release core be re-checked in a few compares instead of a full
-/// core cycle.
+/// Which back-pressure gate refused a request ([`System::refusal`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum BlockReason {
     /// Not blocked on a shared resource.
@@ -96,37 +91,6 @@ enum BlockReason {
     Mshr,
     /// The DRAM-pending read buffer was at its bound.
     DramPending,
-}
-
-/// Compact per-core wake bookkeeping, kept in one contiguous array so the
-/// skip engine's per-tick sleep checks touch a couple of cache lines
-/// instead of eight scattered `CoreCtx`s.
-#[derive(Debug, Clone, Copy, Default)]
-struct WakeGate {
-    /// Monotonic count of completion events fired for this core.
-    events_fired: u64,
-    /// `events_fired` value when the core fell asleep.
-    events_seen: u64,
-    /// `shared_progress` value when the core fell asleep (meaningful only
-    /// when `watches_shared`).
-    shared_seen: u64,
-    /// Whether the sleeping core's stall involves memory back-pressure and
-    /// therefore watches `shared_progress` too.
-    watches_shared: bool,
-    /// Whether the core is asleep.
-    asleep: bool,
-    /// The gate that rejected the core's front retry request at sleep time.
-    block_reason: BlockReason,
-    /// Line address of that request (for the MSHR `contains` re-check).
-    block_line: u64,
-}
-
-impl WakeGate {
-    /// True when something the sleeping core can observe has moved.
-    fn may_wake(&self, shared_progress: u64) -> bool {
-        self.events_fired != self.events_seen
-            || (self.watches_shared && self.shared_seen != shared_progress)
-    }
 }
 
 /// A trace source that counts every record it hands out, so a snapshot can
@@ -171,8 +135,8 @@ impl TraceSource for CountingTrace {
 // bard-lint: snapshot-state(export_image, import_image, import_warm_image)
 struct CoreCtx {
     core: Core,
-    /// Why the first rejected request of the core's last cycle was refused
-    /// (the gate the sleeping core watches), and its line address.
+    /// Why the front retry request was last refused, and its line address:
+    /// the line a sleeping back-pressured core is re-checked against.
     block: (BlockReason, u64),
     trace: CountingTrace,
     l1d: SetAssocCache,
@@ -183,8 +147,7 @@ struct CoreCtx {
     retry: VecDeque<CoreRequest>,
     finish_cycle: Option<u64>,
     retired_at_measure_start: u64,
-    /// Skip engine only (see `WakeGate`): first cycle the sleeping core did
-    /// not execute.
+    /// Skip engine only: first cycle the sleeping core did not execute.
     sleep_since: u64,
     /// Statistics delta of the observed stall cycle, repeated verbatim by
     /// every slept cycle; settled lazily on wake.
@@ -275,66 +238,20 @@ pub struct System {
     scratch_writebacks: Vec<u64>,          // bard-lint: allow(S1) -- scratch, drained per tick
     scratch_staged: Vec<CoreRequest>,      // bard-lint: allow(S1) -- scratch, drained per tick
     scratch_retry: Vec<CoreRequest>,       // bard-lint: allow(S1) -- scratch, drained per tick
-    /// Monotonic count of shared-state **releases** that can unblock a
-    /// back-pressured core: a buffered write-back or pending read entering a
-    /// DRAM queue (shrinking the bounded buffers). A core asleep on memory
-    /// back-pressure re-runs only when this moves. Allocations deliberately
-    /// do not count: they can only happen while the MSHR file has space, so
-    /// they can never clear a "full" rejection — bumping on them woke every
-    /// blocked core once per allocation just to fail the same gate again.
-    /// MSHR completions do not count either: a freed slot helps exactly one
-    /// waiter, so `mshr_released` routes that wake precisely instead of
-    /// broadcasting it (see `mshr_wait_mask`).
-    shared_progress: u64,
-    /// Per-core sleep/wake bookkeeping (skip engine).
-    gates: Vec<WakeGate>,
-    /// Bit per core not asleep. Together with `event_wake_mask` and
-    /// `shared_watch_mask` this replaces the old per-tick sweep of every
-    /// `WakeGate`: the core loop visits exactly the union of awake cores,
-    /// cores with a fresh completion event, and — only when a release
-    /// occurred since the last pass — the back-pressure watchers. Cores are
-    /// capped at 64 by `SystemConfig::validate`.
+    /// Bit per core not asleep (skip engine; see `tick_inner` for the wake
+    /// rule). Cores are capped at 64 by `SystemConfig::validate`.
     awake_mask: u64,
-    /// Bit per sleeping core that had a completion event fire since the
-    /// last core-loop pass.
+    /// Bit per core whose completion event fired this tick; set by
+    /// `process_events`, taken by the core loop.
     event_wake_mask: u64,
-    /// Bit per sleeping core watching `shared_progress` (memory
-    /// back-pressure).
+    /// Bit per sleeping core with a non-empty retry queue: besides its own
+    /// events, it waits for its front request to become admissible.
     shared_watch_mask: u64,
-    /// `shared_progress` value at the end of the last core-loop pass; a
-    /// difference means a release happened and the watchers must be
-    /// re-checked. Releases only occur before the core loop within a tick,
-    /// so snapshotting after the loop cannot lose one.
-    release_snapshot: u64,
-    /// Bit per sleeping core blocked on a *full* MSHR file (its line absent
-    /// at sleep time). A freed slot admits exactly one request, so these
-    /// sleepers are **not** in `shared_watch_mask`: on a completion tick the
-    /// core loop force-visits only the lowest waiter (plus one further
-    /// grant after any visited core's cycle that leaves the file non-full),
-    /// instead of waking all N waiters to race for one slot.
-    mshr_wait_mask: u64,
-    /// Bit per sleeping core blocked on the MSHR file whose line *was*
-    /// tracked at sleep time (the waiter-list-overflow path, or a
-    /// `mshr_wait_mask` sleeper whose line another agent allocated since).
-    /// Only that line's completion clears the block, so these are
-    /// force-visited on every completion tick (and stay in
-    /// `shared_watch_mask` for the ordinary release path).
-    mshr_line_watch_mask: u64,
-    /// Set by `handle_dram_response` when an MSHR entry completed this tick
-    /// (the only way `inflight` slots free up); consumed by the core loop
-    /// to route the wake. Completions no longer bump `shared_progress`.
-    mshr_released: bool,
-    /// Bits a mid-loop MSHR allocation adds to the core loop's visit set:
-    /// an allocation of a `mshr_wait_mask` sleeper's line moves the sleeper
-    /// to the line-watch set and must re-check it this very tick (the
-    /// pre-routing engine visited every watcher on completion ticks).
-    forced_visit: u64,
-    /// Lifetime count of perf-counter events (see `BARD_PERF_COUNTERS`):
-    /// MSHR completions that freed a slot.
+    /// Lifetime count of MSHR completions that freed a slot (the
+    /// `mshr.releases` telemetry counter).
     perf_mshr_releases: u64,
-    /// Cores woken from the MSHR-full wait set (`mshr_wait_mask`); with
-    /// single-waiter routing this should track `perf_mshr_releases` closely
-    /// instead of multiplying by the number of sleepers.
+    /// Back-pressured cores woken while blocked on the MSHR file (the
+    /// `mshr.wakes` telemetry counter).
     perf_mshr_wakes: u64,
     /// Driver progress of a staged run (see [`System::run_to_pause`]);
     /// `None` outside one.
@@ -348,11 +265,16 @@ pub struct System {
     /// registry at result collection. Not simulation state.
     // bard-lint: allow(S1) -- host-profiling accumulator, explicitly not simulation state.
     phase_nanos: [u64; telemetry::PHASE_COUNT],
-    /// Ticks executed so far; the phase profiler samples every
-    /// [`PHASE_SAMPLE_PERIOD`]th. Counting executed ticks rather than
-    /// cycles keeps the skip engine's jumps from biasing the sample.
-    // bard-lint: allow(S1) -- host-profiling sample counter, explicitly not simulation state.
+    /// Ticks executed so far (the `engine.ticks` work counter); the phase
+    /// profiler samples every [`PHASE_SAMPLE_PERIOD`]th. Counting executed
+    /// ticks rather than cycles keeps the skip engine's jumps from biasing
+    /// the sample.
+    // bard-lint: allow(S1) -- host-side work count; a restored system counts from the restore.
     profiled_ticks: u64,
+    /// `core_cycle` calls so far, on either engine (the `engine.core_cycles`
+    /// work counter).
+    // bard-lint: allow(S1) -- host-side work count; a restored system counts from the restore.
+    core_cycles: u64,
     /// Cycle the current run stage started at — tracer bookkeeping for the
     /// warm-up/measure spans. Not simulation state (a restore restarts it,
     /// which can shorten the *traced* warm-up span, never the simulation).
@@ -429,15 +351,9 @@ impl System {
         let ring_mask = ring_len as u64 - 1;
         Self {
             inflight: MshrFile::new(config.llc_mshrs),
-            gates: vec![WakeGate::default(); config.cores],
-            awake_mask: if config.cores == 64 { u64::MAX } else { (1u64 << config.cores) - 1 },
+            awake_mask: all_cores(config.cores),
             event_wake_mask: 0,
             shared_watch_mask: 0,
-            release_snapshot: 0,
-            mshr_wait_mask: 0,
-            mshr_line_watch_mask: 0,
-            mshr_released: false,
-            forced_visit: 0,
             perf_mshr_releases: 0,
             perf_mshr_wakes: 0,
             config,
@@ -456,11 +372,11 @@ impl System {
             scratch_writebacks: Vec::new(),
             scratch_staged: Vec::new(),
             scratch_retry: Vec::new(),
-            shared_progress: 0,
             progress: None,
             telemetry_active,
             phase_nanos: [0; telemetry::PHASE_COUNT],
             profiled_ticks: 0,
+            core_cycles: 0,
             stage_start_cycle: 0,
         }
     }
@@ -808,7 +724,7 @@ impl System {
             subchannels += s.subchannels;
             energy.merge(&mc.energy());
         }
-        if self.telemetry_active || perf_counters_enabled() {
+        if self.telemetry_active || telemetry::perf_line_enabled() {
             let set_scans = self.llc.set_scans()
                 + self.cores.iter().map(|c| c.l1d.set_scans() + c.l2.set_scans()).sum::<u64>();
             let settlements: u64 = self.mcs.iter().map(MemoryController::settle_events).sum();
@@ -822,7 +738,7 @@ impl System {
                     dram.drain_episodes,
                 );
             }
-            if perf_counters_enabled() {
+            if telemetry::perf_line_enabled() {
                 eprintln!(
                     "[bard-perf] workload={} set_scans={} mshr_releases={} mshr_wakes={} \
                      stat_settlements={}",
@@ -873,6 +789,8 @@ impl System {
         telemetry::PROBE_SET_SCANS.add(set_scans);
         telemetry::MSHR_RELEASES.add(self.perf_mshr_releases);
         telemetry::MSHR_WAKES.add(self.perf_mshr_wakes);
+        telemetry::ENGINE_TICKS.add(self.profiled_ticks);
+        telemetry::ENGINE_CORE_CYCLES.add(self.core_cycles);
         telemetry::DRAM_STAT_SETTLEMENTS.add(settlements);
         telemetry::DRAM_AWAKE_TICKS.add(self.mcs.iter().map(MemoryController::awake_ticks).sum());
         telemetry::DRAM_SCHEDULING_PASSES
@@ -1193,17 +1111,9 @@ impl System {
             guard: p.guard,
             measure_start_cycle: p.measure_start_cycle,
         });
-        self.gates = vec![WakeGate::default(); self.cores.len()];
-        self.awake_mask =
-            if self.cores.len() == 64 { u64::MAX } else { (1u64 << self.cores.len()) - 1 };
+        self.awake_mask = all_cores(self.cores.len());
         self.event_wake_mask = 0;
         self.shared_watch_mask = 0;
-        self.release_snapshot = 0;
-        self.shared_progress = 0;
-        self.mshr_wait_mask = 0;
-        self.mshr_line_watch_mask = 0;
-        self.mshr_released = false;
-        self.forced_visit = 0;
         Ok(())
     }
 
@@ -1263,7 +1173,6 @@ impl System {
     fn tick_inner(&mut self, allow_sleep: bool) -> bool {
         let now = self.cycle;
         let event_seq_before = self.event_seq;
-        self.mshr_released = false;
         let mut active = false;
         self.profiled_ticks += 1;
         let timer = self.tick_phase_start();
@@ -1277,14 +1186,19 @@ impl System {
         for mc in &mut self.mcs {
             mc.drain_completed(now, &mut done);
         }
-        active |= !done.is_empty();
+        // A *release* — a read completion, or a buffered write-back or read
+        // entering a DRAM queue — is the only way a back-pressure gate
+        // opens (see `refusal`), and every release happens here, before the
+        // core loop.
+        let mut release = !done.is_empty();
         for completed in done.drain(..) {
             self.handle_dram_response(completed, now);
         }
         self.scratch_completed = done;
 
-        active |= self.flush_writebacks(now);
-        active |= self.flush_dram_pending(now);
+        release |= self.flush_writebacks(now);
+        release |= self.flush_dram_pending(now);
+        active |= release;
         active |= self.process_events(now);
         self.phase_end(timer, telemetry::Phase::CompletionDrain);
 
@@ -1293,131 +1207,60 @@ impl System {
                 active |= self.core_cycle(ci, now);
             }
         } else {
-            // O(1) all-asleep gating: only cores that can possibly act are
-            // visited — awake cores, cores with a fresh completion event,
-            // and (only when a shared release happened since the last pass)
-            // the cores sleeping on memory back-pressure. Every other
-            // sleeping core's `may_wake` is false by construction, so
-            // skipping it without a check is exact. Set-bit iteration is
-            // ascending, preserving the reference engine's core order.
-            let mut visit = self.awake_mask | self.event_wake_mask;
-            if self.shared_progress != self.release_snapshot {
+            // A sleeping core's next cycle can differ from its recorded
+            // stall cycle in only two ways: its own completion event fires,
+            // or its front retry request becomes admissible. A refusal
+            // touches no state, so the stall cycle repeats whichever gate
+            // refuses. So the loop visits the awake cores, the cores whose
+            // event fired this tick and, on a tick with a release, the
+            // back-pressure watchers; a watcher with no event sleeps on
+            // while `refusal` still refuses its front request. The check
+            // runs at the core's turn in the loop, on the state a
+            // step-engine cycle there would see, so this holds for any
+            // visit order.
+            let events = std::mem::take(&mut self.event_wake_mask);
+            let mut visit = self.awake_mask | events;
+            if release {
                 visit |= self.shared_watch_mask;
             }
-            // MSHR-release routing: on a completion tick the line watchers
-            // always re-check (the completed line may be theirs), but of
-            // the MSHR-full waiters only the lowest-indexed one is granted
-            // the freed slot. The rest provably sleep on: a freed slot
-            // admits one entry, and the grant chain at the bottom of the
-            // loop hands the slot down in ascending core order whenever a
-            // visited core's cycle leaves the file non-full — exactly the
-            // winner the broadcast scheme's ascending sweep produced,
-            // without visiting the losers.
-            let mut forced = 0u64;
-            if self.mshr_released {
-                forced = self.mshr_line_watch_mask;
-                forced |= self.mshr_wait_mask & self.mshr_wait_mask.wrapping_neg();
-            }
-            visit |= forced;
-            self.event_wake_mask = 0;
-            self.release_snapshot = self.shared_progress;
             while visit != 0 {
                 let ci = visit.trailing_zeros() as usize;
                 let bit = 1u64 << ci;
                 visit &= visit - 1;
-                let gate = self.gates[ci];
-                if gate.asleep {
-                    if !gate.may_wake(self.shared_progress) && forced & bit == 0 {
-                        // The core's observed stall cycle repeats verbatim:
-                        // nothing it can see has changed. O(1) instead of a
-                        // full core cycle; statistics settle on wake.
-                        continue;
-                    }
-                    if gate.events_fired == gate.events_seen
-                        && self.block_gate_still_shut(gate.block_reason, gate.block_line)
+                if self.awake_mask & bit == 0 {
+                    let refused =
+                        if events & bit == 0 { self.refusal(self.cores[ci].block.1) } else { None };
+                    let block = &mut self.cores[ci].block;
+                    // `mshr.wakes` counts every end of a wait on the MSHR
+                    // file: the core wakes, or sleeps on behind another gate.
+                    if self.shared_watch_mask & bit != 0
+                        && block.0 == BlockReason::Mshr
+                        && refused != Some(BlockReason::Mshr)
                     {
-                        // Woken only by a shared release or a routed grant,
-                        // but the gate that rejected the core's front retry
-                        // request is still shut: the attempt would be
-                        // rejected identically (a rejection touches no
-                        // state, and *any* shut gate rejects), so the slept
-                        // cycle repeats verbatim. Re-arm and sleep on.
-                        self.gates[ci].shared_seen = self.shared_progress;
-                        continue;
-                    }
-                    self.gates[ci].asleep = false;
-                    self.awake_mask |= bit;
-                    self.shared_watch_mask &= !bit;
-                    if self.mshr_wait_mask & bit != 0 {
                         self.perf_mshr_wakes += 1;
                     }
-                    self.mshr_wait_mask &= !bit;
-                    self.mshr_line_watch_mask &= !bit;
+                    if let Some(reason) = refused {
+                        block.0 = reason;
+                        continue;
+                    }
+                    self.awake_mask |= bit;
+                    self.shared_watch_mask &= !bit;
                     self.cores[ci].settle(now);
                 }
                 let stats_before = *self.cores[ci].core.stats();
                 let progress = self.core_cycle(ci, now);
                 active |= progress;
-                // An allocation during this core's cycle may have moved an
-                // MSHR-full waiter to the line-watch set; it must re-check
-                // this very tick (the broadcast scheme visited it), and it
-                // always sits above `ci`, preserving ascending order.
-                let moved = std::mem::take(&mut self.forced_visit);
-                visit |= moved;
-                forced |= moved;
                 if !progress {
-                    // A no-progress cycle is a fixed point: with unchanged
-                    // wake counters, every following cycle repeats its exact
-                    // statistics delta. Sleep until a counter moves
-                    // (conservative wakes are harmless — the core re-runs
-                    // its real cycle and re-sleeps; a missed wake would
-                    // break parity, so the counters cover every unblock
-                    // path: own load/store completions, and — for
-                    // back-pressured cores — buffer releases or a routed
-                    // MSHR grant).
+                    // A no-progress cycle is a fixed point: every following
+                    // cycle repeats its statistics delta until the core is
+                    // woken (see above).
                     let delta = self.cores[ci].core.stats().minus(&stats_before);
                     let ctx = &mut self.cores[ci];
                     ctx.sleep_since = now + 1;
                     ctx.sleep_delta = delta;
-                    let watches_shared = !ctx.retry.is_empty();
-                    let (block_reason, block_line) = ctx.block;
-                    let gate = &mut self.gates[ci];
-                    gate.asleep = true;
-                    gate.events_seen = gate.events_fired;
-                    gate.watches_shared = watches_shared;
-                    gate.shared_seen = self.shared_progress;
-                    gate.block_reason = block_reason;
-                    gate.block_line = block_line;
                     self.awake_mask &= !bit;
-                    if watches_shared {
-                        if block_reason == BlockReason::Mshr && !self.inflight.contains(block_line)
-                        {
-                            // Blocked on a *full* MSHR file: only a freed
-                            // slot helps, and it helps exactly one waiter —
-                            // wait for a routed grant instead of joining the
-                            // broadcast release watchers.
-                            self.mshr_wait_mask |= bit;
-                        } else {
-                            self.shared_watch_mask |= bit;
-                            if block_reason == BlockReason::Mshr {
-                                // Waiter-list overflow on a tracked line:
-                                // only that line's completion clears it.
-                                self.mshr_line_watch_mask |= bit;
-                            }
-                        }
-                    }
-                }
-                // Grant chain: if the freed slot is still unused after this
-                // core's cycle, hand it to the next MSHR-full waiter up the
-                // order (the broadcast sweep would have visited it next and
-                // found the gate open).
-                if self.mshr_released && !self.inflight.is_full() {
-                    let above =
-                        self.mshr_wait_mask & (!0u64).checked_shl(ci as u32 + 1).unwrap_or(0);
-                    if above != 0 {
-                        let grant = above & above.wrapping_neg();
-                        visit |= grant;
-                        forced |= grant;
+                    if !ctx.retry.is_empty() {
+                        self.shared_watch_mask |= bit;
                     }
                 }
             }
@@ -1427,26 +1270,23 @@ impl System {
         active
     }
 
-    /// True when the recorded back-pressure gate would still reject the
-    /// core's front retry request, making a release-only wake provably a
-    /// no-op. Mirrors the reject conditions of `process_core_request`
-    /// exactly; `BlockReason::None` (not actually gate-blocked) always
-    /// wakes.
-    fn block_gate_still_shut(&self, reason: BlockReason, line: u64) -> bool {
-        match reason {
-            BlockReason::None => false,
-            BlockReason::WritebackBuffer => {
-                self.writeback_pending.len() >= self.config.writeback_buffer_entries
-            }
-            BlockReason::Mshr => self.inflight.is_full() && !self.inflight.contains(line),
-            BlockReason::DramPending => self.dram_pending.len() >= DRAM_PENDING_BOUND,
+    /// The back-pressure gate that refuses a request for `line` right now,
+    /// if any. `process_core_request` admits through it, and the skip
+    /// engine re-checks a sleeping core's front request with it. A refusal
+    /// touches no state, and only a release can lift one: the buffers
+    /// shrink and the MSHR file frees slots only through releases, and the
+    /// file cannot start tracking a refused line in between, because a new
+    /// entry needs both a free slot and an admitted demand request.
+    fn refusal(&self, line: u64) -> Option<BlockReason> {
+        if self.writeback_pending.len() >= self.config.writeback_buffer_entries {
+            Some(BlockReason::WritebackBuffer)
+        } else if self.inflight.is_full() && !self.inflight.contains(line) {
+            Some(BlockReason::Mshr)
+        } else if self.dram_pending.len() >= DRAM_PENDING_BOUND {
+            Some(BlockReason::DramPending)
+        } else {
+            None
         }
-    }
-
-    /// Records a shared-state release that can unblock a back-pressured
-    /// core: bumps the wake counter and re-arms the O(1) all-asleep gate.
-    fn note_shared_progress(&mut self) {
-        self.shared_progress += 1;
     }
 
     /// Settles every sub-channel's lazily-accounted per-cycle DRAM
@@ -1468,40 +1308,14 @@ impl System {
     fn settle_cores(&mut self) {
         let timer = self.phase_start();
         let now = self.cycle;
-        for (ctx, gate) in self.cores.iter_mut().zip(&mut self.gates) {
-            if gate.asleep {
-                gate.asleep = false;
+        for (ci, ctx) in self.cores.iter_mut().enumerate() {
+            if self.awake_mask & (1u64 << ci) == 0 {
                 ctx.settle(now);
             }
         }
-        self.awake_mask =
-            if self.cores.len() == 64 { u64::MAX } else { (1u64 << self.cores.len()) - 1 };
+        self.awake_mask = all_cores(self.cores.len());
         self.shared_watch_mask = 0;
-        self.mshr_wait_mask = 0;
-        self.mshr_line_watch_mask = 0;
         self.phase_end(timer, telemetry::Phase::StatSettlement);
-    }
-
-    /// A new MSHR entry for `line` was just allocated mid-loop: any
-    /// MSHR-full waiter blocked on that same line no longer waits for a
-    /// slot but for the line's completion. Move it to the line-watch set
-    /// and schedule a re-check this very tick — an allocation while full
-    /// waiters exist implies a completion freed the slot this tick, and the
-    /// broadcast scheme would have visited (and woken) the waiter then.
-    fn note_mshr_allocation(&mut self, line: u64) {
-        let mut waiters = self.mshr_wait_mask;
-        while waiters != 0 {
-            let ci = waiters.trailing_zeros() as usize;
-            waiters &= waiters - 1;
-            if self.gates[ci].block_line == line {
-                let bit = 1u64 << ci;
-                self.mshr_wait_mask &= !bit;
-                self.shared_watch_mask |= bit;
-                self.mshr_line_watch_mask |= bit;
-                self.gates[ci].shared_seen = self.shared_progress;
-                self.forced_visit |= bit;
-            }
-        }
     }
 
     /// The skip engine's step: run one real tick (with per-core sleeping);
@@ -1545,6 +1359,7 @@ impl System {
     /// hierarchy). A `false` cycle only bumped stall counters and is
     /// repeatable verbatim.
     fn core_cycle(&mut self, ci: usize, now: u64) -> bool {
+        self.core_cycles += 1;
         let mut staged = std::mem::take(&mut self.scratch_staged);
         staged.clear();
         let timer = self.tick_phase_start();
@@ -1571,10 +1386,10 @@ impl System {
         let timer = self.tick_phase_start();
         let mut blocked = false;
         for req in pending.drain(..) {
-            // `process_core_request` records the rejecting gate in
-            // `ctx.block`; after the first rejection no further request is
-            // attempted, so the field holds the *front* request's reason —
-            // exactly what the sleep gate must watch.
+            // `process_core_request` records the refusing gate and line in
+            // `ctx.block`; after the first refusal no further request is
+            // attempted, so the field describes the *front* request — the
+            // one a sleeping core is re-checked against.
             if blocked || !self.process_core_request(ci, req, now) {
                 blocked = true;
                 self.cores[ci].retry.push_back(req);
@@ -1590,16 +1405,8 @@ impl System {
         // Conservative back-pressure before touching any state, so a rejected
         // request can be retried without double-counting.
         let line = self.line_of(req.addr);
-        if self.writeback_pending.len() >= self.config.writeback_buffer_entries {
-            self.cores[ci].block = (BlockReason::WritebackBuffer, line);
-            return false;
-        }
-        if self.inflight.is_full() && !self.inflight.contains(line) {
-            self.cores[ci].block = (BlockReason::Mshr, line);
-            return false;
-        }
-        if self.dram_pending.len() >= DRAM_PENDING_BOUND {
-            self.cores[ci].block = (BlockReason::DramPending, line);
+        if let Some(reason) = self.refusal(line) {
+            self.cores[ci].block = (reason, line);
             return false;
         }
 
@@ -1653,24 +1460,13 @@ impl System {
         // DRAM
         let waiter = encode_waiter(ci, is_store, req.token);
         match self.inflight.allocate(line, waiter, is_store, false) {
-            // No wake-counter bump: an allocation can only happen while the
-            // MSHR file has space, so it can never clear another core's
-            // "MSHR full" rejection, and growing `dram_pending` cannot clear
-            // a bound rejection either. Only releases wake sleepers — but a
-            // *new* entry retargets any full-file waiter blocked on this
-            // very line (its gate now clears on the line's completion).
-            Ok(true) => {
-                if self.mshr_wait_mask != 0 {
-                    self.note_mshr_allocation(line);
-                }
-                self.dram_pending.push_back(line);
-            }
+            Ok(true) => self.dram_pending.push_back(line),
             Ok(false) => {}
             Err(_) => {
                 // Waiter-list overflow on an existing entry: only that
-                // line's completion clears it (`contains` stays true, so
-                // the re-check below always wakes the core — conservative
-                // but this path is rare).
+                // line's completion clears it. `refusal` passes the line
+                // (the file tracks it), so a sleeping core blocked here
+                // wakes on every release.
                 self.cores[ci].block = (BlockReason::Mshr, line);
                 return false;
             }
@@ -1760,11 +1556,6 @@ impl System {
             }
             let waiter = encode_prefetch_waiter(ci);
             if let Ok(true) = self.inflight.allocate(line, waiter, false, true) {
-                // No wake-counter bump — see the demand-allocate path
-                // (including the full-file waiter retarget).
-                if self.mshr_wait_mask != 0 {
-                    self.note_mshr_allocation(line);
-                }
                 self.dram_pending.push_back(line)
             }
         }
@@ -1775,13 +1566,6 @@ impl System {
         let Some((waiters, _any_store, prefetch_only)) = self.inflight.complete(line) else {
             return;
         };
-        // A completion frees exactly one MSHR slot, and a freed slot admits
-        // exactly one new entry. Instead of bumping `shared_progress` (which
-        // broadcast the wake to every MSHR-full sleeper just so one of them
-        // could claim the slot), flag the release: the core loop routes it
-        // to the single lowest-indexed waiter (plus the line watchers, whose
-        // block this very completion may have cleared).
-        self.mshr_released = true;
         self.perf_mshr_releases += 1;
         // Fill the LLC through the writeback policy.
         {
@@ -1876,7 +1660,6 @@ impl System {
                 self.writeback_pending.push_front(addr);
                 break;
             }
-            self.note_shared_progress();
             any = true;
         }
         any
@@ -1898,7 +1681,6 @@ impl System {
                 self.dram_pending.push_front(line);
                 break;
             }
-            self.note_shared_progress();
             any = true;
         }
         any
@@ -1920,12 +1702,10 @@ impl System {
         for event in queue.drain(..) {
             match event {
                 Event::CompleteLoad { core, token } => {
-                    self.gates[core].events_fired += 1;
                     self.event_wake_mask |= 1u64 << core;
                     self.cores[core].core.complete_load(token);
                 }
                 Event::CompleteStore { core, token } => {
-                    self.gates[core].events_fired += 1;
                     self.event_wake_mask |= 1u64 << core;
                     self.cores[core].core.complete_store(token);
                 }
@@ -2011,12 +1791,9 @@ fn build_trace(config: &SystemConfig, workload: WorkloadId, core: usize) -> Box<
     Box::new(replay.with_live_fallback(move || workload.build(core, seed)))
 }
 
-/// True when `BARD_PERF_COUNTERS=1` (or any non-empty value other than
-/// `0`): hot-path instrumentation — probe-filter hits/skips, tag-array set
-/// scans, MSHR wake routing and lazy stat settlements — is summarised on
-/// stderr as one line per collected run. Cached after the first read.
-fn perf_counters_enabled() -> bool {
-    telemetry::perf_line_enabled()
+/// The wake-mask bits of `cores` cores (1..=64): all of them awake.
+fn all_cores(cores: usize) -> u64 {
+    u64::MAX >> (64 - cores)
 }
 
 fn completion_event(core: usize, req: &CoreRequest) -> Event {

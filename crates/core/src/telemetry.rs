@@ -14,8 +14,7 @@
 //!    golden test pin the schema. Hot paths stay zero-cost when telemetry is
 //!    disabled: the simulator keeps counting into its existing per-`System`
 //!    fields and flushes them into the registry once per run, behind a
-//!    single cached branch — the same discipline `BARD_PERF_COUNTERS`
-//!    already established. Cold-path counters (snapshot images, decode
+//!    single cached branch. Cold-path counters (snapshot images, decode
 //!    cache) count unconditionally; they were unconditional before the
 //!    registry existed and downstream consumers (the `[bard-perf]` snapshot
 //!    line, `summary.json`'s warm-fork rollup) rely on that.
@@ -34,10 +33,9 @@
 //!
 //! ## Enabling
 //!
-//! Telemetry is off by default. `BARD_TELEMETRY=1` turns it on;
-//! `BARD_PERF_COUNTERS=1` remains a compat alias that enables telemetry
-//! *and* the classic one-line stderr summaries. Tests toggle in-process with
-//! [`set_enabled`] instead of racing on the environment.
+//! Telemetry is off by default. `BARD_TELEMETRY=1` turns it on, together
+//! with the one-line `[bard-perf]` stderr summaries. Tests toggle in-process
+//! with [`set_enabled`] instead of racing on the environment.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -63,8 +61,8 @@ fn env_truthy(key: &str) -> bool {
 
 /// True when telemetry (metrics flushing, tracing, phase timing) is active.
 ///
-/// Initialised lazily from `BARD_TELEMETRY` or the `BARD_PERF_COUNTERS`
-/// compat alias; after the first read this is a single relaxed atomic load.
+/// Initialised lazily from `BARD_TELEMETRY`; after the first read this is a
+/// single relaxed atomic load.
 /// `System` additionally caches the value at construction so its hot paths
 /// branch on a plain bool.
 #[must_use]
@@ -73,7 +71,7 @@ pub fn enabled() -> bool {
         0 => false,
         1 => true,
         _ => {
-            let on = env_truthy("BARD_TELEMETRY") || env_truthy("BARD_PERF_COUNTERS");
+            let on = env_truthy("BARD_TELEMETRY");
             ENABLED.store(u8::from(on), Ordering::Relaxed);
             on
         }
@@ -87,16 +85,16 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(u8::from(on), Ordering::Relaxed);
 }
 
-/// True when the classic `[bard-perf]` one-line stderr summaries should be
-/// printed (the `BARD_PERF_COUNTERS` env var specifically; setting it also
-/// enables telemetry, see [`enabled`]).
+/// True when the one-line `[bard-perf]` stderr summaries should be printed.
+/// Initialised lazily from `BARD_TELEMETRY`, like [`enabled`], but switched
+/// separately: `perfbench` keeps the registry on and the lines off.
 #[must_use]
 pub fn perf_line_enabled() -> bool {
     match PERF_LINE.load(Ordering::Relaxed) {
         0 => false,
         1 => true,
         _ => {
-            let on = env_truthy("BARD_PERF_COUNTERS");
+            let on = env_truthy("BARD_TELEMETRY");
             PERF_LINE.store(u8::from(on), Ordering::Relaxed);
             on
         }
@@ -153,8 +151,12 @@ pub static PROBE_FILTER_SKIPS: Counter = Counter::new();
 pub static PROBE_FILTER_PASSES: Counter = Counter::new();
 /// MSHR entries released.
 pub static MSHR_RELEASES: Counter = Counter::new();
-/// Sleeping cores woken by an MSHR release.
+/// Back-pressured cores woken while blocked on the MSHR file.
 pub static MSHR_WAKES: Counter = Counter::new();
+/// Ticks the engine executed (jumped cycles are not ticks).
+pub static ENGINE_TICKS: Counter = Counter::new();
+/// Single-core cycles the engine ran (`core_cycle` calls, on either engine).
+pub static ENGINE_CORE_CYCLES: Counter = Counter::new();
 /// Non-empty span-wise DRAM statistic settlements.
 pub static DRAM_STAT_SETTLEMENTS: Counter = Counter::new();
 /// Sub-channel ticks at or after their wake cycle, which ran the scheduler.
@@ -291,7 +293,7 @@ fn trace_decode_entries() -> u64 {
 }
 
 /// The full metric catalog, in emission order.
-static METRICS: [Metric; 27] = [
+static METRICS: [Metric; 29] = [
     counter("probe.set_scans", "scans", "Cache set scans performed by probes", &PROBE_SET_SCANS),
     counter(
         "probe.filter_skips",
@@ -306,7 +308,19 @@ static METRICS: [Metric; 27] = [
         &PROBE_FILTER_PASSES,
     ),
     counter("mshr.releases", "events", "MSHR entries released", &MSHR_RELEASES),
-    counter("mshr.wakes", "events", "Sleeping cores woken by an MSHR release", &MSHR_WAKES),
+    counter(
+        "mshr.wakes",
+        "events",
+        "Back-pressured cores woken while blocked on the MSHR file",
+        &MSHR_WAKES,
+    ),
+    counter("engine.ticks", "ticks", "Ticks the engine executed", &ENGINE_TICKS),
+    counter(
+        "engine.core_cycles",
+        "cycles",
+        "Single-core cycles the engine ran",
+        &ENGINE_CORE_CYCLES,
+    ),
     counter(
         "dram.stat_settlements",
         "events",

@@ -229,8 +229,9 @@ pub struct SubChannel {
     /// settles the elapsed span against the *pre-mutation* state first, so
     /// quiet and skipped spans cost O(1) instead of one update per tick.
     settled_to: u64,
-    /// Count of non-empty statistic settlements (perf counter; see
-    /// `BARD_PERF_COUNTERS`). Not part of [`SubChannelStats`].
+    /// Count of non-empty statistic settlements (perf counter, flushed to
+    /// the `dram.stat_settlements` telemetry metric). Not part of
+    /// [`SubChannelStats`].
     // bard-lint: allow(S1) -- perf-observability counter, never compared or restored.
     settle_events: u64,
     /// Ticks at or after the wake cycle, which ran the scheduler (perf

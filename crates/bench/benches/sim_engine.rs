@@ -1,8 +1,8 @@
 //! Macro-benchmark: simulated CPU cycles per wall-clock second for the two
 //! simulation engines — the reference `step` engine (one tick per cycle)
 //! against the exact next-event `skip` engine (cycle jumps over provably
-//! idle spans). Both produce bitwise-identical results (see the
-//! `engine_parity` suite), so the only question is throughput.
+//! idle spans). Both produce bitwise-identical results (see the `parity`
+//! suite), so the only question is throughput.
 //!
 //! A one-shot `cycles_per_sec` summary line is printed for the full-system
 //! shapes the repro suite actually spends its time on (tab07's 8-core

@@ -1,4 +1,4 @@
-//! Differential stress harness: the executable contract that every fast
+//! Differential parity harness: the executable contract that every fast
 //! path in the simulator is bitwise-faithful to the reference
 //! implementations it bypasses.
 //!
@@ -6,28 +6,34 @@
 //! advance, the reference `step` engine vs the exact next-event `skip`
 //! engine ([`bard::EngineKind`]). Both engines must produce a **bitwise
 //! identical** [`RunResult`] (every counter, every `f64`) and byte-identical
-//! artifact text for any workload, configuration and run length. This module
-//! provides the machinery the stress tests (and any future fast path) build
-//! on: randomized configuration sampling over the dimensions that steer the
-//! hot paths (core count, queue capacities and watermarks, MSHR budget,
-//! page policy, refresh, device width, prefetchers, replacement and
-//! writeback policies), plus the per-path runner and its assertion.
+//! artifact text for any workload, configuration and run length, and a run
+//! checkpointed mid-way and resumed from its snapshot image must match the
+//! straight run. This module provides the machinery the parity suite (and
+//! any future fast path) builds on: randomized configuration sampling over
+//! the dimensions that steer the hot paths (core count, queue capacities
+//! and watermarks, MSHR budget, page policy, refresh, device width,
+//! prefetchers, replacement and writeback policies), the hand-picked
+//! saturation shapes with one helper each that checks the shape's regime
+//! ([`assert_saturated_parity`], [`assert_mshr_saturated_parity`],
+//! [`assert_pending_saturated_parity`]), and one assertion,
+//! [`StressCase::assert_parity`].
 //!
 //! Adding a fast path? Give it a reference twin, add the knob to
 //! [`all_paths`] (or a new sampling dimension to [`StressCase::random`]) and
-//! the existing suites extend their guarantee to it — see the "parity-test
+//! the parity suite extends its guarantee to it — see the "parity-test
 //! obligations" section of `docs/ARCHITECTURE.md`.
 
 use bard::experiment::RunLength;
 use bard::report::{Artifact, Provenance};
+use bard::runner::Runner;
 use bard::{EngineKind, RunOutcome, RunResult, Snapshot, System, SystemConfig, WritePolicyKind};
 use bard_cache::ReplacementKind;
 use bard_dram::{DramConfig, PagePolicy};
 use bard_workloads::rng::SmallRng;
 use bard_workloads::WorkloadId;
 
-/// One randomized differential test case: a configuration, a workload and a
-/// run length, independent of the engine used to simulate it.
+/// One differential test case: a configuration, a workload and a run
+/// length, independent of the engine used to simulate it.
 #[derive(Debug, Clone)]
 pub struct StressCase {
     /// Human-readable description for assertion messages.
@@ -45,6 +51,80 @@ pub struct StressCase {
 #[must_use]
 pub fn all_paths() -> [EngineKind; 2] {
     [EngineKind::Step, EngineKind::Skip]
+}
+
+/// True when the wide parity sweep is requested (`BARD_PARITY=full`) — CI
+/// runs it in release mode, where it is cheap.
+#[must_use]
+pub fn full_sweep() -> bool {
+    std::env::var("BARD_PARITY").is_ok_and(|v| v == "full")
+}
+
+/// Puts every case through [`StressCase::assert_parity`], spread over the
+/// runner's threads so that a long case does not leave a CPU idle at the
+/// end of a test. Returns the results in case order.
+#[must_use]
+pub fn assert_parity_of(cases: Vec<StressCase>) -> Vec<(StressCase, RunResult)> {
+    let results = Runner::new(0).run_jobs(cases.clone(), StressCase::assert_parity);
+    cases.into_iter().zip(results).collect()
+}
+
+/// The randomized leg for one RNG stream: a representative handful of
+/// [`StressCase::random`] draws by default, a wide sweep under
+/// `BARD_PARITY=full`, each through [`StressCase::assert_parity`].
+pub fn assert_random_stream_parity(stream: u64) {
+    let count = if full_sweep() { 24 } else { 6 };
+    let mut rng = SmallRng::seed_from_u64(stream);
+    let cases = (0..count)
+        .map(|index| {
+            let mut case = StressCase::random(&mut rng, index);
+            case.label = format!("stream {stream:#x} {}", case.label);
+            case
+        })
+        .collect();
+    for (case, result) in assert_parity_of(cases) {
+        assert!(result.total_cycles > 0, "{}: empty run", case.label);
+    }
+}
+
+/// The [`StressCase::saturated`] shape on `workloads`, through
+/// [`StressCase::assert_parity`]: every case must exercise write drains and
+/// keep the DRAM queues occupied.
+pub fn assert_saturated_parity(workloads: &[WorkloadId]) {
+    let cases = workloads.iter().map(|&w| StressCase::saturated(w)).collect();
+    for (case, result) in assert_parity_of(cases) {
+        assert!(
+            result.dram_stats.drain_episodes > 0,
+            "{}: saturation case must exercise write drains",
+            case.label
+        );
+        // `busy_cycles` sums over the two sub-channels, so `>= cycles` means
+        // the queues were non-empty at least half the time on average — in
+        // practice these cases sit at ~100% occupancy on both sub-channels.
+        assert!(
+            result.dram_stats.busy_cycles >= result.dram_stats.cycles,
+            "{}: saturation case must keep the queues occupied",
+            case.label
+        );
+    }
+}
+
+/// The [`StressCase::mshr_saturated`] shape on `workloads`, through
+/// [`StressCase::assert_parity`]: every case must drive DRAM reads.
+pub fn assert_mshr_saturated_parity(workloads: &[WorkloadId]) {
+    assert_reads_parity(workloads.iter().map(|&w| StressCase::mshr_saturated(w)).collect());
+}
+
+/// The [`StressCase::pending_saturated`] shape on `workloads`, through
+/// [`StressCase::assert_parity`]: every case must drive DRAM reads.
+pub fn assert_pending_saturated_parity(workloads: &[WorkloadId]) {
+    assert_reads_parity(workloads.iter().map(|&w| StressCase::pending_saturated(w)).collect());
+}
+
+fn assert_reads_parity(cases: Vec<StressCase>) {
+    for (case, result) in assert_parity_of(cases) {
+        assert!(result.dram_stats.reads > 0, "{}: the case must drive DRAM reads", case.label);
+    }
 }
 
 impl StressCase {
@@ -177,6 +257,35 @@ impl StressCase {
         }
     }
 
+    /// A hand-picked case in which the skip engine jumps while a write-back
+    /// is buffered behind a full write queue: two mix4 cores under VWQ
+    /// against a 16-entry write queue, four MSHRs and a two-entry
+    /// write-back buffer. The step engine retries the write-back and is
+    /// refused on every jumped cycle, and `write_queue_full_events` counts
+    /// each refusal, so the jump must count them too.
+    #[must_use]
+    pub fn refused_writebacks() -> Self {
+        let mut config = SystemConfig::small_test();
+        config.cores = 2;
+        config.seed = 0xd856_3fee_4c75_aa19;
+        config.write_policy = WritePolicyKind::VirtualWriteQueue;
+        config.llc_replacement = ReplacementKind::Srrip;
+        config.l1_prefetch_degree = 2;
+        config.l2_prefetch_degree = 1;
+        config.llc_mshrs = 4;
+        config.writeback_buffer_entries = 2;
+        config.dram = DramConfig::ddr5_4800_x4().with_write_queue_entries(16);
+        config.dram.page_policy = PagePolicy::AdaptiveOpen;
+        config.dram.refresh_enabled = true;
+        config.dram.ideal_writes = false;
+        Self {
+            label: "refused-writebacks mix4".to_string(),
+            config,
+            workload: WorkloadId::Mix4,
+            length: RunLength { functional_warmup: 42_978, timed_warmup: 1_090, measure: 2_989 },
+        }
+    }
+
     /// Simulates this case with `engine`, returning the run result, the
     /// final simulated cycle and the rendered artifact text + CSV (which must
     /// all be path-invariant).
@@ -192,44 +301,6 @@ impl StressCase {
         let final_cycle = system.cycle();
         let (text, csv) = self.render_artifact(&result);
         PathOutcome { result, final_cycle, text, csv }
-    }
-
-    /// Runs the case through both paths and asserts that every result,
-    /// final cycle, artifact text and artifact CSV is bitwise identical.
-    /// Returns the (canonical) result for further assertions.
-    #[must_use]
-    pub fn assert_paths_agree(&self) -> RunResult {
-        let mut reference: Option<(PathOutcome, &str)> = None;
-        for engine in all_paths() {
-            let name = engine.name();
-            let outcome = self.run_path(engine);
-            match &reference {
-                None => reference = Some((outcome, name)),
-                Some((reference, ref_name)) => {
-                    assert_eq!(
-                        reference.final_cycle, outcome.final_cycle,
-                        "{}: final cycle diverged between {ref_name} and {name}",
-                        self.label
-                    );
-                    assert_eq!(
-                        reference.result, outcome.result,
-                        "{}: RunResult diverged between {ref_name} and {name}",
-                        self.label
-                    );
-                    assert_eq!(
-                        reference.text, outcome.text,
-                        "{}: artifact text diverged between {ref_name} and {name}",
-                        self.label
-                    );
-                    assert_eq!(
-                        reference.csv, outcome.csv,
-                        "{}: artifact CSV diverged between {ref_name} and {name}",
-                        self.label
-                    );
-                }
-            }
-        }
-        reference.expect("at least one path ran").0.result
     }
 
     /// Simulates this case along one path with a mid-run checkpoint at
@@ -275,53 +346,42 @@ impl StressCase {
         PathOutcome { result, final_cycle, text, csv }
     }
 
-    /// Runs the case straightline and checkpointed along every path and
-    /// asserts each checkpoint → serialize → restore → resume outcome is
-    /// bitwise identical to its straightline twin: same [`RunResult`], final
-    /// cycle, artifact text and artifact CSV. The checkpoint lands halfway
-    /// through the straightline run's simulated cycles, so it exercises
-    /// mid-warm-up and mid-measure states across cases. Returns the
-    /// (canonical) straightline result for further assertions.
+    /// Runs the case straight and checkpointed along every path of
+    /// [`all_paths`] and asserts that the outcomes are bitwise identical:
+    /// each straight run matches the first path's, and each checkpoint →
+    /// serialize → restore → resume matches its own straight run — the same
+    /// [`RunResult`], final cycle, artifact text and artifact CSV. The
+    /// checkpoint lands halfway through the straight run's simulated cycles,
+    /// so across cases it hits mid-warm-up and mid-measure states. Returns
+    /// the (canonical) result for further assertions.
     #[must_use]
-    pub fn assert_snapshot_parity(&self) -> RunResult {
-        let mut reference: Option<(RunResult, &str)> = None;
+    pub fn assert_parity(&self) -> RunResult {
+        let mut reference: Option<(PathOutcome, &str)> = None;
         for engine in all_paths() {
             let name = engine.name();
             let straight = self.run_path(engine);
+            if let Some((first, first_name)) = &reference {
+                self.assert_same(first, &straight, &format!("between {first_name} and {name}"));
+            }
             let pause_at = (straight.final_cycle / 2).max(1);
             let resumed = self.run_path_checkpointed(engine, pause_at);
-            assert_eq!(
-                straight.final_cycle, resumed.final_cycle,
-                "{}: final cycle diverged after checkpoint/restore on {name}",
-                self.label
-            );
-            assert_eq!(
-                straight.result, resumed.result,
-                "{}: RunResult diverged after checkpoint/restore on {name}",
-                self.label
-            );
-            assert_eq!(
-                straight.text, resumed.text,
-                "{}: artifact text diverged after checkpoint/restore on {name}",
-                self.label
-            );
-            assert_eq!(
-                straight.csv, resumed.csv,
-                "{}: artifact CSV diverged after checkpoint/restore on {name}",
-                self.label
-            );
-            match &reference {
-                None => reference = Some((straight.result, name)),
-                Some((reference, ref_name)) => {
-                    assert_eq!(
-                        *reference, straight.result,
-                        "{}: RunResult diverged between {ref_name} and {name}",
-                        self.label
-                    );
-                }
-            }
+            self.assert_same(&straight, &resumed, &format!("after checkpoint/restore on {name}"));
+            reference.get_or_insert((straight, name));
         }
-        reference.expect("at least one path ran").0
+        reference.expect("at least one path ran").0.result
+    }
+
+    /// Asserts that two outcomes agree field by field, naming the first
+    /// field that diverged.
+    fn assert_same(&self, expected: &PathOutcome, got: &PathOutcome, context: &str) {
+        let label = &self.label;
+        assert_eq!(
+            expected.final_cycle, got.final_cycle,
+            "{label}: final cycle diverged {context}"
+        );
+        assert_eq!(expected.result, got.result, "{label}: RunResult diverged {context}");
+        assert_eq!(expected.text, got.text, "{label}: artifact text diverged {context}");
+        assert_eq!(expected.csv, got.csv, "{label}: artifact CSV diverged {context}");
     }
 
     /// Renders the result as a minimal artifact (text + CSV). The

@@ -1,7 +1,7 @@
 //! Regression suite for the trace-archive budget undercount on rate/mix
 //! runs (ROADMAP item, fixed alongside the exact live fallback).
 //!
-//! `System::run_for_instructions` keeps every core executing until the
+//! A timed stage of `System::run` keeps every core executing until the
 //! *slowest* core reaches its target, so fast cores in rate and (above all)
 //! mix runs consume trace records well past their own target — the original
 //! `budget_for` (total instructions + 64 Ki slack) undercounted this and

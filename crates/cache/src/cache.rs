@@ -409,21 +409,6 @@ impl SetAssocCache {
         self.replacement.on_insert(&mut self.records, self.config.ways, idx);
     }
 
-    /// Iterates over all valid, dirty lines in the cache, calling `f` with
-    /// `(set, way, line)`.
-    pub fn for_each_dirty(&self, mut f: impl FnMut(usize, usize, &CacheLine)) {
-        for set in 0..self.sets {
-            for way in 0..self.config.ways {
-                if let Some(addr) = self.dirty_addr(set, way) {
-                    let record = self.records[set * self.config.ways + way];
-                    let mut line = CacheLine::filled(addr, true, record.signature);
-                    line.prefetched = record.has(WayRecord::PREFETCHED);
-                    f(set, way, &line);
-                }
-            }
-        }
-    }
-
     /// Number of valid lines currently resident (test / debug helper).
     #[must_use]
     pub fn occupancy(&self) -> usize {
@@ -627,18 +612,6 @@ mod tests {
         c.evict(set, 2).expect("valid line");
         assert_eq!(c.invalid_way(set), Some(2));
         assert_eq!(c.victim_way(0x100), 2);
-    }
-
-    #[test]
-    fn for_each_dirty_visits_only_dirty_lines() {
-        let mut c = small_cache();
-        c.fill(0x100, true, 0);
-        c.fill(0x200, false, 0);
-        c.fill(0x300, true, 0);
-        let mut seen = Vec::new();
-        c.for_each_dirty(|_, _, line| seen.push(line.addr));
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0x100, 0x300]);
     }
 
     #[test]

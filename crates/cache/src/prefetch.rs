@@ -2,9 +2,9 @@
 //!
 //! The paper's baseline uses Berti at L1D and SPP at L2. Those designs are
 //! substituted here by an IP-stride prefetcher (L1D) and a streaming
-//! next-line prefetcher (L2): they produce a comparable amount of useful and
-//! useless LLC traffic, which is all the BARD mechanism is sensitive to. The
-//! substitution is recorded in DESIGN.md.
+//! next-line prefetcher (L2), and every preset leaves the L2 one off. The
+//! substitution, which presets enable what, and the fidelity gap it leaves
+//! are recorded under "Modeling substitutions" in `docs/ARCHITECTURE.md`.
 
 /// A hardware prefetcher observing demand accesses and proposing prefetch
 /// addresses.
@@ -16,18 +16,6 @@ pub trait Prefetcher: std::fmt::Debug + Send {
 
     /// Prefetcher name for reports.
     fn name(&self) -> &'static str;
-}
-
-/// A prefetcher that never prefetches.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoPrefetcher;
-
-impl Prefetcher for NoPrefetcher {
-    fn on_access(&mut self, _addr: u64, _ip: u64, _hit: bool, _out: &mut Vec<u64>) {}
-
-    fn name(&self) -> &'static str {
-        "none"
-    }
 }
 
 /// Per-IP stride prefetcher: learns the stride between successive accesses of
@@ -204,14 +192,6 @@ impl Prefetcher for NextLinePrefetcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn no_prefetcher_emits_nothing() {
-        let mut p = NoPrefetcher;
-        let mut out = Vec::new();
-        p.on_access(0x1000, 0x400, false, &mut out);
-        assert!(out.is_empty());
-    }
 
     #[test]
     fn ip_stride_learns_a_constant_stride() {

@@ -36,7 +36,7 @@ impl TraceConfig {
     /// Ratio between the instructions a core may *consume* during the timed
     /// phases and the per-core instruction target of those phases.
     ///
-    /// `System::run_for_instructions` stops only when the **slowest** core
+    /// A timed stage of `System::run` stops only when the **slowest** core
     /// reaches its target; faster cores keep executing (their traffic is
     /// part of the simulated contention) and keep consuming trace records
     /// the whole time. In rate mode the skew is small (identical workloads,
@@ -82,7 +82,7 @@ impl TraceConfig {
 /// How [`crate::System`] advances simulated time.
 ///
 /// Both engines run the *same* per-cycle model and produce bitwise-identical
-/// results (the `engine_parity` suite pins this); the skip engine is the
+/// results (the `parity` suite pins this); the skip engine is the
 /// default because it is strictly faster. The reference engine exists so
 /// parity stays testable forever. Selectable per run via the `--engine=` CLI
 /// flag.

@@ -6,7 +6,8 @@
 //! sub-channels with their queues and bank timing, and the workload trace
 //! positions — into a self-describing byte image that can be restored into a
 //! freshly-built system. Restoring and resuming is **bitwise-identical** to
-//! never having stopped (the `snapshot_parity` differential legs pin this).
+//! never having stopped (`StressCase::assert_parity` in the `parity` suite
+//! pins this on both engines).
 //!
 //! Two capture points exist:
 //!
@@ -1308,10 +1309,7 @@ impl SnapshotStore {
         let digest = warm_digest(config, workload, functional_warmup);
         let path = self.warm_path(workload, digest);
         if let Ok(bytes) = std::fs::read(&path) {
-            let snapshot = Snapshot::from_bytes(&bytes).map_err(|e| match e {
-                SnapshotError::Io(io) => SnapshotError::Io(io),
-                other => other,
-            })?;
+            let snapshot = Snapshot::from_bytes(&bytes)?;
             let system =
                 System::restore_warm(config.clone(), workload, functional_warmup, &snapshot)?;
             crate::telemetry::SNAPSHOT_IMAGES_REUSED.add(1);

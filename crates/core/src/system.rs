@@ -50,10 +50,10 @@ const DRAM_PENDING_BOUND: usize = 96;
 /// Prefetches dropped beyond this many outstanding DRAM reads.
 const PREFETCH_INFLIGHT_HEADROOM: usize = 16;
 
-/// Safety bound on simulated cycles per requested instruction: a
-/// [`System::run_for_instructions`] call stops (reporting `completed =
-/// false`) once `instructions_per_core * STARVATION_GUARD_CYCLES_PER_INSTRUCTION`
-/// cycles have elapsed without every core retiring its quota.
+/// Safety bound on simulated cycles per requested instruction: a timed
+/// stage of [`System::run`] stops (reporting `completed = false`) once
+/// `instructions_per_core * STARVATION_GUARD_CYCLES_PER_INSTRUCTION` cycles
+/// have elapsed without every core retiring its quota.
 ///
 /// The blessed value is 250: profiling the tier-1 workloads showed the
 /// slowest legitimately-completing run (copy under BARD-H with the starved
@@ -468,16 +468,6 @@ impl System {
         self.llc.reset_stats();
     }
 
-    /// Runs until every core has retired `instructions_per_core` further
-    /// instructions. Returns `true` if all cores finished within the safety
-    /// bound ([`STARVATION_GUARD_CYCLES_PER_INSTRUCTION`] cycles per
-    /// instruction), `false` otherwise.
-    pub fn run_for_instructions(&mut self, instructions_per_core: u64) -> bool {
-        let (start_retired, guard) = self.begin_span(instructions_per_core);
-        self.run_span(instructions_per_core, &start_retired, guard, None)
-            .expect("an unpausable span always finishes")
-    }
-
     /// Snapshots the per-core retired counts and computes the starvation
     /// guard for a span of `instructions_per_core` instructions, clearing
     /// stale finish cycles.
@@ -494,12 +484,12 @@ impl System {
         (start_retired, guard)
     }
 
-    /// The span driver shared by [`System::run_for_instructions`] and the
-    /// pausable [`System::run_to_pause`]: ticks until every core has retired
-    /// its quota relative to `start_retired` (returning `Some(true)`), the
-    /// guard cycle is reached (`Some(false)`), or — checked only after the
-    /// completion checks, so a pause never preempts a finishing cycle — the
-    /// simulated cycle reaches `pause_at` (`None`). A pause mutates nothing
+    /// The span driver behind each timed stage of [`System::run_to_pause`]:
+    /// ticks until every core has retired its quota relative to
+    /// `start_retired` (returning `Some(true)`), the guard cycle is reached
+    /// (`Some(false)`), or — checked only after the completion checks, so a
+    /// pause never preempts a finishing cycle — the simulated cycle reaches
+    /// `pause_at` (`None`). A pause mutates nothing
     /// beyond the ticks already run, so re-entering with the same arguments
     /// (on this system or a snapshot-restored one) continues exactly where
     /// a straight run would have been.
@@ -588,7 +578,7 @@ impl System {
     /// [captured](System::capture), [restored](System::restore) and resumed
     /// by calling this again with the same shape — the eventual
     /// [`RunOutcome::Done`] result is bitwise-identical to an uninterrupted
-    /// run's (the `snapshot_parity` differential legs pin this).
+    /// run's (`StressCase::assert_parity` in the `parity` suite pins this).
     ///
     /// # Panics
     ///
@@ -1971,8 +1961,7 @@ mod tests {
             cfg.llc_mshrs = 4;
             cfg.writeback_buffer_entries = 2;
             let mut system = System::new(cfg, WorkloadId::Lbm);
-            system.functional_warmup(30_000);
-            let completed = system.run_for_instructions(500);
+            let completed = system.run(30_000, 0, 500).completed;
             let retired: Vec<u64> = system.cores.iter().map(|c| c.core.retired()).collect();
             let stalls: Vec<u64> = system
                 .cores

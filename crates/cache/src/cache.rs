@@ -1,16 +1,20 @@
 //! A generic set-associative, write-back, write-allocate cache.
 //!
-//! The cache exposes two levels of API:
+//! Every cache level takes its victim from one rule,
+//! [`SetAssocCache::victim_way`]: a free way first, otherwise the
+//! replacement policy's choice (RRIP ages the set until a way reaches the
+//! maximum RRPV). The cache exposes two levels of API:
 //!
 //! * a convenience API ([`SetAssocCache::touch`], [`SetAssocCache::fill`])
-//!   used for the private L1/L2 levels, where the built-in replacement policy
-//!   decides the victim, and
-//! * low-level primitives ([`SetAssocCache::eviction_order`],
-//!   [`SetAssocCache::evict`], [`SetAssocCache::cleanse`],
-//!   [`SetAssocCache::fill_at`]) used by the LLC wrapper in the `bard` crate
-//!   so that bank-aware writeback policies (BARD-E/C/H) and the prior-work
-//!   baselines (Eager Writeback, Virtual Write Queue) can override victim
-//!   selection and perform proactive write-backs.
+//!   used for the private L1/L2 levels, where `fill` evicts that victim, and
+//! * low-level primitives ([`SetAssocCache::victim_way`],
+//!   [`SetAssocCache::eviction_order`], [`SetAssocCache::evict`],
+//!   [`SetAssocCache::cleanse`], [`SetAssocCache::fill_at`]) used by the LLC
+//!   wrapper in the `bard` crate. It starts from the same victim; the
+//!   bank-aware writeback policies (BARD-E/C/H) and the prior-work baselines
+//!   (Eager Writeback, Virtual Write Queue) may then override it or perform
+//!   proactive write-backs. The eviction order is only the order those
+//!   policies scan, never a second victim rule.
 //!
 //! State is two arrays indexed by `set * ways + way`: the dense tag array
 //! (`TAG_INVALID` marks an invalid way) and one 8-byte `WayRecord` per
@@ -251,8 +255,7 @@ impl SetAssocCache {
     }
 
     /// The first invalid way of `set`, if any.
-    #[must_use]
-    pub fn invalid_way(&self, set: usize) -> Option<usize> {
+    fn invalid_way(&self, set: usize) -> Option<usize> {
         let base = set * self.config.ways;
         self.tags[base..base + self.config.ways].iter().position(|&t| t == TAG_INVALID)
     }
@@ -315,7 +318,9 @@ impl SetAssocCache {
     }
 
     /// Chooses the victim way for `addr`'s set: an invalid way if one exists,
-    /// otherwise the replacement policy's choice.
+    /// otherwise the replacement policy's choice. This is the victim rule of
+    /// every cache level, the LLC included. Under SRRIP and SHiP it ages the
+    /// set until some way reaches the maximum RRPV, so it takes `&mut self`.
     pub fn victim_way(&mut self, addr: u64) -> usize {
         let set = self.set_of(addr);
         if let Some(way) = self.invalid_way(set) {
@@ -344,8 +349,11 @@ impl SetAssocCache {
     }
 
     /// Ways of `set` ordered most-evictable first according to the
-    /// replacement policy. This is the order BARD scans for low-cost dirty
-    /// lines (LRU→MRU, or highest→lowest RRPV).
+    /// replacement policy (LRU→MRU, or highest→lowest RRPV). This is the
+    /// order BARD and Eager Writeback scan for low-cost dirty lines, not a
+    /// victim rule: [`victim_way`](Self::victim_way) chooses the victim. In a
+    /// full set the first way is the one `victim_way` picks, but reading the
+    /// order never ages an RRIP set.
     #[must_use]
     pub fn eviction_order(&self, set: usize) -> Vec<usize> {
         let mut order = Vec::with_capacity(self.config.ways);

@@ -47,11 +47,9 @@ pub struct SlicedLlc {
     policy: WritePolicyKind, // bard-lint: allow(S1) -- config knob fixed at construction
     tracker: BlpTracker,
     mapping: AddressMapping, // bard-lint: allow(S1) -- config knob fixed at construction
-    banks_per_group: usize,  // bard-lint: allow(S1) -- geometry fixed at construction
-    banks_per_subchannel: usize, // bard-lint: allow(S1) -- geometry fixed at construction
     stats: PolicyStats,
-    /// Reused eviction-order buffer (one allocation per `SlicedLlc`
-    /// instead of one per fill).
+    /// Reused scan-order buffer (one allocation per `SlicedLlc` instead of
+    /// one per scan).
     scratch_order: Vec<usize>, // bard-lint: allow(S1) -- scratch buffer, cleared per use
 }
 
@@ -90,8 +88,6 @@ impl SlicedLlc {
                 dram.banks_per_subchannel(),
             ),
             mapping: AddressMapping::new(dram),
-            banks_per_group: dram.banks_per_group,
-            banks_per_subchannel: dram.banks_per_subchannel(),
             stats: PolicyStats::default(),
             scratch_order: Vec::new(),
         }
@@ -266,15 +262,10 @@ impl SlicedLlc {
         ((line ^ (line >> 10) ^ (line >> 17)) as usize) & (self.slice_count - 1)
     }
 
-    fn channel_and_bank(&self, addr: u64) -> (usize, usize) {
-        let d = self.mapping.decode(addr);
-        (d.channel, d.bank_in_channel(self.banks_per_group, self.banks_per_subchannel))
-    }
-
     /// Emits a write-back towards DRAM, updating the BLP-Tracker (the bank
     /// broadcast of Section VII-H).
     fn emit_writeback(&mut self, addr: u64, writebacks: &mut Vec<u64>) {
-        let (channel, bank) = self.channel_and_bank(addr);
+        let (channel, bank) = self.mapping.channel_and_bank(addr);
         self.tracker.record_writeback(channel, bank);
         self.stats.writebacks += 1;
         self.stats.bank_broadcasts += 1;
@@ -282,7 +273,7 @@ impl SlicedLlc {
     }
 
     fn improves_blp(&self, addr: u64) -> bool {
-        let (channel, bank) = self.channel_and_bank(addr);
+        let (channel, bank) = self.mapping.channel_and_bank(addr);
         !self.tracker.has_pending(channel, bank)
     }
 
@@ -302,35 +293,32 @@ impl SlicedLlc {
         writebacks: &mut Vec<u64>,
         wrq_has_bank: &mut dyn FnMut(u64) -> bool,
     ) {
-        let set = self.slices[slice].set_of(addr);
-        // Fast path: a free way exists, no eviction decision to make.
-        if let Some(way) = self.slices[slice].invalid_way(set) {
-            self.slices[slice].fill_at(set, way, addr, dirty, signature);
+        let cache = &mut self.slices[slice];
+        let set = cache.set_of(addr);
+        // The replacement policy's own victim, as in every other cache: a
+        // free way first, otherwise the policy's choice (RRIP ages the set).
+        let candidate = cache.victim_way(addr);
+        if !cache.is_valid(set, candidate) {
+            cache.fill_at(set, candidate, addr, dirty, signature);
             return;
         }
-
-        let mut order = std::mem::take(&mut self.scratch_order);
-        self.slices[slice].eviction_order_into(set, &mut order);
-        let candidate = order[0];
-        let candidate_dirty = self.slices[slice].dirty_addr(set, candidate);
+        let candidate_dirty = cache.dirty_addr(set, candidate);
 
         self.stats.evictions += 1;
         if candidate_dirty.is_some() {
             self.stats.dirty_victim_evictions += 1;
         }
 
-        let mut victim = candidate;
-        match (self.policy, candidate_dirty) {
+        let victim = match (self.policy, candidate_dirty) {
             (WritePolicyKind::BardE | WritePolicyKind::BardH, Some(candidate_addr)) => {
-                victim =
-                    self.bard_e_select(slice, set, &order, candidate, candidate_addr, wrq_has_bank);
+                self.bard_e_select(slice, set, candidate, candidate_addr, wrq_has_bank)
             }
             (WritePolicyKind::BardC | WritePolicyKind::BardH, None) => {
-                self.bard_c_cleanse(slice, set, &order, writebacks, wrq_has_bank);
+                self.bard_c_cleanse(slice, set, writebacks, wrq_has_bank);
+                candidate
             }
-            _ => {}
-        }
-        self.scratch_order = order;
+            _ => candidate,
+        };
 
         let evicted = self.slices[slice].evict(set, victim);
         let mut victim_row_key = None;
@@ -353,14 +341,41 @@ impl SlicedLlc {
         }
     }
 
-    /// BARD-E victim selection: keep the LRU victim (dirty, at
-    /// `candidate_addr`) if its bank has no pending write, otherwise scan
-    /// LRU→MRU for a dirty line that improves BLP.
+    /// Walks the ways of `set` in eviction order, most evictable first
+    /// (LRU→MRU, or highest→lowest RRPV), and returns the first one `pick`
+    /// accepts. This is the scan order of BARD-E's override, BARD-C's
+    /// cleanse and EW's cleanse; it never chooses the victim, and a set is
+    /// sorted only when one of those scans reads it.
+    fn scan<T>(
+        &mut self,
+        slice: usize,
+        set: usize,
+        pick: impl Fn(&Self, usize) -> Option<T>,
+    ) -> Option<T> {
+        let mut order = std::mem::take(&mut self.scratch_order);
+        self.slices[slice].eviction_order_into(set, &mut order);
+        let found = order.iter().find_map(|&way| pick(self, way));
+        self.scratch_order = order;
+        found
+    }
+
+    /// The most evictable dirty line of `set` whose bank the BLP-Tracker
+    /// shows without a pending write, as `(way, line address)`.
+    fn blp_improving_dirty_way(&mut self, slice: usize, set: usize) -> Option<(usize, u64)> {
+        self.scan(slice, set, |llc, way| {
+            let addr = llc.slices[slice].dirty_addr(set, way)?;
+            llc.improves_blp(addr).then_some((way, addr))
+        })
+    }
+
+    /// BARD-E victim selection: keep the replacement victim (dirty, at
+    /// `candidate_addr`) if its bank has no pending write, otherwise take the
+    /// most evictable dirty line that improves BLP. The candidate's own bank
+    /// is pending, so that scan passes over it.
     fn bard_e_select(
         &mut self,
         slice: usize,
         set: usize,
-        order: &[usize],
         candidate: usize,
         candidate_addr: u64,
         wrq_has_bank: &mut dyn FnMut(u64) -> bool,
@@ -368,53 +383,36 @@ impl SlicedLlc {
         if self.improves_blp(candidate_addr) {
             return candidate;
         }
-        for &way in order {
-            if way == candidate {
-                continue;
-            }
-            if let Some(addr) = self.slices[slice].dirty_addr(set, way) {
-                if self.improves_blp(addr) {
-                    self.stats.overrides += 1;
-                    self.record_decision_accuracy(addr, wrq_has_bank);
-                    return way;
-                }
-            }
-        }
-        candidate
+        let Some((way, addr)) = self.blp_improving_dirty_way(slice, set) else {
+            return candidate;
+        };
+        self.stats.overrides += 1;
+        self.record_decision_accuracy(addr, wrq_has_bank);
+        way
     }
 
-    /// BARD-C cleansing: scan LRU→MRU for a dirty line that improves BLP and
-    /// write it back without evicting it.
+    /// BARD-C cleansing: write back the most evictable dirty line that
+    /// improves BLP without evicting it.
     fn bard_c_cleanse(
         &mut self,
         slice: usize,
         set: usize,
-        order: &[usize],
         writebacks: &mut Vec<u64>,
         wrq_has_bank: &mut dyn FnMut(u64) -> bool,
     ) {
-        for &way in order {
-            let Some(addr) = self.slices[slice].dirty_addr(set, way) else { continue };
-            if self.improves_blp(addr) {
-                self.slices[slice].cleanse(set, way);
-                self.stats.cleanses += 1;
-                self.record_decision_accuracy(addr, wrq_has_bank);
-                self.emit_writeback(addr, writebacks);
-                return;
-            }
-        }
+        let Some((way, addr)) = self.blp_improving_dirty_way(slice, set) else { return };
+        self.slices[slice].cleanse(set, way);
+        self.stats.cleanses += 1;
+        self.record_decision_accuracy(addr, wrq_has_bank);
+        self.emit_writeback(addr, writebacks);
     }
 
-    /// Eager Writeback: proactively write back the LRU line of `set` if it is
-    /// dirty, without considering banks.
+    /// Eager Writeback: proactively write back the most evictable valid line
+    /// of `set` if it is dirty, without considering banks.
     fn eager_cleanse(&mut self, slice: usize, set: usize, writebacks: &mut Vec<u64>) {
-        let mut order = std::mem::take(&mut self.scratch_order);
-        let cache = &mut self.slices[slice];
-        cache.eviction_order_into(set, &mut order);
-        let lru_valid = order.iter().copied().find(|&w| cache.is_valid(set, w));
-        let cleansed = lru_valid.and_then(|way| cache.cleanse(set, way));
-        self.scratch_order = order;
-        if let Some(addr) = cleansed {
+        let lru_valid =
+            self.scan(slice, set, |llc, way| llc.slices[slice].is_valid(set, way).then_some(way));
+        if let Some(addr) = lru_valid.and_then(|way| self.slices[slice].cleanse(set, way)) {
             self.stats.cleanses += 1;
             self.emit_writeback(addr, writebacks);
         }
@@ -685,6 +683,46 @@ mod tests {
         // VWQ may or may not find same-row lines depending on the mapping; at
         // minimum it must not crash and writebacks must flow.
         assert!(c.policy_stats().writebacks > 0);
+    }
+
+    /// The LLC evicts the replacement policy's own victim, exactly as a plain
+    /// `SetAssocCache::fill` does: one random stream of demand reads and
+    /// fills (random dirty bits and signatures) through a one-slice Baseline
+    /// LLC and a cache of the same geometry leaves both with the same
+    /// write-backs and the same tags, flags, stamps, RRPVs and SHCT after
+    /// every access, under every replacement policy.
+    #[test]
+    fn llc_victims_match_the_cache_victim_rule_under_every_policy() {
+        const LINES: u64 = 2_048;
+        for kind in [ReplacementKind::Lru, ReplacementKind::Srrip, ReplacementKind::Ship] {
+            let mut llc =
+                SlicedLlc::new(16 * 1024, 4, 64, 1, kind, WritePolicyKind::Baseline, &dram());
+            let mut cache = SetAssocCache::new(CacheConfig::new(16 * 1024, 4, 64), kind);
+            let mut oracle = no_oracle();
+            let mut x = 0x9E37_79B9_7F4A_7C15u64;
+            for access in 0..20_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let addr = (x % LINES) * 64;
+                let signature = (x >> 32) as u16 % 64;
+                let dirty = (x >> 48).is_multiple_of(3);
+                let mut wbs = Vec::new();
+                let hit = llc.read_access(addr, signature, &mut wbs);
+                assert_eq!(hit, cache.touch(addr, signature, false), "{kind:?} access {access}");
+                let mut expected = Vec::new();
+                if !hit {
+                    llc.fill(addr, signature, dirty, &mut wbs, &mut oracle);
+                    let evicted = cache.fill(addr, dirty, signature).evicted;
+                    expected.extend(evicted.filter(|e| e.dirty).map(|e| e.addr));
+                }
+                assert_eq!(wbs, expected, "{kind:?} access {access}: write-backs");
+                assert!(
+                    llc.export_state().slices[0] == cache.export_state(),
+                    "{kind:?} access {access}: cache state diverged"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1795,8 +1795,7 @@ fn completion_event(core: usize, req: &CoreRequest) -> Event {
 }
 
 fn wrq_has_pending(mcs: &[MemoryController], addr: u64) -> bool {
-    let channel = mcs[0].mapping().channel_of(addr);
-    let bank = mcs[channel].bank_of(addr);
+    let (channel, bank) = mcs[0].mapping().channel_and_bank(addr);
     mcs[channel].has_pending_write_to_bank(bank)
 }
 

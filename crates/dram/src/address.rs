@@ -90,12 +90,6 @@ impl AddressMapping {
         }
     }
 
-    /// The mapping scheme in use.
-    #[must_use]
-    pub fn scheme(&self) -> MappingScheme {
-        self.scheme
-    }
-
     /// Number of banks per sub-channel for this geometry.
     #[must_use]
     pub fn banks_per_subchannel(&self) -> usize {
@@ -163,12 +157,13 @@ impl AddressMapping {
         self.decode(addr).channel
     }
 
-    /// Decodes the channel-local bank index (0..`banks_per_channel`). This is
-    /// the index broadcast to the BLP-Trackers after an LLC writeback.
+    /// Decodes the channel and the channel-local bank index
+    /// (0..`banks_per_channel`) in one pass. The bank index is the one
+    /// broadcast to the BLP-Trackers after an LLC writeback.
     #[must_use]
-    pub fn channel_bank_of(&self, addr: u64) -> usize {
+    pub fn channel_and_bank(&self, addr: u64) -> (usize, usize) {
         let d = self.decode(addr);
-        d.bank_in_channel(self.banks_per_group, self.banks_per_subchannel)
+        (d.channel, d.bank_in_channel(self.banks_per_group, self.banks_per_subchannel))
     }
 
     /// Applies permutation-based page interleaving: XOR the bank-address bits
@@ -283,7 +278,7 @@ mod tests {
         let m = mapping(MappingScheme::ZenPbpl);
         let mut seen = std::collections::HashSet::new();
         for i in 0..100_000u64 {
-            let b = m.channel_bank_of(i * 64);
+            let (_, b) = m.channel_and_bank(i * 64);
             assert!(b < 64);
             seen.insert(b);
         }

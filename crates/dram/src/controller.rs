@@ -23,7 +23,6 @@ pub struct MemoryController {
     subchannels: Vec<SubChannel>,
     controller_latency: u64, // bard-lint: allow(S1) -- config parameter fixed at construction
     power_model: PowerModel, // bard-lint: allow(S1) -- config parameter fixed at construction
-    banks_per_group: usize,  // bard-lint: allow(S1) -- geometry fixed at construction
     banks_per_subchannel: usize, // bard-lint: allow(S1) -- geometry fixed at construction
 }
 
@@ -44,7 +43,6 @@ impl MemoryController {
                 .collect(),
             controller_latency: config.controller_latency_cpu,
             power_model: PowerModel::ddr5_default(),
-            banks_per_group: config.banks_per_group,
             banks_per_subchannel: config.banks_per_subchannel(),
         }
     }
@@ -262,8 +260,7 @@ impl MemoryController {
     /// Channel-local bank index for an address (what BARD broadcasts).
     #[must_use]
     pub fn bank_of(&self, addr: u64) -> usize {
-        let d = self.mapping.decode(addr);
-        d.subchannel * self.banks_per_subchannel + d.bankgroup * self.banks_per_group + d.bank
+        self.mapping.channel_and_bank(addr).1
     }
 
     /// Aggregated statistics over both sub-channels.

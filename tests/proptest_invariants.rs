@@ -42,7 +42,7 @@ fn address_decode_fields_are_in_range() {
         assert!(d.bankgroup < cfg.bankgroups);
         assert!(d.bank < cfg.banks_per_group);
         assert!((d.column as usize) < cfg.lines_per_row());
-        assert!(mapping.channel_bank_of(addr) < cfg.banks_per_channel());
+        assert!(mapping.channel_and_bank(addr).1 < cfg.banks_per_channel());
     });
 }
 
@@ -55,7 +55,7 @@ fn same_line_addresses_share_a_bank() {
         let base = rng.next_u64() & !63;
         let off_a = rng.gen_range(0u64..64);
         let off_b = rng.gen_range(0u64..64);
-        assert_eq!(mapping.channel_bank_of(base | off_a), mapping.channel_bank_of(base | off_b));
+        assert_eq!(mapping.channel_and_bank(base | off_a), mapping.channel_and_bank(base | off_b));
     });
 }
 

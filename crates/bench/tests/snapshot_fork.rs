@@ -10,7 +10,7 @@
 
 use std::path::PathBuf;
 
-use bard::{RunLength, TraceConfig};
+use bard::{RunLength, SnapshotStore, System, SystemConfig, TraceConfig};
 use bard_bench::experiments::find;
 use bard_bench::harness::Cli;
 use bard_workloads::WorkloadId;
@@ -151,6 +151,37 @@ fn warm_fork_composes_with_trace_replay() {
         "warm-image reuse over trace replay diverged:\n{}",
         diff_hint(&cold, &warm_replay_again)
     );
+}
+
+#[test]
+fn warm_restore_over_an_undersized_archive_matches_a_cold_live_run() {
+    let snaps = TempDir::new("undersized-snaps");
+    let traces = TempDir::new("undersized-traces");
+    let length = tiny();
+    let workload = WorkloadId::Lbm;
+    let live = SystemConfig::small_test();
+    // The archive covers a quarter of the functional warm-up, so the
+    // capture's warm-up and the restore's fast-forward both cross its end
+    // into the live fallback.
+    let archived =
+        live.clone().with_trace(Some(TraceConfig::new(&traces.0, length.functional_warmup / 4)));
+    let cold = System::new(live, workload).run(
+        length.functional_warmup,
+        length.timed_warmup,
+        length.measure,
+    );
+    let store = SnapshotStore::new(&snaps.0);
+    let warm_run = || {
+        let mut system =
+            store.obtain_warm(&archived, workload, length.functional_warmup).expect("warm image");
+        system.run(0, length.timed_warmup, length.measure)
+    };
+    let captured = warm_run();
+    let images = snaps.0.read_dir().expect("the capture publishes an image").count();
+    assert_eq!(images, 1, "the second pass must restore the captured image");
+    let restored = warm_run();
+    assert_eq!(captured, cold, "capture over an undersized archive diverged from the cold run");
+    assert_eq!(restored, cold, "restore over an undersized archive diverged from the cold run");
 }
 
 fn diff_hint(a: &str, b: &str) -> String {

@@ -10,7 +10,7 @@
 
 use bard::report::Json;
 use bard::runner::{Job, Runner};
-use bard::SystemConfig;
+use bard::{EngineKind, SystemConfig};
 use bard_bench::differential::{all_paths, StressCase};
 use bard_bench::telemetry;
 use bard_workloads::rng::SmallRng;
@@ -32,6 +32,8 @@ const PINNED_METRIC_NAMES: &[&str] = &[
     "mshr.wakes",
     "engine.ticks",
     "engine.core_cycles",
+    "engine.cycles_jumped",
+    "engine.core_cycles_slept",
     "dram.stat_settlements",
     "dram.awake_ticks",
     "dram.scheduling_passes",
@@ -124,13 +126,26 @@ fn grid_trace_json(threads: usize) -> String {
     telemetry::trace_events_json(&telemetry::take_trace_events())
 }
 
+/// The engine work counters `[ticks, cycles_jumped, core_cycles,
+/// core_cycles_slept]` as the registry holds them now.
+fn engine_work() -> [u64; 4] {
+    [
+        telemetry::ENGINE_TICKS.value(),
+        telemetry::ENGINE_CYCLES_JUMPED.value(),
+        telemetry::ENGINE_CORE_CYCLES.value(),
+        telemetry::ENGINE_CORE_CYCLES_SLEPT.value(),
+    ]
+}
+
 /// The one stateful test: flips the global enable flag, so every assertion
 /// that depends on it lives here.
 ///
 /// 1. **On/off bitwise parity** (the telemetry invariant): an MSHR-saturated
 ///    case and a randomized case each run on both engines with telemetry
 ///    off and again with it on — `RunResult`, final cycle, artifact text
-///    and artifact CSV must be bitwise identical pairwise.
+///    and artifact CSV must be bitwise identical pairwise. Each enabled run
+///    also accounts for every core in every cycle it advanced: each
+///    cycle is a tick or a jump, and each core cycle is run or slept.
 /// 2. **Trace determinism**: the same grid run serially and with four
 ///    workers must render byte-identical trace-event JSON (simulated-time
 ///    timestamps + canonical ordering make it `--jobs`-invariant).
@@ -147,7 +162,24 @@ fn telemetry_never_perturbs_results_and_traces_deterministically() {
             telemetry::set_enabled(false);
             let off = case.run_path(engine);
             telemetry::set_enabled(true);
+            let before = engine_work();
             let on = case.run_path(engine);
+            let after = engine_work();
+            let [ticks, jumped, core_cycles, slept] = std::array::from_fn(|i| after[i] - before[i]);
+            assert_eq!(
+                core_cycles + slept,
+                case.config.cores as u64 * (ticks + jumped),
+                "{}: engine work counters do not cover every core cycle on {name}",
+                case.label
+            );
+            if engine == EngineKind::Step {
+                assert_eq!(
+                    (jumped, slept),
+                    (0, 0),
+                    "{}: the step engine neither jumps nor sleeps",
+                    case.label
+                );
+            }
             assert_eq!(
                 off.final_cycle, on.final_cycle,
                 "{}: enabling telemetry changed the final cycle on {name}",

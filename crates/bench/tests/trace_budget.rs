@@ -13,7 +13,8 @@
 //!   under 4x; the spread is 16x), so common shapes replay purely from the
 //!   archive, and
 //! * the replay carries an exact live fallback, so even a pathological
-//!   guard-bounded run (consumption up to 1000 cycles' worth per
+//!   guard-bounded run (consumption up to
+//!   `STARVATION_GUARD_CYCLES_PER_INSTRUCTION` cycles' worth per
 //!   instruction — no static budget covers that) completes with
 //!   bitwise-identical results instead of panicking.
 

@@ -57,9 +57,10 @@ impl TraceConfig {
     /// the bounded fetch-ahead (512-entry ROB, per-cycle staging limits). A
     /// recorded trace therefore outlasts any common simulation of the same
     /// run length and replays purely from the archive. Should a pathological
-    /// run consume even more (the cycle guard admits up to 1000 cycles'
-    /// worth per instruction), the simulator's replay continues from the
-    /// fast-forwarded live generator — bitwise-identical by construction,
+    /// run consume even more (the cycle guard admits up to
+    /// [`STARVATION_GUARD_CYCLES_PER_INSTRUCTION`](crate::system::STARVATION_GUARD_CYCLES_PER_INSTRUCTION)
+    /// cycles' worth per instruction), the simulator's replay continues from
+    /// the fast-forwarded live generator — bitwise-identical by construction,
     /// never wrong, never a panic (see `ReplayWorkload::with_live_fallback`).
     #[must_use]
     pub fn budget_for(length: RunLength) -> u64 {

@@ -108,12 +108,12 @@ impl CountingTrace {
         Self { inner, consumed: 0 }
     }
 
-    /// Advances a fresh stream to `records` consumed (snapshot restore).
+    /// Advances a fresh stream to `records` consumed (snapshot restore):
+    /// an archived stream seeks in O(1), a live generator reads its way
+    /// there.
     fn fast_forward(&mut self, records: u64) {
         debug_assert_eq!(self.consumed, 0, "fast-forward starts from a fresh stream");
-        for _ in 0..records {
-            let _ = self.inner.next_record();
-        }
+        self.inner.skip(records);
         self.consumed = records;
     }
 }
@@ -156,9 +156,11 @@ struct CoreCtx {
 
 impl CoreCtx {
     /// Applies the statistics of the cycles slept through `[sleep_since,
-    /// now)`.
-    fn settle(&mut self, now: u64) {
-        self.core.apply_stalled_cycles(&self.sleep_delta, now - self.sleep_since);
+    /// now)`, returning how many there were.
+    fn settle(&mut self, now: u64) -> u64 {
+        let slept = now - self.sleep_since;
+        self.core.apply_stalled_cycles(&self.sleep_delta, slept);
+        slept
     }
 }
 
@@ -275,6 +277,15 @@ pub struct System {
     /// work counter).
     // bard-lint: allow(S1) -- host-side work count; a restored system counts from the restore.
     core_cycles: u64,
+    /// Cycles the skip engine jumped over (the `engine.cycles_jumped` work
+    /// counter).
+    // bard-lint: allow(S1) -- host-side work count; a restored system counts from the restore.
+    cycles_jumped: u64,
+    /// Core cycles the skip engine accounted by settling sleeping cores
+    /// instead of running them (the `engine.core_cycles_slept` work
+    /// counter).
+    // bard-lint: allow(S1) -- host-side work count; a restored system counts from the restore.
+    core_cycles_slept: u64,
     /// Cycle the current run stage started at — tracer bookkeeping for the
     /// warm-up/measure spans. Not simulation state (a restore restarts it,
     /// which can shorten the *traced* warm-up span, never the simulation).
@@ -377,6 +388,8 @@ impl System {
             phase_nanos: [0; telemetry::PHASE_COUNT],
             profiled_ticks: 0,
             core_cycles: 0,
+            cycles_jumped: 0,
+            core_cycles_slept: 0,
             stage_start_cycle: 0,
         }
     }
@@ -781,6 +794,8 @@ impl System {
         telemetry::MSHR_WAKES.add(self.perf_mshr_wakes);
         telemetry::ENGINE_TICKS.add(self.profiled_ticks);
         telemetry::ENGINE_CORE_CYCLES.add(self.core_cycles);
+        telemetry::ENGINE_CYCLES_JUMPED.add(self.cycles_jumped);
+        telemetry::ENGINE_CORE_CYCLES_SLEPT.add(self.core_cycles_slept);
         telemetry::DRAM_STAT_SETTLEMENTS.add(settlements);
         telemetry::DRAM_AWAKE_TICKS.add(self.mcs.iter().map(MemoryController::awake_ticks).sum());
         telemetry::DRAM_SCHEDULING_PASSES
@@ -1235,7 +1250,7 @@ impl System {
                     }
                     self.awake_mask |= bit;
                     self.shared_watch_mask &= !bit;
-                    self.cores[ci].settle(now);
+                    self.core_cycles_slept += self.cores[ci].settle(now);
                 }
                 let stats_before = *self.cores[ci].core.stats();
                 let progress = self.core_cycle(ci, now);
@@ -1300,7 +1315,7 @@ impl System {
         let now = self.cycle;
         for (ci, ctx) in self.cores.iter_mut().enumerate() {
             if self.awake_mask & (1u64 << ci) == 0 {
-                ctx.settle(now);
+                self.core_cycles_slept += ctx.settle(now);
             }
         }
         self.awake_mask = all_cores(self.cores.len());
@@ -1340,6 +1355,7 @@ impl System {
         }
         // No per-span statistics work: the sub-channels' lazy settlement
         // absorbs the jump the same way it absorbs quiet stepped spans.
+        self.cycles_jumped += horizon - now;
         self.cycle = horizon;
     }
 

@@ -157,6 +157,11 @@ pub static MSHR_WAKES: Counter = Counter::new();
 pub static ENGINE_TICKS: Counter = Counter::new();
 /// Single-core cycles the engine ran (`core_cycle` calls, on either engine).
 pub static ENGINE_CORE_CYCLES: Counter = Counter::new();
+/// Cycles the skip engine jumped over without a tick (0 on the step engine).
+pub static ENGINE_CYCLES_JUMPED: Counter = Counter::new();
+/// Single-core cycles the skip engine accounted for sleeping cores without
+/// running them (0 on the step engine).
+pub static ENGINE_CORE_CYCLES_SLEPT: Counter = Counter::new();
 /// Non-empty span-wise DRAM statistic settlements.
 pub static DRAM_STAT_SETTLEMENTS: Counter = Counter::new();
 /// Sub-channel ticks at or after their wake cycle, which ran the scheduler.
@@ -293,7 +298,7 @@ fn trace_decode_entries() -> u64 {
 }
 
 /// The full metric catalog, in emission order.
-static METRICS: [Metric; 29] = [
+static METRICS: [Metric; 31] = [
     counter("probe.set_scans", "scans", "Cache set scans performed by probes", &PROBE_SET_SCANS),
     counter(
         "probe.filter_skips",
@@ -320,6 +325,18 @@ static METRICS: [Metric; 29] = [
         "cycles",
         "Single-core cycles the engine ran",
         &ENGINE_CORE_CYCLES,
+    ),
+    counter(
+        "engine.cycles_jumped",
+        "cycles",
+        "Cycles the skip engine jumped over without a tick",
+        &ENGINE_CYCLES_JUMPED,
+    ),
+    counter(
+        "engine.core_cycles_slept",
+        "cycles",
+        "Single-core cycles accounted for sleeping cores without running them",
+        &ENGINE_CORE_CYCLES_SLEPT,
     ),
     counter(
         "dram.stat_settlements",

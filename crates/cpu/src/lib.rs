@@ -35,4 +35,4 @@ pub mod core;
 pub mod trace;
 
 pub use crate::core::{Core, CoreConfig, CoreRequest, CoreState, CoreStats};
-pub use crate::trace::{MemAccess, MemKind, TraceRecord, TraceSource, VecTrace};
+pub use crate::trace::{skip_by_reading, MemAccess, MemKind, TraceRecord, TraceSource, VecTrace};

@@ -88,13 +88,34 @@ pub trait TraceSource: Send {
     /// Produces the next record.
     fn next_record(&mut self) -> TraceRecord;
 
+    /// Advances past the next `n` records, leaving the source exactly where
+    /// `n` calls of [`TraceSource::next_record`] would. The default makes
+    /// those calls ([`skip_by_reading`]); a source that can seek overrides
+    /// it.
+    fn skip(&mut self, n: u64) {
+        skip_by_reading(self, n);
+    }
+
     /// A short name identifying the workload (for reports).
     fn name(&self) -> &str;
+}
+
+/// Advances `source` past `n` records by reading and dropping each one: the
+/// exact, O(n) default of [`TraceSource::skip`], and what a seeking override
+/// falls back to for a skip it cannot seek.
+pub fn skip_by_reading<S: TraceSource + ?Sized>(source: &mut S, n: u64) {
+    for _ in 0..n {
+        let _ = source.next_record();
+    }
 }
 
 impl<T: TraceSource + ?Sized> TraceSource for Box<T> {
     fn next_record(&mut self) -> TraceRecord {
         (**self).next_record()
+    }
+
+    fn skip(&mut self, n: u64) {
+        (**self).skip(n);
     }
 
     fn name(&self) -> &str {

@@ -3,7 +3,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use bard_cpu::{TraceRecord, TraceSource};
+use bard_cpu::{skip_by_reading, TraceRecord, TraceSource};
 
 use crate::error::TraceError;
 use crate::format::TraceHeader;
@@ -27,8 +27,10 @@ pub struct ReplayWorkload {
     header: TraceHeader,
     /// Decoded records, shared: every replay of the same file (and the
     /// process-wide decode cache behind [`crate::TraceStore`]) points at one
-    /// allocation, so grid experiments stop holding per-`System` copies.
-    records: Arc<[TraceRecord]>,
+    /// allocation, so grid experiments stop holding per-`System` copies. An
+    /// `Arc<Vec<_>>` rather than an `Arc<[_]>`, so the `Vec` a decode or
+    /// capture built is shared as it is, without a copy.
+    records: Arc<Vec<TraceRecord>>,
     position: usize,
     wraps: u64,
     strict: bool,
@@ -47,14 +49,14 @@ impl ReplayWorkload {
         Self::from_parts(header, records)
     }
 
-    /// Builds a replay from an already-decoded header and record vector
-    /// (used by the recording path, which holds both in memory).
+    /// Builds a replay from an already-decoded header and record vector,
+    /// taking ownership of the vector (no copy is made).
     ///
     /// # Errors
     ///
     /// Rejects empty traces.
     pub fn from_parts(header: TraceHeader, records: Vec<TraceRecord>) -> Result<Self, TraceError> {
-        Self::from_shared(header, records.into())
+        Self::from_shared(header, Arc::new(records))
     }
 
     /// Builds a replay over an already-shared record allocation (the decode
@@ -65,7 +67,7 @@ impl ReplayWorkload {
     /// Rejects empty traces.
     pub fn from_shared(
         header: TraceHeader,
-        records: Arc<[TraceRecord]>,
+        records: Arc<Vec<TraceRecord>>,
     ) -> Result<Self, TraceError> {
         if records.is_empty() {
             return Err(TraceError::Mismatch {
@@ -79,7 +81,7 @@ impl ReplayWorkload {
     /// same archived file satisfy `Arc::ptr_eq` on this when both came
     /// through the decode cache.
     #[must_use]
-    pub fn shared_records(&self) -> Arc<[TraceRecord]> {
+    pub fn shared_records(&self) -> Arc<Vec<TraceRecord>> {
         Arc::clone(&self.records)
     }
 
@@ -117,6 +119,20 @@ impl ReplayWorkload {
     pub fn wraps(&self) -> u64 {
         self.wraps
     }
+
+    /// Moves past the next `n` records in O(1) when they all lie inside the
+    /// recording, returning whether it did; a skip that would reach past
+    /// the end leaves the replay untouched.
+    fn seek_within(&mut self, n: u64) -> bool {
+        let left = self.records.len() - self.position;
+        match usize::try_from(n) {
+            Ok(n) if n <= left => {
+                self.position += n;
+                true
+            }
+            _ => false,
+        }
+    }
 }
 
 impl ReplayWorkload {
@@ -139,7 +155,10 @@ impl ReplayWorkload {
 }
 
 /// A replay that continues with (fast-forwarded) live generation when the
-/// recording runs out — see [`ReplayWorkload::with_live_fallback`].
+/// recording runs out — see [`ReplayWorkload::with_live_fallback`]. A
+/// [`TraceSource::skip`] that ends inside the recording seeks in O(1); one
+/// that crosses its end reads through it, so the fallback engages exactly
+/// as it would under [`TraceSource::next_record`].
 pub struct ReplayThenLive {
     replay: ReplayWorkload,
     build: Option<Box<dyn FnOnce() -> Box<dyn TraceSource> + Send>>,
@@ -188,12 +207,16 @@ impl TraceSource for ReplayThenLive {
             // Fast-forward past the recorded prefix the replay already
             // served; the generator stream is a pure function of the key, so
             // what follows is exactly what a longer recording would hold.
-            for _ in 0..self.replay.records.len() {
-                let _ = live.next_record();
-            }
+            live.skip(self.replay.records.len() as u64);
             live
         });
         live.next_record()
+    }
+
+    fn skip(&mut self, n: u64) {
+        if !self.replay.seek_within(n) {
+            skip_by_reading(self, n);
+        }
     }
 
     fn name(&self) -> &str {
@@ -218,6 +241,15 @@ impl TraceSource for ReplayWorkload {
         let record = self.records[self.position];
         self.position += 1;
         record
+    }
+
+    /// Seeks in O(1) inside the recording; a skip past its end reads
+    /// through it, so it wraps (or, strictly, panics) exactly as
+    /// [`TraceSource::next_record`] would.
+    fn skip(&mut self, n: u64) {
+        if !self.seek_within(n) {
+            skip_by_reading(self, n);
+        }
     }
 
     fn name(&self) -> &str {

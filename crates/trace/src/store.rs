@@ -15,17 +15,18 @@ use crate::writer::TraceWriter;
 
 /// Process-wide cache of decoded traces, keyed by path. Grid experiments
 /// build one `System` per `(config, workload, job)` and every one of them
-/// re-opens the same BTF files; sharing the decoded `Arc<[TraceRecord]>`
+/// re-opens the same BTF files; sharing the decoded `Arc<Vec<TraceRecord>>`
 /// turns that from a decode + multi-GB copy per `System` into one decode per
-/// path per process. Entries are held strongly for the life of the process —
-/// the cache's high-water mark is one copy per distinct file, the same as a
-/// single live `System` needed before. Writes through [`TraceStore`]
+/// path per process. The `Vec` a decode or capture built is moved into the
+/// `Arc`, never copied. Entries are held strongly for the life of the
+/// process — the cache's high-water mark is one copy per distinct file, the
+/// same as a single live `System` needed before. Writes through [`TraceStore`]
 /// invalidate the written path; files modified behind the store's back
 /// (outside any supported workflow) are not detected.
 // A `BTreeMap` rather than a `HashMap` so cache iteration order (and any
 // future drain/report over it) is deterministic by path; lookups are
 // per-System-open, far off any hot path.
-type DecodeCache = Mutex<BTreeMap<PathBuf, (TraceHeader, Arc<[TraceRecord]>)>>;
+type DecodeCache = Mutex<BTreeMap<PathBuf, (TraceHeader, Arc<Vec<TraceRecord>>)>>;
 
 fn decode_cache() -> &'static DecodeCache {
     static CACHE: OnceLock<DecodeCache> = OnceLock::new();
@@ -148,7 +149,7 @@ impl TraceStore {
         let (header, records) = self.capture(live.as_mut(), core, seed, instructions, &path)?;
         // Seed the cache: the captured records are exactly the published
         // file's contents, so later opens of the same path share them.
-        let records: Arc<[TraceRecord]> = records.into();
+        let records = Arc::new(records);
         DECODE_CAPTURES.fetch_add(1, Ordering::Relaxed);
         decode_cache()
             .lock()
@@ -177,7 +178,7 @@ impl TraceStore {
         }
         DECODE_MISSES.fetch_add(1, Ordering::Relaxed);
         let (header, records) = TraceReader::open(path)?.read_all()?;
-        let records: Arc<[TraceRecord]> = records.into();
+        let records = Arc::new(records);
         cache.insert(path.to_path_buf(), (header.clone(), Arc::clone(&records)));
         ReplayWorkload::from_shared(header, records)
     }

@@ -106,6 +106,11 @@ fn record(args: &[String], out: &mut dyn std::fmt::Write) -> Result<(), String> 
         }
     }
     let dir = dir.ok_or("record: --dir=DIR is required")?;
+    // `SystemConfig::validate` accepts 1..=64 cores, so no run could replay
+    // streams captured for any other count.
+    if !(1..=64).contains(&cores) {
+        return Err(format!("record: --cores={cores} is outside 1..=64"));
+    }
     let budget = instructions.unwrap_or_else(|| TraceConfig::budget_for(length));
     let store = TraceStore::new(&dir);
 
@@ -394,6 +399,12 @@ mod tests {
             run_err(&["record", "--dir=/tmp/x", "--workloads=bogus"]).contains("unknown workload")
         );
         assert!(run_err(&["record", "--dir=/tmp/x", "--frob"]).contains("unknown argument"));
+        for cores in ["--cores=0", "--cores=65"] {
+            assert!(
+                run_err(&["record", "--dir=/tmp/x", cores]).contains("outside 1..=64"),
+                "{cores}"
+            );
+        }
         assert!(run_err(&["info"]).contains("FILE is required"));
         assert!(run_err(&["verify"]).contains("FILE is required"));
         assert!(run_err(&["import"]).contains("SRC.txt argument is required"));

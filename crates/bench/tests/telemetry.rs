@@ -55,6 +55,7 @@ const PINNED_METRIC_NAMES: &[&str] = &[
     "trace.decode_misses",
     "trace.decode_captures",
     "trace.decode_entries",
+    "trace.decode_bytes",
     "trace.events_dropped",
 ];
 

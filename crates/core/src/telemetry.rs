@@ -296,9 +296,12 @@ fn trace_decode_captures() -> u64 {
 fn trace_decode_entries() -> u64 {
     bard_trace::decode_cache_counters().entries
 }
+fn trace_decode_bytes() -> u64 {
+    bard_trace::decode_cache_counters().bytes
+}
 
 /// The full metric catalog, in emission order.
-static METRICS: [Metric; 31] = [
+static METRICS: [Metric; 32] = [
     counter("probe.set_scans", "scans", "Cache set scans performed by probes", &PROBE_SET_SCANS),
     counter(
         "probe.filter_skips",
@@ -450,8 +453,15 @@ static METRICS: [Metric; 31] = [
         "trace.decode_entries",
         MetricKind::Gauge,
         "entries",
-        "Distinct decoded trace paths currently cached",
+        "Distinct trace paths currently cached",
         trace_decode_entries,
+    ),
+    probe_metric(
+        "trace.decode_bytes",
+        MetricKind::Gauge,
+        "bytes",
+        "Bytes the decode cache holds: encoded payloads and checkpoint indexes",
+        trace_decode_bytes,
     ),
     counter(
         "trace.events_dropped",

@@ -198,10 +198,12 @@ impl CodecState {
     /// Decodes one record from `next` (a byte source) and advances the state.
     ///
     /// `next` is called once per encoded byte; it reports both I/O errors and
-    /// end-of-stream as [`TraceError`]s.
+    /// end-of-stream as [`TraceError`]s. Generic over the source, so the
+    /// in-memory decoder ([`slice_source`]) inlines into replay.
+    #[inline(always)]
     pub(crate) fn decode(
         &mut self,
-        next: &mut dyn FnMut() -> Result<(u8, u64), TraceError>,
+        next: &mut impl FnMut() -> Result<(u8, u64), TraceError>,
     ) -> Result<TraceRecord, TraceError> {
         let (tag, tag_offset) = next()?;
         if tag > TAG_STORE {
@@ -237,8 +239,9 @@ impl CodecState {
 }
 
 /// Reads an LEB128 varint from a byte source.
+#[inline(always)]
 pub(crate) fn read_varint(
-    next: &mut dyn FnMut() -> Result<(u8, u64), TraceError>,
+    next: &mut impl FnMut() -> Result<(u8, u64), TraceError>,
 ) -> Result<u64, TraceError> {
     let mut value = 0u64;
     let mut shift = 0u32;
@@ -255,6 +258,31 @@ pub(crate) fn read_varint(
             return Ok(value);
         }
         shift += 7;
+    }
+}
+
+/// The message of the error a record cut off by the end of the file raises.
+pub(crate) const TRUNCATED_RECORD: &str = "file ends mid-record (truncated trace)";
+
+/// The byte source over an in-memory record payload: yields
+/// `payload[*offset]` and advances `offset`. `base` is the payload's offset
+/// in its file, so errors name the same byte a streaming read would.
+#[inline]
+pub(crate) fn slice_source<'a>(
+    payload: &'a [u8],
+    offset: &'a mut usize,
+    base: u64,
+) -> impl FnMut() -> Result<(u8, u64), TraceError> + 'a {
+    move || {
+        let at = *offset;
+        let Some(&byte) = payload.get(at) else {
+            return Err(TraceError::Format {
+                offset: base + at as u64,
+                message: TRUNCATED_RECORD.to_string(),
+            });
+        };
+        *offset = at + 1;
+        Ok((byte, base + at as u64))
     }
 }
 

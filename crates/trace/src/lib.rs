@@ -13,8 +13,10 @@
 //!   in-tree-codec convention from `bard::report`.
 //! * Streaming [`TraceWriter`] / [`TraceReader`] codecs with O(1) state.
 //! * [`ReplayWorkload`], a [`TraceSource`](bard_cpu::TraceSource) that
-//!   replays a BTF file bitwise-equivalently to live generation, and
-//!   [`RecordingSource`], which tees any live source to disk.
+//!   replays a BTF file bitwise-equivalently to live generation, decoding
+//!   each record as it serves it from a shared [`EncodedTrace`] (the file's
+//!   validated payload plus a checkpoint index), and [`RecordingSource`],
+//!   which tees any live source to disk.
 //! * [`TraceStore`], the `(workload, core, seed, budget)`-keyed directory
 //!   layout behind the experiment binaries' `--trace-dir=DIR` flag:
 //!   record-if-missing, replay-if-present.
@@ -48,6 +50,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod encoded;
 pub mod error;
 pub mod format;
 pub mod import;
@@ -57,6 +60,7 @@ pub mod replay;
 pub mod store;
 pub mod writer;
 
+pub use encoded::{EncodedTrace, CHECKPOINT_INTERVAL};
 pub use error::TraceError;
 pub use format::{Fnv64, TraceHeader, MAGIC, VERSION};
 pub use import::{parse_text, render_text};
@@ -366,6 +370,23 @@ mod tests {
         assert!(matches!(err, TraceError::Mismatch { .. }), "{err}");
         assert!(err.to_string().contains("requested 'other'"), "{err}");
         drop(good);
+    }
+
+    /// The in-memory form's bound: lbm at the instruction budget of
+    /// perfbench's `rerun-2c` lengths (3M / 2k / 12k per core, see
+    /// `TraceConfig::budget_for`) takes at most 9 bytes per record, index
+    /// included, whether captured or read back from its file.
+    #[test]
+    fn archived_lbm_holds_at_most_nine_bytes_per_record() {
+        const BUDGET: u64 = 3_289_536;
+        let tmp = TempDir::new("bytes-per-record");
+        let store = TraceStore::new(&tmp.0);
+        let (lbm, seed) = (bard_workloads::WorkloadId::Lbm, 0x1BAD_B002);
+        let captured = store.obtain(lbm.name(), 0, seed, BUDGET, || lbm.build(0, seed)).unwrap();
+        let opened = ReplayWorkload::open(&store.path_for(lbm.name(), 0, seed, BUDGET)).unwrap();
+        assert_eq!(*captured.shared_records(), *opened.shared_records(), "one form, one index");
+        let held = captured.shared_records().bytes_held();
+        assert!(held <= 9 * captured.len(), "{held} bytes for {} records", captured.len());
     }
 
     #[test]

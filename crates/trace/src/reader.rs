@@ -7,7 +7,9 @@ use std::path::Path;
 use bard_cpu::TraceRecord;
 
 use crate::error::TraceError;
-use crate::format::{read_varint, CodecState, Fnv64, TraceHeader, MAGIC, MAX_NAME_BYTES, VERSION};
+use crate::format::{
+    read_varint, CodecState, Fnv64, TraceHeader, MAGIC, MAX_NAME_BYTES, TRUNCATED_RECORD, VERSION,
+};
 
 /// Maps an I/O error to a [`TraceError`], turning `UnexpectedEof` into a
 /// located format error with a caller-supplied context message.
@@ -116,24 +118,12 @@ impl<R: Read> TraceReader<R> {
         if self.decoded == self.header.records {
             if !self.verified {
                 self.verified = true;
-                let actual = self.hasher.finish();
-                if actual != self.header.checksum {
-                    return Err(TraceError::Checksum { expected: self.header.checksum, actual });
-                }
-                if self.instructions != self.header.instructions {
-                    return Err(TraceError::Format {
-                        offset: self.offset,
-                        message: format!(
-                            "header claims {} instructions but the records hold {}",
-                            self.header.instructions, self.instructions
-                        ),
-                    });
-                }
+                verify_totals(&self.header, self.hasher.finish(), self.instructions, self.offset)?;
             }
             return Ok(None);
         }
         let Self { input, offset, hasher, state, .. } = self;
-        let mut next = byte_source(input, offset, hasher, "file ends mid-record (truncated trace)");
+        let mut next = byte_source(input, offset, hasher, TRUNCATED_RECORD);
         let record = state.decode(&mut next)?;
         self.decoded += 1;
         self.instructions += record.instructions();
@@ -152,6 +142,13 @@ impl<R: Read> TraceReader<R> {
             records.push(record);
         }
         Ok((self.header, records))
+    }
+
+    /// The header, the checksum so far (over the header's identity bytes)
+    /// and the file offset where the record payload starts: what a reader
+    /// that decodes the payload itself continues from.
+    pub(crate) fn into_payload_state(self) -> (TraceHeader, Fnv64, u64) {
+        (self.header, self.hasher, self.offset)
     }
 
     // ------------------------------------------------------------------
@@ -235,6 +232,30 @@ impl<R: Read> TraceReader<R> {
         let checksum = self.read_u64(false)?;
         Ok(TraceHeader { workload, source, core, seed, records, instructions, checksum })
     }
+}
+
+/// The checks after a trace's last record: the checksum over the header's
+/// identity bytes and the payload, then the trailer's instruction count.
+/// `offset` is the file offset just past the last record.
+pub(crate) fn verify_totals(
+    header: &TraceHeader,
+    checksum: u64,
+    instructions: u64,
+    offset: u64,
+) -> Result<(), TraceError> {
+    if checksum != header.checksum {
+        return Err(TraceError::Checksum { expected: header.checksum, actual: checksum });
+    }
+    if instructions != header.instructions {
+        return Err(TraceError::Format {
+            offset,
+            message: format!(
+                "header claims {} instructions but the records hold {instructions}",
+                header.instructions
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// Fully decodes and checksums a trace file without retaining the records.

@@ -5,11 +5,11 @@ use std::sync::Arc;
 
 use bard_cpu::{skip_by_reading, TraceRecord, TraceSource};
 
+use crate::encoded::{Cursor, EncodedTrace};
 use crate::error::TraceError;
 use crate::format::TraceHeader;
-use crate::reader::TraceReader;
 
-/// A [`TraceSource`] backed by a decoded BTF1 trace.
+/// A [`TraceSource`] backed by a BTF1 trace held encoded in memory.
 ///
 /// Replay is bitwise-equivalent to the live generator the trace was captured
 /// from: the decoded records are exactly the generator's output, so a
@@ -24,65 +24,44 @@ use crate::reader::TraceReader;
 /// [`ReplayWorkload::strict`], which panics instead of wrapping.
 #[derive(Debug, Clone)]
 pub struct ReplayWorkload {
-    header: TraceHeader,
-    /// Decoded records, shared: every replay of the same file (and the
+    /// The encoded recording, shared: every replay of the same file (and the
     /// process-wide decode cache behind [`crate::TraceStore`]) points at one
-    /// allocation, so grid experiments stop holding per-`System` copies. An
-    /// `Arc<Vec<_>>` rather than an `Arc<[_]>`, so the `Vec` a decode or
-    /// capture built is shared as it is, without a copy.
-    records: Arc<Vec<TraceRecord>>,
-    position: usize,
+    /// allocation and decodes its own records from it.
+    trace: Arc<EncodedTrace>,
+    /// The next record to serve.
+    cursor: Cursor,
     wraps: u64,
     strict: bool,
 }
 
 impl ReplayWorkload {
-    /// Decodes `path` fully (verifying its checksum) into a replayable
-    /// source.
+    /// Reads `path` once, validating every record and its checksum, into a
+    /// replayable source.
     ///
     /// # Errors
     ///
     /// Propagates read, decode and checksum errors, and rejects empty traces
     /// (a `TraceSource` must be able to produce a record).
     pub fn open(path: &Path) -> Result<Self, TraceError> {
-        let (header, records) = TraceReader::open(path)?.read_all()?;
-        Self::from_parts(header, records)
+        Self::new(Arc::new(EncodedTrace::read(path)?))
     }
 
-    /// Builds a replay from an already-decoded header and record vector,
-    /// taking ownership of the vector (no copy is made).
-    ///
-    /// # Errors
-    ///
-    /// Rejects empty traces.
-    pub fn from_parts(header: TraceHeader, records: Vec<TraceRecord>) -> Result<Self, TraceError> {
-        Self::from_shared(header, Arc::new(records))
-    }
-
-    /// Builds a replay over an already-shared record allocation (the decode
-    /// cache's path — no copy is made).
-    ///
-    /// # Errors
-    ///
-    /// Rejects empty traces.
-    pub fn from_shared(
-        header: TraceHeader,
-        records: Arc<Vec<TraceRecord>>,
-    ) -> Result<Self, TraceError> {
-        if records.is_empty() {
+    /// A replay from the first record of a shared trace.
+    pub(crate) fn new(trace: Arc<EncodedTrace>) -> Result<Self, TraceError> {
+        if trace.is_empty() {
             return Err(TraceError::Mismatch {
-                message: format!("trace '{}' holds no records", header.workload),
+                message: format!("trace '{}' holds no records", trace.header().workload),
             });
         }
-        Ok(Self { header, records, position: 0, wraps: 0, strict: false })
+        Ok(Self { trace, cursor: Cursor::default(), wraps: 0, strict: false })
     }
 
-    /// The shared record allocation backing this replay. Two replays of the
+    /// The shared encoded recording backing this replay. Two replays of the
     /// same archived file satisfy `Arc::ptr_eq` on this when both came
     /// through the decode cache.
     #[must_use]
-    pub fn shared_records(&self) -> Arc<Vec<TraceRecord>> {
-        Arc::clone(&self.records)
+    pub fn shared_records(&self) -> Arc<EncodedTrace> {
+        Arc::clone(&self.trace)
     }
 
     /// Returns a replay that panics instead of wrapping past the end of the
@@ -98,13 +77,13 @@ impl ReplayWorkload {
     /// The trace's self-describing header.
     #[must_use]
     pub fn header(&self) -> &TraceHeader {
-        &self.header
+        self.trace.header()
     }
 
     /// Number of records before the replay wraps.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.trace.len()
     }
 
     /// Always false: construction rejects empty traces.
@@ -120,14 +99,21 @@ impl ReplayWorkload {
         self.wraps
     }
 
-    /// Moves past the next `n` records in O(1) when they all lie inside the
+    /// True while records remain before the end of the recording.
+    fn has_next(&self) -> bool {
+        self.cursor.record < self.trace.len()
+    }
+
+    /// Moves past the next `n` records by seeking, which decodes fewer than
+    /// [`crate::CHECKPOINT_INTERVAL`] records, when they all lie inside the
     /// recording, returning whether it did; a skip that would reach past
     /// the end leaves the replay untouched.
     fn seek_within(&mut self, n: u64) -> bool {
-        let left = self.records.len() - self.position;
+        let left = self.trace.len() - self.cursor.record;
         match usize::try_from(n) {
             Ok(n) if n <= left => {
-                self.position += n;
+                let target = self.cursor.record + n;
+                self.trace.seek(&mut self.cursor, target);
                 true
             }
             _ => false,
@@ -156,9 +142,9 @@ impl ReplayWorkload {
 
 /// A replay that continues with (fast-forwarded) live generation when the
 /// recording runs out — see [`ReplayWorkload::with_live_fallback`]. A
-/// [`TraceSource::skip`] that ends inside the recording seeks in O(1); one
-/// that crosses its end reads through it, so the fallback engages exactly
-/// as it would under [`TraceSource::next_record`].
+/// [`TraceSource::skip`] that ends inside the recording seeks by
+/// checkpoint; one that crosses its end reads through it, so the fallback
+/// engages exactly as it would under [`TraceSource::next_record`].
 pub struct ReplayThenLive {
     replay: ReplayWorkload,
     build: Option<Box<dyn FnOnce() -> Box<dyn TraceSource> + Send>>,
@@ -186,7 +172,7 @@ impl std::fmt::Debug for ReplayThenLive {
 
 impl TraceSource for ReplayThenLive {
     fn next_record(&mut self) -> TraceRecord {
-        if self.replay.position < self.replay.records.len() {
+        if self.replay.has_next() {
             return self.replay.next_record();
         }
         let live = self.live.get_or_insert_with(|| {
@@ -198,16 +184,16 @@ impl TraceSource for ReplayThenLive {
                 "trace '{}' (core {}): recording exhausted after {} records; continuing \
                  bitwise-identically from the fast-forwarded live generator (re-record \
                  with a larger budget to keep replay fast)",
-                self.replay.header.workload,
-                self.replay.header.core,
-                self.replay.records.len(),
+                self.replay.header().workload,
+                self.replay.header().core,
+                self.replay.len(),
             );
             let build = self.build.take().expect("fallback generator built once");
             let mut live = build();
             // Fast-forward past the recorded prefix the replay already
             // served; the generator stream is a pure function of the key, so
             // what follows is exactly what a longer recording would hold.
-            live.skip(self.replay.records.len() as u64);
+            live.skip(self.replay.len() as u64);
             live
         });
         live.next_record()
@@ -226,24 +212,23 @@ impl TraceSource for ReplayThenLive {
 
 impl TraceSource for ReplayWorkload {
     fn next_record(&mut self) -> TraceRecord {
-        if self.position == self.records.len() {
+        if !self.has_next() {
             // Consuming exactly len() records is fine; only a request for a
             // record beyond the recording wraps (or, strictly, fails).
+            let header = self.trace.header();
             assert!(
                 !self.strict,
                 "trace '{}' (core {}) exhausted its {} recorded instructions; a strict replay \
                  must outlast the run — re-record with a larger budget",
-                self.header.workload, self.header.core, self.header.instructions
+                header.workload, header.core, header.instructions
             );
-            self.position = 0;
+            self.cursor = Cursor::default();
             self.wraps += 1;
         }
-        let record = self.records[self.position];
-        self.position += 1;
-        record
+        self.trace.decode(&mut self.cursor)
     }
 
-    /// Seeks in O(1) inside the recording; a skip past its end reads
+    /// Seeks by checkpoint inside the recording; a skip past its end reads
     /// through it, so it wraps (or, strictly, panics) exactly as
     /// [`TraceSource::next_record`] would.
     fn skip(&mut self, n: u64) {
@@ -253,6 +238,6 @@ impl TraceSource for ReplayWorkload {
     }
 
     fn name(&self) -> &str {
-        &self.header.workload
+        &self.trace.header().workload
     }
 }

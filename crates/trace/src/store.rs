@@ -1,41 +1,41 @@
 //! The on-disk trace archive behind `--trace-dir`.
 
 use std::collections::BTreeMap;
+use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use bard_cpu::{TraceRecord, TraceSource};
+use bard_cpu::TraceSource;
 
+use crate::encoded::EncodedTrace;
 use crate::error::TraceError;
 use crate::format::TraceHeader;
-use crate::reader::TraceReader;
 use crate::replay::ReplayWorkload;
-use crate::writer::TraceWriter;
 
-/// Process-wide cache of decoded traces, keyed by path. Grid experiments
+/// Process-wide cache of archived traces, keyed by path. Grid experiments
 /// build one `System` per `(config, workload, job)` and every one of them
-/// re-opens the same BTF files; sharing the decoded `Arc<Vec<TraceRecord>>`
-/// turns that from a decode + multi-GB copy per `System` into one decode per
-/// path per process. The `Vec` a decode or capture built is moved into the
-/// `Arc`, never copied. Entries are held strongly for the life of the
-/// process — the cache's high-water mark is one copy per distinct file, the
-/// same as a single live `System` needed before. Writes through [`TraceStore`]
-/// invalidate the written path; files modified behind the store's back
-/// (outside any supported workflow) are not detected.
+/// re-opens the same BTF files; sharing one [`EncodedTrace`] (the file's
+/// validated payload plus its checkpoint index) turns that into one read
+/// and validation per path per process, and each replay decodes its own
+/// records from the shared bytes. Entries are held strongly for the life of
+/// the process, so the cache holds the encoded payload of every distinct
+/// file opened, about a quarter of the same records decoded. Writes through
+/// [`TraceStore`] invalidate the written path; files modified behind the
+/// store's back (outside any supported workflow) are not detected.
 // A `BTreeMap` rather than a `HashMap` so cache iteration order (and any
 // future drain/report over it) is deterministic by path; lookups are
 // per-System-open, far off any hot path.
-type DecodeCache = Mutex<BTreeMap<PathBuf, (TraceHeader, Arc<Vec<TraceRecord>>)>>;
+type DecodeCache = Mutex<BTreeMap<PathBuf, Arc<EncodedTrace>>>;
 
 fn decode_cache() -> &'static DecodeCache {
     static CACHE: OnceLock<DecodeCache> = OnceLock::new();
     CACHE.get_or_init(DecodeCache::default)
 }
 
-/// Decode-cache opens served from an already-decoded entry.
+/// Decode-cache opens served from an already-validated entry.
 static DECODE_HITS: AtomicU64 = AtomicU64::new(0);
-/// Decode-cache opens that had to decode the file from disk.
+/// Decode-cache opens that had to read and validate the file.
 static DECODE_MISSES: AtomicU64 = AtomicU64::new(0);
 /// Fresh captures published through the store (each also seeds the cache).
 static DECODE_CAPTURES: AtomicU64 = AtomicU64::new(0);
@@ -48,23 +48,28 @@ static DECODE_CAPTURES: AtomicU64 = AtomicU64::new(0);
 pub struct DecodeCacheCounters {
     /// Opens served from the cache.
     pub hits: u64,
-    /// Opens that decoded from disk.
+    /// Opens that read and validated the file.
     pub misses: u64,
     /// Fresh captures published (and cache-seeded).
     pub captures: u64,
-    /// Distinct decoded paths currently held.
+    /// Distinct trace paths currently held.
     pub entries: u64,
+    /// Bytes the held traces occupy: encoded payloads plus checkpoint
+    /// indexes ([`EncodedTrace::bytes_held`]).
+    pub bytes: u64,
 }
 
 /// Reads the decode-cache counters (process-wide, monotonic except
-/// `entries`).
+/// `entries` and `bytes`).
 #[must_use]
 pub fn decode_cache_counters() -> DecodeCacheCounters {
+    let cache = decode_cache().lock().expect("decode cache poisoned");
     DecodeCacheCounters {
         hits: DECODE_HITS.load(Ordering::Relaxed),
         misses: DECODE_MISSES.load(Ordering::Relaxed),
         captures: DECODE_CAPTURES.load(Ordering::Relaxed),
-        entries: decode_cache().lock().expect("decode cache poisoned").len() as u64,
+        entries: cache.len() as u64,
+        bytes: cache.values().map(|trace| trace.bytes_held() as u64).sum(),
     }
 }
 
@@ -146,44 +151,40 @@ impl TraceStore {
         }
         let mut live = build_live();
         let path = self.path_for(workload, core, seed, instructions);
-        let (header, records) = self.capture(live.as_mut(), core, seed, instructions, &path)?;
-        // Seed the cache: the captured records are exactly the published
-        // file's contents, so later opens of the same path share them.
-        let records = Arc::new(records);
+        let trace = Arc::new(self.capture(live.as_mut(), core, seed, instructions, &path)?);
+        // Seed the cache: the captured trace is exactly the published file's
+        // contents, so later opens of the same path share it.
         DECODE_CAPTURES.fetch_add(1, Ordering::Relaxed);
-        decode_cache()
-            .lock()
-            .expect("decode cache poisoned")
-            .insert(path, (header.clone(), Arc::clone(&records)));
-        ReplayWorkload::from_shared(header, records)
+        decode_cache().lock().expect("decode cache poisoned").insert(path, Arc::clone(&trace));
+        ReplayWorkload::new(trace)
     }
 
     /// Opens a trace through the process-wide decode cache: the first open
-    /// of a path decodes (and checksums) the file, every later open shares
-    /// the same record allocation. The whole operation holds the cache lock,
-    /// so concurrent grid jobs racing to the same file decode it once and
-    /// the rest wait for the shared result. The flip side: first-time
-    /// decodes of *distinct* files also serialize — a deliberate trade
-    /// (per-path entry locks would complicate the cache for a one-off
-    /// per-process decode wave whose common case is same-file sharing).
+    /// of a path reads and validates the file (every record and the
+    /// checksum), every later open shares the same encoded trace. The whole
+    /// operation holds the cache lock, so concurrent grid jobs racing to the
+    /// same file read it once and the rest wait for the shared result. The
+    /// flip side: first-time reads of *distinct* files also serialize — a
+    /// deliberate trade (per-path entry locks would complicate the cache for
+    /// a one-off per-process read wave whose common case is same-file
+    /// sharing).
     ///
     /// # Errors
     ///
     /// Propagates read, decode and checksum errors from a cache miss.
     pub fn open_cached(path: &Path) -> Result<ReplayWorkload, TraceError> {
         let mut cache = decode_cache().lock().expect("decode cache poisoned");
-        if let Some((header, records)) = cache.get(path) {
+        if let Some(trace) = cache.get(path) {
             DECODE_HITS.fetch_add(1, Ordering::Relaxed);
-            return ReplayWorkload::from_shared(header.clone(), Arc::clone(records));
+            return ReplayWorkload::new(Arc::clone(trace));
         }
         DECODE_MISSES.fetch_add(1, Ordering::Relaxed);
-        let (header, records) = TraceReader::open(path)?.read_all()?;
-        let records = Arc::new(records);
-        cache.insert(path.to_path_buf(), (header.clone(), Arc::clone(&records)));
-        ReplayWorkload::from_shared(header, records)
+        let trace = Arc::new(EncodedTrace::read(path)?);
+        cache.insert(path.to_path_buf(), Arc::clone(&trace));
+        ReplayWorkload::new(trace)
     }
 
-    /// Drops the cached decode of `path` (a write through the store is about
+    /// Drops the cached trace of `path` (a write through the store is about
     /// to replace, or just replaced, the file's contents).
     fn invalidate_cached(path: &Path) {
         decode_cache().lock().expect("decode cache poisoned").remove(path);
@@ -234,12 +235,17 @@ impl TraceStore {
         instructions: u64,
     ) -> Result<TraceHeader, TraceError> {
         let path = self.path_for(source.name(), core, seed, instructions);
-        let (header, _) = self.capture(source, core, seed, instructions, &path)?;
-        Ok(header)
+        let trace = self.capture(source, core, seed, instructions, &path)?;
+        // A recording run is not cached (it may archive far more than one
+        // process replays); drop any entry an open of the old bytes made
+        // while this capture ran.
+        Self::invalidate_cached(&path);
+        Ok(trace.header().clone())
     }
 
     /// Pulls records from `source` until the instruction budget is met,
-    /// writing them to a temp file published at `path` by atomic rename.
+    /// encoding each once into the in-memory trace, and publishes the same
+    /// bytes at `path` (temp file plus atomic rename).
     fn capture(
         &self,
         source: &mut dyn TraceSource,
@@ -247,7 +253,17 @@ impl TraceStore {
         seed: u64,
         instructions: u64,
         path: &Path,
-    ) -> Result<(TraceHeader, Vec<TraceRecord>), TraceError> {
+    ) -> Result<EncodedTrace, TraceError> {
+        // The path's bytes are about to change: drop its stale trace before
+        // the new one is built, so the two never coexist.
+        Self::invalidate_cached(path);
+        let meta = TraceHeader::new(
+            source.name(),
+            format!("registry:{} core={core} seed={seed:#x}", source.name()),
+            core,
+            seed,
+        );
+        let trace = EncodedTrace::capture(meta, source, instructions);
         std::fs::create_dir_all(&self.dir)?;
         let tmp = self.dir.join(format!(
             "{}.tmp-{}-{}",
@@ -255,29 +271,11 @@ impl TraceStore {
             std::process::id(),
             unique_suffix(),
         ));
-        let meta = TraceHeader::new(
-            source.name(),
-            format!("registry:{} core={core} seed={seed:#x}", source.name()),
-            core,
-            seed,
-        );
-        let mut writer = TraceWriter::create(&tmp, meta)?;
-        let mut records = Vec::new();
-        let result = (|| {
-            while writer.instructions() < instructions {
-                let record = source.next_record();
-                writer.write_record(&record)?;
-                records.push(record);
-            }
-            writer.finish()
-        })();
-        let header = match result {
-            Ok(header) => header,
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                return Err(e);
-            }
-        };
+        if let Err(write_error) = File::create(&tmp).and_then(|mut file| trace.write_to(&mut file))
+        {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(TraceError::Io(write_error));
+        }
         if let Err(rename_error) = std::fs::rename(&tmp, path) {
             let _ = std::fs::remove_file(&tmp);
             // A concurrent job publishing the identical file first is fine;
@@ -286,10 +284,7 @@ impl TraceStore {
                 return Err(TraceError::Io(rename_error));
             }
         }
-        // The path's bytes just changed (or were first published): any
-        // previously cached decode is stale.
-        Self::invalidate_cached(path);
-        Ok((header, records))
+        Ok(trace)
     }
 }
 

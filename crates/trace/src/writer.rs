@@ -92,12 +92,6 @@ impl<W: Write + Seek> TraceWriter<W> {
         self.header.records
     }
 
-    /// Instructions represented so far (sum of `bubble + 1`).
-    #[must_use]
-    pub fn instructions(&self) -> u64 {
-        self.header.instructions
-    }
-
     /// Patches the record count, instruction count and checksum into the
     /// header, flushes, and returns the final header.
     ///

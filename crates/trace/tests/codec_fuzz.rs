@@ -3,15 +3,18 @@
 //! `proptest`): random record streams round-trip writer→reader exactly, and
 //! a corrupted or truncated file is **rejected loudly** — no single-byte
 //! flip and no truncation point may ever yield a successful parse with
-//! records that differ from the originals.
+//! records that differ from the originals. Every file goes through both
+//! readers, the streaming `TraceReader` and the validating read behind
+//! `ReplayWorkload::open`, which must agree record for record and error for
+//! error.
 
 use std::path::Path;
 
-use bard_cpu::{MemAccess, TraceRecord};
+use bard_cpu::{MemAccess, TraceRecord, TraceSource};
 
 mod common;
 use bard_trace::format::TraceHeader;
-use bard_trace::{TraceReader, TraceWriter};
+use bard_trace::{ReplayWorkload, TraceReader, TraceWriter};
 use bard_workloads::rng::SmallRng;
 use common::TempDir;
 
@@ -59,11 +62,30 @@ fn write_trace(path: &Path, records: &[TraceRecord]) -> Vec<u8> {
     std::fs::read(path).expect("read trace bytes")
 }
 
-/// Parses `bytes` as a BTF file, returning the decoded records on success.
+/// Parses `bytes` as a BTF file with both readers, returning the decoded
+/// records on success. The stream reader and the replay must accept the
+/// same files with the same records and reject the rest with the same
+/// error.
 fn parse(path: &Path, bytes: &[u8]) -> Result<Vec<TraceRecord>, bard_trace::TraceError> {
     std::fs::write(path, bytes).expect("write mutated trace");
-    let (_, records) = TraceReader::open(path)?.read_all()?;
-    Ok(records)
+    let streamed = TraceReader::open(path).and_then(TraceReader::read_all);
+    let replayed = ReplayWorkload::open(path).map(|mut replay| {
+        let records: Vec<TraceRecord> = (0..replay.len()).map(|_| replay.next_record()).collect();
+        assert_eq!(replay.wraps(), 0);
+        records
+    });
+    match (streamed, replayed) {
+        (Ok((_, streamed)), Ok(replayed)) => {
+            assert_eq!(replayed, streamed, "replay must decode the stream reader's records");
+            Ok(streamed)
+        }
+        (Err(streamed), Err(replayed)) => {
+            assert_eq!(replayed.to_string(), streamed.to_string(), "both readers name one fault");
+            Err(streamed)
+        }
+        (Ok(_), Err(e)) => panic!("the replay rejected a file the stream reader accepts: {e}"),
+        (Err(e), Ok(_)) => panic!("the replay accepted a file the stream reader rejects: {e}"),
+    }
 }
 
 fn ensure_dir(tmp: &TempDir) {

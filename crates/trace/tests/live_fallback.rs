@@ -2,13 +2,14 @@
 //! recording continues with the fast-forwarded live generator and stays
 //! bitwise-identical to pure live generation for any consumption length.
 //! A `TraceSource::skip` leaves every source exactly where the same number
-//! of `next_record` calls would: replays seek inside the recording and read
-//! through its end, so wraps, strict panics and the fallback are unchanged.
+//! of `next_record` calls would: replays seek by checkpoint inside the
+//! recording and read through its end, so wraps, strict panics and the
+//! fallback are unchanged.
 
-use bard_cpu::{TraceRecord, TraceSource};
+use bard_cpu::{TraceRecord, TraceSource, VecTrace};
 
 mod common;
-use bard_trace::{ReplayWorkload, TraceStore};
+use bard_trace::{ReplayWorkload, TraceStore, CHECKPOINT_INTERVAL};
 use bard_workloads::WorkloadId;
 use common::TempDir;
 
@@ -121,6 +122,106 @@ fn strict_replay_skip_panics_where_next_record_would() {
     // Skipping exactly the recording is fine; one more record is not.
     replay.skip(len);
     replay.skip(1);
+}
+
+/// A 100,000-instruction recording of lbm on core 0 (about 33k records,
+/// several checkpoints of the encoded form), and the first records of the
+/// live generator past its end.
+fn long_recording(tmp: &TempDir) -> (ReplayWorkload, Vec<TraceRecord>) {
+    let workload = WorkloadId::Lbm;
+    let replay = TraceStore::new(&tmp.0)
+        .obtain(workload.name(), 0, SEED, 100_000, || workload.build(0, SEED))
+        .expect("capture must succeed");
+    assert!(replay.len() > 6 * CHECKPOINT_INTERVAL, "{} records", replay.len());
+    let mut live = workload.build(0, SEED);
+    let stream = (0..replay.len() + 8).map(|_| live.next_record()).collect();
+    (replay, stream)
+}
+
+#[test]
+fn skips_around_checkpoints_match_reading_one_by_one() {
+    let tmp = TempDir::new("skip-checkpoints");
+    let (replay, stream) = long_recording(&tmp);
+    let len = replay.len();
+    let mut read = replay.clone();
+    for (i, expected) in stream[..len].iter().enumerate() {
+        assert_eq!(read.next_record(), *expected, "record {i} read one by one");
+    }
+    let mut targets = vec![len - 1, len, len + 1];
+    for k in [1, 2, 5, (len - 2) / CHECKPOINT_INTERVAL] {
+        let at = k * CHECKPOINT_INTERVAL;
+        targets.extend([at - 1, at, at + 1]);
+    }
+    for target in targets {
+        let mut skipped = replay.clone();
+        let mut read = replay.clone();
+        skipped.skip(target as u64);
+        for _ in 0..target {
+            let _ = read.next_record();
+        }
+        for i in 0..3 {
+            assert_eq!(skipped.next_record(), read.next_record(), "record {i} after {target}");
+        }
+        assert_eq!(skipped.wraps(), read.wraps(), "wraps after skipping {target}");
+        assert_eq!(skipped.wraps(), u64::from(target + 3 > len));
+
+        let mut fallback = replay.clone().with_live_fallback(|| WorkloadId::Lbm.build(0, SEED));
+        fallback.skip(target as u64);
+        assert_eq!(fallback.fell_back(), target > len, "fallback after skipping {target}");
+        for (i, expected) in stream[target..target + 3].iter().enumerate() {
+            assert_eq!(fallback.next_record(), *expected, "record {i} after {target}, live");
+        }
+        assert_eq!(fallback.fell_back(), target + 3 > len);
+    }
+}
+
+#[test]
+fn chained_skips_seek_from_the_cursor_or_the_checkpoint() {
+    let tmp = TempDir::new("skip-chained");
+    let (replay, _) = long_recording(&tmp);
+    let n = CHECKPOINT_INTERVAL as u64;
+    let mut skipped = replay.clone();
+    let mut read = replay;
+    // Positions reached: n - 3, then n - 1 and n + 3 inside a block, then
+    // 2n + 3 and 5n + 11 past the next checkpoints.
+    for step in [n - 3, 1, 0, 2, n - 1, 3 * n + 7, 1] {
+        skipped.skip(step);
+        for _ in 0..step {
+            let _ = read.next_record();
+        }
+        assert_eq!(skipped.next_record(), read.next_record(), "record after a skip of {step}");
+    }
+}
+
+/// A recording whose length is a whole number of checkpoint intervals has
+/// a checkpoint at its very end; a skip to that end lands there whether the
+/// trace was captured or read back from its file.
+#[test]
+fn a_recording_of_whole_intervals_seeks_to_its_end() {
+    let tmp = TempDir::new("skip-whole");
+    let store = TraceStore::new(&tmp.0);
+    // One-instruction records, so a budget of 2N instructions is 2N records.
+    let cycle: Vec<TraceRecord> =
+        (0..5u64).map(|i| TraceRecord::load(0x400 + i * 4, 0, 0x1000 + i * 64)).collect();
+    let live = move || -> Box<dyn TraceSource> { Box::new(VecTrace::new("whole", cycle.clone())) };
+    let len = 2 * CHECKPOINT_INTERVAL;
+    let captured = store.obtain("whole", 0, SEED, len as u64, live.clone()).expect("capture");
+    let opened = ReplayWorkload::open(&store.path_for("whole", 0, SEED, len as u64)).expect("read");
+    let mut stream = live();
+    let stream: Vec<TraceRecord> = (0..len + 2).map(|_| stream.next_record()).collect();
+    for replay in [captured, opened] {
+        assert_eq!(replay.len(), len);
+        for target in [len - 1, len, len + 1] {
+            let mut plain = replay.clone();
+            plain.skip(target as u64);
+            assert_eq!(plain.next_record(), stream[target % len], "plain, skip {target}");
+            assert_eq!(plain.wraps(), u64::from(target >= len));
+            let mut fallback = replay.clone().with_live_fallback(live.clone());
+            fallback.skip(target as u64);
+            assert_eq!(fallback.next_record(), stream[target], "fallback, skip {target}");
+            assert_eq!(fallback.fell_back(), target >= len);
+        }
+    }
 }
 
 /// A source that can only seek: reading a record is a test failure.

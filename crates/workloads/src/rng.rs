@@ -74,6 +74,11 @@ impl SmallRng {
     /// Debiased uniform sample in `[0, bound)` via Lemire-style rejection.
     fn bounded_u64(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "cannot sample from an empty range");
+        if bound.is_power_of_two() {
+            // The rejection zone is empty and the modulo is a mask: one
+            // draw, the same value the general path returns.
+            return self.next_u64() & (bound - 1);
+        }
         // Rejection zone keeps the modulo unbiased.
         let zone = bound.wrapping_neg() % bound;
         loop {
@@ -167,6 +172,18 @@ mod tests {
         for _ in 0..10_000 {
             let v = rng.next_f64();
             assert!((0.0..1.0).contains(&v));
+        }
+    }
+
+    #[test]
+    fn power_of_two_bounds_match_the_plain_modulo() {
+        for bound in [1, 2, 64, 1 << 17, 1 << 26, 1 << 63] {
+            let mut masked = SmallRng::seed_from_u64(bound);
+            let mut reference = masked.clone();
+            for _ in 0..10_000 {
+                assert_eq!(masked.bounded_u64(bound), reference.next_u64() % bound, "{bound}");
+            }
+            assert_eq!(masked, reference, "bound {bound} must draw exactly once per sample");
         }
     }
 

@@ -30,10 +30,11 @@
 //!   `DIR/<experiment>.csv` artifacts (see `docs/RESULTS.md` for the schema).
 //!
 //! `--help` prints [`USAGE`] and exits 0. An unknown flag, workload, engine
-//! or format, a non-numeric `--cores=`, `--seed=` or `--jobs=`, or a
-//! configuration [`SystemConfig::validate`] rejects (such as `--cores=0` or
-//! `--cores=65`) is a usage error: [`Cli::parse`] prints the message and
-//! [`USAGE`] to stderr and exits 2.
+//! or format, a non-numeric `--cores=`, `--seed=` or `--jobs=`, an empty
+//! `--trace-dir=`, `--snapshot-dir=` or `--out=`, or a configuration
+//! [`SystemConfig::validate`] rejects (such as `--cores=0` or `--cores=65`)
+//! is a usage error: [`Cli::parse`] prints the message and [`USAGE`] to
+//! stderr and exits 2.
 //!
 //! The driving helpers ([`Cli::run`], [`Cli::run_grid`], [`Cli::compare`])
 //! execute the whole `(configs x workloads)` grid on the [`Runner`] so
@@ -128,9 +129,10 @@ impl Cli {
     /// # Errors
     ///
     /// Returns a message naming the offending argument on an unknown flag,
-    /// workload, engine or format, or a non-numeric `--cores=`, `--seed=`
-    /// or `--jobs=`; returns [`SystemConfig::validate`]'s message when the
-    /// resulting configuration is invalid.
+    /// workload, engine or format, a non-numeric `--cores=`, `--seed=` or
+    /// `--jobs=`, or an empty directory flag; returns
+    /// [`SystemConfig::validate`]'s message when the resulting configuration
+    /// is invalid.
     pub fn from_args(args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut length = RunLength::quick();
         let mut workloads = WorkloadId::all();
@@ -168,9 +170,9 @@ impl Cli {
             } else if let Some(n) = arg.strip_prefix("--seed=") {
                 seed = Some(number("--seed", n)?);
             } else if let Some(dir) = arg.strip_prefix("--trace-dir=") {
-                trace_dir = Some(PathBuf::from(dir));
+                trace_dir = Some(directory("--trace-dir", dir)?);
             } else if let Some(dir) = arg.strip_prefix("--snapshot-dir=") {
-                snapshot_dir = Some(PathBuf::from(dir));
+                snapshot_dir = Some(directory("--snapshot-dir", dir)?);
             } else if let Some(n) = arg.strip_prefix("--jobs=") {
                 jobs = number("--jobs", n)?;
             } else if arg == "--progress" {
@@ -184,7 +186,7 @@ impl Cli {
                 format = OutputFormat::from_name(name)
                     .map_err(|name| format!("unknown format '{name}' (text|json|csv)"))?;
             } else if let Some(dir) = arg.strip_prefix("--out=") {
-                out = Some(PathBuf::from(dir));
+                out = Some(directory("--out", dir)?);
             } else {
                 return Err(format!("unknown argument '{arg}'"));
             }
@@ -289,6 +291,15 @@ impl Cli {
 /// Parses the numeric value of `flag`.
 fn number<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
     value.parse().map_err(|_| format!("{flag}=N needs a number, got '{value}'"))
+}
+
+/// Parses a directory flag's value. An empty one is rejected: as a path it
+/// would mean the working directory.
+pub(crate) fn directory(flag: &str, value: &str) -> Result<PathBuf, String> {
+    if value.is_empty() {
+        return Err(format!("{flag}=DIR needs a directory, got an empty value"));
+    }
+    Ok(PathBuf::from(value))
 }
 
 /// Writes `DIR/<id>.json` and `DIR/<id>.csv` for an artifact, creating the
@@ -533,6 +544,16 @@ mod tests {
     #[should_panic(expected = "unknown argument '--probe=walk'")]
     fn unknown_probe_panics() {
         reject(&["--test", "--probe=walk", "--bogus"]);
+    }
+
+    /// An empty directory would be the working directory: each flag is
+    /// named in its usage error instead.
+    #[test]
+    fn empty_directory_flags_are_usage_errors() {
+        for flag in ["--trace-dir", "--snapshot-dir", "--out"] {
+            let message = Cli::from_args([format!("{flag}=")].into_iter()).expect_err(flag);
+            assert_eq!(message, format!("{flag}=DIR needs a directory, got an empty value"));
+        }
     }
 
     #[test]

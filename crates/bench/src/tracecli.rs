@@ -14,14 +14,18 @@
 //! instruction budget for a given run-length preset), so archives can be
 //! produced ahead of time and shipped to other machines. `import` turns a
 //! ChampSim-like text trace (see `bard_trace::import`) into a sealed BTF
-//! file, and `verify` fully decodes files, checking their checksums.
+//! file, and `verify` opens files with the validating read every replay
+//! runs, so it accepts exactly the files a replay can open.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use bard::experiment::RunLength;
 use bard::{SystemConfig, TraceConfig};
-use bard_trace::{verify_file, TraceHeader, TraceReader, TraceStore, TraceWriter};
+use bard_cpu::{TraceSource, VecTrace};
+use bard_trace::{RecordingSource, ReplayWorkload, TraceHeader, TraceStore};
 use bard_workloads::WorkloadId;
+
+use crate::harness::directory;
 
 /// Runs the CLI on an argument list (without the program name), writing
 /// human-readable output through `out`.
@@ -56,7 +60,7 @@ fn usage() -> String {
      trace info FILE...\n\
      \x20   Print each file's self-describing header.\n\
      trace verify FILE...\n\
-     \x20   Fully decode each file and check its checksum; non-zero exit on failure.\n\
+     \x20   Check each file as a replay opens it; non-zero exit on failure.\n\
      trace import SRC.txt --out=FILE.btf [--name=NAME] [--seed=N] [--core=N]\n\
      \x20   Seal a ChampSim-like text trace (ip bubble L|S|- [addr] per line) into BTF.\n\
      \n\
@@ -78,7 +82,7 @@ fn record(args: &[String], out: &mut dyn std::fmt::Write) -> Result<(), String> 
     let mut force = false;
     for arg in args {
         if let Some(d) = arg.strip_prefix("--dir=") {
-            dir = Some(PathBuf::from(d));
+            dir = Some(directory("--dir", d).map_err(|e| format!("record: {e}"))?);
         } else if let Some(list) = arg.strip_prefix("--workloads=") {
             workloads = parse_workloads(list)?;
         } else if arg == "--singles" {
@@ -110,6 +114,11 @@ fn record(args: &[String], out: &mut dyn std::fmt::Write) -> Result<(), String> 
     // streams captured for any other count.
     if !(1..=64).contains(&cores) {
         return Err(format!("record: --cores={cores} is outside 1..=64"));
+    }
+    // A replay needs a record, and `SystemConfig::validate` rejects a zero
+    // trace budget.
+    if instructions == Some(0) {
+        return Err("record: --instructions=0 would capture empty traces".to_string());
     }
     let budget = instructions.unwrap_or_else(|| TraceConfig::budget_for(length));
     let store = TraceStore::new(&dir);
@@ -184,9 +193,9 @@ fn info(files: &[String], out: &mut dyn std::fmt::Write) -> Result<(), String> {
         return Err("info: at least one FILE is required".to_string());
     }
     for file in files {
-        let reader = TraceReader::open(std::path::Path::new(file))
-            .map_err(|e| format!("info: {file}: {e}"))?;
-        writeln!(out, "{file}: {}", describe(reader.header())).expect("infallible writer");
+        let header =
+            TraceHeader::read(Path::new(file)).map_err(|e| format!("info: {file}: {e}"))?;
+        writeln!(out, "{file}: {}", describe(&header)).expect("infallible writer");
     }
     Ok(())
 }
@@ -196,8 +205,9 @@ fn verify(files: &[String], out: &mut dyn std::fmt::Write) -> Result<(), String>
         return Err("verify: at least one FILE is required".to_string());
     }
     for file in files {
-        let header = verify_file(std::path::Path::new(file))
+        let replay = ReplayWorkload::open(Path::new(file))
             .map_err(|e| format!("verify: {file}: FAILED: {e}"))?;
+        let header = replay.header();
         writeln!(
             out,
             "{file}: ok ({} records, checksum {:#018x})",
@@ -247,13 +257,14 @@ fn import(args: &[String], out: &mut dyn std::fmt::Write) -> Result<(), String> 
     if records.is_empty() {
         return Err(format!("import: {}: the text trace holds no records", src.display()));
     }
-    let header = TraceHeader::new(&name, format!("import:{}", src.display()), core, seed);
-    let mut writer =
-        TraceWriter::create(&dst, header).map_err(|e| format!("import: {}: {e}", dst.display()))?;
-    for record in &records {
-        writer.write_record(record).map_err(|e| format!("import: {}: {e}", dst.display()))?;
+    let count = records.len();
+    let provenance = format!("import:{}", src.display());
+    let mut recording =
+        RecordingSource::create(VecTrace::new(name, records), &dst, provenance, core, seed);
+    for _ in 0..count {
+        let _ = recording.next_record();
     }
-    let header = writer.finish().map_err(|e| format!("import: {}: {e}", dst.display()))?;
+    let (header, _) = recording.finish().map_err(|e| format!("import: {}: {e}", dst.display()))?;
     writeln!(out, "imported {} -> {} ({})", src.display(), dst.display(), describe(&header))
         .expect("infallible writer");
     Ok(())
@@ -367,6 +378,36 @@ mod tests {
         assert!(err.contains("FAILED"), "{err}");
     }
 
+    /// `verify` accepts exactly what a replay opens, and no replay opens a
+    /// trace of no records, however well formed.
+    #[test]
+    fn verify_rejects_a_zero_record_file() {
+        use bard_trace::format::push_varint;
+        use bard_trace::{Fnv64, MAGIC, VERSION};
+
+        let tmp = TempDir::new("verify-empty");
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend(VERSION.to_le_bytes());
+        bytes.extend(0u32.to_le_bytes()); // flags
+        for text in ["copy", "hand-built"] {
+            push_varint(&mut bytes, text.len() as u64);
+            bytes.extend(text.as_bytes());
+        }
+        bytes.extend(0u32.to_le_bytes()); // core
+        bytes.extend(7u64.to_le_bytes()); // seed
+        let mut checksum = Fnv64::new();
+        checksum.update(&bytes);
+        bytes.extend(0u64.to_le_bytes()); // records
+        bytes.extend(0u64.to_le_bytes()); // instructions
+        bytes.extend(checksum.finish().to_le_bytes());
+        let file = tmp.0.join("empty.btf");
+        std::fs::write(&file, bytes).unwrap();
+        let file = file.to_str().unwrap();
+        assert!(run_ok(&["info", file]).contains("records=0"), "the header is well formed");
+        let err = run_err(&["verify", file]);
+        assert!(err.contains("FAILED") && err.contains("holds no records"), "{err}");
+    }
+
     #[test]
     fn import_seals_text_into_a_verifiable_file() {
         let tmp = TempDir::new("import");
@@ -405,6 +446,10 @@ mod tests {
                 "{cores}"
             );
         }
+        assert!(run_err(&["record", "--dir=/tmp/x", "--instructions=0"])
+            .contains("--instructions=0 would capture empty traces"));
+        assert!(run_err(&["record", "--dir=", "--workloads=copy"])
+            .contains("--dir=DIR needs a directory, got an empty value"));
         assert!(run_err(&["info"]).contains("FILE is required"));
         assert!(run_err(&["verify"]).contains("FILE is required"));
         assert!(run_err(&["import"]).contains("SRC.txt argument is required"));

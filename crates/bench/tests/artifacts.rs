@@ -212,6 +212,10 @@ fn bad_arguments_exit_2_with_a_usage_message() {
         (env!("CARGO_BIN_EXE_fig03_write_blp"), "--cores=65", "exceeds the 64-core cap"),
         (env!("CARGO_BIN_EXE_repro"), "--cores=65", "exceeds the 64-core cap"),
         (env!("CARGO_BIN_EXE_repro"), "--sched=scan", "unknown argument '--sched=scan'"),
+        (env!("CARGO_BIN_EXE_fig03_write_blp"), "--trace-dir=", "--trace-dir=DIR needs a"),
+        (env!("CARGO_BIN_EXE_fig03_write_blp"), "--snapshot-dir=", "--snapshot-dir=DIR needs a"),
+        (env!("CARGO_BIN_EXE_fig03_write_blp"), "--out=", "--out=DIR needs a directory"),
+        (env!("CARGO_BIN_EXE_repro"), "--out=", "--out=DIR needs a directory"),
     ];
     for (bin, arg, message) in cases {
         let out = std::process::Command::new(bin).args(["--test", arg]).output().unwrap();

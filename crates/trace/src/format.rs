@@ -12,8 +12,8 @@
 //! core       u32 LE    core id the trace was captured for
 //! seed       u64 LE    base workload-generator seed
 //! records    u64 LE    record count           ─┐ fixed-width trailer,
-//! instrs     u64 LE    total instructions      ├ patched in place by
-//! checksum   u64 LE    FNV-1a, see below     ─┘ `TraceWriter::finish`
+//! instrs     u64 LE    total instructions      ├ sealed once the
+//! checksum   u64 LE    FNV-1a, see below     ─┘ records are encoded
 //! <records>  delta/zigzag/varint encoded, see below
 //! ```
 //!
@@ -29,10 +29,14 @@
 //! Deltas make the common cases (sequential ips, streaming addresses,
 //! constant bubbles) one or two bytes each; zigzag keeps small negative
 //! deltas small. The checksum covers the header's identity bytes (magic
-//! through seed — everything before the patched trailer) plus every encoded
+//! through seed — everything before the sealed trailer) plus every encoded
 //! record byte, so a flipped bit in the payload *or* in the identity fields
 //! is rejected with [`TraceError::Checksum`]; the trailer's own counts are
 //! cross-checked against the decoded records.
+
+use std::fs::File;
+use std::io::{BufReader, Read};
+use std::path::Path;
 
 use bard_cpu::{MemAccess, MemKind, TraceRecord};
 
@@ -46,11 +50,11 @@ pub const VERSION: u32 = 1;
 
 /// Sanity bound on header string lengths (a corrupt length field would
 /// otherwise ask for gigabytes).
-pub(crate) const MAX_NAME_BYTES: u64 = 4096;
+const MAX_NAME_BYTES: u64 = 4096;
 
 /// Byte length of the fixed-width header trailer (records, instructions,
-/// checksum) that [`TraceWriter::finish`](crate::TraceWriter::finish)
-/// patches in place.
+/// checksum), which stays outside the checksum because it is sealed after
+/// the records are encoded.
 pub(crate) const TRAILER_BYTES: u64 = 24;
 
 /// Record tag values.
@@ -82,7 +86,7 @@ pub struct TraceHeader {
 
 impl TraceHeader {
     /// A header carrying only the identity fields; counts and checksum are
-    /// filled in by [`TraceWriter::finish`](crate::TraceWriter::finish).
+    /// sealed once the records are encoded.
     #[must_use]
     pub fn new(
         workload: impl Into<String>,
@@ -99,6 +103,110 @@ impl TraceHeader {
             instructions: 0,
             checksum: 0,
         }
+    }
+
+    /// Reads the header of the BTF1 file at `path` without decoding its
+    /// records, so it neither checks them nor the checksum.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the file cannot be opened or does not start with
+    /// a valid BTF1 header.
+    pub fn read(path: &Path) -> Result<Self, TraceError> {
+        Ok(Self::parse(&mut BufReader::new(File::open(path)?))?.0)
+    }
+
+    /// Parses the header at the start of `input`: the one header parser.
+    /// Returns the header, the checksum over its identity bytes (which the
+    /// record payload continues) and its length, the offset of the first
+    /// record.
+    pub(crate) fn parse(input: &mut impl Read) -> Result<(Self, Fnv64, u64), TraceError> {
+        let mut input = HeaderInput { input, offset: 0, hasher: Fnv64::new() };
+        let magic: [u8; 4] = input.take(true)?;
+        if magic != MAGIC {
+            return Err(TraceError::Format {
+                offset: 0,
+                message: format!("bad magic {magic:02x?} (expected \"BTF1\")"),
+            });
+        }
+        let version = u32::from_le_bytes(input.take(true)?);
+        if version != VERSION {
+            return Err(TraceError::Version { found: version });
+        }
+        let flags = u32::from_le_bytes(input.take(true)?);
+        if flags != 0 {
+            return Err(TraceError::Format {
+                offset: input.offset - 4,
+                message: format!("reserved flags field is {flags:#x}, expected 0"),
+            });
+        }
+        let workload = input.string()?;
+        let source = input.string()?;
+        let core = u32::from_le_bytes(input.take(true)?);
+        let seed = u64::from_le_bytes(input.take(true)?);
+        // The trailer is sealed after the records are encoded, so it stays
+        // outside the checksum; its counts are cross-checked against the
+        // decoded records instead.
+        let records = u64::from_le_bytes(input.take(false)?);
+        let instructions = u64::from_le_bytes(input.take(false)?);
+        let checksum = u64::from_le_bytes(input.take(false)?);
+        let header = Self { workload, source, core, seed, records, instructions, checksum };
+        Ok((header, input.hasher, input.offset))
+    }
+}
+
+/// The input of [`TraceHeader::parse`]: the byte offset reached and the
+/// checksum over the identity bytes read so far.
+struct HeaderInput<'a, R> {
+    input: &'a mut R,
+    offset: u64,
+    hasher: Fnv64,
+}
+
+impl<R: Read> HeaderInput<'_, R> {
+    /// Reads `N` bytes, hashing them when `hashed`.
+    fn take<const N: usize>(&mut self, hashed: bool) -> Result<[u8; N], TraceError> {
+        let mut bytes = [0u8; N];
+        self.fill(&mut bytes, hashed)?;
+        Ok(bytes)
+    }
+
+    fn fill(&mut self, bytes: &mut [u8], hashed: bool) -> Result<(), TraceError> {
+        self.input.read_exact(bytes).map_err(|e| {
+            if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                TraceError::Format {
+                    offset: self.offset,
+                    message: "file ends inside the header".to_string(),
+                }
+            } else {
+                TraceError::Io(e)
+            }
+        })?;
+        self.offset += bytes.len() as u64;
+        if hashed {
+            self.hasher.update(bytes);
+        }
+        Ok(())
+    }
+
+    /// Reads a varint length and that many bytes of UTF-8.
+    fn string(&mut self) -> Result<String, TraceError> {
+        let len = read_varint(&mut || {
+            let [byte] = self.take(true)?;
+            Ok((byte, self.offset - 1))
+        })?;
+        if len > MAX_NAME_BYTES {
+            return Err(TraceError::Format {
+                offset: self.offset,
+                message: format!("header string of {len} bytes exceeds the {MAX_NAME_BYTES} cap"),
+            });
+        }
+        let mut bytes = vec![0u8; len as usize];
+        self.fill(&mut bytes, true)?;
+        String::from_utf8(bytes).map_err(|_| TraceError::Format {
+            offset: self.offset,
+            message: "header string is not UTF-8".to_string(),
+        })
     }
 }
 
@@ -240,7 +348,7 @@ impl CodecState {
 
 /// Reads an LEB128 varint from a byte source.
 #[inline(always)]
-pub(crate) fn read_varint(
+fn read_varint(
     next: &mut impl FnMut() -> Result<(u8, u64), TraceError>,
 ) -> Result<u64, TraceError> {
     let mut value = 0u64;
@@ -261,12 +369,9 @@ pub(crate) fn read_varint(
     }
 }
 
-/// The message of the error a record cut off by the end of the file raises.
-pub(crate) const TRUNCATED_RECORD: &str = "file ends mid-record (truncated trace)";
-
 /// The byte source over an in-memory record payload: yields
 /// `payload[*offset]` and advances `offset`. `base` is the payload's offset
-/// in its file, so errors name the same byte a streaming read would.
+/// in its file, so errors name the byte's offset in the file.
 #[inline]
 pub(crate) fn slice_source<'a>(
     payload: &'a [u8],
@@ -278,7 +383,7 @@ pub(crate) fn slice_source<'a>(
         let Some(&byte) = payload.get(at) else {
             return Err(TraceError::Format {
                 offset: base + at as u64,
-                message: TRUNCATED_RECORD.to_string(),
+                message: "file ends mid-record (truncated trace)".to_string(),
             });
         };
         *offset = at + 1;

@@ -11,12 +11,15 @@
 //!   record/instruction counts, FNV-1a checksum) followed by
 //!   delta/zigzag/varint-encoded records — no serde, matching the repo's
 //!   in-tree-codec convention from `bard::report`.
-//! * Streaming [`TraceWriter`] / [`TraceReader`] codecs with O(1) state.
+//! * One codec ([`mod@encoded`]): a trace is encoded once into memory, written
+//!   by one publish (a temporary file renamed into place) and read back by
+//!   one validating read that every replay and `trace verify` share;
+//!   [`TraceHeader::read`] parses a file's header alone.
 //! * [`ReplayWorkload`], a [`TraceSource`](bard_cpu::TraceSource) that
 //!   replays a BTF file bitwise-equivalently to live generation, decoding
 //!   each record as it serves it from a shared [`EncodedTrace`] (the file's
 //!   validated payload plus a checkpoint index), and [`RecordingSource`],
-//!   which tees any live source to disk.
+//!   which tees any live source into a file it publishes when finished.
 //! * [`TraceStore`], the `(workload, core, seed, budget)`-keyed directory
 //!   layout behind the experiment binaries' `--trace-dir=DIR` flag:
 //!   record-if-missing, replay-if-present.
@@ -26,24 +29,29 @@
 //! ## Example
 //!
 //! ```
-//! use bard_cpu::{TraceRecord, TraceSource};
-//! use bard_trace::{ReplayWorkload, TraceHeader, TraceReader, TraceWriter};
+//! use bard_cpu::{TraceRecord, TraceSource, VecTrace};
+//! use bard_trace::{RecordingSource, ReplayWorkload, TraceHeader};
 //!
 //! let dir = std::env::temp_dir().join(format!("bard-trace-doc-{}", std::process::id()));
 //! std::fs::create_dir_all(&dir).unwrap();
 //! let path = dir.join("demo.btf");
 //!
 //! // Record two records...
-//! let mut writer = TraceWriter::create(&path, TraceHeader::new("demo", "doctest", 0, 7)).unwrap();
-//! writer.write_record(&TraceRecord::load(0x400, 2, 0x1000)).unwrap();
-//! writer.write_record(&TraceRecord::store(0x408, 0, 0x1040)).unwrap();
-//! let header = writer.finish().unwrap();
+//! let live = VecTrace::new(
+//!     "demo",
+//!     vec![TraceRecord::load(0x400, 2, 0x1000), TraceRecord::store(0x408, 0, 0x1040)],
+//! );
+//! let mut recording = RecordingSource::create(live, &path, "doctest", 0, 7);
+//! for _ in 0..2 {
+//!     recording.next_record();
+//! }
+//! let (header, _live) = recording.finish().unwrap();
 //! assert_eq!(header.records, 2);
 //!
 //! // ...and replay them bitwise-identically.
 //! let mut replay = ReplayWorkload::open(&path).unwrap();
 //! assert_eq!(replay.next_record(), TraceRecord::load(0x400, 2, 0x1000));
-//! assert_eq!(TraceReader::open(&path).unwrap().header().workload, "demo");
+//! assert_eq!(TraceHeader::read(&path).unwrap().workload, "demo");
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
@@ -54,30 +62,27 @@ pub mod encoded;
 pub mod error;
 pub mod format;
 pub mod import;
-pub mod reader;
 pub mod recording;
 pub mod replay;
 pub mod store;
-pub mod writer;
 
 pub use encoded::{EncodedTrace, CHECKPOINT_INTERVAL};
 pub use error::TraceError;
 pub use format::{Fnv64, TraceHeader, MAGIC, VERSION};
 pub use import::{parse_text, render_text};
-pub use reader::{verify_file, TraceReader};
 pub use recording::RecordingSource;
 pub use replay::{ReplayThenLive, ReplayWorkload};
 pub use store::{decode_cache_counters, DecodeCacheCounters, TraceStore};
-pub use writer::TraceWriter;
 
 #[cfg(test)]
 mod tests {
-    use std::io::{Cursor, Read, Seek};
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
 
     use bard_cpu::{TraceRecord, TraceSource, VecTrace};
 
     use super::*;
+    use crate::encoded::Encoder;
+    use crate::format::header_bytes;
 
     /// A scratch directory removed on drop.
     struct TempDir(PathBuf);
@@ -111,43 +116,55 @@ mod tests {
         records
     }
 
-    fn encode_to_bytes(records: &[TraceRecord]) -> Vec<u8> {
-        let mut cursor = Cursor::new(Vec::new());
-        let mut writer =
-            TraceWriter::new(&mut cursor, TraceHeader::new("unit", "test", 1, 42)).unwrap();
+    /// Encodes `records` as workload `workload` of core 1, seed 42, publishes
+    /// them at `path` and returns the file's bytes.
+    fn write_trace(path: &Path, workload: &str, records: &[TraceRecord]) -> Vec<u8> {
+        let mut encoder = Encoder::new(TraceHeader::new(workload, "test", 1, 42));
         for r in records {
-            writer.write_record(r).unwrap();
+            encoder.push(r);
         }
-        writer.finish().unwrap();
-        cursor.into_inner()
+        encoder.finish().unwrap().publish(path).unwrap();
+        std::fs::read(path).unwrap()
+    }
+
+    /// Writes `bytes` to `path` and opens them through the validating read.
+    fn reopen(path: &Path, bytes: &[u8]) -> Result<ReplayWorkload, TraceError> {
+        std::fs::write(path, bytes).unwrap();
+        ReplayWorkload::open(path)
+    }
+
+    /// Every record of a replay, in order.
+    fn decode_all(replay: &mut ReplayWorkload) -> Vec<TraceRecord> {
+        (0..replay.len()).map(|_| replay.next_record()).collect()
     }
 
     #[test]
     fn encode_decode_round_trips_exactly() {
+        let tmp = TempDir::new("roundtrip");
+        let path = tmp.0.join("t.btf");
         let records = sample_records();
-        let bytes = encode_to_bytes(&records);
-        let reader = TraceReader::new(Cursor::new(bytes)).unwrap();
-        assert_eq!(reader.header().workload, "unit");
-        assert_eq!(reader.header().core, 1);
-        assert_eq!(reader.header().seed, 42);
-        assert_eq!(reader.header().records, records.len() as u64);
+        write_trace(&path, "unit", &records);
+        let mut replay = ReplayWorkload::open(&path).unwrap();
+        assert_eq!(replay.header().workload, "unit");
+        assert_eq!(replay.header().core, 1);
+        assert_eq!(replay.header().seed, 42);
+        assert_eq!(replay.header().records, records.len() as u64);
         let expected_instructions: u64 = records.iter().map(TraceRecord::instructions).sum();
-        assert_eq!(reader.header().instructions, expected_instructions);
-        let (_, decoded) = reader.read_all().unwrap();
-        assert_eq!(decoded, records, "decode must be the exact inverse of encode");
+        assert_eq!(replay.header().instructions, expected_instructions);
+        assert_eq!(decode_all(&mut replay), records, "decode must be the exact inverse of encode");
+        assert_eq!(replay.wraps(), 0);
     }
 
     #[test]
     fn corrupted_payload_is_rejected_with_a_checksum_error() {
-        let records = sample_records();
-        let mut bytes = encode_to_bytes(&records);
+        let tmp = TempDir::new("corrupt-payload");
+        let path = tmp.0.join("t.btf");
+        let mut bytes = write_trace(&path, "unit", &sample_records());
         // Flip one bit deep inside the payload. The record still decodes
         // (deltas absorb anything), but the checksum catches it.
         let target = bytes.len() - 40;
         bytes[target] ^= 0x40;
-        let reader = TraceReader::new(Cursor::new(bytes)).unwrap();
-        let err = reader.read_all().unwrap_err();
-        match err {
+        match reopen(&path, &bytes).unwrap_err() {
             TraceError::Checksum { expected, actual } => assert_ne!(expected, actual),
             TraceError::Format { .. } => {} // bit flip landed on structure — also rejected
             other => panic!("expected checksum/format rejection, got {other}"),
@@ -156,86 +173,88 @@ mod tests {
 
     #[test]
     fn corrupted_checksum_field_is_rejected() {
-        let records = sample_records();
-        let mut bytes = encode_to_bytes(&records);
+        let tmp = TempDir::new("corrupt-checksum");
+        let path = tmp.0.join("t.btf");
+        let mut bytes = write_trace(&path, "unit", &sample_records());
         // The checksum is the last 8 bytes of the header; find it by
         // re-reading the header and patching one byte inside those 8.
-        let header = TraceReader::new(Cursor::new(bytes.clone())).unwrap().header().clone();
+        let header = TraceHeader::read(&path).unwrap();
         let needle = header.checksum.to_le_bytes();
         let pos = bytes.windows(8).position(|w| w == needle).expect("checksum bytes in header");
         bytes[pos] ^= 0xff;
-        let err = TraceReader::new(Cursor::new(bytes)).unwrap().read_all().unwrap_err();
+        let err = reopen(&path, &bytes).unwrap_err();
         assert!(matches!(err, TraceError::Checksum { .. }), "{err}");
         assert!(err.to_string().contains("corrupted trace file"), "{err}");
     }
 
     #[test]
     fn corrupted_header_identity_is_rejected() {
+        let tmp = TempDir::new("corrupt-identity");
+        let path = tmp.0.join("t.btf");
         let records = sample_records();
-        let mut bytes = encode_to_bytes(&records);
+        let mut bytes = write_trace(&path, "unit", &records);
         // Offset 13 is inside the workload-name bytes ("unit"): the file
         // still parses (under a mangled name), but the identity hash breaks.
         bytes[13] ^= 0x02;
-        let reader = TraceReader::new(Cursor::new(bytes)).unwrap();
-        assert_ne!(reader.header().workload, "unit");
-        let err = reader.read_all().unwrap_err();
+        std::fs::write(&path, &bytes).unwrap();
+        assert_ne!(TraceHeader::read(&path).unwrap().workload, "unit");
+        let err = reopen(&path, &bytes).unwrap_err();
         assert!(matches!(err, TraceError::Checksum { .. }), "{err}");
 
         // A corrupted instruction count in the trailer is caught too (the
         // trailer sits outside the hash but is cross-checked).
-        let mut bytes = encode_to_bytes(&records);
-        let header = TraceReader::new(Cursor::new(bytes.clone())).unwrap().header().clone();
+        let mut bytes = write_trace(&path, "unit", &records);
+        let header = TraceHeader::read(&path).unwrap();
         let needle = header.instructions.to_le_bytes();
         let pos = bytes.windows(8).position(|w| w == needle).expect("instruction bytes");
         bytes[pos] ^= 0x01;
-        let err = TraceReader::new(Cursor::new(bytes)).unwrap().read_all().unwrap_err();
+        let err = reopen(&path, &bytes).unwrap_err();
         assert!(err.to_string().contains("instructions"), "{err}");
     }
 
     #[test]
     fn truncated_files_are_rejected() {
-        let records = sample_records();
-        let bytes = encode_to_bytes(&records);
+        let tmp = TempDir::new("truncated");
+        let path = tmp.0.join("t.btf");
+        let bytes = write_trace(&path, "unit", &sample_records());
         let cut = bytes.len() - 11;
-        let err =
-            TraceReader::new(Cursor::new(bytes[..cut].to_vec())).unwrap().read_all().unwrap_err();
+        let err = reopen(&path, &bytes[..cut]).unwrap_err();
         assert!(matches!(err, TraceError::Format { .. }), "{err}");
         assert!(err.to_string().contains("truncated"), "{err}");
         // Truncation inside the header is also a clear error.
-        let err = TraceReader::new(Cursor::new(bytes[..10].to_vec())).unwrap_err();
+        let err = reopen(&path, &bytes[..10]).unwrap_err();
         assert!(err.to_string().contains("header"), "{err}");
     }
 
     #[test]
     fn wrong_magic_and_version_are_rejected() {
-        let records = sample_records();
-        let mut bytes = encode_to_bytes(&records);
+        let tmp = TempDir::new("magic");
+        let path = tmp.0.join("t.btf");
+        let mut bytes = write_trace(&path, "unit", &sample_records());
         bytes[0] = b'X';
-        let err = TraceReader::new(Cursor::new(bytes.clone())).unwrap_err();
+        let err = reopen(&path, &bytes).unwrap_err();
         assert!(err.to_string().contains("bad magic"), "{err}");
         bytes[0] = b'B';
         bytes[4] = 9; // version u32 LE
-        let err = TraceReader::new(Cursor::new(bytes)).unwrap_err();
+        let err = reopen(&path, &bytes).unwrap_err();
         assert!(matches!(err, TraceError::Version { found: 9 }), "{err}");
     }
 
+    /// A recording is published only when it finishes, so an interrupted
+    /// one leaves no file for a reader to meet, and an empty one is refused.
     #[test]
     fn unfinished_writer_leaves_a_rejected_file() {
         let tmp = TempDir::new("unfinished");
         let path = tmp.0.join("partial.btf");
-        let mut writer =
-            TraceWriter::create(&path, TraceHeader::new("partial", "test", 0, 1)).unwrap();
-        writer.write_record(&TraceRecord::load(1, 0, 64)).unwrap();
-        drop(writer); // never sealed: header still says 0 records
-        let reader = TraceReader::open(&path).unwrap();
-        assert_eq!(reader.header().records, 0, "placeholder counts survive");
-        // Draining "0 records" trips the checksum (payload bytes exist but
-        // were never hashed into the header).
-        let replay = ReplayWorkload::open(&path);
-        assert!(replay.is_err());
-        // Opening through the reader and asking for records sees none.
-        let err = verify_file(&path);
-        assert!(err.is_err() || err.unwrap().records == 0);
+        let live = || VecTrace::new("partial", vec![TraceRecord::load(1, 0, 64)]);
+        let mut recording = RecordingSource::create(live(), &path, "test", 0, 1);
+        let _ = recording.next_record();
+        drop(recording); // never finished
+        assert!(!path.exists(), "an unfinished recording publishes nothing");
+        assert!(matches!(ReplayWorkload::open(&path), Err(TraceError::Io(_))));
+        let err = RecordingSource::create(live(), &path, "test", 0, 1).finish().unwrap_err();
+        assert!(err.to_string().contains("holds no records"), "{err}");
+        assert!(!path.exists(), "an empty recording publishes nothing");
     }
 
     #[test]
@@ -243,11 +262,7 @@ mod tests {
         let records = sample_records();
         let tmp = TempDir::new("replay");
         let path = tmp.0.join("r.btf");
-        let mut writer = TraceWriter::create(&path, TraceHeader::new("vec", "test", 0, 0)).unwrap();
-        for r in &records {
-            writer.write_record(r).unwrap();
-        }
-        writer.finish().unwrap();
+        write_trace(&path, "vec", &records);
         let mut replay = ReplayWorkload::open(&path).unwrap();
         assert_eq!(replay.name(), "vec");
         assert_eq!(replay.len(), records.len());
@@ -265,11 +280,7 @@ mod tests {
     fn strict_replay_panics_instead_of_wrapping() {
         let tmp = TempDir::new("strict");
         let path = tmp.0.join("s.btf");
-        let mut writer =
-            TraceWriter::create(&path, TraceHeader::new("short", "test", 0, 0)).unwrap();
-        writer.write_record(&TraceRecord::load(1, 0, 64)).unwrap();
-        writer.write_record(&TraceRecord::store(2, 0, 128)).unwrap();
-        writer.finish().unwrap();
+        write_trace(&path, "short", &[TraceRecord::load(1, 0, 64), TraceRecord::store(2, 0, 128)]);
         let mut replay = ReplayWorkload::open(&path).unwrap().strict();
         let _ = replay.next_record();
         let _ = replay.next_record(); // exactly len() records: fine
@@ -286,7 +297,7 @@ mod tests {
             TraceRecord::compute(3, 1),
         ];
         let live = VecTrace::new("tee", records.clone());
-        let mut recording = RecordingSource::create(live, &path, "unit-test", 2, 9).unwrap();
+        let mut recording = RecordingSource::create(live, &path, "unit-test", 2, 9);
         assert_eq!(recording.name(), "tee");
         // Consume five records: the VecTrace loops, the file records the
         // exact consumed stream.
@@ -296,12 +307,12 @@ mod tests {
         }
         assert_eq!(recording.records(), 5);
         assert!(format!("{recording:?}").contains("tee"));
+        assert!(!path.exists(), "nothing is written before finish");
         let (header, _inner) = recording.finish().unwrap();
         assert_eq!(header.records, 5);
         assert_eq!(header.core, 2);
         assert_eq!(header.seed, 9);
-        let (_, decoded) = TraceReader::open(&path).unwrap().read_all().unwrap();
-        assert_eq!(decoded, consumed);
+        assert_eq!(decode_all(&mut ReplayWorkload::open(&path).unwrap()), consumed);
     }
 
     #[test]
@@ -405,12 +416,12 @@ mod tests {
         let text = "0x400 3 L 0x1000\n0x408 0 S 0x1040\n0x410 5 -\n";
         let records = parse_text(text).unwrap();
         let path = tmp.0.join("ext.btf");
-        let mut writer =
-            TraceWriter::create(&path, TraceHeader::new("ext", "import:test", 0, 0)).unwrap();
-        for r in &records {
-            writer.write_record(r).unwrap();
+        let live = VecTrace::new("ext", records.clone());
+        let mut recording = RecordingSource::create(live, &path, "import:test", 0, 0);
+        for _ in &records {
+            let _ = recording.next_record();
         }
-        let header = writer.finish().unwrap();
+        let (header, _) = recording.finish().unwrap();
         assert_eq!(header.records, 3);
         assert_eq!(header.instructions, 11);
         let mut replay = ReplayWorkload::open(&path).unwrap();
@@ -418,35 +429,45 @@ mod tests {
         assert_eq!(render_text(&records), text, "export is the inverse of import");
     }
 
+    /// The encoder works in memory: the header is sealed once the records
+    /// are encoded, and the published file opens with it.
     #[test]
     fn writer_into_a_plain_cursor_supports_seek_patching() {
-        // Exercises the generic (non-file) writer path end to end.
-        let mut cursor = Cursor::new(Vec::new());
-        let mut writer =
-            TraceWriter::new(&mut cursor, TraceHeader::new("cursor", "test", 0, 0)).unwrap();
+        let mut encoder = Encoder::new(TraceHeader::new("cursor", "test", 0, 0));
         for i in 0..10u64 {
-            writer.write_record(&TraceRecord::load(i, 0, i * 64)).unwrap();
+            encoder.push(&TraceRecord::load(i, 0, i * 64));
         }
-        let header = writer.finish().unwrap();
+        assert_eq!(encoder.records(), 10);
+        let trace = encoder.finish().unwrap();
+        let header = trace.header().clone();
         assert_eq!(header.records, 10);
-        cursor.rewind().unwrap();
-        let mut bytes = Vec::new();
-        cursor.read_to_end(&mut bytes).unwrap();
-        let (got, decoded) = TraceReader::new(Cursor::new(bytes)).unwrap().read_all().unwrap();
-        assert_eq!(got, header);
-        assert_eq!(decoded.len(), 10);
+        let tmp = TempDir::new("sealed");
+        let path = tmp.0.join("c.btf");
+        trace.publish(&path).unwrap();
+        let sealed = header_bytes(&header);
+        assert_eq!(std::fs::read(&path).unwrap()[..sealed.len()], sealed);
+        let replay = ReplayWorkload::open(&path).unwrap();
+        assert_eq!(*replay.header(), header);
+        assert_eq!(*replay.shared_records(), trace, "the read rebuilds the encoded form");
     }
 
+    /// Publishing replaces an existing (possibly corrupt) file, which an
+    /// unfinished recording leaves untouched.
     #[test]
     fn writer_drop_without_finish_then_reseal_via_truncate() {
-        // Sanity: create() truncates an existing (possibly corrupt) file.
         let tmp = TempDir::new("truncate");
         let path = tmp.0.join("t.btf");
         std::fs::write(&path, b"garbage that is not BTF").unwrap();
-        assert!(TraceReader::open(&path).is_err());
-        let mut writer = TraceWriter::create(&path, TraceHeader::new("t", "test", 0, 0)).unwrap();
-        writer.write_record(&TraceRecord::load(1, 0, 0)).unwrap();
-        writer.finish().unwrap();
-        assert_eq!(verify_file(&path).unwrap().records, 1);
+        assert!(TraceHeader::read(&path).is_err());
+        let live = || VecTrace::new("t", vec![TraceRecord::load(1, 0, 0)]);
+        let mut dropped = RecordingSource::create(live(), &path, "test", 0, 0);
+        let _ = dropped.next_record();
+        drop(dropped);
+        assert_eq!(std::fs::read(&path).unwrap(), b"garbage that is not BTF");
+        let mut recording = RecordingSource::create(live(), &path, "test", 0, 0);
+        let _ = recording.next_record();
+        recording.finish().unwrap();
+        assert_eq!(ReplayWorkload::open(&path).unwrap().header().records, 1);
+        assert_eq!(tmp.0.read_dir().unwrap().count(), 1, "the temporary file was renamed");
     }
 }

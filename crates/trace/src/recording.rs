@@ -1,68 +1,54 @@
 //! Teeing a live [`TraceSource`] to disk while it is being consumed.
 
-use std::fs::File;
-use std::io::BufWriter;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use bard_cpu::{TraceRecord, TraceSource};
 
+use crate::encoded::Encoder;
 use crate::error::TraceError;
 use crate::format::TraceHeader;
-use crate::writer::TraceWriter;
 
 /// A [`TraceSource`] adapter that records every produced record to a BTF1
 /// file as a side effect.
 ///
 /// Wrap any source (a registry generator, an imported trace, another
 /// replay), hand the wrapper to a consumer, then call
-/// [`RecordingSource::finish`] to seal the file. `next_record` itself cannot
-/// return an error — the `TraceSource` contract is infallible — so write
-/// failures are latched and surfaced by `finish`, and an unsealed file is
-/// rejected by every reader (its header still carries placeholder counts).
+/// [`RecordingSource::finish`] to publish the file. Records are encoded into
+/// memory as they pass (7–8 bytes each for registry workloads), and nothing
+/// is written before `finish`, so an unfinished recording leaves no file.
 pub struct RecordingSource<S: TraceSource> {
     inner: S,
-    writer: Option<TraceWriter<BufWriter<File>>>,
-    error: Option<TraceError>,
+    path: PathBuf,
+    encoder: Encoder,
 }
 
 impl<S: TraceSource> RecordingSource<S> {
-    /// Starts recording `inner` to `path`, stamping `source` into the header
-    /// as free-form provenance.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from creating the file.
-    pub fn create(
-        inner: S,
-        path: &Path,
-        source: impl Into<String>,
-        core: u32,
-        seed: u64,
-    ) -> Result<Self, TraceError> {
-        let header = TraceHeader::new(inner.name(), source, core, seed);
-        let writer = TraceWriter::create(path, header)?;
-        Ok(Self { inner, writer: Some(writer), error: None })
+    /// Starts recording `inner`, to be published at `path`, stamping
+    /// `source` into the header as free-form provenance.
+    #[must_use]
+    pub fn create(inner: S, path: &Path, source: impl Into<String>, core: u32, seed: u64) -> Self {
+        let encoder = Encoder::new(TraceHeader::new(inner.name(), source, core, seed));
+        Self { inner, path: path.to_path_buf(), encoder }
     }
 
-    /// Records written so far.
+    /// Records recorded so far.
     #[must_use]
     pub fn records(&self) -> u64 {
-        self.writer.as_ref().map_or(0, TraceWriter::records)
+        self.encoder.records()
     }
 
-    /// Seals the file and returns the final header plus the wrapped source.
+    /// Seals the recording, publishes it at the path given to
+    /// [`RecordingSource::create`] (a temporary file renamed into place) and
+    /// returns the final header plus the wrapped source.
     ///
     /// # Errors
     ///
-    /// Surfaces the first latched write error, or an error from patching the
-    /// header.
-    pub fn finish(mut self) -> Result<(TraceHeader, S), TraceError> {
-        if let Some(error) = self.error.take() {
-            return Err(error);
-        }
-        let writer = self.writer.take().expect("finish is called at most once");
-        let header = writer.finish()?;
-        Ok((header, self.inner))
+    /// Rejects a recording of no records, and propagates filesystem errors
+    /// from the publish.
+    pub fn finish(self) -> Result<(TraceHeader, S), TraceError> {
+        let trace = self.encoder.finish()?;
+        trace.publish(&self.path)?;
+        Ok((trace.header().clone(), self.inner))
     }
 }
 
@@ -70,8 +56,8 @@ impl<S: TraceSource> std::fmt::Debug for RecordingSource<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RecordingSource")
             .field("workload", &self.inner.name())
+            .field("path", &self.path)
             .field("records", &self.records())
-            .field("errored", &self.error.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -79,13 +65,7 @@ impl<S: TraceSource> std::fmt::Debug for RecordingSource<S> {
 impl<S: TraceSource> TraceSource for RecordingSource<S> {
     fn next_record(&mut self) -> TraceRecord {
         let record = self.inner.next_record();
-        if self.error.is_none() {
-            if let Some(writer) = &mut self.writer {
-                if let Err(e) = writer.write_record(&record) {
-                    self.error = Some(e);
-                }
-            }
-        }
+        self.encoder.push(&record);
         record
     }
 

@@ -35,25 +35,22 @@ pub struct ReplayWorkload {
 }
 
 impl ReplayWorkload {
-    /// Reads `path` once, validating every record and its checksum, into a
-    /// replayable source.
+    /// Reads `path` once into a replayable source, validating it with the
+    /// read `trace verify` runs: every record, the checksum, the trailer's
+    /// counts and the end of the file.
     ///
     /// # Errors
     ///
-    /// Propagates read, decode and checksum errors, and rejects empty traces
-    /// (a `TraceSource` must be able to produce a record).
+    /// Propagates read, decode and checksum errors, rejects bytes after the
+    /// last record, and rejects empty traces (a `TraceSource` must be able
+    /// to produce a record).
     pub fn open(path: &Path) -> Result<Self, TraceError> {
-        Self::new(Arc::new(EncodedTrace::read(path)?))
+        Ok(Self::new(Arc::new(EncodedTrace::read(path)?)))
     }
 
     /// A replay from the first record of a shared trace.
-    pub(crate) fn new(trace: Arc<EncodedTrace>) -> Result<Self, TraceError> {
-        if trace.is_empty() {
-            return Err(TraceError::Mismatch {
-                message: format!("trace '{}' holds no records", trace.header().workload),
-            });
-        }
-        Ok(Self { trace, cursor: Cursor::default(), wraps: 0, strict: false })
+    pub(crate) fn new(trace: Arc<EncodedTrace>) -> Self {
+        Self { trace, cursor: Cursor::default(), wraps: 0, strict: false }
     }
 
     /// The shared encoded recording backing this replay. Two replays of the
@@ -86,7 +83,7 @@ impl ReplayWorkload {
         self.trace.len()
     }
 
-    /// Always false: construction rejects empty traces.
+    /// Always false: every trace holds at least one record.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         false

@@ -1,7 +1,6 @@
 //! The on-disk trace archive behind `--trace-dir`.
 
 use std::collections::BTreeMap;
-use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -151,12 +150,12 @@ impl TraceStore {
         }
         let mut live = build_live();
         let path = self.path_for(workload, core, seed, instructions);
-        let trace = Arc::new(self.capture(live.as_mut(), core, seed, instructions, &path)?);
+        let trace = Arc::new(self.archive(live.as_mut(), core, seed, instructions, &path)?);
         // Seed the cache: the captured trace is exactly the published file's
         // contents, so later opens of the same path share it.
         DECODE_CAPTURES.fetch_add(1, Ordering::Relaxed);
         decode_cache().lock().expect("decode cache poisoned").insert(path, Arc::clone(&trace));
-        ReplayWorkload::new(trace)
+        Ok(ReplayWorkload::new(trace))
     }
 
     /// Opens a trace through the process-wide decode cache: the first open
@@ -176,12 +175,12 @@ impl TraceStore {
         let mut cache = decode_cache().lock().expect("decode cache poisoned");
         if let Some(trace) = cache.get(path) {
             DECODE_HITS.fetch_add(1, Ordering::Relaxed);
-            return ReplayWorkload::new(Arc::clone(trace));
+            return Ok(ReplayWorkload::new(Arc::clone(trace)));
         }
         DECODE_MISSES.fetch_add(1, Ordering::Relaxed);
         let trace = Arc::new(EncodedTrace::read(path)?);
         cache.insert(path.to_path_buf(), Arc::clone(&trace));
-        ReplayWorkload::new(trace)
+        Ok(ReplayWorkload::new(trace))
     }
 
     /// Drops the cached trace of `path` (a write through the store is about
@@ -235,7 +234,7 @@ impl TraceStore {
         instructions: u64,
     ) -> Result<TraceHeader, TraceError> {
         let path = self.path_for(source.name(), core, seed, instructions);
-        let trace = self.capture(source, core, seed, instructions, &path)?;
+        let trace = self.archive(source, core, seed, instructions, &path)?;
         // A recording run is not cached (it may archive far more than one
         // process replays); drop any entry an open of the old bytes made
         // while this capture ran.
@@ -245,8 +244,8 @@ impl TraceStore {
 
     /// Pulls records from `source` until the instruction budget is met,
     /// encoding each once into the in-memory trace, and publishes the same
-    /// bytes at `path` (temp file plus atomic rename).
-    fn capture(
+    /// bytes at `path`.
+    fn archive(
         &self,
         source: &mut dyn TraceSource,
         core: u32,
@@ -263,35 +262,11 @@ impl TraceStore {
             core,
             seed,
         );
-        let trace = EncodedTrace::capture(meta, source, instructions);
+        let trace = EncodedTrace::pull(meta, source, instructions)?;
         std::fs::create_dir_all(&self.dir)?;
-        let tmp = self.dir.join(format!(
-            "{}.tmp-{}-{}",
-            path.file_name().and_then(|n| n.to_str()).unwrap_or("trace"),
-            std::process::id(),
-            unique_suffix(),
-        ));
-        if let Err(write_error) = File::create(&tmp).and_then(|mut file| trace.write_to(&mut file))
-        {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(TraceError::Io(write_error));
-        }
-        if let Err(rename_error) = std::fs::rename(&tmp, path) {
-            let _ = std::fs::remove_file(&tmp);
-            // A concurrent job publishing the identical file first is fine;
-            // anything else is a real error.
-            if !path.exists() {
-                return Err(TraceError::Io(rename_error));
-            }
-        }
+        trace.publish(path)?;
         Ok(trace)
     }
-}
-
-/// Process-wide counter making concurrent temp-file names unique.
-fn unique_suffix() -> u64 {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    COUNTER.fetch_add(1, Ordering::Relaxed)
 }
 
 fn validate_key(

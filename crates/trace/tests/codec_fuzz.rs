@@ -1,20 +1,18 @@
 //! Property-style fuzz tests for the BTF1 container codec, driven by the
 //! in-tree deterministic `SmallRng` (the workspace is offline — no
-//! `proptest`): random record streams round-trip writer→reader exactly, and
-//! a corrupted or truncated file is **rejected loudly** — no single-byte
-//! flip and no truncation point may ever yield a successful parse with
-//! records that differ from the originals. Every file goes through both
-//! readers, the streaming `TraceReader` and the validating read behind
-//! `ReplayWorkload::open`, which must agree record for record and error for
-//! error.
+//! `proptest`): random record streams round-trip recording→replay exactly,
+//! and a corrupted, truncated or extended file is **rejected loudly** — no
+//! single-byte flip, truncation point or appended tail may ever yield a
+//! successful parse with records that differ from the originals. Every file
+//! goes through the one validating read behind `ReplayWorkload::open` and
+//! `trace verify`.
 
 use std::path::Path;
 
-use bard_cpu::{MemAccess, TraceRecord, TraceSource};
+use bard_cpu::{MemAccess, TraceRecord, TraceSource, VecTrace};
 
 mod common;
-use bard_trace::format::TraceHeader;
-use bard_trace::{ReplayWorkload, TraceReader, TraceWriter};
+use bard_trace::{RecordingSource, ReplayWorkload};
 use bard_workloads::rng::SmallRng;
 use common::TempDir;
 
@@ -52,40 +50,24 @@ fn random_record(rng: &mut SmallRng, prev_addr: &mut u64) -> TraceRecord {
 
 /// Writes `records` to a fresh BTF file and returns its bytes.
 fn write_trace(path: &Path, records: &[TraceRecord]) -> Vec<u8> {
-    let header = TraceHeader::new("fuzz", "codec_fuzz test", 3, 0xF422);
-    let mut writer = TraceWriter::create(path, header).expect("create trace");
-    for record in records {
-        writer.write_record(record).expect("write record");
+    let live = VecTrace::new("fuzz", records.to_vec());
+    let mut recording = RecordingSource::create(live, path, "codec_fuzz test", 3, 0xF422);
+    for _ in records {
+        let _ = recording.next_record();
     }
-    let header = writer.finish().expect("finish trace");
+    let (header, _) = recording.finish().expect("publish trace");
     assert_eq!(header.records, records.len() as u64);
     std::fs::read(path).expect("read trace bytes")
 }
 
-/// Parses `bytes` as a BTF file with both readers, returning the decoded
-/// records on success. The stream reader and the replay must accept the
-/// same files with the same records and reject the rest with the same
-/// error.
+/// Parses `bytes` as a BTF file, returning the decoded records on success.
 fn parse(path: &Path, bytes: &[u8]) -> Result<Vec<TraceRecord>, bard_trace::TraceError> {
     std::fs::write(path, bytes).expect("write mutated trace");
-    let streamed = TraceReader::open(path).and_then(TraceReader::read_all);
-    let replayed = ReplayWorkload::open(path).map(|mut replay| {
+    ReplayWorkload::open(path).map(|mut replay| {
         let records: Vec<TraceRecord> = (0..replay.len()).map(|_| replay.next_record()).collect();
         assert_eq!(replay.wraps(), 0);
         records
-    });
-    match (streamed, replayed) {
-        (Ok((_, streamed)), Ok(replayed)) => {
-            assert_eq!(replayed, streamed, "replay must decode the stream reader's records");
-            Ok(streamed)
-        }
-        (Err(streamed), Err(replayed)) => {
-            assert_eq!(replayed.to_string(), streamed.to_string(), "both readers name one fault");
-            Err(streamed)
-        }
-        (Ok(_), Err(e)) => panic!("the replay rejected a file the stream reader accepts: {e}"),
-        (Err(e), Ok(_)) => panic!("the replay accepted a file the stream reader rejects: {e}"),
-    }
+    })
 }
 
 fn ensure_dir(tmp: &TempDir) {
@@ -161,5 +143,29 @@ fn truncation_at_any_offset_is_rejected() {
             "a file truncated to {cut} of {} bytes must be rejected",
             bytes.len()
         );
+    }
+}
+
+/// The checksum covers only the records the trailer promises, so bytes
+/// appended after the last record must be rejected on their own, at the
+/// first extra byte.
+#[test]
+fn appended_bytes_are_rejected() {
+    let tmp = TempDir::new("append");
+    ensure_dir(&tmp);
+    let path = tmp.0.join("t.btf");
+    let mut rng = SmallRng::seed_from_u64(0xA99E);
+    let mut prev_addr = 0u64;
+    let records: Vec<TraceRecord> =
+        (0..100).map(|_| random_record(&mut rng, &mut prev_addr)).collect();
+    let bytes = write_trace(&path, &records);
+    let mutated_path = tmp.0.join("m.btf");
+    for extra in [1usize, 8, 16] {
+        let mut extended = bytes.clone();
+        extended.extend((0..extra).map(|_| rng.gen_range(0u32..256) as u8));
+        let err = parse(&mutated_path, &extended).expect_err("appended bytes must be rejected");
+        let message = err.to_string();
+        assert!(message.contains(&format!("byte {}", bytes.len())), "{extra}: {message}");
+        assert!(message.contains(&format!("{extra} bytes follow the last record")), "{message}");
     }
 }

@@ -14,8 +14,8 @@
 
 use bard::experiment::{run_workload, RunLength};
 use bard::{SystemConfig, TraceConfig};
-use bard_cpu::TraceSource;
-use bard_trace::{parse_text, RecordingSource, ReplayWorkload, TraceStore};
+use bard_cpu::{TraceSource, VecTrace};
+use bard_trace::{parse_text, RecordingSource, ReplayWorkload};
 use bard_workloads::WorkloadId;
 
 fn main() {
@@ -41,8 +41,7 @@ fn main() {
     let config = SystemConfig::small_test();
     let tee_path = dir.join("tee.btf");
     let live = workload.build(0, config.seed);
-    let mut recording = RecordingSource::create(live, &tee_path, "example:tee", 0, config.seed)
-        .expect("start recording");
+    let mut recording = RecordingSource::create(live, &tee_path, "example:tee", 0, config.seed);
     let first = recording.next_record();
     for _ in 0..9_999 {
         let _ = recording.next_record();
@@ -95,18 +94,13 @@ fn main() {
 0x400 3 S 0x100080
 ";
     let records = parse_text(text).expect("parse the text trace");
-    let store = TraceStore::new(&dir);
     let ext_path = dir.join("external.btf");
-    {
-        use bard_trace::{TraceHeader, TraceWriter};
-        let mut writer =
-            TraceWriter::create(&ext_path, TraceHeader::new("external", "example:import", 0, 0))
-                .expect("create import file");
-        for r in &records {
-            writer.write_record(r).expect("write imported record");
-        }
-        writer.finish().expect("seal import");
+    let external = VecTrace::new("external", records.clone());
+    let mut import = RecordingSource::create(external, &ext_path, "example:import", 0, 0);
+    for _ in &records {
+        let _ = import.next_record();
     }
+    import.finish().expect("seal import");
     let mut external = ReplayWorkload::open(&ext_path).expect("replay the import");
     let instructions = external.header().instructions;
     println!(
@@ -116,7 +110,6 @@ fn main() {
         instructions,
         external.next_record().ip
     );
-    drop(store);
 
     if keep {
         println!("archive kept at {}", dir.display());

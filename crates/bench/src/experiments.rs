@@ -592,13 +592,7 @@ fn tab06(cli: &Cli, a: &mut Artifact) {
     // The Baseline x4 runs are the normalisation reference; the entire
     // 6-system grid (reference simulated once) runs in parallel.
     let variants: Vec<_> = systems.iter().map(|(_, cfg)| cfg.clone()).collect();
-    let comparisons = Comparison::run_many_on(
-        &cli.runner(),
-        &systems[0].1,
-        &variants,
-        &cli.workloads,
-        cli.length,
-    );
+    let comparisons = cli.compare(&systems[0].1, &variants);
     let mut table = Table::new(vec!["System", "gmean speedup vs x4 baseline (%)"]);
     for ((name, _), cmp) in systems.iter().zip(&comparisons) {
         table.push_row(vec![(*name).to_string(), format!("{:+.1}", cmp.gmean_speedup_percent())]);
@@ -619,14 +613,15 @@ fn tab07(cli: &Cli, a: &mut Artifact) {
         // tab07 deliberately simulates the full 8/16-core systems whatever
         // the CLI baseline is, but the seed, trace archive and engine still
         // follow the CLI so --seed= sweeps, --trace-dir= replay and
-        // --engine= comparisons cover it too.
+        // --engine= comparisons cover it too; `cli.compare` runs each grid
+        // on the CLI's runner, so --jobs, --progress and --snapshot-dir
+        // apply as well.
         let base_cfg = base_cfg
             .with_seed(cli.config.seed)
             .with_trace(cli.config.trace.clone())
             .with_engine(cli.config.engine);
         let bard_cfg = base_cfg.clone().with_policy(WritePolicyKind::BardH);
-        let cmp =
-            Comparison::run_on(&cli.runner(), &base_cfg, &bard_cfg, &cli.workloads, cli.length);
+        let cmp = cli.compare(&base_cfg, std::slice::from_ref(&bard_cfg)).remove(0);
         table.push_row(vec![
             label.to_string(),
             format!("{:.1}", cmp.gmean_speedup_percent()),

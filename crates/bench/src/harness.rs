@@ -16,7 +16,9 @@
 //! * `--snapshot-dir=DIR`: reuse warm-state BSS1 snapshot images from `DIR` —
 //!   capture-if-missing, restore-if-present, so a grid's config variants fork
 //!   one warmed image instead of each re-running the functional warm-up;
-//!   results are bitwise-identical either way (see `docs/ARCHITECTURE.md`),
+//!   results are bitwise-identical either way (see `docs/ARCHITECTURE.md`).
+//!   The store rides on [`Cli::runner`], so it reaches every grid of every
+//!   experiment, tab06's x4/x8 and tab07's 8/16-core grids included,
 //! * `--jobs=N`: simulation worker threads (default: `BARD_JOBS` or all
 //!   host cores; `--jobs=1` forces the serial path),
 //! * `--progress`: stream `[bard-progress]` percent-complete/ETA lines to
@@ -37,15 +39,15 @@
 //! stderr and exits 2.
 //!
 //! The driving helpers ([`Cli::run`], [`Cli::run_grid`], [`Cli::compare`])
-//! execute the whole `(configs x workloads)` grid on the [`Runner`] so
+//! execute the whole `(configs x workloads)` grid on [`Cli::runner`] so
 //! binaries never hand-roll serial simulation loops.
 
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
-use bard::experiment::{run_workloads_with, Comparison, RunLength};
+use bard::experiment::{Comparison, RunLength};
 use bard::report::{Artifact, Provenance};
-use bard::runner::{Job, Runner};
+use bard::runner::Runner;
 use bard::{EngineKind, RunResult, SnapshotStore, SystemConfig, TraceConfig};
 use bard_workloads::WorkloadId;
 
@@ -106,8 +108,9 @@ pub struct Cli {
     pub format: OutputFormat,
     /// Artifact output directory (`--out=DIR`), if any.
     pub out: Option<PathBuf>,
-    /// Warm-image store (`--snapshot-dir=DIR`), if any.
-    pub snapshots: Option<SnapshotStore>,
+    /// Warm-image store directory (`--snapshot-dir=DIR`), if any: the store
+    /// of [`Cli::runner`].
+    snapshot_dir: Option<PathBuf>,
 }
 
 impl Cli {
@@ -204,15 +207,16 @@ impl Cli {
             config.engine = engine;
         }
         config.validate()?;
-        let snapshots = snapshot_dir.map(SnapshotStore::new);
-        Ok(Self { length, workloads, config, jobs, progress, format, out, snapshots })
+        Ok(Self { length, workloads, config, jobs, progress, format, out, snapshot_dir })
     }
 
     /// The runner configured by `--jobs` (auto-sized when the flag is
-    /// absent) and `--progress`.
+    /// absent), `--progress` and `--snapshot-dir`.
     #[must_use]
     pub fn runner(&self) -> Runner {
-        Runner::new(self.jobs).with_progress(self.progress)
+        Runner::new(self.jobs)
+            .with_progress(self.progress)
+            .with_snapshots(self.snapshot_dir.clone().map(SnapshotStore::new))
     }
 
     /// The provenance record every artifact produced under this CLI carries:
@@ -233,15 +237,7 @@ impl Cli {
     /// Runs one configuration over the CLI workload set, in parallel.
     #[must_use]
     pub fn run(&self, config: &SystemConfig) -> Vec<RunResult> {
-        let results = run_workloads_with(
-            &self.runner(),
-            config,
-            &self.workloads,
-            self.length,
-            self.snapshots.as_ref(),
-        );
-        self.report_snapshot_counters();
-        results
+        self.run_grid(std::slice::from_ref(config)).remove(0)
     }
 
     /// Runs several configurations over the CLI workload set as **one**
@@ -249,47 +245,19 @@ impl Cli {
     /// (aligned with `self.workloads`).
     #[must_use]
     pub fn run_grid(&self, configs: &[SystemConfig]) -> Vec<Vec<RunResult>> {
-        let mut flat = self.runner().run_grid(Job::grid_with_snapshots(
-            configs,
-            &self.workloads,
-            self.length,
-            self.snapshots.as_ref(),
-        ));
-        let mut grouped = Vec::with_capacity(configs.len());
-        for _ in configs {
-            grouped.push(flat.drain(..self.workloads.len()).collect());
-        }
-        self.report_snapshot_counters();
-        grouped
+        self.runner().run_grid(configs, &self.workloads, self.length)
     }
 
     /// Compares each variant against `baseline` over the CLI workload set,
     /// simulating the baseline once and the whole grid in parallel.
     #[must_use]
     pub fn compare(&self, baseline: &SystemConfig, variants: &[SystemConfig]) -> Vec<Comparison> {
-        let comparisons = Comparison::run_many_with(
-            &self.runner(),
-            baseline,
-            variants,
-            &self.workloads,
-            self.length,
-            self.snapshots.as_ref(),
-        );
-        self.report_snapshot_counters();
-        comparisons
-    }
-
-    /// Emits the `[bard-perf] snapshot ...` stderr line after a
-    /// snapshot-backed grid, when `BARD_TELEMETRY` is enabled.
-    fn report_snapshot_counters(&self) {
-        if self.snapshots.is_some() {
-            bard::snapshot::print_counters_if_enabled();
-        }
+        Comparison::run_many(&self.runner(), baseline, variants, &self.workloads, self.length)
     }
 }
 
 /// Parses the numeric value of `flag`.
-fn number<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
+pub(crate) fn number<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
     value.parse().map_err(|_| format!("{flag}=N needs a number, got '{value}'"))
 }
 
@@ -463,10 +431,10 @@ mod tests {
 
     #[test]
     fn snapshot_dir_flag_configures_the_store() {
-        let cli_with_store = cli(&["--snapshot-dir=/tmp/snaps"]);
-        let store = cli_with_store.snapshots.as_ref().expect("snapshot store set");
+        let runner = cli(&["--snapshot-dir=/tmp/snaps"]).runner();
+        let store = runner.snapshots().expect("snapshot store set");
         assert_eq!(store.dir(), Path::new("/tmp/snaps"));
-        assert!(cli(&[]).snapshots.is_none());
+        assert!(cli(&[]).runner().snapshots().is_none());
     }
 
     #[test]

@@ -16,6 +16,10 @@
 //! ChampSim-like text trace (see `bard_trace::import`) into a sealed BTF
 //! file, and `verify` opens files with the validating read every replay
 //! runs, so it accepts exactly the files a replay can open.
+//!
+//! Like the experiment binaries, `trace` exits 2 with its usage text on a
+//! malformed invocation ([`Error::Usage`]) and 1 when a record, info, verify
+//! or import fails ([`Error::Failed`]).
 
 use std::path::{Path, PathBuf};
 
@@ -25,17 +29,28 @@ use bard_cpu::{TraceSource, VecTrace};
 use bard_trace::{RecordingSource, ReplayWorkload, TraceHeader, TraceStore};
 use bard_workloads::WorkloadId;
 
-use crate::harness::directory;
+use crate::harness::{directory, number};
+
+/// Why a `trace` invocation failed; either way the message goes to stderr.
+#[derive(Debug)]
+pub enum Error {
+    /// The arguments are malformed: the binary also prints [`USAGE`] and
+    /// exits 2.
+    Usage(String),
+    /// A record, info, verify or import ran and failed: the binary exits 1.
+    Failed(String),
+}
 
 /// Runs the CLI on an argument list (without the program name), writing
 /// human-readable output through `out`.
 ///
 /// # Errors
 ///
-/// Returns the message to print to stderr; the binary exits non-zero.
-pub fn run(args: &[String], out: &mut dyn std::fmt::Write) -> Result<(), String> {
+/// Returns [`Error::Usage`] for a malformed invocation and
+/// [`Error::Failed`] when the subcommand itself fails.
+pub fn run(args: &[String], out: &mut dyn std::fmt::Write) -> Result<(), Error> {
     let Some((command, rest)) = args.split_first() else {
-        return Err(usage());
+        return Err(Error::Usage("a subcommand is required".to_string()));
     };
     match command.as_str() {
         "record" => record(rest, out),
@@ -43,15 +58,15 @@ pub fn run(args: &[String], out: &mut dyn std::fmt::Write) -> Result<(), String>
         "verify" => verify(rest, out),
         "import" => import(rest, out),
         "--help" | "-h" | "help" => {
-            out.write_str(&usage()).expect("infallible writer");
+            writeln!(out, "{USAGE}").expect("infallible writer");
             Ok(())
         }
-        other => Err(format!("unknown subcommand '{other}'\n{}", usage())),
+        other => Err(Error::Usage(format!("unknown subcommand '{other}'"))),
     }
 }
 
-fn usage() -> String {
-    "usage: trace <record|info|verify|import> ...\n\
+/// The `trace` binary's usage text.
+pub const USAGE: &str = "usage: trace <record|info|verify|import> ...\n\
      \n\
      trace record --dir=DIR [--workloads=a,b|--singles|--mixes] [--cores=N] [--seed=N]\n\
      \x20             [--test|--quick|--standard|--instructions=N] [--force]\n\
@@ -64,15 +79,13 @@ fn usage() -> String {
      trace import SRC.txt --out=FILE.btf [--name=NAME] [--seed=N] [--core=N]\n\
      \x20   Seal a ChampSim-like text trace (ip bubble L|S|- [addr] per line) into BTF.\n\
      \n\
-     docs/TRACES.md documents the BTF1 format and the record/replay workflows.\n"
-        .to_string()
-}
+     docs/TRACES.md documents the BTF1 format and the record/replay workflows.";
 
 // ----------------------------------------------------------------------
 // record
 // ----------------------------------------------------------------------
 
-fn record(args: &[String], out: &mut dyn std::fmt::Write) -> Result<(), String> {
+fn record(args: &[String], out: &mut dyn std::fmt::Write) -> Result<(), Error> {
     let mut dir: Option<PathBuf> = None;
     let mut workloads = WorkloadId::all();
     let mut cores = SystemConfig::baseline_8core().cores;
@@ -82,17 +95,17 @@ fn record(args: &[String], out: &mut dyn std::fmt::Write) -> Result<(), String> 
     let mut force = false;
     for arg in args {
         if let Some(d) = arg.strip_prefix("--dir=") {
-            dir = Some(directory("--dir", d).map_err(|e| format!("record: {e}"))?);
+            dir = Some(directory("--dir", d).map_err(|e| Error::Usage(format!("record: {e}")))?);
         } else if let Some(list) = arg.strip_prefix("--workloads=") {
-            workloads = parse_workloads(list)?;
+            workloads = parse_workloads(list).map_err(Error::Usage)?;
         } else if arg == "--singles" {
             workloads = WorkloadId::singles().to_vec();
         } else if arg == "--mixes" {
             workloads = WorkloadId::mixes().to_vec();
         } else if let Some(n) = arg.strip_prefix("--cores=") {
-            cores = n.parse().map_err(|_| "--cores=N needs a number".to_string())?;
+            cores = number("--cores", n).map_err(Error::Usage)?;
         } else if let Some(n) = arg.strip_prefix("--seed=") {
-            seed = n.parse().map_err(|_| "--seed=N needs a number".to_string())?;
+            seed = number("--seed", n).map_err(Error::Usage)?;
         } else if arg == "--test" {
             length = RunLength::test();
             cores = SystemConfig::small_test().cores;
@@ -101,24 +114,25 @@ fn record(args: &[String], out: &mut dyn std::fmt::Write) -> Result<(), String> 
         } else if arg == "--standard" {
             length = RunLength::standard();
         } else if let Some(n) = arg.strip_prefix("--instructions=") {
-            instructions =
-                Some(n.parse().map_err(|_| "--instructions=N needs a number".to_string())?);
+            instructions = Some(number("--instructions", n).map_err(Error::Usage)?);
         } else if arg == "--force" {
             force = true;
         } else {
-            return Err(format!("record: unknown argument '{arg}'"));
+            return Err(Error::Usage(format!("record: unknown argument '{arg}'")));
         }
     }
-    let dir = dir.ok_or("record: --dir=DIR is required")?;
+    let dir = dir.ok_or_else(|| Error::Usage("record: --dir=DIR is required".to_string()))?;
     // `SystemConfig::validate` accepts 1..=64 cores, so no run could replay
     // streams captured for any other count.
     if !(1..=64).contains(&cores) {
-        return Err(format!("record: --cores={cores} is outside 1..=64"));
+        return Err(Error::Usage(format!("record: --cores={cores} is outside 1..=64")));
     }
     // A replay needs a record, and `SystemConfig::validate` rejects a zero
     // trace budget.
     if instructions == Some(0) {
-        return Err("record: --instructions=0 would capture empty traces".to_string());
+        return Err(Error::Usage(
+            "record: --instructions=0 would capture empty traces".to_string(),
+        ));
     }
     let budget = instructions.unwrap_or_else(|| TraceConfig::budget_for(length));
     let store = TraceStore::new(&dir);
@@ -143,7 +157,7 @@ fn record(args: &[String], out: &mut dyn std::fmt::Write) -> Result<(), String> 
             let mut live = constituent.build(core, seed);
             let header = store
                 .record(live.as_mut(), core as u32, seed, budget)
-                .map_err(|e| format!("record: {name}: {e}"))?;
+                .map_err(|e| Error::Failed(format!("record: {name}: {e}")))?;
             captured += 1;
             writeln!(
                 out,
@@ -188,25 +202,25 @@ fn describe(header: &TraceHeader) -> String {
     )
 }
 
-fn info(files: &[String], out: &mut dyn std::fmt::Write) -> Result<(), String> {
+fn info(files: &[String], out: &mut dyn std::fmt::Write) -> Result<(), Error> {
     if files.is_empty() {
-        return Err("info: at least one FILE is required".to_string());
+        return Err(Error::Usage("info: at least one FILE is required".to_string()));
     }
     for file in files {
-        let header =
-            TraceHeader::read(Path::new(file)).map_err(|e| format!("info: {file}: {e}"))?;
+        let header = TraceHeader::read(Path::new(file))
+            .map_err(|e| Error::Failed(format!("info: {file}: {e}")))?;
         writeln!(out, "{file}: {}", describe(&header)).expect("infallible writer");
     }
     Ok(())
 }
 
-fn verify(files: &[String], out: &mut dyn std::fmt::Write) -> Result<(), String> {
+fn verify(files: &[String], out: &mut dyn std::fmt::Write) -> Result<(), Error> {
     if files.is_empty() {
-        return Err("verify: at least one FILE is required".to_string());
+        return Err(Error::Usage("verify: at least one FILE is required".to_string()));
     }
     for file in files {
         let replay = ReplayWorkload::open(Path::new(file))
-            .map_err(|e| format!("verify: {file}: FAILED: {e}"))?;
+            .map_err(|e| Error::Failed(format!("verify: {file}: FAILED: {e}")))?;
         let header = replay.header();
         writeln!(
             out,
@@ -222,7 +236,7 @@ fn verify(files: &[String], out: &mut dyn std::fmt::Write) -> Result<(), String>
 // import
 // ----------------------------------------------------------------------
 
-fn import(args: &[String], out: &mut dyn std::fmt::Write) -> Result<(), String> {
+fn import(args: &[String], out: &mut dyn std::fmt::Write) -> Result<(), Error> {
     let mut src: Option<PathBuf> = None;
     let mut dst: Option<PathBuf> = None;
     let mut name: Option<String> = None;
@@ -234,28 +248,29 @@ fn import(args: &[String], out: &mut dyn std::fmt::Write) -> Result<(), String> 
         } else if let Some(n) = arg.strip_prefix("--name=") {
             name = Some(n.to_string());
         } else if let Some(n) = arg.strip_prefix("--seed=") {
-            seed = n.parse().map_err(|_| "--seed=N needs a number".to_string())?;
+            seed = number("--seed", n).map_err(Error::Usage)?;
         } else if let Some(n) = arg.strip_prefix("--core=") {
-            core = n.parse().map_err(|_| "--core=N needs a number".to_string())?;
+            core = number("--core", n).map_err(Error::Usage)?;
         } else if arg.starts_with("--") {
-            return Err(format!("import: unknown argument '{arg}'"));
+            return Err(Error::Usage(format!("import: unknown argument '{arg}'")));
         } else if src.is_none() {
             src = Some(PathBuf::from(arg));
         } else {
-            return Err(format!("import: unexpected extra argument '{arg}'"));
+            return Err(Error::Usage(format!("import: unexpected extra argument '{arg}'")));
         }
     }
-    let src = src.ok_or("import: a SRC.txt argument is required")?;
-    let dst = dst.ok_or("import: --out=FILE.btf is required")?;
+    let src = src.ok_or_else(|| Error::Usage("import: a SRC.txt argument is required".into()))?;
+    let dst = dst.ok_or_else(|| Error::Usage("import: --out=FILE.btf is required".into()))?;
     let name = name.unwrap_or_else(|| {
         src.file_stem().and_then(|s| s.to_str()).unwrap_or("imported").to_string()
     });
-    let text =
-        std::fs::read_to_string(&src).map_err(|e| format!("import: {}: {e}", src.display()))?;
-    let records =
-        bard_trace::parse_text(&text).map_err(|e| format!("import: {}: {e}", src.display()))?;
+    let failed = |path: &Path, e: &dyn std::fmt::Display| {
+        Error::Failed(format!("import: {}: {e}", path.display()))
+    };
+    let text = std::fs::read_to_string(&src).map_err(|e| failed(&src, &e))?;
+    let records = bard_trace::parse_text(&text).map_err(|e| failed(&src, &e))?;
     if records.is_empty() {
-        return Err(format!("import: {}: the text trace holds no records", src.display()));
+        return Err(failed(&src, &"the text trace holds no records"));
     }
     let count = records.len();
     let provenance = format!("import:{}", src.display());
@@ -264,7 +279,7 @@ fn import(args: &[String], out: &mut dyn std::fmt::Write) -> Result<(), String> 
     for _ in 0..count {
         let _ = recording.next_record();
     }
-    let (header, _) = recording.finish().map_err(|e| format!("import: {}: {e}", dst.display()))?;
+    let (header, _) = recording.finish().map_err(|e| failed(&dst, &e))?;
     writeln!(out, "imported {} -> {} ({})", src.display(), dst.display(), describe(&header))
         .expect("infallible writer");
     Ok(())
@@ -298,14 +313,32 @@ mod tests {
     fn run_ok(args: &[&str]) -> String {
         let args: Vec<String> = args.iter().map(ToString::to_string).collect();
         let mut out = String::new();
-        run(&args, &mut out).unwrap_or_else(|e| panic!("trace {args:?} failed: {e}"));
+        run(&args, &mut out).unwrap_or_else(|e| panic!("trace {args:?} failed: {e:?}"));
         out
     }
 
-    fn run_err(args: &[&str]) -> String {
+    fn run_err(args: &[&str]) -> Error {
         let args: Vec<String> = args.iter().map(ToString::to_string).collect();
         let mut out = String::new();
-        run(&args, &mut out).expect_err("command should fail")
+        let err = run(&args, &mut out).expect_err("command should fail");
+        assert!(out.is_empty(), "trace {args:?} wrote output before failing: {out}");
+        err
+    }
+
+    /// The message of a usage error (the binary exits 2).
+    fn usage_err(args: &[&str]) -> String {
+        match run_err(args) {
+            Error::Usage(message) => message,
+            other => panic!("trace {args:?}: expected a usage error, got {other:?}"),
+        }
+    }
+
+    /// The message of a failed subcommand (the binary exits 1).
+    fn failure(args: &[&str]) -> String {
+        match run_err(args) {
+            Error::Failed(message) => message,
+            other => panic!("trace {args:?}: expected a failure, got {other:?}"),
+        }
     }
 
     #[test]
@@ -374,7 +407,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x55;
         std::fs::write(&file, bytes).unwrap();
-        let err = run_err(&["verify", file.to_str().unwrap()]);
+        let err = failure(&["verify", file.to_str().unwrap()]);
         assert!(err.contains("FAILED"), "{err}");
     }
 
@@ -404,7 +437,7 @@ mod tests {
         std::fs::write(&file, bytes).unwrap();
         let file = file.to_str().unwrap();
         assert!(run_ok(&["info", file]).contains("records=0"), "the header is well formed");
-        let err = run_err(&["verify", file]);
+        let err = failure(&["verify", file]);
         assert!(err.contains("FAILED") && err.contains("holds no records"), "{err}");
     }
 
@@ -427,35 +460,45 @@ mod tests {
 
         // A malformed line is rejected with its line number.
         std::fs::write(&src, "0x400 3 L 0x1000\nnot a record\n").unwrap();
-        let err = run_err(&["import", src.to_str().unwrap(), &format!("--out={}", dst.display())]);
+        let err = failure(&["import", src.to_str().unwrap(), &format!("--out={}", dst.display())]);
         assert!(err.contains("line 2"), "{err}");
     }
 
     #[test]
     fn bad_invocations_surface_usage_errors() {
-        assert!(run_err(&[]).contains("usage: trace"));
-        assert!(run_err(&["frobnicate"]).contains("unknown subcommand"));
-        assert!(run_err(&["record"]).contains("--dir=DIR is required"));
-        assert!(
-            run_err(&["record", "--dir=/tmp/x", "--workloads=bogus"]).contains("unknown workload")
-        );
-        assert!(run_err(&["record", "--dir=/tmp/x", "--frob"]).contains("unknown argument"));
+        assert!(usage_err(&[]).contains("a subcommand is required"));
+        assert!(usage_err(&["frobnicate"]).contains("unknown subcommand"));
+        assert!(usage_err(&["record"]).contains("--dir=DIR is required"));
+        assert!(usage_err(&["record", "--dir=/tmp/x", "--workloads=bogus"])
+            .contains("unknown workload"));
+        assert!(usage_err(&["record", "--dir=/tmp/x", "--frob"]).contains("unknown argument"));
         for cores in ["--cores=0", "--cores=65"] {
             assert!(
-                run_err(&["record", "--dir=/tmp/x", cores]).contains("outside 1..=64"),
+                usage_err(&["record", "--dir=/tmp/x", cores]).contains("outside 1..=64"),
                 "{cores}"
             );
         }
-        assert!(run_err(&["record", "--dir=/tmp/x", "--instructions=0"])
+        for (flag, value) in [("--cores", "zz"), ("--seed", "x"), ("--instructions", "-1")] {
+            assert_eq!(
+                usage_err(&["record", "--dir=/tmp/x", &format!("{flag}={value}")]),
+                format!("{flag}=N needs a number, got '{value}'")
+            );
+        }
+        assert!(usage_err(&["record", "--dir=/tmp/x", "--instructions=0"])
             .contains("--instructions=0 would capture empty traces"));
-        assert!(run_err(&["record", "--dir=", "--workloads=copy"])
+        assert!(usage_err(&["record", "--dir=", "--workloads=copy"])
             .contains("--dir=DIR needs a directory, got an empty value"));
-        assert!(run_err(&["info"]).contains("FILE is required"));
-        assert!(run_err(&["verify"]).contains("FILE is required"));
-        assert!(run_err(&["import"]).contains("SRC.txt argument is required"));
-        assert!(run_err(&["info", "/nonexistent/trace.btf"]).contains("info:"));
+        assert!(usage_err(&["info"]).contains("FILE is required"));
+        assert!(usage_err(&["verify"]).contains("FILE is required"));
+        assert!(usage_err(&["import"]).contains("SRC.txt argument is required"));
+        assert_eq!(
+            usage_err(&["import", "a.txt", "--core=one"]),
+            "--core=N needs a number, got 'one'"
+        );
+        assert!(failure(&["info", "/nonexistent/trace.btf"]).contains("info:"));
         let mut help = String::new();
         run(&["--help".to_string()], &mut help).unwrap();
         assert!(help.contains("trace record"));
+        assert_eq!(help, format!("{USAGE}\n"));
     }
 }

@@ -201,31 +201,43 @@ fn summary_shape_matches_golden_file() {
     assert!(Json::parse(&artifact_text).is_ok());
 }
 
-/// Bad input is a usage error, not a panic: the experiment binaries and
-/// `repro` print the message and their usage line to stderr and exit 2.
+/// Bad input is a usage error, not a panic: the experiment binaries,
+/// `repro` and `trace` print the message and their usage line to stderr and
+/// exit 2. A `trace` subcommand that runs and fails exits 1 instead.
 #[test]
 fn bad_arguments_exit_2_with_a_usage_message() {
-    let cases = [
-        (env!("CARGO_BIN_EXE_fig03_write_blp"), "--workloads=mcf", "unknown workload 'mcf'"),
-        (env!("CARGO_BIN_EXE_fig03_write_blp"), "--cores=eight", "--cores=N needs a number"),
-        (env!("CARGO_BIN_EXE_fig03_write_blp"), "--cores=0", "at least one core is required"),
-        (env!("CARGO_BIN_EXE_fig03_write_blp"), "--cores=65", "exceeds the 64-core cap"),
-        (env!("CARGO_BIN_EXE_repro"), "--cores=65", "exceeds the 64-core cap"),
-        (env!("CARGO_BIN_EXE_repro"), "--sched=scan", "unknown argument '--sched=scan'"),
-        (env!("CARGO_BIN_EXE_fig03_write_blp"), "--trace-dir=", "--trace-dir=DIR needs a"),
-        (env!("CARGO_BIN_EXE_fig03_write_blp"), "--snapshot-dir=", "--snapshot-dir=DIR needs a"),
-        (env!("CARGO_BIN_EXE_fig03_write_blp"), "--out=", "--out=DIR needs a directory"),
-        (env!("CARGO_BIN_EXE_repro"), "--out=", "--out=DIR needs a directory"),
+    let fig03 = env!("CARGO_BIN_EXE_fig03_write_blp");
+    let repro = env!("CARGO_BIN_EXE_repro");
+    let trace = env!("CARGO_BIN_EXE_trace");
+    let cases: [(&str, &[&str], &str); 13] = [
+        (fig03, &["--test", "--workloads=mcf"], "unknown workload 'mcf'"),
+        (fig03, &["--test", "--cores=eight"], "--cores=N needs a number"),
+        (fig03, &["--test", "--cores=0"], "at least one core is required"),
+        (fig03, &["--test", "--cores=65"], "exceeds the 64-core cap"),
+        (repro, &["--test", "--cores=65"], "exceeds the 64-core cap"),
+        (repro, &["--test", "--sched=scan"], "unknown argument '--sched=scan'"),
+        (fig03, &["--test", "--trace-dir="], "--trace-dir=DIR needs a"),
+        (fig03, &["--test", "--snapshot-dir="], "--snapshot-dir=DIR needs a"),
+        (fig03, &["--test", "--out="], "--out=DIR needs a directory"),
+        (repro, &["--test", "--out="], "--out=DIR needs a directory"),
+        (trace, &["record", "--dir=", "--workloads=lbm", "--test"], "--dir=DIR needs a directory"),
+        (trace, &["frobnicate"], "unknown subcommand 'frobnicate'"),
+        (trace, &["record", "--dir=/tmp/x", "--cores=zz"], "--cores=N needs a number, got 'zz'"),
     ];
-    for (bin, arg, message) in cases {
-        let out = std::process::Command::new(bin).args(["--test", arg]).output().unwrap();
+    for (bin, args, message) in cases {
+        let out = std::process::Command::new(bin).args(args).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{arg}: {stderr}");
-        assert!(stderr.contains(message), "{arg}: {stderr}");
-        assert!(stderr.contains("usage:"), "{arg}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{arg}: {stderr}");
-        assert!(out.stdout.is_empty(), "{arg}: nothing may run before the usage error");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing may run before the usage error");
     }
+    let out =
+        std::process::Command::new(trace).args(["verify", "/nonexistent.btf"]).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "a failed verify is not a usage error: {stderr}");
+    assert!(stderr.contains("FAILED") && !stderr.contains("usage:"), "{stderr}");
 }
 
 #[test]

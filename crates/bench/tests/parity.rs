@@ -36,7 +36,7 @@
 
 use std::path::{Path, PathBuf};
 
-use bard::experiment::{run_workloads_on, RunLength};
+use bard::experiment::RunLength;
 use bard::runner::Runner;
 use bard::{EngineKind, RunResult, SystemConfig, TraceConfig};
 use bard_bench::differential::{all_paths, full_sweep, StressCase};
@@ -81,7 +81,8 @@ fn run_set(
     jobs: usize,
     trace_dir: Option<&Path>,
 ) -> Vec<RunResult> {
-    run_workloads_on(&Runner::new(jobs), &config(cores, engine, trace_dir), workloads, tiny())
+    let configs = [config(cores, engine, trace_dir)];
+    Runner::new(jobs).run_grid(&configs, workloads, tiny()).remove(0)
 }
 
 fn assert_identical(expected: &[RunResult], got: &[RunResult], context: &str) {

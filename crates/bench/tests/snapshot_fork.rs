@@ -99,6 +99,30 @@ fn warm_forked_fig10_grid_matches_cold_grid_bitwise() {
     assert_eq!(images.len(), 2, "no stray temp files remain: {images:?}");
 }
 
+/// tab06 runs its x4/x8 grid through the CLI's runner, so `--snapshot-dir`
+/// reaches it: its seven configurations differ only in writeback policy and
+/// DRAM device, which the warm digest ignores, so they fork one image.
+#[test]
+fn tab06_grid_forks_one_warm_image() {
+    let tmp = TempDir::new("tab06");
+    let tab06 = find("tab06").unwrap();
+    let cold = tab06.run_to_artifact(&tiny_cli("lbm", 1, None, None)).render_text();
+    let capturing = tab06.run_to_artifact(&tiny_cli("lbm", 1, Some(&tmp.0), None)).render_text();
+    let images: Vec<String> = tmp
+        .0
+        .read_dir()
+        .expect("the capture pass creates the store")
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    assert!(
+        images.len() == 1 && images[0].starts_with("lbm.w") && images[0].ends_with(".bss"),
+        "the capture pass must publish exactly one image, found {images:?}"
+    );
+    let forked = tab06.run_to_artifact(&tiny_cli("lbm", 1, Some(&tmp.0), None)).render_text();
+    assert!(cold == capturing, "capture pass diverged:\n{}", diff_hint(&cold, &capturing));
+    assert!(cold == forked, "warm-forked pass diverged:\n{}", diff_hint(&cold, &forked));
+}
+
 #[test]
 fn parallel_warm_fork_matches_serial_warm_fork() {
     let tmp = TempDir::new("parallel");

@@ -9,7 +9,7 @@
 //! the remaining tests only read static catalog structure.
 
 use bard::report::Json;
-use bard::runner::{Job, Runner};
+use bard::runner::Runner;
 use bard::{EngineKind, SystemConfig};
 use bard_bench::differential::{all_paths, StressCase};
 use bard_bench::telemetry;
@@ -122,8 +122,11 @@ fn grid_trace_json(threads: usize) -> String {
         timed_warmup: 500,
         measure: 2_000,
     };
-    let jobs = Job::grid(&[base, variant], &[WorkloadId::Lbm, WorkloadId::Copy], length);
-    let _ = Runner::new(threads).run_grid(jobs);
+    let _ = Runner::new(threads).run_grid(
+        &[base, variant],
+        &[WorkloadId::Lbm, WorkloadId::Copy],
+        length,
+    );
     telemetry::trace_events_json(&telemetry::take_trace_events())
 }
 

@@ -1,17 +1,18 @@
 //! Experiment drivers: run workloads under one or more configurations and
 //! compare them, the way the paper's evaluation scripts do.
 //!
-//! All multi-run entry points fan out over the [`Runner`](crate::runner)
-//! subsystem, so a `(configs x workloads)` evaluation grid saturates the host
-//! instead of a single core. Results are deterministic regardless of the
-//! worker count — see [`Runner::run_grid`](crate::runner::Runner::run_grid).
+//! [`run_workload`] runs one simulation. Every multi-run evaluation is a
+//! `(configs x workloads)` grid on a [`Runner`], whose
+//! [`run_grid`](Runner::run_grid) saturates the host instead of a single
+//! core and [`Comparison::run_many`] compares its rows against a shared
+//! baseline. Results are deterministic regardless of the worker count and
+//! of whether the runner forks warm-ups from a snapshot store.
 
 use bard_workloads::WorkloadId;
 
 use crate::config::SystemConfig;
 use crate::metrics::{geomean_speedup_percent, speedup_percent, RunResult};
-use crate::runner::{Job, Runner};
-use crate::snapshot::SnapshotStore;
+use crate::runner::Runner;
 use crate::system::System;
 
 /// How long to warm up and measure, in instructions per core.
@@ -62,48 +63,6 @@ pub fn run_workload(config: &SystemConfig, workload: WorkloadId, length: RunLeng
     system.run(length.functional_warmup, length.timed_warmup, length.measure)
 }
 
-/// Runs a set of workloads under one configuration, in parallel on the
-/// default [`Runner`].
-#[must_use]
-pub fn run_workloads(
-    config: &SystemConfig,
-    workloads: &[WorkloadId],
-    length: RunLength,
-) -> Vec<RunResult> {
-    run_workloads_on(&Runner::default(), config, workloads, length)
-}
-
-/// Runs a set of workloads under one configuration on an explicit runner.
-#[must_use]
-pub fn run_workloads_on(
-    runner: &Runner,
-    config: &SystemConfig,
-    workloads: &[WorkloadId],
-    length: RunLength,
-) -> Vec<RunResult> {
-    run_workloads_with(runner, config, workloads, length, None)
-}
-
-/// [`run_workloads_on`] with an optional warm-image store: when `snapshots`
-/// is set, each job restores its functional warm-up from (or captures it
-/// into) a shared BSS1 image instead of re-simulating it. The results are
-/// bitwise-identical either way.
-#[must_use]
-pub fn run_workloads_with(
-    runner: &Runner,
-    config: &SystemConfig,
-    workloads: &[WorkloadId],
-    length: RunLength,
-    snapshots: Option<&SnapshotStore>,
-) -> Vec<RunResult> {
-    runner.run_grid(Job::grid_with_snapshots(
-        std::slice::from_ref(config),
-        workloads,
-        length,
-        snapshots,
-    ))
-}
-
 /// The per-workload comparison of one test configuration against a baseline.
 #[derive(Debug, Clone)]
 pub struct Comparison {
@@ -116,89 +75,27 @@ pub struct Comparison {
 }
 
 impl Comparison {
-    /// Runs `workloads` under both configurations as one parallel grid on
-    /// the default [`Runner`].
-    #[must_use]
-    pub fn run(
-        baseline_config: &SystemConfig,
-        test_config: &SystemConfig,
-        workloads: &[WorkloadId],
-        length: RunLength,
-    ) -> Self {
-        Self::run_on(&Runner::default(), baseline_config, test_config, workloads, length)
-    }
-
-    /// Runs `workloads` under both configurations on an explicit runner.
-    #[must_use]
-    pub fn run_on(
-        runner: &Runner,
-        baseline_config: &SystemConfig,
-        test_config: &SystemConfig,
-        workloads: &[WorkloadId],
-        length: RunLength,
-    ) -> Self {
-        let mut comparisons = Self::run_many_on(
-            runner,
-            baseline_config,
-            std::slice::from_ref(test_config),
-            workloads,
-            length,
-        );
-        comparisons.pop().expect("one test config yields one comparison")
-    }
-
-    /// Compares several test configurations against one baseline, simulating
-    /// the baseline **once** per workload (not once per test configuration)
-    /// and executing the whole `(1 + N) x workloads` grid in parallel on the
-    /// default [`Runner`].
+    /// Compares several test configurations against one baseline over
+    /// `workloads`, simulating the baseline **once** per workload (not once
+    /// per test configuration) as one `(1 + N) x workloads` grid on
+    /// `runner` — its worker count, progress meter and warm-image store
+    /// apply. Returns one comparison per test configuration, in order.
     #[must_use]
     pub fn run_many(
-        baseline_config: &SystemConfig,
-        test_configs: &[SystemConfig],
-        workloads: &[WorkloadId],
-        length: RunLength,
-    ) -> Vec<Self> {
-        Self::run_many_on(&Runner::default(), baseline_config, test_configs, workloads, length)
-    }
-
-    /// [`Comparison::run_many`] on an explicit runner.
-    #[must_use]
-    pub fn run_many_on(
         runner: &Runner,
         baseline_config: &SystemConfig,
         test_configs: &[SystemConfig],
         workloads: &[WorkloadId],
         length: RunLength,
     ) -> Vec<Self> {
-        Self::run_many_with(runner, baseline_config, test_configs, workloads, length, None)
-    }
-
-    /// [`Comparison::run_many_on`] with an optional warm-image store: the
-    /// baseline and every test configuration of one workload share a
-    /// [`warm_digest`](crate::snapshot::warm_digest), so the whole column
-    /// forks one warmed image instead of re-running the functional warm-up
-    /// `1 + N` times. Results are bitwise-identical to a cold grid.
-    #[must_use]
-    pub fn run_many_with(
-        runner: &Runner,
-        baseline_config: &SystemConfig,
-        test_configs: &[SystemConfig],
-        workloads: &[WorkloadId],
-        length: RunLength,
-        snapshots: Option<&SnapshotStore>,
-    ) -> Vec<Self> {
-        let mut configs = Vec::with_capacity(1 + test_configs.len());
-        configs.push(baseline_config.clone());
-        configs.extend_from_slice(test_configs);
-        let mut results =
-            runner.run_grid(Job::grid_with_snapshots(&configs, workloads, length, snapshots));
-        let baseline: Vec<RunResult> = results.drain(..workloads.len()).collect();
+        let configs: Vec<SystemConfig> =
+            std::iter::once(baseline_config).chain(test_configs).cloned().collect();
+        let mut grid = runner.run_grid(&configs, workloads, length).into_iter();
+        let baseline = grid.next().expect("the grid has a baseline row");
         test_configs
             .iter()
-            .map(|config| {
-                let test: Vec<RunResult> = results.drain(..workloads.len()).collect();
-                Self::from_results(config.label(), baseline.clone(), test)
-            })
+            .zip(grid)
+            .map(|(config, test)| Self::from_results(config.label(), baseline.clone(), test))
             .collect()
     }
 
@@ -250,6 +147,7 @@ impl Comparison {
 mod tests {
     use super::*;
     use crate::policy::WritePolicyKind;
+    use crate::snapshot::SnapshotStore;
 
     fn tiny() -> RunLength {
         RunLength { functional_warmup: 200_000, timed_warmup: 2_000, measure: 12_000 }
@@ -267,7 +165,14 @@ mod tests {
     fn comparison_aligns_workloads() {
         let base = SystemConfig::small_test();
         let test = base.clone().with_policy(WritePolicyKind::BardH);
-        let cmp = Comparison::run(&base, &test, &[WorkloadId::Lbm], tiny());
+        let cmp = Comparison::run_many(
+            &Runner::default(),
+            &base,
+            std::slice::from_ref(&test),
+            &[WorkloadId::Lbm],
+            tiny(),
+        )
+        .remove(0);
         let speedups = cmp.speedups_percent();
         assert_eq!(speedups.len(), 1);
         assert_eq!(speedups[0].0, WorkloadId::Lbm);
@@ -283,7 +188,8 @@ mod tests {
             base.clone().with_policy(WritePolicyKind::BardE),
             base.clone().with_policy(WritePolicyKind::BardH),
         ];
-        let cmps = Comparison::run_many(&base, &variants, &[WorkloadId::Copy], tiny());
+        let cmps =
+            Comparison::run_many(&Runner::default(), &base, &variants, &[WorkloadId::Copy], tiny());
         assert_eq!(cmps.len(), 2);
         assert_eq!(cmps[0].label, variants[0].label());
         assert_eq!(cmps[1].label, variants[1].label());
@@ -295,48 +201,30 @@ mod tests {
     #[test]
     fn run_on_serial_matches_default() {
         let base = SystemConfig::small_test();
-        let test = base.clone().with_policy(WritePolicyKind::BardH);
-        let serial = Comparison::run_on(
-            &crate::runner::Runner::serial(),
-            &base,
-            &test,
-            &[WorkloadId::Lbm],
-            tiny(),
-        );
-        let parallel = Comparison::run_on(
-            &crate::runner::Runner::new(4),
-            &base,
-            &test,
-            &[WorkloadId::Lbm],
-            tiny(),
-        );
-        assert_eq!(serial.speedups_percent(), parallel.speedups_percent());
+        let test = [base.clone().with_policy(WritePolicyKind::BardH)];
+        let serial =
+            Comparison::run_many(&Runner::serial(), &base, &test, &[WorkloadId::Lbm], tiny());
+        let parallel =
+            Comparison::run_many(&Runner::new(4), &base, &test, &[WorkloadId::Lbm], tiny());
+        assert_eq!(serial[0].speedups_percent(), parallel[0].speedups_percent());
     }
 
     #[test]
     fn snapshot_store_grid_matches_cold_grid() {
         let dir = std::env::temp_dir().join(format!("bard-exp-snap-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let store = SnapshotStore::new(&dir);
         let base = SystemConfig::small_test();
         let variants = [
             base.clone().with_policy(WritePolicyKind::BardE),
             base.clone().with_policy(WritePolicyKind::BardH),
         ];
         let workloads = [WorkloadId::Lbm];
-        let runner = Runner::serial();
-        let cold = Comparison::run_many_on(&runner, &base, &variants, &workloads, tiny());
+        let cold = Comparison::run_many(&Runner::serial(), &base, &variants, &workloads, tiny());
+        let runner = Runner::serial().with_snapshots(Some(SnapshotStore::new(&dir)));
         // First warm pass captures the image, second reuses the published file;
         // both must be bitwise-identical to the cold grid.
         for _ in 0..2 {
-            let warm = Comparison::run_many_with(
-                &runner,
-                &base,
-                &variants,
-                &workloads,
-                tiny(),
-                Some(&store),
-            );
+            let warm = Comparison::run_many(&runner, &base, &variants, &workloads, tiny());
             assert_eq!(cold.len(), warm.len());
             for (c, w) in cold.iter().zip(&warm) {
                 assert_eq!(c.baseline[0].total_cycles, w.baseline[0].total_cycles);

@@ -17,13 +17,14 @@
 //!   [`Artifact`]s serialized to JSON/CSV under the
 //!   versioned schema of [`report::schema`] (see `docs/RESULTS.md`),
 //! * [`runner`] — the parallel grid executor every multi-run driver fans out
-//!   on: a scoped `std::thread` pool that runs independent
-//!   `(configuration, workload)` simulations concurrently while returning
-//!   results in deterministic job order (see [`runner::Runner::run_grid`]).
-//!   The worker count comes from `--jobs=N` in the experiment binaries, the
-//!   `BARD_JOBS` environment variable, or the host's available parallelism,
-//!   and never changes a metric — a parallel grid is bitwise-identical to a
-//!   serial one,
+//!   on: [`runner::Runner::run_grid`] runs independent
+//!   `(configuration, workload)` simulations concurrently on a scoped
+//!   `std::thread` pool and returns them grouped per configuration. The
+//!   worker count comes from `--jobs=N` in the experiment binaries, the
+//!   `BARD_JOBS` environment variable, or the host's available parallelism;
+//!   an optional warm-image store (`--snapshot-dir=DIR`) lets a grid's
+//!   variants fork one warmed state per workload. Neither changes a metric —
+//!   a parallel or forked grid is bitwise-identical to a serial cold one,
 //! * [`telemetry`] — unified observability: the static metrics registry, the
 //!   simulated-time event tracer (Chrome trace-event JSON), the grid
 //!   progress meter and the model-phase self-profiler. Telemetry never
@@ -33,14 +34,15 @@
 //! ## Quick start
 //!
 //! ```no_run
-//! use bard::{RunLength, SystemConfig, WritePolicyKind};
-//! use bard::experiment::Comparison;
+//! use bard::{Comparison, RunLength, Runner, SystemConfig, WritePolicyKind};
 //! use bard_workloads::WorkloadId;
 //!
 //! let baseline = SystemConfig::baseline_8core();
-//! let bard = baseline.clone().with_policy(WritePolicyKind::BardH);
-//! let cmp = Comparison::run(&baseline, &bard, &[WorkloadId::Lbm], RunLength::quick());
-//! println!("lbm speedup: {:.1}%", cmp.speedups_percent()[0].1);
+//! let variants = [baseline.clone().with_policy(WritePolicyKind::BardH)];
+//! let workloads = [WorkloadId::Lbm];
+//! let runner = Runner::default();
+//! let cmps = Comparison::run_many(&runner, &baseline, &variants, &workloads, RunLength::quick());
+//! println!("lbm speedup: {:.1}%", cmps[0].speedups_percent()[0].1);
 //! ```
 //!
 //! The LLC policies can also be exercised directly, without a full system:
@@ -82,7 +84,7 @@ pub use llc::SlicedLlc;
 pub use metrics::{geomean, geomean_speedup_percent, speedup_percent, RunResult};
 pub use policy::{PolicyStats, WritePolicyKind};
 pub use report::{Artifact, Provenance, RunRecord};
-pub use runner::{Job, Runner};
+pub use runner::Runner;
 pub use snapshot::{Snapshot, SnapshotError, SnapshotStore};
 pub use system::{RunOutcome, System};
 pub use telemetry::{Metric, MetricKind, Phase, Progress};

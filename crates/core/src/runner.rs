@@ -3,13 +3,23 @@
 //! Every figure and table of the evaluation boils down to the same shape of
 //! work: simulate a grid of `(configuration, workload)` pairs and post-process
 //! the [`RunResult`]s. The simulations are completely independent — each owns
-//! its [`System`] — so the grid is embarrassingly
+//! its [`System`](crate::System) — so the grid is embarrassingly
 //! parallel. [`Runner`] fans the grid out over a scoped pool of `std::thread`
-//! workers pulling jobs from a shared atomic cursor (no work stealing, no
+//! workers pulling cells from a shared atomic cursor (no work stealing, no
 //! external dependencies) while preserving the *exact* output ordering and
-//! values of a serial run: each job writes into its own pre-allocated slot,
+//! values of a serial run: each cell writes into its own pre-allocated slot,
 //! and every simulation is deterministic given its config and seed, so the
 //! thread count can never change a metric.
+//!
+//! [`Runner::run_grid`] is the one entry point that runs a grid
+//! ([`Comparison::run_many`](crate::experiment::Comparison::run_many) builds
+//! on it), and the runner carries everything that shapes how a grid runs:
+//! its worker count, its progress meter ([`Runner::with_progress`]) and its
+//! warm-image store ([`Runner::with_snapshots`], the `--snapshot-dir=DIR`
+//! flag). With a store, every cell restores its functional warm-up from (or
+//! captures it into) a shared BSS1 image, so the policy and DRAM variants of
+//! a workload fork one warmed state; results are bitwise-identical either
+//! way.
 //!
 //! The worker count is picked, in order, from:
 //!
@@ -19,15 +29,16 @@
 //! 3. [`std::thread::available_parallelism`].
 //!
 //! ```no_run
-//! use bard::runner::{Job, Runner};
+//! use bard::runner::Runner;
 //! use bard::{RunLength, SystemConfig, WritePolicyKind};
 //! use bard_workloads::WorkloadId;
 //!
 //! let base = SystemConfig::baseline_8core();
 //! let bard = base.clone().with_policy(WritePolicyKind::BardH);
-//! let jobs = Job::grid(&[base, bard], &[WorkloadId::Lbm, WorkloadId::Copy], RunLength::quick());
-//! let results = Runner::default().run_grid(jobs);
-//! assert_eq!(results.len(), 4); // config-major, workload-minor order
+//! let workloads = [WorkloadId::Lbm, WorkloadId::Copy];
+//! let grid = Runner::default().run_grid(&[base, bard], &workloads, RunLength::quick());
+//! assert_eq!(grid.len(), 2); // one row per config,
+//! assert_eq!(grid[1].len(), 2); // one result per workload
 //! ```
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -37,113 +48,17 @@ use std::sync::Mutex;
 use bard_workloads::WorkloadId;
 
 use crate::config::SystemConfig;
-use crate::experiment::RunLength;
+use crate::experiment::{run_workload, RunLength};
 use crate::metrics::RunResult;
-use crate::snapshot::SnapshotStore;
-use crate::system::System;
+use crate::snapshot::{self, SnapshotStore};
 use crate::telemetry;
 
-/// One unit of grid work: a single workload simulated under a single
-/// configuration for a given run length.
-#[derive(Debug, Clone)]
-pub struct Job {
-    /// System configuration to simulate.
-    pub config: SystemConfig,
-    /// Workload to run.
-    pub workload: WorkloadId,
-    /// Warm-up and measurement lengths.
-    pub length: RunLength,
-    /// Warm-image store (`--snapshot-dir`): when set, the functional
-    /// warm-up is restored from (or captured into) a shared BSS1 image
-    /// instead of re-simulated per job. Results are bitwise-identical
-    /// either way; only wall clock changes.
-    pub snapshots: Option<SnapshotStore>,
-}
-
-impl Job {
-    /// Creates one job.
-    #[must_use]
-    pub fn new(config: SystemConfig, workload: WorkloadId, length: RunLength) -> Self {
-        Self { config, workload, length, snapshots: None }
-    }
-
-    /// Attaches a warm-image store to this job (see [`Job::snapshots`]).
-    #[must_use]
-    pub fn with_snapshots(mut self, snapshots: Option<&SnapshotStore>) -> Self {
-        self.snapshots = snapshots.cloned();
-        self
-    }
-
-    /// Builds the full `configs x workloads` grid in config-major order:
-    /// all workloads of `configs[0]` first, then `configs[1]`, and so on.
-    #[must_use]
-    pub fn grid(
-        configs: &[SystemConfig],
-        workloads: &[WorkloadId],
-        length: RunLength,
-    ) -> Vec<Self> {
-        configs
-            .iter()
-            .flat_map(|config| {
-                workloads.iter().map(move |&workload| Self::new(config.clone(), workload, length))
-            })
-            .collect()
-    }
-
-    /// [`Job::grid`] with a warm-image store attached to every job: the
-    /// grid's jobs that share a [`warm_digest`](crate::snapshot::warm_digest)
-    /// — every policy/DRAM variant of one workload — fork one warmed image
-    /// instead of each re-running the functional warm-up.
-    #[must_use]
-    pub fn grid_with_snapshots(
-        configs: &[SystemConfig],
-        workloads: &[WorkloadId],
-        length: RunLength,
-        snapshots: Option<&SnapshotStore>,
-    ) -> Vec<Self> {
-        Self::grid(configs, workloads, length)
-            .into_iter()
-            .map(|job| job.with_snapshots(snapshots))
-            .collect()
-    }
-
-    /// Runs the simulation for this job.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a configured snapshot store holds a corrupt image or its
-    /// directory cannot be written.
-    #[must_use]
-    pub fn run(&self) -> RunResult {
-        if let Some(store) = &self.snapshots {
-            if self.length.functional_warmup > 0 {
-                let mut system = store
-                    .obtain_warm(&self.config, self.workload, self.length.functional_warmup)
-                    .unwrap_or_else(|e| panic!("snapshot store {}: {e}", store.dir().display()));
-                return system.run(0, self.length.timed_warmup, self.length.measure);
-            }
-        }
-        let mut system = System::new(self.config.clone(), self.workload);
-        system.run(self.length.functional_warmup, self.length.timed_warmup, self.length.measure)
-    }
-
-    /// The job's instruction budget (warm-up + measure, summed over cores):
-    /// the progress meter's weight, so percent/ETA track simulated work
-    /// rather than job count.
-    #[must_use]
-    pub fn instruction_weight(&self) -> u64 {
-        (self.length.functional_warmup)
-            .saturating_add(self.length.timed_warmup)
-            .saturating_add(self.length.measure)
-            .saturating_mul(self.config.cores as u64)
-    }
-}
-
 /// A scoped-thread executor for simulation grids.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Runner {
     threads: usize,
     progress: bool,
+    snapshots: Option<SnapshotStore>,
 }
 
 impl Runner {
@@ -152,23 +67,35 @@ impl Runner {
     #[must_use]
     pub fn new(threads: usize) -> Self {
         let threads = if threads == 0 { auto_threads() } else { threads };
-        Self { threads, progress: false }
+        Self { threads, progress: false, snapshots: None }
     }
 
     /// A runner that executes jobs one at a time on the calling thread.
     #[must_use]
     pub fn serial() -> Self {
-        Self { threads: 1, progress: false }
+        Self::new(1)
     }
 
     /// Enables or disables live grid progress: throttled
     /// `[bard-progress] k/n jobs ...` percent/ETA lines on stderr, weighted
-    /// by each job's instruction budget (the `--progress` flag lands here).
+    /// by each cell's instruction budget (the `--progress` flag lands here).
     /// Progress output never changes a result — it is stderr-only and
-    /// observes jobs from outside.
+    /// observes cells from outside.
     #[must_use]
     pub fn with_progress(mut self, progress: bool) -> Self {
         self.progress = progress;
+        self
+    }
+
+    /// Sets the warm-image store grids fork their functional warm-ups from
+    /// (the `--snapshot-dir=DIR` flag lands here; `None` warms every cell
+    /// cold). Cells that share a [`warm_digest`](crate::snapshot::warm_digest)
+    /// — every policy and DRAM variant of one workload — restore one image,
+    /// captured by whichever cell needs it first. Results are
+    /// bitwise-identical either way; only wall clock changes.
+    #[must_use]
+    pub fn with_snapshots(mut self, snapshots: Option<SnapshotStore>) -> Self {
+        self.snapshots = snapshots;
         self
     }
 
@@ -178,51 +105,104 @@ impl Runner {
         self.progress
     }
 
+    /// The warm-image store grids fork from, if any.
+    #[must_use]
+    pub fn snapshots(&self) -> Option<&SnapshotStore> {
+        self.snapshots.as_ref()
+    }
+
     /// The worker count this runner fans out to.
     #[must_use]
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Runs every job and returns the results in job order.
+    /// Simulates every `(config, workload)` cell for `length` and returns
+    /// the results grouped per configuration: `grid[c][w]` is
+    /// `workloads[w]` under `configs[c]`. After a store-backed grid it
+    /// prints the `[bard-perf] snapshot` counters line when `BARD_TELEMETRY`
+    /// is enabled.
     ///
-    /// The output is deterministic: result `i` always corresponds to
-    /// `jobs[i]`, and — because each simulation is self-contained and seeded
-    /// from its config — the metrics are bitwise-identical whatever the
-    /// thread count.
+    /// The output is deterministic: each simulation is self-contained and
+    /// seeded from its config, so the metrics are bitwise-identical whatever
+    /// the thread count and whether or not a warm-image store is set.
     ///
     /// # Panics
     ///
-    /// Propagates a panic from any job, re-raising the job's original panic
-    /// payload on the calling thread. The other workers stop claiming new
-    /// jobs as soon as one panics (each finishes only its in-flight job), so
-    /// a failing grid aborts promptly instead of draining the whole queue.
+    /// Propagates a panic from any cell, re-raising its original payload on
+    /// the calling thread; a store holding a corrupt image, or one whose
+    /// directory cannot be written, panics its cell. The other workers stop
+    /// claiming new cells as soon as one panics (each finishes only its
+    /// in-flight cell), so a failing grid aborts promptly instead of
+    /// draining the whole queue.
     #[must_use]
-    pub fn run_grid(&self, jobs: Vec<Job>) -> Vec<RunResult> {
+    pub fn run_grid(
+        &self,
+        configs: &[SystemConfig],
+        workloads: &[WorkloadId],
+        length: RunLength,
+    ) -> Vec<Vec<RunResult>> {
+        let cells: Vec<(&SystemConfig, WorkloadId)> = configs
+            .iter()
+            .flat_map(|config| workloads.iter().map(move |&workload| (config, workload)))
+            .collect();
+        // The progress meter's weight: a cell's instruction budget summed
+        // over cores, so percent/ETA track simulated work, not cell count.
+        let weight = |config: &SystemConfig| {
+            length
+                .functional_warmup
+                .saturating_add(length.timed_warmup)
+                .saturating_add(length.measure)
+                .saturating_mul(config.cores as u64)
+        };
         let meter = self.progress.then(|| {
-            telemetry::Progress::start(jobs.len(), jobs.iter().map(Job::instruction_weight).sum())
+            telemetry::Progress::start(cells.len(), cells.iter().map(|(c, _)| weight(c)).sum())
         });
         let meter = meter.as_ref();
-        self.run_jobs(jobs, |job| {
-            // bard-lint: allow(D1) -- job wall-clock for the runner-throughput telemetry
+        let results = self.run_jobs(cells, |&(config, workload)| {
+            // bard-lint: allow(D1) -- cell wall-clock for the runner-throughput telemetry
             // histogram only; simulated results never read it.
             let started = std::time::Instant::now();
-            let result = job.run();
+            let result = self.run_cell(config, workload, length);
             if telemetry::enabled() {
                 telemetry::RUNNER_JOBS_COMPLETED.add(1);
                 telemetry::RUNNER_JOB_MILLIS.observe(started.elapsed().as_millis() as u64);
             }
             if let Some(meter) = meter {
-                meter.job_done(job.instruction_weight());
+                meter.job_done(weight(config));
             }
             result
-        })
+        });
+        if self.snapshots.is_some() {
+            snapshot::print_counters_if_enabled();
+        }
+        let mut results = results.into_iter();
+        configs.iter().map(|_| results.by_ref().take(workloads.len()).collect()).collect()
+    }
+
+    /// Simulates one grid cell: the one place that chooses between forking
+    /// the functional warm-up from the store and warming the cell cold.
+    fn run_cell(
+        &self,
+        config: &SystemConfig,
+        workload: WorkloadId,
+        length: RunLength,
+    ) -> RunResult {
+        match &self.snapshots {
+            Some(store) if length.functional_warmup > 0 => {
+                let mut system = store
+                    .obtain_warm(config, workload, length.functional_warmup)
+                    .unwrap_or_else(|e| panic!("snapshot store {}: {e}", store.dir().display()));
+                system.run(0, length.timed_warmup, length.measure)
+            }
+            _ => run_workload(config, workload, length),
+        }
     }
 
     /// Runs an arbitrary set of independent work items in parallel,
-    /// preserving input ordering. `run_grid` is this with [`Job::run`];
-    /// non-grid-shaped experiments (sweeps over core counts, tracker sizes,
-    /// ...) can reuse the pool directly.
+    /// preserving input ordering. [`Runner::run_grid`] is this over its
+    /// cells; non-grid-shaped work (the parity suite's stress cases, ...)
+    /// can reuse the pool directly.
     ///
     /// # Panics
     ///
@@ -328,12 +308,19 @@ mod tests {
     fn grid_is_config_major() {
         let base = SystemConfig::small_test();
         let bard = base.clone().with_policy(WritePolicyKind::BardH);
-        let jobs = Job::grid(&[base, bard], &[WorkloadId::Lbm, WorkloadId::Copy], tiny());
-        assert_eq!(jobs.len(), 4);
-        assert_eq!(jobs[0].workload, WorkloadId::Lbm);
-        assert_eq!(jobs[1].workload, WorkloadId::Copy);
-        assert_eq!(jobs[0].config.write_policy, WritePolicyKind::Baseline);
-        assert_eq!(jobs[2].config.write_policy, WritePolicyKind::BardH);
+        let short = RunLength { functional_warmup: 5_000, timed_warmup: 500, measure: 1_000 };
+        let grid = Runner::new(2).run_grid(
+            &[base.clone(), bard.clone()],
+            &[WorkloadId::Lbm, WorkloadId::Copy],
+            short,
+        );
+        assert_eq!(grid.len(), 2);
+        for (row, config) in grid.iter().zip([&base, &bard]) {
+            assert_eq!(row.len(), 2);
+            assert_eq!(row[0].workload, WorkloadId::Lbm);
+            assert_eq!(row[1].workload, WorkloadId::Copy);
+            assert!(row.iter().all(|r| r.config_label == config.label()));
+        }
     }
 
     #[test]
@@ -355,11 +342,11 @@ mod tests {
     fn parallel_grid_matches_serial_grid() {
         let cfg = SystemConfig::small_test();
         let workloads = [WorkloadId::Lbm, WorkloadId::Copy, WorkloadId::Scale];
-        let jobs = Job::grid(std::slice::from_ref(&cfg), &workloads, tiny());
-        let serial = Runner::serial().run_grid(jobs.clone());
-        let parallel = Runner::new(3).run_grid(jobs);
+        let configs = std::slice::from_ref(&cfg);
+        let serial = Runner::serial().run_grid(configs, &workloads, tiny());
+        let parallel = Runner::new(3).run_grid(configs, &workloads, tiny());
         assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
+        for (s, p) in serial[0].iter().zip(&parallel[0]) {
             assert_eq!(s.workload, p.workload);
             assert_eq!(s.total_cycles, p.total_cycles);
             assert_eq!(s.per_core_ipc, p.per_core_ipc);

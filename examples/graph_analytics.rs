@@ -14,6 +14,7 @@
 
 use bard::experiment::{Comparison, RunLength};
 use bard::report::Table;
+use bard::runner::Runner;
 use bard::{SystemConfig, WritePolicyKind};
 use bard_workloads::{Suite, WorkloadId};
 
@@ -32,7 +33,8 @@ fn main() {
 
     // One parallel grid: the baseline runs once and is shared by all three
     // variant comparisons.
-    let comparisons = Comparison::run_many(&baseline_cfg, &variants, &workloads, length);
+    let comparisons =
+        Comparison::run_many(&Runner::default(), &baseline_cfg, &variants, &workloads, length);
 
     let mut table = Table::new(vec![
         "workload", "MPKI", "WPKI", "BLP", "W%", "BARD-E %", "BARD-C %", "BARD-H %",

@@ -14,6 +14,7 @@
 
 use bard::experiment::{Comparison, RunLength};
 use bard::report::Table;
+use bard::runner::Runner;
 use bard::{speedup_percent, SystemConfig, WritePolicyKind};
 use bard_workloads::WorkloadId;
 
@@ -44,7 +45,8 @@ fn main() {
     // once and serves as both a table row and the speedup reference.
     let variants: Vec<_> =
         policies[1..].iter().map(|&p| baseline_cfg.clone().with_policy(p)).collect();
-    let comparisons = Comparison::run_many(&baseline_cfg, &variants, &[workload], length);
+    let comparisons =
+        Comparison::run_many(&Runner::default(), &baseline_cfg, &variants, &[workload], length);
     let baseline = &comparisons[0].baseline[0];
 
     let mut table = Table::new(vec![

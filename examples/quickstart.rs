@@ -12,6 +12,7 @@
 //! artifact in the schema of `docs/RESULTS.md`.
 
 use bard::experiment::{Comparison, RunLength};
+use bard::runner::Runner;
 use bard::{speedup_percent, SystemConfig, WritePolicyKind};
 use bard_workloads::WorkloadId;
 
@@ -38,7 +39,10 @@ fn main() {
 
     let start = std::time::Instant::now();
     // Both configurations run concurrently on the default runner.
-    let cmp = Comparison::run(&baseline_cfg, &bard_cfg, &[workload], length);
+    let variants = std::slice::from_ref(&bard_cfg);
+    let cmp =
+        Comparison::run_many(&Runner::default(), &baseline_cfg, variants, &[workload], length)
+            .remove(0);
     let elapsed = start.elapsed();
     let (baseline, bard) = (&cmp.baseline[0], &cmp.test[0]);
 

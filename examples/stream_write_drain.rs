@@ -17,6 +17,7 @@
 
 use bard::experiment::{Comparison, RunLength};
 use bard::report::Table;
+use bard::runner::Runner;
 use bard::{speedup_percent, SystemConfig, WritePolicyKind};
 use bard_workloads::WorkloadId;
 
@@ -30,7 +31,9 @@ fn main() {
     let bard_cfg = baseline_cfg.clone().with_policy(WritePolicyKind::BardH);
 
     // All eight (config, kernel) simulations run as one parallel grid.
-    let cmp = Comparison::run(&baseline_cfg, &bard_cfg, &kernels, length);
+    let variants = std::slice::from_ref(&bard_cfg);
+    let cmp = Comparison::run_many(&Runner::default(), &baseline_cfg, variants, &kernels, length)
+        .remove(0);
 
     let mut table = Table::new(vec![
         "kernel",

@@ -1,8 +1,8 @@
 //! End-to-end tests of the parallel runner subsystem: a parallel grid must be
 //! metric-for-metric identical to the serial path, whatever the worker count.
 
-use bard::experiment::{run_workloads, run_workloads_on, Comparison, RunLength};
-use bard::runner::{Job, Runner};
+use bard::experiment::{Comparison, RunLength};
+use bard::runner::Runner;
 use bard::{RunResult, SystemConfig, WritePolicyKind};
 use bard_workloads::WorkloadId;
 
@@ -39,11 +39,11 @@ fn parallel_grid_is_bitwise_equal_to_serial() {
     let base = SystemConfig::small_test();
     let bard = base.clone().with_policy(WritePolicyKind::BardH);
     let workloads = [WorkloadId::Lbm, WorkloadId::Copy, WorkloadId::Bc];
-    let jobs = Job::grid(&[base, bard], &workloads, tiny());
+    let configs = [base, bard];
 
-    let serial = Runner::serial().run_grid(jobs.clone());
+    let serial = Runner::serial().run_grid(&configs, &workloads, tiny()).concat();
     for threads in [2, 4, 8] {
-        let parallel = Runner::new(threads).run_grid(jobs.clone());
+        let parallel = Runner::new(threads).run_grid(&configs, &workloads, tiny()).concat();
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_results_identical(s, p);
@@ -55,8 +55,9 @@ fn parallel_grid_is_bitwise_equal_to_serial() {
 fn run_workloads_matches_explicit_serial_runner() {
     let cfg = SystemConfig::small_test();
     let workloads = [WorkloadId::Scale, WorkloadId::Lbm];
-    let default_path = run_workloads(&cfg, &workloads, tiny());
-    let serial_path = run_workloads_on(&Runner::serial(), &cfg, &workloads, tiny());
+    let configs = std::slice::from_ref(&cfg);
+    let default_path = Runner::default().run_grid(configs, &workloads, tiny()).remove(0);
+    let serial_path = Runner::serial().run_grid(configs, &workloads, tiny()).remove(0);
     assert_eq!(default_path.len(), serial_path.len());
     for (d, s) in default_path.iter().zip(&serial_path) {
         assert_results_identical(d, s);
@@ -66,12 +67,12 @@ fn run_workloads_matches_explicit_serial_runner() {
 #[test]
 fn comparison_speedups_are_thread_count_invariant() {
     let base = SystemConfig::small_test();
-    let bard = base.clone().with_policy(WritePolicyKind::BardH);
+    let bard = [base.clone().with_policy(WritePolicyKind::BardH)];
     let workloads = [WorkloadId::Lbm, WorkloadId::Copy];
-    let serial = Comparison::run_on(&Runner::serial(), &base, &bard, &workloads, tiny());
-    let parallel = Comparison::run_on(&Runner::new(4), &base, &bard, &workloads, tiny());
-    assert_eq!(serial.speedups_percent(), parallel.speedups_percent());
-    assert_eq!(serial.gmean_speedup_percent(), parallel.gmean_speedup_percent());
+    let serial = Comparison::run_many(&Runner::serial(), &base, &bard, &workloads, tiny());
+    let parallel = Comparison::run_many(&Runner::new(4), &base, &bard, &workloads, tiny());
+    assert_eq!(serial[0].speedups_percent(), parallel[0].speedups_percent());
+    assert_eq!(serial[0].gmean_speedup_percent(), parallel[0].gmean_speedup_percent());
 }
 
 #[test]
@@ -82,7 +83,8 @@ fn run_many_baseline_is_shared_not_rerun() {
         base.clone().with_policy(WritePolicyKind::BardC),
         base.clone().with_policy(WritePolicyKind::BardH),
     ];
-    let cmps = Comparison::run_many(&base, &variants, &[WorkloadId::Copy, WorkloadId::Lbm], tiny());
+    let workloads = [WorkloadId::Copy, WorkloadId::Lbm];
+    let cmps = Comparison::run_many(&Runner::default(), &base, &variants, &workloads, tiny());
     assert_eq!(cmps.len(), 3);
     for cmp in &cmps[1..] {
         for (a, b) in cmps[0].baseline.iter().zip(&cmp.baseline) {

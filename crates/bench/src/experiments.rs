@@ -589,10 +589,14 @@ fn tab06(cli: &Cli, a: &mut Artifact) {
         ("BARD x8", make(DramConfig::ddr5_4800_x8(), WritePolicyKind::BardH, false)),
         ("Ideal x8", make(DramConfig::ddr5_4800_x8(), WritePolicyKind::Baseline, true)),
     ];
-    // The Baseline x4 runs are the normalisation reference; the entire
-    // 6-system grid (reference simulated once) runs in parallel.
-    let variants: Vec<_> = systems.iter().map(|(_, cfg)| cfg.clone()).collect();
-    let comparisons = cli.compare(&systems[0].1, &variants);
+    // The Baseline x4 runs are the normalisation reference, simulated once
+    // in a 6-system grid; its own row compares them with themselves.
+    let (reference, others) = systems.split_first().expect("tab06 has a reference system");
+    let variants: Vec<_> = others.iter().map(|(_, cfg)| cfg.clone()).collect();
+    let mut comparisons = cli.compare(&reference.1, &variants);
+    let baseline = comparisons[0].baseline.clone();
+    comparisons
+        .insert(0, Comparison::from_results(reference.1.label(), baseline.clone(), baseline));
     let mut table = Table::new(vec!["System", "gmean speedup vs x4 baseline (%)"]);
     for ((name, _), cmp) in systems.iter().zip(&comparisons) {
         table.push_row(vec![(*name).to_string(), format!("{:+.1}", cmp.gmean_speedup_percent())]);

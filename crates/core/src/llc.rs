@@ -321,11 +321,11 @@ impl SlicedLlc {
         };
 
         let evicted = self.slices[slice].evict(set, victim);
-        let mut victim_row_key = None;
+        let mut dirty_victim = None;
         if let Some(ev) = evicted {
             if ev.dirty {
                 self.emit_writeback(ev.addr, writebacks);
-                victim_row_key = Some(self.row_key(ev.addr));
+                dirty_victim = Some(ev.addr);
             }
         }
         self.slices[slice].fill_at(set, victim, addr, dirty, signature);
@@ -333,8 +333,8 @@ impl SlicedLlc {
         match self.policy {
             WritePolicyKind::EagerWriteback => self.eager_cleanse(slice, set, writebacks),
             WritePolicyKind::VirtualWriteQueue => {
-                if let Some(key) = victim_row_key {
-                    self.vwq_cleanse(slice, set, key, writebacks);
+                if let Some(victim) = dirty_victim {
+                    self.vwq_cleanse(slice, set, victim, writebacks);
                 }
             }
             _ => {}
@@ -418,13 +418,13 @@ impl SlicedLlc {
         }
     }
 
-    /// Virtual Write Queue: after a dirty eviction, proactively write back
-    /// other dirty lines mapping to the same DRAM row.
+    /// Virtual Write Queue: after a dirty eviction of `victim`, proactively
+    /// write back other dirty lines mapping to the same DRAM row.
     fn vwq_cleanse(
         &mut self,
         slice: usize,
         victim_set: usize,
-        row_key: (usize, usize, usize, usize, u64),
+        victim: u64,
         writebacks: &mut Vec<u64>,
     ) {
         let sets = self.slices[slice].sets();
@@ -441,7 +441,7 @@ impl SlicedLlc {
                     break;
                 }
                 let Some(addr) = self.slices[slice].dirty_addr(set, way) else { continue };
-                if self.row_key(addr) == row_key {
+                if self.mapping.same_row(addr, victim) {
                     self.slices[slice].cleanse(set, way);
                     self.stats.cleanses += 1;
                     self.emit_writeback(addr, writebacks);
@@ -449,11 +449,6 @@ impl SlicedLlc {
                 }
             }
         }
-    }
-
-    fn row_key(&self, addr: u64) -> (usize, usize, usize, usize, u64) {
-        let d = self.mapping.decode(addr);
-        (d.channel, d.subchannel, d.bankgroup, d.bank, d.row)
     }
 }
 

@@ -66,6 +66,11 @@ pub struct AddressMapping {
     col_bits: u32,
     banks_per_group: usize,
     banks_per_subchannel: usize,
+    /// Bit offset of the channel field in a physical address.
+    channel_shift: u32,
+    /// The address bits that select a DRAM row: every bit but the line
+    /// offset and the column fields (see [`AddressMapping::same_row`]).
+    row_mask: u64,
 }
 
 impl AddressMapping {
@@ -77,16 +82,36 @@ impl AddressMapping {
     #[must_use]
     pub fn new(config: &DramConfig) -> Self {
         config.validate().expect("DramConfig must be valid to build an AddressMapping");
+        let line_shift = config.line_bytes.trailing_zeros();
+        let sc_bits = log2(config.subchannels_per_channel);
+        let bg_bits = log2(config.bankgroups);
+        let ba_bits = log2(config.banks_per_group);
+        let ch_bits = log2(config.channels);
+        let col_bits = log2(config.lines_per_row());
+        let field = |offset: u32, bits: u32| ((1u64 << bits) - 1) << offset;
+        // Offsets of the channel field and of each column field, above the
+        // line offset, in the order `decode` takes the fields.
+        let (channel_shift, columns) = match config.mapping {
+            MappingScheme::ZenPbpl | MappingScheme::Zen => {
+                let col_low = sc_bits;
+                let channel = col_low + 1.min(col_bits) + bg_bits + ba_bits;
+                let col_high = field(channel + ch_bits, col_bits.saturating_sub(1));
+                (channel, field(col_low, 1.min(col_bits)) | col_high)
+            }
+            MappingScheme::RowBankColumn => (col_bits, field(0, col_bits)),
+        };
         Self {
             scheme: config.mapping,
-            line_shift: config.line_bytes.trailing_zeros(),
-            sc_bits: log2(config.subchannels_per_channel),
-            bg_bits: log2(config.bankgroups),
-            ba_bits: log2(config.banks_per_group),
-            ch_bits: log2(config.channels),
-            col_bits: log2(config.lines_per_row()),
+            line_shift,
+            sc_bits,
+            bg_bits,
+            ba_bits,
+            ch_bits,
+            col_bits,
             banks_per_group: config.banks_per_group,
             banks_per_subchannel: config.bankgroups * config.banks_per_group,
+            channel_shift: line_shift + channel_shift,
+            row_mask: !((columns << line_shift) | field(0, line_shift)),
         }
     }
 
@@ -149,12 +174,25 @@ impl AddressMapping {
         }
     }
 
-    /// Decodes only the channel index (cheaper than a full [`decode`]).
+    /// Decodes only the channel index (cheaper than a full [`decode`]): the
+    /// channel field is never permuted, so it is read in place.
     ///
     /// [`decode`]: Self::decode
     #[must_use]
     pub fn channel_of(&self, addr: u64) -> usize {
-        self.decode(addr).channel
+        ((addr >> self.channel_shift) & ((1u64 << self.ch_bits) - 1)) as usize
+    }
+
+    /// True when `a` and `b` map to the same row of the same bank: equal
+    /// decoded channel, sub-channel, bank group, bank and row (cheaper than
+    /// two [`decode`]s). Exact under PBPL too: for a given row, its XOR
+    /// permutation is a bijection on (bank group, bank), so equal rows and
+    /// permuted banks mean equal address bits.
+    ///
+    /// [`decode`]: Self::decode
+    #[must_use]
+    pub fn same_row(&self, a: u64, b: u64) -> bool {
+        (a ^ b) & self.row_mask == 0
     }
 
     /// Decodes the channel and the channel-local bank index
@@ -293,6 +331,64 @@ mod tests {
         assert_eq!(a.row, b.row);
         assert_eq!(a.bank, b.bank);
         assert_eq!(b.column, a.column + 1);
+    }
+
+    /// The row key `same_row` must agree with: every decoded field but the
+    /// column.
+    fn row_key(m: &AddressMapping, addr: u64) -> (usize, usize, usize, usize, u64) {
+        let d = m.decode(addr);
+        (d.channel, d.subchannel, d.bankgroup, d.bank, d.row)
+    }
+
+    /// `channel_of` and `same_row` agree with `decode` on random addresses,
+    /// random pairs, pairs that differ in a few low bits (often the same
+    /// row) and pairs that differ in one bit, under every scheme at 1, 2
+    /// and 4 channels.
+    #[test]
+    fn field_shortcuts_match_decode() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for scheme in [MappingScheme::ZenPbpl, MappingScheme::Zen, MappingScheme::RowBankColumn] {
+            for channels in [1, 2, 4] {
+                let mut cfg = DramConfig::ddr5_4800_x4();
+                cfg.mapping = scheme;
+                cfg.channels = channels;
+                let m = AddressMapping::new(&cfg);
+                let (mut same, mut differ) = (0, 0);
+                for _ in 0..20_000 {
+                    let a = next();
+                    assert_eq!(
+                        m.channel_of(a),
+                        m.decode(a).channel,
+                        "{scheme:?}/{channels} {a:#x}"
+                    );
+                    let low = a ^ (next() & ((1 << (next() % 24)) - 1));
+                    let bit = a ^ 1 << (next() % 64);
+                    for b in [next(), low, bit] {
+                        let expected = row_key(&m, a) == row_key(&m, b);
+                        assert_eq!(
+                            m.same_row(a, b),
+                            expected,
+                            "{scheme:?}/{channels} {a:#x} {b:#x}"
+                        );
+                        if expected {
+                            same += 1
+                        } else {
+                            differ += 1
+                        }
+                    }
+                }
+                assert!(
+                    same > 1_000 && differ > 1_000,
+                    "{scheme:?}/{channels}: {same} same, {differ} not"
+                );
+            }
+        }
     }
 
     #[test]

@@ -223,7 +223,7 @@ impl MemoryController {
         self.subchannels.iter().map(SubChannel::awake_ticks).sum()
     }
 
-    /// Total queue scans for the next command (perf counter; see
+    /// Total planning passes for the next command (perf counter; see
     /// [`SubChannel::scheduling_passes`]).
     #[must_use]
     pub fn scheduling_passes(&self) -> u64 {

@@ -9,20 +9,33 @@
 //! assumes ("the memory controller tries to issue lower latency writes from
 //! the WRQ").
 //!
-//! ## One queue scan per command
+//! ## One table pass per command
 //!
-//! Each command costs one scan of the current bus mode's queue. The scan
-//! returns the **plan**: the smallest `(effective cycle, command class,
+//! Each queue has a **slot table**, two dense arrays kept in lockstep with
+//! it (push at enqueue, remove at issue): per request, a *key* packing its
+//! next command class (column, activate or precharge) with the first cycle
+//! its bank's own state allows that command, and a *place*, its bank and
+//! row. Each command costs one pass over the current bus mode's table. The
+//! pass returns the **plan**: the smallest `(effective cycle, command class,
 //! queue index)` over the queued requests, where a request's effective cycle
 //! is the first cycle, from the one planned for, at which its next command
-//! is legal under the frozen timing state. The plan is both the exact wake
-//! cycle and the command issued there: requests ready together share that
-//! cycle, so class (column, activate, precharge) and then age pick among
-//! them, as FR-FCFS's first-ready passes do. After an issue, the scan from
-//! the next cycle stores the next plan, which its tick issues without
-//! rescanning; an enqueue offers its request to the plan in O(1). A refresh,
-//! a bus-mode switch, a watermark crossing and a snapshot import mark the
-//! plan stale (`wake_at = 0`), and the next tick rescans.
+//! is legal under the frozen timing state: its key's cycle raised by the
+//! pass's term for its class and bank group (the shared data bus, tRRD_S and
+//! tFAW, the group's tCCD_L, tWTR_L or tRRD_L, and the planned-for cycle).
+//! The plan is both the exact wake cycle and the command issued there:
+//! requests ready together share that cycle, so class and then age pick
+//! among them, as FR-FCFS's first-ready passes do. After an issue, the pass
+//! from the next cycle stores the next plan, which its tick issues without
+//! another pass; an enqueue offers its request to the plan in O(1). A
+//! refresh, a bus-mode switch, a watermark crossing and a snapshot import
+//! mark the plan stale (`wake_at = 0`), and the next tick replans.
+//!
+//! A key depends on its bank's state alone, so it goes stale only when that
+//! bank changes: every mutation of a bank (a command issued to it, a
+//! dead-row flag or close, a refresh) marks the bank in both tables' stale
+//! masks, and a pass re-derives the stale keys of its table as it prices
+//! them. A hit on a row flagged for auto-precharge is the one class priced
+//! from bank state on every pass (see `DEAD_HIT`).
 //!
 //! ## Exact event-horizon sleeping
 //!
@@ -88,8 +101,72 @@ struct Plan {
     idx: usize,
 }
 
+impl Plan {
+    /// The plan to issue a priced key's command (see [`key`]) for the
+    /// request at queue index `idx`.
+    fn of(key: u64, idx: usize) -> Self {
+        let command = match key >> 6 & 3 {
+            0 => Command::Column,
+            1 => Command::Activate,
+            2 => Command::Precharge,
+            _ => unreachable!("a priced key has a command class"),
+        };
+        Plan { at: key >> 8, command, idx }
+    }
+}
+
 /// The plan of an empty queue: nothing to issue, ever.
 const NO_PLAN: Plan = Plan { at: u64::MAX, command: Command::Precharge, idx: usize::MAX };
+
+/// Packs a planning key: `at << 8 | class << 6 | bank`, where `class` is a
+/// [`Command`] discriminant or [`DEAD_HIT`] and `bank` is a bank of the
+/// sub-channel (0 in a term). With the bank bits masked off, keys compare
+/// as `(cycle, class)` pairs, and the larger of a slot's key and a term of
+/// its class carries the later of their cycles.
+const fn key(at: u64, class: u64, bank: u64) -> u64 {
+    debug_assert!(at < 1 << 56, "a planned cycle must fit a key");
+    at << 8 | class << 6 | bank
+}
+
+/// The bank bits of a planning key or a place.
+const BANK_BITS: u64 = 63;
+
+/// The key class of a request that hits a dead row (an open row flagged for
+/// auto-precharge): a column command when it can issue before the close,
+/// else an activate after it. The answer depends on the planned-for cycle,
+/// so it is priced from bank state at each pass; under the adaptive
+/// open-page policy it is rare.
+const DEAD_HIT: u64 = 3;
+
+/// The planning table of one queue: a key and a place per queued request,
+/// in queue order, so an entry's index is its request's queue index.
+#[derive(Debug, Clone, Default)]
+struct SlotTable {
+    /// Per request, its next command and the first cycle its bank's own
+    /// state allows it (see [`key`]); a `DEAD_HIT` key has cycle 0.
+    keys: Vec<u64>,
+    /// Per request, its row and bank: `row << 8 | bank`.
+    places: Vec<u64>,
+    /// Bit per bank whose keys may be out of date.
+    stale: u64,
+}
+
+impl SlotTable {
+    fn with_capacity(capacity: usize) -> Self {
+        Self { keys: Vec::with_capacity(capacity), places: Vec::with_capacity(capacity), stale: 0 }
+    }
+
+    fn push(&mut self, (key, place): (u64, u64)) {
+        self.keys.push(key);
+        self.places.push(place);
+    }
+
+    /// Removes the entry at `idx` and returns its place.
+    fn remove(&mut self, idx: usize) -> u64 {
+        self.keys.remove(idx);
+        self.places.remove(idx)
+    }
+}
 
 #[derive(Debug, Clone)]
 struct QueuedRequest {
@@ -124,10 +201,11 @@ pub struct QueuedRequestState {
 
 /// Plain-data image of a sub-channel (snapshot support). Holds only the
 /// *semantic* state: the per-bank pending-write counts and mask, the
-/// dead-row mask, the cached earliest-ready stamp, the plan and the wake
-/// horizon are all derived structures and are rebuilt on import (`wake_at`
-/// restores to 0, which forces a scan on the next tick; the scan is exact,
-/// so restored runs stay bitwise-identical to straightline runs).
+/// dead-row mask, the slot tables, the cached earliest-ready stamp, the plan
+/// and the wake horizon are all derived structures and are rebuilt on import
+/// (`wake_at` restores to 0, which forces a planning pass on the next tick;
+/// the pass is exact, so restored runs stay bitwise-identical to
+/// straightline runs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubChannelState {
     /// Queued reads, oldest first.
@@ -191,6 +269,16 @@ pub struct SubChannel {
 
     read_q: VecDeque<QueuedRequest>,
     write_q: VecDeque<QueuedRequest>,
+    /// Slot tables of the read (`[0]`) and write (`[1]`) queues, entry for
+    /// entry. Every mutation of a bank's state marks the bank stale in both,
+    /// and a planning pass re-derives the stale keys of its table. Derived
+    /// state: rebuilt from the queues and bank state on import, so snapshot
+    /// images do not carry it.
+    tables: [SlotTable; 2],
+    /// Per bank group, the class terms of the latest planning pass (see
+    /// [`SubChannel::group_terms`]).
+    // bard-lint: allow(S1) -- scratch buffer, refilled by every planning pass.
+    terms: Vec<[u64; 4]>,
     /// Arrival stamp for the next enqueued request.
     next_order: u64,
     /// Queued writes per bank, kept in step with `write_q` so the BLP
@@ -238,7 +326,7 @@ pub struct SubChannel {
     /// counter, like `settle_events`).
     // bard-lint: allow(S1) -- perf-observability counter, never compared or restored.
     awake_ticks: u64,
-    /// Scans of a queue for the next command (perf counter, like
+    /// Planning passes for the next command (perf counter, like
     /// `settle_events`).
     // bard-lint: allow(S1) -- perf-observability counter, never compared or restored.
     scheduling_passes: u64,
@@ -257,7 +345,7 @@ pub struct SubChannel {
     /// Exact next cycle at which this sub-channel can do anything: the
     /// plan's cycle or the next refresh, whichever is first. Ticks before
     /// this cycle return at once. 0 marks the plan stale, so the next tick
-    /// rescans.
+    /// replans.
     wake_at: u64,
 }
 
@@ -274,6 +362,7 @@ impl SubChannel {
     pub fn new(config: &DramConfig) -> Self {
         let timing = config.timing.to_cpu_cycles();
         let banks = config.banks_per_subchannel();
+        assert!(banks as u64 <= BANK_BITS + 1, "bank masks and planning keys hold 64 banks");
         Self {
             next_refresh_at: timing.t_refi,
             timing,
@@ -288,6 +377,11 @@ impl SubChannel {
             high_watermark: config.write_high_watermark,
             read_q: VecDeque::with_capacity(config.read_queue_entries),
             write_q: VecDeque::with_capacity(config.write_queue_entries),
+            tables: [
+                SlotTable::with_capacity(config.read_queue_entries),
+                SlotTable::with_capacity(config.write_queue_entries),
+            ],
+            terms: vec![[0; 4]; config.bankgroups],
             next_order: 0,
             write_counts: vec![0; banks],
             write_mask: 0,
@@ -429,12 +523,13 @@ impl SubChannel {
         req.enqueue_cycle = now;
         let order = self.next_order;
         self.next_order += 1;
+        let slot = self.slot_of(&req);
         // A read is schedulable in read mode only.
         if self.mode == BusMode::Read {
-            let (at, command) = self.candidate(&req, false, now + 1);
-            self.offer(Plan { at, command, idx: self.read_q.len() });
+            self.offer(Plan::of(self.price_from(slot.0, false, now + 1), self.read_q.len()));
         }
         self.read_q.push_back(QueuedRequest { req, outcome: None, order });
+        self.tables[0].push(slot);
         Ok(())
     }
 
@@ -455,7 +550,9 @@ impl SubChannel {
         let order = self.next_order;
         self.next_order += 1;
         self.count_write(self.bank_index(&req));
+        let slot = self.slot_of(&req);
         self.write_q.push_back(QueuedRequest { req, outcome: None, order });
+        self.tables[1].push(slot);
         match self.mode {
             BusMode::Read => {
                 // A buffered write can do nothing until a drain starts; that
@@ -467,12 +564,12 @@ impl SubChannel {
             }
             BusMode::WriteDrain => {
                 let idx = self.write_q.len() - 1;
-                let (at, command) = if self.ideal_writes {
-                    (self.sub_wr_ok.max(now + 1), Command::Column)
+                let plan = if self.ideal_writes {
+                    Plan { at: self.sub_wr_ok.max(now + 1), command: Command::Column, idx }
                 } else {
-                    self.candidate(&self.write_q[idx].req, true, now + 1)
+                    Plan::of(self.price_from(slot.0, true, now + 1), idx)
                 };
-                self.offer(Plan { at, command, idx });
+                self.offer(plan);
             }
         }
         Ok(())
@@ -481,7 +578,7 @@ impl SubChannel {
     /// Offers a newly queued request's plan. An enqueue changes nothing but
     /// the candidate set, so the stored plan stays the exact minimum; the
     /// newcomer is the youngest, so it loses every full tie. A stale plan
-    /// (`wake_at == 0`) is left to the next tick's scan.
+    /// (`wake_at == 0`) is left to the next tick's planning pass.
     fn offer(&mut self, plan: Plan) {
         if self.wake_at != 0 && plan < self.plan {
             self.plan = plan;
@@ -497,35 +594,119 @@ impl SubChannel {
         self.stats.write_queue_full_events += n;
     }
 
-    /// The effective cycle and class of `req`'s next command: the first
-    /// cycle from `from` at which it is legal under the frozen timing state.
-    /// A pending dead-row close is priced in: a request to a flagged bank
-    /// waits for the activate after the close when it misses the open row,
-    /// or when its column command, clamped to `from`, cannot issue before
-    /// the close.
-    fn candidate(&self, req: &MemRequest, write: bool, from: u64) -> (u64, Command) {
-        let bank = req.decoded.bank_in_subchannel(self.banks_per_group);
-        let bg = req.decoded.bankgroup;
-        let b = &self.banks[bank];
-        let mut act_ok = b.act_ok_at;
-        if let Some(open) = b.open_row {
-            if open == req.decoded.row {
-                let (sub_cas, bg_cas) = if write {
-                    (self.sub_wr_ok, self.bg_wr_ok[bg])
+    /// The key and place of `req` in a slot table, derived from the current
+    /// bank state.
+    fn slot_of(&self, req: &MemRequest) -> (u64, u64) {
+        let bank = req.decoded.bank_in_subchannel(self.banks_per_group) as u64;
+        let place = req.decoded.row << 8 | bank;
+        (self.derive(place), place)
+    }
+
+    /// Derives the key of a request at `place` from its bank's state alone.
+    /// A pending dead-row close is priced in: a request that misses a
+    /// flagged row waits for the activate after the close, and one that
+    /// hits it is a `DEAD_HIT`.
+    fn derive(&self, place: u64) -> u64 {
+        let bank = place & BANK_BITS;
+        let b = &self.banks[bank as usize];
+        let (at, class) = match b.open_row {
+            Some(open) if open == place >> 8 => {
+                if b.auto_precharge {
+                    (0, DEAD_HIT)
                 } else {
-                    (self.sub_rd_ok, self.bg_rd_ok[bg])
-                };
-                let at = sub_cas.max(b.cas_ok_at).max(bg_cas).max(from);
-                if !b.auto_precharge || at < b.pre_ok_at {
-                    return (at, Command::Column);
+                    (b.cas_ok_at, Command::Column as u64)
                 }
-            } else if !b.auto_precharge {
-                return (b.pre_ok_at.max(from), Command::Precharge);
             }
-            act_ok = act_ok.max(b.pre_ok_at + self.timing.t_rp);
+            Some(_) if !b.auto_precharge => (b.pre_ok_at, Command::Precharge as u64),
+            _ => (self.activate_local(b), Command::Activate as u64),
+        };
+        key(at, class, bank)
+    }
+
+    /// First cycle bank `b` allows an activate: after tRP, and after the
+    /// close of its open row, which is a flagged dead row whenever an
+    /// activate is the next command.
+    fn activate_local(&self, b: &BankState) -> u64 {
+        let closed_at = if b.open_row.is_some() { b.pre_ok_at + self.timing.t_rp } else { 0 };
+        b.act_ok_at.max(closed_at)
+    }
+
+    /// The sub-channel terms of a pass over the read or write table from
+    /// cycle `from`: the first cycle the shared data bus allows a column
+    /// command, and the rank-wide activate limits (tRRD_S, tFAW) an
+    /// activate.
+    fn sub_terms(&self, write: bool, from: u64) -> (u64, u64) {
+        let sub_cas = if write { self.sub_wr_ok } else { self.sub_rd_ok };
+        (sub_cas.max(from), self.sub_act_ok.max(self.faw_expiry()).max(from))
+    }
+
+    /// The terms of one bank group, as keys indexed by class: the pass's
+    /// sub-channel terms (see [`SubChannel::sub_terms`]) raised by the
+    /// group's own spacing (tCCD_L, tWTR_L, tRRD_L), `group_cas` and
+    /// `group_act`, and the pass's cycle for a precharge. The `DEAD_HIT`
+    /// entry is never read.
+    fn group_terms(sub: (u64, u64), from: u64, group_cas: u64, group_act: u64) -> [u64; 4] {
+        [
+            key(sub.0.max(group_cas), Command::Column as u64, 0),
+            key(sub.1.max(group_act), Command::Activate as u64, 0),
+            key(from, Command::Precharge as u64, 0),
+            u64::MAX,
+        ]
+    }
+
+    /// The planning key of a slot's key `k` in a pass whose terms for its
+    /// bank group are `terms`, bank bits cleared: its next command at the
+    /// first cycle that command is legal under the frozen timing state.
+    #[inline]
+    fn price(&self, k: u64, terms: &[u64; 4]) -> u64 {
+        let class = k >> 6 & 3;
+        if class == DEAD_HIT {
+            return self.price_dead_hit(k & BANK_BITS, terms);
         }
-        let at = self.sub_act_ok.max(self.faw_expiry()).max(act_ok).max(self.bg_act_ok[bg]);
-        (at.max(from), Command::Activate)
+        k.max(terms[class as usize]) & !BANK_BITS
+    }
+
+    /// Prices a dead-row hit on `bank`: a column command when that command,
+    /// clamped to the pass's cycle, can issue before the close; otherwise
+    /// the activate after the close.
+    #[cold]
+    fn price_dead_hit(&self, bank: u64, terms: &[u64; 4]) -> u64 {
+        let b = &self.banks[bank as usize];
+        let column = terms[0].max(key(b.cas_ok_at, Command::Column as u64, 0));
+        if column >> 8 < b.pre_ok_at {
+            column
+        } else {
+            terms[1].max(key(self.activate_local(b), Command::Activate as u64, 0))
+        }
+    }
+
+    /// The planning key of one slot key `k` of the read or write table from
+    /// cycle `from` (an enqueue's offer).
+    fn price_from(&self, k: u64, write: bool, from: u64) -> u64 {
+        let bg = (k & BANK_BITS) as usize / self.banks_per_group;
+        let group_cas = if write { self.bg_wr_ok[bg] } else { self.bg_rd_ok[bg] };
+        let sub = self.sub_terms(write, from);
+        self.price(k, &Self::group_terms(sub, from, group_cas, self.bg_act_ok[bg]))
+    }
+
+    /// Both slot tables built afresh from the queues and bank state, with
+    /// no bank stale.
+    fn fresh_tables(&self) -> [SlotTable; 2] {
+        [(&self.read_q, self.read_capacity), (&self.write_q, self.write_capacity)].map(
+            |(queue, capacity)| {
+                let mut table = SlotTable::with_capacity(capacity);
+                for q in queue {
+                    table.push(self.slot_of(&q.req));
+                }
+                table
+            },
+        )
+    }
+
+    /// Marks `banks` (a bitmap) stale in both slot tables.
+    fn mark_stale(&mut self, banks: u64) {
+        self.tables[0].stale |= banks;
+        self.tables[1].stale |= banks;
     }
 
     /// Moves reads whose data is available by `now` into `out`.
@@ -588,8 +769,8 @@ impl SubChannel {
         self.awake_ticks
     }
 
-    /// Number of queue scans for the next command (perf counter): about one
-    /// per issued command.
+    /// Number of planning passes over a slot table for the next command
+    /// (perf counter): about one per issued command.
     #[must_use]
     pub fn scheduling_passes(&self) -> u64 {
         self.scheduling_passes
@@ -647,9 +828,10 @@ impl SubChannel {
     /// Replaces the sub-channel's state with `state` (snapshot support),
     /// re-deriving every derived structure: decoded addresses via `mapping`,
     /// the per-bank pending-write counts from the rebuilt write queue, the
-    /// dead-row mask from the banks' auto-precharge flags, the earliest-ready
-    /// cache from the completed-read buffer, and a stale plan (a zero wake
-    /// horizon: rescan on the next tick).
+    /// dead-row mask from the banks' auto-precharge flags, the slot tables
+    /// from the queues and bank state, the earliest-ready cache from the
+    /// completed-read buffer, and a stale plan (a zero wake horizon: replan
+    /// on the next tick).
     ///
     /// # Panics
     ///
@@ -717,6 +899,7 @@ impl SubChannel {
         self.dead_mask = (0..self.banks.len())
             .filter(|&bank| self.banks[bank].auto_precharge)
             .fold(0, |mask, bank| mask | 1u64 << bank);
+        self.tables = self.fresh_tables();
         self.plan = NO_PLAN;
         self.wake_at = 0;
     }
@@ -746,7 +929,7 @@ impl SubChannel {
         active |= self.mode != mode_before;
         self.close_dead_rows(now + 1);
 
-        // A stale plan, or one whose cycle the caller skipped, is rescanned.
+        // A stale plan, or one whose cycle the caller skipped, is replanned.
         if self.wake_at == 0 || self.plan.at < now {
             self.plan = self.plan_from(now);
         }
@@ -792,11 +975,12 @@ impl SubChannel {
         self.plan.at.min(refresh)
     }
 
-    /// One scan of the current bus mode's queue: the smallest `(effective
-    /// cycle, command, queue index)` from cycle `from`, or [`NO_PLAN`] for an
-    /// empty queue. Timing state is frozen until the next issue, enqueue,
-    /// refresh or mode switch, and pending dead-row closes are priced in,
-    /// so the plan is exact.
+    /// One pass over the current bus mode's slot table: the smallest
+    /// `(effective cycle, command, queue index)` from cycle `from`, or
+    /// [`NO_PLAN`] for an empty queue. Stale slots are re-derived first, so
+    /// every slot equals its derivation from the current bank state. Timing
+    /// state is frozen until the next issue, enqueue, refresh or mode switch,
+    /// and pending dead-row closes are priced in, so the plan is exact.
     fn plan_from(&mut self, from: u64) -> Plan {
         self.scheduling_passes += 1;
         let write = self.mode == BusMode::WriteDrain;
@@ -807,20 +991,30 @@ impl SubChannel {
             }
             return Plan { at: self.sub_wr_ok.max(from), command: Command::Column, idx: 0 };
         }
-        let queue = if write { &self.write_q } else { &self.read_q };
-        let mut best = NO_PLAN;
-        for (idx, q) in queue.iter().enumerate() {
-            let (at, command) = self.candidate(&q.req, write, from);
-            if (at, command) < (best.at, best.command) {
-                best = Plan { at, command, idx };
-                if at == from && command == Command::Column {
-                    // Nothing later in the queue can beat the oldest
-                    // column command ready now.
-                    break;
-                }
+        let sub = self.sub_terms(write, from);
+        let group_cas = if write { &self.bg_wr_ok } else { &self.bg_rd_ok };
+        for ((terms, &cas), &act) in self.terms.iter_mut().zip(group_cas).zip(&self.bg_act_ok) {
+            *terms = Self::group_terms(sub, from, cas, act);
+        }
+        let group_shift = self.banks_per_group.trailing_zeros();
+        let mut table = std::mem::take(&mut self.tables[usize::from(write)]);
+        let (mut best, mut best_idx) = (u64::MAX, usize::MAX);
+        for (idx, k) in table.keys.iter_mut().enumerate() {
+            let bank = *k & BANK_BITS;
+            if table.stale >> bank & 1 != 0 {
+                *k = self.derive(table.places[idx]);
+            }
+            let key = self.price(*k, &self.terms[(bank >> group_shift) as usize]);
+            if key < best {
+                (best, best_idx) = (key, idx);
             }
         }
-        best
+        table.stale = 0;
+        self.tables[usize::from(write)] = table;
+        if best_idx == usize::MAX {
+            return NO_PLAN;
+        }
+        Plan::of(best, best_idx)
     }
 
     /// Earliest CPU cycle the oldest four-activate window constraint allows
@@ -911,6 +1105,7 @@ impl SubChannel {
             bank.cas_ok_at = bank.cas_ok_at.max(now + self.timing.t_rfc);
         }
         self.dead_mask = 0;
+        self.mark_stale(u64::MAX);
         self.next_refresh_at = now + self.timing.t_refi;
         self.wake_at = 0;
     }
@@ -929,6 +1124,7 @@ impl SubChannel {
                 b.precharge(b.pre_ok_at, self.timing.t_rp);
                 self.stats.precharges += 1;
                 self.dead_mask &= !(1u64 << bank);
+                self.mark_stale(1u64 << bank);
             }
         }
     }
@@ -936,16 +1132,18 @@ impl SubChannel {
     /// Flags the row a column command just accessed as dead when the page
     /// policy closes it: always under the closed-page policy, and under the
     /// adaptive open-page policy when no other queued request targets it.
-    fn flag_dead_row(&mut self, now: u64, bank: usize, row: u64, id: u64) {
+    fn flag_dead_row(&mut self, now: u64, place: u64, id: u64) {
         if self.page_policy == PagePolicy::Closed
             || (self.page_policy == PagePolicy::AdaptiveOpen
-                && !self.another_request_to_row(bank, row, id))
+                && !self.another_request_to_row(place, id))
         {
+            let bank = (place & BANK_BITS) as usize;
             // The close is self-timed at `pre_ok_at`, which every column
             // command pushes past its own cycle.
             debug_assert!(self.banks[bank].pre_ok_at > now, "a dead row must close after its CAS");
             self.banks[bank].auto_precharge = true;
             self.dead_mask |= 1u64 << bank;
+            self.mark_stale(1u64 << bank);
         }
     }
 
@@ -960,15 +1158,16 @@ impl SubChannel {
         self.faw_window.push_back(now);
     }
 
-    /// Whether another queued request (read or write) targets the same bank
-    /// and row; used by the adaptive open-page policy.
-    fn another_request_to_row(&self, bank: usize, row: u64, skip_id: u64) -> bool {
-        let check = |q: &QueuedRequest| {
-            q.req.id != skip_id
-                && q.req.decoded.bank_in_subchannel(self.banks_per_group) == bank
-                && q.req.decoded.row == row
+    /// Whether another queued request (read or write), one whose id is not
+    /// `skip_id`, targets the bank and row at `place` (a slot table's
+    /// place); used by the adaptive open-page policy. It reads the tables'
+    /// places and touches a queue entry only for its id, on a match.
+    fn another_request_to_row(&self, place: u64, skip_id: u64) -> bool {
+        let live = |table: &SlotTable, queue: &VecDeque<QueuedRequest>| {
+            let mut matches = table.places.iter().enumerate().filter(|&(_, &p)| p == place);
+            matches.any(|(idx, _)| queue[idx].req.id != skip_id)
         };
-        self.read_q.iter().any(check) || self.write_q.iter().any(check)
+        live(&self.tables[0], &self.read_q) || live(&self.tables[1], &self.write_q)
     }
 
     /// Issues the planned command at `now`.
@@ -976,8 +1175,10 @@ impl SubChannel {
         let Plan { command, idx, .. } = self.plan;
         let write = self.mode == BusMode::WriteDrain;
         debug_assert!(
-            write && self.ideal_writes
-                || self.candidate(&self.active_queue()[idx].req, write, now) == (now, command),
+            write && self.ideal_writes || {
+                let (k, _) = self.slot_of(&self.active_queue()[idx].req);
+                self.price_from(k, write, now) == key(now, command as u64, 0)
+            },
             "the planned command must be legal now"
         );
         match (command, self.mode) {
@@ -996,6 +1197,7 @@ impl SubChannel {
     fn issue_ideal_write(&mut self, now: u64) {
         self.settle_stats(now + 1);
         let q = self.write_q.pop_front().expect("planned write is queued");
+        self.tables[1].remove(0);
         let bank = self.bank_index(&q.req);
         self.uncount_write(bank);
         self.sub_wr_ok = now + self.timing.t_ccd_s_wr;
@@ -1007,10 +1209,11 @@ impl SubChannel {
     fn issue_read_column(&mut self, now: u64, idx: usize) {
         self.settle_stats(now + 1);
         let mut q = self.read_q.remove(idx).expect("index validated");
+        let place = self.tables[0].remove(idx);
         let bank = self.bank_index(&q.req);
         let bg = q.req.decoded.bankgroup;
-        let row = q.req.decoded.row;
         let t = self.timing;
+        self.mark_stale(1u64 << bank);
 
         self.sub_rd_ok = self.sub_rd_ok.max(now + t.t_ccd_s);
         self.bg_rd_ok[bg] = self.bg_rd_ok[bg].max(now + t.t_ccd_l);
@@ -1036,17 +1239,18 @@ impl SubChannel {
             ready_cycle: ready,
             latency: ready.saturating_sub(q.req.enqueue_cycle),
         });
-        self.flag_dead_row(now, bank, row, q.req.id);
+        self.flag_dead_row(now, place, q.req.id);
     }
 
     fn issue_write_column(&mut self, now: u64, idx: usize) {
         self.settle_stats(now + 1);
         let mut q = self.write_q.remove(idx).expect("index validated");
+        let place = self.tables[1].remove(idx);
         let bank = self.bank_index(&q.req);
         self.uncount_write(bank);
         let bg = q.req.decoded.bankgroup;
-        let row = q.req.decoded.row;
         let t = self.timing;
+        self.mark_stale(1u64 << bank);
 
         self.sub_wr_ok = self.sub_wr_ok.max(now + t.t_ccd_s_wr);
         self.bg_wr_ok[bg] = self.bg_wr_ok[bg].max(now + t.t_ccd_l_wr);
@@ -1062,7 +1266,7 @@ impl SubChannel {
 
         self.stats.writes += 1;
         self.note_write_issued(now, bank);
-        self.flag_dead_row(now, bank, row, q.req.id);
+        self.flag_dead_row(now, place, q.req.id);
     }
 
     fn note_write_issued(&mut self, now: u64, bank: usize) {
@@ -1081,6 +1285,7 @@ impl SubChannel {
         let q = &self.active_queue()[idx];
         let (bank, bg, row) = (self.bank_index(&q.req), q.req.decoded.bankgroup, q.req.decoded.row);
         let t = self.timing;
+        self.mark_stale(1u64 << bank);
         self.banks[bank].activate(now, row, t.t_rcd, t.t_ras);
         self.bg_act_ok[bg] = self.bg_act_ok[bg].max(now + t.t_rrd_l);
         self.sub_act_ok = self.sub_act_ok.max(now + t.t_rrd_s);
@@ -1091,6 +1296,7 @@ impl SubChannel {
 
     fn issue_precharge(&mut self, now: u64, idx: usize) {
         let bank = self.bank_index(&self.active_queue()[idx].req);
+        self.mark_stale(1u64 << bank);
         self.banks[bank].precharge(now, self.timing.t_rp);
         self.stats.precharges += 1;
         self.active_queue_mut()[idx].outcome = Some(RowOutcome::Conflict);
@@ -1653,6 +1859,49 @@ mod tests {
         pool
     }
 
+    /// Asserts that a full rebuild of both slot tables from the queues and
+    /// bank state changes nothing but the keys of stale banks: every key
+    /// outside the stale masks is exact.
+    fn assert_tables_exact(sc: &SubChannel, ctx: impl Fn() -> String) {
+        for (table, fresh) in sc.tables.iter().zip(sc.fresh_tables()) {
+            assert_eq!(table.places, fresh.places, "{}: a table must follow its queue", ctx());
+            for (&k, &fresh) in table.keys.iter().zip(&fresh.keys) {
+                let stale = table.stale >> (k & BANK_BITS) & 1 != 0;
+                assert!(
+                    stale || k == fresh,
+                    "{}: key {k:#x} outside the stale mask, not {fresh:#x}",
+                    ctx()
+                );
+            }
+        }
+    }
+
+    /// Checks `another_request_to_row` by brute force for every (bank,
+    /// row) of the pool, skipping no id and each id queued there: another
+    /// request targets the row when the queues' decoded addresses hold one
+    /// there with a different id.
+    fn assert_row_liveness(
+        sc: &SubChannel,
+        pool: &BTreeMap<(usize, u64), Vec<u64>>,
+        ctx: impl Fn() -> String,
+    ) {
+        let mut ids = BTreeMap::<(usize, u64), Vec<u64>>::new();
+        for q in sc.read_q.iter().chain(&sc.write_q) {
+            ids.entry((sc.bank_index(&q.req), q.req.decoded.row)).or_default().push(q.req.id);
+        }
+        for &(bank, row) in pool.keys() {
+            let queued = ids.get(&(bank, row)).map_or(&[][..], Vec::as_slice);
+            for &skip_id in queued.iter().chain(&[u64::MAX]) {
+                assert_eq!(
+                    sc.another_request_to_row(row << 8 | bank as u64, skip_id),
+                    queued.iter().any(|&id| id != skip_id),
+                    "{}: row liveness of bank {bank} row {row} skipping id {skip_id}",
+                    ctx()
+                );
+            }
+        }
+    }
+
     /// Drives a sub-channel with a seeded random enqueue stream, enqueuing
     /// after each tick as the system does, and checks every cycle against
     /// [`reference_pick`]:
@@ -1662,6 +1911,12 @@ mod tests {
     /// * on an awake tick, the state after the tick equals a clone that ran
     ///   the three-pass tick (dead-row closes, refresh, mode update, then
     ///   the reference pick), so the issued command is the reference's.
+    ///
+    /// After every tick the slot tables must be exact outside their stale
+    /// masks ([`assert_tables_exact`]); every 97 cycles the row-liveness
+    /// answer is checked by brute force ([`assert_row_liveness`]); and every
+    /// 4,000 cycles the sub-channel is replaced by a fresh one restored from
+    /// its exported state, which must then continue in lockstep too.
     ///
     /// Returns the final statistics, settled.
     fn run_lockstep(cfg: &DramConfig, seed: u64, cycles: u64) -> SubChannelStats {
@@ -1689,6 +1944,13 @@ mod tests {
                 // A new phase: read and write enqueue rates in 64ths of a
                 // request per cycle, from idle to past the service rate.
                 rates = [rand(20), rand(7)];
+            }
+            if now % 4_000 == 2_000 {
+                sc.settle_stats(now);
+                let image = sc.export_state();
+                sc = SubChannel::new(cfg);
+                sc.import_state(&image, &mapping);
+                assert_eq!(sc.export_state(), image, "{}: the image must round-trip", ctx(now));
             }
             if now < sc.next_wake() {
                 let mut settled = sc.clone();
@@ -1733,6 +1995,10 @@ mod tests {
             let flagged =
                 sc.banks.iter().rev().fold(0u64, |m, b| m << 1 | u64::from(b.auto_precharge));
             assert_eq!(sc.dead_mask, flagged, "{}: the dead-row mask must track flags", ctx(now));
+            assert_tables_exact(&sc, || ctx(now));
+            if now % 97 == 0 {
+                assert_row_liveness(&sc, &pool, || ctx(now));
+            }
 
             for (write, rate) in [false, true].into_iter().zip(rates) {
                 let accepts = if write { sc.can_accept_write() } else { sc.can_accept_read() };

@@ -79,11 +79,12 @@ impl SmallRng {
             // draw, the same value the general path returns.
             return self.next_u64() & (bound - 1);
         }
-        // Rejection zone keeps the modulo unbiased.
-        let zone = bound.wrapping_neg() % bound;
         loop {
             let v = self.next_u64();
-            if v >= zone {
+            // The rejection zone `[0, 2^64 mod bound)` keeps the modulo
+            // unbiased. It lies below `bound`, so only a draw below `bound`
+            // needs it computed: most draws cost one division, not two.
+            if v >= bound || v >= bound.wrapping_neg() % bound {
                 return v % bound;
             }
         }
@@ -184,6 +185,41 @@ mod tests {
                 assert_eq!(masked.bounded_u64(bound), reference.next_u64() % bound, "{bound}");
             }
             assert_eq!(masked, reference, "bound {bound} must draw exactly once per sample");
+        }
+    }
+
+    /// The rejection loop with its zone computed before every draw, as the
+    /// generator first shipped: the reference for the lazily computed zone.
+    fn eager_zone_bounded(rng: &mut SmallRng, bound: u64) -> u64 {
+        let zone = bound.wrapping_neg() % bound;
+        loop {
+            let v = rng.next_u64();
+            if v >= zone {
+                return v % bound;
+            }
+        }
+    }
+
+    /// Computing the rejection zone only for draws below the bound returns
+    /// the same values from the same number of draws, over small, large
+    /// and random bounds, including ones that reject about half the draws.
+    #[test]
+    fn lazy_rejection_zone_matches_the_eager_one() {
+        let mut bounds = vec![3, 5, 6, 7, 10, 100, 1_000, 12_345, (1 << 32) + 1, u64::MAX];
+        bounds.extend([(1 << 63) + 1, (1 << 63) + (1 << 62), u64::MAX / 3 * 2, u64::MAX - 1]);
+        let mut pick = SmallRng::seed_from_u64(99);
+        bounds.extend((0..200).map(|i| pick.next_u64() >> (i % 64)).filter(|&b| b > 0));
+        for (seed, &bound) in bounds.iter().enumerate() {
+            let mut lazy = SmallRng::seed_from_u64(seed as u64);
+            let mut eager = lazy.clone();
+            for _ in 0..2_000 {
+                assert_eq!(
+                    lazy.bounded_u64(bound),
+                    eager_zone_bounded(&mut eager, bound),
+                    "{bound}"
+                );
+            }
+            assert_eq!(lazy, eager, "bound {bound} must draw as often as the eager loop");
         }
     }
 

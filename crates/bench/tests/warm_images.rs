@@ -1,11 +1,14 @@
 //! Golden test pinning the bytes of warm BSS1 snapshot images.
 //!
-//! A warm image (`System::capture_warm`) serializes every cache's line
-//! array, reuse bits and replacement state. Archived images in a
-//! `--snapshot-dir` are reused across builds, so a change to how the cache
-//! model stores that state must still export the same bytes. This test
-//! captures one image per LLC replacement policy and compares its length
-//! and FNV-1a digest against `golden/warm_images.txt`.
+//! A warm image (`System::capture_warm`) serializes every cache's tag
+//! array, way records and replacement-policy state. Images are pinned per
+//! format version, not across versions: archived images in a
+//! `--snapshot-dir` are reused by every build of the same BSS1 version, so
+//! within a version a change to how the cache model stores that state must
+//! still export the same bytes. A format change bumps the version, which
+//! re-keys the store, and re-blesses this file. This test captures one
+//! image per LLC replacement policy and compares its length and FNV-1a
+//! digest against `golden/warm_images.txt`.
 //!
 //! To regenerate after an intentional image-format change:
 //!

@@ -1,46 +1,15 @@
 //! Cache line metadata.
 
-/// Metadata for one cache line (the data payload is not modelled).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheLine {
-    /// Line-aligned physical address.
-    pub addr: u64,
-    /// Whether the line holds valid data.
-    pub valid: bool,
-    /// Whether the line has been written since it was filled (must be written
-    /// back to the next level on eviction).
-    pub dirty: bool,
-    /// Whether the line was brought in by a prefetch and not yet demanded.
-    pub prefetched: bool,
-    /// Truncated signature of the instruction that caused the fill (used by
-    /// SHiP-style replacement).
-    pub signature: u16,
-}
-
-impl CacheLine {
-    /// An invalid line.
-    #[must_use]
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
-    /// A valid line for `addr`.
-    #[must_use]
-    pub fn filled(addr: u64, dirty: bool, signature: u16) -> Self {
-        Self { addr, valid: true, dirty, prefetched: false, signature }
-    }
-}
-
 /// Per-way state of a [`SetAssocCache`](crate::SetAssocCache) besides its
 /// tag: everything the cache and its replacement policy track about one way,
 /// packed into 8 bytes so a 16-way set's records span two host cache lines.
 ///
 /// Eviction clears only the tag and [`flags`](Self::flags); the LRU stamp,
-/// RRIP byte and fill signature keep their last values, exactly as the
-/// exported replacement state always has.
+/// RRIP byte and fill signature keep their last values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct WayRecord {
-    /// LRU last-use stamp (per-cache touch counter; see `Replacement`).
+pub struct WayRecord {
+    /// LRU last-use stamp (per-cache touch counter; see
+    /// [`Replacement`](crate::Replacement)).
     pub stamp: u32,
     /// Fill signature: the line's signature and SHiP's training key.
     pub signature: u16,
@@ -59,8 +28,11 @@ impl WayRecord {
     pub const PREFETCHED: u8 = 2;
     /// Hit at least once while resident (SHiP training input).
     pub const REUSED: u8 = 4;
+    /// Every flag bit a record may hold.
+    pub const FLAGS: u8 = Self::DIRTY | Self::PREFETCHED | Self::REUSED;
 
     /// True if every bit of `flag` is set.
+    #[must_use]
     pub fn has(self, flag: u8) -> bool {
         self.flags & flag == flag
     }
@@ -78,20 +50,28 @@ pub struct EvictedLine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::TAG_INVALID;
+    use crate::{CacheConfig, ReplacementKind, SetAssocCache};
+
+    fn cache() -> SetAssocCache {
+        SetAssocCache::new(CacheConfig::new(1024, 4, 64), ReplacementKind::Lru)
+    }
 
     #[test]
     fn empty_line_is_invalid() {
-        let l = CacheLine::empty();
-        assert!(!l.valid);
-        assert!(!l.dirty);
+        let state = cache().export_state();
+        assert!(state.tags.iter().all(|&t| t == TAG_INVALID));
+        assert!(state.records.iter().all(|r| !r.has(WayRecord::DIRTY)));
     }
 
     #[test]
     fn filled_line_carries_state() {
-        let l = CacheLine::filled(0x40, true, 7);
-        assert!(l.valid);
-        assert!(l.dirty);
-        assert_eq!(l.addr, 0x40);
-        assert_eq!(l.signature, 7);
+        let mut c = cache();
+        c.fill(0x40, true, 7);
+        let idx = c.set_of(0x40) * c.ways() + c.probe(0x40).unwrap();
+        let state = c.export_state();
+        assert_eq!(state.tags[idx], 0x40);
+        assert!(state.records[idx].has(WayRecord::DIRTY));
+        assert_eq!(state.records[idx].signature, 7);
     }
 }

@@ -17,13 +17,13 @@
 //!   policies scan, never a second victim rule.
 //!
 //! State is two arrays indexed by `set * ways + way`: the dense tag array
-//! (`TAG_INVALID` marks an invalid way) and one 8-byte `WayRecord` per
+//! (`TAG_INVALID` marks an invalid way) and one 8-byte [`WayRecord`] per
 //! way holding the flags and the replacement metadata.
 
 use std::cell::Cell;
 
-use crate::block::{CacheLine, EvictedLine, WayRecord};
-use crate::replacement::{Replacement, ReplacementKind, ReplacementState};
+use crate::block::{EvictedLine, WayRecord};
+use crate::replacement::{Replacement, ReplacementKind};
 use crate::stats::CacheStats;
 
 /// Geometry of a cache.
@@ -58,20 +58,20 @@ impl CacheConfig {
     }
 }
 
-/// Plain-data image of a cache's semantic state (snapshot support):
-/// the line array, per-way reuse bits, the replacement-policy state and the
-/// statistics counters. [`SetAssocCache::export_state`] builds it from the
-/// tag array and way records, and [`SetAssocCache::import_state`] splits it
-/// back, so a restored cache is field-for-field identical to the captured
-/// one.
+/// Plain-data image of a cache's semantic state (snapshot support), held
+/// exactly as the cache holds it: the tag array, the way records, the
+/// replacement policy's per-cache state and the statistics counters. A
+/// restored cache is field-for-field identical to the captured one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheState {
-    /// Every way of every set, set-major (`sets * ways` entries).
-    pub lines: Vec<CacheLine>,
-    /// Per-way reuse bits (SHiP training input), aligned with `lines`.
-    pub reused: Vec<bool>,
-    /// Replacement-policy state.
-    pub replacement: ReplacementState,
+    /// Line address per way, set-major (`sets * ways` entries); all ones
+    /// (`u64::MAX`) marks an invalid way.
+    pub tags: Vec<u64>,
+    /// Flags and replacement metadata per way, aligned with `tags`.
+    pub records: Vec<WayRecord>,
+    /// The replacement policy's per-cache state: the LRU clock or the SHiP
+    /// table.
+    pub replacement: Replacement,
     /// Statistics counters.
     pub stats: CacheStats,
 }
@@ -88,15 +88,15 @@ pub struct FillResult {
 /// Tag-array sentinel for an invalid way. Line addresses are line-aligned
 /// (line sizes are powers of two > 1), so all-ones can never collide with a
 /// real tag.
-const TAG_INVALID: u64 = u64::MAX;
+pub(crate) const TAG_INVALID: u64 = u64::MAX;
 
 /// A set-associative, write-back, write-allocate cache.
 #[derive(Debug)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    sets: usize, // bard-lint: allow(S1) -- derived from config geometry at construction
+    sets: usize,
     line_shift: u32, // bard-lint: allow(S1) -- derived from config geometry at construction
-    set_mask: u64, // bard-lint: allow(S1) -- derived from config geometry at construction
+    set_mask: u64,   // bard-lint: allow(S1) -- derived from config geometry at construction
     /// Line address per way (`TAG_INVALID` for invalid ways): the lookup
     /// hot path scans 8 contiguous bytes per way.
     tags: Vec<u64>,
@@ -147,68 +147,37 @@ impl SetAssocCache {
         self.config.ways
     }
 
-    /// Name of the replacement policy in use.
-    #[must_use]
-    pub fn replacement_name(&self) -> &'static str {
-        self.replacement.kind().name()
-    }
-
     /// Statistics accumulated so far.
     #[must_use]
     pub fn stats(&self) -> &CacheStats {
         &self.stats
     }
 
-    /// Exports the cache's semantic state (snapshot support). Invalid ways
-    /// export as [`CacheLine::empty`].
+    /// Exports the cache's semantic state (snapshot support).
     #[must_use]
     pub fn export_state(&self) -> CacheState {
-        let lines = self
-            .tags
-            .iter()
-            .zip(&self.records)
-            .map(|(&tag, r)| {
-                if tag == TAG_INVALID {
-                    CacheLine::empty()
-                } else {
-                    CacheLine {
-                        addr: tag,
-                        valid: true,
-                        dirty: r.has(WayRecord::DIRTY),
-                        prefetched: r.has(WayRecord::PREFETCHED),
-                        signature: r.signature,
-                    }
-                }
-            })
-            .collect();
         CacheState {
-            lines,
-            reused: self.records.iter().map(|r| r.has(WayRecord::REUSED)).collect(),
-            replacement: self.replacement.export_state(&self.records),
+            tags: self.tags.clone(),
+            records: self.records.clone(),
+            replacement: self.replacement.clone(),
             stats: self.stats,
         }
     }
 
-    /// Replaces the cache's semantic state with `state`, splitting it into
-    /// the tag array and way records (snapshot support).
+    /// Replaces the cache's semantic state with `state` (snapshot support).
     ///
     /// # Panics
     ///
-    /// Panics when the state's geometry or replacement-policy variant does
-    /// not match this cache — restores are gated by snapshot digests, so a
-    /// mismatch is a programming error.
+    /// Panics when the state's geometry or replacement policy does not match
+    /// this cache — restores are gated by snapshot digests, so a mismatch is
+    /// a programming error.
     pub fn import_state(&mut self, state: &CacheState) {
-        assert_eq!(state.lines.len(), self.tags.len(), "cache geometry mismatch");
-        assert_eq!(state.reused.len(), self.tags.len(), "cache geometry mismatch");
-        for (i, (line, &reused)) in state.lines.iter().zip(&state.reused).enumerate() {
-            self.tags[i] = if line.valid { line.addr } else { TAG_INVALID };
-            let record = &mut self.records[i];
-            record.signature = line.signature;
-            record.flags = (u8::from(line.dirty) * WayRecord::DIRTY)
-                | (u8::from(line.prefetched) * WayRecord::PREFETCHED)
-                | (u8::from(reused) * WayRecord::REUSED);
-        }
-        self.replacement.import_state(&state.replacement, &mut self.records, self.config.ways);
+        let ways = self.sets * self.config.ways;
+        assert_eq!(state.tags.len(), ways, "cache geometry mismatch");
+        assert_eq!(state.records.len(), ways, "cache geometry mismatch");
+        self.tags.copy_from_slice(&state.tags);
+        self.records.copy_from_slice(&state.records);
+        self.replacement.import_state(&state.replacement);
         self.stats = state.stats;
     }
 
@@ -469,8 +438,8 @@ mod tests {
         }
     }
 
-    /// Evicted ways export as empty lines and clear their flags, but keep
-    /// the replacement metadata (stamp, RRPV, SHiP signature) they held.
+    /// Evicted ways export as invalid tags with clear flags, but keep the
+    /// replacement metadata (stamp, RRPV, SHiP signature) they held.
     #[test]
     fn eviction_keeps_replacement_metadata_but_clears_the_line() {
         let mut c = SetAssocCache::new(CacheConfig::new(1024, 4, 64), ReplacementKind::Ship);
@@ -481,12 +450,10 @@ mod tests {
         c.evict(set, way).expect("valid line");
         let state = c.export_state();
         let idx = set * 4 + way;
-        assert_eq!(state.lines[idx], CacheLine::empty());
-        assert!(!state.reused[idx]);
-        let ReplacementState::Ship { rrpv, line_sig, .. } = &state.replacement else {
-            panic!("SHiP state expected");
-        };
-        assert_eq!((rrpv[idx], line_sig[idx]), (0, 42));
+        assert_eq!(state.tags[idx], TAG_INVALID);
+        let record = state.records[idx];
+        assert_eq!(record.flags, 0);
+        assert_eq!((record.rrpv, record.signature), (0, 42));
     }
 
     #[test]
@@ -585,10 +552,13 @@ mod tests {
         let mut c = small_cache();
         c.fill_prefetch(0x6000, 0);
         assert_eq!(c.stats().prefetch_fills, 1);
-        assert!(c.export_state().lines.iter().any(|l| l.prefetched));
+        let prefetched = |c: &SetAssocCache| {
+            c.export_state().records.iter().any(|r| r.has(WayRecord::PREFETCHED))
+        };
+        assert!(prefetched(&c));
         assert!(c.touch(0x6000, 0, false));
         assert_eq!(c.stats().prefetch_useful, 1);
-        assert!(!c.export_state().lines.iter().any(|l| l.prefetched));
+        assert!(!prefetched(&c));
     }
 
     #[test]
@@ -634,8 +604,8 @@ mod tests {
         assert!(c.occupancy() <= 16);
     }
 
-    /// Reference LRU with the unbounded `u64` stamps the snapshot format
-    /// carries: the model the `u32` stamps plus renormalization must match.
+    /// Reference LRU with unbounded `u64` stamps: the model the `u32` stamps
+    /// plus renormalization must match.
     struct ReferenceLru {
         ways: usize,
         tags: Vec<Option<u64>>,
@@ -645,14 +615,14 @@ mod tests {
 
     impl ReferenceLru {
         fn from_state(state: &CacheState, ways: usize) -> Self {
-            let ReplacementState::Lru { stamp, last_use } = &state.replacement else {
+            let Replacement::Lru { clock } = state.replacement else {
                 panic!("LRU state expected");
             };
             Self {
                 ways,
-                tags: state.lines.iter().map(|l| l.valid.then_some(l.addr)).collect(),
-                stamp: *stamp,
-                last_use: last_use.clone(),
+                tags: state.tags.iter().map(|&t| (t != TAG_INVALID).then_some(t)).collect(),
+                stamp: u64::from(clock),
+                last_use: state.records.iter().map(|r| u64::from(r.stamp)).collect(),
             }
         }
 
@@ -693,10 +663,11 @@ mod tests {
         }
     }
 
-    /// Imports LRU state whose stamps are shifted by `offset` (untouched
-    /// ways keep stamp 0), then drives hits and fills and checks every
-    /// decision against the `u64` reference.
-    fn lru_matches_reference_after_offset(offset: impl Fn(u64) -> u64) {
+    /// Imports LRU state whose clock sits three touches below `u32::MAX`
+    /// (untouched ways keep stamp 0), then drives hits and fills across the
+    /// stamp wrap and checks every decision against the `u64` reference.
+    #[test]
+    fn lru_stamp_wrap_keeps_decisions_exact() {
         let geometry = CacheConfig::new(1024, 4, 64);
         let mut donor = SetAssocCache::new(geometry, ReplacementKind::Lru);
         // Partially fill so some ways stay untouched (stamp 0), which
@@ -705,13 +676,13 @@ mod tests {
             donor.fill(i * 64 * 3, false, 0);
         }
         let mut state = donor.export_state();
-        let ReplacementState::Lru { stamp, last_use } = &mut state.replacement else {
+        let Replacement::Lru { clock } = &mut state.replacement else {
             panic!("LRU state expected");
         };
-        let shift = offset(*stamp);
-        *stamp += shift;
-        for s in last_use.iter_mut().filter(|s| **s != 0) {
-            *s += shift;
+        let shift = u32::MAX - 3 - *clock;
+        *clock += shift;
+        for record in state.records.iter_mut().filter(|r| r.stamp != 0) {
+            record.stamp += shift;
         }
         let mut cache = SetAssocCache::new(geometry, ReplacementKind::Lru);
         cache.import_state(&state);
@@ -735,17 +706,5 @@ mod tests {
         for set in 0..cache.sets() {
             assert_eq!(cache.eviction_order(set), reference.order(set));
         }
-    }
-
-    #[test]
-    fn lru_stamp_wrap_keeps_decisions_exact() {
-        // The imported clock sits three touches below u32::MAX.
-        lru_matches_reference_after_offset(|stamp| u64::from(u32::MAX) - 3 - stamp);
-    }
-
-    #[test]
-    fn lru_stamps_above_u32_import_exactly() {
-        // Stamps straddle 2^40, so their low 32 bits are out of order.
-        lru_matches_reference_after_offset(|stamp| (1u64 << 40) - stamp / 2);
     }
 }

@@ -40,11 +40,11 @@ pub mod prefetch;
 pub mod replacement;
 pub mod stats;
 
-pub use block::{CacheLine, EvictedLine};
+pub use block::{EvictedLine, WayRecord};
 pub use cache::{CacheConfig, CacheState, FillResult, SetAssocCache};
 pub use mshr::{MshrEntryState, MshrError, MshrFile, MshrState};
 pub use prefetch::{
     IpStridePrefetcher, NextLinePrefetcher, Prefetcher, StrideEntryState, StrideTableState,
 };
-pub use replacement::{ReplacementKind, ReplacementState};
+pub use replacement::{Replacement, ReplacementKind};
 pub use stats::CacheStats;

@@ -37,34 +37,6 @@ impl ReplacementKind {
     }
 }
 
-/// Plain-data image of a replacement policy's mutable state (snapshot
-/// support). The variant must match the policy it is imported into; the
-/// geometry (`sets * ways` vector lengths) is validated on import.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReplacementState {
-    /// LRU state: the touch counter and per-way timestamps.
-    Lru {
-        /// Stamp of the most recent touch.
-        stamp: u64,
-        /// Per-way last-use stamps (`sets * ways`).
-        last_use: Vec<u64>,
-    },
-    /// SRRIP state: per-way re-reference prediction values.
-    Srrip {
-        /// Per-way RRPVs (`sets * ways`).
-        rrpv: Vec<u8>,
-    },
-    /// SHiP state: RRPVs, per-line signatures and the SHCT.
-    Ship {
-        /// Per-way RRPVs (`sets * ways`).
-        rrpv: Vec<u8>,
-        /// Per-way fill signatures (`sets * ways`).
-        line_sig: Vec<u16>,
-        /// Signature history counter table.
-        shct: Vec<u8>,
-    },
-}
-
 /// Maximum re-reference prediction value for a 2-bit RRPV.
 const RRPV_MAX: u8 = 3;
 /// RRPV assigned on insertion by SRRIP ("long" re-reference interval).
@@ -80,8 +52,10 @@ const SHCT_MAX: u8 = 7;
 /// The cache calls `on_hit` / `on_insert` / `on_evict` to keep the state up
 /// to date and `victim` / `eviction_order` to make decisions. Ways holding
 /// invalid lines are handled by the cache itself and never reach `victim`.
-#[derive(Debug, Clone)]
-pub(crate) enum Replacement {
+/// A [`CacheState`](crate::CacheState) carries the value as the cache
+/// holds it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Replacement {
     /// True LRU: every touch stamps the way with the next value of `clock`.
     /// Stamps are `u32`; when `clock` would pass `u32::MAX`, every set's
     /// stamps are rewritten as their rank (`renormalize`), which keeps every
@@ -105,7 +79,7 @@ pub(crate) enum Replacement {
 
 impl Replacement {
     /// Fresh policy state for `kind`.
-    pub fn new(kind: ReplacementKind) -> Self {
+    pub(crate) fn new(kind: ReplacementKind) -> Self {
         match kind {
             ReplacementKind::Lru => Self::Lru { clock: 0 },
             ReplacementKind::Srrip => Self::Srrip,
@@ -114,11 +88,12 @@ impl Replacement {
     }
 
     /// The way record every way starts from.
-    pub fn empty_record() -> WayRecord {
+    pub(crate) fn empty_record() -> WayRecord {
         WayRecord { stamp: 0, signature: 0, rrpv: RRPV_MAX, flags: 0 }
     }
 
     /// The policy kind.
+    #[must_use]
     pub fn kind(&self) -> ReplacementKind {
         match self {
             Self::Lru { .. } => ReplacementKind::Lru,
@@ -129,7 +104,7 @@ impl Replacement {
 
     /// Records a hit on `records[idx]`; `records` is the whole cache
     /// (`ways` per set), which only the LRU stamp wrap reads.
-    pub fn on_hit(&mut self, records: &mut [WayRecord], ways: usize, idx: usize) {
+    pub(crate) fn on_hit(&mut self, records: &mut [WayRecord], ways: usize, idx: usize) {
         match self {
             Self::Lru { clock } => records[idx].stamp = next_stamp(clock, records, ways),
             Self::Srrip => records[idx].rrpv = 0,
@@ -143,7 +118,7 @@ impl Replacement {
 
     /// Records a fill into `records[idx]`, whose signature the cache has
     /// already set.
-    pub fn on_insert(&mut self, records: &mut [WayRecord], ways: usize, idx: usize) {
+    pub(crate) fn on_insert(&mut self, records: &mut [WayRecord], ways: usize, idx: usize) {
         match self {
             Self::Lru { clock } => records[idx].stamp = next_stamp(clock, records, ways),
             Self::Srrip => records[idx].rrpv = RRPV_INSERT,
@@ -156,7 +131,7 @@ impl Replacement {
 
     /// Records the eviction of the line in `record` (SHiP training: a line
     /// evicted without reuse weakens its signature).
-    pub fn on_evict(&mut self, record: WayRecord) {
+    pub(crate) fn on_evict(&mut self, record: WayRecord) {
         if let Self::Ship { shct } = self {
             if !record.has(WayRecord::REUSED) {
                 let counter = &mut shct[shct_index(record.signature)];
@@ -167,7 +142,7 @@ impl Replacement {
 
     /// Chooses the victim among one full set's records (RRIP ages the set
     /// until some way reaches `RRPV_MAX`).
-    pub fn victim(&self, set: &mut [WayRecord]) -> usize {
+    pub(crate) fn victim(&self, set: &mut [WayRecord]) -> usize {
         match self {
             Self::Lru { .. } => (0..set.len()).min_by_key(|&w| set[w].stamp).expect("ways > 0"),
             Self::Srrip | Self::Ship { .. } => loop {
@@ -183,7 +158,7 @@ impl Replacement {
 
     /// Writes all ways of one set into `out` (cleared first), most-evictable
     /// first: LRU→MRU, or highest→lowest RRPV. Ties go to the lower way.
-    pub fn eviction_order(&self, set: &[WayRecord], out: &mut Vec<usize>) {
+    pub(crate) fn eviction_order(&self, set: &[WayRecord], out: &mut Vec<usize>) {
         out.clear();
         out.extend(0..set.len());
         match self {
@@ -194,71 +169,25 @@ impl Replacement {
         }
     }
 
-    /// Exports the policy state, reading the per-way fields from `records`.
-    pub fn export_state(&self, records: &[WayRecord]) -> ReplacementState {
-        match self {
-            Self::Lru { clock } => ReplacementState::Lru {
-                stamp: u64::from(*clock),
-                last_use: records.iter().map(|r| u64::from(r.stamp)).collect(),
-            },
-            Self::Srrip => {
-                ReplacementState::Srrip { rrpv: records.iter().map(|r| r.rrpv).collect() }
-            }
-            Self::Ship { shct } => ReplacementState::Ship {
-                rrpv: records.iter().map(|r| r.rrpv).collect(),
-                line_sig: records.iter().map(|r| r.signature).collect(),
-                shct: shct.clone(),
-            },
-        }
-    }
-
-    /// Replaces the policy state with `state`, writing the per-way fields
-    /// into `records`. LRU stamps above `u32::MAX` are renormalized.
+    /// Replaces this policy's state with `state` (snapshot restore).
     ///
     /// # Panics
     ///
-    /// Panics when the state variant or geometry does not match this policy —
-    /// snapshot digests gate restores, so a mismatch here is a programming
-    /// error, not a recoverable condition.
-    pub fn import_state(
-        &mut self,
-        state: &ReplacementState,
-        records: &mut [WayRecord],
-        ways: usize,
-    ) {
-        match (self, state) {
-            (Self::Lru { clock }, ReplacementState::Lru { stamp, last_use }) => {
-                assert_eq!(last_use.len(), records.len(), "LRU geometry mismatch");
-                let fits = |s: &u64| u32::try_from(*s).is_ok();
-                if fits(stamp) && last_use.iter().all(fits) {
-                    *clock = *stamp as u32;
-                    for (record, &s) in records.iter_mut().zip(last_use) {
-                        record.stamp = s as u32;
-                    }
-                } else {
-                    *clock = renormalize(records, ways, last_use);
-                }
-            }
-            (Self::Srrip, ReplacementState::Srrip { rrpv }) => {
-                assert_eq!(rrpv.len(), records.len(), "SRRIP geometry mismatch");
-                for (record, &r) in records.iter_mut().zip(rrpv) {
-                    record.rrpv = r;
-                }
-            }
-            (Self::Ship { shct }, ReplacementState::Ship { rrpv, line_sig, shct: table }) => {
-                assert_eq!(rrpv.len(), records.len(), "SHiP geometry mismatch");
-                assert_eq!(line_sig.len(), records.len(), "SHiP geometry mismatch");
-                assert_eq!(table.len(), shct.len(), "SHCT size mismatch");
-                for ((record, &r), &sig) in records.iter_mut().zip(rrpv).zip(line_sig) {
-                    record.rrpv = r;
-                    record.signature = sig;
-                }
-                shct.clone_from(table);
-            }
-            (policy, other) => {
-                panic!("cannot import {other:?} into a {} policy", policy.kind().name())
-            }
+    /// Panics when `state` is another policy or holds a SHiP table of
+    /// another size — snapshot digests gate restores, so a mismatch here is
+    /// a programming error, not a recoverable condition.
+    pub(crate) fn import_state(&mut self, state: &Replacement) {
+        assert_eq!(
+            self.kind(),
+            state.kind(),
+            "cannot import a {} state into a {} policy",
+            state.kind().name(),
+            self.kind().name()
+        );
+        if let (Self::Ship { shct }, Self::Ship { shct: table }) = (&*self, state) {
+            assert_eq!(shct.len(), table.len(), "SHCT size mismatch");
         }
+        self.clone_from(state);
     }
 }
 
@@ -271,26 +200,25 @@ fn shct_index(signature: u16) -> usize {
 #[inline]
 fn next_stamp(clock: &mut u32, records: &mut [WayRecord], ways: usize) -> u32 {
     if *clock == u32::MAX {
-        let stamps: Vec<u64> = records.iter().map(|r| u64::from(r.stamp)).collect();
-        *clock = renormalize(records, ways, &stamps);
+        *clock = renormalize(records, ways);
     }
     *clock += 1;
     *clock
 }
 
 /// Rewrites each set's LRU stamps as the way's rank in that set's
-/// `(stamps[i], way)` order and returns the clock to restart from (`ways`,
+/// `(stamp, way)` order and returns the clock to restart from (`ways`,
 /// above every rank). LRU only ever compares stamps within a set, and ranks
 /// keep that order — including the tie-break that puts the lowest way first
 /// among equal stamps — so every later decision is unchanged.
 #[cold]
 #[inline(never)]
-fn renormalize(records: &mut [WayRecord], ways: usize, stamps: &[u64]) -> u32 {
+fn renormalize(records: &mut [WayRecord], ways: usize) -> u32 {
     let mut order = Vec::with_capacity(ways);
-    for (set, stamps) in records.chunks_mut(ways).zip(stamps.chunks(ways)) {
+    for set in records.chunks_mut(ways) {
         order.clear();
         order.extend(0..ways);
-        order.sort_unstable_by_key(|&w| (stamps[w], w));
+        order.sort_unstable_by_key(|&w| (set[w].stamp, w));
         for (rank, &w) in order.iter().enumerate() {
             set[w].stamp = rank as u32;
         }
@@ -348,12 +276,14 @@ mod tests {
             order
         }
 
-        fn export_state(&self) -> ReplacementState {
-            self.policy.export_state(&self.records)
+        /// The policy and its records, as a cache exports them.
+        fn export_state(&self) -> (Replacement, Vec<WayRecord>) {
+            (self.policy.clone(), self.records.clone())
         }
 
-        fn import_state(&mut self, state: &ReplacementState) {
-            self.policy.import_state(state, &mut self.records, self.ways);
+        fn import_state(&mut self, (policy, records): &(Replacement, Vec<WayRecord>)) {
+            self.policy.import_state(policy);
+            self.records.clone_from(records);
         }
     }
 
@@ -449,11 +379,11 @@ mod tests {
         p.on_insert(0, 0, 5);
         p.on_hit(0, 0);
         p.on_evict(0, 1, false); // way 1 holds the initial signature 0
-        let ReplacementState::Ship { shct, line_sig, .. } = p.export_state() else {
+        let (Replacement::Ship { shct }, records) = p.export_state() else {
             panic!("SHiP state expected");
         };
         assert_eq!((shct[5], shct[0]), (2, 0));
-        assert_eq!(line_sig, vec![5, 0]);
+        assert_eq!(records.iter().map(|r| r.signature).collect::<Vec<_>>(), vec![5, 0]);
     }
 
     #[test]
@@ -494,7 +424,8 @@ mod tests {
     #[should_panic(expected = "cannot import")]
     fn mismatched_state_variant_is_rejected() {
         let mut lru = Harness::new(ReplacementKind::Lru, 1, 4);
-        lru.import_state(&ReplacementState::Srrip { rrpv: vec![0; 4] });
+        let srrip = Harness::new(ReplacementKind::Srrip, 1, 4);
+        lru.import_state(&srrip.export_state());
     }
 
     #[test]

@@ -254,13 +254,6 @@ impl SystemConfig {
         self
     }
 
-    /// Returns a copy with a different DRAM configuration.
-    #[must_use]
-    pub fn with_dram(mut self, dram: DramConfig) -> Self {
-        self.dram = dram;
-        self
-    }
-
     /// Returns a copy with a different workload-generator seed.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {

@@ -7,7 +7,10 @@
 //! positions — into a self-describing byte image that can be restored into a
 //! freshly-built system. Restoring and resuming is **bitwise-identical** to
 //! never having stopped (`StressCase::assert_parity` in the `parity` suite
-//! pins this on both engines).
+//! pins this on both engines). Each cache is stored as it holds itself: its
+//! tag array, its 8-byte way records and its replacement policy's own
+//! state. Host-side work counters (the `engine.*` and `mshr.*` counts) are
+//! never stored; a restored system counts from the restore.
 //!
 //! Two capture points exist:
 //!
@@ -34,18 +37,22 @@
 //! payload (varint-encoded SystemImage)
 //! checksum u64 LE (FNV-1a over all preceding bytes)
 //! ```
+//!
+//! Images are pinned per format version, not across versions: a build
+//! refuses any other [`VERSION`] by name ([`SnapshotError::Version`]), and
+//! both digests carry the version, so a format change re-keys every
+//! [`SnapshotStore`]. Its old images are never opened; the first grid of
+//! the new build captures fresh ones.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use bard_cache::{
-    CacheState, CacheStats, MshrEntryState, MshrState, ReplacementState, StrideEntryState,
-    StrideTableState,
+    CacheState, CacheStats, MshrEntryState, MshrState, Replacement, StrideEntryState,
+    StrideTableState, WayRecord,
 };
 use bard_cpu::{CoreRequest, CoreState, CoreStats, MemAccess, MemKind, TraceRecord};
 use bard_dram::{
-    BankState, CompletedRead, ControllerState, DrainEpisodeStats, QueuedRequestState,
-    SubChannelState, SubChannelStats,
+    BankState, CompletedRead, ControllerState, QueuedRequestState, SubChannelState, SubChannelStats,
 };
 use bard_trace::format::{push_varint, unzigzag, zigzag, Fnv64};
 use bard_workloads::WorkloadId;
@@ -60,8 +67,9 @@ use crate::system::System;
 pub const MAGIC: [u8; 4] = *b"BSS1";
 
 /// Current container version. Bump on any layout change; decoding refuses
-/// other versions with [`SnapshotError::Version`].
-pub const VERSION: u32 = 1;
+/// other versions with [`SnapshotError::Version`], and both digests carry
+/// it, so a store never looks up another version's images.
+pub const VERSION: u32 = 2;
 
 /// Header bytes before the payload (magic + version + flags + two digests +
 /// payload length).
@@ -142,8 +150,7 @@ impl From<std::io::Error> for SnapshotError {
 // Payload codec primitives
 // ---------------------------------------------------------------------------
 
-/// Payload encoder: varints for integers, zigzag for signed values, fixed
-/// 8-byte little-endian for `f64` (bit-exact round-trip).
+/// Payload encoder: varints for integers, zigzag for signed values.
 pub(crate) struct Enc {
     buf: Vec<u8>,
 }
@@ -179,10 +186,6 @@ impl Enc {
 
     fn i64(&mut self, v: i64) {
         self.u64(zigzag(v));
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     fn opt_u64(&mut self, v: Option<u64>) {
@@ -281,18 +284,6 @@ impl<'a> Dec<'a> {
         Ok(unzigzag(self.u64()?))
     }
 
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
-        let end = self
-            .pos
-            .checked_add(8)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(SnapshotError::Truncated { offset: self.pos })?;
-        let mut bytes = [0u8; 8];
-        bytes.copy_from_slice(&self.buf[self.pos..end]);
-        self.pos = end;
-        Ok(f64::from_le_bytes(bytes))
-    }
-
     fn opt_u64(&mut self) -> Result<Option<u64>, SnapshotError> {
         Ok(if self.bool()? { Some(self.u64()?) } else { None })
     }
@@ -368,8 +359,6 @@ pub(crate) struct SystemImage {
     pub dram_pending: Vec<u64>,
     pub writeback_pending: Vec<u64>,
     pub events: Vec<EventImage>,
-    pub perf_mshr_releases: u64,
-    pub perf_mshr_wakes: u64,
     pub progress: Option<ProgressImage>,
 }
 
@@ -483,91 +472,63 @@ fn dec_cache_stats(d: &mut Dec) -> Result<CacheStats, SnapshotError> {
     })
 }
 
-fn enc_replacement(e: &mut Enc, r: &ReplacementState) {
-    match r {
-        ReplacementState::Lru { stamp, last_use } => {
+fn enc_way_record(e: &mut Enc, r: &WayRecord) {
+    e.u32(r.stamp);
+    e.u16(r.signature);
+    e.u8(r.rrpv);
+    e.u8(r.flags);
+}
+
+fn dec_way_record(d: &mut Dec) -> Result<WayRecord, SnapshotError> {
+    let r = WayRecord { stamp: d.u32()?, signature: d.u16()?, rrpv: d.u8()?, flags: d.u8()? };
+    if r.flags & !WayRecord::FLAGS != 0 {
+        return Err(d.format(format!("invalid way-record flags {:#04x}", r.flags)));
+    }
+    Ok(r)
+}
+
+/// A cache as the cache holds it: its tag array (each tag stored plus one,
+/// wrapping, so an invalid way's all-ones tag is the one-byte varint 0),
+/// its way records, its policy's own state and its statistics.
+fn enc_cache_state(e: &mut Enc, s: &CacheState) {
+    e.usize(s.tags.len());
+    for &tag in &s.tags {
+        e.u64(tag.wrapping_add(1));
+    }
+    e.usize(s.records.len());
+    for r in &s.records {
+        enc_way_record(e, r);
+    }
+    match &s.replacement {
+        Replacement::Lru { clock } => {
             e.u8(0);
-            e.u64(*stamp);
-            e.u64s(last_use);
+            e.u32(*clock);
         }
-        ReplacementState::Srrip { rrpv } => {
-            e.u8(1);
-            e.usize(rrpv.len());
-            e.buf.extend_from_slice(rrpv);
-        }
-        ReplacementState::Ship { rrpv, line_sig, shct } => {
+        Replacement::Srrip => e.u8(1),
+        Replacement::Ship { shct } => {
             e.u8(2);
-            e.usize(rrpv.len());
-            e.buf.extend_from_slice(rrpv);
-            e.usize(line_sig.len());
-            for &s in line_sig {
-                e.u16(s);
-            }
             e.usize(shct.len());
             e.buf.extend_from_slice(shct);
         }
     }
-}
-
-fn dec_bytes(d: &mut Dec) -> Result<Vec<u8>, SnapshotError> {
-    let n = d.len()?;
-    (0..n).map(|_| d.u8()).collect()
-}
-
-fn dec_replacement(d: &mut Dec) -> Result<ReplacementState, SnapshotError> {
-    match d.u8()? {
-        0 => Ok(ReplacementState::Lru { stamp: d.u64()?, last_use: d.u64s()? }),
-        1 => Ok(ReplacementState::Srrip { rrpv: dec_bytes(d)? }),
-        2 => Ok(ReplacementState::Ship {
-            rrpv: dec_bytes(d)?,
-            line_sig: {
-                let n = d.len()?;
-                (0..n).map(|_| d.u16()).collect::<Result<_, _>>()?
-            },
-            shct: dec_bytes(d)?,
-        }),
-        other => Err(d.format(format!("invalid replacement tag {other}"))),
-    }
-}
-
-fn enc_cache_state(e: &mut Enc, s: &CacheState) {
-    e.usize(s.lines.len());
-    for line in &s.lines {
-        e.u64(line.addr);
-        let flags =
-            u8::from(line.valid) | (u8::from(line.dirty) << 1) | (u8::from(line.prefetched) << 2);
-        e.u8(flags);
-        e.u16(line.signature);
-    }
-    e.usize(s.reused.len());
-    for &b in &s.reused {
-        e.bool(b);
-    }
-    enc_replacement(e, &s.replacement);
     enc_cache_stats(e, &s.stats);
 }
 
 fn dec_cache_state(d: &mut Dec) -> Result<CacheState, SnapshotError> {
     let n = d.len()?;
-    let mut lines = Vec::with_capacity(n);
-    for _ in 0..n {
-        let addr = d.u64()?;
-        let flags = d.u8()?;
-        if flags > 0b111 {
-            return Err(d.format(format!("invalid cache-line flags {flags:#04x}")));
+    let tags = (0..n).map(|_| d.u64().map(|t| t.wrapping_sub(1))).collect::<Result<_, _>>()?;
+    let n = d.len()?;
+    let records = (0..n).map(|_| dec_way_record(d)).collect::<Result<_, _>>()?;
+    let replacement = match d.u8()? {
+        0 => Replacement::Lru { clock: d.u32()? },
+        1 => Replacement::Srrip,
+        2 => {
+            let n = d.len()?;
+            Replacement::Ship { shct: (0..n).map(|_| d.u8()).collect::<Result<_, _>>()? }
         }
-        let signature = d.u16()?;
-        lines.push(bard_cache::CacheLine {
-            addr,
-            valid: flags & 1 != 0,
-            dirty: flags & 2 != 0,
-            prefetched: flags & 4 != 0,
-            signature,
-        });
-    }
-    let rn = d.len()?;
-    let reused = (0..rn).map(|_| d.bool()).collect::<Result<_, _>>()?;
-    Ok(CacheState { lines, reused, replacement: dec_replacement(d)?, stats: dec_cache_stats(d)? })
+        other => return Err(d.format(format!("invalid replacement tag {other}"))),
+    };
+    Ok(CacheState { tags, records, replacement, stats: dec_cache_stats(d)? })
 }
 
 fn enc_stride_table(e: &mut Enc, t: &StrideTableState) {
@@ -747,22 +708,6 @@ fn dec_completed(d: &mut Dec) -> Result<CompletedRead, SnapshotError> {
     })
 }
 
-fn enc_episode(e: &mut Enc, s: &DrainEpisodeStats) {
-    e.u64(s.start_cycle);
-    e.u64(s.end_cycle);
-    e.u64(s.writes);
-    e.u32(s.unique_banks);
-}
-
-fn dec_episode(d: &mut Dec) -> Result<DrainEpisodeStats, SnapshotError> {
-    Ok(DrainEpisodeStats {
-        start_cycle: d.u64()?,
-        end_cycle: d.u64()?,
-        writes: d.u64()?,
-        unique_banks: d.u32()?,
-    })
-}
-
 fn enc_sub_stats(e: &mut Enc, s: &SubChannelStats) {
     e.u64(s.cycles);
     e.u64(s.write_mode_cycles);
@@ -785,9 +730,7 @@ fn enc_sub_stats(e: &mut Enc, s: &SubChannelStats) {
     e.u64(s.drain_cycles);
     e.u64(s.write_to_write_gap_cycles);
     e.u64(s.write_to_write_gaps);
-    e.f64(s.max_episode_mean_gap_cycles);
     e.u64(s.write_queue_full_events);
-    enc_episode(e, &s.last_episode);
 }
 
 fn dec_sub_stats(d: &mut Dec) -> Result<SubChannelStats, SnapshotError> {
@@ -813,9 +756,7 @@ fn dec_sub_stats(d: &mut Dec) -> Result<SubChannelStats, SnapshotError> {
         drain_cycles: d.u64()?,
         write_to_write_gap_cycles: d.u64()?,
         write_to_write_gaps: d.u64()?,
-        max_episode_mean_gap_cycles: d.f64()?,
         write_queue_full_events: d.u64()?,
-        last_episode: dec_episode(d)?,
     })
 }
 
@@ -954,8 +895,6 @@ pub(crate) fn encode_image(image: &SystemImage) -> Vec<u8> {
         e.u64(ev.core);
         e.u64(ev.token);
     }
-    e.u64(image.perf_mshr_releases);
-    e.u64(image.perf_mshr_wakes);
     match &image.progress {
         None => e.bool(false),
         Some(p) => {
@@ -994,8 +933,6 @@ pub(crate) fn decode_image(payload: &[u8]) -> Result<SystemImage, SnapshotError>
             Ok(EventImage { delta: d.u64()?, store: d.bool()?, core: d.u64()?, token: d.u64()? })
         })
         .collect::<Result<_, SnapshotError>>()?;
-    let perf_mshr_releases = d.u64()?;
-    let perf_mshr_wakes = d.u64()?;
     let progress = if d.bool()? {
         let stage = d.u8()?;
         if stage > 1 {
@@ -1022,8 +959,6 @@ pub(crate) fn decode_image(payload: &[u8]) -> Result<SystemImage, SnapshotError>
         dram_pending,
         writeback_pending,
         events,
-        perf_mshr_releases,
-        perf_mshr_wakes,
         progress,
     })
 }
@@ -1042,7 +977,7 @@ pub fn full_digest(config: &SystemConfig, workload: WorkloadId) -> u64 {
     c.engine = EngineKind::Step;
     c.trace = None;
     let mut h = Fnv64::new();
-    h.update(format!("full1|{}|{c:?}", workload.name()).as_bytes());
+    h.update(format!("full{VERSION}|{}|{c:?}", workload.name()).as_bytes());
     h.finish()
 }
 
@@ -1057,7 +992,7 @@ pub fn warm_digest(config: &SystemConfig, workload: WorkloadId, functional_warmu
     let mut h = Fnv64::new();
     h.update(
         format!(
-            "warm1|{}|{:#x}|{}|{}|{}x{}|{}x{}|{}x{}x{}|{}|{}",
+            "warm{VERSION}|{}|{:#x}|{}|{}|{}x{}|{}x{}|{}x{}x{}|{}|{}",
             workload.name(),
             config.seed,
             functional_warmup,
@@ -1255,16 +1190,13 @@ pub fn print_counters_if_enabled() {
     }
 }
 
-/// Monotonic discriminator for temporary file names (several worker threads
-/// may publish concurrently).
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
 /// A content-addressed directory of warm snapshot images, keyed by
 /// [`warm_digest`] the same way `bard-trace`'s `TraceStore` keys archives:
-/// the digest is in the file name, so a stale image is simply never looked
-/// up again. Publication is atomic (temp file + rename), so concurrent grid
-/// workers racing to warm the same image both succeed and last-writer-wins
-/// with identical bytes.
+/// the digest is in the file name, so a stale image — including every image
+/// of another format version, whose digests differ — is simply never looked
+/// up again. Publication is atomic ([`bard_trace::publish_atomically`]), so
+/// concurrent grid workers racing to warm the same image both succeed and
+/// last-writer-wins with identical bytes.
 #[derive(Debug, Clone)]
 pub struct SnapshotStore {
     dir: PathBuf,
@@ -1322,22 +1254,10 @@ impl SnapshotStore {
             system.functional_warmup(functional_warmup);
         }
         let snapshot = system.capture_warm(functional_warmup);
-        self.publish(&path, &snapshot.to_bytes())?;
+        std::fs::create_dir_all(&self.dir)?;
+        bard_trace::publish_atomically(&path, &[&snapshot.to_bytes()])?;
         crate::telemetry::SNAPSHOT_IMAGES_WRITTEN.add(1);
         Ok(system)
-    }
-
-    /// Atomically publishes `bytes` at `path` (temp file + rename).
-    fn publish(&self, path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
-        std::fs::create_dir_all(&self.dir)?;
-        let tmp = self.dir.join(format!(
-            ".tmp.{}.{}.bss",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::write(&tmp, bytes)?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
     }
 }
 
@@ -1386,11 +1306,43 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_refused_with_a_named_error() {
-        let mut bytes = sample().to_bytes();
-        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
-        match Snapshot::from_bytes(&bytes) {
-            Err(SnapshotError::Version { found: 2 }) => {}
-            other => panic!("expected Version error, got {other:?}"),
+        // A newer version, and the retired version 1.
+        for version in [VERSION + 1, 1] {
+            let mut bytes = sample().to_bytes();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            match Snapshot::from_bytes(&bytes) {
+                Err(SnapshotError::Version { found }) => assert_eq!(found, version),
+                other => panic!("expected Version error, got {other:?}"),
+            }
+        }
+    }
+
+    /// Encodes `state` as one cache of an image and decodes it back.
+    fn cache_round_trip(state: &CacheState) -> Result<CacheState, SnapshotError> {
+        let mut e = Enc::new();
+        enc_cache_state(&mut e, state);
+        let mut d = Dec::new(&e.buf);
+        let decoded = dec_cache_state(&mut d)?;
+        d.finish()?;
+        Ok(decoded)
+    }
+
+    #[test]
+    fn way_record_flags_outside_the_known_bits_are_a_format_error() {
+        use bard_cache::{CacheConfig, ReplacementKind, SetAssocCache};
+        let mut cache = SetAssocCache::new(CacheConfig::new(1024, 4, 64), ReplacementKind::Ship);
+        cache.fill(0x40, true, 9);
+        let mut state = cache.export_state();
+        state.records[1].flags = WayRecord::FLAGS;
+        assert_eq!(cache_round_trip(&state).expect("known flags decode"), state);
+        for flag in [8, 0x80] {
+            state.records[1].flags = WayRecord::FLAGS | flag;
+            match cache_round_trip(&state) {
+                Err(SnapshotError::Format { message, .. }) => {
+                    assert!(message.contains("way-record flags"), "{message}");
+                }
+                other => panic!("expected Format error, got {other:?}"),
+            }
         }
     }
 
@@ -1453,6 +1405,70 @@ mod tests {
         let mut small = base.clone();
         small.llc_bytes /= 2;
         assert_ne!(warm, warm_digest(&small, w, 10_000));
+    }
+
+    /// A scratch store directory, removed on drop.
+    struct StoreDir(PathBuf);
+
+    impl StoreDir {
+        fn new(tag: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("bard-snapshot-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            Self(dir)
+        }
+
+        fn names(&self) -> Vec<std::ffi::OsString> {
+            let mut names: Vec<_> =
+                std::fs::read_dir(&self.0).unwrap().map(|e| e.unwrap().file_name()).collect();
+            names.sort();
+            names
+        }
+    }
+
+    impl Drop for StoreDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    const WARMUP: u64 = 2_000;
+
+    /// A store keys images by a digest that carries the format version, so
+    /// it never opens what a version-1 build left at that build's key: it
+    /// captures a fresh image under the current key instead.
+    #[test]
+    fn obtain_warm_never_opens_a_version_1_image() {
+        let dir = StoreDir::new("v1-key");
+        let store = SnapshotStore::new(&dir.0);
+        let (config, w) = (SystemConfig::small_test(), WorkloadId::Lbm);
+        // The key a version-1 build gave this image.
+        let stale_path = store.warm_path(w, 0xe9a1_e343_b38c_91f2);
+        let mut stale = sample().to_bytes();
+        stale[4..8].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&stale_path, &stale).unwrap();
+
+        store.obtain_warm(&config, w, WARMUP).expect("a fresh capture, not the stale image");
+        let fresh_path = store.warm_path(w, warm_digest(&config, w, WARMUP));
+        assert_ne!(fresh_path, stale_path);
+        let fresh = Snapshot::from_bytes(&std::fs::read(&fresh_path).unwrap()).unwrap();
+        assert!(fresh.is_warm());
+        assert_eq!(std::fs::read(&stale_path).unwrap(), stale, "the stale image is untouched");
+        assert_eq!(dir.names().len(), 2);
+    }
+
+    /// A publish that cannot rename its image into place (a directory holds
+    /// the path) fails and removes its temporary file.
+    #[test]
+    fn failed_publish_leaves_no_temporary_file() {
+        let dir = StoreDir::new("failed-publish");
+        let store = SnapshotStore::new(&dir.0);
+        let (config, w) = (SystemConfig::small_test(), WorkloadId::Lbm);
+        let path = store.warm_path(w, warm_digest(&config, w, WARMUP));
+        std::fs::create_dir(&path).unwrap();
+        assert!(store.obtain_warm(&config, w, WARMUP).is_err());
+        assert_eq!(dir.names(), [path.file_name().unwrap()], "only the blocking directory");
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! * a digest mismatch (restoring under a different configuration) is
 //!   refused with [`SnapshotError::Incompatible`].
 
+use bard::snapshot::VERSION;
 use bard::{RunOutcome, Snapshot, SnapshotError, System, SystemConfig};
 use bard_workloads::WorkloadId;
 
@@ -80,11 +81,14 @@ fn version_bump_is_refused_by_name() {
     let (_, bytes) = captured_mid_run();
     // The version is the little-endian u32 right after the 4-byte magic and
     // is validated before the trailing checksum, so a bare bump is enough.
-    let mut newer = bytes;
-    newer[4] = 2;
-    match Snapshot::from_bytes(&newer) {
-        Err(SnapshotError::Version { found }) => assert_eq!(found, 2),
-        other => panic!("expected SnapshotError::Version, got {other:?}"),
+    // A newer version is refused, and so is the retired version 1.
+    for version in [VERSION + 1, 1] {
+        let mut image = bytes.clone();
+        image[4..8].copy_from_slice(&version.to_le_bytes());
+        match Snapshot::from_bytes(&image) {
+            Err(SnapshotError::Version { found }) => assert_eq!(found, version),
+            other => panic!("expected SnapshotError::Version, got {other:?}"),
+        }
     }
 }
 

@@ -141,12 +141,6 @@ impl DramConfig {
         self.banks_per_subchannel() * self.subchannels_per_channel
     }
 
-    /// Total banks across all channels.
-    #[must_use]
-    pub fn total_banks(&self) -> usize {
-        self.banks_per_channel() * self.channels
-    }
-
     /// Number of cache lines per DRAM row.
     #[must_use]
     pub fn lines_per_row(&self) -> usize {

@@ -76,13 +76,9 @@ pub struct SubChannelStats {
     pub write_to_write_gap_cycles: u64,
     /// Number of write-to-write gaps observed.
     pub write_to_write_gaps: u64,
-    /// Maximum per-episode mean write-to-write gap (cycles), for Table V "max".
-    pub max_episode_mean_gap_cycles: f64,
     /// Writes that were issued while the write queue was full and the
     /// requester had to be back-pressured.
     pub write_queue_full_events: u64,
-    /// Per-episode record of the most recent completed episode.
-    pub last_episode: DrainEpisodeStats,
 }
 
 impl SubChannelStats {
@@ -116,13 +112,6 @@ impl SubChannelStats {
         } else {
             cpu_cycles_to_ns(self.write_to_write_gap_cycles) / self.write_to_write_gaps as f64
         }
-    }
-
-    /// Maximum (over episodes) of the per-episode mean write-to-write delay in
-    /// nanoseconds (Table V, "Max Latency").
-    #[must_use]
-    pub fn max_write_to_write_ns(&self) -> f64 {
-        cpu_cycles_to_ns(1) * self.max_episode_mean_gap_cycles
     }
 
     /// Mean read latency in cycles.
@@ -181,8 +170,6 @@ impl SubChannelStats {
         self.drain_cycles += other.drain_cycles;
         self.write_to_write_gap_cycles += other.write_to_write_gap_cycles;
         self.write_to_write_gaps += other.write_to_write_gaps;
-        self.max_episode_mean_gap_cycles =
-            self.max_episode_mean_gap_cycles.max(other.max_episode_mean_gap_cycles);
         self.write_queue_full_events += other.write_queue_full_events;
     }
 }

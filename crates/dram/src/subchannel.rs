@@ -1071,20 +1071,13 @@ impl SubChannel {
             self.stats.drain_cycles += now.saturating_sub(self.episode_start);
             self.stats.write_to_write_gap_cycles += self.episode_gap_sum;
             self.stats.write_to_write_gaps += self.episode_gaps;
-            if self.episode_gaps > 0 {
-                let mean = self.episode_gap_sum as f64 / self.episode_gaps as f64;
-                if mean > self.stats.max_episode_mean_gap_cycles {
-                    self.stats.max_episode_mean_gap_cycles = mean;
-                }
-            }
-            self.stats.last_episode = DrainEpisodeStats {
-                start_cycle: self.episode_start,
-                end_cycle: now,
-                writes: self.episode_writes,
-                unique_banks: unique,
-            };
             if self.record_episodes && self.episode_log.len() < EPISODE_LOG_CAP {
-                self.episode_log.push(self.stats.last_episode);
+                self.episode_log.push(DrainEpisodeStats {
+                    start_cycle: self.episode_start,
+                    end_cycle: now,
+                    writes: self.episode_writes,
+                    unique_banks: unique,
+                });
             }
         }
         // Write-to-read turnaround before reads may resume.
@@ -1460,7 +1453,7 @@ mod tests {
             "drain should stop at the low watermark"
         );
         assert_eq!(sc.write_queue_len(), cfg.write_low_watermark);
-        assert!(stats.last_episode.unique_banks > 0);
+        assert!(stats.drain_unique_banks > 0);
     }
 
     #[test]

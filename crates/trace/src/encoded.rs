@@ -12,14 +12,14 @@
 //! seek decodes at most `CHECKPOINT_INTERVAL - 1` records.
 
 use std::fs::File;
-use std::io::{BufReader, Read, Write};
+use std::io::{BufReader, Read};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use bard_cpu::{TraceRecord, TraceSource};
 
 use crate::error::TraceError;
 use crate::format::{header_bytes, slice_source, CodecState, Fnv64, TraceHeader, TRAILER_BYTES};
+use crate::store::publish_atomically;
 
 /// Records between two checkpoints of an [`EncodedTrace`]'s index.
 pub const CHECKPOINT_INTERVAL: usize = 4096;
@@ -140,34 +140,11 @@ impl EncodedTrace {
     }
 
     /// Writes the BTF1 file this trace encodes, header then payload, to
-    /// `path`: the one writer of every trace file. The bytes go to a
-    /// temporary file beside `path` that is then renamed over it, so no
-    /// reader sees a partial file and concurrent publishers of the same
-    /// bytes race benignly.
+    /// `path` with [`publish_atomically`]: the one writer of every trace
+    /// file, so no reader sees a partial file and concurrent publishers of
+    /// the same bytes race benignly.
     pub(crate) fn publish(&self, path: &Path) -> Result<(), TraceError> {
-        let tmp = path.with_file_name(format!(
-            "{}.tmp-{}-{}",
-            path.file_name().and_then(|n| n.to_str()).unwrap_or("trace"),
-            std::process::id(),
-            unique_suffix(),
-        ));
-        let written = File::create(&tmp).and_then(|mut file| {
-            file.write_all(&header_bytes(&self.header))?;
-            file.write_all(&self.payload)
-        });
-        if let Err(write_error) = written {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(TraceError::Io(write_error));
-        }
-        if let Err(rename_error) = std::fs::rename(&tmp, path) {
-            let _ = std::fs::remove_file(&tmp);
-            // A concurrent job publishing the identical file first is fine;
-            // anything else is a real error.
-            if !path.is_file() {
-                return Err(TraceError::Io(rename_error));
-            }
-        }
-        Ok(())
+        Ok(publish_atomically(path, &[&header_bytes(&self.header), &self.payload])?)
     }
 
     /// The trace's self-describing header.
@@ -224,12 +201,6 @@ impl std::fmt::Debug for EncodedTrace {
             .field("checkpoints", &self.checkpoints.len())
             .finish()
     }
-}
-
-/// Process-wide counter making concurrent temp-file names unique.
-fn unique_suffix() -> u64 {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    COUNTER.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Encodes records one at a time into an [`EncodedTrace`]: the one BTF1

@@ -22,7 +22,8 @@
 //!   which tees any live source into a file it publishes when finished.
 //! * [`TraceStore`], the `(workload, core, seed, budget)`-keyed directory
 //!   layout behind the experiment binaries' `--trace-dir=DIR` flag:
-//!   record-if-missing, replay-if-present.
+//!   record-if-missing, replay-if-present. Its files, and the snapshot
+//!   images of `bard`'s store, are written by one [`publish_atomically`].
 //! * A ChampSim-like text importer/exporter ([`import`]) so external traces
 //!   become first-class workloads.
 //!
@@ -72,7 +73,7 @@ pub use format::{Fnv64, TraceHeader, MAGIC, VERSION};
 pub use import::{parse_text, render_text};
 pub use recording::RecordingSource;
 pub use replay::{ReplayThenLive, ReplayWorkload};
-pub use store::{decode_cache_counters, DecodeCacheCounters, TraceStore};
+pub use store::{decode_cache_counters, publish_atomically, DecodeCacheCounters, TraceStore};
 
 #[cfg(test)]
 mod tests {

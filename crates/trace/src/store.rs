@@ -1,6 +1,8 @@
 //! The on-disk trace archive behind `--trace-dir`.
 
 use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -267,6 +269,40 @@ impl TraceStore {
         trace.publish(path)?;
         Ok(trace)
     }
+}
+
+/// Writes `parts`, in order, to `path` as one atomic publish: the one file
+/// writer of trace archives and snapshot stores. The bytes go to a
+/// temporary file beside `path` that is then renamed over it, so no reader
+/// sees a partial file, and a failed write or rename removes the temporary
+/// file. A failed rename is forgiven when a regular file sits at `path`:
+/// a concurrent publisher of the same content-addressed bytes won the race.
+///
+/// # Errors
+///
+/// The I/O error of a failed write, or of a failed rename that left no
+/// regular file at `path`.
+pub fn publish_atomically(path: &Path, parts: &[&[u8]]) -> std::io::Result<()> {
+    static TMP_SUFFIX: AtomicU64 = AtomicU64::new(0);
+    let tmp = path.with_file_name(format!(
+        "{}.tmp-{}-{}",
+        path.file_name().and_then(|n| n.to_str()).unwrap_or("publish"),
+        std::process::id(),
+        TMP_SUFFIX.fetch_add(1, Ordering::Relaxed),
+    ));
+    let written = File::create(&tmp)
+        .and_then(|mut file| parts.iter().try_for_each(|part| file.write_all(part)));
+    if let Err(write_error) = written {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(write_error);
+    }
+    if let Err(rename_error) = std::fs::rename(&tmp, path) {
+        let _ = std::fs::remove_file(&tmp);
+        if !path.is_file() {
+            return Err(rename_error);
+        }
+    }
+    Ok(())
 }
 
 fn validate_key(

@@ -32,15 +32,6 @@ impl StreamKind {
             Self::Triad => "triad",
         }
     }
-
-    /// Number of arrays read per element.
-    #[must_use]
-    pub fn loads_per_element(self) -> usize {
-        match self {
-            Self::Copy | Self::Scale => 1,
-            Self::Add | Self::Triad => 2,
-        }
-    }
 }
 
 /// A STREAM kernel trace source.

@@ -38,7 +38,7 @@ fn bench(c: &mut Criterion) {
         let mut set = 0usize;
         b.iter(|| {
             set = (set + 1) % cache.sets();
-            cache.eviction_order(std::hint::black_box(set))
+            cache.eviction_order(std::hint::black_box(set)).collect::<Vec<_>>()
         });
     });
     group.finish();

@@ -1,7 +1,7 @@
 //! Golden test pinning the bytes of warm BSS1 snapshot images.
 //!
 //! A warm image (`System::capture_warm`) serializes every cache's tag
-//! array, way records and replacement-policy state. Images are pinned per
+//! array, set words and replacement-policy state. Images are pinned per
 //! format version, not across versions: archived images in a
 //! `--snapshot-dir` are reused by every build of the same BSS1 version, so
 //! within a version a change to how the cache model stores that state must
@@ -21,7 +21,8 @@ use bard::{System, SystemConfig};
 use bard_workloads::WorkloadId;
 
 /// Functional warm-up per core: enough lbm traffic to overflow the
-/// `small_test` LLC, so the images carry evictions and stale way state.
+/// `small_test` LLC, so the images carry evictions and the ranks, RRPVs
+/// and signatures evicted ways keep.
 const WARMUP: u64 = 100_000;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/warm_images.txt");

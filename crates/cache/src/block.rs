@@ -1,41 +1,73 @@
-//! Cache line metadata.
+//! Cache set and line metadata.
 
-/// Per-way state of a [`SetAssocCache`](crate::SetAssocCache) besides its
-/// tag: everything the cache and its replacement policy track about one way,
-/// packed into 8 bytes so a 16-way set's records span two host cache lines.
+use crate::cache::TAG_INVALID;
+use crate::replacement::ReplacementKind;
+
+/// Most ways a set may have: a [`SetWord`] holds one mask bit per way, and
+/// the LRU order one nibble per way.
+pub const MAX_WAYS: usize = 16;
+
+/// Per-set state of a [`SetAssocCache`](crate::SetAssocCache) besides its
+/// tags: the replacement field and four per-way masks, 16 bytes per set, so
+/// a hit, a fill or a victim choice reads one word instead of the set's
+/// ways. Bit `w` of a mask is way `w`.
 ///
-/// Eviction clears only the tag and [`flags`](Self::flags); the LRU stamp,
-/// RRIP byte and fill signature keep their last values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WayRecord {
-    /// LRU last-use stamp (per-cache touch counter; see
-    /// [`Replacement`](crate::Replacement)).
-    pub stamp: u32,
-    /// Fill signature: the line's signature and SHiP's training key.
-    pub signature: u16,
-    /// RRIP re-reference prediction value (SRRIP/SHiP).
-    pub rrpv: u8,
-    /// [`WayRecord::DIRTY`] | [`WayRecord::PREFETCHED`] | [`WayRecord::REUSED`].
-    pub flags: u8,
+/// Eviction clears only the way's tag and mask bits; its place in the
+/// replacement field (LRU rank or RRPV) and its SHiP signature keep their
+/// last values.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SetWord {
+    /// The replacement field. Under LRU, the ways from least to most
+    /// recently used, 4 bits each: the lowest nibble is the LRU way, nibble
+    /// `ways - 1` the MRU way, and the nibbles above are zero. Under SRRIP
+    /// and SHiP, way `w`'s 2-bit RRPV at bits `2w..2w + 2`, and zero above.
+    pub repl: u64,
+    /// Ways holding a line (exactly the ways whose tag is valid).
+    pub valid: u16,
+    /// Valid ways written since they were filled.
+    pub dirty: u16,
+    /// Valid ways brought in by a prefetch and not yet demanded.
+    pub prefetched: u16,
+    /// Valid ways hit at least once while resident (SHiP training input).
+    pub reused: u16,
 }
 
-const _: () = assert!(std::mem::size_of::<WayRecord>() == 8);
+const _: () = assert!(std::mem::size_of::<SetWord>() == 16);
 
-impl WayRecord {
-    /// Written since it was filled.
-    pub const DIRTY: u8 = 1;
-    /// Brought in by a prefetch and not yet demanded.
-    pub const PREFETCHED: u8 = 2;
-    /// Hit at least once while resident (SHiP training input).
-    pub const REUSED: u8 = 4;
-    /// Every flag bit a record may hold.
-    pub const FLAGS: u8 = Self::DIRTY | Self::PREFETCHED | Self::REUSED;
-
-    /// True if every bit of `flag` is set.
-    #[must_use]
-    pub fn has(self, flag: u8) -> bool {
-        self.flags & flag == flag
+impl SetWord {
+    /// Checks that this word can be the state of a set whose tags are
+    /// `tags` (one per way) under `kind`: no mask bit at or above
+    /// `tags.len()`, a well-formed replacement field, a valid mask that is
+    /// the set of valid tags, and flags on valid ways only. Snapshot decoding
+    /// calls it on every set of an image.
+    ///
+    /// # Errors
+    ///
+    /// Returns what is wrong with the word.
+    pub fn check(&self, kind: ReplacementKind, tags: &[u64]) -> Result<(), String> {
+        let ways = tags.len();
+        if !(1..=MAX_WAYS).contains(&ways) {
+            return Err(format!("{ways} ways per set is outside 1..={MAX_WAYS}"));
+        }
+        let flags = self.dirty | self.prefetched | self.reused;
+        let tagged = (0..ways).filter(|&w| tags[w] != TAG_INVALID).fold(0, |m, w| m | 1 << w);
+        if (self.valid | flags) & !way_mask(ways) != 0 {
+            Err(format!("set-word mask bits at or above way {ways}"))
+        } else if !kind.field_fits(self.repl, ways) {
+            Err(format!("malformed {} field {:#x} for {ways} ways", kind.name(), self.repl))
+        } else if self.valid != tagged {
+            Err(format!("set-word valid mask {:#06x} disagrees with the tags", self.valid))
+        } else if flags & !self.valid != 0 {
+            Err(format!("set word flags an invalid way (valid mask {:#06x})", self.valid))
+        } else {
+            Ok(())
+        }
     }
+}
+
+/// The mask with one bit per way of a `ways`-way set.
+pub(crate) fn way_mask(ways: usize) -> u16 {
+    u16::MAX >> (MAX_WAYS - ways)
 }
 
 /// A line removed from the cache by an eviction.
@@ -50,28 +82,34 @@ pub struct EvictedLine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::TAG_INVALID;
-    use crate::{CacheConfig, ReplacementKind, SetAssocCache};
+    use crate::{CacheConfig, Replacement, SetAssocCache};
 
-    fn cache() -> SetAssocCache {
-        SetAssocCache::new(CacheConfig::new(1024, 4, 64), ReplacementKind::Lru)
+    fn cache(kind: ReplacementKind) -> SetAssocCache {
+        SetAssocCache::new(CacheConfig::new(1024, 4, 64), kind)
     }
 
     #[test]
     fn empty_line_is_invalid() {
-        let state = cache().export_state();
+        let state = cache(ReplacementKind::Lru).export_state();
         assert!(state.tags.iter().all(|&t| t == TAG_INVALID));
-        assert!(state.records.iter().all(|r| !r.has(WayRecord::DIRTY)));
+        assert!(state.words.iter().all(|w| w.valid == 0 && w.dirty == 0));
     }
 
     #[test]
     fn filled_line_carries_state() {
-        let mut c = cache();
+        let mut c = cache(ReplacementKind::Ship);
         c.fill(0x40, true, 7);
-        let idx = c.set_of(0x40) * c.ways() + c.probe(0x40).unwrap();
+        let (set, way) = (c.set_of(0x40), c.probe(0x40).unwrap());
         let state = c.export_state();
-        assert_eq!(state.tags[idx], 0x40);
-        assert!(state.records[idx].has(WayRecord::DIRTY));
-        assert_eq!(state.records[idx].signature, 7);
+        assert_eq!(state.tags[set * c.ways() + way], 0x40);
+        let word = state.words[set];
+        assert_eq!(
+            (word.valid, word.dirty, word.prefetched, word.reused),
+            (1 << way, 1 << way, 0, 0)
+        );
+        let Replacement::Ship { signatures, .. } = &state.replacement else {
+            panic!("SHiP state expected");
+        };
+        assert_eq!(signatures[set * c.ways() + way], 7);
     }
 }

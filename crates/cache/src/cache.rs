@@ -16,13 +16,14 @@
 //!   proactive write-backs. The eviction order is only the order those
 //!   policies scan, never a second victim rule.
 //!
-//! State is two arrays indexed by `set * ways + way`: the dense tag array
-//! (`TAG_INVALID` marks an invalid way) and one 8-byte [`WayRecord`] per
-//! way holding the flags and the replacement metadata.
+//! State is the dense tag array, indexed by `set * ways + way`
+//! (`TAG_INVALID` marks an invalid way), and one 16-byte [`SetWord`] per set
+//! holding the replacement field and the valid, dirty, prefetched and reused
+//! masks.
 
 use std::cell::Cell;
 
-use crate::block::{EvictedLine, WayRecord};
+use crate::block::{way_mask, EvictedLine, SetWord, MAX_WAYS};
 use crate::replacement::{Replacement, ReplacementKind};
 use crate::stats::CacheStats;
 
@@ -42,9 +43,12 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry does not describe a power-of-two number of sets.
+    /// Panics if the associativity is outside `1..=16` (a set word holds one
+    /// bit per way), or the geometry does not describe a power-of-two number
+    /// of sets.
     #[must_use]
     pub fn new(size_bytes: usize, ways: usize, line_bytes: usize) -> Self {
+        assert!((1..=MAX_WAYS).contains(&ways), "associativity must be 1..={MAX_WAYS}");
         let cfg = Self { size_bytes, ways, line_bytes };
         assert!(cfg.sets().is_power_of_two(), "number of sets must be a power of two");
         assert!(line_bytes.is_power_of_two(), "line size must be a power of two");
@@ -59,7 +63,7 @@ impl CacheConfig {
 }
 
 /// Plain-data image of a cache's semantic state (snapshot support), held
-/// exactly as the cache holds it: the tag array, the way records, the
+/// exactly as the cache holds it: the tag array, the set words, the
 /// replacement policy's per-cache state and the statistics counters. A
 /// restored cache is field-for-field identical to the captured one.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,10 +71,10 @@ pub struct CacheState {
     /// Line address per way, set-major (`sets * ways` entries); all ones
     /// (`u64::MAX`) marks an invalid way.
     pub tags: Vec<u64>,
-    /// Flags and replacement metadata per way, aligned with `tags`.
-    pub records: Vec<WayRecord>,
-    /// The replacement policy's per-cache state: the LRU clock or the SHiP
-    /// table.
+    /// Replacement field and line flags per set.
+    pub words: Vec<SetWord>,
+    /// The replacement policy's per-cache state: SHiP's counter table and
+    /// fill signatures, nothing for LRU and SRRIP.
     pub replacement: Replacement,
     /// Statistics counters.
     pub stats: CacheStats,
@@ -100,8 +104,8 @@ pub struct SetAssocCache {
     /// Line address per way (`TAG_INVALID` for invalid ways): the lookup
     /// hot path scans 8 contiguous bytes per way.
     tags: Vec<u64>,
-    /// Flags and replacement metadata per way, aligned with `tags`.
-    records: Vec<WayRecord>,
+    /// Replacement field and line flags per set.
+    words: Vec<SetWord>,
     replacement: Replacement,
     stats: CacheStats,
     /// Tag-array set scans performed (perf counter; probes take `&self`,
@@ -116,14 +120,16 @@ impl SetAssocCache {
     #[must_use]
     pub fn new(config: CacheConfig, replacement: ReplacementKind) -> Self {
         let sets = config.sets();
+        let replacement = Replacement::new(replacement, sets * config.ways);
+        let word = SetWord { repl: replacement.empty_field(config.ways), ..SetWord::default() };
         Self {
             config,
             sets,
             line_shift: config.line_bytes.trailing_zeros(),
             set_mask: (sets as u64) - 1,
             tags: vec![TAG_INVALID; sets * config.ways],
-            records: vec![Replacement::empty_record(); sets * config.ways],
-            replacement: Replacement::new(replacement),
+            words: vec![word; sets],
+            replacement,
             stats: CacheStats::default(),
             set_scans: Cell::new(0),
         }
@@ -158,7 +164,7 @@ impl SetAssocCache {
     pub fn export_state(&self) -> CacheState {
         CacheState {
             tags: self.tags.clone(),
-            records: self.records.clone(),
+            words: self.words.clone(),
             replacement: self.replacement.clone(),
             stats: self.stats,
         }
@@ -172,11 +178,10 @@ impl SetAssocCache {
     /// this cache — restores are gated by snapshot digests, so a mismatch is
     /// a programming error.
     pub fn import_state(&mut self, state: &CacheState) {
-        let ways = self.sets * self.config.ways;
-        assert_eq!(state.tags.len(), ways, "cache geometry mismatch");
-        assert_eq!(state.records.len(), ways, "cache geometry mismatch");
+        assert_eq!(state.tags.len(), self.sets * self.config.ways, "cache geometry mismatch");
+        assert_eq!(state.words.len(), self.sets, "cache geometry mismatch");
         self.tags.copy_from_slice(&state.tags);
-        self.records.copy_from_slice(&state.records);
+        self.words.copy_from_slice(&state.words);
         self.replacement.import_state(&state.replacement);
         self.stats = state.stats;
     }
@@ -211,22 +216,20 @@ impl SetAssocCache {
     /// True if `way` of `set` holds a valid line.
     #[must_use]
     pub fn is_valid(&self, set: usize, way: usize) -> bool {
-        self.tags[set * self.config.ways + way] != TAG_INVALID
+        self.words[set].valid & 1 << way != 0
     }
 
     /// The line address held by `way` of `set` if that line is valid and
     /// dirty — the lines a writeback policy may clean or prefer to evict.
     #[must_use]
     pub fn dirty_addr(&self, set: usize, way: usize) -> Option<u64> {
-        let idx = set * self.config.ways + way;
-        let tag = self.tags[idx];
-        (tag != TAG_INVALID && self.records[idx].has(WayRecord::DIRTY)).then_some(tag)
+        (self.words[set].dirty & 1 << way != 0).then(|| self.tags[set * self.config.ways + way])
     }
 
-    /// The first invalid way of `set`, if any.
+    /// The lowest invalid way of `set`, if any.
     fn invalid_way(&self, set: usize) -> Option<usize> {
-        let base = set * self.config.ways;
-        self.tags[base..base + self.config.ways].iter().position(|&t| t == TAG_INVALID)
+        let free = !self.words[set].valid & way_mask(self.config.ways);
+        (free != 0).then(|| free.trailing_zeros() as usize)
     }
 
     /// Demand access: on a hit, recency state is updated, the dirty bit is set
@@ -247,17 +250,19 @@ impl SetAssocCache {
         } else {
             self.stats.load_hits += 1;
         }
-        let idx = self.set_of(addr) * self.config.ways + way;
-        let record = &mut self.records[idx];
+        let set = self.set_of(addr);
+        let bit = 1 << way;
+        let word = &mut self.words[set];
         if is_write {
-            record.flags |= WayRecord::DIRTY;
+            word.dirty |= bit;
         }
-        if record.has(WayRecord::PREFETCHED) {
-            record.flags &= !WayRecord::PREFETCHED;
+        if word.prefetched & bit != 0 {
+            word.prefetched &= !bit;
             self.stats.prefetch_useful += 1;
         }
-        record.flags |= WayRecord::REUSED;
-        self.replacement.on_hit(&mut self.records, self.config.ways, idx);
+        word.reused |= bit;
+        let ways = self.config.ways;
+        self.replacement.on_hit(&mut word.repl, ways, way, set * ways + way);
         true
     }
 
@@ -276,8 +281,8 @@ impl SetAssocCache {
     pub fn writeback_access(&mut self, addr: u64) -> bool {
         self.stats.writeback_accesses += 1;
         if let Some(way) = self.probe(addr) {
-            let idx = self.set_of(addr) * self.config.ways + way;
-            self.records[idx].flags |= WayRecord::DIRTY;
+            let set = self.set_of(addr);
+            self.words[set].dirty |= 1 << way;
             // Write-backs do not update the replacement state: they are not
             // demand references (matches ChampSim's default behaviour).
             true
@@ -295,8 +300,7 @@ impl SetAssocCache {
         if let Some(way) = self.invalid_way(set) {
             return way;
         }
-        let base = set * self.config.ways;
-        self.replacement.victim(&mut self.records[base..base + self.config.ways])
+        self.replacement.victim(&mut self.words[set].repl, self.config.ways)
     }
 
     /// Fills `addr` into the set, evicting the policy victim if needed.
@@ -311,45 +315,43 @@ impl SetAssocCache {
     /// Fills a line brought in by a prefetch.
     pub fn fill_prefetch(&mut self, addr: u64, signature: u16) -> FillResult {
         let result = self.fill(addr, false, signature);
-        let idx = self.set_of(addr) * self.config.ways + result.way;
-        self.records[idx].flags |= WayRecord::PREFETCHED;
+        let set = self.set_of(addr);
+        self.words[set].prefetched |= 1 << result.way;
         self.stats.prefetch_fills += 1;
         result
     }
 
     /// Ways of `set` ordered most-evictable first according to the
-    /// replacement policy (LRU→MRU, or highest→lowest RRPV). This is the
-    /// order BARD and Eager Writeback scan for low-cost dirty lines, not a
-    /// victim rule: [`victim_way`](Self::victim_way) chooses the victim. In a
-    /// full set the first way is the one `victim_way` picks, but reading the
-    /// order never ages an RRIP set.
-    #[must_use]
-    pub fn eviction_order(&self, set: usize) -> Vec<usize> {
-        let mut order = Vec::with_capacity(self.config.ways);
-        self.eviction_order_into(set, &mut order);
-        order
-    }
-
-    /// [`SetAssocCache::eviction_order`] into a caller-owned buffer
-    /// (cleared first), avoiding the per-call allocation on hot paths.
-    pub fn eviction_order_into(&self, set: usize, out: &mut Vec<usize>) {
-        let base = set * self.config.ways;
-        self.replacement.eviction_order(&self.records[base..base + self.config.ways], out);
+    /// replacement policy (LRU→MRU, or highest→lowest RRPV), read from the
+    /// set word without sorting: the LRU field already is this order, and an
+    /// RRIP field is packed into the same 4-bit-per-way form; the iterator
+    /// unpacks one way per step. This is the order BARD and Eager Writeback
+    /// scan for low-cost dirty lines, not a victim rule:
+    /// [`victim_way`](Self::victim_way) chooses the victim. In a full set the
+    /// first way is the one `victim_way` picks, but reading the order never
+    /// ages an RRIP set.
+    pub fn eviction_order(&self, set: usize) -> impl Iterator<Item = usize> {
+        let order = self.replacement.eviction_order(self.words[set].repl, self.config.ways);
+        (0..self.config.ways).map(move |rank| ((order >> (4 * rank)) & 0xf) as usize)
     }
 
     /// Removes the line in `way` of `set`. Returns the evicted line if it was
-    /// valid.
+    /// valid. The way keeps its place in the replacement field.
     pub fn evict(&mut self, set: usize, way: usize) -> Option<EvictedLine> {
         let idx = set * self.config.ways + way;
         let addr = self.tags[idx];
         if addr == TAG_INVALID {
             return None;
         }
-        let record = self.records[idx];
-        self.replacement.on_evict(record);
+        let bit = 1 << way;
+        let word = &mut self.words[set];
+        let dirty = word.dirty & bit != 0;
+        self.replacement.on_evict(idx, word.reused & bit != 0);
         self.tags[idx] = TAG_INVALID;
-        self.records[idx].flags = 0;
-        let dirty = record.has(WayRecord::DIRTY);
+        word.valid &= !bit;
+        word.dirty &= !bit;
+        word.prefetched &= !bit;
+        word.reused &= !bit;
         if dirty {
             self.stats.dirty_evictions += 1;
         } else {
@@ -364,42 +366,39 @@ impl SetAssocCache {
     /// write-back to the next level.
     pub fn cleanse(&mut self, set: usize, way: usize) -> Option<u64> {
         let addr = self.dirty_addr(set, way)?;
-        self.records[set * self.config.ways + way].flags &= !WayRecord::DIRTY;
+        self.words[set].dirty &= !(1 << way);
         self.stats.cleanses += 1;
         Some(addr)
     }
 
     /// Installs `addr` into a specific way (which must have been emptied by
-    /// [`evict`](Self::evict) or be invalid).
+    /// [`evict`](Self::evict) or be invalid, so its flags are clear).
     ///
     /// # Panics
     ///
     /// Panics in debug builds if the target way still holds a valid line.
     pub fn fill_at(&mut self, set: usize, way: usize, addr: u64, dirty: bool, signature: u16) {
-        let idx = set * self.config.ways + way;
+        let ways = self.config.ways;
+        let idx = set * ways + way;
         debug_assert_eq!(self.tags[idx], TAG_INVALID, "fill_at target must be empty");
         self.tags[idx] = self.line_addr(addr);
-        let record = &mut self.records[idx];
-        record.flags = u8::from(dirty) * WayRecord::DIRTY;
-        record.signature = signature;
+        let word = &mut self.words[set];
+        word.valid |= 1 << way;
+        word.dirty |= u16::from(dirty) << way;
         self.stats.fills += 1;
-        self.replacement.on_insert(&mut self.records, self.config.ways, idx);
+        self.replacement.on_insert(&mut word.repl, ways, way, idx, signature);
     }
 
     /// Number of valid lines currently resident (test / debug helper).
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != TAG_INVALID).count()
+        self.words.iter().map(|w| w.valid.count_ones() as usize).sum()
     }
 
     /// Number of dirty lines currently resident.
     #[must_use]
     pub fn dirty_count(&self) -> usize {
-        self.tags
-            .iter()
-            .zip(&self.records)
-            .filter(|&(&t, r)| t != TAG_INVALID && r.has(WayRecord::DIRTY))
-            .count()
+        self.words.iter().map(|w| w.dirty.count_ones() as usize).sum()
     }
 }
 
@@ -433,13 +432,13 @@ mod tests {
             }
             // And future decisions must coincide.
             for set in 0..4 {
-                assert_eq!(warmed.eviction_order(set), restored.eviction_order(set));
+                assert!(warmed.eviction_order(set).eq(restored.eviction_order(set)));
             }
         }
     }
 
     /// Evicted ways export as invalid tags with clear flags, but keep the
-    /// replacement metadata (stamp, RRPV, SHiP signature) they held.
+    /// replacement metadata (RRPV, SHiP signature) they held.
     #[test]
     fn eviction_keeps_replacement_metadata_but_clears_the_line() {
         let mut c = SetAssocCache::new(CacheConfig::new(1024, 4, 64), ReplacementKind::Ship);
@@ -451,9 +450,12 @@ mod tests {
         let state = c.export_state();
         let idx = set * 4 + way;
         assert_eq!(state.tags[idx], TAG_INVALID);
-        let record = state.records[idx];
-        assert_eq!(record.flags, 0);
-        assert_eq!((record.rrpv, record.signature), (0, 42));
+        let word = state.words[set];
+        assert_eq!(word.valid | word.dirty | word.prefetched | word.reused, 0);
+        let Replacement::Ship { signatures, .. } = &state.replacement else {
+            panic!("SHiP state expected");
+        };
+        assert_eq!(((word.repl >> (2 * way)) & 3, signatures[idx]), (0, 42));
     }
 
     #[test]
@@ -552,9 +554,7 @@ mod tests {
         let mut c = small_cache();
         c.fill_prefetch(0x6000, 0);
         assert_eq!(c.stats().prefetch_fills, 1);
-        let prefetched = |c: &SetAssocCache| {
-            c.export_state().records.iter().any(|r| r.has(WayRecord::PREFETCHED))
-        };
+        let prefetched = |c: &SetAssocCache| c.words.iter().any(|w| w.prefetched != 0);
         assert!(prefetched(&c));
         assert!(c.touch(0x6000, 0, false));
         assert_eq!(c.stats().prefetch_useful, 1);
@@ -570,7 +570,7 @@ mod tests {
         }
         c.touch(addrs[2], 0, false);
         let set = c.set_of(addrs[0]);
-        let order = c.eviction_order(set);
+        let order: Vec<usize> = c.eviction_order(set).collect();
         let victim = c.victim_way(addrs[0]);
         assert_eq!(order[0], victim);
         assert_eq!(order.len(), 4);
@@ -604,107 +604,295 @@ mod tests {
         assert!(c.occupancy() <= 16);
     }
 
-    /// Reference LRU with unbounded `u64` stamps: the model the `u32` stamps
-    /// plus renormalization must match.
-    struct ReferenceLru {
-        ways: usize,
-        tags: Vec<Option<u64>>,
-        stamp: u64,
-        last_use: Vec<u64>,
+    #[test]
+    #[should_panic(expected = "associativity must be 1..=16")]
+    fn config_rejects_zero_ways() {
+        let _ = CacheConfig::new(1024, 0, 64);
     }
 
-    impl ReferenceLru {
-        fn from_state(state: &CacheState, ways: usize) -> Self {
-            let Replacement::Lru { clock } = state.replacement else {
-                panic!("LRU state expected");
-            };
+    #[test]
+    #[should_panic(expected = "associativity must be 1..=16")]
+    fn config_rejects_more_than_sixteen_ways() {
+        let _ = CacheConfig::new(17 * 64 * 4, 17, 64);
+    }
+
+    /// The per-way model the set words replaced, kept as the lockstep
+    /// reference: per way an LRU stamp from an unbounded `u64` clock (ties
+    /// go to the lower way), an RRPV, a fill signature and the dirty,
+    /// prefetched and reused flags, plus SHiP's counter table.
+    struct Reference {
+        kind: ReplacementKind,
+        ways: usize,
+        tags: Vec<Option<u64>>,
+        stamp: Vec<u64>,
+        rrpv: Vec<u8>,
+        signature: Vec<u16>,
+        dirty: Vec<bool>,
+        prefetched: Vec<bool>,
+        reused: Vec<bool>,
+        clock: u64,
+        shct: Vec<u8>,
+        stats: CacheStats,
+    }
+
+    impl Reference {
+        fn new(kind: ReplacementKind, sets: usize, ways: usize) -> Self {
+            let lines = sets * ways;
             Self {
+                kind,
                 ways,
-                tags: state.tags.iter().map(|&t| (t != TAG_INVALID).then_some(t)).collect(),
-                stamp: u64::from(clock),
-                last_use: state.records.iter().map(|r| u64::from(r.stamp)).collect(),
+                tags: vec![None; lines],
+                stamp: vec![0; lines],
+                rrpv: vec![3; lines],
+                signature: vec![0; lines],
+                dirty: vec![false; lines],
+                prefetched: vec![false; lines],
+                reused: vec![false; lines],
+                clock: 0,
+                shct: vec![1; 16 * 1024],
+                stats: CacheStats::default(),
             }
         }
 
         fn set_of(&self, addr: u64) -> usize {
-            ((addr >> 6) as usize) & (self.tags.len() / self.ways - 1)
+            (addr >> 6) as usize % (self.tags.len() / self.ways)
+        }
+
+        fn find(&self, addr: u64) -> Option<usize> {
+            let base = self.set_of(addr) * self.ways;
+            (0..self.ways).find(|&w| self.tags[base + w] == Some(addr & !63))
+        }
+
+        fn counter(&mut self, line: usize) -> &mut u8 {
+            &mut self.shct[self.signature[line] as usize % (16 * 1024)]
+        }
+
+        fn touch(&mut self, addr: u64, is_write: bool) -> bool {
+            if is_write {
+                self.stats.stores += 1;
+            } else {
+                self.stats.loads += 1;
+            }
+            let Some(way) = self.find(addr) else { return false };
+            if is_write {
+                self.stats.stores_hits += 1;
+            } else {
+                self.stats.load_hits += 1;
+            }
+            let line = self.set_of(addr) * self.ways + way;
+            self.dirty[line] |= is_write;
+            if self.prefetched[line] {
+                self.prefetched[line] = false;
+                self.stats.prefetch_useful += 1;
+            }
+            self.reused[line] = true;
+            match self.kind {
+                ReplacementKind::Lru => {
+                    self.clock += 1;
+                    self.stamp[line] = self.clock;
+                }
+                ReplacementKind::Srrip => self.rrpv[line] = 0,
+                ReplacementKind::Ship => {
+                    self.rrpv[line] = 0;
+                    let counter = self.counter(line);
+                    *counter = (*counter + 1).min(7);
+                }
+            }
+            true
+        }
+
+        fn writeback_access(&mut self, addr: u64) -> bool {
+            self.stats.writeback_accesses += 1;
+            let Some(way) = self.find(addr) else { return false };
+            let line = self.set_of(addr) * self.ways + way;
+            self.dirty[line] = true;
+            true
         }
 
         fn order(&self, set: usize) -> Vec<usize> {
+            let base = set * self.ways;
             let mut order: Vec<usize> = (0..self.ways).collect();
-            order.sort_by_key(|&w| (self.last_use[set * self.ways + w], w));
+            match self.kind {
+                ReplacementKind::Lru => order.sort_by_key(|&w| (self.stamp[base + w], w)),
+                _ => order.sort_by_key(|&w| (std::cmp::Reverse(self.rrpv[base + w]), w)),
+            }
             order
         }
 
-        fn victim(&self, addr: u64) -> usize {
+        fn victim_way(&mut self, addr: u64) -> usize {
             let set = self.set_of(addr);
             let base = set * self.ways;
-            (0..self.ways)
-                .find(|&w| self.tags[base + w].is_none())
-                .unwrap_or_else(|| self.order(set)[0])
-        }
-
-        fn touch(&mut self, idx: usize) {
-            self.stamp += 1;
-            self.last_use[idx] = self.stamp;
-        }
-
-        /// Demand access; returns the hit flag.
-        fn access(&mut self, addr: u64) -> bool {
-            let base = self.set_of(addr) * self.ways;
-            if let Some(way) = (0..self.ways).find(|&w| self.tags[base + w] == Some(addr)) {
-                self.touch(base + way);
-                return true;
+            if let Some(way) = (0..self.ways).find(|&w| self.tags[base + w].is_none()) {
+                return way;
             }
-            let way = self.victim(addr);
-            self.tags[base + way] = Some(addr);
-            self.touch(base + way);
-            false
+            if self.kind == ReplacementKind::Lru {
+                return self.order(set)[0];
+            }
+            loop {
+                if let Some(way) = (0..self.ways).find(|&w| self.rrpv[base + w] == 3) {
+                    return way;
+                }
+                for rrpv in &mut self.rrpv[base..base + self.ways] {
+                    *rrpv += 1;
+                }
+            }
+        }
+
+        fn evict(&mut self, set: usize, way: usize) -> Option<EvictedLine> {
+            let line = set * self.ways + way;
+            let addr = self.tags[line]?;
+            if self.kind == ReplacementKind::Ship && !self.reused[line] {
+                let counter = self.counter(line);
+                *counter = counter.saturating_sub(1);
+            }
+            let dirty = self.dirty[line];
+            self.tags[line] = None;
+            (self.dirty[line], self.prefetched[line], self.reused[line]) = (false, false, false);
+            if dirty {
+                self.stats.dirty_evictions += 1;
+            } else {
+                self.stats.clean_evictions += 1;
+            }
+            Some(EvictedLine { addr, dirty })
+        }
+
+        fn fill(&mut self, addr: u64, dirty: bool, signature: u16) -> FillResult {
+            let way = self.victim_way(addr);
+            let set = self.set_of(addr);
+            let evicted = self.evict(set, way);
+            let line = set * self.ways + way;
+            self.tags[line] = Some(addr & !63);
+            self.dirty[line] = dirty;
+            self.signature[line] = signature;
+            self.stats.fills += 1;
+            match self.kind {
+                ReplacementKind::Lru => {
+                    self.clock += 1;
+                    self.stamp[line] = self.clock;
+                }
+                ReplacementKind::Srrip => self.rrpv[line] = 2,
+                ReplacementKind::Ship => {
+                    self.rrpv[line] = if *self.counter(line) == 0 { 3 } else { 2 };
+                }
+            }
+            FillResult { way, evicted }
+        }
+
+        fn fill_prefetch(&mut self, addr: u64, signature: u16) -> FillResult {
+            let result = self.fill(addr, false, signature);
+            let line = self.set_of(addr) * self.ways + result.way;
+            self.prefetched[line] = true;
+            self.stats.prefetch_fills += 1;
+            result
+        }
+
+        fn dirty_addr(&self, set: usize, way: usize) -> Option<u64> {
+            let line = set * self.ways + way;
+            self.tags[line].filter(|_| self.dirty[line])
+        }
+
+        fn cleanse(&mut self, set: usize, way: usize) -> Option<u64> {
+            let addr = self.dirty_addr(set, way)?;
+            self.dirty[set * self.ways + way] = false;
+            self.stats.cleanses += 1;
+            Some(addr)
         }
     }
 
-    /// Imports LRU state whose clock sits three touches below `u32::MAX`
-    /// (untouched ways keep stamp 0), then drives hits and fills across the
-    /// stamp wrap and checks every decision against the `u64` reference.
+    /// Drives the cache and the per-way `Reference` with one random stream
+    /// of every operation — demand loads and stores, fills, prefetch fills,
+    /// write-backs, cleanses, evictions with no refill, victim choices and
+    /// eviction orders — at 4, 8, 12 and 16 ways under every policy, with an
+    /// export/import round trip halfway. After every operation its answer,
+    /// the statistics, and the eviction order and dirty lines of its set
+    /// must agree. `BARD_PARITY=full` makes the stream longer.
     #[test]
-    fn lru_stamp_wrap_keeps_decisions_exact() {
-        let geometry = CacheConfig::new(1024, 4, 64);
-        let mut donor = SetAssocCache::new(geometry, ReplacementKind::Lru);
-        // Partially fill so some ways stay untouched (stamp 0), which
-        // exercises the lowest-way-first tie-break across the wrap.
-        for i in 0..11u64 {
-            donor.fill(i * 64 * 3, false, 0);
-        }
-        let mut state = donor.export_state();
-        let Replacement::Lru { clock } = &mut state.replacement else {
-            panic!("LRU state expected");
-        };
-        let shift = u32::MAX - 3 - *clock;
-        *clock += shift;
-        for record in state.records.iter_mut().filter(|r| r.stamp != 0) {
-            record.stamp += shift;
-        }
-        let mut cache = SetAssocCache::new(geometry, ReplacementKind::Lru);
-        cache.import_state(&state);
-        let mut reference = ReferenceLru::from_state(&state, geometry.ways);
-
-        let mut x = 0x2545_f491_4f6c_dd1du64;
-        for step in 0..2_000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let addr = (x % 24) * 64;
-            let set = cache.set_of(addr);
-            assert_eq!(cache.victim_way(addr), reference.victim(addr), "victim, step {step}");
-            assert_eq!(cache.eviction_order(set), reference.order(set), "order, step {step}");
-            let hit = cache.touch(addr, 0, false);
-            if !hit {
-                cache.fill(addr, false, 0);
+    fn set_words_match_the_per_way_reference_in_lockstep() {
+        const SETS: usize = 4;
+        let full = std::env::var("BARD_PARITY").is_ok_and(|v| v == "full");
+        let steps = if full { 400_000 } else { 20_000 };
+        for ways in [4, 8, 12, 16] {
+            for (k, kind) in [ReplacementKind::Lru, ReplacementKind::Srrip, ReplacementKind::Ship]
+                .into_iter()
+                .enumerate()
+            {
+                let config = CacheConfig::new(SETS * ways * 64, ways, 64);
+                let mut cache = SetAssocCache::new(config, kind);
+                let mut reference = Reference::new(kind, SETS, ways);
+                let lines = 2 * (SETS * ways) as u64;
+                let mut x = 0x2545_f491_4f6c_dd1d ^ ((ways * 3 + k) as u64) << 40;
+                for step in 0..steps {
+                    if step == steps / 2 {
+                        let state = cache.export_state();
+                        cache = SetAssocCache::new(config, kind);
+                        cache.import_state(&state);
+                        assert_eq!(cache.export_state(), state);
+                    }
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let addr = (x % lines) * 64 + (x >> 58);
+                    let (set, way) = (cache.set_of(addr), (x >> 20) as usize % ways);
+                    let (write, signature) = ((x >> 33) & 1 == 1, (x >> 44) as u16 % 6);
+                    let at = || format!("{} {ways}-way, step {step}", kind.name());
+                    let absent = cache.probe(addr).is_none();
+                    match (x >> 8) % 16 {
+                        0..=5 => {
+                            let hit = cache.touch(addr, signature, write);
+                            assert_eq!(hit, reference.touch(addr, write), "{}: touch", at());
+                        }
+                        6..=8 if absent => assert_eq!(
+                            cache.fill(addr, write, signature),
+                            reference.fill(addr, write, signature),
+                            "{}: fill",
+                            at()
+                        ),
+                        9 if absent => assert_eq!(
+                            cache.fill_prefetch(addr, signature),
+                            reference.fill_prefetch(addr, signature),
+                            "{}: prefetch fill",
+                            at()
+                        ),
+                        10 | 11 => assert_eq!(
+                            cache.writeback_access(addr),
+                            reference.writeback_access(addr),
+                            "{}: write-back",
+                            at()
+                        ),
+                        12 => assert_eq!(
+                            cache.cleanse(set, way),
+                            reference.cleanse(set, way),
+                            "{}: cleanse",
+                            at()
+                        ),
+                        13 => {
+                            assert_eq!(
+                                cache.evict(set, way),
+                                reference.evict(set, way),
+                                "{}: evict",
+                                at()
+                            );
+                        }
+                        14 => assert_eq!(
+                            cache.victim_way(addr),
+                            reference.victim_way(addr),
+                            "{}: victim",
+                            at()
+                        ),
+                        _ => {}
+                    }
+                    assert_eq!(cache.stats(), &reference.stats, "{}: stats", at());
+                    let order: Vec<usize> = cache.eviction_order(set).collect();
+                    assert_eq!(order, reference.order(set), "{}: order", at());
+                    for w in 0..ways {
+                        let dirty = reference.dirty_addr(set, w);
+                        assert_eq!(cache.dirty_addr(set, w), dirty, "{}: dirty way {w}", at());
+                    }
+                }
+                if let Replacement::Ship { shct, .. } = &cache.replacement {
+                    assert!(shct == &reference.shct, "{} {ways}-way: SHCT", kind.name());
+                }
             }
-            assert_eq!(hit, reference.access(addr), "hit, step {step}");
-        }
-        for set in 0..cache.sets() {
-            assert_eq!(cache.eviction_order(set), reference.order(set));
         }
     }
 }

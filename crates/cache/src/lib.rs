@@ -9,10 +9,13 @@
 //!   explicit *primitives* (probe / evict / cleanse / fill-at-way) so that
 //!   higher-level writeback policies — BARD-E/C/H, Eager Writeback, Virtual
 //!   Write Queue — can be layered on top without the cache knowing about
-//!   DRAM geometry,
+//!   DRAM geometry. It keeps a tag per way and one 16-byte [`SetWord`] per
+//!   set (up to [`MAX_WAYS`] ways): the replacement field plus the valid,
+//!   dirty, prefetched and reused masks,
 //! * replacement policies ([`ReplacementKind`]): true LRU, SRRIP (2-bit
 //!   RRPV) and SHiP (signature-based hit prediction), all exposing the
-//!   *eviction order* BARD scans (LRU→MRU, or highest→lowest RRPV),
+//!   *eviction order* BARD scans (LRU→MRU, or highest→lowest RRPV), which
+//!   they decode from the set word's replacement field,
 //! * a [`MshrFile`] for tracking outstanding misses with request merging,
 //! * simple prefetchers (IP-stride and next-line) standing in for the
 //!   paper's Berti and SPP prefetchers,
@@ -40,7 +43,7 @@ pub mod prefetch;
 pub mod replacement;
 pub mod stats;
 
-pub use block::{EvictedLine, WayRecord};
+pub use block::{EvictedLine, SetWord, MAX_WAYS};
 pub use cache::{CacheConfig, CacheState, FillResult, SetAssocCache};
 pub use mshr::{MshrEntryState, MshrError, MshrFile, MshrState};
 pub use prefetch::{

@@ -6,12 +6,13 @@
 //! looking for a low-cost dirty line — LRU→MRU for LRU, and highest→lowest
 //! RRPV for the RRIP-based policies.
 //!
-//! Per-way policy state (the LRU stamp, the RRPV and SHiP's fill signature)
-//! lives in the cache's `WayRecord`s; `Replacement` holds only what is
-//! per cache — the LRU touch counter and SHiP's signature history counter
-//! table — and acts on the records it is handed.
+//! Per-set policy state is the replacement field of the cache's
+//! [`SetWord`](crate::SetWord)s: the set's LRU order, or one 2-bit RRPV per
+//! way. `Replacement` holds only what is per cache — SHiP's signature
+//! history counter table and each way's fill signature — and acts on the
+//! fields it is handed.
 
-use crate::block::WayRecord;
+use crate::block::MAX_WAYS;
 
 /// Which replacement policy to instantiate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -35,19 +36,38 @@ impl ReplacementKind {
             Self::Ship => "SHiP",
         }
     }
+
+    /// True if `field` is a well-formed replacement field of a `ways`-way
+    /// set (at most [`MAX_WAYS`]): under LRU, each way once in the low
+    /// nibbles; under RRIP, an RRPV per way; zero above them.
+    pub(crate) fn field_fits(self, field: u64, ways: usize) -> bool {
+        match self {
+            Self::Lru => {
+                let seen =
+                    (0..ways).fold(0u32, |seen, rank| seen | 1 << ((field >> (4 * rank)) & 0xf));
+                seen == (1 << ways) - 1 && (ways == MAX_WAYS || field >> (4 * ways) == 0)
+            }
+            Self::Srrip | Self::Ship => field >> (2 * ways) == 0,
+        }
+    }
 }
 
 /// Maximum re-reference prediction value for a 2-bit RRPV.
-const RRPV_MAX: u8 = 3;
+const RRPV_MAX: u64 = 3;
 /// RRPV assigned on insertion by SRRIP ("long" re-reference interval).
-const RRPV_INSERT: u8 = 2;
+const RRPV_INSERT: u64 = 2;
+/// The low bit of every 2-bit RRPV slot.
+const RRPV_LOW: u64 = 0x5555_5555_5555_5555;
+/// The low bit of every 4-bit LRU slot.
+const NIBBLE_LOW: u64 = 0x1111_1111_1111_1111;
 /// Number of entries in the SHiP signature history counter table.
 const SHCT_ENTRIES: usize = 16 * 1024;
 /// Saturating counter maximum for the SHCT.
 const SHCT_MAX: u8 = 7;
 
 /// A cache's replacement policy: the per-cache state of one
-/// [`ReplacementKind`], driving decisions over the cache's way records.
+/// [`ReplacementKind`], driving decisions over the replacement fields of
+/// the cache's set words.
 ///
 /// The cache calls `on_hit` / `on_insert` / `on_evict` to keep the state up
 /// to date and `victim` / `eviction_order` to make decisions. Ways holding
@@ -56,14 +76,9 @@ const SHCT_MAX: u8 = 7;
 /// holds it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Replacement {
-    /// True LRU: every touch stamps the way with the next value of `clock`.
-    /// Stamps are `u32`; when `clock` would pass `u32::MAX`, every set's
-    /// stamps are rewritten as their rank (`renormalize`), which keeps every
-    /// within-set comparison and hence every decision exact.
-    Lru {
-        /// Stamp of the most recent touch.
-        clock: u32,
-    },
+    /// True LRU: each set's field lists its ways from least to most
+    /// recently used. A hit or a fill moves the way to the MRU end.
+    Lru,
     /// Static RRIP with 2-bit re-reference prediction values.
     Srrip,
     /// SHiP: signature-based hit prediction on top of RRIP.
@@ -74,108 +89,132 @@ pub enum Replacement {
     Ship {
         /// Signature history counter table.
         shct: Vec<u8>,
+        /// Fill signature per way, set-major like the tag array.
+        signatures: Vec<u16>,
     },
 }
 
 impl Replacement {
-    /// Fresh policy state for `kind`.
-    pub(crate) fn new(kind: ReplacementKind) -> Self {
+    /// Fresh policy state for `kind` in a cache of `lines` ways in all.
+    pub(crate) fn new(kind: ReplacementKind, lines: usize) -> Self {
         match kind {
-            ReplacementKind::Lru => Self::Lru { clock: 0 },
+            ReplacementKind::Lru => Self::Lru,
             ReplacementKind::Srrip => Self::Srrip,
-            ReplacementKind::Ship => Self::Ship { shct: vec![1; SHCT_ENTRIES] },
+            ReplacementKind::Ship => {
+                Self::Ship { shct: vec![1; SHCT_ENTRIES], signatures: vec![0; lines] }
+            }
         }
     }
 
-    /// The way record every way starts from.
-    pub(crate) fn empty_record() -> WayRecord {
-        WayRecord { stamp: 0, signature: 0, rrpv: RRPV_MAX, flags: 0 }
+    /// The replacement field every set of `ways` ways starts from: under
+    /// LRU the ways in order (the lower way is the less recently used),
+    /// under RRIP every way at the maximum RRPV.
+    pub(crate) fn empty_field(&self, ways: usize) -> u64 {
+        match self {
+            Self::Lru => (0..ways as u64).fold(0, |field, w| field | w << (4 * w)),
+            Self::Srrip | Self::Ship { .. } => (1 << (2 * ways)) - 1,
+        }
     }
 
     /// The policy kind.
     #[must_use]
     pub fn kind(&self) -> ReplacementKind {
         match self {
-            Self::Lru { .. } => ReplacementKind::Lru,
+            Self::Lru => ReplacementKind::Lru,
             Self::Srrip => ReplacementKind::Srrip,
             Self::Ship { .. } => ReplacementKind::Ship,
         }
     }
 
-    /// Records a hit on `records[idx]`; `records` is the whole cache
-    /// (`ways` per set), which only the LRU stamp wrap reads.
-    pub(crate) fn on_hit(&mut self, records: &mut [WayRecord], ways: usize, idx: usize) {
+    /// Records a hit on `way` of a `ways`-way set whose field is `field`;
+    /// `line` is the way's index in the whole cache (`set * ways + way`).
+    pub(crate) fn on_hit(&mut self, field: &mut u64, ways: usize, way: usize, line: usize) {
         match self {
-            Self::Lru { clock } => records[idx].stamp = next_stamp(clock, records, ways),
-            Self::Srrip => records[idx].rrpv = 0,
-            Self::Ship { shct } => {
-                records[idx].rrpv = 0;
-                let counter = &mut shct[shct_index(records[idx].signature)];
+            Self::Lru => *field = lru_promote(*field, ways, way),
+            Self::Srrip => set_rrpv(field, way, 0),
+            Self::Ship { shct, signatures } => {
+                set_rrpv(field, way, 0);
+                let counter = &mut shct[shct_index(signatures[line])];
                 *counter = (*counter + 1).min(SHCT_MAX);
             }
         }
     }
 
-    /// Records a fill into `records[idx]`, whose signature the cache has
-    /// already set.
-    pub(crate) fn on_insert(&mut self, records: &mut [WayRecord], ways: usize, idx: usize) {
+    /// Records a fill of `way` (cache index `line`) with `signature`.
+    pub(crate) fn on_insert(
+        &mut self,
+        field: &mut u64,
+        ways: usize,
+        way: usize,
+        line: usize,
+        signature: u16,
+    ) {
         match self {
-            Self::Lru { clock } => records[idx].stamp = next_stamp(clock, records, ways),
-            Self::Srrip => records[idx].rrpv = RRPV_INSERT,
-            Self::Ship { shct } => {
-                let predicted_dead = shct[shct_index(records[idx].signature)] == 0;
-                records[idx].rrpv = if predicted_dead { RRPV_MAX } else { RRPV_INSERT };
+            Self::Lru => *field = lru_promote(*field, ways, way),
+            Self::Srrip => set_rrpv(field, way, RRPV_INSERT),
+            Self::Ship { shct, signatures } => {
+                signatures[line] = signature;
+                let predicted_dead = shct[shct_index(signature)] == 0;
+                set_rrpv(field, way, if predicted_dead { RRPV_MAX } else { RRPV_INSERT });
             }
         }
     }
 
-    /// Records the eviction of the line in `record` (SHiP training: a line
-    /// evicted without reuse weakens its signature).
-    pub(crate) fn on_evict(&mut self, record: WayRecord) {
-        if let Self::Ship { shct } = self {
-            if !record.has(WayRecord::REUSED) {
-                let counter = &mut shct[shct_index(record.signature)];
+    /// Records the eviction of the line at cache index `line` (SHiP
+    /// training: a line evicted without reuse weakens its signature).
+    pub(crate) fn on_evict(&mut self, line: usize, reused: bool) {
+        if let Self::Ship { shct, signatures } = self {
+            if !reused {
+                let counter = &mut shct[shct_index(signatures[line])];
                 *counter = counter.saturating_sub(1);
             }
         }
     }
 
-    /// Chooses the victim among one full set's records (RRIP ages the set
-    /// until some way reaches `RRPV_MAX`).
-    pub(crate) fn victim(&self, set: &mut [WayRecord]) -> usize {
-        match self {
-            Self::Lru { .. } => (0..set.len()).min_by_key(|&w| set[w].stamp).expect("ways > 0"),
-            Self::Srrip | Self::Ship { .. } => loop {
-                if let Some(way) = set.iter().position(|r| r.rrpv == RRPV_MAX) {
-                    return way;
-                }
-                for record in set.iter_mut() {
-                    record.rrpv += 1;
-                }
-            },
+    /// Chooses the victim of one full `ways`-way set: under LRU the lowest
+    /// nibble; under RRIP the lowest way at `RRPV_MAX`, after aging the set
+    /// (one added to every RRPV) until some way reaches it.
+    pub(crate) fn victim(&self, field: &mut u64, ways: usize) -> usize {
+        if let Self::Lru = self {
+            return (*field & 0xf) as usize;
+        }
+        let low = RRPV_LOW & ((1 << (2 * ways)) - 1);
+        loop {
+            let at_max = *field & (*field >> 1) & low;
+            if at_max != 0 {
+                return (at_max.trailing_zeros() / 2) as usize;
+            }
+            *field += low;
         }
     }
 
-    /// Writes all ways of one set into `out` (cleared first), most-evictable
-    /// first: LRU→MRU, or highest→lowest RRPV. Ties go to the lower way.
-    pub(crate) fn eviction_order(&self, set: &[WayRecord], out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(0..set.len());
-        match self {
-            Self::Lru { .. } => out.sort_unstable_by_key(|&w| (set[w].stamp, w)),
-            Self::Srrip | Self::Ship { .. } => {
-                out.sort_unstable_by_key(|&w| (std::cmp::Reverse(set[w].rrpv), w));
+    /// One set's ways, most-evictable first, as 4-bit way numbers from the
+    /// lowest nibble up: LRU→MRU (the LRU field itself), or the ways at
+    /// RRPV 3, then 2, 1 and 0. Ties go to the lower way.
+    pub(crate) fn eviction_order(&self, field: u64, ways: usize) -> u64 {
+        if let Self::Lru = self {
+            return field;
+        }
+        let low = RRPV_LOW & ((1 << (2 * ways)) - 1);
+        let (hi, lo) = ((field >> 1) & low, field & low);
+        let (mut order, mut rank) = (0, 0);
+        for mut at in [hi & lo, hi & !lo, lo & !hi, low & !(hi | lo)] {
+            while at != 0 {
+                order |= u64::from(at.trailing_zeros() / 2) << (4 * rank);
+                rank += 1;
+                at &= at - 1;
             }
         }
+        order
     }
 
     /// Replaces this policy's state with `state` (snapshot restore).
     ///
     /// # Panics
     ///
-    /// Panics when `state` is another policy or holds a SHiP table of
-    /// another size — snapshot digests gate restores, so a mismatch here is
-    /// a programming error, not a recoverable condition.
+    /// Panics when `state` is another policy or holds SHiP tables of other
+    /// sizes — snapshot digests gate restores, so a mismatch here is a
+    /// programming error, not a recoverable condition.
     pub(crate) fn import_state(&mut self, state: &Replacement) {
         assert_eq!(
             self.kind(),
@@ -184,8 +223,11 @@ impl Replacement {
             state.kind().name(),
             self.kind().name()
         );
-        if let (Self::Ship { shct }, Self::Ship { shct: table }) = (&*self, state) {
+        if let (Self::Ship { shct, signatures }, Self::Ship { shct: table, signatures: sigs }) =
+            (&*self, state)
+        {
             assert_eq!(shct.len(), table.len(), "SHCT size mismatch");
+            assert_eq!(signatures.len(), sigs.len(), "cache geometry mismatch");
         }
         self.clone_from(state);
     }
@@ -195,95 +237,71 @@ fn shct_index(signature: u16) -> usize {
     signature as usize % SHCT_ENTRIES
 }
 
-/// Advances the LRU `clock` and returns the new stamp, renormalizing every
-/// set's stamps first when the clock would pass `u32::MAX`.
-#[inline]
-fn next_stamp(clock: &mut u32, records: &mut [WayRecord], ways: usize) -> u32 {
-    if *clock == u32::MAX {
-        *clock = renormalize(records, ways);
-    }
-    *clock += 1;
-    *clock
+/// Sets `way`'s 2-bit RRPV in `field` to `rrpv`.
+fn set_rrpv(field: &mut u64, way: usize, rrpv: u64) {
+    *field = *field & !(3 << (2 * way)) | rrpv << (2 * way);
 }
 
-/// Rewrites each set's LRU stamps as the way's rank in that set's
-/// `(stamp, way)` order and returns the clock to restart from (`ways`,
-/// above every rank). LRU only ever compares stamps within a set, and ranks
-/// keep that order — including the tie-break that puts the lowest way first
-/// among equal stamps — so every later decision is unchanged.
-#[cold]
-#[inline(never)]
-fn renormalize(records: &mut [WayRecord], ways: usize) -> u32 {
-    let mut order = Vec::with_capacity(ways);
-    for set in records.chunks_mut(ways) {
-        order.clear();
-        order.extend(0..ways);
-        order.sort_unstable_by_key(|&w| (set[w].stamp, w));
-        for (rank, &w) in order.iter().enumerate() {
-            set[w].stamp = rank as u32;
-        }
-    }
-    u32::try_from(ways).expect("associativity fits a u32 stamp")
+/// Moves `way` to the MRU end of a `ways`-way LRU field: the nibbles above
+/// its rank shift down one place, and `way` takes nibble `ways - 1`.
+fn lru_promote(field: u64, ways: usize, way: usize) -> u64 {
+    // A nibble of `x` is zero where the field holds `way`. Of the nibbles
+    // the zero test flags, the lowest is exact (a borrow only flags nibbles
+    // above a zero one), and `way` sits below the unused zero nibbles.
+    let x = field ^ (way as u64 * NIBBLE_LOW);
+    let zero = x.wrapping_sub(NIBBLE_LOW) & !x & (NIBBLE_LOW << 3);
+    let below = (1u64 << (zero.trailing_zeros() & !3)) - 1;
+    field & below | (field >> 4) & !below | (way as u64) << (4 * (ways - 1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// One policy over its own way records, driven the way the cache
-    /// drives it.
+    /// One policy over its own replacement fields (one per set), driven
+    /// the way the cache drives it.
     struct Harness {
         policy: Replacement,
-        records: Vec<WayRecord>,
+        fields: Vec<u64>,
         ways: usize,
     }
 
     impl Harness {
         fn new(kind: ReplacementKind, sets: usize, ways: usize) -> Self {
-            Self {
-                policy: Replacement::new(kind),
-                records: vec![Replacement::empty_record(); sets * ways],
-                ways,
-            }
+            let policy = Replacement::new(kind, sets * ways);
+            Self { fields: vec![policy.empty_field(ways); sets], policy, ways }
         }
 
         fn on_hit(&mut self, set: usize, way: usize) {
-            self.policy.on_hit(&mut self.records, self.ways, set * self.ways + way);
+            self.policy.on_hit(&mut self.fields[set], self.ways, way, set * self.ways + way);
         }
 
         fn on_insert(&mut self, set: usize, way: usize, signature: u16) {
-            let idx = set * self.ways + way;
-            self.records[idx].signature = signature;
-            self.records[idx].flags = 0;
-            self.policy.on_insert(&mut self.records, self.ways, idx);
+            let line = set * self.ways + way;
+            self.policy.on_insert(&mut self.fields[set], self.ways, way, line, signature);
         }
 
         fn on_evict(&mut self, set: usize, way: usize, reused: bool) {
-            let mut record = self.records[set * self.ways + way];
-            record.flags = u8::from(reused) * WayRecord::REUSED;
-            self.policy.on_evict(record);
+            self.policy.on_evict(set * self.ways + way, reused);
         }
 
         fn victim(&mut self, set: usize) -> usize {
-            let base = set * self.ways;
-            self.policy.victim(&mut self.records[base..base + self.ways])
+            self.policy.victim(&mut self.fields[set], self.ways)
         }
 
         fn eviction_order(&self, set: usize) -> Vec<usize> {
-            let base = set * self.ways;
-            let mut order = Vec::new();
-            self.policy.eviction_order(&self.records[base..base + self.ways], &mut order);
-            order
+            let order = self.policy.eviction_order(self.fields[set], self.ways);
+            (0..self.ways).map(|rank| ((order >> (4 * rank)) & 0xf) as usize).collect()
         }
 
-        /// The policy and its records, as a cache exports them.
-        fn export_state(&self) -> (Replacement, Vec<WayRecord>) {
-            (self.policy.clone(), self.records.clone())
+        /// The policy and its fields, as a cache exports them.
+        fn export_state(&self) -> (Replacement, Vec<u64>) {
+            (self.policy.clone(), self.fields.clone())
         }
 
-        fn import_state(&mut self, (policy, records): &(Replacement, Vec<WayRecord>)) {
+        fn import_state(&mut self, (policy, fields): &(Replacement, Vec<u64>)) {
             self.policy.import_state(policy);
-            self.records.clone_from(records);
+            self.fields.clone_from(fields);
         }
     }
 
@@ -379,11 +397,11 @@ mod tests {
         p.on_insert(0, 0, 5);
         p.on_hit(0, 0);
         p.on_evict(0, 1, false); // way 1 holds the initial signature 0
-        let (Replacement::Ship { shct }, records) = p.export_state() else {
+        let (Replacement::Ship { shct, signatures }, _) = p.export_state() else {
             panic!("SHiP state expected");
         };
         assert_eq!((shct[5], shct[0]), (2, 0));
-        assert_eq!(records.iter().map(|r| r.signature).collect::<Vec<_>>(), vec![5, 0]);
+        assert_eq!(signatures, vec![5, 0]);
     }
 
     #[test]
@@ -393,7 +411,7 @@ mod tests {
             (ReplacementKind::Srrip, "SRRIP"),
             (ReplacementKind::Ship, "SHiP"),
         ] {
-            assert_eq!(Replacement::new(kind).kind(), kind);
+            assert_eq!(Replacement::new(kind, 4).kind(), kind);
             assert_eq!(kind.name(), name);
         }
     }

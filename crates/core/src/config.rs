@@ -2,7 +2,7 @@
 
 use std::path::PathBuf;
 
-use bard_cache::ReplacementKind;
+use bard_cache::{ReplacementKind, MAX_WAYS};
 use bard_cpu::CoreConfig;
 use bard_dram::DramConfig;
 
@@ -300,6 +300,16 @@ impl SystemConfig {
                 self.cores
             ));
         }
+        for (field, ways) in
+            [("l1d_ways", self.l1d_ways), ("l2_ways", self.l2_ways), ("llc_ways", self.llc_ways)]
+        {
+            if !(1..=MAX_WAYS).contains(&ways) {
+                return Err(format!(
+                    "{field} = {ways} is outside 1..={MAX_WAYS} (a cache set word holds one bit \
+                     per way; see the known-limits section of docs/ARCHITECTURE.md)"
+                ));
+            }
+        }
         if !self.llc_slices.is_power_of_two() {
             return Err("LLC slice count must be a power of two".into());
         }
@@ -369,6 +379,31 @@ mod tests {
         let mut c = SystemConfig::baseline_8core();
         c.cores = 0;
         assert!(c.validate().is_err());
+    }
+
+    /// Validation names the associativity field it rejects.
+    fn assert_ways_rejected(field: &str, set: fn(&mut SystemConfig, usize)) {
+        for ways in [0, 17] {
+            let mut c = SystemConfig::baseline_8core();
+            set(&mut c, ways);
+            let err = c.validate().expect_err("associativity outside 1..=16");
+            assert!(err.starts_with(&format!("{field} = {ways} is outside 1..=16")), "{err}");
+        }
+    }
+
+    #[test]
+    fn validate_bounds_l1d_ways() {
+        assert_ways_rejected("l1d_ways", |c, ways| c.l1d_ways = ways);
+    }
+
+    #[test]
+    fn validate_bounds_l2_ways() {
+        assert_ways_rejected("l2_ways", |c, ways| c.l2_ways = ways);
+    }
+
+    #[test]
+    fn validate_bounds_llc_ways() {
+        assert_ways_rejected("llc_ways", |c, ways| c.llc_ways = ways);
     }
 
     #[test]

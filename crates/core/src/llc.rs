@@ -48,9 +48,6 @@ pub struct SlicedLlc {
     tracker: BlpTracker,
     mapping: AddressMapping, // bard-lint: allow(S1) -- config knob fixed at construction
     stats: PolicyStats,
-    /// Reused scan-order buffer (one allocation per `SlicedLlc` instead of
-    /// one per scan).
-    scratch_order: Vec<usize>, // bard-lint: allow(S1) -- scratch buffer, cleared per use
 }
 
 impl SlicedLlc {
@@ -89,7 +86,6 @@ impl SlicedLlc {
             ),
             mapping: AddressMapping::new(dram),
             stats: PolicyStats::default(),
-            scratch_order: Vec::new(),
         }
     }
 
@@ -344,24 +340,20 @@ impl SlicedLlc {
     /// Walks the ways of `set` in eviction order, most evictable first
     /// (LRU→MRU, or highest→lowest RRPV), and returns the first one `pick`
     /// accepts. This is the scan order of BARD-E's override, BARD-C's
-    /// cleanse and EW's cleanse; it never chooses the victim, and a set is
-    /// sorted only when one of those scans reads it.
+    /// cleanse and EW's cleanse; it never chooses the victim, and it stops
+    /// at the first way `pick` accepts.
     fn scan<T>(
-        &mut self,
+        &self,
         slice: usize,
         set: usize,
         pick: impl Fn(&Self, usize) -> Option<T>,
     ) -> Option<T> {
-        let mut order = std::mem::take(&mut self.scratch_order);
-        self.slices[slice].eviction_order_into(set, &mut order);
-        let found = order.iter().find_map(|&way| pick(self, way));
-        self.scratch_order = order;
-        found
+        self.slices[slice].eviction_order(set).find_map(|way| pick(self, way))
     }
 
     /// The most evictable dirty line of `set` whose bank the BLP-Tracker
     /// shows without a pending write, as `(way, line address)`.
-    fn blp_improving_dirty_way(&mut self, slice: usize, set: usize) -> Option<(usize, u64)> {
+    fn blp_improving_dirty_way(&self, slice: usize, set: usize) -> Option<(usize, u64)> {
         self.scan(slice, set, |llc, way| {
             let addr = llc.slices[slice].dirty_addr(set, way)?;
             llc.improves_blp(addr).then_some((way, addr))
@@ -684,8 +676,9 @@ mod tests {
     /// `SetAssocCache::fill` does: one random stream of demand reads and
     /// fills (random dirty bits and signatures) through a one-slice Baseline
     /// LLC and a cache of the same geometry leaves both with the same
-    /// write-backs and the same tags, flags, stamps, RRPVs and SHCT after
-    /// every access, under every replacement policy.
+    /// write-backs and the same tags, set words (LRU order or RRPVs, and
+    /// line flags) and SHiP state after every access, under every
+    /// replacement policy.
     #[test]
     fn llc_victims_match_the_cache_victim_rule_under_every_policy() {
         const LINES: u64 = 2_048;

@@ -8,9 +8,12 @@
 //! freshly-built system. Restoring and resuming is **bitwise-identical** to
 //! never having stopped (`StressCase::assert_parity` in the `parity` suite
 //! pins this on both engines). Each cache is stored as it holds itself: its
-//! tag array, its 8-byte way records and its replacement policy's own
-//! state. Host-side work counters (the `engine.*` and `mshr.*` counts) are
-//! never stored; a restored system counts from the restore.
+//! tag array, its 16-byte set words (replacement field plus valid, dirty,
+//! prefetched and reused masks) and its replacement policy's own state,
+//! which is SHiP's counter table and fill signatures. Decoding checks every
+//! set word against its tags and policy. Host-side work counters (the
+//! `engine.*` and `mshr.*` counts) are never stored; a restored system
+//! counts from the restore.
 //!
 //! Two capture points exist:
 //!
@@ -47,8 +50,8 @@
 use std::path::{Path, PathBuf};
 
 use bard_cache::{
-    CacheState, CacheStats, MshrEntryState, MshrState, Replacement, StrideEntryState,
-    StrideTableState, WayRecord,
+    CacheState, CacheStats, MshrEntryState, MshrState, Replacement, ReplacementKind, SetWord,
+    StrideEntryState, StrideTableState, MAX_WAYS,
 };
 use bard_cpu::{CoreRequest, CoreState, CoreStats, MemAccess, MemKind, TraceRecord};
 use bard_dram::{
@@ -69,7 +72,7 @@ pub const MAGIC: [u8; 4] = *b"BSS1";
 /// Current container version. Bump on any layout change; decoding refuses
 /// other versions with [`SnapshotError::Version`], and both digests carry
 /// it, so a store never looks up another version's images.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 /// Header bytes before the payload (magic + version + flags + two digests +
 /// payload length).
@@ -472,63 +475,87 @@ fn dec_cache_stats(d: &mut Dec) -> Result<CacheStats, SnapshotError> {
     })
 }
 
-fn enc_way_record(e: &mut Enc, r: &WayRecord) {
-    e.u32(r.stamp);
-    e.u16(r.signature);
-    e.u8(r.rrpv);
-    e.u8(r.flags);
+fn enc_set_word(e: &mut Enc, w: &SetWord) {
+    e.u64(w.repl);
+    e.u16(w.valid);
+    e.u16(w.dirty);
+    e.u16(w.prefetched);
+    e.u16(w.reused);
 }
 
-fn dec_way_record(d: &mut Dec) -> Result<WayRecord, SnapshotError> {
-    let r = WayRecord { stamp: d.u32()?, signature: d.u16()?, rrpv: d.u8()?, flags: d.u8()? };
-    if r.flags & !WayRecord::FLAGS != 0 {
-        return Err(d.format(format!("invalid way-record flags {:#04x}", r.flags)));
-    }
-    Ok(r)
+/// Decodes the word of the set whose tags are `tags`, checked against them
+/// and the policy ([`SetWord::check`]).
+fn dec_set_word(
+    d: &mut Dec,
+    kind: ReplacementKind,
+    tags: &[u64],
+) -> Result<SetWord, SnapshotError> {
+    let word = SetWord {
+        repl: d.u64()?,
+        valid: d.u16()?,
+        dirty: d.u16()?,
+        prefetched: d.u16()?,
+        reused: d.u16()?,
+    };
+    word.check(kind, tags).map_err(|message| d.format(message))?;
+    Ok(word)
 }
 
 /// A cache as the cache holds it: its tag array (each tag stored plus one,
 /// wrapping, so an invalid way's all-ones tag is the one-byte varint 0),
-/// its way records, its policy's own state and its statistics.
+/// its policy's own state (SHiP's table and one signature per way), one
+/// word per set and its statistics.
 fn enc_cache_state(e: &mut Enc, s: &CacheState) {
     e.usize(s.tags.len());
     for &tag in &s.tags {
         e.u64(tag.wrapping_add(1));
     }
-    e.usize(s.records.len());
-    for r in &s.records {
-        enc_way_record(e, r);
-    }
     match &s.replacement {
-        Replacement::Lru { clock } => {
-            e.u8(0);
-            e.u32(*clock);
-        }
+        Replacement::Lru => e.u8(0),
         Replacement::Srrip => e.u8(1),
-        Replacement::Ship { shct } => {
+        Replacement::Ship { shct, signatures } => {
             e.u8(2);
             e.usize(shct.len());
             e.buf.extend_from_slice(shct);
+            for &signature in signatures {
+                e.u16(signature);
+            }
         }
+    }
+    e.usize(s.words.len());
+    for w in &s.words {
+        enc_set_word(e, w);
     }
     enc_cache_stats(e, &s.stats);
 }
 
 fn dec_cache_state(d: &mut Dec) -> Result<CacheState, SnapshotError> {
     let n = d.len()?;
-    let tags = (0..n).map(|_| d.u64().map(|t| t.wrapping_sub(1))).collect::<Result<_, _>>()?;
-    let n = d.len()?;
-    let records = (0..n).map(|_| dec_way_record(d)).collect::<Result<_, _>>()?;
+    let tags: Vec<u64> =
+        (0..n).map(|_| d.u64().map(|t| t.wrapping_sub(1))).collect::<Result<_, _>>()?;
     let replacement = match d.u8()? {
-        0 => Replacement::Lru { clock: d.u32()? },
+        0 => Replacement::Lru,
         1 => Replacement::Srrip,
         2 => {
             let n = d.len()?;
-            Replacement::Ship { shct: (0..n).map(|_| d.u8()).collect::<Result<_, _>>()? }
+            let shct = (0..n).map(|_| d.u8()).collect::<Result<_, _>>()?;
+            let signatures = (0..tags.len()).map(|_| d.u16()).collect::<Result<_, _>>()?;
+            Replacement::Ship { shct, signatures }
         }
         other => return Err(d.format(format!("invalid replacement tag {other}"))),
     };
-    Ok(CacheState { tags, records, replacement, stats: dec_cache_stats(d)? })
+    let sets = d.len()?;
+    let ways = tags.len().checked_div(sets).unwrap_or(0);
+    if !(1..=MAX_WAYS).contains(&ways) || ways * sets != tags.len() {
+        return Err(d.format(format!(
+            "{} tags do not form {sets} sets of 1..={MAX_WAYS} ways",
+            tags.len()
+        )));
+    }
+    let kind = replacement.kind();
+    let words =
+        tags.chunks(ways).map(|set| dec_set_word(d, kind, set)).collect::<Result<_, _>>()?;
+    Ok(CacheState { tags, words, replacement, stats: dec_cache_stats(d)? })
 }
 
 fn enc_stride_table(e: &mut Enc, t: &StrideTableState) {
@@ -1306,8 +1333,8 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_refused_with_a_named_error() {
-        // A newer version, and the retired version 1.
-        for version in [VERSION + 1, 1] {
+        // A newer version, and the retired versions 1 and 2.
+        for version in [VERSION + 1, 1, 2] {
             let mut bytes = sample().to_bytes();
             bytes[4..8].copy_from_slice(&version.to_le_bytes());
             match Snapshot::from_bytes(&bytes) {
@@ -1327,22 +1354,73 @@ mod tests {
         Ok(decoded)
     }
 
-    #[test]
-    fn way_record_flags_outside_the_known_bits_are_a_format_error() {
-        use bard_cache::{CacheConfig, ReplacementKind, SetAssocCache};
-        let mut cache = SetAssocCache::new(CacheConfig::new(1024, 4, 64), ReplacementKind::Ship);
+    /// A cache of 4 sets x 4 ways under `kind` holding two lines of set 1
+    /// (ways 0 and 1, way 0 dirty), as an image would carry it.
+    fn set_1_with_two_lines(kind: ReplacementKind) -> CacheState {
+        use bard_cache::{CacheConfig, SetAssocCache};
+        let mut cache = SetAssocCache::new(CacheConfig::new(1024, 4, 64), kind);
         cache.fill(0x40, true, 9);
-        let mut state = cache.export_state();
-        state.records[1].flags = WayRecord::FLAGS;
-        assert_eq!(cache_round_trip(&state).expect("known flags decode"), state);
-        for flag in [8, 0x80] {
-            state.records[1].flags = WayRecord::FLAGS | flag;
-            match cache_round_trip(&state) {
-                Err(SnapshotError::Format { message, .. }) => {
-                    assert!(message.contains("way-record flags"), "{message}");
-                }
-                other => panic!("expected Format error, got {other:?}"),
+        cache.fill(0x140, false, 3);
+        let state = cache.export_state();
+        assert_eq!(cache_round_trip(&state).expect("a cache's own state decodes"), state);
+        state
+    }
+
+    /// Decoding `state` must fail with a `Format` error naming `needle`.
+    fn assert_format_error(state: &CacheState, needle: &str) {
+        match cache_round_trip(state) {
+            Err(SnapshotError::Format { message, .. }) => {
+                assert!(message.contains(needle), "{message}");
             }
+            other => panic!("expected a Format error naming {needle:?}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn lru_field_that_is_not_a_permutation_is_a_format_error() {
+        let good = set_1_with_two_lines(ReplacementKind::Lru);
+        // A way listed twice, and a way listed above the four ranks.
+        for repl in [good.words[1].repl & !0xf0, good.words[1].repl | 1 << 16] {
+            let mut state = good.clone();
+            state.words[1].repl = repl;
+            assert_format_error(&state, "malformed LRU field");
+        }
+    }
+
+    #[test]
+    fn set_word_bits_at_or_above_the_ways_are_a_format_error() {
+        let good = set_1_with_two_lines(ReplacementKind::Srrip);
+        let mut state = good.clone();
+        state.words[1].repl |= 1 << 8;
+        assert_format_error(&state, "malformed SRRIP field");
+        for mask in 0..4 {
+            let mut state = good.clone();
+            let word = &mut state.words[1];
+            *[&mut word.valid, &mut word.dirty, &mut word.prefetched, &mut word.reused][mask] |=
+                1 << 4;
+            assert_format_error(&state, "at or above way 4");
+        }
+    }
+
+    #[test]
+    fn set_word_flagging_an_invalid_way_is_a_format_error() {
+        let good = set_1_with_two_lines(ReplacementKind::Ship);
+        for mask in 0..3 {
+            let mut state = good.clone();
+            let word = &mut state.words[1];
+            *[&mut word.dirty, &mut word.prefetched, &mut word.reused][mask] |= 1 << 2;
+            assert_format_error(&state, "flags an invalid way");
+        }
+    }
+
+    #[test]
+    fn set_word_valid_bit_that_disagrees_with_the_tag_is_a_format_error() {
+        let good = set_1_with_two_lines(ReplacementKind::Lru);
+        // A valid bit on an invalid tag, and a valid tag without its bit.
+        for valid in [0b111, 0b010] {
+            let mut state = good.clone();
+            state.words[1].valid = valid;
+            assert_format_error(&state, "disagrees with the tags");
         }
     }
 
@@ -1436,26 +1514,35 @@ mod tests {
     const WARMUP: u64 = 2_000;
 
     /// A store keys images by a digest that carries the format version, so
-    /// it never opens what a version-1 build left at that build's key: it
-    /// captures a fresh image under the current key instead.
+    /// it never opens what a version-1 or version-2 build left at that
+    /// build's key: it captures a fresh image under the current key instead.
     #[test]
     fn obtain_warm_never_opens_a_version_1_image() {
         let dir = StoreDir::new("v1-key");
         let store = SnapshotStore::new(&dir.0);
         let (config, w) = (SystemConfig::small_test(), WorkloadId::Lbm);
-        // The key a version-1 build gave this image.
-        let stale_path = store.warm_path(w, 0xe9a1_e343_b38c_91f2);
-        let mut stale = sample().to_bytes();
-        stale[4..8].copy_from_slice(&1u32.to_le_bytes());
-        std::fs::write(&stale_path, &stale).unwrap();
+        // The keys version-1 and version-2 builds gave this image.
+        let stale: Vec<(PathBuf, Vec<u8>)> =
+            [(1u32, 0xe9a1_e343_b38c_91f2), (2, 0xae1a_5f4f_4012_3e61)]
+                .into_iter()
+                .map(|(version, key)| {
+                    let mut bytes = sample().to_bytes();
+                    bytes[4..8].copy_from_slice(&version.to_le_bytes());
+                    let path = store.warm_path(w, key);
+                    std::fs::write(&path, &bytes).unwrap();
+                    (path, bytes)
+                })
+                .collect();
 
-        store.obtain_warm(&config, w, WARMUP).expect("a fresh capture, not the stale image");
+        store.obtain_warm(&config, w, WARMUP).expect("a fresh capture, not a stale image");
         let fresh_path = store.warm_path(w, warm_digest(&config, w, WARMUP));
-        assert_ne!(fresh_path, stale_path);
         let fresh = Snapshot::from_bytes(&std::fs::read(&fresh_path).unwrap()).unwrap();
         assert!(fresh.is_warm());
-        assert_eq!(std::fs::read(&stale_path).unwrap(), stale, "the stale image is untouched");
-        assert_eq!(dir.names().len(), 2);
+        for (path, bytes) in &stale {
+            assert_ne!(&fresh_path, path);
+            assert_eq!(&std::fs::read(path).unwrap(), bytes, "a stale image is untouched");
+        }
+        assert_eq!(dir.names().len(), 3);
     }
 
     /// A publish that cannot rename its image into place (a directory holds

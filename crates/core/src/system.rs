@@ -240,6 +240,7 @@ pub struct System {
     scratch_writebacks: Vec<u64>,          // bard-lint: allow(S1) -- scratch, drained per tick
     scratch_staged: Vec<CoreRequest>,      // bard-lint: allow(S1) -- scratch, drained per tick
     scratch_retry: Vec<CoreRequest>,       // bard-lint: allow(S1) -- scratch, drained per tick
+    scratch_prefetches: Vec<u64>,          // bard-lint: allow(S1) -- scratch, cleared per request
     /// Bit per core not asleep (skip engine; see `tick_inner` for the wake
     /// rule). Cores are capped at 64 by `SystemConfig::validate`.
     awake_mask: u64,
@@ -385,6 +386,7 @@ impl System {
             scratch_writebacks: Vec::new(),
             scratch_staged: Vec::new(),
             scratch_retry: Vec::new(),
+            scratch_prefetches: Vec::new(),
             progress: None,
             telemetry_active,
             phase_nanos: [0; telemetry::PHASE_COUNT],
@@ -1416,30 +1418,29 @@ impl System {
 
         let is_store = req.kind == MemKind::Store;
         let sig = signature(req.ip);
+        self.scratch_prefetches.clear();
 
         // L1D
         let l1_hit = self.cores[ci].l1d.touch(req.addr, sig, is_store);
-        let mut l1_prefetches = Vec::new();
         if let Some(pf) = &mut self.cores[ci].l1_prefetcher {
-            pf.on_access(req.addr, req.ip, l1_hit, &mut l1_prefetches);
+            pf.on_access(req.addr, req.ip, l1_hit, &mut self.scratch_prefetches);
         }
         if l1_hit {
             self.schedule(now + self.config.l1_latency, completion_event(ci, &req));
-            self.issue_prefetches(ci, &l1_prefetches);
+            self.issue_prefetches(ci);
             return true;
         }
 
-        // L2
+        // L2. The L1 and L2 fills below skip the probe: this request just
+        // missed there, and nothing in between touched those caches.
         let l2_hit = self.cores[ci].l2.touch(req.addr, sig, false);
-        let mut l2_prefetches = Vec::new();
         if let Some(pf) = &mut self.cores[ci].l2_prefetcher {
-            pf.on_access(req.addr, req.ip, l2_hit, &mut l2_prefetches);
+            pf.on_access(req.addr, req.ip, l2_hit, &mut self.scratch_prefetches);
         }
         if l2_hit {
-            self.fill_l1(ci, line, is_store, sig);
+            self.install_l1(ci, line, is_store, sig);
             self.schedule(now + self.config.l2_latency, completion_event(ci, &req));
-            self.issue_prefetches(ci, &l1_prefetches);
-            self.issue_prefetches(ci, &l2_prefetches);
+            self.issue_prefetches(ci);
             return true;
         }
 
@@ -1453,11 +1454,10 @@ impl System {
             hit
         };
         if llc_hit {
-            self.fill_l2(ci, line, sig);
-            self.fill_l1(ci, line, is_store, sig);
+            self.install_l2(ci, line, sig);
+            self.install_l1(ci, line, is_store, sig);
             self.schedule(now + self.config.llc_latency, completion_event(ci, &req));
-            self.issue_prefetches(ci, &l1_prefetches);
-            self.issue_prefetches(ci, &l2_prefetches);
+            self.issue_prefetches(ci);
             return true;
         }
 
@@ -1475,13 +1475,12 @@ impl System {
                 return false;
             }
         }
-        self.issue_prefetches(ci, &l1_prefetches);
-        self.issue_prefetches(ci, &l2_prefetches);
+        self.issue_prefetches(ci);
         true
     }
 
-    /// Installs a line into a core's L1D, cascading any dirty eviction into
-    /// the L2 (and from there into the LLC).
+    /// Installs a line into a core's L1D unless it is already there (then a
+    /// dirty fill only marks it dirty).
     fn fill_l1(&mut self, ci: usize, line: u64, dirty: bool, sig: u16) {
         if self.cores[ci].l1d.probe(line).is_some() {
             if dirty {
@@ -1489,6 +1488,12 @@ impl System {
             }
             return;
         }
+        self.install_l1(ci, line, dirty, sig);
+    }
+
+    /// Installs a line the L1D is known not to hold, cascading any dirty
+    /// eviction into the L2 (and from there into the LLC).
+    fn install_l1(&mut self, ci: usize, line: u64, dirty: bool, sig: u16) {
         let result = self.cores[ci].l1d.fill(line, dirty, sig);
         if let Some(evicted) = result.evicted {
             if evicted.dirty {
@@ -1497,12 +1502,16 @@ impl System {
         }
     }
 
-    /// Installs a line into a core's L2, cascading any dirty eviction into the
-    /// LLC.
+    /// Installs a line into a core's L2 unless it is already there.
     fn fill_l2(&mut self, ci: usize, line: u64, sig: u16) {
-        if self.cores[ci].l2.probe(line).is_some() {
-            return;
+        if self.cores[ci].l2.probe(line).is_none() {
+            self.install_l2(ci, line, sig);
         }
+    }
+
+    /// Installs a line the L2 is known not to hold, cascading any dirty
+    /// eviction into the LLC.
+    fn install_l2(&mut self, ci: usize, line: u64, sig: u16) {
         let result = self.cores[ci].l2.fill(line, false, sig);
         if let Some(evicted) = result.evicted {
             if evicted.dirty {
@@ -1536,8 +1545,11 @@ impl System {
         self.scratch_writebacks = wbs;
     }
 
-    fn issue_prefetches(&mut self, ci: usize, addrs: &[u64]) {
-        for &addr in addrs {
+    /// Issues the candidates this request's prefetchers left in
+    /// `scratch_prefetches`: the L1 prefetcher's, then the L2 prefetcher's.
+    fn issue_prefetches(&mut self, ci: usize) {
+        let addrs = std::mem::take(&mut self.scratch_prefetches);
+        for &addr in &addrs {
             let line = self.line_of(addr);
             if self.cores[ci].l2.probe(line).is_some() {
                 continue;
@@ -1563,6 +1575,7 @@ impl System {
                 self.dram_pending.push_back(line)
             }
         }
+        self.scratch_prefetches = addrs;
     }
 
     fn handle_dram_response(&mut self, completed: CompletedRead, now: u64) {

@@ -116,7 +116,7 @@ fn eviction_order_is_a_permutation() {
             let way = rng.gen_range(0usize..8);
             cache.touch((way as u64) * 64, way as u16, false);
         }
-        let order = cache.eviction_order(0);
+        let order: Vec<usize> = cache.eviction_order(0).collect();
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..8).collect::<Vec<_>>());

@@ -5,8 +5,13 @@
 //! replacement policy's choice (RRIP ages the set until a way reaches the
 //! maximum RRPV). The cache exposes two levels of API:
 //!
-//! * a convenience API ([`SetAssocCache::touch`], [`SetAssocCache::fill`])
-//!   used for the private L1/L2 levels, where `fill` evicts that victim, and
+//! * a convenience API used for the private L1/L2 levels and the functional
+//!   warm-up: [`SetAssocCache::touch`] and [`SetAssocCache::fill`], where
+//!   `fill` evicts that victim, and the one-visit operations
+//!   [`SetAssocCache::access`] (a touch that fills on a miss) and
+//!   [`SetAssocCache::write_back`] (a write-back that fills dirty on a
+//!   miss), each of which derives the set once, scans its tags once and
+//!   reads and writes its set word once, and
 //! * low-level primitives ([`SetAssocCache::victim_way`],
 //!   [`SetAssocCache::eviction_order`], [`SetAssocCache::evict`],
 //!   [`SetAssocCache::cleanse`], [`SetAssocCache::fill_at`]) used by the LLC
@@ -93,6 +98,12 @@ pub struct FillResult {
 /// (line sizes are powers of two > 1), so all-ones can never collide with a
 /// real tag.
 pub(crate) const TAG_INVALID: u64 = u64::MAX;
+
+/// The lowest invalid way of a `ways`-way set whose word is `word`, if any.
+fn invalid_way(word: &SetWord, ways: usize) -> Option<usize> {
+    let free = !word.valid & way_mask(ways);
+    (free != 0).then(|| free.trailing_zeros() as usize)
+}
 
 /// A set-associative, write-back, write-allocate cache.
 #[derive(Debug)]
@@ -207,8 +218,14 @@ impl SetAssocCache {
     /// Looks up `addr` without changing any state. Returns the way on a hit.
     #[must_use]
     pub fn probe(&self, addr: u64) -> Option<usize> {
+        self.scan(self.set_of(addr), addr)
+    }
+
+    /// The way of `set` holding `addr`'s line: the one tag scan of every
+    /// lookup, counted in [`set_scans`](Self::set_scans).
+    fn scan(&self, set: usize, addr: u64) -> Option<usize> {
         self.set_scans.set(self.set_scans.get() + 1);
-        let base = self.set_of(addr) * self.config.ways;
+        let base = set * self.config.ways;
         let line_addr = self.line_addr(addr);
         self.tags[base..base + self.config.ways].iter().position(|&t| t == line_addr)
     }
@@ -226,19 +243,41 @@ impl SetAssocCache {
         (self.words[set].dirty & 1 << way != 0).then(|| self.tags[set * self.config.ways + way])
     }
 
-    /// The lowest invalid way of `set`, if any.
-    fn invalid_way(&self, set: usize) -> Option<usize> {
-        let free = !self.words[set].valid & way_mask(self.config.ways);
-        (free != 0).then(|| free.trailing_zeros() as usize)
-    }
-
     /// Demand access: on a hit, recency state is updated, the dirty bit is set
     /// for writes, and `true` is returned. On a miss, returns `false` and the
     /// caller is expected to fetch the line and call [`fill`](Self::fill) (or
-    /// [`fill_at`](Self::fill_at)). The signature of a hit is not used: SHiP
-    /// trains on the line's fill signature.
+    /// [`fill_at`](Self::fill_at)); [`access`](Self::access) does both in one
+    /// set visit. The signature of a hit is not used: SHiP trains on the
+    /// line's fill signature.
     pub fn touch(&mut self, addr: u64, _signature: u16, is_write: bool) -> bool {
-        let way = self.probe(addr);
+        self.demand(self.set_of(addr), addr, is_write)
+    }
+
+    /// Demand access that allocates on a miss: exactly
+    /// [`touch`](Self::touch), then on a miss [`fill`](Self::fill) of the
+    /// line with `is_write` as its dirty bit and `signature` as its fill
+    /// signature, in one set visit (the set is derived once and its tags
+    /// scanned once). Returns whether it hit, and the line the fill evicted.
+    pub fn access(
+        &mut self,
+        addr: u64,
+        signature: u16,
+        is_write: bool,
+    ) -> (bool, Option<EvictedLine>) {
+        let set = self.set_of(addr);
+        if self.demand(set, addr, is_write) {
+            return (true, None);
+        }
+        (false, self.install(set, addr, is_write, signature).evicted)
+    }
+
+    /// The lookup and hit update shared by [`touch`](Self::touch) and
+    /// [`access`](Self::access): counts the load or store, and on a hit
+    /// updates the way's flags and replacement state. `#[inline(always)]`
+    /// for the reason given at [`install`](Self::install).
+    #[inline(always)]
+    fn demand(&mut self, set: usize, addr: u64, is_write: bool) -> bool {
+        let way = self.scan(set, addr);
         if is_write {
             self.stats.stores += 1;
         } else {
@@ -250,7 +289,6 @@ impl SetAssocCache {
         } else {
             self.stats.load_hits += 1;
         }
-        let set = self.set_of(addr);
         let bit = 1 << way;
         let word = &mut self.words[set];
         if is_write {
@@ -274,21 +312,38 @@ impl SetAssocCache {
     }
 
     /// Write-back arriving from an inner cache level. If the line is present
-    /// it is marked dirty (and recency updated); otherwise the caller should
-    /// allocate it with [`fill`](Self::fill) with `dirty = true`.
+    /// it is marked dirty, and its replacement state is left alone: a
+    /// write-back is not a demand reference (ChampSim's default behaviour).
+    /// Otherwise the caller should allocate it with [`fill`](Self::fill)
+    /// with `dirty = true`; [`write_back`](Self::write_back) does both in one
+    /// set visit.
     ///
     /// Returns `true` if the write-back hit.
     pub fn writeback_access(&mut self, addr: u64) -> bool {
-        self.stats.writeback_accesses += 1;
-        if let Some(way) = self.probe(addr) {
-            let set = self.set_of(addr);
-            self.words[set].dirty |= 1 << way;
-            // Write-backs do not update the replacement state: they are not
-            // demand references (matches ChampSim's default behaviour).
-            true
-        } else {
-            false
+        self.written_back(self.set_of(addr), addr)
+    }
+
+    /// Write-back that allocates on a miss: exactly
+    /// [`writeback_access`](Self::writeback_access), then on a miss
+    /// [`fill`](Self::fill) of the line, dirty, with `signature`, in one set
+    /// visit. A hit marks the line dirty and leaves its replacement state
+    /// alone. Returns the line the fill evicted.
+    pub fn write_back(&mut self, addr: u64, signature: u16) -> Option<EvictedLine> {
+        let set = self.set_of(addr);
+        if self.written_back(set, addr) {
+            return None;
         }
+        self.install(set, addr, true, signature).evicted
+    }
+
+    /// The lookup shared by [`writeback_access`](Self::writeback_access) and
+    /// [`write_back`](Self::write_back): counts the write-back and marks a
+    /// present line dirty.
+    fn written_back(&mut self, set: usize, addr: u64) -> bool {
+        self.stats.writeback_accesses += 1;
+        let Some(way) = self.scan(set, addr) else { return false };
+        self.words[set].dirty |= 1 << way;
+        true
     }
 
     /// Chooses the victim way for `addr`'s set: an invalid way if one exists,
@@ -297,25 +352,47 @@ impl SetAssocCache {
     /// set until some way reaches the maximum RRPV, so it takes `&mut self`.
     pub fn victim_way(&mut self, addr: u64) -> usize {
         let set = self.set_of(addr);
-        if let Some(way) = self.invalid_way(set) {
-            return way;
-        }
-        self.replacement.victim(&mut self.words[set].repl, self.config.ways)
+        let mut word = self.words[set];
+        let way = self.victim_in(&mut word);
+        self.words[set] = word;
+        way
     }
 
-    /// Fills `addr` into the set, evicting the policy victim if needed.
+    /// Fills `addr` into the set, evicting the policy victim if needed (the
+    /// line must be absent): [`victim_way`](Self::victim_way),
+    /// [`evict`](Self::evict) and [`fill_at`](Self::fill_at) in one visit to
+    /// the set word.
     pub fn fill(&mut self, addr: u64, dirty: bool, signature: u16) -> FillResult {
-        let way = self.victim_way(addr);
-        let set = self.set_of(addr);
-        let evicted = self.evict(set, way);
-        self.fill_at(set, way, addr, dirty, signature);
+        self.install(self.set_of(addr), addr, dirty, signature)
+    }
+
+    /// [`fill`](Self::fill) into `addr`'s set, `set`. The steps act on a copy
+    /// of the set word, read and written back once. This function and the
+    /// steps are `#[inline(always)]`: left to the optimizer, they stay calls
+    /// that pass the word through memory, and the fused operations then run
+    /// slower than the separate calls they replace.
+    #[inline(always)]
+    fn install(&mut self, set: usize, addr: u64, dirty: bool, signature: u16) -> FillResult {
+        let mut word = self.words[set];
+        let way = self.victim_in(&mut word);
+        let evicted = self.evict_in(&mut word, set, way);
+        self.fill_in(&mut word, set, way, addr, dirty, signature);
+        self.words[set] = word;
         FillResult { way, evicted }
+    }
+
+    /// The victim rule on a copy of a set's word: the lowest invalid way,
+    /// otherwise [`Replacement::victim`].
+    #[inline(always)]
+    fn victim_in(&mut self, word: &mut SetWord) -> usize {
+        let ways = self.config.ways;
+        invalid_way(word, ways).unwrap_or_else(|| self.replacement.victim(&mut word.repl, ways))
     }
 
     /// Fills a line brought in by a prefetch.
     pub fn fill_prefetch(&mut self, addr: u64, signature: u16) -> FillResult {
-        let result = self.fill(addr, false, signature);
         let set = self.set_of(addr);
+        let result = self.install(set, addr, false, signature);
         self.words[set].prefetched |= 1 << result.way;
         self.stats.prefetch_fills += 1;
         result
@@ -338,16 +415,23 @@ impl SetAssocCache {
     /// Removes the line in `way` of `set`. Returns the evicted line if it was
     /// valid. The way keeps its place in the replacement field.
     pub fn evict(&mut self, set: usize, way: usize) -> Option<EvictedLine> {
-        let idx = set * self.config.ways + way;
-        let addr = self.tags[idx];
-        if addr == TAG_INVALID {
+        let mut word = self.words[set];
+        let evicted = self.evict_in(&mut word, set, way);
+        self.words[set] = word;
+        evicted
+    }
+
+    /// [`evict`](Self::evict) on a copy of `set`'s word.
+    #[inline(always)]
+    fn evict_in(&mut self, word: &mut SetWord, set: usize, way: usize) -> Option<EvictedLine> {
+        let bit = 1 << way;
+        if word.valid & bit == 0 {
             return None;
         }
-        let bit = 1 << way;
-        let word = &mut self.words[set];
+        let idx = set * self.config.ways + way;
+        let addr = std::mem::replace(&mut self.tags[idx], TAG_INVALID);
         let dirty = word.dirty & bit != 0;
         self.replacement.on_evict(idx, word.reused & bit != 0);
-        self.tags[idx] = TAG_INVALID;
         word.valid &= !bit;
         word.dirty &= !bit;
         word.prefetched &= !bit;
@@ -378,11 +462,26 @@ impl SetAssocCache {
     ///
     /// Panics in debug builds if the target way still holds a valid line.
     pub fn fill_at(&mut self, set: usize, way: usize, addr: u64, dirty: bool, signature: u16) {
+        let mut word = self.words[set];
+        self.fill_in(&mut word, set, way, addr, dirty, signature);
+        self.words[set] = word;
+    }
+
+    /// [`fill_at`](Self::fill_at) on a copy of `set`'s word.
+    #[inline(always)]
+    fn fill_in(
+        &mut self,
+        word: &mut SetWord,
+        set: usize,
+        way: usize,
+        addr: u64,
+        dirty: bool,
+        signature: u16,
+    ) {
         let ways = self.config.ways;
         let idx = set * ways + way;
         debug_assert_eq!(self.tags[idx], TAG_INVALID, "fill_at target must be empty");
         self.tags[idx] = self.line_addr(addr);
-        let word = &mut self.words[set];
         word.valid |= 1 << way;
         word.dirty |= u16::from(dirty) << way;
         self.stats.fills += 1;
@@ -549,6 +648,27 @@ mod tests {
         assert!(!c.writeback_access(0x5000));
     }
 
+    /// A write-back hit marks the line dirty but is not a demand reference:
+    /// A stays the LRU way, so the next fill evicts it, dirty. Both
+    /// write-back operations behave so.
+    #[test]
+    fn write_back_hit_leaves_recency_alone() {
+        let [a, b, c, d, e] = [0, 1, 2, 3, 4].map(|i| 0x70_000 + i * 256);
+        for fused in [false, true] {
+            let mut cache = small_cache();
+            for line in [a, b, c, d] {
+                cache.fill(line, false, 0);
+            }
+            if fused {
+                assert_eq!(cache.write_back(a, 0), None);
+            } else {
+                assert!(cache.writeback_access(a));
+            }
+            let evicted = cache.fill(e, false, 0).evicted;
+            assert_eq!(evicted, Some(EvictedLine { addr: a, dirty: true }), "fused: {fused}");
+        }
+    }
+
     #[test]
     fn prefetch_fill_and_useful_tracking() {
         let mut c = small_cache();
@@ -580,15 +700,15 @@ mod tests {
     fn invalid_ways_are_filled_first() {
         let mut c = small_cache();
         let set = c.set_of(0x100);
-        assert_eq!(c.invalid_way(set), Some(0));
+        assert_eq!(invalid_way(&c.words[set], 4), Some(0));
         c.fill(0x100, false, 0);
-        assert_eq!(c.invalid_way(set), Some(1));
+        assert_eq!(invalid_way(&c.words[set], 4), Some(1));
         for i in 1..4 {
             c.fill(0x100 + i * 256, false, 0);
         }
-        assert_eq!(c.invalid_way(set), None);
+        assert_eq!(invalid_way(&c.words[set], 4), None);
         c.evict(set, 2).expect("valid line");
-        assert_eq!(c.invalid_way(set), Some(2));
+        assert_eq!(invalid_way(&c.words[set], 4), Some(2));
         assert_eq!(c.victim_way(0x100), 2);
     }
 
@@ -633,6 +753,7 @@ mod tests {
         clock: u64,
         shct: Vec<u8>,
         stats: CacheStats,
+        scans: u64,
     }
 
     impl Reference {
@@ -651,6 +772,7 @@ mod tests {
                 clock: 0,
                 shct: vec![1; 16 * 1024],
                 stats: CacheStats::default(),
+                scans: 0,
             }
         }
 
@@ -658,7 +780,8 @@ mod tests {
             (addr >> 6) as usize % (self.tags.len() / self.ways)
         }
 
-        fn find(&self, addr: u64) -> Option<usize> {
+        fn find(&mut self, addr: u64) -> Option<usize> {
+            self.scans += 1;
             let base = self.set_of(addr) * self.ways;
             (0..self.ways).find(|&w| self.tags[base + w] == Some(addr & !63))
         }
@@ -778,6 +901,25 @@ mod tests {
             FillResult { way, evicted }
         }
 
+        fn access(
+            &mut self,
+            addr: u64,
+            signature: u16,
+            is_write: bool,
+        ) -> (bool, Option<EvictedLine>) {
+            if self.touch(addr, is_write) {
+                return (true, None);
+            }
+            (false, self.fill(addr, is_write, signature).evicted)
+        }
+
+        fn write_back(&mut self, addr: u64, signature: u16) -> Option<EvictedLine> {
+            if self.writeback_access(addr) {
+                return None;
+            }
+            self.fill(addr, true, signature).evicted
+        }
+
         fn fill_prefetch(&mut self, addr: u64, signature: u16) -> FillResult {
             let result = self.fill(addr, false, signature);
             let line = self.set_of(addr) * self.ways + result.way;
@@ -801,11 +943,13 @@ mod tests {
 
     /// Drives the cache and the per-way `Reference` with one random stream
     /// of every operation — demand loads and stores, fills, prefetch fills,
-    /// write-backs, cleanses, evictions with no refill, victim choices and
-    /// eviction orders — at 4, 8, 12 and 16 ways under every policy, with an
-    /// export/import round trip halfway. After every operation its answer,
-    /// the statistics, and the eviction order and dirty lines of its set
-    /// must agree. `BARD_PARITY=full` makes the stream longer.
+    /// write-backs, cleanses, evictions with no refill, victim choices,
+    /// eviction orders, and the one-visit `access` and `write_back`, which
+    /// the reference runs as touch-then-fill and write-back-then-fill — at
+    /// 4, 8, 12 and 16 ways under every policy, with an export/import round
+    /// trip halfway. After every operation its answer, its set scans, the
+    /// statistics, and the eviction order and dirty lines of its set must
+    /// agree. `BARD_PARITY=full` makes the stream longer.
     #[test]
     fn set_words_match_the_per_way_reference_in_lockstep() {
         const SETS: usize = 4;
@@ -836,7 +980,8 @@ mod tests {
                     let (write, signature) = ((x >> 33) & 1 == 1, (x >> 44) as u16 % 6);
                     let at = || format!("{} {ways}-way, step {step}", kind.name());
                     let absent = cache.probe(addr).is_none();
-                    match (x >> 8) % 16 {
+                    let scans = (cache.set_scans(), reference.scans);
+                    match (x >> 8) % 20 {
                         0..=5 => {
                             let hit = cache.touch(addr, signature, write);
                             assert_eq!(hit, reference.touch(addr, write), "{}: touch", at());
@@ -879,8 +1024,22 @@ mod tests {
                             "{}: victim",
                             at()
                         ),
+                        15..=17 => assert_eq!(
+                            cache.access(addr, signature, write),
+                            reference.access(addr, signature, write),
+                            "{}: access",
+                            at()
+                        ),
+                        18 | 19 => assert_eq!(
+                            cache.write_back(addr, signature),
+                            reference.write_back(addr, signature),
+                            "{}: write_back",
+                            at()
+                        ),
                         _ => {}
                     }
+                    let scanned = cache.set_scans() - scans.0;
+                    assert_eq!(scanned, reference.scans - scans.1, "{}: set scans", at());
                     assert_eq!(cache.stats(), &reference.stats, "{}: stats", at());
                     let order: Vec<usize> = cache.eviction_order(set).collect();
                     assert_eq!(order, reference.order(set), "{}: order", at());

@@ -11,7 +11,10 @@
 //!   Write Queue — can be layered on top without the cache knowing about
 //!   DRAM geometry. It keeps a tag per way and one 16-byte [`SetWord`] per
 //!   set (up to [`MAX_WAYS`] ways): the replacement field plus the valid,
-//!   dirty, prefetched and reused masks,
+//!   dirty, prefetched and reused masks. Two operations do a lookup and its
+//!   miss's fill in one set visit: [`SetAssocCache::access`] (`touch`, then
+//!   `fill` on a miss) and [`SetAssocCache::write_back`]
+//!   (`writeback_access`, then a dirty `fill` on a miss),
 //! * replacement policies ([`ReplacementKind`]): true LRU, SRRIP (2-bit
 //!   RRPV) and SHiP (signature-based hit prediction), all exposing the
 //!   *eviction order* BARD scans (LRU→MRU, or highest→lowest RRPV), which
@@ -31,6 +34,9 @@
 //! let fill = l1.fill(0x1000, false, 0);
 //! assert!(fill.evicted.is_none());
 //! assert!(l1.touch(0x1000, 0, false)); // now a hit
+//! // The same miss and fill in one set visit: a store miss installs 0x2000 dirty.
+//! assert_eq!(l1.access(0x2000, 0, true), (false, None));
+//! assert_eq!(l1.dirty_count(), 1);
 //! ```
 
 #![forbid(unsafe_code)]

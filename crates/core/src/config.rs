@@ -313,6 +313,30 @@ impl SystemConfig {
         if !self.llc_slices.is_power_of_two() {
             return Err("LLC slice count must be a power of two".into());
         }
+        if !self.line_bytes.is_power_of_two() {
+            return Err(format!("line_bytes = {} is not a power of two", self.line_bytes));
+        }
+        if !self.llc_bytes.is_multiple_of(self.llc_slices) {
+            return Err(format!(
+                "llc_bytes = {} does not divide evenly across llc_slices = {}",
+                self.llc_bytes, self.llc_slices
+            ));
+        }
+        for (bytes_field, bytes, ways_field, ways) in [
+            ("l1d_bytes", self.l1d_bytes, "l1d_ways", self.l1d_ways),
+            ("l2_bytes", self.l2_bytes, "l2_ways", self.l2_ways),
+            ("llc_bytes / llc_slices", self.llc_bytes / self.llc_slices, "llc_ways", self.llc_ways),
+        ] {
+            // `CacheConfig::new`'s set count, which it requires to be a power of two.
+            let sets = bytes / (ways * self.line_bytes);
+            if !sets.is_power_of_two() {
+                return Err(format!(
+                    "{bytes_field} = {bytes} with {ways_field} = {ways} and line_bytes = {} gives \
+                     {sets} sets; a cache needs a power-of-two number of sets",
+                    self.line_bytes
+                ));
+            }
+        }
         if self.l1_latency >= self.l2_latency || self.l2_latency >= self.llc_latency {
             return Err("cache latencies must increase with level".into());
         }
@@ -409,6 +433,49 @@ mod tests {
     #[test]
     fn small_test_config_is_valid() {
         assert!(SystemConfig::small_test().validate().is_ok());
+    }
+
+    /// `validate` rejects, naming the fields, what `CacheConfig::new` or
+    /// `SlicedLlc::new` would panic on.
+    #[test]
+    fn validate_checks_cache_geometry() {
+        let rejected = |set: fn(&mut SystemConfig)| {
+            let mut c = SystemConfig::baseline_8core();
+            set(&mut c);
+            c.validate().expect_err("geometry must be rejected")
+        };
+        // 48 KiB / (16 ways x 64 B) = 48 sets.
+        let err = rejected(|c| c.l1d_ways = 16);
+        assert!(err.starts_with("l1d_bytes = 49152 with l1d_ways = 16"), "{err}");
+        assert!(err.contains("gives 48 sets"), "{err}");
+        let err = rejected(|c| c.l2_bytes = 0);
+        assert!(
+            err.starts_with("l2_bytes = 0 with l2_ways = 8") && err.contains("0 sets"),
+            "{err}"
+        );
+        let err = rejected(|c| c.llc_bytes = 12 * 1024 * 1024);
+        assert!(err.starts_with("llc_bytes / llc_slices = 1572864 with llc_ways = 16"), "{err}");
+        let err = rejected(|c| c.line_bytes = 48);
+        assert_eq!(err, "line_bytes = 48 is not a power of two");
+        let err = rejected(|c| c.line_bytes = 0);
+        assert_eq!(err, "line_bytes = 0 is not a power of two");
+        let err = rejected(|c| c.llc_bytes = 16 * 1024 * 1024 + 4);
+        assert_eq!(err, "llc_bytes = 16777220 does not divide evenly across llc_slices = 8");
+    }
+
+    /// Every preset validates, and a configuration that validates builds.
+    #[test]
+    fn every_preset_validates_and_builds() {
+        for config in [
+            SystemConfig::baseline_8core(),
+            SystemConfig::baseline_16core(),
+            SystemConfig::small_test(),
+        ] {
+            config.validate().expect("preset validates");
+            let cores = config.cores;
+            let system = crate::System::new(config, bard_workloads::WorkloadId::Lbm);
+            assert_eq!(system.config().cores, cores);
+        }
     }
 
     #[test]

@@ -248,9 +248,7 @@ impl SlicedLlc {
     /// dirty bits without generating DRAM traffic.
     pub fn functional_access(&mut self, addr: u64, is_write: bool) {
         let slice = self.slice_of(addr);
-        if !self.slices[slice].touch(addr, 0, is_write) {
-            let _ = self.slices[slice].fill(addr, is_write, 0);
-        }
+        self.slices[slice].access(addr, 0, is_write);
     }
 
     fn slice_of(&self, addr: u64) -> usize {

@@ -1521,11 +1521,7 @@ impl System {
     }
 
     fn writeback_into_l2(&mut self, ci: usize, line: u64, sig: u16) {
-        if self.cores[ci].l2.writeback_access(line) {
-            return;
-        }
-        let result = self.cores[ci].l2.fill(line, true, sig);
-        if let Some(evicted) = result.evicted {
+        if let Some(evicted) = self.cores[ci].l2.write_back(line, sig) {
             if evicted.dirty {
                 self.writeback_into_llc(evicted.addr);
             }
@@ -1626,29 +1622,30 @@ impl System {
         }
     }
 
+    /// One warm-up access, one set visit per cache operation. Results depend
+    /// on each cache seeing its operations in the order a touch-then-fill
+    /// walk makes them: L1 the access (its fill may run ahead of the L2 and
+    /// LLC operations, which never touch L1); L2 the line, then L1's dirty
+    /// victim; the LLC the line, L2's dirty victim, then the dirty victim of
+    /// that write-back.
     fn functional_access(&mut self, ci: usize, addr: u64, is_write: bool) {
         let line = self.line_of(addr);
-        if self.cores[ci].l1d.touch(addr, 0, is_write) {
+        let ctx = &mut self.cores[ci];
+        let (l1_hit, l1_victim) = ctx.l1d.access(addr, 0, is_write);
+        if l1_hit {
             return;
         }
-        if !self.cores[ci].l2.touch(addr, 0, false) {
+        let (l2_hit, l2_victim) = ctx.l2.access(line, 0, false);
+        if !l2_hit {
             self.llc.functional_access(line, false);
-            let result = self.cores[ci].l2.fill(line, false, 0);
-            if let Some(evicted) = result.evicted {
-                if evicted.dirty {
-                    self.llc.functional_access(evicted.addr, true);
-                }
+            if let Some(victim) = l2_victim.filter(|v| v.dirty) {
+                self.llc.functional_access(victim.addr, true);
             }
         }
-        let result = self.cores[ci].l1d.fill(line, is_write, 0);
-        if let Some(evicted) = result.evicted {
-            if evicted.dirty && !self.cores[ci].l2.writeback_access(evicted.addr) {
-                let r2 = self.cores[ci].l2.fill(evicted.addr, true, 0);
-                if let Some(e2) = r2.evicted {
-                    if e2.dirty {
-                        self.llc.functional_access(e2.addr, true);
-                    }
-                }
+        if let Some(victim) = l1_victim.filter(|v| v.dirty) {
+            let l2_evicted = self.cores[ci].l2.write_back(victim.addr, 0);
+            if let Some(evicted) = l2_evicted.filter(|v| v.dirty) {
+                self.llc.functional_access(evicted.addr, true);
             }
         }
     }

@@ -71,7 +71,7 @@ impl CacheConfig {
 /// exactly as the cache holds it: the tag array, the set words, the
 /// replacement policy's per-cache state and the statistics counters. A
 /// restored cache is field-for-field identical to the captured one.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CacheState {
     /// Line address per way, set-major (`sets * ways` entries); all ones
     /// (`u64::MAX`) marks an invalid way.

@@ -67,7 +67,7 @@ struct MshrEntry {
 }
 
 /// Plain-data image of one outstanding miss (snapshot support).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MshrEntryState {
     /// Line address the miss targets.
     pub line: u64,
@@ -82,7 +82,7 @@ pub struct MshrEntryState {
 /// Plain-data image of an MSHR file (snapshot support). Entries are sorted
 /// by line address so the image is canonical regardless of map iteration
 /// order (no simulator code depends on that order; see [`LineHasher`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MshrState {
     /// Outstanding misses, sorted by line address.
     pub entries: Vec<MshrEntryState>,

@@ -50,7 +50,7 @@ pub struct StrideEntryState {
 }
 
 /// Plain-data image of an [`IpStridePrefetcher`] table (snapshot support).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StrideTableState {
     /// One entry per direct-mapped table slot, in slot order.
     pub entries: Vec<StrideEntryState>,

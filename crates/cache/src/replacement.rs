@@ -74,10 +74,11 @@ const SHCT_MAX: u8 = 7;
 /// invalid lines are handled by the cache itself and never reach `victim`.
 /// A [`CacheState`](crate::CacheState) carries the value as the cache
 /// holds it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum Replacement {
     /// True LRU: each set's field lists its ways from least to most
     /// recently used. A hit or a fill moves the way to the MRU end.
+    #[default]
     Lru,
     /// Static RRIP with 2-bit re-reference prediction values.
     Srrip,

@@ -28,7 +28,7 @@ pub struct BlpTracker {
 /// Geometry (`banks_per_channel` / `banks_per_subchannel`) is intentionally
 /// excluded: it is reconstructed from the simulator configuration, and
 /// restores are gated by snapshot digests.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BlpTrackerState {
     /// One 64-bit bank bitmap per channel.
     pub bits: Vec<u64>,

@@ -29,7 +29,7 @@ const VWQ_SET_WINDOW: usize = 256;
 /// Covers everything mutable: per-slice cache contents, the BLP-Tracker and
 /// the policy counters. Geometry, policy kind and the address mapping are
 /// reconstructed from the simulator configuration.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LlcState {
     /// One cache image per slice, in slice order.
     pub slices: Vec<CacheState>,

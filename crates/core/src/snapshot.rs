@@ -50,8 +50,8 @@
 use std::path::{Path, PathBuf};
 
 use bard_cache::{
-    CacheState, CacheStats, MshrEntryState, MshrState, Replacement, ReplacementKind, SetWord,
-    StrideEntryState, StrideTableState, MAX_WAYS,
+    CacheState, CacheStats, MshrEntryState, MshrState, Replacement, SetWord, StrideEntryState,
+    StrideTableState, MAX_WAYS,
 };
 use bard_cpu::{CoreRequest, CoreState, CoreStats, MemAccess, MemKind, TraceRecord};
 use bard_dram::{
@@ -64,7 +64,7 @@ use crate::blp_tracker::BlpTrackerState;
 use crate::config::{EngineKind, SystemConfig};
 use crate::llc::LlcState;
 use crate::policy::PolicyStats;
-use crate::system::System;
+use crate::system::{RunProgress, RunStage, System};
 
 /// Magic bytes opening every snapshot image.
 pub const MAGIC: [u8; 4] = *b"BSS1";
@@ -153,159 +153,190 @@ impl From<std::io::Error> for SnapshotError {
 // Payload codec primitives
 // ---------------------------------------------------------------------------
 
-/// Payload encoder: varints for integers, zigzag for signed values.
-pub(crate) struct Enc {
-    buf: Vec<u8>,
-}
+/// One direction of the payload codec. Each codec function below visits its
+/// type's fields once, in payload order, through an `Io`: [`Enc`] appends
+/// every field, [`Dec`] overwrites every field of a default-initialised
+/// value with what it reads. Integers are varints, zigzagged when signed.
+/// Decoding fails loudly with the offending offset; a live system's image
+/// is well-formed, so encoding never fails.
+trait Io {
+    /// A varint.
+    fn u64(&mut self, v: &mut u64) -> Result<(), SnapshotError>;
 
-impl Enc {
-    fn new() -> Self {
-        Self { buf: Vec::new() }
+    /// One raw byte.
+    fn u8(&mut self, v: &mut u8) -> Result<(), SnapshotError>;
+
+    /// A length prefix. Decoding bounds it by the bytes left, so a corrupt
+    /// length cannot force a huge allocation.
+    fn len(&mut self, n: &mut usize) -> Result<(), SnapshotError>;
+
+    /// A [`SnapshotError::Format`] at the current offset.
+    fn fail(&self, message: impl Into<String>) -> SnapshotError;
+
+    /// Checks what was just decoded: [`Dec`] turns the verdict's complaint
+    /// into a [`SnapshotError::Format`], [`Enc`] trusts the live state and
+    /// skips it.
+    fn check(&self, verdict: impl FnOnce() -> Result<(), String>) -> Result<(), SnapshotError>;
+
+    fn u32(&mut self, v: &mut u32) -> Result<(), SnapshotError> {
+        let mut wide = u64::from(*v);
+        self.u64(&mut wide)?;
+        *v = u32::try_from(wide).map_err(|_| self.fail("value does not fit u32"))?;
+        Ok(())
     }
 
-    fn u64(&mut self, v: u64) {
-        push_varint(&mut self.buf, v);
+    fn u16(&mut self, v: &mut u16) -> Result<(), SnapshotError> {
+        let mut wide = u64::from(*v);
+        self.u64(&mut wide)?;
+        *v = u16::try_from(wide).map_err(|_| self.fail("value does not fit u16"))?;
+        Ok(())
     }
 
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
+    fn usize(&mut self, v: &mut usize) -> Result<(), SnapshotError> {
+        let mut wide = *v as u64;
+        self.u64(&mut wide)?;
+        *v = usize::try_from(wide).map_err(|_| self.fail("length does not fit usize"))?;
+        Ok(())
     }
 
-    fn u32(&mut self, v: u32) {
-        self.u64(u64::from(v));
+    fn i64(&mut self, v: &mut i64) -> Result<(), SnapshotError> {
+        let mut wide = zigzag(*v);
+        self.u64(&mut wide)?;
+        *v = unzigzag(wide);
+        Ok(())
     }
 
-    fn u16(&mut self, v: u16) {
-        self.u64(u64::from(v));
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.buf.push(u8::from(v));
-    }
-
-    fn i64(&mut self, v: i64) {
-        self.u64(zigzag(v));
-    }
-
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.bool(true);
-                self.u64(x);
-            }
-            None => self.bool(false),
+    /// A byte that must be 0 or 1.
+    fn bool(&mut self, v: &mut bool) -> Result<(), SnapshotError> {
+        let mut byte = u8::from(*v);
+        self.u8(&mut byte)?;
+        if byte > 1 {
+            return Err(self.fail(format!("boolean byte must be 0 or 1, found {byte}")));
         }
+        *v = byte == 1;
+        Ok(())
     }
 
-    fn u64s(&mut self, vs: &[u64]) {
-        self.usize(vs.len());
-        for &v in vs {
-            self.u64(v);
+    /// A one-byte tag that must not exceed `max`; `what` names it in the
+    /// error.
+    fn tag(&mut self, v: &mut u8, max: u8, what: &str) -> Result<(), SnapshotError> {
+        self.u8(v)?;
+        if *v > max {
+            return Err(self.fail(format!("invalid {what} {v}")));
         }
+        Ok(())
     }
 }
 
-/// Payload decoder; every read fails loudly with the offending offset.
-pub(crate) struct Dec<'a> {
-    buf: &'a [u8], // bard-lint: allow(S1) -- decoder cursor over an image, not snapshot state
-    pos: usize,    // bard-lint: allow(S1) -- decoder cursor over an image, not snapshot state
+/// The encoding direction: appends each field to the payload.
+struct Enc(Vec<u8>);
+
+impl Io for Enc {
+    fn u64(&mut self, v: &mut u64) -> Result<(), SnapshotError> {
+        push_varint(&mut self.0, *v);
+        Ok(())
+    }
+
+    fn u8(&mut self, v: &mut u8) -> Result<(), SnapshotError> {
+        self.0.push(*v);
+        Ok(())
+    }
+
+    fn len(&mut self, n: &mut usize) -> Result<(), SnapshotError> {
+        self.usize(n)
+    }
+
+    fn fail(&self, message: impl Into<String>) -> SnapshotError {
+        SnapshotError::Format { offset: self.0.len(), message: message.into() }
+    }
+
+    fn check(&self, _: impl FnOnce() -> Result<(), String>) -> Result<(), SnapshotError> {
+        Ok(())
+    }
 }
 
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
+/// The decoding direction: reads each field from the payload at `pos`.
+struct Dec<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
 
-    fn format(&self, message: impl Into<String>) -> SnapshotError {
-        SnapshotError::Format { offset: self.pos, message: message.into() }
-    }
-
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        let b = *self.buf.get(self.pos).ok_or(SnapshotError::Truncated { offset: self.pos })?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let mut v = 0u64;
+impl Io for Dec<'_> {
+    fn u64(&mut self, v: &mut u64) -> Result<(), SnapshotError> {
+        let mut value = 0u64;
         let mut shift = 0u32;
         loop {
-            let b = self.u8()?;
+            let mut b = 0;
+            self.u8(&mut b)?;
             if shift == 63 && b > 1 {
-                return Err(self.format("varint overflows u64"));
+                return Err(self.fail("varint overflows u64"));
             }
-            v |= u64::from(b & 0x7F) << shift;
+            value |= u64::from(b & 0x7F) << shift;
             if b & 0x80 == 0 {
-                return Ok(v);
+                *v = value;
+                return Ok(());
             }
             shift += 7;
             if shift > 63 {
-                return Err(self.format("varint longer than 10 bytes"));
+                return Err(self.fail("varint longer than 10 bytes"));
             }
         }
     }
 
-    fn usize(&mut self) -> Result<usize, SnapshotError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| self.format("length does not fit usize"))
+    fn u8(&mut self, v: &mut u8) -> Result<(), SnapshotError> {
+        *v = *self.buf.get(self.pos).ok_or(SnapshotError::Truncated { offset: self.pos })?;
+        self.pos += 1;
+        Ok(())
     }
 
-    /// A length that will be used to reserve memory: bounded by the bytes
-    /// actually remaining so a corrupt length cannot force a huge
-    /// allocation.
-    fn len(&mut self) -> Result<usize, SnapshotError> {
-        let v = self.usize()?;
-        if v > self.buf.len().saturating_sub(self.pos) {
-            return Err(self.format(format!("declared {v} elements exceed remaining bytes")));
+    fn len(&mut self, n: &mut usize) -> Result<(), SnapshotError> {
+        self.usize(n)?;
+        if *n > self.buf.len() - self.pos {
+            return Err(self.fail(format!("declared {n} elements exceed remaining bytes")));
         }
-        Ok(v)
+        Ok(())
     }
 
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let v = self.u64()?;
-        u32::try_from(v).map_err(|_| self.format("value does not fit u32"))
+    fn fail(&self, message: impl Into<String>) -> SnapshotError {
+        SnapshotError::Format { offset: self.pos, message: message.into() }
     }
 
-    fn u16(&mut self) -> Result<u16, SnapshotError> {
-        let v = self.u64()?;
-        u16::try_from(v).map_err(|_| self.format("value does not fit u16"))
+    fn check(&self, verdict: impl FnOnce() -> Result<(), String>) -> Result<(), SnapshotError> {
+        verdict().map_err(|message| self.fail(message))
     }
+}
 
-    fn bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(self.format(format!("boolean byte must be 0 or 1, found {other}"))),
+/// An optional value: a presence boolean, then the value when present.
+fn opt<I: Io, T: Default>(
+    io: &mut I,
+    v: &mut Option<T>,
+    f: impl FnOnce(&mut I, &mut T) -> Result<(), SnapshotError>,
+) -> Result<(), SnapshotError> {
+    let mut present = v.is_some();
+    io.bool(&mut present)?;
+    if present {
+        f(io, v.get_or_insert_with(T::default))?;
+    }
+    Ok(())
+}
+
+/// A sequence: its length, then each element. Decoding, into an empty
+/// vector, appends the elements one at a time, so memory grows only with
+/// the bytes actually decoded.
+fn seq<I: Io, T: Default>(
+    io: &mut I,
+    v: &mut Vec<T>,
+    mut f: impl FnMut(&mut I, &mut T) -> Result<(), SnapshotError>,
+) -> Result<(), SnapshotError> {
+    let mut n = v.len();
+    io.len(&mut n)?;
+    for i in 0..n {
+        if i == v.len() {
+            v.push(T::default());
         }
+        f(io, &mut v[i])?;
     }
-
-    fn i64(&mut self) -> Result<i64, SnapshotError> {
-        Ok(unzigzag(self.u64()?))
-    }
-
-    fn opt_u64(&mut self) -> Result<Option<u64>, SnapshotError> {
-        Ok(if self.bool()? { Some(self.u64()?) } else { None })
-    }
-
-    fn u64s(&mut self) -> Result<Vec<u64>, SnapshotError> {
-        let n = self.len()?;
-        (0..n).map(|_| self.u64()).collect()
-    }
-
-    fn finish(&self) -> Result<(), SnapshotError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(SnapshotError::Format {
-                offset: self.pos,
-                message: format!("{} trailing payload bytes", self.buf.len() - self.pos),
-            })
-        }
-    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -313,7 +344,7 @@ impl<'a> Dec<'a> {
 // ---------------------------------------------------------------------------
 
 /// Plain-data image of one core's slice of the system.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct CoreImage {
     pub core: CoreState,
     /// Trace records consumed so far; the restore rebuilds the generator and
@@ -329,7 +360,7 @@ pub(crate) struct CoreImage {
 
 /// One scheduled completion event, stored as its cycle delta from the
 /// capture cycle (slot order and intra-slot insertion order preserved).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct EventImage {
     pub delta: u64,
     pub store: bool,
@@ -337,22 +368,10 @@ pub(crate) struct EventImage {
     pub token: u64,
 }
 
-/// Mid-run driver progress (`System::run_to_pause` state machine).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ProgressImage {
-    /// 0 = timed warm-up stage, 1 = measure stage.
-    pub stage: u8,
-    pub timed_warmup: u64,
-    pub measure: u64,
-    pub start_retired: Vec<u64>,
-    pub guard: u64,
-    pub measure_start_cycle: u64,
-}
-
 /// The complete semantic state of a [`System`], as plain data. Derived
 /// structures (cache tag indices, DRAM pending-write counts, wake masks) are
 /// intentionally absent: the restore rebuilds them.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct SystemImage {
     pub cycle: u64,
     pub cores: Vec<CoreImage>,
@@ -362,632 +381,318 @@ pub(crate) struct SystemImage {
     pub dram_pending: Vec<u64>,
     pub writeback_pending: Vec<u64>,
     pub events: Vec<EventImage>,
-    pub progress: Option<ProgressImage>,
+    pub progress: Option<RunProgress>,
 }
 
 // ---------------------------------------------------------------------------
-// Struct-by-struct codec
+// One codec function per image type
 // ---------------------------------------------------------------------------
 
-fn enc_trace_record(e: &mut Enc, r: &TraceRecord) {
-    e.u64(r.ip);
-    e.u32(r.bubble);
-    match r.access {
-        None => e.u8(0),
-        Some(a) => {
-            e.u8(if a.is_store() { 2 } else { 1 });
-            e.u64(a.addr);
-        }
+/// A record, its access a tag (0 = none, 1 = load, 2 = store) followed by
+/// the address when there is one.
+fn trace_record(io: &mut impl Io, r: &mut TraceRecord) -> Result<(), SnapshotError> {
+    io.u64(&mut r.ip)?;
+    io.u32(&mut r.bubble)?;
+    let mut tag = r.access.map_or(0, |a| 1 + u8::from(a.is_store()));
+    io.tag(&mut tag, 2, "access tag")?;
+    if tag > 0 {
+        let mut addr = r.access.map_or(0, |a| a.addr);
+        io.u64(&mut addr)?;
+        r.access = Some(if tag == 2 { MemAccess::store(addr) } else { MemAccess::load(addr) });
     }
+    Ok(())
 }
 
-fn dec_trace_record(d: &mut Dec) -> Result<TraceRecord, SnapshotError> {
-    let ip = d.u64()?;
-    let bubble = d.u32()?;
-    let access = match d.u8()? {
-        0 => None,
-        1 => Some(MemAccess::load(d.u64()?)),
-        2 => Some(MemAccess::store(d.u64()?)),
-        other => return Err(d.format(format!("invalid access tag {other}"))),
-    };
-    Ok(TraceRecord { ip, bubble, access })
+fn core_stats(io: &mut impl Io, s: &mut CoreStats) -> Result<(), SnapshotError> {
+    io.u64(&mut s.cycles)?;
+    io.u64(&mut s.retired)?;
+    io.u64(&mut s.head_blocked_cycles)?;
+    io.u64(&mut s.rob_full_stalls)?;
+    io.u64(&mut s.store_buffer_stalls)?;
+    io.u64(&mut s.memory_backpressure_stalls)?;
+    io.u64(&mut s.loads_issued)?;
+    io.u64(&mut s.stores_issued)
 }
 
-fn enc_core_stats(e: &mut Enc, s: &CoreStats) {
-    e.u64(s.cycles);
-    e.u64(s.retired);
-    e.u64(s.head_blocked_cycles);
-    e.u64(s.rob_full_stalls);
-    e.u64(s.store_buffer_stalls);
-    e.u64(s.memory_backpressure_stalls);
-    e.u64(s.loads_issued);
-    e.u64(s.stores_issued);
+fn core_state(io: &mut impl Io, s: &mut CoreState) -> Result<(), SnapshotError> {
+    io.u64(&mut s.head_seq)?;
+    io.u64(&mut s.next_seq)?;
+    seq(io, &mut s.pending_loads, Io::u64)?;
+    io.u64(&mut s.store_buffer_used)?;
+    io.u32(&mut s.pending_bubble)?;
+    opt(io, &mut s.deferred, trace_record)?;
+    core_stats(io, &mut s.stats)
 }
 
-fn dec_core_stats(d: &mut Dec) -> Result<CoreStats, SnapshotError> {
-    Ok(CoreStats {
-        cycles: d.u64()?,
-        retired: d.u64()?,
-        head_blocked_cycles: d.u64()?,
-        rob_full_stalls: d.u64()?,
-        store_buffer_stalls: d.u64()?,
-        memory_backpressure_stalls: d.u64()?,
-        loads_issued: d.u64()?,
-        stores_issued: d.u64()?,
-    })
+fn cache_stats(io: &mut impl Io, s: &mut CacheStats) -> Result<(), SnapshotError> {
+    io.u64(&mut s.loads)?;
+    io.u64(&mut s.load_hits)?;
+    io.u64(&mut s.stores)?;
+    io.u64(&mut s.stores_hits)?;
+    io.u64(&mut s.writeback_accesses)?;
+    io.u64(&mut s.fills)?;
+    io.u64(&mut s.clean_evictions)?;
+    io.u64(&mut s.dirty_evictions)?;
+    io.u64(&mut s.cleanses)?;
+    io.u64(&mut s.prefetch_fills)?;
+    io.u64(&mut s.prefetch_useful)
 }
 
-fn enc_core_state(e: &mut Enc, s: &CoreState) {
-    e.u64(s.head_seq);
-    e.u64(s.next_seq);
-    e.u64s(&s.pending_loads);
-    e.u64(s.store_buffer_used);
-    e.u32(s.pending_bubble);
-    match &s.deferred {
-        None => e.bool(false),
-        Some(r) => {
-            e.bool(true);
-            enc_trace_record(e, r);
-        }
-    }
-    enc_core_stats(e, &s.stats);
-}
-
-fn dec_core_state(d: &mut Dec) -> Result<CoreState, SnapshotError> {
-    Ok(CoreState {
-        head_seq: d.u64()?,
-        next_seq: d.u64()?,
-        pending_loads: d.u64s()?,
-        store_buffer_used: d.u64()?,
-        pending_bubble: d.u32()?,
-        deferred: if d.bool()? { Some(dec_trace_record(d)?) } else { None },
-        stats: dec_core_stats(d)?,
-    })
-}
-
-fn enc_cache_stats(e: &mut Enc, s: &CacheStats) {
-    e.u64(s.loads);
-    e.u64(s.load_hits);
-    e.u64(s.stores);
-    e.u64(s.stores_hits);
-    e.u64(s.writeback_accesses);
-    e.u64(s.fills);
-    e.u64(s.clean_evictions);
-    e.u64(s.dirty_evictions);
-    e.u64(s.cleanses);
-    e.u64(s.prefetch_fills);
-    e.u64(s.prefetch_useful);
-}
-
-fn dec_cache_stats(d: &mut Dec) -> Result<CacheStats, SnapshotError> {
-    Ok(CacheStats {
-        loads: d.u64()?,
-        load_hits: d.u64()?,
-        stores: d.u64()?,
-        stores_hits: d.u64()?,
-        writeback_accesses: d.u64()?,
-        fills: d.u64()?,
-        clean_evictions: d.u64()?,
-        dirty_evictions: d.u64()?,
-        cleanses: d.u64()?,
-        prefetch_fills: d.u64()?,
-        prefetch_useful: d.u64()?,
-    })
-}
-
-fn enc_set_word(e: &mut Enc, w: &SetWord) {
-    e.u64(w.repl);
-    e.u16(w.valid);
-    e.u16(w.dirty);
-    e.u16(w.prefetched);
-    e.u16(w.reused);
-}
-
-/// Decodes the word of the set whose tags are `tags`, checked against them
-/// and the policy ([`SetWord::check`]).
-fn dec_set_word(
-    d: &mut Dec,
-    kind: ReplacementKind,
-    tags: &[u64],
-) -> Result<SetWord, SnapshotError> {
-    let word = SetWord {
-        repl: d.u64()?,
-        valid: d.u16()?,
-        dirty: d.u16()?,
-        prefetched: d.u16()?,
-        reused: d.u16()?,
-    };
-    word.check(kind, tags).map_err(|message| d.format(message))?;
-    Ok(word)
+fn set_word(io: &mut impl Io, w: &mut SetWord) -> Result<(), SnapshotError> {
+    io.u64(&mut w.repl)?;
+    io.u16(&mut w.valid)?;
+    io.u16(&mut w.dirty)?;
+    io.u16(&mut w.prefetched)?;
+    io.u16(&mut w.reused)
 }
 
 /// A cache as the cache holds it: its tag array (each tag stored plus one,
 /// wrapping, so an invalid way's all-ones tag is the one-byte varint 0),
-/// its policy's own state (SHiP's table and one signature per way), one
-/// word per set and its statistics.
-fn enc_cache_state(e: &mut Enc, s: &CacheState) {
-    e.usize(s.tags.len());
-    for &tag in &s.tags {
-        e.u64(tag.wrapping_add(1));
-    }
-    match &s.replacement {
-        Replacement::Lru => e.u8(0),
-        Replacement::Srrip => e.u8(1),
-        Replacement::Ship { shct, signatures } => {
-            e.u8(2);
-            e.usize(shct.len());
-            e.buf.extend_from_slice(shct);
-            for &signature in signatures {
-                e.u16(signature);
-            }
-        }
-    }
-    e.usize(s.words.len());
-    for w in &s.words {
-        enc_set_word(e, w);
-    }
-    enc_cache_stats(e, &s.stats);
-}
-
-fn dec_cache_state(d: &mut Dec) -> Result<CacheState, SnapshotError> {
-    let n = d.len()?;
-    let tags: Vec<u64> =
-        (0..n).map(|_| d.u64().map(|t| t.wrapping_sub(1))).collect::<Result<_, _>>()?;
-    let replacement = match d.u8()? {
+/// its policy's tag (0 = LRU, 1 = SRRIP, 2 = SHiP) and own state (SHiP's
+/// table, then one signature per way with no length of its own), one word
+/// per set, checked against the set's tags and the policy
+/// ([`SetWord::check`]), and its statistics.
+fn cache_state(io: &mut impl Io, s: &mut CacheState) -> Result<(), SnapshotError> {
+    seq(io, &mut s.tags, |io, tag| {
+        let mut stored = tag.wrapping_add(1);
+        io.u64(&mut stored)?;
+        *tag = stored.wrapping_sub(1);
+        Ok(())
+    })?;
+    let (mut tag, ship) = match std::mem::take(&mut s.replacement) {
+        Replacement::Lru => (0, None),
+        Replacement::Srrip => (1, None),
+        Replacement::Ship { shct, signatures } => (2, Some((shct, signatures))),
+    };
+    io.tag(&mut tag, 2, "replacement tag")?;
+    s.replacement = match tag {
         0 => Replacement::Lru,
         1 => Replacement::Srrip,
-        2 => {
-            let n = d.len()?;
-            let shct = (0..n).map(|_| d.u8()).collect::<Result<_, _>>()?;
-            let signatures = (0..tags.len()).map(|_| d.u16()).collect::<Result<_, _>>()?;
+        _ => {
+            let (mut shct, mut signatures) =
+                ship.unwrap_or_else(|| (Vec::new(), vec![0; s.tags.len()]));
+            seq(io, &mut shct, Io::u8)?;
+            for signature in &mut signatures {
+                io.u16(signature)?;
+            }
             Replacement::Ship { shct, signatures }
         }
-        other => return Err(d.format(format!("invalid replacement tag {other}"))),
     };
-    let sets = d.len()?;
-    let ways = tags.len().checked_div(sets).unwrap_or(0);
-    if !(1..=MAX_WAYS).contains(&ways) || ways * sets != tags.len() {
-        return Err(d.format(format!(
-            "{} tags do not form {sets} sets of 1..={MAX_WAYS} ways",
-            tags.len()
-        )));
+    let mut sets = s.words.len();
+    io.len(&mut sets)?;
+    let ways = s.tags.len().checked_div(sets).unwrap_or(0);
+    if !(1..=MAX_WAYS).contains(&ways) || ways * sets != s.tags.len() {
+        let message =
+            format!("{} tags do not form {sets} sets of 1..={MAX_WAYS} ways", s.tags.len());
+        return Err(io.fail(message));
     }
-    let kind = replacement.kind();
-    let words =
-        tags.chunks(ways).map(|set| dec_set_word(d, kind, set)).collect::<Result<_, _>>()?;
-    Ok(CacheState { tags, words, replacement, stats: dec_cache_stats(d)? })
-}
-
-fn enc_stride_table(e: &mut Enc, t: &StrideTableState) {
-    e.usize(t.entries.len());
-    for s in &t.entries {
-        e.u64(s.ip_tag);
-        e.u64(s.last_addr);
-        e.i64(s.stride);
-        e.u8(s.confidence);
+    s.words.resize(sets, SetWord::default());
+    let kind = s.replacement.kind();
+    for (word, tags) in s.words.iter_mut().zip(s.tags.chunks(ways)) {
+        set_word(io, word)?;
+        io.check(|| word.check(kind, tags))?;
     }
+    cache_stats(io, &mut s.stats)
 }
 
-fn dec_stride_table(d: &mut Dec) -> Result<StrideTableState, SnapshotError> {
-    let n = d.len()?;
-    let entries = (0..n)
-        .map(|_| {
-            Ok(StrideEntryState {
-                ip_tag: d.u64()?,
-                last_addr: d.u64()?,
-                stride: d.i64()?,
-                confidence: d.u8()?,
-            })
-        })
-        .collect::<Result<_, SnapshotError>>()?;
-    Ok(StrideTableState { entries })
+fn stride_entry(io: &mut impl Io, e: &mut StrideEntryState) -> Result<(), SnapshotError> {
+    io.u64(&mut e.ip_tag)?;
+    io.u64(&mut e.last_addr)?;
+    io.i64(&mut e.stride)?;
+    io.u8(&mut e.confidence)
 }
 
-fn enc_core_request(e: &mut Enc, r: &CoreRequest) {
-    e.u64(r.token);
-    e.bool(r.kind == MemKind::Store);
-    e.u64(r.addr);
-    e.u64(r.ip);
+fn stride_table(io: &mut impl Io, t: &mut StrideTableState) -> Result<(), SnapshotError> {
+    seq(io, &mut t.entries, stride_entry)
 }
 
-fn dec_core_request(d: &mut Dec) -> Result<CoreRequest, SnapshotError> {
-    Ok(CoreRequest {
-        token: d.u64()?,
-        kind: if d.bool()? { MemKind::Store } else { MemKind::Load },
-        addr: d.u64()?,
-        ip: d.u64()?,
-    })
+/// A request, its kind a boolean (true = store).
+fn core_request(io: &mut impl Io, r: &mut CoreRequest) -> Result<(), SnapshotError> {
+    io.u64(&mut r.token)?;
+    let mut store = r.kind == MemKind::Store;
+    io.bool(&mut store)?;
+    r.kind = if store { MemKind::Store } else { MemKind::Load };
+    io.u64(&mut r.addr)?;
+    io.u64(&mut r.ip)
 }
 
-fn enc_mshr(e: &mut Enc, m: &MshrState) {
-    e.usize(m.entries.len());
-    for entry in &m.entries {
-        e.u64(entry.line);
-        e.u64s(&entry.waiters);
-        e.bool(entry.write_requested);
-        e.bool(entry.prefetch_only);
-    }
-    e.u64(m.peak_occupancy);
-    e.u64(m.merges);
+fn mshr_entry(io: &mut impl Io, e: &mut MshrEntryState) -> Result<(), SnapshotError> {
+    io.u64(&mut e.line)?;
+    seq(io, &mut e.waiters, Io::u64)?;
+    io.bool(&mut e.write_requested)?;
+    io.bool(&mut e.prefetch_only)
 }
 
-fn dec_mshr(d: &mut Dec) -> Result<MshrState, SnapshotError> {
-    let n = d.len()?;
-    let entries = (0..n)
-        .map(|_| {
-            Ok(MshrEntryState {
-                line: d.u64()?,
-                waiters: d.u64s()?,
-                write_requested: d.bool()?,
-                prefetch_only: d.bool()?,
-            })
-        })
-        .collect::<Result<_, SnapshotError>>()?;
-    Ok(MshrState { entries, peak_occupancy: d.u64()?, merges: d.u64()? })
+fn mshr(io: &mut impl Io, m: &mut MshrState) -> Result<(), SnapshotError> {
+    seq(io, &mut m.entries, mshr_entry)?;
+    io.u64(&mut m.peak_occupancy)?;
+    io.u64(&mut m.merges)
 }
 
-fn enc_policy_stats(e: &mut Enc, s: &PolicyStats) {
-    e.u64(s.evictions);
-    e.u64(s.dirty_victim_evictions);
-    e.u64(s.overrides);
-    e.u64(s.cleanses);
-    e.u64(s.checked_decisions);
-    e.u64(s.incorrect_decisions);
-    e.u64(s.writebacks);
-    e.u64(s.bank_broadcasts);
+fn policy_stats(io: &mut impl Io, s: &mut PolicyStats) -> Result<(), SnapshotError> {
+    io.u64(&mut s.evictions)?;
+    io.u64(&mut s.dirty_victim_evictions)?;
+    io.u64(&mut s.overrides)?;
+    io.u64(&mut s.cleanses)?;
+    io.u64(&mut s.checked_decisions)?;
+    io.u64(&mut s.incorrect_decisions)?;
+    io.u64(&mut s.writebacks)?;
+    io.u64(&mut s.bank_broadcasts)
 }
 
-fn dec_policy_stats(d: &mut Dec) -> Result<PolicyStats, SnapshotError> {
-    Ok(PolicyStats {
-        evictions: d.u64()?,
-        dirty_victim_evictions: d.u64()?,
-        overrides: d.u64()?,
-        cleanses: d.u64()?,
-        checked_decisions: d.u64()?,
-        incorrect_decisions: d.u64()?,
-        writebacks: d.u64()?,
-        bank_broadcasts: d.u64()?,
-    })
+fn blp_tracker(io: &mut impl Io, t: &mut BlpTrackerState) -> Result<(), SnapshotError> {
+    seq(io, &mut t.bits, Io::u64)?;
+    io.u64(&mut t.set_events)?;
+    io.u64(&mut t.reset_events)
 }
 
-fn enc_llc(e: &mut Enc, s: &LlcState) {
-    e.usize(s.slices.len());
-    for slice in &s.slices {
-        enc_cache_state(e, slice);
-    }
-    e.u64s(&s.tracker.bits);
-    e.u64(s.tracker.set_events);
-    e.u64(s.tracker.reset_events);
-    enc_policy_stats(e, &s.stats);
+fn llc(io: &mut impl Io, s: &mut LlcState) -> Result<(), SnapshotError> {
+    seq(io, &mut s.slices, cache_state)?;
+    blp_tracker(io, &mut s.tracker)?;
+    policy_stats(io, &mut s.stats)
 }
 
-fn dec_llc(d: &mut Dec) -> Result<LlcState, SnapshotError> {
-    let n = d.len()?;
-    let slices = (0..n).map(|_| dec_cache_state(d)).collect::<Result<_, _>>()?;
-    Ok(LlcState {
-        slices,
-        tracker: BlpTrackerState { bits: d.u64s()?, set_events: d.u64()?, reset_events: d.u64()? },
-        stats: dec_policy_stats(d)?,
-    })
+fn bank(io: &mut impl Io, b: &mut BankState) -> Result<(), SnapshotError> {
+    opt(io, &mut b.open_row, Io::u64)?;
+    io.u64(&mut b.act_ok_at)?;
+    io.u64(&mut b.pre_ok_at)?;
+    io.u64(&mut b.cas_ok_at)?;
+    io.bool(&mut b.auto_precharge)?;
+    io.u64(&mut b.activations)
 }
 
-fn enc_bank(e: &mut Enc, b: &BankState) {
-    e.opt_u64(b.open_row);
-    e.u64(b.act_ok_at);
-    e.u64(b.pre_ok_at);
-    e.u64(b.cas_ok_at);
-    e.bool(b.auto_precharge);
-    e.u64(b.activations);
+/// A queued request, its row-buffer outcome a tag of at most 3.
+fn queued(io: &mut impl Io, q: &mut QueuedRequestState) -> Result<(), SnapshotError> {
+    io.u64(&mut q.id)?;
+    io.bool(&mut q.write)?;
+    io.u64(&mut q.addr)?;
+    io.u64(&mut q.core)?;
+    io.u64(&mut q.enqueue_cycle)?;
+    io.tag(&mut q.outcome, 3, "request outcome")?;
+    io.u64(&mut q.order)
 }
 
-fn dec_bank(d: &mut Dec) -> Result<BankState, SnapshotError> {
-    Ok(BankState {
-        open_row: d.opt_u64()?,
-        act_ok_at: d.u64()?,
-        pre_ok_at: d.u64()?,
-        cas_ok_at: d.u64()?,
-        auto_precharge: d.bool()?,
-        activations: d.u64()?,
-    })
+fn completed(io: &mut impl Io, c: &mut CompletedRead) -> Result<(), SnapshotError> {
+    io.u64(&mut c.id)?;
+    io.u64(&mut c.addr)?;
+    io.usize(&mut c.core)?;
+    io.u64(&mut c.ready_cycle)?;
+    io.u64(&mut c.latency)
 }
 
-fn enc_queued(e: &mut Enc, q: &QueuedRequestState) {
-    e.u64(q.id);
-    e.bool(q.write);
-    e.u64(q.addr);
-    e.u64(q.core);
-    e.u64(q.enqueue_cycle);
-    e.u8(q.outcome);
-    e.u64(q.order);
+fn sub_stats(io: &mut impl Io, s: &mut SubChannelStats) -> Result<(), SnapshotError> {
+    io.u64(&mut s.cycles)?;
+    io.u64(&mut s.write_mode_cycles)?;
+    io.u64(&mut s.busy_cycles)?;
+    io.u64(&mut s.reads)?;
+    io.u64(&mut s.writes)?;
+    io.u64(&mut s.read_latency_cycles)?;
+    io.u64(&mut s.read_row_hits)?;
+    io.u64(&mut s.read_row_misses)?;
+    io.u64(&mut s.read_row_conflicts)?;
+    io.u64(&mut s.write_row_hits)?;
+    io.u64(&mut s.write_row_misses)?;
+    io.u64(&mut s.write_row_conflicts)?;
+    io.u64(&mut s.activates)?;
+    io.u64(&mut s.precharges)?;
+    io.u64(&mut s.refreshes)?;
+    io.u64(&mut s.drain_episodes)?;
+    io.u64(&mut s.drain_writes)?;
+    io.u64(&mut s.drain_unique_banks)?;
+    io.u64(&mut s.drain_cycles)?;
+    io.u64(&mut s.write_to_write_gap_cycles)?;
+    io.u64(&mut s.write_to_write_gaps)?;
+    io.u64(&mut s.write_queue_full_events)
 }
 
-fn dec_queued(d: &mut Dec) -> Result<QueuedRequestState, SnapshotError> {
-    let q = QueuedRequestState {
-        id: d.u64()?,
-        write: d.bool()?,
-        addr: d.u64()?,
-        core: d.u64()?,
-        enqueue_cycle: d.u64()?,
-        outcome: d.u8()?,
-        order: d.u64()?,
-    };
-    if q.outcome > 3 {
-        return Err(d.format(format!("invalid request outcome {}", q.outcome)));
-    }
-    Ok(q)
+fn subchannel(io: &mut impl Io, s: &mut SubChannelState) -> Result<(), SnapshotError> {
+    seq(io, &mut s.reads, queued)?;
+    seq(io, &mut s.writes, queued)?;
+    io.u64(&mut s.next_order)?;
+    seq(io, &mut s.banks, bank)?;
+    seq(io, &mut s.bg_rd_ok, Io::u64)?;
+    seq(io, &mut s.bg_wr_ok, Io::u64)?;
+    seq(io, &mut s.bg_act_ok, Io::u64)?;
+    io.u64(&mut s.sub_rd_ok)?;
+    io.u64(&mut s.sub_wr_ok)?;
+    io.u64(&mut s.sub_act_ok)?;
+    seq(io, &mut s.faw_window, Io::u64)?;
+    io.bool(&mut s.write_drain)?;
+    io.u64(&mut s.episode_banks)?;
+    io.u64(&mut s.episode_writes)?;
+    io.u64(&mut s.episode_start)?;
+    io.u64(&mut s.episode_gap_sum)?;
+    io.u64(&mut s.episode_gaps)?;
+    opt(io, &mut s.last_write_issue, Io::u64)?;
+    io.u64(&mut s.next_refresh_at)?;
+    seq(io, &mut s.completed, completed)?;
+    sub_stats(io, &mut s.stats)?;
+    io.u64(&mut s.settled_to)
 }
 
-fn enc_completed(e: &mut Enc, c: &CompletedRead) {
-    e.u64(c.id);
-    e.u64(c.addr);
-    e.usize(c.core);
-    e.u64(c.ready_cycle);
-    e.u64(c.latency);
+fn controller(io: &mut impl Io, c: &mut ControllerState) -> Result<(), SnapshotError> {
+    seq(io, &mut c.subchannels, subchannel)
 }
 
-fn dec_completed(d: &mut Dec) -> Result<CompletedRead, SnapshotError> {
-    Ok(CompletedRead {
-        id: d.u64()?,
-        addr: d.u64()?,
-        core: d.usize()?,
-        ready_cycle: d.u64()?,
-        latency: d.u64()?,
-    })
+fn core_image(io: &mut impl Io, c: &mut CoreImage) -> Result<(), SnapshotError> {
+    core_state(io, &mut c.core)?;
+    io.u64(&mut c.consumed)?;
+    cache_state(io, &mut c.l1d)?;
+    cache_state(io, &mut c.l2)?;
+    opt(io, &mut c.l1_prefetcher, stride_table)?;
+    seq(io, &mut c.retry, core_request)?;
+    opt(io, &mut c.finish_cycle, Io::u64)?;
+    io.u64(&mut c.retired_at_measure_start)
 }
 
-fn enc_sub_stats(e: &mut Enc, s: &SubChannelStats) {
-    e.u64(s.cycles);
-    e.u64(s.write_mode_cycles);
-    e.u64(s.busy_cycles);
-    e.u64(s.reads);
-    e.u64(s.writes);
-    e.u64(s.read_latency_cycles);
-    e.u64(s.read_row_hits);
-    e.u64(s.read_row_misses);
-    e.u64(s.read_row_conflicts);
-    e.u64(s.write_row_hits);
-    e.u64(s.write_row_misses);
-    e.u64(s.write_row_conflicts);
-    e.u64(s.activates);
-    e.u64(s.precharges);
-    e.u64(s.refreshes);
-    e.u64(s.drain_episodes);
-    e.u64(s.drain_writes);
-    e.u64(s.drain_unique_banks);
-    e.u64(s.drain_cycles);
-    e.u64(s.write_to_write_gap_cycles);
-    e.u64(s.write_to_write_gaps);
-    e.u64(s.write_queue_full_events);
+fn event(io: &mut impl Io, e: &mut EventImage) -> Result<(), SnapshotError> {
+    io.u64(&mut e.delta)?;
+    io.bool(&mut e.store)?;
+    io.u64(&mut e.core)?;
+    io.u64(&mut e.token)
 }
 
-fn dec_sub_stats(d: &mut Dec) -> Result<SubChannelStats, SnapshotError> {
-    Ok(SubChannelStats {
-        cycles: d.u64()?,
-        write_mode_cycles: d.u64()?,
-        busy_cycles: d.u64()?,
-        reads: d.u64()?,
-        writes: d.u64()?,
-        read_latency_cycles: d.u64()?,
-        read_row_hits: d.u64()?,
-        read_row_misses: d.u64()?,
-        read_row_conflicts: d.u64()?,
-        write_row_hits: d.u64()?,
-        write_row_misses: d.u64()?,
-        write_row_conflicts: d.u64()?,
-        activates: d.u64()?,
-        precharges: d.u64()?,
-        refreshes: d.u64()?,
-        drain_episodes: d.u64()?,
-        drain_writes: d.u64()?,
-        drain_unique_banks: d.u64()?,
-        drain_cycles: d.u64()?,
-        write_to_write_gap_cycles: d.u64()?,
-        write_to_write_gaps: d.u64()?,
-        write_queue_full_events: d.u64()?,
-    })
+/// A staged run's progress, its stage a tag (0 = timed warm-up, 1 =
+/// measure).
+fn progress(io: &mut impl Io, p: &mut RunProgress) -> Result<(), SnapshotError> {
+    let mut stage = u8::from(p.stage == RunStage::Measure);
+    io.tag(&mut stage, 1, "progress stage")?;
+    p.stage = if stage == 0 { RunStage::TimedWarmup } else { RunStage::Measure };
+    io.u64(&mut p.timed_warmup)?;
+    io.u64(&mut p.measure)?;
+    seq(io, &mut p.start_retired, Io::u64)?;
+    io.u64(&mut p.guard)?;
+    io.u64(&mut p.measure_start_cycle)
 }
 
-fn enc_subchannel(e: &mut Enc, s: &SubChannelState) {
-    e.usize(s.reads.len());
-    for q in &s.reads {
-        enc_queued(e, q);
-    }
-    e.usize(s.writes.len());
-    for q in &s.writes {
-        enc_queued(e, q);
-    }
-    e.u64(s.next_order);
-    e.usize(s.banks.len());
-    for b in &s.banks {
-        enc_bank(e, b);
-    }
-    e.u64s(&s.bg_rd_ok);
-    e.u64s(&s.bg_wr_ok);
-    e.u64s(&s.bg_act_ok);
-    e.u64(s.sub_rd_ok);
-    e.u64(s.sub_wr_ok);
-    e.u64(s.sub_act_ok);
-    e.u64s(&s.faw_window);
-    e.bool(s.write_drain);
-    e.u64(s.episode_banks);
-    e.u64(s.episode_writes);
-    e.u64(s.episode_start);
-    e.u64(s.episode_gap_sum);
-    e.u64(s.episode_gaps);
-    e.opt_u64(s.last_write_issue);
-    e.u64(s.next_refresh_at);
-    e.usize(s.completed.len());
-    for c in &s.completed {
-        enc_completed(e, c);
-    }
-    enc_sub_stats(e, &s.stats);
-    e.u64(s.settled_to);
+fn system_image(io: &mut impl Io, s: &mut SystemImage) -> Result<(), SnapshotError> {
+    io.u64(&mut s.cycle)?;
+    seq(io, &mut s.cores, core_image)?;
+    llc(io, &mut s.llc)?;
+    seq(io, &mut s.mcs, controller)?;
+    mshr(io, &mut s.inflight)?;
+    seq(io, &mut s.dram_pending, Io::u64)?;
+    seq(io, &mut s.writeback_pending, Io::u64)?;
+    seq(io, &mut s.events, event)?;
+    opt(io, &mut s.progress, progress)
 }
 
-fn dec_subchannel(d: &mut Dec) -> Result<SubChannelState, SnapshotError> {
-    let rn = d.len()?;
-    let reads = (0..rn).map(|_| dec_queued(d)).collect::<Result<_, _>>()?;
-    let wn = d.len()?;
-    let writes = (0..wn).map(|_| dec_queued(d)).collect::<Result<_, _>>()?;
-    let next_order = d.u64()?;
-    let bn = d.len()?;
-    let banks = (0..bn).map(|_| dec_bank(d)).collect::<Result<_, _>>()?;
-    Ok(SubChannelState {
-        reads,
-        writes,
-        next_order,
-        banks,
-        bg_rd_ok: d.u64s()?,
-        bg_wr_ok: d.u64s()?,
-        bg_act_ok: d.u64s()?,
-        sub_rd_ok: d.u64()?,
-        sub_wr_ok: d.u64()?,
-        sub_act_ok: d.u64()?,
-        faw_window: d.u64s()?,
-        write_drain: d.bool()?,
-        episode_banks: d.u64()?,
-        episode_writes: d.u64()?,
-        episode_start: d.u64()?,
-        episode_gap_sum: d.u64()?,
-        episode_gaps: d.u64()?,
-        last_write_issue: d.opt_u64()?,
-        next_refresh_at: d.u64()?,
-        completed: {
-            let n = d.len()?;
-            (0..n).map(|_| dec_completed(d)).collect::<Result<_, _>>()?
-        },
-        stats: dec_sub_stats(d)?,
-        settled_to: d.u64()?,
-    })
-}
-
-fn enc_core_image(e: &mut Enc, c: &CoreImage) {
-    enc_core_state(e, &c.core);
-    e.u64(c.consumed);
-    enc_cache_state(e, &c.l1d);
-    enc_cache_state(e, &c.l2);
-    match &c.l1_prefetcher {
-        None => e.bool(false),
-        Some(t) => {
-            e.bool(true);
-            enc_stride_table(e, t);
-        }
-    }
-    e.usize(c.retry.len());
-    for r in &c.retry {
-        enc_core_request(e, r);
-    }
-    e.opt_u64(c.finish_cycle);
-    e.u64(c.retired_at_measure_start);
-}
-
-fn dec_core_image(d: &mut Dec) -> Result<CoreImage, SnapshotError> {
-    Ok(CoreImage {
-        core: dec_core_state(d)?,
-        consumed: d.u64()?,
-        l1d: dec_cache_state(d)?,
-        l2: dec_cache_state(d)?,
-        l1_prefetcher: if d.bool()? { Some(dec_stride_table(d)?) } else { None },
-        retry: {
-            let n = d.len()?;
-            (0..n).map(|_| dec_core_request(d)).collect::<Result<_, _>>()?
-        },
-        finish_cycle: d.opt_u64()?,
-        retired_at_measure_start: d.u64()?,
-    })
-}
-
-pub(crate) fn encode_image(image: &SystemImage) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u64(image.cycle);
-    e.usize(image.cores.len());
-    for c in &image.cores {
-        enc_core_image(&mut e, c);
-    }
-    enc_llc(&mut e, &image.llc);
-    e.usize(image.mcs.len());
-    for mc in &image.mcs {
-        e.usize(mc.subchannels.len());
-        for s in &mc.subchannels {
-            enc_subchannel(&mut e, s);
-        }
-    }
-    enc_mshr(&mut e, &image.inflight);
-    e.u64s(&image.dram_pending);
-    e.u64s(&image.writeback_pending);
-    e.usize(image.events.len());
-    for ev in &image.events {
-        e.u64(ev.delta);
-        e.bool(ev.store);
-        e.u64(ev.core);
-        e.u64(ev.token);
-    }
-    match &image.progress {
-        None => e.bool(false),
-        Some(p) => {
-            e.bool(true);
-            e.u8(p.stage);
-            e.u64(p.timed_warmup);
-            e.u64(p.measure);
-            e.u64s(&p.start_retired);
-            e.u64(p.guard);
-            e.u64(p.measure_start_cycle);
-        }
-    }
-    e.buf
+/// The payload of `image`, the image [`System::capture`] exported.
+pub(crate) fn encode_image(mut image: SystemImage) -> Vec<u8> {
+    let mut enc = Enc(Vec::new());
+    system_image(&mut enc, &mut image).expect("a live system's image is well-formed");
+    enc.0
 }
 
 pub(crate) fn decode_image(payload: &[u8]) -> Result<SystemImage, SnapshotError> {
-    let mut d = Dec::new(payload);
-    let cycle = d.u64()?;
-    let cn = d.len()?;
-    let cores = (0..cn).map(|_| dec_core_image(&mut d)).collect::<Result<_, _>>()?;
-    let llc = dec_llc(&mut d)?;
-    let mn = d.len()?;
-    let mcs = (0..mn)
-        .map(|_| {
-            let sn = d.len()?;
-            let subchannels = (0..sn).map(|_| dec_subchannel(&mut d)).collect::<Result<_, _>>()?;
-            Ok(ControllerState { subchannels })
-        })
-        .collect::<Result<_, SnapshotError>>()?;
-    let inflight = dec_mshr(&mut d)?;
-    let dram_pending = d.u64s()?;
-    let writeback_pending = d.u64s()?;
-    let en = d.len()?;
-    let events = (0..en)
-        .map(|_| {
-            Ok(EventImage { delta: d.u64()?, store: d.bool()?, core: d.u64()?, token: d.u64()? })
-        })
-        .collect::<Result<_, SnapshotError>>()?;
-    let progress = if d.bool()? {
-        let stage = d.u8()?;
-        if stage > 1 {
-            return Err(d.format(format!("invalid progress stage {stage}")));
-        }
-        Some(ProgressImage {
-            stage,
-            timed_warmup: d.u64()?,
-            measure: d.u64()?,
-            start_retired: d.u64s()?,
-            guard: d.u64()?,
-            measure_start_cycle: d.u64()?,
-        })
-    } else {
-        None
-    };
-    d.finish()?;
-    Ok(SystemImage {
-        cycle,
-        cores,
-        llc,
-        mcs,
-        inflight,
-        dram_pending,
-        writeback_pending,
-        events,
-        progress,
-    })
+    let mut dec = Dec { buf: payload, pos: 0 };
+    let mut image = SystemImage::default();
+    system_image(&mut dec, &mut image)?;
+    let trailing = payload.len() - dec.pos;
+    if trailing > 0 {
+        return Err(dec.fail(format!("{trailing} trailing payload bytes")));
+    }
+    Ok(image)
 }
 
 // ---------------------------------------------------------------------------
@@ -1291,6 +996,7 @@ impl SnapshotStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bard_cache::ReplacementKind;
 
     fn sample() -> Snapshot {
         Snapshot::new(true, 0x1122_3344_5566_7788, 0x99aa_bbcc_ddee_ff00, vec![1, 2, 3, 4, 5])
@@ -1346,11 +1052,12 @@ mod tests {
 
     /// Encodes `state` as one cache of an image and decodes it back.
     fn cache_round_trip(state: &CacheState) -> Result<CacheState, SnapshotError> {
-        let mut e = Enc::new();
-        enc_cache_state(&mut e, state);
-        let mut d = Dec::new(&e.buf);
-        let decoded = dec_cache_state(&mut d)?;
-        d.finish()?;
+        let mut enc = Enc(Vec::new());
+        cache_state(&mut enc, &mut state.clone())?;
+        let mut dec = Dec { buf: &enc.0, pos: 0 };
+        let mut decoded = CacheState::default();
+        cache_state(&mut dec, &mut decoded)?;
+        assert_eq!(dec.pos, enc.0.len(), "the cache decodes to its last byte");
         Ok(decoded)
     }
 
@@ -1563,5 +1270,92 @@ mod tests {
         let store = SnapshotStore::new("/tmp/bard-snapshots");
         let path = store.warm_path(WorkloadId::Lbm, 0xdead_beef);
         assert_eq!(path, Path::new("/tmp/bard-snapshots/lbm.w00000000deadbeef.bss"));
+    }
+
+    /// A full image taken inside the measured span of a write-drain-heavy
+    /// run: `small_test` x lbm under a SHiP LLC and BARD-H, with the L1
+    /// stride prefetcher on and a 16-entry DRAM write queue (watermarks 4
+    /// and 12), so write-backs also wait in the system's own buffer. The
+    /// pause cycle is one at which every part of the image holds something.
+    fn mid_run_snapshot() -> Snapshot {
+        let mut config = SystemConfig::small_test()
+            .with_replacement(ReplacementKind::Ship)
+            .with_policy(crate::policy::WritePolicyKind::BardH);
+        config.l1_prefetch_degree = 2;
+        config.dram.write_queue_entries = 16;
+        config.dram.write_low_watermark = 4;
+        config.dram.write_high_watermark = 12;
+        let mut system = System::new(config, WorkloadId::Lbm);
+        let outcome = system.run_to_pause(20_000, 2_000, 20_000, Some(184_545));
+        assert!(matches!(outcome, crate::system::RunOutcome::Paused), "the pause is mid-run");
+        system.capture()
+    }
+
+    /// Pins the bytes of one full mid-run image. Warm images
+    /// (`warm_images.txt` in bard-bench) leave the DRAM queues, buffered
+    /// completions, events, retry queues, MSHRs and run progress empty; this
+    /// one fills each of them, so the codec's branches for them are pinned
+    /// too.
+    #[test]
+    fn full_mid_run_image_is_pinned() {
+        let snapshot = mid_run_snapshot();
+        let image = decode_image(snapshot.payload()).expect("a captured image decodes");
+        let cores = &image.cores;
+        let subchannels: Vec<&SubChannelState> =
+            image.mcs.iter().flat_map(|mc| &mc.subchannels).collect();
+        let filled = [
+            ("DRAM read queues", subchannels.iter().any(|s| !s.reads.is_empty())),
+            ("DRAM write queues", subchannels.iter().any(|s| !s.writes.is_empty())),
+            ("buffered completions", subchannels.iter().any(|s| !s.completed.is_empty())),
+            ("open rows", subchannels.iter().any(|s| s.banks.iter().any(|b| b.open_row.is_some()))),
+            ("write drains", subchannels.iter().any(|s| s.write_drain)),
+            ("events", !image.events.is_empty()),
+            ("retry queues", cores.iter().any(|c| !c.retry.is_empty())),
+            ("deferred records", cores.iter().any(|c| c.core.deferred.is_some())),
+            ("finished cores", cores.iter().any(|c| c.finish_cycle.is_some())),
+            (
+                "stride tables",
+                cores.iter().flat_map(|c| &c.l1_prefetcher).any(|t| !t.entries.is_empty()),
+            ),
+            ("MSHR entries", !image.inflight.entries.is_empty()),
+            ("pending DRAM reads", !image.dram_pending.is_empty()),
+            ("pending write-backs", !image.writeback_pending.is_empty()),
+            (
+                "measure progress",
+                matches!(&image.progress, Some(p) if p.stage == RunStage::Measure),
+            ),
+        ];
+        for (part, non_empty) in filled {
+            assert!(non_empty, "the pinned image has no {part}");
+        }
+        let bytes = snapshot.to_bytes();
+        let mut h = Fnv64::new();
+        h.update(&bytes);
+        assert_eq!(
+            (bytes.len(), h.finish()),
+            (136_374, 0x5aa0_9d2a_0eab_2b6e),
+            "full image bytes changed; a format change bumps VERSION and re-pins this image"
+        );
+    }
+
+    /// The container tests above stop at the checksum, so they never reach
+    /// the payload decoder. This feeds it a real mid-run payload directly:
+    /// every cut must fail, and a flipped byte (its low bit at even offsets,
+    /// its varint continuation bit at odd ones) may decode or fail but must
+    /// not panic. A debug build tries every 1009th offset; `BARD_PARITY=full`
+    /// tries them all.
+    #[test]
+    fn payload_decoder_survives_every_cut_and_flip() {
+        let payload = mid_run_snapshot().payload().to_vec();
+        let step = if std::env::var("BARD_PARITY").is_ok_and(|v| v == "full") { 1 } else { 1009 };
+        let mut bytes = payload.clone();
+        for offset in (0..payload.len()).step_by(step) {
+            assert!(decode_image(&payload[..offset]).is_err(), "a cut at byte {offset} decoded");
+            let flip = if offset % 2 == 0 { 0x01 } else { 0x80 };
+            bytes[offset] ^= flip;
+            let survived = std::panic::catch_unwind(|| decode_image(&bytes).is_ok()).is_ok();
+            bytes[offset] ^= flip;
+            assert!(survived, "flipping {flip:#04x} at payload byte {offset} panicked");
+        }
     }
 }

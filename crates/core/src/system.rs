@@ -38,9 +38,7 @@ use bard_workloads::WorkloadId;
 use crate::config::{EngineKind, SystemConfig};
 use crate::llc::SlicedLlc;
 use crate::metrics::RunResult;
-use crate::snapshot::{
-    self, CoreImage, EventImage, ProgressImage, Snapshot, SnapshotError, SystemImage,
-};
+use crate::snapshot::{self, CoreImage, EventImage, Snapshot, SnapshotError, SystemImage};
 use crate::telemetry;
 
 /// Maximum memory requests a core may hand to the hierarchy per cycle.
@@ -174,9 +172,10 @@ impl std::fmt::Debug for CoreCtx {
 }
 
 /// Stage of a staged ([`System::run_to_pause`]) run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RunStage {
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum RunStage {
     /// The short timed warm-up span before the statistics reset.
+    #[default]
     TimedWarmup,
     /// The measured span.
     Measure,
@@ -185,14 +184,14 @@ enum RunStage {
 /// Progress of a staged run, persisted across pauses (and through
 /// snapshots) so a resume continues the exact span the pause interrupted —
 /// same retired-count baselines, same starvation-guard cycle.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct RunProgress {
-    stage: RunStage,
-    timed_warmup: u64,
-    measure: u64,
-    start_retired: Vec<u64>,
-    guard: u64,
-    measure_start_cycle: u64,
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct RunProgress {
+    pub(crate) stage: RunStage,
+    pub(crate) timed_warmup: u64,
+    pub(crate) measure: u64,
+    pub(crate) start_retired: Vec<u64>,
+    pub(crate) guard: u64,
+    pub(crate) measure_start_cycle: u64,
 }
 
 /// Outcome of a pausable run ([`System::run_to_pause`]).
@@ -264,6 +263,7 @@ pub struct System {
     /// [`telemetry::enabled`] cached at construction, so hot-path telemetry
     /// hooks cost one predictable branch on a plain bool. Not simulation
     /// state: excluded from snapshot images and never compared.
+    // bard-lint: allow(S1) -- cached telemetry switch; a restored system reads it afresh.
     telemetry_active: bool,
     /// Host nanoseconds attributed to each model phase while
     /// `telemetry_active` (see [`telemetry::Phase`]); flushed into the
@@ -860,21 +860,7 @@ impl System {
     /// its recorded stall cycle verbatim and falls back asleep — so resuming
     /// a restored image is bitwise-identical to never having stopped.
     pub fn capture(&mut self) -> Snapshot {
-        if self.telemetry_active {
-            telemetry::trace_instant(
-                &self.trace_track(),
-                "snapshot_capture",
-                self.cycle,
-                &[("warm", 0)],
-            );
-        }
-        let image = self.export_image();
-        Snapshot::new(
-            false,
-            snapshot::full_digest(&self.config, self.workload),
-            0,
-            snapshot::encode_image(&image),
-        )
+        self.capture_image(None)
     }
 
     /// Captures a **warm** image, to be taken right after a functional
@@ -885,20 +871,26 @@ impl System {
     /// DRAM parameters or buffer sizes — restores one via
     /// [`System::restore_warm`].
     pub fn capture_warm(&mut self, functional_warmup: u64) -> Snapshot {
+        self.capture_image(Some(functional_warmup))
+    }
+
+    /// The body of [`System::capture`] and, given the functional warm-up
+    /// length, [`System::capture_warm`].
+    fn capture_image(&mut self, warm: Option<u64>) -> Snapshot {
         if self.telemetry_active {
             telemetry::trace_instant(
                 &self.trace_track(),
                 "snapshot_capture",
                 self.cycle,
-                &[("warm", 1)],
+                &[("warm", u64::from(warm.is_some()))],
             );
         }
         let image = self.export_image();
         Snapshot::new(
-            true,
+            warm.is_some(),
             snapshot::full_digest(&self.config, self.workload),
-            snapshot::warm_digest(&self.config, self.workload, functional_warmup),
-            snapshot::encode_image(&image),
+            warm.map_or(0, |fw| snapshot::warm_digest(&self.config, self.workload, fw)),
+            snapshot::encode_image(image),
         )
     }
 
@@ -915,27 +907,7 @@ impl System {
         workload: WorkloadId,
         snap: &Snapshot,
     ) -> Result<Self, SnapshotError> {
-        let expected = snapshot::full_digest(&config, workload);
-        if snap.digest_full() != expected {
-            return Err(SnapshotError::Incompatible {
-                reason: format!(
-                    "full digest {:016x} does not match this configuration's {expected:016x}",
-                    snap.digest_full()
-                ),
-            });
-        }
-        let image = snapshot::decode_image(snap.payload())?;
-        let mut system = Self::new(config, workload);
-        system.import_image(&image)?;
-        if system.telemetry_active {
-            telemetry::trace_instant(
-                &system.trace_track(),
-                "snapshot_restore",
-                system.cycle,
-                &[("warm", 0)],
-            );
-        }
-        Ok(system)
+        Self::restore_image(config, workload, snap, None)
     }
 
     /// Rebuilds a **warm** system from a warm snapshot, importing only the
@@ -954,29 +926,48 @@ impl System {
         functional_warmup: u64,
         snap: &Snapshot,
     ) -> Result<Self, SnapshotError> {
-        if !snap.is_warm() {
-            return Err(SnapshotError::Incompatible {
-                reason: "not a warm image (captured mid-run, not post-warm-up)".into(),
-            });
-        }
-        let expected = snapshot::warm_digest(&config, workload, functional_warmup);
-        if snap.digest_warm() != expected {
+        Self::restore_image(config, workload, snap, Some(functional_warmup))
+    }
+
+    /// The body of [`System::restore`] and, given the functional warm-up
+    /// length, [`System::restore_warm`]: check the matching digest, decode,
+    /// then import the whole image or its warm part.
+    fn restore_image(
+        config: SystemConfig,
+        workload: WorkloadId,
+        snap: &Snapshot,
+        warm: Option<u64>,
+    ) -> Result<Self, SnapshotError> {
+        let (kind, found, expected) = match warm {
+            None => ("full", snap.digest_full(), snapshot::full_digest(&config, workload)),
+            Some(_) if !snap.is_warm() => {
+                return Err(SnapshotError::Incompatible {
+                    reason: "not a warm image (captured mid-run, not post-warm-up)".into(),
+                });
+            }
+            Some(fw) => ("warm", snap.digest_warm(), snapshot::warm_digest(&config, workload, fw)),
+        };
+        if found != expected {
             return Err(SnapshotError::Incompatible {
                 reason: format!(
-                    "warm digest {:016x} does not match this configuration's {expected:016x}",
-                    snap.digest_warm()
+                    "{kind} digest {found:016x} does not match this configuration's \
+                     {expected:016x}"
                 ),
             });
         }
         let image = snapshot::decode_image(snap.payload())?;
         let mut system = Self::new(config, workload);
-        system.import_warm_image(&image)?;
+        if warm.is_some() {
+            system.import_warm_image(&image)?;
+        } else {
+            system.import_image(&image)?;
+        }
         if system.telemetry_active {
             telemetry::trace_instant(
                 &system.trace_track(),
                 "snapshot_restore",
                 system.cycle,
-                &[("warm", 1)],
+                &[("warm", u64::from(warm.is_some()))],
             );
         }
         Ok(system)
@@ -1025,17 +1016,7 @@ impl System {
             dram_pending: self.dram_pending.iter().copied().collect(),
             writeback_pending: self.writeback_pending.iter().copied().collect(),
             events,
-            progress: self.progress.as_ref().map(|p| ProgressImage {
-                stage: match p.stage {
-                    RunStage::TimedWarmup => 0,
-                    RunStage::Measure => 1,
-                },
-                timed_warmup: p.timed_warmup,
-                measure: p.measure,
-                start_retired: p.start_retired.clone(),
-                guard: p.guard,
-                measure_start_cycle: p.measure_start_cycle,
-            }),
+            progress: self.progress.clone(),
         }
     }
 
@@ -1108,14 +1089,7 @@ impl System {
         }
         self.pending_events = image.events.len();
         self.event_seq = 0;
-        self.progress = image.progress.as_ref().map(|p| RunProgress {
-            stage: if p.stage == 0 { RunStage::TimedWarmup } else { RunStage::Measure },
-            timed_warmup: p.timed_warmup,
-            measure: p.measure,
-            start_retired: p.start_retired.clone(),
-            guard: p.guard,
-            measure_start_cycle: p.measure_start_cycle,
-        });
+        self.progress = image.progress.clone();
         self.awake_mask = all_cores(self.cores.len());
         self.event_wake_mask = 0;
         self.shared_watch_mask = 0;

@@ -39,7 +39,7 @@ impl Default for CoreConfig {
 /// A memory request issued by the core this cycle. `token` must be handed
 /// back via [`Core::complete_load`] / [`Core::complete_store`] when the
 /// access finishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreRequest {
     /// Completion token (the instruction's sequence number).
     pub token: u64,
@@ -158,7 +158,7 @@ pub struct Core {
 /// [`Core::export_state`] and consumed by [`Core::import_state`] (snapshot
 /// support). Every field the model mutates is here; the configuration is
 /// not (it is re-derived from the restore-time [`CoreConfig`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoreState {
     /// Sequence number of the oldest in-flight instruction.
     pub head_seq: u64,

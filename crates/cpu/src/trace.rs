@@ -7,9 +7,10 @@
 //! demand, so traces never need to be materialised on disk.
 
 /// Kind of memory access carried by an instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum MemKind {
     /// A load (read).
+    #[default]
     Load,
     /// A store (write).
     Store,
@@ -46,7 +47,7 @@ impl MemAccess {
 
 /// One trace record: `bubble` non-memory instructions followed by one
 /// instruction at `ip` that optionally performs `access`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct TraceRecord {
     /// Instruction pointer of the (final) instruction in this record.
     pub ip: u64,

@@ -9,7 +9,7 @@ use crate::stats::{ChannelStats, DrainEpisodeStats, SubChannelStats};
 use crate::subchannel::{SubChannel, SubChannelState};
 
 /// Plain-data image of a whole channel controller (snapshot support).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ControllerState {
     /// One image per sub-channel, in index order.
     pub subchannels: Vec<SubChannelState>,

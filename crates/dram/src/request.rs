@@ -59,7 +59,7 @@ impl MemRequest {
 }
 
 /// A completed read returned to the requester.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompletedRead {
     /// The identifier supplied at enqueue time.
     pub id: RequestId,

@@ -180,7 +180,7 @@ struct QueuedRequest {
 /// Plain-data image of one queued request (snapshot support). The decoded
 /// DRAM coordinates are *not* stored — they are a pure function of the
 /// address and are re-derived from the controller's mapping on import.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueuedRequestState {
     /// Requester-assigned identifier.
     pub id: u64,
@@ -206,7 +206,7 @@ pub struct QueuedRequestState {
 /// (`wake_at` restores to 0, which forces a planning pass on the next tick;
 /// the pass is exact, so restored runs stay bitwise-identical to
 /// straightline runs).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SubChannelState {
     /// Queued reads, oldest first.
     pub reads: Vec<QueuedRequestState>,

@@ -8,8 +8,8 @@
 //!
 //! * its name appears in a `src/snapshot.rs` file (the codec names every
 //!   image/state type it encodes) — coverage scope is the bodies of the
-//!   codec fns whose signatures mention the type (`enc_core_state`,
-//!   `dec_core_state`, ...), falling back to the whole codec file; or
+//!   codec fns whose signatures mention the type (the one two-way fn per
+//!   type, `core_state`, `bank`, ...); or
 //! * its own `impl` block defines a serialization fn (`export_state`,
 //!   `import_state`, `capture`, `restore`, `export_image`, ...) — coverage
 //!   scope is the union of those fn bodies; or
@@ -121,9 +121,9 @@ impl Pass for SnapshotCoverage {
     }
 }
 
-/// If `name` appears in a codec fn signature (the codec defines an
-/// `enc_*`/`dec_*` pair per type it encodes), returns the coverage scope:
-/// the union of those fn bodies. A type merely mentioned elsewhere in the
+/// If `name` appears in a codec fn signature (the codec defines one
+/// two-way fn per type it encodes), returns the coverage scope: the union
+/// of those fn bodies. A type merely mentioned elsewhere in the
 /// file (imports, comments in code position) does not participate — that
 /// would drag unrelated types into the check.
 fn codec_scope(codec: &LintFile, name: &str) -> Option<String> {

@@ -1,5 +1,7 @@
 //! Cache set and line metadata.
 
+use bard_image::{ImageError, Io};
+
 use crate::cache::TAG_INVALID;
 use crate::replacement::ReplacementKind;
 
@@ -63,6 +65,15 @@ impl SetWord {
             Ok(())
         }
     }
+
+    /// Codes the word (snapshot images).
+    pub(crate) fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
+        io.u64(&mut self.repl)?;
+        io.u16(&mut self.valid)?;
+        io.u16(&mut self.dirty)?;
+        io.u16(&mut self.prefetched)?;
+        io.u16(&mut self.reused)
+    }
 }
 
 /// The mask with one bit per way of a `ways`-way set.
@@ -90,9 +101,9 @@ mod tests {
 
     #[test]
     fn empty_line_is_invalid() {
-        let state = cache(ReplacementKind::Lru).export_state();
-        assert!(state.tags.iter().all(|&t| t == TAG_INVALID));
-        assert!(state.words.iter().all(|w| w.valid == 0 && w.dirty == 0));
+        let c = cache(ReplacementKind::Lru);
+        assert!(c.tags.iter().all(|&t| t == TAG_INVALID));
+        assert!(c.words.iter().all(|w| w.valid == 0 && w.dirty == 0));
     }
 
     #[test]
@@ -100,14 +111,13 @@ mod tests {
         let mut c = cache(ReplacementKind::Ship);
         c.fill(0x40, true, 7);
         let (set, way) = (c.set_of(0x40), c.probe(0x40).unwrap());
-        let state = c.export_state();
-        assert_eq!(state.tags[set * c.ways() + way], 0x40);
-        let word = state.words[set];
+        assert_eq!(c.tags[set * c.ways() + way], 0x40);
+        let word = c.words[set];
         assert_eq!(
             (word.valid, word.dirty, word.prefetched, word.reused),
             (1 << way, 1 << way, 0, 0)
         );
-        let Replacement::Ship { signatures, .. } = &state.replacement else {
+        let Replacement::Ship { signatures, .. } = &c.replacement else {
             panic!("SHiP state expected");
         };
         assert_eq!(signatures[set * c.ways() + way], 7);

@@ -28,6 +28,8 @@
 
 use std::cell::Cell;
 
+use bard_image::{each, ImageError, Io};
+
 use crate::block::{way_mask, EvictedLine, SetWord, MAX_WAYS};
 use crate::replacement::{Replacement, ReplacementKind};
 use crate::stats::CacheStats;
@@ -67,24 +69,6 @@ impl CacheConfig {
     }
 }
 
-/// Plain-data image of a cache's semantic state (snapshot support), held
-/// exactly as the cache holds it: the tag array, the set words, the
-/// replacement policy's per-cache state and the statistics counters. A
-/// restored cache is field-for-field identical to the captured one.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CacheState {
-    /// Line address per way, set-major (`sets * ways` entries); all ones
-    /// (`u64::MAX`) marks an invalid way.
-    pub tags: Vec<u64>,
-    /// Replacement field and line flags per set.
-    pub words: Vec<SetWord>,
-    /// The replacement policy's per-cache state: SHiP's counter table and
-    /// fill signatures, nothing for LRU and SRRIP.
-    pub replacement: Replacement,
-    /// Statistics counters.
-    pub stats: CacheStats,
-}
-
 /// Result of a [`SetAssocCache::fill`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FillResult {
@@ -114,10 +98,10 @@ pub struct SetAssocCache {
     set_mask: u64,   // bard-lint: allow(S1) -- derived from config geometry at construction
     /// Line address per way (`TAG_INVALID` for invalid ways): the lookup
     /// hot path scans 8 contiguous bytes per way.
-    tags: Vec<u64>,
+    pub(crate) tags: Vec<u64>,
     /// Replacement field and line flags per set.
-    words: Vec<SetWord>,
-    replacement: Replacement,
+    pub(crate) words: Vec<SetWord>,
+    pub(crate) replacement: Replacement,
     stats: CacheStats,
     /// Tag-array set scans performed (perf counter; probes take `&self`,
     /// hence the `Cell` — the cache is owned by one simulation thread).
@@ -170,31 +154,31 @@ impl SetAssocCache {
         &self.stats
     }
 
-    /// Exports the cache's semantic state (snapshot support).
-    #[must_use]
-    pub fn export_state(&self) -> CacheState {
-        CacheState {
-            tags: self.tags.clone(),
-            words: self.words.clone(),
-            replacement: self.replacement.clone(),
-            stats: self.stats,
+    /// Codes the cache as it holds itself (snapshot images): its tag array,
+    /// each tag stored plus one, wrapping, so an invalid way's all-ones tag
+    /// is the one-byte varint 0; its replacement policy's own state (its
+    /// tag, then SHiP's counter table and signatures); one word per set,
+    /// checked against the set's tags and the policy ([`SetWord::check`]);
+    /// and its statistics.
+    ///
+    /// # Errors
+    ///
+    /// Decoding: an image of another geometry or policy, or a malformed one.
+    pub fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
+        each(io, &mut self.tags, "cache lines", |io, tag| {
+            let mut stored = tag.wrapping_add(1);
+            io.u64(&mut stored)?;
+            *tag = stored.wrapping_sub(1);
+            Ok(())
+        })?;
+        self.replacement.image(io)?;
+        let kind = self.replacement.kind();
+        io.size(self.sets, "cache sets")?;
+        for (word, tags) in self.words.iter_mut().zip(self.tags.chunks(self.config.ways)) {
+            word.image(io)?;
+            io.check(|| word.check(kind, tags))?;
         }
-    }
-
-    /// Replaces the cache's semantic state with `state` (snapshot support).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the state's geometry or replacement policy does not match
-    /// this cache — restores are gated by snapshot digests, so a mismatch is
-    /// a programming error.
-    pub fn import_state(&mut self, state: &CacheState) {
-        assert_eq!(state.tags.len(), self.sets * self.config.ways, "cache geometry mismatch");
-        assert_eq!(state.words.len(), self.sets, "cache geometry mismatch");
-        self.tags.copy_from_slice(&state.tags);
-        self.words.copy_from_slice(&state.words);
-        self.replacement.import_state(&state.replacement);
-        self.stats = state.stats;
+        self.stats.image(io)
     }
 
     /// Clears the statistics counters while keeping cache contents
@@ -504,6 +488,7 @@ impl SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bard_image::{decode, encode};
 
     fn small_cache() -> SetAssocCache {
         // 4 sets x 4 ways x 64 B = 1 KiB
@@ -520,10 +505,10 @@ mod tests {
                     warmed.fill(addr, i % 3 == 0, (i % 13) as u16);
                 }
             }
-            let state = warmed.export_state();
+            let state = encode(|io| warmed.image(io));
             let mut restored = SetAssocCache::new(CacheConfig::new(1024, 4, 64), kind);
-            restored.import_state(&state);
-            assert_eq!(restored.export_state(), state);
+            decode(&state, |io| restored.image(io)).expect("a cache's own image decodes");
+            assert_eq!(encode(|io| restored.image(io)), state);
             // The rebuilt tags must answer probes identically.
             for i in 0..300u64 {
                 let addr = (i * 64) % (8 * 4096);
@@ -536,7 +521,7 @@ mod tests {
         }
     }
 
-    /// Evicted ways export as invalid tags with clear flags, but keep the
+    /// Evicted ways hold invalid tags with clear flags, but keep the
     /// replacement metadata (RRPV, SHiP signature) they held.
     #[test]
     fn eviction_keeps_replacement_metadata_but_clears_the_line() {
@@ -546,24 +531,22 @@ mod tests {
         let set = c.set_of(0x1000);
         let way = c.probe(0x1000).unwrap();
         c.evict(set, way).expect("valid line");
-        let state = c.export_state();
         let idx = set * 4 + way;
-        assert_eq!(state.tags[idx], TAG_INVALID);
-        let word = state.words[set];
+        assert_eq!(c.tags[idx], TAG_INVALID);
+        let word = c.words[set];
         assert_eq!(word.valid | word.dirty | word.prefetched | word.reused, 0);
-        let Replacement::Ship { signatures, .. } = &state.replacement else {
+        let Replacement::Ship { signatures, .. } = &c.replacement else {
             panic!("SHiP state expected");
         };
         assert_eq!(((word.repl >> (2 * way)) & 3, signatures[idx]), (0, 42));
     }
 
     #[test]
-    #[should_panic(expected = "cache geometry mismatch")]
+    #[should_panic(expected = "image has 16 cache lines, this system has 32")]
     fn state_import_rejects_wrong_geometry() {
-        let donor = small_cache();
-        let state = donor.export_state();
+        let state = encode(|io| small_cache().image(io));
         let mut wrong = SetAssocCache::new(CacheConfig::new(2048, 4, 64), ReplacementKind::Lru);
-        wrong.import_state(&state);
+        decode(&state, |io| wrong.image(io)).unwrap();
     }
 
     #[test]
@@ -946,7 +929,7 @@ mod tests {
     /// write-backs, cleanses, evictions with no refill, victim choices,
     /// eviction orders, and the one-visit `access` and `write_back`, which
     /// the reference runs as touch-then-fill and write-back-then-fill — at
-    /// 4, 8, 12 and 16 ways under every policy, with an export/import round
+    /// 4, 8, 12 and 16 ways under every policy, with an image round
     /// trip halfway. After every operation its answer, its set scans, the
     /// statistics, and the eviction order and dirty lines of its set must
     /// agree. `BARD_PARITY=full` makes the stream longer.
@@ -967,10 +950,10 @@ mod tests {
                 let mut x = 0x2545_f491_4f6c_dd1d ^ ((ways * 3 + k) as u64) << 40;
                 for step in 0..steps {
                     if step == steps / 2 {
-                        let state = cache.export_state();
+                        let state = encode(|io| cache.image(io));
                         cache = SetAssocCache::new(config, kind);
-                        cache.import_state(&state);
-                        assert_eq!(cache.export_state(), state);
+                        decode(&state, |io| cache.image(io)).expect("the image decodes");
+                        assert_eq!(encode(|io| cache.image(io)), state);
                     }
                     x ^= x << 13;
                     x ^= x >> 7;

@@ -50,10 +50,8 @@ pub mod replacement;
 pub mod stats;
 
 pub use block::{EvictedLine, SetWord, MAX_WAYS};
-pub use cache::{CacheConfig, CacheState, FillResult, SetAssocCache};
-pub use mshr::{MshrEntryState, MshrError, MshrFile, MshrState};
-pub use prefetch::{
-    IpStridePrefetcher, NextLinePrefetcher, Prefetcher, StrideEntryState, StrideTableState,
-};
+pub use cache::{CacheConfig, FillResult, SetAssocCache};
+pub use mshr::{MshrError, MshrFile};
+pub use prefetch::{IpStridePrefetcher, NextLinePrefetcher, Prefetcher};
 pub use replacement::{Replacement, ReplacementKind};
 pub use stats::CacheStats;

@@ -3,6 +3,8 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
+use bard_image::{seq, ImageError, Io};
+
 /// Multiply-xor hasher for the line-address keys (Fx/wyhash-style). The MSHR
 /// map sits on the simulator's hottest path — every demand miss, coalesce,
 /// back-pressure re-check and completion hashes a line address — and the
@@ -66,30 +68,13 @@ struct MshrEntry {
     prefetch_only: bool,
 }
 
-/// Plain-data image of one outstanding miss (snapshot support).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MshrEntryState {
-    /// Line address the miss targets.
-    pub line: u64,
-    /// Waiter tokens in merge order.
-    pub waiters: Vec<u64>,
-    /// Whether any merged request is a demand write.
-    pub write_requested: bool,
-    /// Whether the entry is still prefetch-only.
-    pub prefetch_only: bool,
-}
-
-/// Plain-data image of an MSHR file (snapshot support). Entries are sorted
-/// by line address so the image is canonical regardless of map iteration
-/// order (no simulator code depends on that order; see [`LineHasher`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MshrState {
-    /// Outstanding misses, sorted by line address.
-    pub entries: Vec<MshrEntryState>,
-    /// Highest simultaneous occupancy observed.
-    pub peak_occupancy: u64,
-    /// Requests merged into already-outstanding misses.
-    pub merges: u64,
+impl MshrEntry {
+    /// Codes the entry (snapshot images).
+    fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
+        seq(io, &mut self.waiters, Io::u64)?;
+        io.bool(&mut self.write_requested)?;
+        io.bool(&mut self.prefetch_only)
+    }
 }
 
 /// A file of MSHRs keyed by line address.
@@ -196,51 +181,33 @@ impl MshrFile {
         Ok(true)
     }
 
-    /// Exports the file's state, entries sorted by line address (snapshot
-    /// support).
-    #[must_use]
-    pub fn export_state(&self) -> MshrState {
-        let mut entries: Vec<MshrEntryState> = self
-            .entries
-            .iter()
-            .map(|(&line, e)| MshrEntryState {
-                line,
-                waiters: e.waiters.clone(),
-                write_requested: e.write_requested,
-                prefetch_only: e.prefetch_only,
-            })
-            .collect();
-        entries.sort_by_key(|e| e.line);
-        MshrState { entries, peak_occupancy: self.peak_occupancy as u64, merges: self.merges }
-    }
-
-    /// Replaces the file's state with `state` (snapshot support).
+    /// Codes the file (snapshot images): its outstanding misses sorted by
+    /// line address, so the image does not depend on the map's iteration
+    /// order (no simulator code does; see [`LineHasher`]), then the peak
+    /// occupancy and the merge count.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `state` holds more entries than this file's capacity —
-    /// restores are gated by snapshot digests, so a mismatch is a
-    /// programming error.
-    pub fn import_state(&mut self, state: &MshrState) {
-        assert!(
-            state.entries.len() <= self.capacity,
-            "MSHR state holds {} entries but the file has capacity {}",
-            state.entries.len(),
-            self.capacity
-        );
-        self.entries.clear();
-        for e in &state.entries {
-            self.entries.insert(
-                e.line,
-                MshrEntry {
-                    waiters: e.waiters.clone(),
-                    write_requested: e.write_requested,
-                    prefetch_only: e.prefetch_only,
-                },
-            );
+    /// Decoding: more misses than this file's capacity, or a malformed
+    /// image.
+    pub fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
+        let mut entries: Vec<(u64, MshrEntry)> =
+            self.entries.iter().map(|(&line, e)| (line, e.clone())).collect();
+        entries.sort_unstable_by_key(|&(line, _)| line);
+        seq(io, &mut entries, |io, (line, e)| {
+            io.u64(line)?;
+            e.image(io)
+        })?;
+        if io.decoding() {
+            if entries.len() > self.capacity {
+                let (n, capacity) = (entries.len(), self.capacity);
+                return Err(io.fail(format!("{n} MSHR entries exceed the capacity {capacity}")));
+            }
+            self.entries.clear();
+            self.entries.extend(entries);
         }
-        self.peak_occupancy = state.peak_occupancy as usize;
-        self.merges = state.merges;
+        io.usize(&mut self.peak_occupancy)?;
+        io.u64(&mut self.merges)
     }
 
     /// Completes the miss for `line_addr`, returning the waiters, whether the
@@ -254,6 +221,7 @@ impl MshrFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bard_image::{decode, encode};
 
     #[test]
     fn allocate_and_complete_round_trip() {
@@ -311,15 +279,33 @@ mod tests {
         m.allocate(0x200, 3, false, false).unwrap();
         m.complete(0x200).unwrap();
 
-        let state = m.export_state();
+        let state = encode(|io| m.image(io));
         // Canonical ordering: sorted by line address.
-        assert_eq!(state.entries.iter().map(|e| e.line).collect::<Vec<_>>(), vec![0x100, 0x300]);
-        assert_eq!(state.peak_occupancy, 3);
-        assert_eq!(state.merges, 1);
+        let (mut coded, mut peak, mut merges) = (Vec::new(), 0, 0);
+        decode(&state, |io| {
+            seq(io, &mut coded, |io, (line, e): &mut (u64, MshrEntry)| {
+                io.u64(line)?;
+                e.image(io)
+            })?;
+            io.usize(&mut peak)?;
+            io.u64(&mut merges)
+        })
+        .expect("a file's own image decodes");
+        assert_eq!(coded.iter().map(|&(line, _)| line).collect::<Vec<_>>(), vec![0x100, 0x300]);
+        assert_eq!((peak, merges), (3, 1));
+        // The same bytes whatever the map's insertion order.
+        let mut reordered = MshrFile::new(8);
+        reordered.allocate(0x100, 1, false, false).unwrap();
+        reordered.allocate(0x300, 7, false, true).unwrap();
+        reordered.allocate(0x100, 2, true, false).unwrap();
+        reordered.allocate(0x200, 3, false, false).unwrap();
+        reordered.complete(0x200).unwrap();
+        assert_eq!(encode(|io| reordered.image(io)), state);
 
         let mut fresh = MshrFile::new(8);
-        fresh.import_state(&state);
-        assert_eq!(fresh.export_state(), state);
+        decode(&state, |io| fresh.image(io)).expect("a file's own image decodes");
+        assert_eq!(encode(|io| fresh.image(io)), state);
+        assert_eq!((fresh.peak_occupancy(), fresh.merges()), (3, 1));
         let (waiters, dirty, _) = fresh.complete(0x100).unwrap();
         assert_eq!(waiters, vec![1, 2]);
         assert!(dirty);
@@ -334,9 +320,9 @@ mod tests {
         for i in 0..3u64 {
             big.allocate(i * 64, i, false, false).unwrap();
         }
-        let state = big.export_state();
+        let state = encode(|io| big.image(io));
         let mut small = MshrFile::new(2);
-        small.import_state(&state);
+        decode(&state, |io| small.image(io)).unwrap();
     }
 
     #[test]

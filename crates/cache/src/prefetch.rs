@@ -6,6 +6,8 @@
 //! substitution, which presets enable what, and the fidelity gap it leaves
 //! are recorded under "Modeling substitutions" in `docs/ARCHITECTURE.md`.
 
+use bard_image::{each, ImageError, Io};
+
 /// A hardware prefetcher observing demand accesses and proposing prefetch
 /// addresses.
 pub trait Prefetcher: std::fmt::Debug + Send {
@@ -22,9 +24,9 @@ pub trait Prefetcher: std::fmt::Debug + Send {
 /// the same instruction and prefetches `degree` lines ahead once confident.
 #[derive(Debug, Clone)]
 pub struct IpStridePrefetcher {
-    table_entries: usize,
-    line_bytes: u64, // bard-lint: allow(S1) -- config parameter fixed at construction
-    degree: usize,   // bard-lint: allow(S1) -- config parameter fixed at construction
+    table_entries: usize, // bard-lint: allow(S1) -- config parameter fixed at construction
+    line_bytes: u64,      // bard-lint: allow(S1) -- config parameter fixed at construction
+    degree: usize,        // bard-lint: allow(S1) -- config parameter fixed at construction
     entries: Vec<StrideEntry>,
 }
 
@@ -36,24 +38,14 @@ struct StrideEntry {
     confidence: u8,
 }
 
-/// Plain-data image of one stride-table entry (snapshot support).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StrideEntryState {
-    /// Full instruction pointer tagged into this slot.
-    pub ip_tag: u64,
-    /// Last byte address observed for the tagged IP.
-    pub last_addr: u64,
-    /// Learned stride in bytes (signed).
-    pub stride: i64,
-    /// Saturating confidence counter (0..=3).
-    pub confidence: u8,
-}
-
-/// Plain-data image of an [`IpStridePrefetcher`] table (snapshot support).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StrideTableState {
-    /// One entry per direct-mapped table slot, in slot order.
-    pub entries: Vec<StrideEntryState>,
+impl StrideEntry {
+    /// Codes the entry (snapshot images).
+    fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
+        io.u64(&mut self.ip_tag)?;
+        io.u64(&mut self.last_addr)?;
+        io.i64(&mut self.stride)?;
+        io.u8(&mut self.confidence)
+    }
 }
 
 impl IpStridePrefetcher {
@@ -79,40 +71,13 @@ impl IpStridePrefetcher {
         (ip as usize ^ (ip >> 12) as usize) & (self.table_entries - 1)
     }
 
-    /// Exports the stride table (snapshot support).
-    #[must_use]
-    pub fn export_state(&self) -> StrideTableState {
-        StrideTableState {
-            entries: self
-                .entries
-                .iter()
-                .map(|e| StrideEntryState {
-                    ip_tag: e.ip_tag,
-                    last_addr: e.last_addr,
-                    stride: e.stride,
-                    confidence: e.confidence,
-                })
-                .collect(),
-        }
-    }
-
-    /// Replaces the stride table with `state` (snapshot support).
+    /// Codes the stride table, slot by slot (snapshot images).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the image was taken from a table of a different size —
-    /// restores are gated by snapshot digests, so a mismatch is a
-    /// programming error.
-    pub fn import_state(&mut self, state: &StrideTableState) {
-        assert_eq!(state.entries.len(), self.table_entries, "stride table geometry mismatch");
-        for (slot, e) in self.entries.iter_mut().zip(&state.entries) {
-            *slot = StrideEntry {
-                ip_tag: e.ip_tag,
-                last_addr: e.last_addr,
-                stride: e.stride,
-                confidence: e.confidence,
-            };
-        }
+    /// Decoding: an image of a table of another size, or a malformed one.
+    pub fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
+        each(io, &mut self.entries, "stride-table entries", |io, e| e.image(io))
     }
 }
 
@@ -192,6 +157,7 @@ impl Prefetcher for NextLinePrefetcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bard_image::{decode, encode};
 
     #[test]
     fn ip_stride_learns_a_constant_stride() {
@@ -241,11 +207,11 @@ mod tests {
         for i in 0..6u64 {
             p.on_access(0x1_0000 + i * 256, ip, false, &mut out);
         }
-        let state = p.export_state();
+        let state = encode(|io| p.image(io));
 
         let mut fresh = IpStridePrefetcher::new(64, 64, 2);
-        fresh.import_state(&state);
-        assert_eq!(fresh.export_state(), state);
+        decode(&state, |io| fresh.image(io)).expect("a table's own image decodes");
+        assert_eq!(encode(|io| fresh.image(io)), state);
 
         // The restored table must prefetch exactly like the trained one.
         let mut a = Vec::new();
@@ -257,12 +223,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "stride table geometry mismatch")]
+    #[should_panic(expected = "image has 64 stride-table entries, this system has 128")]
     fn stride_state_rejects_wrong_table_size() {
-        let p = IpStridePrefetcher::new(64, 64, 2);
-        let state = p.export_state();
+        let state = encode(|io| IpStridePrefetcher::new(64, 64, 2).image(io));
         let mut other = IpStridePrefetcher::new(128, 64, 2);
-        other.import_state(&state);
+        decode(&state, |io| other.image(io)).unwrap();
     }
 
     #[test]

@@ -12,9 +12,12 @@
 //! history counter table and each way's fill signature — and acts on the
 //! fields it is handed.
 
+use bard_image::{each, ImageError, Io};
+
 use crate::block::MAX_WAYS;
 
-/// Which replacement policy to instantiate.
+/// Which replacement policy to instantiate. The declaration order is the
+/// policy's tag in snapshot images.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ReplacementKind {
     /// True least-recently-used.
@@ -72,13 +75,11 @@ const SHCT_MAX: u8 = 7;
 /// The cache calls `on_hit` / `on_insert` / `on_evict` to keep the state up
 /// to date and `victim` / `eviction_order` to make decisions. Ways holding
 /// invalid lines are handled by the cache itself and never reach `victim`.
-/// A [`CacheState`](crate::CacheState) carries the value as the cache
-/// holds it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// A cache's snapshot image carries the value as the cache holds it.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Replacement {
     /// True LRU: each set's field lists its ways from least to most
     /// recently used. A hit or a fill moves the way to the MRU end.
-    #[default]
     Lru,
     /// Static RRIP with 2-bit re-reference prediction values.
     Srrip,
@@ -209,28 +210,26 @@ impl Replacement {
         order
     }
 
-    /// Replaces this policy's state with `state` (snapshot restore).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `state` is another policy or holds SHiP tables of other
-    /// sizes — snapshot digests gate restores, so a mismatch here is a
-    /// programming error, not a recoverable condition.
-    pub(crate) fn import_state(&mut self, state: &Replacement) {
-        assert_eq!(
-            self.kind(),
-            state.kind(),
-            "cannot import a {} state into a {} policy",
-            state.kind().name(),
-            self.kind().name()
-        );
-        if let (Self::Ship { shct, signatures }, Self::Ship { shct: table, signatures: sigs }) =
-            (&*self, state)
-        {
-            assert_eq!(shct.len(), table.len(), "SHCT size mismatch");
-            assert_eq!(signatures.len(), sigs.len(), "cache geometry mismatch");
+    /// Codes the policy as its cache's image holds it: its tag (0 = LRU,
+    /// 1 = SRRIP, 2 = SHiP), which must be this policy's, then SHiP's
+    /// counter table and one fill signature per way, which has no length of
+    /// its own (the cache's tag array has it).
+    pub(crate) fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
+        let live = self.kind();
+        let mut tag = live as u8;
+        io.tag(&mut tag, 2, "replacement tag")?;
+        if tag != live as u8 {
+            let reason =
+                format!("cannot import replacement tag {tag} into a {} cache", live.name());
+            return Err(ImageError::Incompatible { reason });
         }
-        self.clone_from(state);
+        if let Self::Ship { shct, signatures } = self {
+            each(io, shct, "SHiP counters", Io::u8)?;
+            for signature in signatures {
+                io.u16(signature)?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -258,6 +257,7 @@ fn lru_promote(field: u64, ways: usize, way: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bard_image::{decode, encode};
 
     /// One policy over its own replacement fields (one per set), driven
     /// the way the cache drives it.
@@ -295,14 +295,10 @@ mod tests {
             (0..self.ways).map(|rank| ((order >> (4 * rank)) & 0xf) as usize).collect()
         }
 
-        /// The policy and its fields, as a cache exports them.
-        fn export_state(&self) -> (Replacement, Vec<u64>) {
-            (self.policy.clone(), self.fields.clone())
-        }
-
-        fn import_state(&mut self, (policy, fields): &(Replacement, Vec<u64>)) {
-            self.policy.import_state(policy);
-            self.fields.clone_from(fields);
+        /// Codes the policy and its fields, as a cache's image holds them.
+        fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
+            self.policy.image(io)?;
+            each(io, &mut self.fields, "sets", Io::u64)
         }
     }
 
@@ -398,11 +394,11 @@ mod tests {
         p.on_insert(0, 0, 5);
         p.on_hit(0, 0);
         p.on_evict(0, 1, false); // way 1 holds the initial signature 0
-        let (Replacement::Ship { shct, signatures }, _) = p.export_state() else {
+        let Replacement::Ship { shct, signatures } = &p.policy else {
             panic!("SHiP state expected");
         };
         assert_eq!((shct[5], shct[0]), (2, 0));
-        assert_eq!(signatures, vec![5, 0]);
+        assert_eq!(signatures, &[5, 0]);
     }
 
     #[test]
@@ -426,10 +422,10 @@ mod tests {
             }
             trained.on_hit(0, 2);
             trained.on_evict(0, 1, false);
-            let state = trained.export_state();
+            let state = encode(|io| trained.image(io));
             let mut fresh = Harness::new(kind, 2, 4);
-            fresh.import_state(&state);
-            assert_eq!(fresh.export_state(), state, "{}", kind.name());
+            decode(&state, |io| fresh.image(io)).expect("a policy's own image decodes");
+            assert_eq!(encode(|io| fresh.image(io)), state, "{}", kind.name());
             assert_eq!(
                 trained.eviction_order(0),
                 fresh.eviction_order(0),
@@ -443,8 +439,8 @@ mod tests {
     #[should_panic(expected = "cannot import")]
     fn mismatched_state_variant_is_rejected() {
         let mut lru = Harness::new(ReplacementKind::Lru, 1, 4);
-        let srrip = Harness::new(ReplacementKind::Srrip, 1, 4);
-        lru.import_state(&srrip.export_state());
+        let state = encode(|io| Harness::new(ReplacementKind::Srrip, 1, 4).image(io));
+        decode(&state, |io| lru.image(io)).unwrap();
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Per-cache statistics.
 
+use bard_image::{ImageError, Io};
+
 /// Counters kept by every cache level.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -76,6 +78,21 @@ impl CacheStats {
         self.cleanses += other.cleanses;
         self.prefetch_fills += other.prefetch_fills;
         self.prefetch_useful += other.prefetch_useful;
+    }
+
+    /// Codes the counters (snapshot images).
+    pub(crate) fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
+        io.u64(&mut self.loads)?;
+        io.u64(&mut self.load_hits)?;
+        io.u64(&mut self.stores)?;
+        io.u64(&mut self.stores_hits)?;
+        io.u64(&mut self.writeback_accesses)?;
+        io.u64(&mut self.fills)?;
+        io.u64(&mut self.clean_evictions)?;
+        io.u64(&mut self.dirty_evictions)?;
+        io.u64(&mut self.cleanses)?;
+        io.u64(&mut self.prefetch_fills)?;
+        io.u64(&mut self.prefetch_useful)
     }
 }
 

@@ -12,6 +12,8 @@
 //! tracker instance, which matches the paper's broadcast-after-victim-select
 //! synchronisation scheme (Section VII-H).
 
+use bard_image::{each, ImageError, Io};
+
 /// A self-resetting bitmap of banks with pending write-backs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlpTracker {
@@ -21,21 +23,6 @@ pub struct BlpTracker {
     bits: Vec<u64>,
     set_events: u64,
     reset_events: u64,
-}
-
-/// Plain-data image of a [`BlpTracker`] (snapshot support).
-///
-/// Geometry (`banks_per_channel` / `banks_per_subchannel`) is intentionally
-/// excluded: it is reconstructed from the simulator configuration, and
-/// restores are gated by snapshot digests.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BlpTrackerState {
-    /// One 64-bit bank bitmap per channel.
-    pub bits: Vec<u64>,
-    /// Total bank-bit set events.
-    pub set_events: u64,
-    /// Number of self-resets performed.
-    pub reset_events: u64,
 }
 
 impl BlpTracker {
@@ -134,28 +121,12 @@ impl BlpTracker {
         self.reset_events = 0;
     }
 
-    /// Exports the tracker bitmaps and counters (snapshot support).
-    #[must_use]
-    pub fn export_state(&self) -> BlpTrackerState {
-        BlpTrackerState {
-            bits: self.bits.clone(),
-            set_events: self.set_events,
-            reset_events: self.reset_events,
-        }
-    }
-
-    /// Replaces the tracker bitmaps and counters with `state`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the image was taken from a tracker with a different
-    /// channel count — restores are gated by snapshot digests, so a mismatch
-    /// is a programming error.
-    pub fn import_state(&mut self, state: &BlpTrackerState) {
-        assert_eq!(state.bits.len(), self.bits.len(), "BLP tracker channel count mismatch");
-        self.bits.copy_from_slice(&state.bits);
-        self.set_events = state.set_events;
-        self.reset_events = state.reset_events;
+    /// Codes the bitmaps and counters (snapshot images). The geometry is
+    /// the restoring system's.
+    pub(crate) fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
+        each(io, &mut self.bits, "DRAM channels", Io::u64)?;
+        io.u64(&mut self.set_events)?;
+        io.u64(&mut self.reset_events)
     }
 
     fn subchannel_mask(&self, subchannel: usize) -> u64 {
@@ -172,6 +143,7 @@ impl BlpTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bard_image::{decode, encode};
 
     fn tracker() -> BlpTracker {
         // DDR5 channel: 64 banks, 32 per sub-channel.
@@ -248,11 +220,10 @@ mod tests {
         for bank in [3, 7, 40, 41] {
             t.record_writeback(0, bank);
         }
-        let state = t.export_state();
+        let state = encode(|io| t.image(io));
         let mut fresh = tracker();
-        fresh.import_state(&state);
+        decode(&state, |io| fresh.image(io)).expect("a tracker's own image decodes");
         assert_eq!(fresh, t);
-        assert_eq!(fresh.export_state(), state);
         // The restored tracker must keep applying the self-reset rule.
         for bank in 0..32 {
             fresh.record_writeback(0, bank);
@@ -263,12 +234,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "channel count mismatch")]
+    #[should_panic(expected = "image has 2 DRAM channels, this system has 1")]
     fn state_import_rejects_wrong_channel_count() {
-        let t = BlpTracker::new(2, 64, 32);
-        let state = t.export_state();
+        let state = encode(|io| BlpTracker::new(2, 64, 32).image(io));
         let mut other = tracker();
-        other.import_state(&state);
+        decode(&state, |io| other.image(io)).unwrap();
     }
 
     #[test]

@@ -9,10 +9,9 @@
 
 use bard_cache::{CacheConfig, CacheStats, ReplacementKind, SetAssocCache};
 use bard_dram::{AddressMapping, DramConfig};
+use bard_image::{each, ImageError, Io};
 
-use bard_cache::CacheState;
-
-use crate::blp_tracker::{BlpTracker, BlpTrackerState};
+use crate::blp_tracker::BlpTracker;
 use crate::policy::{PolicyStats, WritePolicyKind};
 
 /// Upper bound on proactive cleanses per eviction for the Virtual Write Queue
@@ -24,26 +23,11 @@ const VWQ_MAX_CLEANSES: usize = 4;
 /// design, which probed only neighbouring sets.
 const VWQ_SET_WINDOW: usize = 256;
 
-/// Plain-data image of a [`SlicedLlc`] (snapshot support).
-///
-/// Covers everything mutable: per-slice cache contents, the BLP-Tracker and
-/// the policy counters. Geometry, policy kind and the address mapping are
-/// reconstructed from the simulator configuration.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LlcState {
-    /// One cache image per slice, in slice order.
-    pub slices: Vec<CacheState>,
-    /// BLP-Tracker bitmaps and counters.
-    pub tracker: BlpTrackerState,
-    /// Writeback-policy statistics.
-    pub stats: PolicyStats,
-}
-
 /// A shared, sliced, set-associative LLC with a bank-aware writeback policy.
 #[derive(Debug)]
 pub struct SlicedLlc {
     slices: Vec<SetAssocCache>,
-    slice_count: usize,
+    slice_count: usize, // bard-lint: allow(S1) -- geometry fixed at construction
     policy: WritePolicyKind, // bard-lint: allow(S1) -- config knob fixed at construction
     tracker: BlpTracker,
     mapping: AddressMapping, // bard-lint: allow(S1) -- config knob fixed at construction
@@ -138,48 +122,19 @@ impl SlicedLlc {
         self.stats = PolicyStats::default();
     }
 
-    /// Exports the full mutable LLC state (snapshot support).
-    #[must_use]
-    pub fn export_state(&self) -> LlcState {
-        LlcState {
-            slices: self.slices.iter().map(SetAssocCache::export_state).collect(),
-            tracker: self.tracker.export_state(),
-            stats: self.stats,
-        }
+    /// Codes the LLC's part of a warm image (snapshot images): its slices'
+    /// contents. A functional warm-up never exercises the BLP-Tracker or the
+    /// policy, so a warm restore keeps their freshly built values, whose
+    /// geometry may differ from the capturing system's.
+    pub(crate) fn warm_image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
+        each(io, &mut self.slices, "LLC slices", |io, slice| slice.image(io))
     }
 
-    /// Replaces the LLC contents, tracker and counters with `state`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the image was taken from an LLC with a different slice
-    /// count or slice geometry — restores are gated by snapshot digests, so a
-    /// mismatch is a programming error.
-    pub fn import_state(&mut self, state: &LlcState) {
-        assert_eq!(state.slices.len(), self.slice_count, "LLC slice count mismatch");
-        for (slice, image) in self.slices.iter_mut().zip(&state.slices) {
-            slice.import_state(image);
-        }
-        self.tracker.import_state(&state.tracker);
-        self.stats = state.stats;
-    }
-
-    /// Replaces only the per-slice cache contents, leaving the BLP-Tracker
-    /// and policy counters untouched (warm-image fork: the functional
-    /// warm-up never exercises the tracker or policy, so those stay at their
-    /// freshly-built values, which may have different geometry than the
-    /// system the image was captured under).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the image was taken from an LLC with a different slice
-    /// count or slice geometry — restores are gated by snapshot digests, so a
-    /// mismatch is a programming error.
-    pub fn import_slices(&mut self, slices: &[CacheState]) {
-        assert_eq!(slices.len(), self.slice_count, "LLC slice count mismatch");
-        for (slice, image) in self.slices.iter_mut().zip(slices) {
-            slice.import_state(image);
-        }
+    /// Codes the rest of the LLC's state (full snapshot images): the
+    /// BLP-Tracker and the policy counters.
+    pub(crate) fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
+        self.tracker.image(io)?;
+        self.stats.image(io)
     }
 
     /// True if `addr` is resident (no state update).
@@ -445,6 +400,7 @@ impl SlicedLlc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bard_image::{decode, encode};
 
     fn dram() -> DramConfig {
         DramConfig::ddr5_4800_x4()
@@ -453,6 +409,12 @@ mod tests {
     fn llc(policy: WritePolicyKind) -> SlicedLlc {
         // A tiny LLC (64 KiB, 4 slices, 4 ways) so sets fill quickly in tests.
         SlicedLlc::new(64 * 1024, 4, 64, 4, ReplacementKind::Lru, policy, &dram())
+    }
+
+    /// Codes the whole LLC: its warm part, then the rest.
+    fn whole(llc: &mut SlicedLlc, io: &mut impl Io) -> Result<(), ImageError> {
+        llc.warm_image(io)?;
+        llc.image(io)
     }
 
     fn no_oracle() -> impl FnMut(u64) -> bool {
@@ -475,11 +437,11 @@ mod tests {
         for i in 0..500u64 {
             c.fill(0x8000_0000 + i * 64, (i % 7) as u16, i % 3 == 0, &mut wbs, &mut oracle);
         }
-        let state = c.export_state();
+        let state = encode(|io| whole(&mut c, io));
 
         let mut restored = llc(WritePolicyKind::BardH);
-        restored.import_state(&state);
-        assert_eq!(restored.export_state(), state);
+        decode(&state, |io| whole(&mut restored, io)).expect("an LLC's own image decodes");
+        assert_eq!(encode(|io| whole(&mut restored, io)), state);
         assert_eq!(restored.policy_stats(), c.policy_stats());
         assert_eq!(restored.dirty_lines(), c.dirty_lines());
 
@@ -494,14 +456,13 @@ mod tests {
         }
         assert_eq!(wb_a, wb_b);
         assert_eq!(restored.policy_stats(), c.policy_stats());
-        assert_eq!(restored.export_state(), c.export_state());
+        assert_eq!(encode(|io| whole(&mut restored, io)), encode(|io| whole(&mut c, io)));
     }
 
     #[test]
-    #[should_panic(expected = "slice count mismatch")]
+    #[should_panic(expected = "image has 4 LLC slices, this system has 8")]
     fn llc_state_rejects_wrong_slice_count() {
-        let c = llc(WritePolicyKind::Baseline);
-        let state = c.export_state();
+        let state = encode(|io| whole(&mut llc(WritePolicyKind::Baseline), io));
         let mut other = SlicedLlc::new(
             64 * 1024,
             4,
@@ -511,7 +472,7 @@ mod tests {
             WritePolicyKind::Baseline,
             &dram(),
         );
-        other.import_state(&state);
+        decode(&state, |io| whole(&mut other, io)).unwrap();
     }
 
     #[test]
@@ -704,7 +665,7 @@ mod tests {
                 }
                 assert_eq!(wbs, expected, "{kind:?} access {access}: write-backs");
                 assert!(
-                    llc.export_state().slices[0] == cache.export_state(),
+                    encode(|io| llc.slices[0].image(io)) == encode(|io| cache.image(io)),
                     "{kind:?} access {access}: cache state diverged"
                 );
             }

@@ -1,5 +1,7 @@
 //! LLC writeback-policy selection and statistics.
 
+use bard_image::{ImageError, Io};
+
 /// Which last-level-cache writeback policy to simulate.
 ///
 /// `Baseline` is the conventional replacement-policy-only LLC of Table II.
@@ -135,6 +137,18 @@ impl PolicyStats {
         self.incorrect_decisions += other.incorrect_decisions;
         self.writebacks += other.writebacks;
         self.bank_broadcasts += other.bank_broadcasts;
+    }
+
+    /// Codes the counters (snapshot images).
+    pub(crate) fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
+        io.u64(&mut self.evictions)?;
+        io.u64(&mut self.dirty_victim_evictions)?;
+        io.u64(&mut self.overrides)?;
+        io.u64(&mut self.cleanses)?;
+        io.u64(&mut self.checked_decisions)?;
+        io.u64(&mut self.incorrect_decisions)?;
+        io.u64(&mut self.writebacks)?;
+        io.u64(&mut self.bank_broadcasts)
     }
 }
 

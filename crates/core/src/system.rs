@@ -33,12 +33,13 @@ use bard_cache::{
 };
 use bard_cpu::{Core, CoreRequest, CoreStats, MemKind, TraceRecord, TraceSource};
 use bard_dram::{CompletedRead, EnergyBreakdown, MemRequest, MemoryController, SubChannelStats};
+use bard_image::{deque, each, opt, seq, ImageError, Io};
 use bard_workloads::WorkloadId;
 
 use crate::config::{EngineKind, SystemConfig};
 use crate::llc::SlicedLlc;
 use crate::metrics::RunResult;
-use crate::snapshot::{self, CoreImage, EventImage, Snapshot, SnapshotError, SystemImage};
+use crate::snapshot::{self, Snapshot, SnapshotError};
 use crate::telemetry;
 
 /// Maximum memory requests a core may hand to the hierarchy per cycle.
@@ -106,13 +107,11 @@ impl CountingTrace {
         Self { inner, consumed: 0 }
     }
 
-    /// Advances a fresh stream to `records` consumed (snapshot restore):
-    /// an archived stream seeks in O(1), a live generator reads its way
-    /// there.
-    fn fast_forward(&mut self, records: u64) {
-        debug_assert_eq!(self.consumed, 0, "fast-forward starts from a fresh stream");
-        self.inner.skip(records);
-        self.consumed = records;
+    /// Advances a fresh stream to the position a snapshot restore decoded
+    /// into `consumed`: an archived stream seeks in O(1), a live generator
+    /// reads its way there.
+    fn catch_up(&mut self) {
+        self.inner.skip(self.consumed);
     }
 }
 
@@ -127,14 +126,15 @@ impl TraceSource for CountingTrace {
     }
 }
 
-// CoreCtx is serialized per-core by System's image fns rather than an impl of
-// its own; the marker points the snapshot-coverage lint at those bodies so a
-// new field here still fails S1 unless exported or annotated.
-// bard-lint: snapshot-state(export_image, import_image, import_warm_image)
+// CoreCtx is coded per core by System's image fns rather than an impl of its
+// own; the marker points the snapshot-coverage lint at those bodies so a new
+// field here still fails S1 unless coded or annotated.
+// bard-lint: snapshot-state(warm_image, image)
 struct CoreCtx {
     core: Core,
     /// Why the front retry request was last refused, and its line address:
     /// the line a sleeping back-pressured core is re-checked against.
+    // bard-lint: allow(S1) -- read only while the core sleeps; a restored system starts awake.
     block: (BlockReason, u64),
     trace: CountingTrace,
     l1d: SetAssocCache,
@@ -146,9 +146,11 @@ struct CoreCtx {
     finish_cycle: Option<u64>,
     retired_at_measure_start: u64,
     /// Skip engine only: first cycle the sleeping core did not execute.
+    // bard-lint: allow(S1) -- sleep bookkeeping; a capture wakes every core first.
     sleep_since: u64,
     /// Statistics delta of the observed stall cycle, repeated verbatim by
     /// every slept cycle; settled lazily on wake.
+    // bard-lint: allow(S1) -- sleep bookkeeping; a capture wakes every core first.
     sleep_delta: CoreStats,
 }
 
@@ -173,7 +175,7 @@ impl std::fmt::Debug for CoreCtx {
 
 /// Stage of a staged ([`System::run_to_pause`]) run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) enum RunStage {
+enum RunStage {
     /// The short timed warm-up span before the statistics reset.
     #[default]
     TimedWarmup,
@@ -185,13 +187,28 @@ pub(crate) enum RunStage {
 /// snapshots) so a resume continues the exact span the pause interrupted —
 /// same retired-count baselines, same starvation-guard cycle.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct RunProgress {
-    pub(crate) stage: RunStage,
-    pub(crate) timed_warmup: u64,
-    pub(crate) measure: u64,
-    pub(crate) start_retired: Vec<u64>,
-    pub(crate) guard: u64,
-    pub(crate) measure_start_cycle: u64,
+struct RunProgress {
+    stage: RunStage,
+    timed_warmup: u64,
+    measure: u64,
+    start_retired: Vec<u64>,
+    guard: u64,
+    measure_start_cycle: u64,
+}
+
+impl RunProgress {
+    /// Codes the progress (snapshot images), its stage a tag (0 = timed
+    /// warm-up, 1 = measure).
+    fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
+        let mut stage = u8::from(self.stage == RunStage::Measure);
+        io.tag(&mut stage, 1, "progress stage")?;
+        self.stage = if stage == 0 { RunStage::TimedWarmup } else { RunStage::Measure };
+        io.u64(&mut self.timed_warmup)?;
+        io.u64(&mut self.measure)?;
+        seq(io, &mut self.start_retired, Io::u64)?;
+        io.u64(&mut self.guard)?;
+        io.u64(&mut self.measure_start_cycle)
+    }
 }
 
 /// Outcome of a pausable run ([`System::run_to_pause`]).
@@ -233,6 +250,7 @@ pub struct System {
     ring_mask: u64,
     /// Total events queued in the ring.
     pending_events: usize,
+    // bard-lint: allow(S1) -- activity stamp, compared only within one tick.
     event_seq: u64,
     cycle: u64,
     scratch_completed: Vec<CompletedRead>, // bard-lint: allow(S1) -- scratch, drained per tick
@@ -242,12 +260,15 @@ pub struct System {
     scratch_prefetches: Vec<u64>,          // bard-lint: allow(S1) -- scratch, cleared per request
     /// Bit per core not asleep (skip engine; see `tick_inner` for the wake
     /// rule). Cores are capped at 64 by `SystemConfig::validate`.
+    // bard-lint: allow(S1) -- wake mask; a capture wakes every core, a restore starts awake.
     awake_mask: u64,
     /// Bit per core whose completion event fired this tick; set by
     /// `process_events`, taken by the core loop.
+    // bard-lint: allow(S1) -- wake mask, empty between ticks.
     event_wake_mask: u64,
     /// Bit per sleeping core with a non-empty retry queue: besides its own
     /// events, it waits for its front request to become admissible.
+    // bard-lint: allow(S1) -- wake mask; a capture wakes every core, a restore starts awake.
     shared_watch_mask: u64,
     /// MSHR completions that freed a slot (the `mshr.releases` work
     /// counter).
@@ -875,7 +896,8 @@ impl System {
     }
 
     /// The body of [`System::capture`] and, given the functional warm-up
-    /// length, [`System::capture_warm`].
+    /// length, [`System::capture_warm`]: settle the lazily-accounted
+    /// statistics, then encode the warm part and, for a full image, the rest.
     fn capture_image(&mut self, warm: Option<u64>) -> Snapshot {
         if self.telemetry_active {
             telemetry::trace_instant(
@@ -885,12 +907,20 @@ impl System {
                 &[("warm", u64::from(warm.is_some()))],
             );
         }
-        let image = self.export_image();
+        self.settle_cores();
+        self.settle_dram_stats();
+        let payload = bard_image::encode(|io| {
+            self.warm_image(io)?;
+            if warm.is_none() {
+                self.image(io)?;
+            }
+            Ok(())
+        });
         Snapshot::new(
             warm.is_some(),
             snapshot::full_digest(&self.config, self.workload),
             warm.map_or(0, |fw| snapshot::warm_digest(&self.config, self.workload, fw)),
-            snapshot::encode_image(image),
+            payload,
         )
     }
 
@@ -899,9 +929,10 @@ impl System {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Incompatible`] when the digests disagree (the image
-    /// belongs to a semantically different run), or a decode error when the
-    /// payload is malformed.
+    /// [`SnapshotError::Incompatible`] when the image is warm, the digests
+    /// disagree (the image belongs to a semantically different run) or the
+    /// payload holds another geometry, or a decode error when the payload is
+    /// malformed.
     pub fn restore(
         config: SystemConfig,
         workload: WorkloadId,
@@ -910,16 +941,16 @@ impl System {
         Self::restore_image(config, workload, snap, None)
     }
 
-    /// Rebuilds a **warm** system from a warm snapshot, importing only the
+    /// Rebuilds a **warm** system from a warm snapshot, which holds only the
     /// warm-relevant state (trace positions and cache contents). Running
     /// `run(0, timed_warmup, measure)` afterwards is bitwise-identical to a
     /// cold `run(functional_warmup, timed_warmup, measure)`.
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Incompatible`] when the image is not warm or the
-    /// warm digests disagree, or a decode error when the payload is
-    /// malformed.
+    /// [`SnapshotError::Incompatible`] when the image is not warm, the warm
+    /// digests disagree or the payload holds another geometry, or a decode
+    /// error when the payload is malformed.
     pub fn restore_warm(
         config: SystemConfig,
         workload: WorkloadId,
@@ -930,8 +961,11 @@ impl System {
     }
 
     /// The body of [`System::restore`] and, given the functional warm-up
-    /// length, [`System::restore_warm`]: check the matching digest, decode,
-    /// then import the whole image or its warm part.
+    /// length, [`System::restore_warm`]: check the matching digest, decode
+    /// into a freshly built system, then rebuild the DRAM's derived state
+    /// and fast-forward the trace streams. The wake bookkeeping keeps its
+    /// fully-awake start, exactly where the capture-time settle left the
+    /// live system.
     fn restore_image(
         config: SystemConfig,
         workload: WorkloadId,
@@ -939,6 +973,11 @@ impl System {
         warm: Option<u64>,
     ) -> Result<Self, SnapshotError> {
         let (kind, found, expected) = match warm {
+            None if snap.is_warm() => {
+                return Err(SnapshotError::Incompatible {
+                    reason: "a warm image holds only the warm state (restore it warm)".into(),
+                });
+            }
             None => ("full", snap.digest_full(), snapshot::full_digest(&config, workload)),
             Some(_) if !snap.is_warm() => {
                 return Err(SnapshotError::Incompatible {
@@ -955,12 +994,13 @@ impl System {
                 ),
             });
         }
-        let image = snapshot::decode_image(snap.payload())?;
         let mut system = Self::new(config, workload);
-        if warm.is_some() {
-            system.import_warm_image(&image)?;
-        } else {
-            system.import_image(&image)?;
+        system.decode(snap.payload(), warm.is_some())?;
+        for mc in &mut system.mcs {
+            mc.rebuild_derived();
+        }
+        for ctx in &mut system.cores {
+            ctx.trace.catch_up();
         }
         if system.telemetry_active {
             telemetry::trace_instant(
@@ -973,162 +1013,106 @@ impl System {
         Ok(system)
     }
 
-    /// Exports the full semantic state as a plain-data image, settling the
-    /// lazily-accounted statistics first. Derived structures (wake masks,
-    /// cache tag arrays, DRAM pending-write counts) are omitted: the restore
-    /// rebuilds them.
-    fn export_image(&mut self) -> SystemImage {
-        self.settle_cores();
-        self.settle_dram_stats();
-        let cores = self
-            .cores
-            .iter()
-            .map(|ctx| CoreImage {
-                core: ctx.core.export_state(),
-                consumed: ctx.trace.consumed,
-                l1d: ctx.l1d.export_state(),
-                l2: ctx.l2.export_state(),
-                l1_prefetcher: ctx.l1_prefetcher.as_ref().map(IpStridePrefetcher::export_state),
-                retry: ctx.retry.iter().copied().collect(),
-                finish_cycle: ctx.finish_cycle,
-                retired_at_measure_start: ctx.retired_at_measure_start,
-            })
-            .collect();
-        // Ring slots are walked in due-cycle order (delta from `cycle`),
-        // events within a slot in insertion order — the exact firing order.
+    /// Decodes `payload` into this freshly built system: the warm part and,
+    /// unless `warm`, the rest. Trace positions are only recorded here
+    /// ([`CountingTrace::catch_up`] applies them), so a corrupt position
+    /// never drives a stream.
+    pub(crate) fn decode(&mut self, payload: &[u8], warm: bool) -> Result<(), SnapshotError> {
+        bard_image::decode(payload, |io| {
+            self.warm_image(io)?;
+            if !warm {
+                self.image(io)?;
+            }
+            Ok(())
+        })
+        .map_err(SnapshotError::from)
+    }
+
+    /// Codes the warm part of the state (snapshot images), which a
+    /// functional warm-up builds and a warm image holds: per core its trace
+    /// position, L1D and L2, then the LLC slices. Everything else is at its
+    /// freshly built value right after the warm-up (which is timing-free and
+    /// policy-free), so the warm part leads the payload, and a warm restore
+    /// decodes it into a system whose DRAM, policy and buffers may differ
+    /// from the capturing one.
+    fn warm_image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
+        each(io, &mut self.cores, "cores", |io, ctx| {
+            io.u64(&mut ctx.trace.consumed)?;
+            ctx.l1d.image(io)?;
+            ctx.l2.image(io)
+        })?;
+        self.llc.warm_image(io)
+    }
+
+    /// Codes the rest of the state (full snapshot images): the cycle, per
+    /// core its pipeline, L1 prefetcher, retry queue and run bookkeeping,
+    /// then the LLC's tracker and counters, the DRAM controllers, the
+    /// MSHRs, the buffered DRAM reads and write-backs, the event ring and
+    /// the staged-run progress. The derived state is not coded: the DRAM
+    /// controllers rebuild theirs after a decode.
+    fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
+        io.u64(&mut self.cycle)?;
+        each(io, &mut self.cores, "cores", |io, ctx| {
+            ctx.core.image(io)?;
+            let mut present = ctx.l1_prefetcher.is_some();
+            io.bool(&mut present)?;
+            match (&mut ctx.l1_prefetcher, present) {
+                (Some(prefetcher), true) => prefetcher.image(io)?,
+                (None, false) => {}
+                _ => return Err(incompatible("L1 prefetcher presence mismatch")),
+            }
+            deque(io, &mut ctx.retry, |io, r| r.image(io))?;
+            opt(io, &mut ctx.finish_cycle, Io::u64)?;
+            io.u64(&mut ctx.retired_at_measure_start)
+        })?;
+        self.llc.image(io)?;
+        each(io, &mut self.mcs, "DRAM channels", |io, mc| mc.image(io))?;
+        self.inflight.image(io)?;
+        deque(io, &mut self.dram_pending, Io::u64)?;
+        deque(io, &mut self.writeback_pending, Io::u64)?;
+        // The event ring as a list of (cycle delta from `cycle`, store, core,
+        // token): slots in due-cycle order, events within a slot in
+        // insertion order, which is the exact firing order.
         let mut events = Vec::with_capacity(self.pending_events);
         for delta in 0..=self.ring_mask {
-            let slot = ((self.cycle + delta) & self.ring_mask) as usize;
+            let slot = (self.cycle.wrapping_add(delta) & self.ring_mask) as usize;
             for event in &self.events[slot] {
-                let (store, core, token) = match *event {
-                    Event::CompleteLoad { core, token } => (false, core, token),
-                    Event::CompleteStore { core, token } => (true, core, token),
+                events.push(match *event {
+                    Event::CompleteLoad { core, token } => (delta, false, core, token),
+                    Event::CompleteStore { core, token } => (delta, true, core, token),
+                });
+            }
+        }
+        seq(io, &mut events, |io, (delta, store, core, token)| {
+            io.u64(delta)?;
+            io.bool(store)?;
+            io.usize(core)?;
+            io.u64(token)
+        })?;
+        if io.decoding() {
+            for slot in &mut self.events {
+                slot.clear();
+            }
+            for &(delta, store, core, token) in &events {
+                if delta > self.ring_mask || core >= self.cores.len() {
+                    return Err(incompatible("scheduled event outside the ring or core range"));
+                }
+                let event = if store {
+                    Event::CompleteStore { core, token }
+                } else {
+                    Event::CompleteLoad { core, token }
                 };
-                events.push(EventImage { delta, store, core: core as u64, token });
+                self.events[(self.cycle.wrapping_add(delta) & self.ring_mask) as usize].push(event);
             }
+            self.pending_events = events.len();
         }
-        SystemImage {
-            cycle: self.cycle,
-            cores,
-            llc: self.llc.export_state(),
-            mcs: self.mcs.iter().map(MemoryController::export_state).collect(),
-            inflight: self.inflight.export_state(),
-            dram_pending: self.dram_pending.iter().copied().collect(),
-            writeback_pending: self.writeback_pending.iter().copied().collect(),
-            events,
-            progress: self.progress.clone(),
-        }
-    }
-
-    /// Replaces this freshly-built system's state with `image`. The wake
-    /// bookkeeping resets to the fully-awake default — exactly where the
-    /// capture-time settle left the live system.
-    fn import_image(&mut self, image: &SystemImage) -> Result<(), SnapshotError> {
-        let incompatible =
-            |reason: String| -> SnapshotError { SnapshotError::Incompatible { reason } };
-        if image.cores.len() != self.cores.len() {
-            return Err(incompatible(format!(
-                "image has {} cores, this configuration has {}",
-                image.cores.len(),
-                self.cores.len()
-            )));
-        }
-        if image.mcs.len() != self.mcs.len() {
-            return Err(incompatible(format!(
-                "image has {} DRAM channels, this configuration has {}",
-                image.mcs.len(),
-                self.mcs.len()
-            )));
-        }
-        for ev in &image.events {
-            if ev.delta > self.ring_mask || ev.core >= self.cores.len() as u64 {
-                return Err(incompatible("scheduled event outside the ring or core range".into()));
+        opt(io, &mut self.progress, |io, p| p.image(io))?;
+        match &self.progress {
+            Some(p) if p.start_retired.len() != self.cores.len() => {
+                Err(incompatible("progress core count mismatch"))
             }
+            _ => Ok(()),
         }
-        if let Some(p) = &image.progress {
-            if p.start_retired.len() != self.cores.len() {
-                return Err(incompatible("progress core count mismatch".into()));
-            }
-        }
-        self.cycle = image.cycle;
-        for (ctx, ci) in self.cores.iter_mut().zip(&image.cores) {
-            ctx.core.import_state(&ci.core);
-            ctx.trace.fast_forward(ci.consumed);
-            ctx.l1d.import_state(&ci.l1d);
-            ctx.l2.import_state(&ci.l2);
-            match (&mut ctx.l1_prefetcher, &ci.l1_prefetcher) {
-                (Some(pf), Some(state)) => pf.import_state(state),
-                (None, None) => {}
-                _ => return Err(incompatible("L1 prefetcher presence mismatch".into())),
-            }
-            ctx.retry = ci.retry.iter().copied().collect();
-            ctx.finish_cycle = ci.finish_cycle;
-            ctx.retired_at_measure_start = ci.retired_at_measure_start;
-            ctx.block = (BlockReason::None, 0);
-            ctx.sleep_since = 0;
-            ctx.sleep_delta = CoreStats::default();
-        }
-        self.llc.import_state(&image.llc);
-        for (mc, state) in self.mcs.iter_mut().zip(&image.mcs) {
-            mc.import_state(state);
-        }
-        self.inflight.import_state(&image.inflight);
-        self.dram_pending = image.dram_pending.iter().copied().collect();
-        self.writeback_pending = image.writeback_pending.iter().copied().collect();
-        for slot in &mut self.events {
-            slot.clear();
-        }
-        for ev in &image.events {
-            let core = ev.core as usize;
-            let event = if ev.store {
-                Event::CompleteStore { core, token: ev.token }
-            } else {
-                Event::CompleteLoad { core, token: ev.token }
-            };
-            self.events[((image.cycle + ev.delta) & self.ring_mask) as usize].push(event);
-        }
-        self.pending_events = image.events.len();
-        self.event_seq = 0;
-        self.progress = image.progress.clone();
-        self.awake_mask = all_cores(self.cores.len());
-        self.event_wake_mask = 0;
-        self.shared_watch_mask = 0;
-        Ok(())
-    }
-
-    /// Imports only the warm-relevant subset of `image`: trace positions
-    /// and cache contents. Everything else — timing, queues, the
-    /// BLP-Tracker, statistics — is provably at its freshly-built value
-    /// right after a functional warm-up (which is timing-free and
-    /// policy-free), so this system's fresh values are kept; they may
-    /// legitimately differ in geometry from the capture system's (e.g. a
-    /// different DRAM channel count).
-    fn import_warm_image(&mut self, image: &SystemImage) -> Result<(), SnapshotError> {
-        if image.cores.len() != self.cores.len() {
-            return Err(SnapshotError::Incompatible {
-                reason: format!(
-                    "warm image has {} cores, this configuration has {}",
-                    image.cores.len(),
-                    self.cores.len()
-                ),
-            });
-        }
-        if image.llc.slices.len() != self.llc.slice_count() {
-            return Err(SnapshotError::Incompatible {
-                reason: format!(
-                    "warm image has {} LLC slices, this configuration has {}",
-                    image.llc.slices.len(),
-                    self.llc.slice_count()
-                ),
-            });
-        }
-        for (ctx, ci) in self.cores.iter_mut().zip(&image.cores) {
-            ctx.trace.fast_forward(ci.consumed);
-            ctx.l1d.import_state(&ci.l1d);
-            ctx.l2.import_state(&ci.l2);
-        }
-        self.llc.import_slices(&image.llc.slices);
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1779,6 +1763,11 @@ fn build_trace(config: &SystemConfig, workload: WorkloadId, core: usize) -> Box<
     Box::new(replay.with_live_fallback(move || workload.build(core, seed)))
 }
 
+/// An image that disagrees with the decoding system.
+fn incompatible(reason: &str) -> ImageError {
+    ImageError::Incompatible { reason: reason.into() }
+}
+
 /// The wake-mask bits of `cores` cores (1..=64): all of them awake.
 fn all_cores(cores: usize) -> u64 {
     u64::MAX >> (64 - cores)
@@ -1829,9 +1818,45 @@ fn decode_waiter(w: u64) -> (bool, u64) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::policy::WritePolicyKind;
+    use bard_dram::subchannel::BusMode;
+
+    /// Whether each part of `system`'s state that a full image codes with a
+    /// branch of its own holds something, by name. Bank state and a core's
+    /// deferred record are private to their crates; their derived `Debug`
+    /// text shows them.
+    pub(crate) fn filled_parts(system: &System) -> Vec<(&'static str, bool)> {
+        let subs: Vec<_> = system
+            .mcs
+            .iter()
+            .flat_map(|mc| (0..mc.subchannel_count()).map(move |i| mc.subchannel(i)))
+            .collect();
+        let cores = &system.cores;
+        vec![
+            ("DRAM read queues", subs.iter().any(|s| s.read_queue_len() > 0)),
+            ("DRAM write queues", subs.iter().any(|s| s.write_queue_len() > 0)),
+            ("buffered completions", subs.iter().any(|s| s.earliest_completion() < u64::MAX)),
+            ("open rows", subs.iter().any(|s| format!("{s:?}").contains("open_row: Some("))),
+            ("write drains", subs.iter().any(|s| s.mode() == BusMode::WriteDrain)),
+            ("events", system.pending_events > 0),
+            ("retry queues", cores.iter().any(|c| !c.retry.is_empty())),
+            (
+                "deferred records",
+                cores.iter().any(|c| format!("{:?}", c.core).contains("deferred: Some(")),
+            ),
+            ("finished cores", cores.iter().any(|c| c.finish_cycle.is_some())),
+            ("stride tables", cores.iter().any(|c| c.l1_prefetcher.is_some())),
+            ("MSHR entries", !system.inflight.is_empty()),
+            ("pending DRAM reads", !system.dram_pending.is_empty()),
+            ("pending write-backs", !system.writeback_pending.is_empty()),
+            (
+                "measure progress",
+                matches!(&system.progress, Some(p) if p.stage == RunStage::Measure),
+            ),
+        ]
+    }
 
     fn quick_run(policy: WritePolicyKind, workload: WorkloadId) -> RunResult {
         let cfg = SystemConfig::small_test().with_policy(policy);

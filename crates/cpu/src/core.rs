@@ -7,6 +7,8 @@
 //! from write-backs can eventually stall the core. Instruction semantics are
 //! not modelled — the trace supplies the memory access stream.
 
+use bard_image::{deque, opt, ImageError, Io};
+
 use crate::trace::{MemKind, TraceRecord, TraceSource};
 
 /// Configuration of one core.
@@ -49,6 +51,23 @@ pub struct CoreRequest {
     pub addr: u64,
     /// Instruction pointer (used as the SHiP signature source).
     pub ip: u64,
+}
+
+impl CoreRequest {
+    /// Codes the request (snapshot images), its kind a boolean (true =
+    /// store).
+    ///
+    /// # Errors
+    ///
+    /// Decoding: a malformed image.
+    pub fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
+        io.u64(&mut self.token)?;
+        let mut store = self.kind == MemKind::Store;
+        io.bool(&mut store)?;
+        self.kind = if store { MemKind::Store } else { MemKind::Load };
+        io.u64(&mut self.addr)?;
+        io.u64(&mut self.ip)
+    }
 }
 
 /// Why dispatch stopped on a given cycle (statistics).
@@ -120,6 +139,18 @@ impl CoreStats {
         self.loads_issued += delta.loads_issued * times;
         self.stores_issued += delta.stores_issued * times;
     }
+
+    /// Codes the counters (snapshot images).
+    fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
+        io.u64(&mut self.cycles)?;
+        io.u64(&mut self.retired)?;
+        io.u64(&mut self.head_blocked_cycles)?;
+        io.u64(&mut self.rob_full_stalls)?;
+        io.u64(&mut self.store_buffer_stalls)?;
+        io.u64(&mut self.memory_backpressure_stalls)?;
+        io.u64(&mut self.loads_issued)?;
+        io.u64(&mut self.stores_issued)
+    }
 }
 
 /// The OoO-lite core.
@@ -152,28 +183,6 @@ pub struct Core {
     /// A memory instruction that could not be issued last cycle.
     deferred: Option<TraceRecord>,
     stats: CoreStats,
-}
-
-/// Plain-data image of a core's microarchitectural state, produced by
-/// [`Core::export_state`] and consumed by [`Core::import_state`] (snapshot
-/// support). Every field the model mutates is here; the configuration is
-/// not (it is re-derived from the restore-time [`CoreConfig`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CoreState {
-    /// Sequence number of the oldest in-flight instruction.
-    pub head_seq: u64,
-    /// Next sequence number to assign.
-    pub next_seq: u64,
-    /// Sequence numbers of loads still waiting for data, oldest first.
-    pub pending_loads: Vec<u64>,
-    /// Outstanding stores issued to memory.
-    pub store_buffer_used: u64,
-    /// Non-memory instructions still to dispatch from the current record.
-    pub pending_bubble: u32,
-    /// A memory instruction that could not be issued last cycle.
-    pub deferred: Option<TraceRecord>,
-    /// Statistics counters.
-    pub stats: CoreStats,
 }
 
 impl Core {
@@ -240,31 +249,20 @@ impl Core {
         self.stats = CoreStats::default();
     }
 
-    /// Exports the full mutable state of the core (snapshot support).
-    #[must_use]
-    pub fn export_state(&self) -> CoreState {
-        CoreState {
-            head_seq: self.head_seq,
-            next_seq: self.next_seq,
-            pending_loads: self.pending_loads.iter().copied().collect(),
-            store_buffer_used: self.store_buffer_used as u64,
-            pending_bubble: self.pending_bubble,
-            deferred: self.deferred,
-            stats: self.stats,
-        }
-    }
-
-    /// Replaces the core's mutable state with `state` (snapshot support).
-    /// The configuration is unchanged; callers guarantee it matches the one
-    /// the state was captured under.
-    pub fn import_state(&mut self, state: &CoreState) {
-        self.head_seq = state.head_seq;
-        self.next_seq = state.next_seq;
-        self.pending_loads = state.pending_loads.iter().copied().collect();
-        self.store_buffer_used = state.store_buffer_used as usize;
-        self.pending_bubble = state.pending_bubble;
-        self.deferred = state.deferred;
-        self.stats = state.stats;
+    /// Codes every field the model mutates (snapshot images); the
+    /// configuration is the restoring system's.
+    ///
+    /// # Errors
+    ///
+    /// Decoding: a malformed image.
+    pub fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
+        io.u64(&mut self.head_seq)?;
+        io.u64(&mut self.next_seq)?;
+        deque(io, &mut self.pending_loads, Io::u64)?;
+        io.usize(&mut self.store_buffer_used)?;
+        io.u32(&mut self.pending_bubble)?;
+        opt(io, &mut self.deferred, |io, r| r.image(io))?;
+        self.stats.image(io)
     }
 
     /// Simulates one cycle: retire, then dispatch.

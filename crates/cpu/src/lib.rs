@@ -34,5 +34,5 @@
 pub mod core;
 pub mod trace;
 
-pub use crate::core::{Core, CoreConfig, CoreRequest, CoreState, CoreStats};
+pub use crate::core::{Core, CoreConfig, CoreRequest, CoreStats};
 pub use crate::trace::{skip_by_reading, MemAccess, MemKind, TraceRecord, TraceSource, VecTrace};

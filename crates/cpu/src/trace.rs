@@ -6,6 +6,8 @@
 //! `bard-workloads` crate) implement [`TraceSource`] and produce records on
 //! demand, so traces never need to be materialised on disk.
 
+use bard_image::{ImageError, Io};
+
 /// Kind of memory access carried by an instruction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum MemKind {
@@ -80,6 +82,25 @@ impl TraceRecord {
     #[must_use]
     pub fn instructions(&self) -> u64 {
         u64::from(self.bubble) + 1
+    }
+
+    /// Codes the record (snapshot images), its access a tag (0 = none,
+    /// 1 = load, 2 = store) followed by the address when there is one.
+    pub(crate) fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
+        io.u64(&mut self.ip)?;
+        io.u32(&mut self.bubble)?;
+        let mut tag = self.access.map_or(0, |a| 1 + u8::from(a.is_store()));
+        io.tag(&mut tag, 2, "access tag")?;
+        let mut addr = self.access.map_or(0, |a| a.addr);
+        if tag > 0 {
+            io.u64(&mut addr)?;
+        }
+        self.access = match tag {
+            0 => None,
+            1 => Some(MemAccess::load(addr)),
+            _ => Some(MemAccess::store(addr)),
+        };
+        Ok(())
     }
 }
 

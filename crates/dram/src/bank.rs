@@ -1,5 +1,7 @@
 //! Per-bank state and timing trackers.
 
+use bard_image::{opt, ImageError, Io};
+
 /// State of a single DRAM bank: the open row (if any) plus the earliest cycle
 /// at which each command class may next be issued to this bank.
 ///
@@ -74,6 +76,16 @@ impl BankState {
     /// command until a precharge may follow.
     pub fn write(&mut self, now: u64, write_recovery: u64) {
         self.pre_ok_at = self.pre_ok_at.max(now + write_recovery);
+    }
+
+    /// Codes the bank (snapshot images).
+    pub(crate) fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
+        opt(io, &mut self.open_row, Io::u64)?;
+        io.u64(&mut self.act_ok_at)?;
+        io.u64(&mut self.pre_ok_at)?;
+        io.u64(&mut self.cas_ok_at)?;
+        io.bool(&mut self.auto_precharge)?;
+        io.u64(&mut self.activations)
     }
 }
 

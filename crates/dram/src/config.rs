@@ -3,18 +3,6 @@
 use crate::address::MappingScheme;
 use crate::timing::TimingParams;
 
-/// DRAM device data width. Servers use x4 devices (for Chipkill); x8 devices
-/// avoid the on-die-ECC read-modify-write and halve `tCCD_L_WR`
-/// (Section VII-D / Table VI).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum DeviceWidth {
-    /// x4 devices (baseline).
-    #[default]
-    X4,
-    /// x8 devices.
-    X8,
-}
-
 /// Row-buffer management policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PagePolicy {
@@ -56,8 +44,6 @@ pub struct DramConfig {
     pub write_low_watermark: usize,
     /// Write-drain high watermark: draining starts at or above this occupancy.
     pub write_high_watermark: usize,
-    /// Device width (x4 baseline, x8 variant).
-    pub device_width: DeviceWidth,
     /// Row-buffer policy.
     pub page_policy: PagePolicy,
     /// Physical address mapping scheme.
@@ -89,7 +75,6 @@ impl DramConfig {
             write_queue_entries: 48,
             write_low_watermark: 8,
             write_high_watermark: 40,
-            device_width: DeviceWidth::X4,
             page_policy: PagePolicy::AdaptiveOpen,
             mapping: MappingScheme::ZenPbpl,
             timing: TimingParams::ddr5_4800_x4(),
@@ -99,14 +84,13 @@ impl DramConfig {
         }
     }
 
-    /// The x8-device variant (Section VII-D): identical except `tCCD_L_WR`.
+    /// The x8-device variant (Section VII-D / Table VI): servers use x4
+    /// devices (for Chipkill); x8 devices avoid the on-die-ECC
+    /// read-modify-write, which halves `tCCD_L_WR`. Identical to the x4
+    /// baseline except that timing.
     #[must_use]
     pub fn ddr5_4800_x8() -> Self {
-        Self {
-            device_width: DeviceWidth::X8,
-            timing: TimingParams::ddr5_4800_x8(),
-            ..Self::ddr5_4800_x4()
-        }
+        Self { timing: TimingParams::ddr5_4800_x8(), ..Self::ddr5_4800_x4() }
     }
 
     /// The idealised system where every write occupies the data bus for only
@@ -220,9 +204,9 @@ mod tests {
     fn x8_variant_only_changes_write_ccd() {
         let x4 = DramConfig::ddr5_4800_x4();
         let x8 = DramConfig::ddr5_4800_x8();
-        assert_eq!(x8.device_width, DeviceWidth::X8);
         assert_eq!(x8.timing.t_ccd_l_wr, x4.timing.t_ccd_l_wr / 2);
-        assert_eq!(x8.banks_per_channel(), x4.banks_per_channel());
+        assert_eq!(TimingParams { t_ccd_l_wr: x4.timing.t_ccd_l_wr, ..x8.timing }, x4.timing);
+        assert_eq!(DramConfig { timing: x4.timing, ..x8 }, x4);
     }
 
     #[test]

@@ -1,25 +1,20 @@
 //! Per-channel memory controller: owns the two sub-channels and the address
 //! mapping, and is the interface the cache hierarchy talks to.
 
+use bard_image::{each, ImageError, Io};
+
 use crate::address::AddressMapping;
 use crate::config::DramConfig;
 use crate::power::{EnergyBreakdown, PowerModel};
 use crate::request::{CompletedRead, EnqueueError, MemRequest};
 use crate::stats::{ChannelStats, DrainEpisodeStats, SubChannelStats};
-use crate::subchannel::{SubChannel, SubChannelState};
-
-/// Plain-data image of a whole channel controller (snapshot support).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ControllerState {
-    /// One image per sub-channel, in index order.
-    pub subchannels: Vec<SubChannelState>,
-}
+use crate::subchannel::SubChannel;
 
 /// Memory controller for a single DDR5 channel (two sub-channels).
 #[derive(Debug, Clone)]
 pub struct MemoryController {
-    channel_id: usize, // bard-lint: allow(S1) -- identity fixed at construction
-    mapping: AddressMapping,
+    channel_id: usize,       // bard-lint: allow(S1) -- identity fixed at construction
+    mapping: AddressMapping, // bard-lint: allow(S1) -- config mapping fixed at construction
     subchannels: Vec<SubChannel>,
     controller_latency: u64, // bard-lint: allow(S1) -- config parameter fixed at construction
     power_model: PowerModel, // bard-lint: allow(S1) -- config parameter fixed at construction
@@ -117,32 +112,23 @@ impl MemoryController {
         self.subchannels[d.subchannel].note_refused_writes(n);
     }
 
-    /// Exports every sub-channel's semantic state (snapshot support).
-    /// Callers must [`MemoryController::settle_stats`] to the capture cycle
-    /// first so the exported statistics are exact.
-    #[must_use]
-    pub fn export_state(&self) -> ControllerState {
-        ControllerState {
-            subchannels: self.subchannels.iter().map(SubChannel::export_state).collect(),
-        }
+    /// Codes every sub-channel's state (snapshot images). Callers must
+    /// [`MemoryController::settle_stats`] to the capture cycle first so the
+    /// statistics are exact.
+    ///
+    /// # Errors
+    ///
+    /// Decoding: an image of another geometry, or a malformed one.
+    pub fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
+        each(io, &mut self.subchannels, "sub-channels", |io, sub| sub.image(io))
     }
 
-    /// Replaces every sub-channel's state with the images in `state`,
-    /// re-deriving decoded addresses from this controller's mapping.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the image does not match this controller's sub-channel
-    /// count or geometry (restores are gated by snapshot digests).
-    pub fn import_state(&mut self, state: &ControllerState) {
-        assert_eq!(
-            state.subchannels.len(),
-            self.subchannels.len(),
-            "controller sub-channel count mismatch"
-        );
-        let mapping = self.mapping.clone();
-        for (sub, image) in self.subchannels.iter_mut().zip(&state.subchannels) {
-            sub.import_state(image, &mapping);
+    /// Rebuilds every sub-channel's derived structures after a decode
+    /// (snapshot restore), re-deriving decoded addresses from this
+    /// controller's mapping.
+    pub fn rebuild_derived(&mut self) {
+        for sub in &mut self.subchannels {
+            sub.rebuild_derived(&self.mapping);
         }
     }
 

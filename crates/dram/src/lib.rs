@@ -55,10 +55,10 @@ pub mod timing;
 
 pub use address::{AddressMapping, DecodedAddr, MappingScheme};
 pub use bank::BankState;
-pub use config::{DeviceWidth, DramConfig, PagePolicy};
-pub use controller::{ControllerState, MemoryController};
+pub use config::{DramConfig, PagePolicy};
+pub use controller::MemoryController;
 pub use power::{EnergyBreakdown, PowerModel};
 pub use request::{CompletedRead, EnqueueError, MemRequest, RequestId, RequestKind};
 pub use stats::{ChannelStats, DrainEpisodeStats, SubChannelStats};
-pub use subchannel::{QueuedRequestState, SubChannel, SubChannelState};
+pub use subchannel::SubChannel;
 pub use timing::{TimingParams, CPU_FREQ_MHZ, DRAM_FREQ_MHZ};

@@ -1,21 +1,24 @@
 //! Memory requests exchanged between the cache hierarchy and the controller.
 
+use bard_image::{ImageError, Io};
+
 use crate::address::DecodedAddr;
 
 /// Unique identifier assigned by the requester (the simulator core).
 pub type RequestId = u64;
 
 /// The kind of a memory request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum RequestKind {
     /// Demand or prefetch read (cache-line fill), including RFOs.
+    #[default]
     Read,
     /// Write-back of a dirty cache line.
     Write,
 }
 
 /// A single cache-line-sized memory request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemRequest {
     /// Requester-assigned identifier; echoed back on completion for reads.
     pub id: RequestId,
@@ -71,6 +74,17 @@ pub struct CompletedRead {
     pub ready_cycle: u64,
     /// Total cycles spent inside the memory controller.
     pub latency: u64,
+}
+
+impl CompletedRead {
+    /// Codes the completion (snapshot images).
+    pub(crate) fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
+        io.u64(&mut self.id)?;
+        io.u64(&mut self.addr)?;
+        io.usize(&mut self.core)?;
+        io.u64(&mut self.ready_cycle)?;
+        io.u64(&mut self.latency)
+    }
 }
 
 /// Error returned when a request cannot be accepted by the controller.

@@ -5,6 +5,8 @@
 //! fraction of time spent issuing writes (Figures 2 and 14), write-to-write
 //! delays (Table V), and command/energy counts (Table IX).
 
+use bard_image::{ImageError, Io};
+
 use crate::timing::cpu_cycles_to_ns;
 
 /// Statistics for one completed write-drain episode.
@@ -171,6 +173,32 @@ impl SubChannelStats {
         self.write_to_write_gap_cycles += other.write_to_write_gap_cycles;
         self.write_to_write_gaps += other.write_to_write_gaps;
         self.write_queue_full_events += other.write_queue_full_events;
+    }
+
+    /// Codes the counters (snapshot images).
+    pub(crate) fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
+        io.u64(&mut self.cycles)?;
+        io.u64(&mut self.write_mode_cycles)?;
+        io.u64(&mut self.busy_cycles)?;
+        io.u64(&mut self.reads)?;
+        io.u64(&mut self.writes)?;
+        io.u64(&mut self.read_latency_cycles)?;
+        io.u64(&mut self.read_row_hits)?;
+        io.u64(&mut self.read_row_misses)?;
+        io.u64(&mut self.read_row_conflicts)?;
+        io.u64(&mut self.write_row_hits)?;
+        io.u64(&mut self.write_row_misses)?;
+        io.u64(&mut self.write_row_conflicts)?;
+        io.u64(&mut self.activates)?;
+        io.u64(&mut self.precharges)?;
+        io.u64(&mut self.refreshes)?;
+        io.u64(&mut self.drain_episodes)?;
+        io.u64(&mut self.drain_writes)?;
+        io.u64(&mut self.drain_unique_banks)?;
+        io.u64(&mut self.drain_cycles)?;
+        io.u64(&mut self.write_to_write_gap_cycles)?;
+        io.u64(&mut self.write_to_write_gaps)?;
+        io.u64(&mut self.write_queue_full_events)
     }
 }
 

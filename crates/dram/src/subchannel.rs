@@ -27,7 +27,7 @@
 //! among them, as FR-FCFS's first-ready passes do. After an issue, the pass
 //! from the next cycle stores the next plan, which its tick issues without
 //! another pass; an enqueue offers its request to the plan in O(1). A
-//! refresh, a bus-mode switch, a watermark crossing and a snapshot import
+//! refresh, a bus-mode switch, a watermark crossing and a snapshot restore
 //! mark the plan stale (`wake_at = 0`), and the next tick replans.
 //!
 //! A key depends on its bank's state alone, so it goes stale only when that
@@ -57,6 +57,8 @@
 //! the pending ones.
 
 use std::collections::VecDeque;
+
+use bard_image::{deque, each, opt, seq, ImageError, Io};
 
 use crate::address::AddressMapping;
 use crate::bank::BankState;
@@ -168,7 +170,7 @@ impl SlotTable {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct QueuedRequest {
     req: MemRequest,
     outcome: Option<RowOutcome>,
@@ -177,81 +179,45 @@ struct QueuedRequest {
     order: u64,
 }
 
-/// Plain-data image of one queued request (snapshot support). The decoded
-/// DRAM coordinates are *not* stored — they are a pure function of the
-/// address and are re-derived from the controller's mapping on import.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueuedRequestState {
-    /// Requester-assigned identifier.
-    pub id: u64,
-    /// True for a write-back, false for a read.
-    pub write: bool,
-    /// Physical address of the line.
-    pub addr: u64,
-    /// Core that generated the request.
-    pub core: u64,
-    /// Cycle the request entered the queue.
-    pub enqueue_cycle: u64,
-    /// Row-buffer outcome classification: 0 = unclassified, 1 = hit,
-    /// 2 = miss, 3 = conflict.
-    pub outcome: u8,
-    /// FR-FCFS arrival stamp.
-    pub order: u64,
+impl QueuedRequest {
+    /// Codes the request (snapshot images): its kind a boolean (true =
+    /// write), its row-buffer outcome a tag of at most 3 (0 = unclassified,
+    /// 1 = hit, 2 = miss, 3 = conflict). Its DRAM coordinates, a function of
+    /// its address, are rebuilt on restore ([`SubChannel::rebuild_derived`]).
+    fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
+        let req = &mut self.req;
+        io.u64(&mut req.id)?;
+        let mut write = req.is_write();
+        io.bool(&mut write)?;
+        req.kind = if write { RequestKind::Write } else { RequestKind::Read };
+        io.u64(&mut req.addr)?;
+        io.usize(&mut req.core)?;
+        io.u64(&mut req.enqueue_cycle)?;
+        let outcomes =
+            [None, Some(RowOutcome::Hit), Some(RowOutcome::Miss), Some(RowOutcome::Conflict)];
+        let mut tag = outcomes.iter().position(|&o| o == self.outcome).unwrap_or_default() as u8;
+        io.tag(&mut tag, 3, "request outcome")?;
+        self.outcome = outcomes[usize::from(tag)];
+        io.u64(&mut self.order)
+    }
 }
 
-/// Plain-data image of a sub-channel (snapshot support). Holds only the
-/// *semantic* state: the per-bank pending-write counts and mask, the
-/// dead-row mask, the slot tables, the cached earliest-ready stamp, the plan
-/// and the wake horizon are all derived structures and are rebuilt on import
-/// (`wake_at` restores to 0, which forces a planning pass on the next tick;
-/// the pass is exact, so restored runs stay bitwise-identical to
-/// straightline runs).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SubChannelState {
-    /// Queued reads, oldest first.
-    pub reads: Vec<QueuedRequestState>,
-    /// Queued write-backs, oldest first.
-    pub writes: Vec<QueuedRequestState>,
-    /// Next FR-FCFS arrival stamp.
-    pub next_order: u64,
-    /// Per-bank row and timing state.
-    pub banks: Vec<BankState>,
-    /// Per-bank-group earliest read-CAS cycles.
-    pub bg_rd_ok: Vec<u64>,
-    /// Per-bank-group earliest write-CAS cycles.
-    pub bg_wr_ok: Vec<u64>,
-    /// Per-bank-group earliest ACT cycles.
-    pub bg_act_ok: Vec<u64>,
-    /// Sub-channel earliest read-CAS cycle.
-    pub sub_rd_ok: u64,
-    /// Sub-channel earliest write-CAS cycle.
-    pub sub_wr_ok: u64,
-    /// Sub-channel earliest ACT cycle.
-    pub sub_act_ok: u64,
-    /// ACT issue cycles inside the rolling four-activate window.
-    pub faw_window: Vec<u64>,
-    /// True when the bus is in write-drain mode.
-    pub write_drain: bool,
-    /// Banks written during the in-progress drain episode (bitmap).
-    pub episode_banks: u64,
-    /// Writes issued during the in-progress drain episode.
-    pub episode_writes: u64,
-    /// Cycle the in-progress drain episode started.
-    pub episode_start: u64,
-    /// Sum of write-to-write gaps in the in-progress episode.
-    pub episode_gap_sum: u64,
-    /// Number of write-to-write gaps in the in-progress episode.
-    pub episode_gaps: u64,
-    /// Cycle of the episode's most recent write issue.
-    pub last_write_issue: Option<u64>,
-    /// Absolute cycle of the next refresh.
-    pub next_refresh_at: u64,
-    /// Completed reads not yet drained by the requester.
-    pub completed: Vec<CompletedRead>,
-    /// Accumulated statistics (settled through `settled_to`).
-    pub stats: SubChannelStats,
-    /// Cycle (exclusive) through which per-cycle statistics are settled.
-    pub settled_to: u64,
+/// Codes one request queue (snapshot images); a decoded queue must fit in
+/// `capacity`.
+fn queue_image(
+    io: &mut impl Io,
+    q: &mut VecDeque<QueuedRequest>,
+    capacity: usize,
+    what: &str,
+) -> Result<(), ImageError> {
+    deque(io, q, |io, r| r.image(io))?;
+    let n = q.len();
+    io.check(|| {
+        if n <= capacity {
+            return Ok(());
+        }
+        Err(format!("a queue of {n} {what} exceeds the capacity {capacity}"))
+    })
 }
 
 /// One DDR5 sub-channel with its queues, banks and scheduler.
@@ -261,7 +227,7 @@ pub struct SubChannel {
     page_policy: PagePolicy, // bard-lint: allow(S1) -- config knob fixed at construction
     ideal_writes: bool,   // bard-lint: allow(S1) -- config knob fixed at construction
     refresh_enabled: bool, // bard-lint: allow(S1) -- config knob fixed at construction
-    banks_per_group: usize,
+    banks_per_group: usize, // bard-lint: allow(S1) -- geometry fixed at construction
     read_capacity: usize,
     write_capacity: usize,
     low_watermark: usize, // bard-lint: allow(S1) -- config watermark fixed at construction
@@ -272,8 +238,9 @@ pub struct SubChannel {
     /// Slot tables of the read (`[0]`) and write (`[1]`) queues, entry for
     /// entry. Every mutation of a bank's state marks the bank stale in both,
     /// and a planning pass re-derives the stale keys of its table. Derived
-    /// state: rebuilt from the queues and bank state on import, so snapshot
+    /// state: rebuilt from the queues and bank state on restore, so snapshot
     /// images do not carry it.
+    // bard-lint: allow(S1) -- derived, rebuilt by rebuild_derived on restore.
     tables: [SlotTable; 2],
     /// Per bank group, the class terms of the latest planning pass (see
     /// [`SubChannel::group_terms`]).
@@ -283,10 +250,13 @@ pub struct SubChannel {
     next_order: u64,
     /// Queued writes per bank, kept in step with `write_q` so the BLP
     /// oracle's [`SubChannel::pending_write_banks`] query is O(1).
+    // bard-lint: allow(S1) -- derived, rebuilt by rebuild_derived on restore.
     write_counts: Vec<u32>,
     /// Bit per bank with a nonzero `write_counts` entry.
+    // bard-lint: allow(S1) -- derived, rebuilt by rebuild_derived on restore.
     write_mask: u64,
     /// Bit per bank flagged for auto-precharge (a dead row not yet closed).
+    // bard-lint: allow(S1) -- derived, rebuilt by rebuild_derived on restore.
     dead_mask: u64,
     banks: Vec<BankState>,
     bg_rd_ok: Vec<u64>,
@@ -309,6 +279,7 @@ pub struct SubChannel {
     completed: Vec<CompletedRead>,
     /// Cached minimum `ready_cycle` over `completed` (`u64::MAX` when
     /// empty), so per-tick drains are O(1) until data is actually ready.
+    // bard-lint: allow(S1) -- derived, rebuilt by rebuild_derived on restore.
     earliest_ready: u64,
     stats: SubChannelStats,
     /// Cycle (exclusive) through which the per-cycle statistics — total,
@@ -341,11 +312,13 @@ pub struct SubChannel {
     // bard-lint: allow(S1) -- telemetry side log, see the doc note: excluded by design.
     episode_log: Vec<DrainEpisodeStats>,
     /// The next command to issue, valid while `wake_at` is nonzero.
+    // bard-lint: allow(S1) -- derived, rebuilt by rebuild_derived on restore.
     plan: Plan,
     /// Exact next cycle at which this sub-channel can do anything: the
     /// plan's cycle or the next refresh, whichever is first. Ticks before
     /// this cycle return at once. 0 marks the plan stale, so the next tick
     /// replans.
+    // bard-lint: allow(S1) -- derived, rebuilt by rebuild_derived on restore.
     wake_at: u64,
 }
 
@@ -776,117 +749,48 @@ impl SubChannel {
         self.scheduling_passes
     }
 
-    /// Exports the sub-channel's semantic state (snapshot support). Callers
-    /// must [`SubChannel::settle_stats`] to the capture cycle first so the
-    /// exported statistics and the due dead-row closes are exact.
-    #[must_use]
-    pub fn export_state(&self) -> SubChannelState {
-        let snap = |q: &VecDeque<QueuedRequest>| -> Vec<QueuedRequestState> {
-            q.iter()
-                .map(|e| QueuedRequestState {
-                    id: e.req.id,
-                    write: e.req.is_write(),
-                    addr: e.req.addr,
-                    core: e.req.core as u64,
-                    enqueue_cycle: e.req.enqueue_cycle,
-                    outcome: match e.outcome {
-                        None => 0,
-                        Some(RowOutcome::Hit) => 1,
-                        Some(RowOutcome::Miss) => 2,
-                        Some(RowOutcome::Conflict) => 3,
-                    },
-                    order: e.order,
-                })
-                .collect()
-        };
-        SubChannelState {
-            reads: snap(&self.read_q),
-            writes: snap(&self.write_q),
-            next_order: self.next_order,
-            banks: self.banks.clone(),
-            bg_rd_ok: self.bg_rd_ok.clone(),
-            bg_wr_ok: self.bg_wr_ok.clone(),
-            bg_act_ok: self.bg_act_ok.clone(),
-            sub_rd_ok: self.sub_rd_ok,
-            sub_wr_ok: self.sub_wr_ok,
-            sub_act_ok: self.sub_act_ok,
-            faw_window: self.faw_window.iter().copied().collect(),
-            write_drain: self.mode == BusMode::WriteDrain,
-            episode_banks: self.episode_banks,
-            episode_writes: self.episode_writes,
-            episode_start: self.episode_start,
-            episode_gap_sum: self.episode_gap_sum,
-            episode_gaps: self.episode_gaps,
-            last_write_issue: self.last_write_issue,
-            next_refresh_at: self.next_refresh_at,
-            completed: self.completed.clone(),
-            stats: self.stats.clone(),
-            settled_to: self.settled_to,
-        }
+    /// Codes the sub-channel's own state (snapshot images): its queues,
+    /// bank and bus timing, drain-episode progress, buffered completions and
+    /// statistics. Callers must [`SubChannel::settle_stats`] to the capture
+    /// cycle first so the statistics and the due dead-row closes are exact.
+    /// The derived structures are not coded: a restore rebuilds them
+    /// ([`SubChannel::rebuild_derived`]).
+    pub(crate) fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
+        queue_image(io, &mut self.read_q, self.read_capacity, "reads")?;
+        queue_image(io, &mut self.write_q, self.write_capacity, "writes")?;
+        io.u64(&mut self.next_order)?;
+        each(io, &mut self.banks, "banks", |io, b| b.image(io))?;
+        each(io, &mut self.bg_rd_ok, "bank groups", Io::u64)?;
+        each(io, &mut self.bg_wr_ok, "bank groups", Io::u64)?;
+        each(io, &mut self.bg_act_ok, "bank groups", Io::u64)?;
+        io.u64(&mut self.sub_rd_ok)?;
+        io.u64(&mut self.sub_wr_ok)?;
+        io.u64(&mut self.sub_act_ok)?;
+        deque(io, &mut self.faw_window, Io::u64)?;
+        let mut write_drain = self.mode == BusMode::WriteDrain;
+        io.bool(&mut write_drain)?;
+        self.mode = if write_drain { BusMode::WriteDrain } else { BusMode::Read };
+        io.u64(&mut self.episode_banks)?;
+        io.u64(&mut self.episode_writes)?;
+        io.u64(&mut self.episode_start)?;
+        io.u64(&mut self.episode_gap_sum)?;
+        io.u64(&mut self.episode_gaps)?;
+        opt(io, &mut self.last_write_issue, Io::u64)?;
+        io.u64(&mut self.next_refresh_at)?;
+        seq(io, &mut self.completed, |io, c| c.image(io))?;
+        self.stats.image(io)?;
+        io.u64(&mut self.settled_to)
     }
 
-    /// Replaces the sub-channel's state with `state` (snapshot support),
-    /// re-deriving every derived structure: decoded addresses via `mapping`,
-    /// the per-bank pending-write counts from the rebuilt write queue, the
-    /// dead-row mask from the banks' auto-precharge flags, the slot tables
-    /// from the queues and bank state, the earliest-ready cache from the
-    /// completed-read buffer, and a stale plan (a zero wake horizon: replan
-    /// on the next tick).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `state` was exported from a sub-channel of a different
-    /// geometry — restores are gated by snapshot digests, so a mismatch is
-    /// a programming error.
-    pub fn import_state(&mut self, state: &SubChannelState, mapping: &AddressMapping) {
-        assert_eq!(state.banks.len(), self.banks.len(), "sub-channel bank count mismatch");
-        assert_eq!(state.bg_rd_ok.len(), self.bg_rd_ok.len(), "sub-channel bank-group mismatch");
-        assert!(state.reads.len() <= self.read_capacity, "read queue image over capacity");
-        assert!(state.writes.len() <= self.write_capacity, "write queue image over capacity");
-
-        let rebuild = |entries: &[QueuedRequestState]| -> VecDeque<QueuedRequest> {
-            entries
-                .iter()
-                .map(|e| {
-                    let kind = if e.write { RequestKind::Write } else { RequestKind::Read };
-                    let mut req = MemRequest::new(e.id, kind, e.addr, e.core as usize);
-                    req.enqueue_cycle = e.enqueue_cycle;
-                    req.decoded = mapping.decode(e.addr);
-                    let outcome = match e.outcome {
-                        0 => None,
-                        1 => Some(RowOutcome::Hit),
-                        2 => Some(RowOutcome::Miss),
-                        3 => Some(RowOutcome::Conflict),
-                        other => panic!("invalid row-outcome code {other}"),
-                    };
-                    QueuedRequest { req, outcome, order: e.order }
-                })
-                .collect()
-        };
-        self.read_q = rebuild(&state.reads);
-        self.write_q = rebuild(&state.writes);
-        self.next_order = state.next_order;
-        self.banks.clone_from(&state.banks);
-        self.bg_rd_ok.clone_from(&state.bg_rd_ok);
-        self.bg_wr_ok.clone_from(&state.bg_wr_ok);
-        self.bg_act_ok.clone_from(&state.bg_act_ok);
-        self.sub_rd_ok = state.sub_rd_ok;
-        self.sub_wr_ok = state.sub_wr_ok;
-        self.sub_act_ok = state.sub_act_ok;
-        self.faw_window = state.faw_window.iter().copied().collect();
-        self.mode = if state.write_drain { BusMode::WriteDrain } else { BusMode::Read };
-        self.episode_banks = state.episode_banks;
-        self.episode_writes = state.episode_writes;
-        self.episode_start = state.episode_start;
-        self.episode_gap_sum = state.episode_gap_sum;
-        self.episode_gaps = state.episode_gaps;
-        self.last_write_issue = state.last_write_issue;
-        self.next_refresh_at = state.next_refresh_at;
-        self.completed.clone_from(&state.completed);
-        self.stats = state.stats.clone();
-        self.settled_to = state.settled_to;
-
-        // Derived structures.
+    /// Rebuilds every derived structure from the decoded state (snapshot
+    /// restore): the queued requests' DRAM coordinates via `mapping`, the
+    /// per-bank pending-write counts and mask, the dead-row mask from the
+    /// banks' auto-precharge flags, the slot tables, the earliest-ready cache
+    /// and a stale plan (a zero wake horizon: replan on the next tick).
+    pub(crate) fn rebuild_derived(&mut self, mapping: &AddressMapping) {
+        for q in self.read_q.iter_mut().chain(&mut self.write_q) {
+            q.req.decoded = mapping.decode(q.req.addr);
+        }
         self.earliest_ready =
             self.completed.iter().map(|c| c.ready_cycle).min().unwrap_or(u64::MAX);
         self.write_counts.fill(0);
@@ -1316,6 +1220,7 @@ mod tests {
     use super::*;
     use crate::address::AddressMapping;
     use crate::request::RequestKind;
+    use bard_image::{decode, encode};
     use std::collections::BTreeMap;
 
     fn config() -> DramConfig {
@@ -1721,7 +1626,7 @@ mod tests {
         );
     }
 
-    /// A sub-channel restored from an exported state must continue bitwise
+    /// A sub-channel restored from its image must continue bitwise
     /// in lockstep with the original: identical stats, queue contents and
     /// completions from the restore point onward, including mid-drain and
     /// with refresh enabled.
@@ -1752,11 +1657,12 @@ mod tests {
             original.drain_completed(cycle, &mut done_a);
         }
         original.settle_stats(checkpoint);
-        let state = original.export_state();
+        let state = encode(|io| original.image(io));
 
         let mut restored = SubChannel::new(&cfg);
-        restored.import_state(&state, &mapping);
-        assert_eq!(restored.export_state(), state, "export/import must round-trip");
+        decode(&state, |io| restored.image(io)).expect("a sub-channel's own image decodes");
+        restored.rebuild_derived(&mapping);
+        assert_eq!(encode(|io| restored.image(io)), state, "the image must round-trip");
         assert_eq!(restored.pending_write_banks(), original.pending_write_banks());
 
         let mut done_b = done_a.clone();
@@ -1770,7 +1676,8 @@ mod tests {
         restored.settle_stats(checkpoint + 20_000);
         assert_eq!(done_a, done_b, "completions must match");
         assert_eq!(original.stats(), restored.stats(), "stats must match");
-        assert_eq!(original.export_state(), restored.export_state(), "final state must match");
+        let final_state = encode(|io| original.image(io));
+        assert_eq!(final_state, encode(|io| restored.image(io)), "final state must match");
         assert!(original.stats().writes > 0, "the span under test must drain writes");
     }
 
@@ -1909,7 +1816,7 @@ mod tests {
     /// masks ([`assert_tables_exact`]); every 97 cycles the row-liveness
     /// answer is checked by brute force ([`assert_row_liveness`]); and every
     /// 4,000 cycles the sub-channel is replaced by a fresh one restored from
-    /// its exported state, which must then continue in lockstep too.
+    /// its image, which must then continue in lockstep too.
     ///
     /// Returns the final statistics, settled.
     fn run_lockstep(cfg: &DramConfig, seed: u64, cycles: u64) -> SubChannelStats {
@@ -1940,10 +1847,12 @@ mod tests {
             }
             if now % 4_000 == 2_000 {
                 sc.settle_stats(now);
-                let image = sc.export_state();
+                let image = encode(|io| sc.image(io));
                 sc = SubChannel::new(cfg);
-                sc.import_state(&image, &mapping);
-                assert_eq!(sc.export_state(), image, "{}: the image must round-trip", ctx(now));
+                decode(&image, |io| sc.image(io)).expect("a sub-channel's own image decodes");
+                sc.rebuild_derived(&mapping);
+                let recoded = encode(|io| sc.image(io));
+                assert_eq!(recoded, image, "{}: the image must round-trip", ctx(now));
             }
             if now < sc.next_wake() {
                 let mut settled = sc.clone();
@@ -1979,8 +1888,8 @@ mod tests {
                 actual.settle_stats(now + 1);
                 expected.settle_stats(now + 1);
                 assert_eq!(
-                    actual.export_state(),
-                    expected.export_state(),
+                    encode(|io| actual.image(io)),
+                    encode(|io| expected.image(io)),
                     "{}: the tick must issue the reference pick {pick:?}",
                     ctx(now)
                 );

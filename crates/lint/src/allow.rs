@@ -16,7 +16,7 @@
 //! pass even when its impl block carries no serialization fn itself:
 //!
 //! ```text
-//! // bard-lint: snapshot-state(export_image, import_image)
+//! // bard-lint: snapshot-state(warm_image, image)
 //! ```
 //!
 //! placed on the line above the struct definition, naming the coverage fns
@@ -252,11 +252,11 @@ mod tests {
 
     #[test]
     fn snapshot_marker_parses() {
-        let ws = file("// bard-lint: snapshot-state(export_image, import_image)\npub struct CoreCtx {\n    pub a: u64,\n}\n");
+        let ws = file("// bard-lint: snapshot-state(warm_image, image)\npub struct CoreCtx {\n    pub a: u64,\n}\n");
         let ann = Annotations::parse(&ws.files[0]);
         assert_eq!(ann.markers.len(), 1);
         assert_eq!(ann.markers[0].covers, 2);
-        assert_eq!(ann.markers[0].fns, vec!["export_image", "import_image"]);
+        assert_eq!(ann.markers[0].fns, vec!["warm_image", "image"]);
     }
 
     #[test]

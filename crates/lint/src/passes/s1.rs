@@ -1,18 +1,15 @@
 //! **S1 — snapshot field-coverage.** Every field of a struct that
 //! participates in BSS1 snapshot images must be referenced by the code that
 //! serializes that struct, or be explicitly annotated ephemeral. This turns
-//! "added a field, forgot to export/import it" — the snapshot layer's
-//! scariest silent-corruption bug — into a lint error at review time.
+//! "added a field, forgot to code it" — the snapshot layer's scariest
+//! silent-corruption bug — into a lint error at review time.
 //!
 //! A struct participates when either:
 //!
-//! * its name appears in a `src/snapshot.rs` file (the codec names every
-//!   image/state type it encodes) — coverage scope is the bodies of the
-//!   codec fns whose signatures mention the type (the one two-way fn per
-//!   type, `core_state`, `bank`, ...); or
-//! * its own `impl` block defines a serialization fn (`export_state`,
-//!   `import_state`, `capture`, `restore`, `export_image`, ...) — coverage
-//!   scope is the union of those fn bodies; or
+//! * its own `impl` block defines a serialization fn (`image`,
+//!   `warm_image`, `capture`, `restore`, ...) — the components code their
+//!   own fields in place, one two-way `image` fn per type — coverage scope
+//!   is the union of those fn bodies; or
 //! * a `// bard-lint: snapshot-state(fn_a, fn_b)` marker above the struct
 //!   names its coverage fns explicitly (for types serialized by a
 //!   containing type's fns rather than their own impl).
@@ -31,22 +28,8 @@ use crate::workspace::{LintFile, Workspace};
 
 /// Serialization fn names whose presence in a struct's impl opts the
 /// struct into field-coverage checking.
-const COVER_FNS: &[&str] = &[
-    "export_state",
-    "import_state",
-    "export_image",
-    "import_image",
-    "import_warm_image",
-    "capture",
-    "capture_warm",
-    "restore",
-    "restore_warm",
-];
-
-/// Types named in the codec but covered by other rules: `System` is checked
-/// through its own `capture`/`restore` impl (second bullet), and
-/// `SystemConfig` is digest-keyed rather than field-serialized.
-const CODEC_DENY: &[&str] = &["System", "SystemConfig"];
+const COVER_FNS: &[&str] =
+    &["image", "warm_image", "capture", "capture_warm", "restore", "restore_warm"];
 
 /// The snapshot field-coverage pass.
 pub struct SnapshotCoverage;
@@ -61,8 +44,6 @@ impl Pass for SnapshotCoverage {
     }
 
     fn run(&self, ws: &Workspace, ann: &AnnotationMap, out: &mut Vec<Finding>) {
-        let codecs: Vec<&LintFile> =
-            ws.files.iter().filter(|f| f.rel.ends_with("src/snapshot.rs")).collect();
         let mut seen: BTreeSet<(String, usize)> = BTreeSet::new();
         for file in &ws.files {
             if file.file_test {
@@ -72,15 +53,7 @@ impl Pass for SnapshotCoverage {
                 if def.test || def.fields.is_empty() {
                     continue;
                 }
-                // Tier 1: named by a snapshot codec.
-                if !CODEC_DENY.contains(&def.name.as_str()) {
-                    for codec in &codecs {
-                        if let Some(scope) = codec_scope(codec, &def.name) {
-                            check_fields(file, def, &scope, "the snapshot codec", out, &mut seen);
-                        }
-                    }
-                }
-                // Tier 2: own impl carries a serialization fn.
+                // Own impl carries a serialization fn.
                 let cover: Vec<_> = file
                     .items
                     .fns
@@ -103,7 +76,7 @@ impl Pass for SnapshotCoverage {
                     );
                     check_fields(file, def, &scope, &label, out, &mut seen);
                 }
-                // Tier 3: explicit snapshot-state marker.
+                // Explicit snapshot-state marker.
                 if let Some(marker) = ann.get(&file.rel).and_then(|a| a.marker_for(def.line)) {
                     let mut scope = String::new();
                     for f in &file.items.fns {
@@ -121,35 +94,10 @@ impl Pass for SnapshotCoverage {
     }
 }
 
-/// If `name` appears in a codec fn signature (the codec defines one
-/// two-way fn per type it encodes), returns the coverage scope: the union
-/// of those fn bodies. A type merely mentioned elsewhere in the
-/// file (imports, comments in code position) does not participate — that
-/// would drag unrelated types into the check.
-fn codec_scope(codec: &LintFile, name: &str) -> Option<String> {
-    let mut scope = String::new();
-    for f in &codec.items.fns {
-        if codec.src.is_test_line(f.line) {
-            continue;
-        }
-        if contains_word(&f.sig, name) {
-            if let Some((a, b)) = f.body {
-                scope.push_str(&codec.src.code_range(a, b));
-                // The signature itself also binds field names in
-                // destructuring patterns.
-                scope.push_str(&f.sig);
-            }
-        }
-    }
-    if scope.is_empty() {
-        return None;
-    }
-    Some(scope)
-}
-
 /// Emits a finding for every field of `def` that does not appear as a word
-/// in `scope`. `seen` dedupes across tiers (a field may be required by both
-/// the codec and an own-impl fn; one finding per field line is enough).
+/// in `scope`. `seen` dedupes across the two rules (a field may be required
+/// by both an own-impl fn and a marker; one finding per field line is
+/// enough).
 fn check_fields(
     file: &LintFile,
     def: &StructDef,

@@ -1,16 +1,6 @@
 //! S1/T1 fixture: struct definitions and telemetry usage in a host crate.
 
-/// Encoded by `snapshot.rs::enc_widget`, which forgets `missing_field` —
-/// S1 must fire on that field's definition line below.
-#[derive(Default)]
-pub struct WidgetState {
-    pub good: u64,
-    pub missing_field: u64,
-    // bard-lint: allow(S1) -- fixture: documented-ephemeral field (negative)
-    pub ephemeral_ok: u64,
-}
-
-/// Own-impl tier: `export_state` covers `kept` but forgets `forgotten`.
+/// Own-impl rule: `image` covers `kept` but forgets `forgotten`.
 pub struct Gadget {
     kept: u64,
     forgotten: u64,
@@ -18,12 +8,12 @@ pub struct Gadget {
 }
 
 impl Gadget {
-    pub fn export_state(&self) -> u64 {
+    pub fn image(&self) -> u64 {
         self.kept
     }
 }
 
-/// Marker tier: serialized by `save_marked`, not by an own-impl fn.
+/// Marker rule: serialized by `save_marked`, not by an own-impl fn.
 // bard-lint: snapshot-state(save_marked)
 pub struct MarkedCtx {
     pub saved: u64,

@@ -1,18 +1,4 @@
-//! S1/R1 fixture: the snapshot codec and the digest-normalization block.
-//!
-//! `WidgetState` (defined in `model.rs`) is encoded here; the codec forgets
-//! `missing_field`, which must fire S1 at the field's definition site.
-
-pub fn enc_widget(out: &mut Vec<u8>, s: &WidgetState) {
-    out.extend_from_slice(&s.good.to_le_bytes());
-    // s.missing_field is deliberately not written.
-}
-
-pub fn dec_widget(buf: &[u8]) -> WidgetState {
-    // ..Default::default() silently zero-fills the forgotten field — exactly
-    // the bug class S1 exists to catch.
-    WidgetState { good: u64::from_le_bytes(buf[..8].try_into().unwrap()), ..Default::default() }
-}
+//! R1 fixture: the snapshot layer's digest-normalization block.
 
 /// The digest normalizes `probe` as cosmetic — but `ProbeKind` is not part
 /// of the `all_paths` cross in this fixture, so R1 must flag it.

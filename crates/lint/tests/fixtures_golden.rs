@@ -76,11 +76,8 @@ fn every_pass_fires_and_every_negative_stays_silent() {
     for f in report.findings.iter().filter(|f| f.code == "D1") {
         assert!(f.line <= 18 || f.line >= 49, "D1 fired inside a negative region: {f}");
     }
-    // Allowed-field negatives: no S1 on `ephemeral_ok` or `scratch`.
+    // Allowed-field negative: no S1 on `scratch`.
     for f in report.findings.iter().filter(|f| f.code == "S1") {
-        assert!(
-            !f.message.contains("ephemeral_ok") && !f.message.contains("`scratch`"),
-            "S1 fired on an allow-annotated field: {f}"
-        );
+        assert!(!f.message.contains("`scratch`"), "S1 fired on an allow-annotated field: {f}");
     }
 }

@@ -1,5 +1,5 @@
-//! The BTF1 container format: header layout, varint/zigzag primitives, the
-//! per-record delta codec and the FNV-1a checksum.
+//! The BTF1 container format: header layout and the per-record delta codec,
+//! over the varint, zigzag and FNV-1a primitives of `bard-image`.
 //!
 //! A BTF1 file is a self-describing byte stream:
 //!
@@ -39,6 +39,7 @@ use std::io::{BufReader, Read};
 use std::path::Path;
 
 use bard_cpu::{MemAccess, MemKind, TraceRecord};
+pub use bard_image::{push_varint, unzigzag, zigzag, Fnv64};
 
 use crate::error::TraceError;
 
@@ -207,71 +208,6 @@ impl<R: Read> HeaderInput<'_, R> {
             offset: self.offset,
             message: "header string is not UTF-8".to_string(),
         })
-    }
-}
-
-/// Incremental FNV-1a 64-bit hash of the checksummed bytes (header
-/// identity fields + encoded records).
-///
-/// Public because every BTF-style container in the workspace (traces here,
-/// snapshot images in `bard`) shares this one checksum implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fnv64(u64);
-
-impl Fnv64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// A hasher at the FNV-1a offset basis.
-    #[must_use]
-    pub fn new() -> Self {
-        Self(Self::OFFSET)
-    }
-
-    /// Folds `bytes` into the running hash.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    /// The current hash value.
-    #[must_use]
-    pub fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Maps a signed delta onto an unsigned varint-friendly value
-/// (0, -1, 1, -2, ... become 0, 1, 2, 3, ...).
-#[must_use]
-pub fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-#[must_use]
-pub fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// Appends `v` as an LEB128 varint (7 bits per byte, high bit = more).
-pub fn push_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
     }
 }
 

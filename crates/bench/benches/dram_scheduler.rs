@@ -21,7 +21,7 @@ fn drain_writes(addresses: &[u64]) -> u64 {
     for cycle in 0..200_000u64 {
         mc.tick(cycle);
         mc.drain_completed(cycle, &mut done);
-        if mc.stats().merged.drain_episodes > 0 {
+        if mc.stats().drain_episodes > 0 {
             return cycle;
         }
     }

@@ -316,6 +316,13 @@ impl SystemConfig {
         if !self.line_bytes.is_power_of_two() {
             return Err(format!("line_bytes = {} is not a power of two", self.line_bytes));
         }
+        if self.line_bytes != self.dram.line_bytes {
+            return Err(format!(
+                "line_bytes = {} differs from dram.line_bytes = {}; the caches and the DRAM \
+                 address mapping must agree on the line size",
+                self.line_bytes, self.dram.line_bytes
+            ));
+        }
         if !self.llc_bytes.is_multiple_of(self.llc_slices) {
             return Err(format!(
                 "llc_bytes = {} does not divide evenly across llc_slices = {}",
@@ -461,6 +468,15 @@ mod tests {
         assert_eq!(err, "line_bytes = 0 is not a power of two");
         let err = rejected(|c| c.llc_bytes = 16 * 1024 * 1024 + 4);
         assert_eq!(err, "llc_bytes = 16777220 does not divide evenly across llc_slices = 8");
+        // Each of these built a system that panicked or mapped lines wrongly.
+        let err = rejected(|c| c.dram.line_bytes = 128);
+        assert!(err.starts_with("line_bytes = 64 differs from dram.line_bytes = 128"), "{err}");
+        let err = rejected(|c| c.dram.channels = 3);
+        assert_eq!(err, "channels = 3 is not a power of two");
+        let err = rejected(|c| c.dram.subchannels_per_channel = 3);
+        assert_eq!(err, "subchannels_per_channel = 3 is not a power of two");
+        let err = rejected(|c| c.dram.subchannels_per_channel = 4);
+        assert!(err.starts_with("subchannels_per_channel = 4 with bankgroups = 8"), "{err}");
     }
 
     /// Every preset validates, and a configuration that validates builds.

@@ -242,6 +242,18 @@ mod tests {
     }
 
     #[test]
+    fn channel_write_time_fraction_averages_subchannels() {
+        // 300 write-mode cycles from each of 2 sub-channels, merged.
+        let mut r = result(&[1.0]);
+        r.dram_stats.cycles = 1_000;
+        r.dram_stats.write_mode_cycles = 600;
+        r.dram_subchannels = 2;
+        assert!((r.write_time_fraction() - 0.3).abs() < 1e-12);
+        r.dram_subchannels = 0;
+        assert_eq!(r.write_time_fraction(), 0.0);
+    }
+
+    #[test]
     fn zero_instruction_results_do_not_divide_by_zero() {
         let mut r = result(&[1.0]);
         r.instructions_per_core = 0;

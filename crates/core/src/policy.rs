@@ -94,9 +94,6 @@ pub struct PolicyStats {
     pub incorrect_decisions: u64,
     /// Write-backs sent towards DRAM (dirty evictions + cleanses).
     pub writebacks: u64,
-    /// Bank-address broadcasts to the other LLC slices (one per write-back
-    /// under a BARD policy).
-    pub bank_broadcasts: u64,
 }
 
 impl PolicyStats {
@@ -136,7 +133,6 @@ impl PolicyStats {
         self.checked_decisions += other.checked_decisions;
         self.incorrect_decisions += other.incorrect_decisions;
         self.writebacks += other.writebacks;
-        self.bank_broadcasts += other.bank_broadcasts;
     }
 
     /// Codes the counters (snapshot images).
@@ -147,8 +143,7 @@ impl PolicyStats {
         io.u64(&mut self.cleanses)?;
         io.u64(&mut self.checked_decisions)?;
         io.u64(&mut self.incorrect_decisions)?;
-        io.u64(&mut self.writebacks)?;
-        io.u64(&mut self.bank_broadcasts)
+        io.u64(&mut self.writebacks)
     }
 }
 

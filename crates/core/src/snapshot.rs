@@ -13,11 +13,12 @@
 //! two-way function on the `bard-image` primitives (`image`, the LLC's and
 //! the system's also `warm_image`): a capture encodes the live system, a
 //! restore decodes straight into a freshly built one and then rebuilds only
-//! the derived state (the DRAM slot tables, pending-write counts and masks,
-//! dead-row masks, earliest completions and plans). Each cache is stored as
-//! it holds itself: its tag array, its 16-byte set words (replacement field
-//! plus valid, dirty, prefetched and reused masks) and its replacement
-//! policy's own state, which is SHiP's counter table and fill signatures.
+//! the derived state (each DRAM queue's places, keys and bank mask, and
+//! each sub-channel's dead-row mask, earliest completion and plan). Each
+//! cache is stored as it holds itself: its tag array, its 16-byte set words
+//! (replacement field plus valid, dirty, prefetched and reused masks) and
+//! its replacement policy's own state, which is SHiP's counter table and
+//! fill signatures.
 //! Decoding checks every set word against its tags and policy, and every
 //! size (cores, channels, sub-channels, banks, slices, sets, ways, stride
 //! tables) against the restoring system's. Host-side work counters (the
@@ -76,7 +77,7 @@ pub const MAGIC: [u8; 4] = *b"BSS1";
 /// Current container version. Bump on any layout change; decoding refuses
 /// other versions with [`SnapshotError::Version`], and both digests carry
 /// it, so a store never looks up another version's images.
-pub const VERSION: u32 = 4;
+pub const VERSION: u32 = 5;
 
 /// Header bytes before the payload (magic + version + flags + two digests +
 /// payload length).
@@ -510,8 +511,8 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_refused_with_a_named_error() {
-        // A newer version, and the retired versions 1 to 3.
-        for version in [VERSION + 1, 1, 2, 3] {
+        // A newer version, and the retired versions 1 to 4.
+        for version in [VERSION + 1, 1, 2, 3, 4] {
             let mut bytes = sample().to_bytes();
             bytes[4..8].copy_from_slice(&version.to_le_bytes());
             match Snapshot::from_bytes(&bytes) {
@@ -863,7 +864,7 @@ mod tests {
         h.update(&bytes);
         assert_eq!(
             (bytes.len(), h.finish()),
-            (136_375, 0x9ce6_5384_640c_7fb4),
+            (135_826, 0x524a_7b54_dd60_400b),
             "full image bytes changed; a format change bumps VERSION and re-pins this image"
         );
     }

@@ -200,9 +200,7 @@ impl RunProgress {
     /// Codes the progress (snapshot images), its stage a tag (0 = timed
     /// warm-up, 1 = measure).
     fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
-        let mut stage = u8::from(self.stage == RunStage::Measure);
-        io.tag(&mut stage, 1, "progress stage")?;
-        self.stage = if stage == 0 { RunStage::TimedWarmup } else { RunStage::Measure };
+        io.choice(&mut self.stage, &[RunStage::TimedWarmup, RunStage::Measure], "progress stage")?;
         io.u64(&mut self.timed_warmup)?;
         io.u64(&mut self.measure)?;
         seq(io, &mut self.start_retired, Io::u64)?;
@@ -747,9 +745,8 @@ impl System {
         let mut subchannels = 0;
         let mut energy = EnergyBreakdown::default();
         for mc in &self.mcs {
-            let s = mc.stats();
-            dram.merge(&s.merged);
-            subchannels += s.subchannels;
+            dram.merge(&mc.stats());
+            subchannels += mc.subchannel_count();
             energy.merge(&mc.energy());
         }
         if self.telemetry_active || telemetry::perf_line_enabled() {
@@ -1892,7 +1889,6 @@ pub(crate) mod tests {
             p.overrides + p.cleanses > 0,
             "BARD-H should override or cleanse at least once: {p:?}"
         );
-        assert_eq!(p.bank_broadcasts, p.writebacks);
     }
 
     #[test]

@@ -81,8 +81,8 @@ fn version_bump_is_refused_by_name() {
     let (_, bytes) = captured_mid_run();
     // The version is the little-endian u32 right after the 4-byte magic and
     // is validated before the trailing checksum, so a bare bump is enough.
-    // A newer version is refused, and so are the retired versions 1 to 3.
-    for version in [VERSION + 1, 1, 2, 3] {
+    // A newer version is refused, and so are the retired versions 1 to 4.
+    for version in [VERSION + 1, 1, 2, 3, 4] {
         let mut image = bytes.clone();
         image[4..8].copy_from_slice(&version.to_le_bytes());
         match Snapshot::from_bytes(&image) {

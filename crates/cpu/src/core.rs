@@ -54,17 +54,15 @@ pub struct CoreRequest {
 }
 
 impl CoreRequest {
-    /// Codes the request (snapshot images), its kind a boolean (true =
-    /// store).
+    /// Codes the request (snapshot images), its kind a tag (0 = load,
+    /// 1 = store).
     ///
     /// # Errors
     ///
     /// Decoding: a malformed image.
     pub fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
         io.u64(&mut self.token)?;
-        let mut store = self.kind == MemKind::Store;
-        io.bool(&mut store)?;
-        self.kind = if store { MemKind::Store } else { MemKind::Load };
+        io.choice(&mut self.kind, &[MemKind::Load, MemKind::Store], "request kind")?;
         io.u64(&mut self.addr)?;
         io.u64(&mut self.ip)
     }

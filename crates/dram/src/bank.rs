@@ -20,8 +20,6 @@ pub struct BankState {
     /// When set, the bank should be auto-precharged as soon as `pre_ok_at`
     /// allows (adaptive open-page policy decided the row is dead).
     pub auto_precharge: bool,
-    /// Number of activates issued to this bank (statistics / energy).
-    pub activations: u64,
 }
 
 impl BankState {
@@ -56,7 +54,6 @@ impl BankState {
         self.cas_ok_at = self.cas_ok_at.max(now + t_rcd);
         self.pre_ok_at = self.pre_ok_at.max(now + t_ras);
         self.auto_precharge = false;
-        self.activations += 1;
     }
 
     /// Records a PRE issued at `now`.
@@ -84,8 +81,7 @@ impl BankState {
         io.u64(&mut self.act_ok_at)?;
         io.u64(&mut self.pre_ok_at)?;
         io.u64(&mut self.cas_ok_at)?;
-        io.bool(&mut self.auto_precharge)?;
-        io.u64(&mut self.activations)
+        io.bool(&mut self.auto_precharge)
     }
 }
 
@@ -110,7 +106,6 @@ mod tests {
         assert!(b.is_row_conflict(8));
         assert_eq!(b.cas_ok_at, 165);
         assert_eq!(b.pre_ok_at, 230);
-        assert_eq!(b.activations, 1);
     }
 
     #[test]

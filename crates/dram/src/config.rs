@@ -145,14 +145,26 @@ impl DramConfig {
     /// Returns a human-readable description of the first inconsistency found
     /// (for example watermarks outside the queue capacity).
     pub fn validate(&self) -> Result<(), String> {
-        if self.channels == 0 {
-            return Err("at least one channel is required".into());
-        }
-        if self.subchannels_per_channel == 0 {
-            return Err("at least one sub-channel is required".into());
+        for (field, count) in
+            [("channels", self.channels), ("subchannels_per_channel", self.subchannels_per_channel)]
+        {
+            // The address mapping gives each a whole number of address bits.
+            if !count.is_power_of_two() {
+                return Err(format!("{field} = {count} is not a power of two"));
+            }
         }
         if !self.bankgroups.is_power_of_two() || !self.banks_per_group.is_power_of_two() {
             return Err("bank groups and banks per group must be powers of two".into());
+        }
+        let banks = [self.bankgroups, self.banks_per_group, self.subchannels_per_channel]
+            .into_iter()
+            .fold(1usize, usize::saturating_mul);
+        if banks > 64 {
+            return Err(format!(
+                "subchannels_per_channel = {} with bankgroups = {} and banks_per_group = {} gives \
+                 {banks} banks per channel; the bank masks (BLP-Tracker, write queue) hold 64",
+                self.subchannels_per_channel, self.bankgroups, self.banks_per_group
+            ));
         }
         if !self.line_bytes.is_power_of_two() || !self.row_bytes.is_power_of_two() {
             return Err("line and row sizes must be powers of two".into());
@@ -237,6 +249,26 @@ mod tests {
         let mut c = DramConfig::ddr5_4800_x4();
         c.line_bytes = 48;
         assert!(c.validate().is_err());
+        // Each of these built an `AddressMapping` or a BLP-Tracker that panicked.
+        let mut c = DramConfig::ddr5_4800_x4();
+        c.channels = 3;
+        assert_eq!(c.validate().unwrap_err(), "channels = 3 is not a power of two");
+        c.channels = 0;
+        assert_eq!(c.validate().unwrap_err(), "channels = 0 is not a power of two");
+        let mut c = DramConfig::ddr5_4800_x4();
+        c.subchannels_per_channel = 3;
+        assert_eq!(c.validate().unwrap_err(), "subchannels_per_channel = 3 is not a power of two");
+        c.subchannels_per_channel = 4;
+        let err = c.validate().unwrap_err();
+        assert!(
+            err.starts_with(
+                "subchannels_per_channel = 4 with bankgroups = 8 and banks_per_group = 4 gives \
+                 128 banks per channel"
+            ),
+            "{err}"
+        );
+        c.subchannels_per_channel = 1;
+        assert!(c.validate().is_ok(), "32 banks per channel fit");
     }
 
     #[test]

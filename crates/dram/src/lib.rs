@@ -59,6 +59,6 @@ pub use config::{DramConfig, PagePolicy};
 pub use controller::MemoryController;
 pub use power::{EnergyBreakdown, PowerModel};
 pub use request::{CompletedRead, EnqueueError, MemRequest, RequestId, RequestKind};
-pub use stats::{ChannelStats, DrainEpisodeStats, SubChannelStats};
+pub use stats::{DrainEpisodeStats, SubChannelStats};
 pub use subchannel::SubChannel;
 pub use timing::{TimingParams, CPU_FREQ_MHZ, DRAM_FREQ_MHZ};

@@ -70,10 +70,9 @@ pub struct CompletedRead {
     pub addr: u64,
     /// Core that issued the request.
     pub core: usize,
-    /// Cycle at which the data left the DRAM (before controller latency).
+    /// Cycle at which the data is available: when it left the DRAM, plus
+    /// the controller latency once the controller delivers it.
     pub ready_cycle: u64,
-    /// Total cycles spent inside the memory controller.
-    pub latency: u64,
 }
 
 impl CompletedRead {
@@ -82,8 +81,7 @@ impl CompletedRead {
         io.u64(&mut self.id)?;
         io.u64(&mut self.addr)?;
         io.usize(&mut self.core)?;
-        io.u64(&mut self.ready_cycle)?;
-        io.u64(&mut self.latency)
+        io.u64(&mut self.ready_cycle)
     }
 }
 

@@ -202,43 +202,6 @@ impl SubChannelStats {
     }
 }
 
-/// Aggregated statistics for a whole channel (both sub-channels).
-///
-/// `write_time_fraction` on the aggregate divides total write-mode cycles by
-/// `subchannels * cycles`, i.e. it is the mean over sub-channels.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ChannelStats {
-    /// Merged sub-channel statistics.
-    pub merged: SubChannelStats,
-    /// Number of sub-channels merged in.
-    pub subchannels: usize,
-}
-
-impl ChannelStats {
-    /// Mean write BLP over sub-channels.
-    #[must_use]
-    pub fn mean_write_blp(&self) -> f64 {
-        self.merged.mean_write_blp()
-    }
-
-    /// Mean fraction of time spent writing, averaged over sub-channels.
-    #[must_use]
-    pub fn write_time_fraction(&self) -> f64 {
-        if self.merged.cycles == 0 || self.subchannels == 0 {
-            0.0
-        } else {
-            self.merged.write_mode_cycles as f64
-                / (self.merged.cycles as f64 * self.subchannels as f64)
-        }
-    }
-
-    /// Mean write-to-write delay in nanoseconds.
-    #[must_use]
-    pub fn mean_write_to_write_ns(&self) -> f64 {
-        self.merged.mean_write_to_write_ns()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,14 +244,6 @@ mod tests {
         assert_eq!(a.cycles, 1000);
         assert_eq!(a.writes, 16);
         assert!((a.mean_write_blp() - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn channel_write_time_fraction_averages_subchannels() {
-        // e.g. 300 write-mode cycles from each of 2 sub-channels.
-        let merged = SubChannelStats { cycles: 1000, write_mode_cycles: 600, ..Default::default() };
-        let c = ChannelStats { merged, subchannels: 2 };
-        assert!((c.write_time_fraction() - 0.3).abs() < 1e-12);
     }
 
     #[test]

@@ -11,12 +11,15 @@
 //!
 //! ## One table pass per command
 //!
-//! Each queue has a **slot table**, two dense arrays kept in lockstep with
-//! it (push at enqueue, remove at issue): per request, a *key* packing its
-//! next command class (column, activate or precharge) with the first cycle
-//! its bank's own state allows that command, and a *place*, its bank and
-//! row. Each command costs one pass over the current bus mode's table. The
-//! pass returns the **plan**: the smallest `(effective cycle, command class,
+//! The read queue and the write queue are one type, `Queue`, which keeps
+//! three arrays in arrival order, one element per request: a 40-byte entry
+//! (id, address, core, enqueue cycle, row-buffer outcome), a *key* packing
+//! the request's next command class (column, activate or precharge) with
+//! the first cycle its bank's own state allows that command, and a *place*,
+//! its bank and row. Its push and remove are the only ways to change it, so
+//! the arrays and its mask of banks with a queued request always agree.
+//! Each command costs one pass over the current bus mode's keys. The pass
+//! returns the **plan**: the smallest `(effective cycle, command class,
 //! queue index)` over the queued requests, where a request's effective cycle
 //! is the first cycle, from the one planned for, at which its next command
 //! is legal under the frozen timing state: its key's cycle raised by the
@@ -32,8 +35,8 @@
 //!
 //! A key depends on its bank's state alone, so it goes stale only when that
 //! bank changes: every mutation of a bank (a command issued to it, a
-//! dead-row flag or close, a refresh) marks the bank in both tables' stale
-//! masks, and a pass re-derives the stale keys of its table as it prices
+//! dead-row flag or close, a refresh) marks the bank in both queues' stale
+//! masks, and a pass re-derives the stale keys of its queue as it prices
 //! them. A hit on a row flagged for auto-precharge is the one class priced
 //! from bank state on every pass (see `DEAD_HIT`).
 //!
@@ -60,10 +63,10 @@ use std::collections::VecDeque;
 
 use bard_image::{deque, each, opt, seq, ImageError, Io};
 
-use crate::address::AddressMapping;
+use crate::address::{AddressMapping, DecodedAddr};
 use crate::bank::BankState;
 use crate::config::{DramConfig, PagePolicy};
-use crate::request::{CompletedRead, EnqueueError, MemRequest, RequestKind};
+use crate::request::{CompletedRead, EnqueueError, MemRequest, RequestId};
 use crate::stats::{DrainEpisodeStats, SubChannelStats};
 use crate::timing::TimingParams;
 
@@ -123,8 +126,8 @@ const NO_PLAN: Plan = Plan { at: u64::MAX, command: Command::Precharge, idx: usi
 /// Packs a planning key: `at << 8 | class << 6 | bank`, where `class` is a
 /// [`Command`] discriminant or [`DEAD_HIT`] and `bank` is a bank of the
 /// sub-channel (0 in a term). With the bank bits masked off, keys compare
-/// as `(cycle, class)` pairs, and the larger of a slot's key and a term of
-/// its class carries the later of their cycles.
+/// as `(cycle, class)` pairs, and the larger of a request's key and a term
+/// of its class carries the later of their cycles.
 const fn key(at: u64, class: u64, bank: u64) -> u64 {
     debug_assert!(at < 1 << 56, "a planned cycle must fit a key");
     at << 8 | class << 6 | bank
@@ -140,84 +143,133 @@ const BANK_BITS: u64 = 63;
 /// open-page policy it is rare.
 const DEAD_HIT: u64 = 3;
 
-/// The planning table of one queue: a key and a place per queued request,
-/// in queue order, so an entry's index is its request's queue index.
-#[derive(Debug, Clone, Default)]
-struct SlotTable {
-    /// Per request, its next command and the first cycle its bank's own
-    /// state allows it (see [`key`]); a `DEAD_HIT` key has cycle 0.
-    keys: Vec<u64>,
-    /// Per request, its row and bank: `row << 8 | bank`.
-    places: Vec<u64>,
-    /// Bit per bank whose keys may be out of date.
-    stale: u64,
-}
-
-impl SlotTable {
-    fn with_capacity(capacity: usize) -> Self {
-        Self { keys: Vec::with_capacity(capacity), places: Vec::with_capacity(capacity), stale: 0 }
-    }
-
-    fn push(&mut self, (key, place): (u64, u64)) {
-        self.keys.push(key);
-        self.places.push(place);
-    }
-
-    /// Removes the entry at `idx` and returns its place.
-    fn remove(&mut self, idx: usize) -> u64 {
-        self.keys.remove(idx);
-        self.places.remove(idx)
-    }
-}
-
-#[derive(Debug, Clone, Default)]
-struct QueuedRequest {
-    req: MemRequest,
+/// A queued request: what issuing it reads. Its kind is its queue's, and
+/// its bank, bank group and row are its place's.
+#[derive(Debug, Clone, Copy, Default)]
+struct Entry {
+    id: RequestId,
+    addr: u64,
+    core: usize,
+    enqueue_cycle: u64,
+    /// Classified when the request's first command issues.
     outcome: Option<RowOutcome>,
-    /// Strictly increasing arrival stamp; the queues stay sorted by it
-    /// (enqueue appends, issue removes). Carried in snapshot images.
-    order: u64,
 }
 
-impl QueuedRequest {
-    /// Codes the request (snapshot images): its kind a boolean (true =
-    /// write), its row-buffer outcome a tag of at most 3 (0 = unclassified,
-    /// 1 = hit, 2 = miss, 3 = conflict). Its DRAM coordinates, a function of
-    /// its address, are rebuilt on restore ([`SubChannel::rebuild_derived`]).
+const _: () = assert!(std::mem::size_of::<Entry>() == 40);
+
+impl Entry {
+    /// Codes the request (snapshot images), its row-buffer outcome a tag
+    /// (0 = unclassified, 1 = hit, 2 = miss, 3 = conflict).
     fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
-        let req = &mut self.req;
-        io.u64(&mut req.id)?;
-        let mut write = req.is_write();
-        io.bool(&mut write)?;
-        req.kind = if write { RequestKind::Write } else { RequestKind::Read };
-        io.u64(&mut req.addr)?;
-        io.usize(&mut req.core)?;
-        io.u64(&mut req.enqueue_cycle)?;
+        io.u64(&mut self.id)?;
+        io.u64(&mut self.addr)?;
+        io.usize(&mut self.core)?;
+        io.u64(&mut self.enqueue_cycle)?;
         let outcomes =
             [None, Some(RowOutcome::Hit), Some(RowOutcome::Miss), Some(RowOutcome::Conflict)];
-        let mut tag = outcomes.iter().position(|&o| o == self.outcome).unwrap_or_default() as u8;
-        io.tag(&mut tag, 3, "request outcome")?;
-        self.outcome = outcomes[usize::from(tag)];
-        io.u64(&mut self.order)
+        io.choice(&mut self.outcome, &outcomes, "request outcome")
     }
 }
 
-/// Codes one request queue (snapshot images); a decoded queue must fit in
-/// `capacity`.
-fn queue_image(
-    io: &mut impl Io,
-    q: &mut VecDeque<QueuedRequest>,
+/// One request queue, oldest first, with its planning table: each request
+/// has an entry, a key and a place at the same index of three arrays.
+/// [`Queue::push`] and [`Queue::remove`] are the only ways to change it.
+/// Keys and places stay in `u64` arrays of their own, so a planning pass
+/// reads 8 bytes per request.
+#[derive(Debug, Clone, Default)]
+struct Queue {
+    entries: Vec<Entry>,
+    /// Per request, its next command and the first cycle its bank's own
+    /// state allows it (see [`key`]); a `DEAD_HIT` key has cycle 0.
+    // bard-lint: allow(S1) -- derived, rebuilt by rebuild_derived on restore.
+    keys: Vec<u64>,
+    /// Per request, its row and bank: `row << 8 | bank`.
+    // bard-lint: allow(S1) -- derived, rebuilt by rebuild_derived on restore.
+    places: Vec<u64>,
+    /// Bit per bank whose keys may be out of date.
+    // bard-lint: allow(S1) -- derived, rebuilt by rebuild_derived on restore.
+    stale: u64,
+    /// Bit per bank with a queued request.
+    // bard-lint: allow(S1) -- derived, rebuilt by rebuild_derived on restore.
+    banks: u64,
+    /// Fixed at construction; a decoded image must fit it.
     capacity: usize,
-    what: &str,
-) -> Result<(), ImageError> {
-    deque(io, q, |io, r| r.image(io))?;
-    let n = q.len();
-    io.check(|| {
-        if n <= capacity {
-            return Ok(());
+}
+
+impl Queue {
+    fn new(capacity: usize) -> Self {
+        Self {
+            entries: Vec::with_capacity(capacity),
+            keys: Vec::with_capacity(capacity),
+            places: Vec::with_capacity(capacity),
+            stale: 0,
+            banks: 0,
+            capacity,
         }
-        Err(format!("a queue of {n} {what} exceeds the capacity {capacity}"))
-    })
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn is_full(&self) -> bool {
+        self.entries.len() >= self.capacity
+    }
+
+    /// Appends a request with its key and place.
+    fn push(&mut self, entry: Entry, key: u64, place: u64) {
+        self.entries.push(entry);
+        self.keys.push(key);
+        self.places.push(place);
+        self.banks |= 1u64 << (place & BANK_BITS);
+    }
+
+    /// Removes the request at `idx` and returns it with its place.
+    fn remove(&mut self, idx: usize) -> (Entry, u64) {
+        self.keys.remove(idx);
+        let place = self.places.remove(idx);
+        let bank = place & BANK_BITS;
+        if !self.places.iter().any(|&p| p & BANK_BITS == bank) {
+            self.banks &= !(1u64 << bank);
+        }
+        (self.entries.remove(idx), place)
+    }
+
+    /// Whether a queued request whose id is not `skip_id` targets the bank
+    /// and row at `place`. It reads an entry only for its id, on a match.
+    fn holds(&self, place: u64, skip_id: RequestId) -> bool {
+        if self.banks >> (place & BANK_BITS) & 1 == 0 {
+            return false;
+        }
+        let mut matches = self.places.iter().enumerate().filter(|&(_, &p)| p == place);
+        matches.any(|(idx, _)| self.entries[idx].id != skip_id)
+    }
+
+    /// Rebuilds the places, keys and bank mask from the entries: `place_of`
+    /// maps an address to its place and `derive` a place to its key. No
+    /// bank is left stale.
+    fn rebuild(&mut self, place_of: impl Fn(u64) -> u64, derive: impl Fn(u64) -> u64) {
+        self.places.clear();
+        self.places.extend(self.entries.iter().map(|e| place_of(e.addr)));
+        self.keys.clear();
+        self.keys.extend(self.places.iter().map(|&place| derive(place)));
+        self.banks = self.places.iter().fold(0, |mask, &p| mask | 1u64 << (p & BANK_BITS));
+        self.stale = 0;
+    }
+
+    /// Codes the queued requests (snapshot images); a decoded queue must fit
+    /// its capacity. The keys, places and bank mask are rebuilt on restore
+    /// ([`SubChannel::rebuild_derived`]).
+    fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
+        seq(io, &mut self.entries, |io, e| e.image(io))?;
+        let (n, capacity) = (self.len(), self.capacity);
+        io.check(|| {
+            if n <= capacity {
+                return Ok(());
+            }
+            Err(format!("a queue of {n} requests exceeds its capacity {capacity}"))
+        })
+    }
 }
 
 /// One DDR5 sub-channel with its queues, banks and scheduler.
@@ -228,33 +280,18 @@ pub struct SubChannel {
     ideal_writes: bool,   // bard-lint: allow(S1) -- config knob fixed at construction
     refresh_enabled: bool, // bard-lint: allow(S1) -- config knob fixed at construction
     banks_per_group: usize, // bard-lint: allow(S1) -- geometry fixed at construction
-    read_capacity: usize,
-    write_capacity: usize,
     low_watermark: usize, // bard-lint: allow(S1) -- config watermark fixed at construction
     high_watermark: usize, // bard-lint: allow(S1) -- config watermark fixed at construction
 
-    read_q: VecDeque<QueuedRequest>,
-    write_q: VecDeque<QueuedRequest>,
-    /// Slot tables of the read (`[0]`) and write (`[1]`) queues, entry for
-    /// entry. Every mutation of a bank's state marks the bank stale in both,
-    /// and a planning pass re-derives the stale keys of its table. Derived
-    /// state: rebuilt from the queues and bank state on restore, so snapshot
-    /// images do not carry it.
-    // bard-lint: allow(S1) -- derived, rebuilt by rebuild_derived on restore.
-    tables: [SlotTable; 2],
+    /// The read queue, then the write queue: a request's queue is
+    /// `queues[usize::from(write)]`. Every mutation of a bank's state marks
+    /// the bank stale in both, and a planning pass re-derives the stale
+    /// keys of its queue.
+    queues: [Queue; 2],
     /// Per bank group, the class terms of the latest planning pass (see
     /// [`SubChannel::group_terms`]).
     // bard-lint: allow(S1) -- scratch buffer, refilled by every planning pass.
     terms: Vec<[u64; 4]>,
-    /// Arrival stamp for the next enqueued request.
-    next_order: u64,
-    /// Queued writes per bank, kept in step with `write_q` so the BLP
-    /// oracle's [`SubChannel::pending_write_banks`] query is O(1).
-    // bard-lint: allow(S1) -- derived, rebuilt by rebuild_derived on restore.
-    write_counts: Vec<u32>,
-    /// Bit per bank with a nonzero `write_counts` entry.
-    // bard-lint: allow(S1) -- derived, rebuilt by rebuild_derived on restore.
-    write_mask: u64,
     /// Bit per bank flagged for auto-precharge (a dead row not yet closed).
     // bard-lint: allow(S1) -- derived, rebuilt by rebuild_derived on restore.
     dead_mask: u64,
@@ -344,20 +381,10 @@ impl SubChannel {
             refresh_enabled: config.refresh_enabled,
             banks_per_group: config.banks_per_group,
 
-            read_capacity: config.read_queue_entries,
-            write_capacity: config.write_queue_entries,
             low_watermark: config.write_low_watermark,
             high_watermark: config.write_high_watermark,
-            read_q: VecDeque::with_capacity(config.read_queue_entries),
-            write_q: VecDeque::with_capacity(config.write_queue_entries),
-            tables: [
-                SlotTable::with_capacity(config.read_queue_entries),
-                SlotTable::with_capacity(config.write_queue_entries),
-            ],
+            queues: [Queue::new(config.read_queue_entries), Queue::new(config.write_queue_entries)],
             terms: vec![[0; 4]; config.bankgroups],
-            next_order: 0,
-            write_counts: vec![0; banks],
-            write_mask: 0,
             dead_mask: 0,
             banks: vec![BankState::new(); banks],
             bg_rd_ok: vec![0; config.bankgroups],
@@ -397,25 +424,13 @@ impl SubChannel {
     /// Number of queued reads.
     #[must_use]
     pub fn read_queue_len(&self) -> usize {
-        self.read_q.len()
+        self.queues[0].len()
     }
 
     /// Number of queued writes.
     #[must_use]
     pub fn write_queue_len(&self) -> usize {
-        self.write_q.len()
-    }
-
-    /// True if a read can currently be accepted.
-    #[must_use]
-    pub fn can_accept_read(&self) -> bool {
-        self.read_q.len() < self.read_capacity
-    }
-
-    /// True if a write can currently be accepted.
-    #[must_use]
-    pub fn can_accept_write(&self) -> bool {
-        self.write_q.len() < self.write_capacity
+        self.queues[1].len()
     }
 
     /// Accumulated statistics.
@@ -460,90 +475,55 @@ impl SubChannel {
 
     /// Bitmap (bit per bank within the sub-channel) of banks with at least one
     /// pending write in the write queue. Used by the "oracle" BLP tracker and
-    /// by the accuracy analysis of Section VII-I. The mask is maintained as
-    /// writes enter and leave the queue, so the query is O(1).
+    /// by the accuracy analysis of Section VII-I. The write queue keeps the
+    /// mask as writes enter and leave it, so the query is O(1).
     #[must_use]
     pub fn pending_write_banks(&self) -> u64 {
-        self.write_mask
+        self.queues[1].banks
     }
 
-    /// Counts a write entering `write_q` against its bank.
-    fn count_write(&mut self, bank: usize) {
-        self.write_counts[bank] += 1;
-        self.write_mask |= 1u64 << bank;
-    }
-
-    /// Releases a write leaving `write_q` from its bank's count.
-    fn uncount_write(&mut self, bank: usize) {
-        self.write_counts[bank] -= 1;
-        if self.write_counts[bank] == 0 {
-            self.write_mask &= !(1u64 << bank);
-        }
-    }
-
-    /// Enqueues a read request.
+    /// Enqueues a request in the read or write queue, by its kind.
     ///
     /// # Errors
     ///
-    /// Returns [`EnqueueError::ReadQueueFull`] if the read queue is full.
-    pub fn enqueue_read(&mut self, mut req: MemRequest, now: u64) -> Result<(), EnqueueError> {
-        if !self.can_accept_read() {
+    /// Returns [`EnqueueError::ReadQueueFull`] or
+    /// [`EnqueueError::WriteQueueFull`] if its queue is full; the caller
+    /// should retry on a later cycle (write back-pressure is what forces
+    /// the LLC to stall fills when DRAM cannot keep up with writes).
+    pub fn enqueue(&mut self, req: MemRequest, now: u64) -> Result<(), EnqueueError> {
+        let write = req.is_write();
+        if self.queues[usize::from(write)].is_full() {
+            if write {
+                self.stats.write_queue_full_events += 1;
+                return Err(EnqueueError::WriteQueueFull);
+            }
             return Err(EnqueueError::ReadQueueFull);
         }
         // The queue-emptiness statistics input changes below: settle the
         // elapsed span (through this cycle) against the pre-enqueue state.
         self.settle_stats(now + 1);
-        req.enqueue_cycle = now;
-        let order = self.next_order;
-        self.next_order += 1;
-        let slot = self.slot_of(&req);
-        // A read is schedulable in read mode only.
-        if self.mode == BusMode::Read {
-            self.offer(Plan::of(self.price_from(slot.0, false, now + 1), self.read_q.len()));
-        }
-        self.read_q.push_back(QueuedRequest { req, outcome: None, order });
-        self.tables[0].push(slot);
-        Ok(())
-    }
-
-    /// Enqueues a write-back.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EnqueueError::WriteQueueFull`] if the write queue is full; the
-    /// caller should retry on a later cycle (this back-pressure is what forces
-    /// the LLC to stall fills when DRAM cannot keep up with writes).
-    pub fn enqueue_write(&mut self, mut req: MemRequest, now: u64) -> Result<(), EnqueueError> {
-        if !self.can_accept_write() {
-            self.stats.write_queue_full_events += 1;
-            return Err(EnqueueError::WriteQueueFull);
-        }
-        self.settle_stats(now + 1);
-        req.enqueue_cycle = now;
-        let order = self.next_order;
-        self.next_order += 1;
-        self.count_write(self.bank_index(&req));
-        let slot = self.slot_of(&req);
-        self.write_q.push_back(QueuedRequest { req, outcome: None, order });
-        self.tables[1].push(slot);
-        match self.mode {
-            BusMode::Read => {
+        let place = self.place(&req.decoded);
+        let key = self.derive(place);
+        let entry =
+            Entry { id: req.id, addr: req.addr, core: req.core, enqueue_cycle: now, outcome: None };
+        let queue = &mut self.queues[usize::from(write)];
+        queue.push(entry, key, place);
+        let idx = queue.len() - 1;
+        match (write, self.mode) {
+            // A read is schedulable in read mode only.
+            (false, BusMode::WriteDrain) => {}
+            (true, BusMode::Read) => {
                 // A buffered write can do nothing until a drain starts; that
                 // happens exactly when this enqueue reaches the high
                 // watermark, which needs a real tick to switch modes.
-                if self.write_q.len() >= self.high_watermark {
+                if self.queues[1].len() >= self.high_watermark {
                     self.wake_at = 0;
                 }
             }
-            BusMode::WriteDrain => {
-                let idx = self.write_q.len() - 1;
-                let plan = if self.ideal_writes {
-                    Plan { at: self.sub_wr_ok.max(now + 1), command: Command::Column, idx }
-                } else {
-                    Plan::of(self.price_from(slot.0, true, now + 1), idx)
-                };
-                self.offer(plan);
+            (true, BusMode::WriteDrain) if self.ideal_writes => {
+                self.offer(Plan { at: self.sub_wr_ok.max(now + 1), command: Command::Column, idx });
             }
+            _ => self.offer(Plan::of(self.price_from(key, write, now + 1), idx)),
         }
         Ok(())
     }
@@ -567,12 +547,9 @@ impl SubChannel {
         self.stats.write_queue_full_events += n;
     }
 
-    /// The key and place of `req` in a slot table, derived from the current
-    /// bank state.
-    fn slot_of(&self, req: &MemRequest) -> (u64, u64) {
-        let bank = req.decoded.bank_in_subchannel(self.banks_per_group) as u64;
-        let place = req.decoded.row << 8 | bank;
-        (self.derive(place), place)
+    /// The place of a request at `d`: its row and bank, `row << 8 | bank`.
+    fn place(&self, d: &DecodedAddr) -> u64 {
+        d.row << 8 | d.bank_in_subchannel(self.banks_per_group) as u64
     }
 
     /// Derives the key of a request at `place` from its bank's state alone.
@@ -604,7 +581,7 @@ impl SubChannel {
         b.act_ok_at.max(closed_at)
     }
 
-    /// The sub-channel terms of a pass over the read or write table from
+    /// The sub-channel terms of a pass over the read or write queue from
     /// cycle `from`: the first cycle the shared data bus allows a column
     /// command, and the rank-wide activate limits (tRRD_S, tFAW) an
     /// activate.
@@ -627,9 +604,9 @@ impl SubChannel {
         ]
     }
 
-    /// The planning key of a slot's key `k` in a pass whose terms for its
-    /// bank group are `terms`, bank bits cleared: its next command at the
-    /// first cycle that command is legal under the frozen timing state.
+    /// The planning key of a request's key `k` in a pass whose terms for
+    /// its bank group are `terms`, bank bits cleared: its next command at
+    /// the first cycle that command is legal under the frozen timing state.
     #[inline]
     fn price(&self, k: u64, terms: &[u64; 4]) -> u64 {
         let class = k >> 6 & 3;
@@ -653,8 +630,8 @@ impl SubChannel {
         }
     }
 
-    /// The planning key of one slot key `k` of the read or write table from
-    /// cycle `from` (an enqueue's offer).
+    /// The planning key of one request's key `k` in the read or write queue
+    /// from cycle `from` (an enqueue's offer).
     fn price_from(&self, k: u64, write: bool, from: u64) -> u64 {
         let bg = (k & BANK_BITS) as usize / self.banks_per_group;
         let group_cas = if write { self.bg_wr_ok[bg] } else { self.bg_rd_ok[bg] };
@@ -662,24 +639,11 @@ impl SubChannel {
         self.price(k, &Self::group_terms(sub, from, group_cas, self.bg_act_ok[bg]))
     }
 
-    /// Both slot tables built afresh from the queues and bank state, with
-    /// no bank stale.
-    fn fresh_tables(&self) -> [SlotTable; 2] {
-        [(&self.read_q, self.read_capacity), (&self.write_q, self.write_capacity)].map(
-            |(queue, capacity)| {
-                let mut table = SlotTable::with_capacity(capacity);
-                for q in queue {
-                    table.push(self.slot_of(&q.req));
-                }
-                table
-            },
-        )
-    }
-
-    /// Marks `banks` (a bitmap) stale in both slot tables.
+    /// Marks `banks` (a bitmap) stale in both queues.
     fn mark_stale(&mut self, banks: u64) {
-        self.tables[0].stale |= banks;
-        self.tables[1].stale |= banks;
+        for queue in &mut self.queues {
+            queue.stale |= banks;
+        }
     }
 
     /// Moves reads whose data is available by `now` into `out`.
@@ -722,7 +686,7 @@ impl SubChannel {
         if self.mode == BusMode::WriteDrain {
             self.stats.write_mode_cycles += span;
         }
-        if !self.read_q.is_empty() || !self.write_q.is_empty() {
+        if self.queues.iter().any(|queue| !queue.entries.is_empty()) {
             self.stats.busy_cycles += span;
         }
         self.settled_to = up_to;
@@ -742,8 +706,8 @@ impl SubChannel {
         self.awake_ticks
     }
 
-    /// Number of planning passes over a slot table for the next command
-    /// (perf counter): about one per issued command.
+    /// Number of planning passes over a queue for the next command (perf
+    /// counter): about one per issued command.
     #[must_use]
     pub fn scheduling_passes(&self) -> u64 {
         self.scheduling_passes
@@ -756,9 +720,9 @@ impl SubChannel {
     /// The derived structures are not coded: a restore rebuilds them
     /// ([`SubChannel::rebuild_derived`]).
     pub(crate) fn image(&mut self, io: &mut impl Io) -> Result<(), ImageError> {
-        queue_image(io, &mut self.read_q, self.read_capacity, "reads")?;
-        queue_image(io, &mut self.write_q, self.write_capacity, "writes")?;
-        io.u64(&mut self.next_order)?;
+        for queue in &mut self.queues {
+            queue.image(io)?;
+        }
         each(io, &mut self.banks, "banks", |io, b| b.image(io))?;
         each(io, &mut self.bg_rd_ok, "bank groups", Io::u64)?;
         each(io, &mut self.bg_wr_ok, "bank groups", Io::u64)?;
@@ -767,9 +731,7 @@ impl SubChannel {
         io.u64(&mut self.sub_wr_ok)?;
         io.u64(&mut self.sub_act_ok)?;
         deque(io, &mut self.faw_window, Io::u64)?;
-        let mut write_drain = self.mode == BusMode::WriteDrain;
-        io.bool(&mut write_drain)?;
-        self.mode = if write_drain { BusMode::WriteDrain } else { BusMode::Read };
+        io.choice(&mut self.mode, &[BusMode::Read, BusMode::WriteDrain], "bus mode")?;
         io.u64(&mut self.episode_banks)?;
         io.u64(&mut self.episode_writes)?;
         io.u64(&mut self.episode_start)?;
@@ -783,27 +745,21 @@ impl SubChannel {
     }
 
     /// Rebuilds every derived structure from the decoded state (snapshot
-    /// restore): the queued requests' DRAM coordinates via `mapping`, the
-    /// per-bank pending-write counts and mask, the dead-row mask from the
-    /// banks' auto-precharge flags, the slot tables, the earliest-ready cache
-    /// and a stale plan (a zero wake horizon: replan on the next tick).
+    /// restore): each queue's places (from its addresses, via `mapping`),
+    /// keys and bank mask, the dead-row mask from the banks' auto-precharge
+    /// flags, the earliest-ready cache and a stale plan (a zero wake
+    /// horizon: replan on the next tick).
     pub(crate) fn rebuild_derived(&mut self, mapping: &AddressMapping) {
-        for q in self.read_q.iter_mut().chain(&mut self.write_q) {
-            q.req.decoded = mapping.decode(q.req.addr);
-        }
         self.earliest_ready =
             self.completed.iter().map(|c| c.ready_cycle).min().unwrap_or(u64::MAX);
-        self.write_counts.fill(0);
-        self.write_mask = 0;
-        for q in &self.write_q {
-            let bank = q.req.decoded.bank_in_subchannel(self.banks_per_group);
-            self.write_counts[bank] += 1;
-            self.write_mask |= 1u64 << bank;
-        }
         self.dead_mask = (0..self.banks.len())
             .filter(|&bank| self.banks[bank].auto_precharge)
             .fold(0, |mask, bank| mask | 1u64 << bank);
-        self.tables = self.fresh_tables();
+        let mut queues = std::mem::take(&mut self.queues);
+        for queue in &mut queues {
+            queue.rebuild(|addr| self.place(&mapping.decode(addr)), |place| self.derive(place));
+        }
+        self.queues = queues;
         self.plan = NO_PLAN;
         self.wake_at = 0;
     }
@@ -846,7 +802,7 @@ impl SubChannel {
         // low watermark needs a real tick next cycle to switch the bus back.
         // Otherwise the post-issue timing state is final until the next
         // enqueue, so the next command is planned now.
-        if self.mode == BusMode::WriteDrain && self.write_q.len() <= self.low_watermark {
+        if self.mode == BusMode::WriteDrain && self.queues[1].len() <= self.low_watermark {
             self.wake_at = 0;
         } else {
             self.plan = self.plan_from(now + 1);
@@ -879,10 +835,10 @@ impl SubChannel {
         self.plan.at.min(refresh)
     }
 
-    /// One pass over the current bus mode's slot table: the smallest
+    /// One pass over the current bus mode's queue: the smallest
     /// `(effective cycle, command, queue index)` from cycle `from`, or
-    /// [`NO_PLAN`] for an empty queue. Stale slots are re-derived first, so
-    /// every slot equals its derivation from the current bank state. Timing
+    /// [`NO_PLAN`] for an empty queue. Stale keys are re-derived first, so
+    /// every key equals its derivation from the current bank state. Timing
     /// state is frozen until the next issue, enqueue, refresh or mode switch,
     /// and pending dead-row closes are priced in, so the plan is exact.
     fn plan_from(&mut self, from: u64) -> Plan {
@@ -890,7 +846,7 @@ impl SubChannel {
         let write = self.mode == BusMode::WriteDrain;
         if write && self.ideal_writes {
             // Ideal writes (Figures 2 and 14): arrival order, one burst apart.
-            if self.write_q.is_empty() {
+            if self.queues[1].entries.is_empty() {
                 return NO_PLAN;
             }
             return Plan { at: self.sub_wr_ok.max(from), command: Command::Column, idx: 0 };
@@ -901,20 +857,20 @@ impl SubChannel {
             *terms = Self::group_terms(sub, from, cas, act);
         }
         let group_shift = self.banks_per_group.trailing_zeros();
-        let mut table = std::mem::take(&mut self.tables[usize::from(write)]);
+        let mut queue = std::mem::take(&mut self.queues[usize::from(write)]);
         let (mut best, mut best_idx) = (u64::MAX, usize::MAX);
-        for (idx, k) in table.keys.iter_mut().enumerate() {
+        for (idx, k) in queue.keys.iter_mut().enumerate() {
             let bank = *k & BANK_BITS;
-            if table.stale >> bank & 1 != 0 {
-                *k = self.derive(table.places[idx]);
+            if queue.stale >> bank & 1 != 0 {
+                *k = self.derive(queue.places[idx]);
             }
             let key = self.price(*k, &self.terms[(bank >> group_shift) as usize]);
             if key < best {
                 (best, best_idx) = (key, idx);
             }
         }
-        table.stale = 0;
-        self.tables[usize::from(write)] = table;
+        queue.stale = 0;
+        self.queues[usize::from(write)] = queue;
         if best_idx == usize::MAX {
             return NO_PLAN;
         }
@@ -932,14 +888,15 @@ impl SubChannel {
     }
 
     fn update_mode(&mut self, now: u64) {
+        let writes = self.queues[1].len();
         match self.mode {
             BusMode::Read => {
-                if self.write_q.len() >= self.high_watermark {
+                if writes >= self.high_watermark {
                     self.begin_drain(now);
                 }
             }
             BusMode::WriteDrain => {
-                if self.write_q.len() <= self.low_watermark {
+                if writes <= self.low_watermark {
                     self.end_drain(now);
                 }
             }
@@ -1029,7 +986,7 @@ impl SubChannel {
     /// Flags the row a column command just accessed as dead when the page
     /// policy closes it: always under the closed-page policy, and under the
     /// adaptive open-page policy when no other queued request targets it.
-    fn flag_dead_row(&mut self, now: u64, place: u64, id: u64) {
+    fn flag_dead_row(&mut self, now: u64, place: u64, id: RequestId) {
         if self.page_policy == PagePolicy::Closed
             || (self.page_policy == PagePolicy::AdaptiveOpen
                 && !self.another_request_to_row(place, id))
@@ -1044,10 +1001,6 @@ impl SubChannel {
         }
     }
 
-    fn bank_index(&self, req: &MemRequest) -> usize {
-        req.decoded.bank_in_subchannel(self.banks_per_group)
-    }
-
     fn record_act(&mut self, now: u64) {
         if self.faw_window.len() == 4 {
             self.faw_window.pop_front();
@@ -1056,15 +1009,11 @@ impl SubChannel {
     }
 
     /// Whether another queued request (read or write), one whose id is not
-    /// `skip_id`, targets the bank and row at `place` (a slot table's
-    /// place); used by the adaptive open-page policy. It reads the tables'
-    /// places and touches a queue entry only for its id, on a match.
-    fn another_request_to_row(&self, place: u64, skip_id: u64) -> bool {
-        let live = |table: &SlotTable, queue: &VecDeque<QueuedRequest>| {
-            let mut matches = table.places.iter().enumerate().filter(|&(_, &p)| p == place);
-            matches.any(|(idx, _)| queue[idx].req.id != skip_id)
-        };
-        live(&self.tables[0], &self.read_q) || live(&self.tables[1], &self.write_q)
+    /// `skip_id`, targets the bank and row at `place`; used by the adaptive
+    /// open-page policy. The issuing request has left its queue by then, so
+    /// the skip drops only other requests that share its id.
+    fn another_request_to_row(&self, place: u64, skip_id: RequestId) -> bool {
+        self.queues.iter().any(|queue| queue.holds(place, skip_id))
     }
 
     /// Issues the planned command at `now`.
@@ -1073,19 +1022,16 @@ impl SubChannel {
         let write = self.mode == BusMode::WriteDrain;
         debug_assert!(
             write && self.ideal_writes || {
-                let (k, _) = self.slot_of(&self.active_queue()[idx].req);
+                let k = self.derive(self.queues[usize::from(write)].places[idx]);
                 self.price_from(k, write, now) == key(now, command as u64, 0)
             },
             "the planned command must be legal now"
         );
-        match (command, self.mode) {
-            (Command::Column, BusMode::Read) => self.issue_read_column(now, idx),
-            (Command::Column, BusMode::WriteDrain) if self.ideal_writes => {
-                self.issue_ideal_write(now);
-            }
-            (Command::Column, BusMode::WriteDrain) => self.issue_write_column(now, idx),
-            (Command::Activate, _) => self.issue_activate(now, idx),
-            (Command::Precharge, _) => self.issue_precharge(now, idx),
+        match command {
+            Command::Column if write && self.ideal_writes => self.issue_ideal_write(now),
+            Command::Column => self.issue_column(now, write, idx),
+            Command::Activate => self.issue_activate(now, write, idx),
+            Command::Precharge => self.issue_precharge(now, write, idx),
         }
     }
 
@@ -1093,77 +1039,57 @@ impl SubChannel {
     /// has no bank or bank-group constraints (Figures 2 and 14, "Ideal").
     fn issue_ideal_write(&mut self, now: u64) {
         self.settle_stats(now + 1);
-        let q = self.write_q.pop_front().expect("planned write is queued");
-        self.tables[1].remove(0);
-        let bank = self.bank_index(&q.req);
-        self.uncount_write(bank);
+        let (_, place) = self.queues[1].remove(0);
         self.sub_wr_ok = now + self.timing.t_ccd_s_wr;
         self.stats.writes += 1;
         self.stats.write_row_hits += 1;
-        self.note_write_issued(now, bank);
+        self.note_write_issued(now, (place & BANK_BITS) as usize);
     }
 
-    fn issue_read_column(&mut self, now: u64, idx: usize) {
+    /// Issues the column command of the read or write at `idx`: the request
+    /// leaves its queue, a read's data is scheduled for delivery, and its
+    /// row is flagged dead when the page policy closes it.
+    fn issue_column(&mut self, now: u64, write: bool, idx: usize) {
         self.settle_stats(now + 1);
-        let mut q = self.read_q.remove(idx).expect("index validated");
-        let place = self.tables[0].remove(idx);
-        let bank = self.bank_index(&q.req);
-        let bg = q.req.decoded.bankgroup;
+        let (entry, place) = self.queues[usize::from(write)].remove(idx);
+        let bank = (place & BANK_BITS) as usize;
+        let bg = bank / self.banks_per_group;
         let t = self.timing;
         self.mark_stale(1u64 << bank);
-
-        self.sub_rd_ok = self.sub_rd_ok.max(now + t.t_ccd_s);
-        self.bg_rd_ok[bg] = self.bg_rd_ok[bg].max(now + t.t_ccd_l);
-        // Read-to-write direction change penalty.
-        let rtw = t.read_to_write_turnaround();
-        self.sub_wr_ok = self.sub_wr_ok.max(now + rtw);
-        self.banks[bank].read(now, t.t_rtp);
-
-        match q.outcome.get_or_insert(RowOutcome::Hit) {
-            RowOutcome::Hit => self.stats.read_row_hits += 1,
-            RowOutcome::Miss => self.stats.read_row_misses += 1,
-            RowOutcome::Conflict => self.stats.read_row_conflicts += 1,
+        let s = &mut self.stats;
+        let outcome = entry.outcome.unwrap_or(RowOutcome::Hit);
+        if write {
+            self.sub_wr_ok = self.sub_wr_ok.max(now + t.t_ccd_s_wr);
+            self.bg_wr_ok[bg] = self.bg_wr_ok[bg].max(now + t.t_ccd_l_wr);
+            self.sub_rd_ok = self.sub_rd_ok.max(now + t.write_to_read_turnaround());
+            self.bg_rd_ok[bg] = self.bg_rd_ok[bg].max(now + t.cwl + t.burst + t.t_wtr_l);
+            self.banks[bank].write(now, t.cwl + t.burst + t.t_wr);
+            *match outcome {
+                RowOutcome::Hit => &mut s.write_row_hits,
+                RowOutcome::Miss => &mut s.write_row_misses,
+                RowOutcome::Conflict => &mut s.write_row_conflicts,
+            } += 1;
+            s.writes += 1;
+            self.note_write_issued(now, bank);
+        } else {
+            self.sub_rd_ok = self.sub_rd_ok.max(now + t.t_ccd_s);
+            self.bg_rd_ok[bg] = self.bg_rd_ok[bg].max(now + t.t_ccd_l);
+            // Read-to-write direction change penalty.
+            self.sub_wr_ok = self.sub_wr_ok.max(now + t.read_to_write_turnaround());
+            self.banks[bank].read(now, t.t_rtp);
+            *match outcome {
+                RowOutcome::Hit => &mut s.read_row_hits,
+                RowOutcome::Miss => &mut s.read_row_misses,
+                RowOutcome::Conflict => &mut s.read_row_conflicts,
+            } += 1;
+            let ready = now + t.cl + t.burst;
+            s.reads += 1;
+            s.read_latency_cycles += ready.saturating_sub(entry.enqueue_cycle);
+            self.earliest_ready = self.earliest_ready.min(ready);
+            let Entry { id, addr, core, .. } = entry;
+            self.completed.push(CompletedRead { id, addr, core, ready_cycle: ready });
         }
-
-        let ready = now + t.cl + t.burst;
-        self.stats.reads += 1;
-        self.stats.read_latency_cycles += ready.saturating_sub(q.req.enqueue_cycle);
-        self.earliest_ready = self.earliest_ready.min(ready);
-        self.completed.push(CompletedRead {
-            id: q.req.id,
-            addr: q.req.addr,
-            core: q.req.core,
-            ready_cycle: ready,
-            latency: ready.saturating_sub(q.req.enqueue_cycle),
-        });
-        self.flag_dead_row(now, place, q.req.id);
-    }
-
-    fn issue_write_column(&mut self, now: u64, idx: usize) {
-        self.settle_stats(now + 1);
-        let mut q = self.write_q.remove(idx).expect("index validated");
-        let place = self.tables[1].remove(idx);
-        let bank = self.bank_index(&q.req);
-        self.uncount_write(bank);
-        let bg = q.req.decoded.bankgroup;
-        let t = self.timing;
-        self.mark_stale(1u64 << bank);
-
-        self.sub_wr_ok = self.sub_wr_ok.max(now + t.t_ccd_s_wr);
-        self.bg_wr_ok[bg] = self.bg_wr_ok[bg].max(now + t.t_ccd_l_wr);
-        self.sub_rd_ok = self.sub_rd_ok.max(now + t.write_to_read_turnaround());
-        self.bg_rd_ok[bg] = self.bg_rd_ok[bg].max(now + t.cwl + t.burst + t.t_wtr_l);
-        self.banks[bank].write(now, t.cwl + t.burst + t.t_wr);
-
-        match q.outcome.get_or_insert(RowOutcome::Hit) {
-            RowOutcome::Hit => self.stats.write_row_hits += 1,
-            RowOutcome::Miss => self.stats.write_row_misses += 1,
-            RowOutcome::Conflict => self.stats.write_row_conflicts += 1,
-        }
-
-        self.stats.writes += 1;
-        self.note_write_issued(now, bank);
-        self.flag_dead_row(now, place, q.req.id);
+        self.flag_dead_row(now, place, entry.id);
     }
 
     fn note_write_issued(&mut self, now: u64, bank: usize) {
@@ -1178,40 +1104,28 @@ impl SubChannel {
         }
     }
 
-    fn issue_activate(&mut self, now: u64, idx: usize) {
-        let q = &self.active_queue()[idx];
-        let (bank, bg, row) = (self.bank_index(&q.req), q.req.decoded.bankgroup, q.req.decoded.row);
+    fn issue_activate(&mut self, now: u64, write: bool, idx: usize) {
+        let queue = &mut self.queues[usize::from(write)];
+        queue.entries[idx].outcome.get_or_insert(RowOutcome::Miss);
+        let place = queue.places[idx];
+        let bank = (place & BANK_BITS) as usize;
+        let bg = bank / self.banks_per_group;
         let t = self.timing;
         self.mark_stale(1u64 << bank);
-        self.banks[bank].activate(now, row, t.t_rcd, t.t_ras);
+        self.banks[bank].activate(now, place >> 8, t.t_rcd, t.t_ras);
         self.bg_act_ok[bg] = self.bg_act_ok[bg].max(now + t.t_rrd_l);
         self.sub_act_ok = self.sub_act_ok.max(now + t.t_rrd_s);
         self.record_act(now);
         self.stats.activates += 1;
-        self.active_queue_mut()[idx].outcome.get_or_insert(RowOutcome::Miss);
     }
 
-    fn issue_precharge(&mut self, now: u64, idx: usize) {
-        let bank = self.bank_index(&self.active_queue()[idx].req);
+    fn issue_precharge(&mut self, now: u64, write: bool, idx: usize) {
+        let queue = &mut self.queues[usize::from(write)];
+        queue.entries[idx].outcome = Some(RowOutcome::Conflict);
+        let bank = (queue.places[idx] & BANK_BITS) as usize;
         self.mark_stale(1u64 << bank);
         self.banks[bank].precharge(now, self.timing.t_rp);
         self.stats.precharges += 1;
-        self.active_queue_mut()[idx].outcome = Some(RowOutcome::Conflict);
-    }
-
-    /// The queue the current bus mode schedules from.
-    fn active_queue(&self) -> &VecDeque<QueuedRequest> {
-        match self.mode {
-            BusMode::Read => &self.read_q,
-            BusMode::WriteDrain => &self.write_q,
-        }
-    }
-
-    fn active_queue_mut(&mut self) -> &mut VecDeque<QueuedRequest> {
-        match self.mode {
-            BusMode::Read => &mut self.read_q,
-            BusMode::WriteDrain => &mut self.write_q,
-        }
     }
 }
 
@@ -1273,7 +1187,7 @@ mod tests {
         let mapping = AddressMapping::new(&cfg);
         let mut sc = SubChannel::new(&cfg);
         let addr = addrs_where(&mapping, 1, |_| true)[0];
-        sc.enqueue_read(make_req(&mapping, 1, RequestKind::Read, addr), 0).unwrap();
+        sc.enqueue(make_req(&mapping, 1, RequestKind::Read, addr), 0).unwrap();
         let mut done = Vec::new();
         for cycle in 0..2_000 {
             sc.tick(cycle);
@@ -1284,7 +1198,8 @@ mod tests {
         }
         assert_eq!(done.len(), 1);
         // ACT (tRCD) + RD (CL) + burst, in CPU cycles: ~65+67+14 = ~146.
-        assert!(done[0].latency >= 100 && done[0].latency <= 400, "latency {}", done[0].latency);
+        let latency = sc.stats().read_latency_cycles;
+        assert!((100..=400).contains(&latency), "latency {latency}");
         assert_eq!(sc.stats().read_row_misses, 1);
     }
 
@@ -1295,8 +1210,8 @@ mod tests {
         let mut sc = SubChannel::new(&cfg);
         // Two reads to the same row: second should be a row hit.
         let addr = addrs_where(&mapping, 1, |_| true)[0];
-        sc.enqueue_read(make_req(&mapping, 1, RequestKind::Read, addr), 0).unwrap();
-        sc.enqueue_read(make_req(&mapping, 2, RequestKind::Read, addr + 64 * 4), 0).unwrap();
+        sc.enqueue(make_req(&mapping, 1, RequestKind::Read, addr), 0).unwrap();
+        sc.enqueue(make_req(&mapping, 2, RequestKind::Read, addr + 64 * 4), 0).unwrap();
         let mut done = Vec::new();
         for cycle in 0..4_000 {
             sc.tick(cycle);
@@ -1324,7 +1239,7 @@ mod tests {
             if d.subchannel != 0 {
                 continue;
             }
-            sc.enqueue_write(make_req(&mapping, i as u64, RequestKind::Write, addr), 0).unwrap();
+            sc.enqueue(make_req(&mapping, i as u64, RequestKind::Write, addr), 0).unwrap();
         }
         for cycle in 0..10_000 {
             sc.tick(cycle);
@@ -1340,7 +1255,7 @@ mod tests {
         let mut sc = SubChannel::new(&cfg);
         let addrs = addrs_where(&mapping, cfg.write_high_watermark, |_| true);
         for (i, addr) in addrs.iter().enumerate() {
-            sc.enqueue_write(make_req(&mapping, i as u64, RequestKind::Write, *addr), 0).unwrap();
+            sc.enqueue(make_req(&mapping, i as u64, RequestKind::Write, *addr), 0).unwrap();
         }
         let mut drained_to_low = false;
         for cycle in 0..200_000 {
@@ -1370,7 +1285,7 @@ mod tests {
         let mut sc_same = SubChannel::new(&cfg);
         let same_bg = addrs_where(&mapping, cfg.write_high_watermark, |d| d.bankgroup == 0);
         for (i, a) in same_bg.iter().enumerate() {
-            sc_same.enqueue_write(make_req(&mapping, i as u64, RequestKind::Write, *a), 0).unwrap();
+            sc_same.enqueue(make_req(&mapping, i as u64, RequestKind::Write, *a), 0).unwrap();
         }
         let same_cycles = run_until_writes_done(&mut sc_same, 2_000_000);
 
@@ -1397,7 +1312,7 @@ mod tests {
             }
         }
         for (i, a) in spread.iter().enumerate() {
-            sc_diff.enqueue_write(make_req(&mapping, i as u64, RequestKind::Write, *a), 0).unwrap();
+            sc_diff.enqueue(make_req(&mapping, i as u64, RequestKind::Write, *a), 0).unwrap();
         }
         let diff_cycles = run_until_writes_done(&mut sc_diff, 2_000_000);
 
@@ -1419,7 +1334,7 @@ mod tests {
         let mut sc = SubChannel::new(&cfg);
         let addrs = addrs_where(&mapping, cfg.write_high_watermark, |d| d.bankgroup == 0);
         for (i, a) in addrs.iter().enumerate() {
-            sc.enqueue_write(make_req(&mapping, i as u64, RequestKind::Write, *a), 0).unwrap();
+            sc.enqueue(make_req(&mapping, i as u64, RequestKind::Write, *a), 0).unwrap();
         }
         run_until_writes_done(&mut sc, 100_000);
         let s = sc.stats();
@@ -1435,10 +1350,10 @@ mod tests {
         // Fill the write queue to trigger a drain, then enqueue a read.
         let addrs = addrs_where(&mapping, cfg.write_high_watermark, |d| d.bankgroup < 2);
         for (i, a) in addrs.iter().enumerate() {
-            sc.enqueue_write(make_req(&mapping, i as u64, RequestKind::Write, *a), 0).unwrap();
+            sc.enqueue(make_req(&mapping, i as u64, RequestKind::Write, *a), 0).unwrap();
         }
         let read_addr = addrs_where(&mapping, 1, |d| d.bankgroup == 7)[0];
-        sc.enqueue_read(make_req(&mapping, 1_000, RequestKind::Read, read_addr), 0).unwrap();
+        sc.enqueue(make_req(&mapping, 1_000, RequestKind::Read, read_addr), 0).unwrap();
         let mut done = Vec::new();
         for cycle in 0..2_000_000 {
             sc.tick(cycle);
@@ -1450,7 +1365,8 @@ mod tests {
         assert_eq!(done.len(), 1);
         // The read had to wait for a large chunk of the drain: latency far
         // exceeds an isolated access (~150 cycles).
-        assert!(done[0].latency > 1_000, "read latency during drain = {}", done[0].latency);
+        let latency = sc.stats().read_latency_cycles;
+        assert!(latency > 1_000, "read latency during drain = {latency}");
         assert!(sc.stats().write_mode_cycles > 0);
     }
 
@@ -1461,10 +1377,10 @@ mod tests {
         let mut sc = SubChannel::new(&cfg);
         let addrs = addrs_where(&mapping, cfg.write_queue_entries + 1, |_| true);
         for (i, a) in addrs.iter().take(cfg.write_queue_entries).enumerate() {
-            sc.enqueue_write(make_req(&mapping, i as u64, RequestKind::Write, *a), 0).unwrap();
+            sc.enqueue(make_req(&mapping, i as u64, RequestKind::Write, *a), 0).unwrap();
         }
         let extra = make_req(&mapping, 9_999, RequestKind::Write, addrs[cfg.write_queue_entries]);
-        assert_eq!(sc.enqueue_write(extra, 0), Err(EnqueueError::WriteQueueFull));
+        assert_eq!(sc.enqueue(extra, 0), Err(EnqueueError::WriteQueueFull));
         assert_eq!(sc.stats().write_queue_full_events, 1);
     }
 
@@ -1477,7 +1393,7 @@ mod tests {
         let addr = addrs_where(&mapping, 1, |_| true)[0];
         let req = make_req(&mapping, 1, RequestKind::Write, addr);
         let bank = req.decoded.bank_in_subchannel(cfg.banks_per_group);
-        sc.enqueue_write(req, 0).unwrap();
+        sc.enqueue(req, 0).unwrap();
         assert_eq!(sc.pending_write_banks(), 1 << bank);
     }
 
@@ -1495,17 +1411,45 @@ mod tests {
             // a bank's bit must survive all but its last one leaving.
             let addrs = addrs_where(&mapping, cfg.write_high_watermark, |d| d.bankgroup < 4);
             for (i, a) in addrs.iter().enumerate() {
-                sc.enqueue_write(make_req(&mapping, i as u64, RequestKind::Write, *a), 0).unwrap();
+                sc.enqueue(make_req(&mapping, i as u64, RequestKind::Write, *a), 0).unwrap();
             }
             for cycle in 0..200_000 {
                 sc.tick(cycle);
-                let scanned = sc.write_q.iter().fold(0u64, |m, q| m | 1 << sc.bank_index(&q.req));
+                let scanned = sc.queues[1].entries.iter().fold(0u64, |m, e| {
+                    m | 1 << mapping.decode(e.addr).bank_in_subchannel(cfg.banks_per_group)
+                });
                 assert_eq!(sc.pending_write_banks(), scanned, "cycle {cycle} (ideal={ideal})");
                 if sc.stats().drain_episodes > 0 {
                     break;
                 }
             }
             assert_eq!(sc.write_queue_len(), cfg.write_low_watermark, "the drain must finish");
+        }
+    }
+
+    /// The adaptive open-page policy's liveness rule for shared ids: after a
+    /// column command, a queued request to the same row keeps the row open
+    /// only when its id differs from the issuing request's. The system's
+    /// request ids are line addresses, so a read and the pending write-back
+    /// of its line share one, and that write-back does not keep the row
+    /// open.
+    #[test]
+    fn a_request_sharing_the_issuing_id_does_not_keep_its_row_open() {
+        let cfg = config();
+        let mapping = AddressMapping::new(&cfg);
+        let addr = addrs_where(&mapping, 1, |_| true)[0];
+        let bank = mapping.decode(addr).bank_in_subchannel(cfg.banks_per_group);
+        for (write_id, dead) in [(7, true), (8, false)] {
+            let mut sc = SubChannel::new(&cfg);
+            sc.enqueue(make_req(&mapping, 7, RequestKind::Read, addr), 0).unwrap();
+            sc.enqueue(make_req(&mapping, write_id, RequestKind::Write, addr), 0).unwrap();
+            let issued = (0..2_000).find(|&cycle| {
+                sc.tick(cycle);
+                sc.stats().reads == 1
+            });
+            assert!(issued.is_some(), "the read must issue");
+            assert_eq!(sc.write_queue_len(), 1, "the write waits for a drain");
+            assert_eq!(sc.banks[bank].auto_precharge, dead, "write id {write_id}");
         }
     }
 
@@ -1526,7 +1470,7 @@ mod tests {
         // closed banks) so only tRRD_S / tFAW pace the activates.
         for bg in 0..5usize {
             let addr = addrs_where(&mapping, 1, |d| d.bankgroup == bg)[0];
-            sc.enqueue_read(make_req(&mapping, bg as u64, RequestKind::Read, addr), 0).unwrap();
+            sc.enqueue(make_req(&mapping, bg as u64, RequestKind::Read, addr), 0).unwrap();
         }
         let mut act_cycles = Vec::new();
         let mut seen = 0;
@@ -1561,7 +1505,7 @@ mod tests {
         let addr = addrs_where(&mapping, 1, |_| true)[0];
         let req = make_req(&mapping, 1, RequestKind::Read, addr);
         let (bank, row) = (req.decoded.bank_in_subchannel(cfg.banks_per_group), req.decoded.row);
-        sc.enqueue_read(req, 0).unwrap();
+        sc.enqueue(req, 0).unwrap();
 
         // ACT at 0, RD as soon as tRCD expires; no other request targets the
         // row, so the read marks the row dead (auto-precharge).
@@ -1590,7 +1534,7 @@ mod tests {
         })[0];
         let enqueue_cycle = close_cycle + 1;
         sc.tick(enqueue_cycle);
-        sc.enqueue_read(make_req(&mapping, 2, RequestKind::Read, other), enqueue_cycle).unwrap();
+        sc.enqueue(make_req(&mapping, 2, RequestKind::Read, other), enqueue_cycle).unwrap();
         let act_cycle = (enqueue_cycle + 1..enqueue_cycle + 1_000).find(|&cycle| {
             sc.tick(cycle);
             sc.stats().activates == 2
@@ -1608,7 +1552,7 @@ mod tests {
         let mapping = AddressMapping::new(&cfg);
         let mut eager = SubChannel::new(&cfg);
         let addr = addrs_where(&mapping, 1, |_| true)[0];
-        eager.enqueue_read(make_req(&mapping, 1, RequestKind::Read, addr), 0).unwrap();
+        eager.enqueue(make_req(&mapping, 1, RequestKind::Read, addr), 0).unwrap();
         let mut lazy = eager.clone();
 
         for cycle in 0..2_000 {
@@ -1638,15 +1582,9 @@ mod tests {
         let mut original = SubChannel::new(&cfg);
         let addrs = addrs_where(&mapping, cfg.write_high_watermark + 8, |_| true);
         for (i, a) in addrs.iter().enumerate() {
-            if i < cfg.write_high_watermark {
-                original
-                    .enqueue_write(make_req(&mapping, i as u64, RequestKind::Write, *a), 0)
-                    .unwrap();
-            } else {
-                original
-                    .enqueue_read(make_req(&mapping, i as u64, RequestKind::Read, *a), 0)
-                    .unwrap();
-            }
+            let kind =
+                if i < cfg.write_high_watermark { RequestKind::Write } else { RequestKind::Read };
+            original.enqueue(make_req(&mapping, i as u64, kind, *a), 0).unwrap();
         }
         // Advance into the middle of the drain so the episode trackers
         // and timing state are non-trivial, then capture.
@@ -1699,19 +1637,19 @@ mod tests {
     /// issue at `now`: the oldest ready column command, else the oldest ready
     /// activate, else the oldest ready precharge.
     fn reference_pick(sc: &SubChannel, now: u64) -> Option<Plan> {
-        let queue = sc.active_queue();
         let write = sc.mode == BusMode::WriteDrain;
+        let places = &sc.queues[usize::from(write)].places;
         if write && sc.ideal_writes {
-            let ready = sc.sub_wr_ok <= now && !queue.is_empty();
+            let ready = sc.sub_wr_ok <= now && !places.is_empty();
             return ready.then_some(Plan { at: now, command: Command::Column, idx: 0 });
         }
         let (sub_cas, bg_cas) =
             if write { (sc.sub_wr_ok, &sc.bg_wr_ok) } else { (sc.sub_rd_ok, &sc.bg_rd_ok) };
         let faw_allows = sc.faw_window.len() < 4 || now >= sc.faw_window[0] + sc.timing.t_faw;
         let oldest = |command, ready: &dyn Fn(&BankState, usize, u64) -> bool| {
-            let idx = queue.iter().position(|q| {
-                let d = &q.req.decoded;
-                ready(&sc.banks[sc.bank_index(&q.req)], d.bankgroup, d.row)
+            let idx = places.iter().position(|&place| {
+                let bank = (place & BANK_BITS) as usize;
+                ready(&sc.banks[bank], bank / sc.banks_per_group, place >> 8)
             })?;
             Some(Plan { at: now, command, idx })
         };
@@ -1759,14 +1697,18 @@ mod tests {
         pool
     }
 
-    /// Asserts that a full rebuild of both slot tables from the queues and
-    /// bank state changes nothing but the keys of stale banks: every key
-    /// outside the stale masks is exact.
-    fn assert_tables_exact(sc: &SubChannel, ctx: impl Fn() -> String) {
-        for (table, fresh) in sc.tables.iter().zip(sc.fresh_tables()) {
-            assert_eq!(table.places, fresh.places, "{}: a table must follow its queue", ctx());
-            for (&k, &fresh) in table.keys.iter().zip(&fresh.keys) {
-                let stale = table.stale >> (k & BANK_BITS) & 1 != 0;
+    /// Asserts that a fresh rebuild of each queue's derived arrays, from its
+    /// entries' addresses and the bank state, changes nothing but the keys
+    /// of stale banks: the places and the bank mask are exact, and so is
+    /// every key outside the stale mask.
+    fn assert_tables_exact(sc: &SubChannel, mapping: &AddressMapping, ctx: impl Fn() -> String) {
+        for queue in &sc.queues {
+            let mut fresh = queue.clone();
+            fresh.rebuild(|addr| sc.place(&mapping.decode(addr)), |place| sc.derive(place));
+            assert_eq!(queue.places, fresh.places, "{}: places must follow the entries", ctx());
+            assert_eq!(queue.banks, fresh.banks, "{}: the bank mask must follow them", ctx());
+            for (&k, &fresh) in queue.keys.iter().zip(&fresh.keys) {
+                let stale = queue.stale >> (k & BANK_BITS) & 1 != 0;
                 assert!(
                     stale || k == fresh,
                     "{}: key {k:#x} outside the stale mask, not {fresh:#x}",
@@ -1778,16 +1720,18 @@ mod tests {
 
     /// Checks `another_request_to_row` by brute force for every (bank,
     /// row) of the pool, skipping no id and each id queued there: another
-    /// request targets the row when the queues' decoded addresses hold one
-    /// there with a different id.
+    /// request targets the row when the queues hold one there with a
+    /// different id.
     fn assert_row_liveness(
         sc: &SubChannel,
         pool: &BTreeMap<(usize, u64), Vec<u64>>,
         ctx: impl Fn() -> String,
     ) {
         let mut ids = BTreeMap::<(usize, u64), Vec<u64>>::new();
-        for q in sc.read_q.iter().chain(&sc.write_q) {
-            ids.entry((sc.bank_index(&q.req), q.req.decoded.row)).or_default().push(q.req.id);
+        for queue in &sc.queues {
+            for (entry, &place) in queue.entries.iter().zip(&queue.places) {
+                ids.entry(((place & BANK_BITS) as usize, place >> 8)).or_default().push(entry.id);
+            }
         }
         for &(bank, row) in pool.keys() {
             let queued = ids.get(&(bank, row)).map_or(&[][..], Vec::as_slice);
@@ -1812,11 +1756,12 @@ mod tests {
     ///   the three-pass tick (dead-row closes, refresh, mode update, then
     ///   the reference pick), so the issued command is the reference's.
     ///
-    /// After every tick the slot tables must be exact outside their stale
-    /// masks ([`assert_tables_exact`]); every 97 cycles the row-liveness
-    /// answer is checked by brute force ([`assert_row_liveness`]); and every
-    /// 4,000 cycles the sub-channel is replaced by a fresh one restored from
-    /// its image, which must then continue in lockstep too.
+    /// After every tick the queues' derived arrays must be exact outside
+    /// their stale masks ([`assert_tables_exact`]); every 97 cycles the
+    /// row-liveness answer is checked by brute force
+    /// ([`assert_row_liveness`]); and every 4,000 cycles the sub-channel is
+    /// replaced by a fresh one restored from its image, which must then
+    /// continue in lockstep too.
     ///
     /// Returns the final statistics, settled.
     fn run_lockstep(cfg: &DramConfig, seed: u64, cycles: u64) -> SubChannelStats {
@@ -1864,9 +1809,10 @@ mod tests {
                     "{}: a refresh is due while asleep",
                     ctx(now)
                 );
+                let writes = settled.write_queue_len();
                 let switch_due = match settled.mode {
-                    BusMode::Read => settled.write_q.len() >= cfg.write_high_watermark,
-                    BusMode::WriteDrain => settled.write_q.len() <= cfg.write_low_watermark,
+                    BusMode::Read => writes >= cfg.write_high_watermark,
+                    BusMode::WriteDrain => writes <= cfg.write_low_watermark,
                 };
                 assert!(!switch_due, "{}: a bus-mode switch is due while asleep", ctx(now));
                 assert!(!sc.tick(now), "{}: a sleeping tick must be inert", ctx(now));
@@ -1897,14 +1843,13 @@ mod tests {
             let flagged =
                 sc.banks.iter().rev().fold(0u64, |m, b| m << 1 | u64::from(b.auto_precharge));
             assert_eq!(sc.dead_mask, flagged, "{}: the dead-row mask must track flags", ctx(now));
-            assert_tables_exact(&sc, || ctx(now));
+            assert_tables_exact(&sc, &mapping, || ctx(now));
             if now % 97 == 0 {
                 assert_row_liveness(&sc, &pool, || ctx(now));
             }
 
             for (write, rate) in [false, true].into_iter().zip(rates) {
-                let accepts = if write { sc.can_accept_write() } else { sc.can_accept_read() };
-                if rand(64) >= rate || !accepts {
+                if rand(64) >= rate || sc.queues[usize::from(write)].is_full() {
                     continue;
                 }
                 // One request in four goes to an open row: to a dead row
@@ -1924,7 +1869,7 @@ mod tests {
                 let kind = if write { RequestKind::Write } else { RequestKind::Read };
                 let req = make_req(&mapping, id, kind, addr);
                 id += 1;
-                if write { sc.enqueue_write(req, now) } else { sc.enqueue_read(req, now) }.unwrap();
+                sc.enqueue(req, now).unwrap();
             }
             let mut done = Vec::new();
             sc.drain_completed(now, &mut done);

@@ -162,6 +162,22 @@ pub trait Io {
         }
         Ok(())
     }
+
+    /// One of `options` (at most 255, listing every value `v` can hold),
+    /// coded as its index in a [`Io::tag`], so two options code as a
+    /// [`Io::bool`] does. The field is named once, in this call.
+    fn choice<T: Copy + PartialEq>(
+        &mut self,
+        v: &mut T,
+        options: &[T],
+        what: &str,
+    ) -> Result<(), ImageError> {
+        // A value outside `options` fails the tag's bound, encoding too.
+        let mut tag = options.iter().position(|o| o == v).map_or(u8::MAX, |i| i as u8);
+        self.tag(&mut tag, (options.len() - 1) as u8, what)?;
+        *v = options[usize::from(tag)];
+        Ok(())
+    }
 }
 
 /// The encoding direction: appends each field to the payload it holds.
@@ -220,10 +236,8 @@ impl Io for Dec<'_> {
                 *v = value;
                 return Ok(());
             }
+            // At shift 63 a continued byte exceeds 1, so the loop ends there.
             shift += 7;
-            if shift > 63 {
-                return Err(self.fail("varint longer than 10 bytes"));
-            }
         }
     }
 
@@ -437,6 +451,26 @@ mod tests {
     }
 
     #[test]
+    fn a_choice_codes_its_index_as_a_tag() {
+        let letters = ['a', 'b', 'c'];
+        let (mut on, mut letter) = (true, 'c');
+        let bytes = encode(|io| {
+            io.choice(&mut on, &[false, true], "switch")?;
+            io.choice(&mut letter, &letters, "letter")
+        });
+        // The bytes of a bool, then of a tag.
+        assert_eq!(bytes, [1, 2]);
+        let (mut on2, mut letter2) = (false, 'a');
+        decode(&bytes, |io| {
+            io.choice(&mut on2, &[false, true], "switch")?;
+            io.choice(&mut letter2, &letters, "letter")
+        })
+        .unwrap();
+        assert_eq!((on2, letter2), (on, letter));
+        assert_format(&[3], "invalid letter 3", |d| d.choice(&mut 'a', &letters, "letter"));
+    }
+
+    #[test]
     fn a_size_other_than_the_live_one_is_incompatible() {
         let bytes = encode(|io| each(io, &mut [1u64, 2, 3], "banks", Io::u64));
         let err = decode(&bytes, |io| each(io, &mut [0u64; 2], "banks", Io::u64)).unwrap_err();
@@ -462,6 +496,7 @@ mod tests {
     fn the_decoder_refuses_malformed_values() {
         let overlong = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02];
         assert_format(&overlong, "overflows u64", |d| d.u64(&mut 0));
+        assert_format(&[0x80; 11], "overflows u64", |d| d.u64(&mut 0));
         assert_format(&[2], "0 or 1", |d| d.bool(&mut false));
         assert_format(&[4], "invalid stage 4", |d| d.tag(&mut 0, 3, "stage"));
         assert_format(&[0x80, 0x80, 0x04], "fit u16", |d| d.u16(&mut 0));
